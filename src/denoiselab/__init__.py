@@ -6,6 +6,8 @@ restore confidences for every planted error, trains count-based correctors,
 and runs the train-filter-retrain pipeline with calibration diagnostics.
 """
 
+__version__ = "0.1.0"  # the package's only version string; modules import it from here
+
 from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, build_confusion, categorize,
                       corrupt, generate_corpus)
@@ -22,5 +24,3 @@ from .pipeline import (ExperimentConfig, FilterConfig, PipelineReport,
                        threshold_sweep, volume_sweep)
 from .world import (ImpossibleContextError, WorldConfig, WorldModel, build_world,
                     conditional, sample_sentence, sentence_prob)
-
-__version__ = "0.1.0"

@@ -48,6 +48,21 @@ class CategoryResult:
     candidates: tuple[int, ...]
 
 
+def candidate_category(weights: np.ndarray, replacement: int) -> CategoryResult:
+    """Category of an edit from per-source weights of explaining the replacement.
+
+    The nonzero entries are the candidates: a single one makes a true sample,
+    a set holding the replacement itself a noisy one, any other set a
+    multi-answer one.
+    """
+    members = tuple(int(t) for t in np.flatnonzero(weights))
+    if len(members) == 1:
+        return CategoryResult(SampleCategory.TRUE, members)
+    if replacement in members:
+        return CategoryResult(SampleCategory.NOISY, members)
+    return CategoryResult(SampleCategory.MULTI_ANSWER, members)
+
+
 @dataclass(frozen=True)
 class ConfusionConfig:
     """Parameters for :func:`build_confusion`.
@@ -100,10 +115,6 @@ class ConfusionTable:
         """(V, V) replacement-weight matrix; row = source, column = output."""
         return self._matrix
 
-    def replacement_prob(self, source: int, observed: int) -> float:
-        """Weight of drawing ``observed`` when ``source`` is replaced."""
-        return float(self._matrix[source, observed])
-
     def transition_prob(self, source: int, observed: int, rate: float) -> float:
         """Channel law for one position: keep with 1 - rate, else draw a candidate."""
         if not (0.0 <= rate < 1.0):
@@ -119,10 +130,6 @@ class ConfusionTable:
         vec = rate * self._matrix[:, observed].copy()
         vec[observed] = 1.0 - rate
         return vec
-
-    def sources_of(self, observed: int) -> np.ndarray:
-        """Tokens whose candidate set contains ``observed``."""
-        return np.flatnonzero(self._matrix[:, observed])
 
 
 def zipf_exponent_for_head_mass(n_candidates: int, head_mass: float) -> float:
@@ -317,18 +324,11 @@ def _edit_category(world: WorldModel, table: ConfusionTable, tokens,
     prior = conditional(world, tokens, position)
     can_emit = table.matrix[:, replacement] > 0
     can_emit[replacement] = True  # keeping the token always emits it
-    cand = np.flatnonzero(can_emit & (prior > 0.0))
-    if original not in cand:
+    result = candidate_category(can_emit & (prior > 0.0), replacement)
+    if original not in result.candidates:
         raise ValueError(
             "edit inconsistent with world/table: original cannot produce the replacement here")
-    members = tuple(int(t) for t in cand)
-    if len(members) == 1:
-        category = SampleCategory.TRUE
-    elif replacement in members:
-        category = SampleCategory.NOISY
-    else:
-        category = SampleCategory.MULTI_ANSWER
-    return CategoryResult(category, members)
+    return result
 
 
 def categorize(record: CorruptionRecord, world: WorldModel, table: ConfusionTable,
@@ -489,14 +489,24 @@ def corpus_to_jsonl(corpus: PairCorpus, path: str | Path) -> None:
 
 def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
                       mode: str = "iid") -> PairCorpus:
-    records = []
+    records, line_numbers = [], []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if line:
                 records.append(record_from_dict(json.loads(line), rate))
+                line_numbers.append(number)
     if not records:
         raise ValueError(f"no records in {path}")
+    ends = np.cumsum([r.length for r in records])
+    for field in ("clean", "corrupted"):
+        tokens = np.fromiter(chain.from_iterable(getattr(r, field) for r in records),
+                             dtype=np.int64, count=int(ends[-1]))
+        bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
+        if len(bad):
+            k = int(np.searchsorted(ends, bad[0], side="right"))
+            raise ValueError(f"{path}:{line_numbers[k]}: {field} token {tokens[bad[0]]} "
+                             f"outside [0, {vocab_size})")
     return PairCorpus(tuple(records), vocab_size, rate, mode)
 
 

@@ -18,21 +18,7 @@ import numpy as np
 
 from . import augment, calibration, corrector, harness, oracle, pipeline, world
 from .config import (experiment_config_to_dict, load_experiment_config)
-from .harness import MetricsRow, config_hash, emit_report, sha256_file
-
-
-def _write_manifest(out_dir: Path, config_doc: dict, seed: int,
-                    files: dict[str, Path], meta: dict | None = None) -> None:
-    manifest = {
-        "config_hash": config_hash(config_doc),
-        "seed": seed,
-        "versions": {"denoiselab": harness.PACKAGE_VERSION, "numpy": np.__version__},
-        "files": {name: sha256_file(path) for name, path in sorted(files.items())},
-    }
-    if meta:
-        manifest["meta"] = meta
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+from .harness import MetricsRow, emit_report, write_manifest
 
 
 def _load_corpus_dir(corpus_dir: Path):
@@ -68,7 +54,7 @@ def gen_world(config_path, seed, out_dir):
     w = world.build_world(dataclasses.replace(cfg.world, seed=seed))
     path = out / "world.json"
     world.save_world(w, path)
-    _write_manifest(out, experiment_config_to_dict(cfg), seed, {"world.json": path})
+    write_manifest(out, experiment_config_to_dict(cfg), seed, {"world.json": path})
     click.echo(f"world: V={w.vocab_size} order={w.order} -> {path}")
 
 
@@ -99,7 +85,7 @@ def gen_corpus(config_path, seed, out_dir, channel, mode, sentences, annotate):
         files[name] = out / name
     meta = {"vocab_size": w.vocab_size, "rate": cfg.rate, "mode": mode,
             "channel": channel, "sentences": n, "n_edits": corpus.n_edits}
-    _write_manifest(out, experiment_config_to_dict(cfg), seed, files, meta)
+    write_manifest(out, experiment_config_to_dict(cfg), seed, files, meta)
     click.echo(f"corpus: {n} sentences, {corpus.n_edits} edits -> {out}")
 
 
@@ -119,9 +105,9 @@ def train_cmd(config_path, seed, out_dir, corpus_dir, window):
     model = corrector.train(corpus, offsets, cfg.corrector.alpha)
     path = out / "model.json"
     corrector.save_model(model, path)
-    _write_manifest(out, experiment_config_to_dict(cfg), seed, {"model.json": path},
-                    meta={"trained_chars": model.trained_chars,
-                          "window": list(model.window)})
+    write_manifest(out, experiment_config_to_dict(cfg), seed, {"model.json": path},
+                   meta={"trained_chars": model.trained_chars,
+                         "window": list(model.window)})
     click.echo(f"model: {model.trained_chars} chars, window {model.window} -> {path}")
 
 
@@ -153,8 +139,8 @@ def score_cmd(config_path, seed, out_dir, model_path, corpus_dir, with_oracle):
                 doc["sigma"] = rep.sigma
                 doc["bound"] = rep.bound
             fh.write(json.dumps(doc) + "\n")
-    _write_manifest(out, experiment_config_to_dict(cfg), seed, {"scores.jsonl": path},
-                    meta={"edits": len(places)})
+    write_manifest(out, experiment_config_to_dict(cfg), seed, {"scores.jsonl": path},
+                   meta={"edits": len(places)})
     click.echo(f"scored {len(places)} edits -> {path}")
 
 
@@ -175,9 +161,9 @@ def filter_cmd(config_path, seed, out_dir, model_path, corpus_dir, threshold):
     result = pipeline.filter_corpus(model, corpus, p)
     path = out / "filtered.jsonl"
     augment.corpus_to_jsonl(result.corpus, path)
-    _write_manifest(out, experiment_config_to_dict(cfg), seed, {"filtered.jsonl": path},
-                    meta={"threshold": p, "kept": result.kept_edits,
-                          "reverted": result.reverted_edits, **meta})
+    write_manifest(out, experiment_config_to_dict(cfg), seed, {"filtered.jsonl": path},
+                   meta={"threshold": p, "kept": result.kept_edits,
+                         "reverted": result.reverted_edits, **meta})
     click.echo(f"kept {result.kept_edits}, reverted {result.reverted_edits} -> {path}")
 
 

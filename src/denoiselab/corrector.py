@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +48,6 @@ class CorrectorModel:
     trained_chars: int
     trained_on: str              # human-readable corpus descriptor
     corpus_hash: str             # content digest of the training corpus
-
-    @property
-    def pad(self) -> int:
-        return self.vocab_size
 
     @property
     def n_signatures(self) -> int:
@@ -139,8 +136,7 @@ def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
     )
 
 
-def _rows_for(model: CorrectorModel, sig_f: np.ndarray,
-              centers: np.ndarray | None) -> np.ndarray:
+def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Smoothed probability rows with the unseen-signature fallback chain.
 
     Unseen signature -> center marginal (when the window has a center) ->
@@ -150,7 +146,7 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray,
     totals = rows.sum(axis=1)
     missing = totals == 0.0
     if np.any(missing):
-        if model.center_counts is not None and centers is not None:
+        if model.center_counts is not None:
             fallback = model.center_counts[centers[missing]].astype(float)
         else:
             fallback = np.broadcast_to(model.target_counts.astype(float),
@@ -161,36 +157,31 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray,
     return (rows + alpha) / (totals + alpha * model.vocab_size)[:, None]
 
 
-def _position_signature(model: CorrectorModel, tokens, position: int) -> tuple[int, int]:
-    L = len(tokens)
-    base = model.vocab_size + 1
-    sig = 0
-    scale = 1
-    for off in model.window:
-        j = position + off
-        feat = int(tokens[j]) if 0 <= j < L else model.pad
-        sig += feat * scale
-        scale *= base
-    return sig, int(tokens[position])
+def _sentence_rows(model: CorrectorModel, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """Signature ids and center tokens of one sentence, computed as a one-row matrix."""
+    toks = np.asarray(tokens, dtype=np.int64).reshape(1, -1)
+    sig, _ = _signatures(toks, np.array([toks.shape[1]]), model.vocab_size, model.window)
+    return sig[0], toks[0]
 
 
 def predict(model: CorrectorModel, tokens, position: int) -> np.ndarray:
     """Smoothed distribution over clean tokens for one position."""
     if not (0 <= position < len(tokens)):
         raise ValueError("position out of range")
-    sig, center = _position_signature(model, tokens, position)
-    rows = _rows_for(model, np.array([sig]), np.array([center]))
-    return rows[0]
+    sigs, centers = _sentence_rows(model, tokens)
+    return _rows_for(model, sigs[position:position + 1], centers[position:position + 1])[0]
 
 
 def predict_at(model: CorrectorModel, corpus: PairCorpus,
                places: list[tuple[int, int]]) -> np.ndarray:
     """Batch prediction at (record_index, position) pairs."""
-    sigs = np.empty(len(places), dtype=np.int64)
-    centers = np.empty(len(places), dtype=np.int64)
-    for k, (ri, pos) in enumerate(places):
-        sigs[k], centers[k] = _position_signature(model, corpus.records[ri].corrupted, pos)
-    return _rows_for(model, sigs, centers)
+    _, corr_mat, lengths = corpus_arrays(corpus)
+    sig, _ = _signatures(corr_mat, lengths, model.vocab_size, model.window)
+    ri, pos = np.fromiter(chain.from_iterable(places), dtype=np.int64,
+                          count=2 * len(places)).reshape(-1, 2).T
+    if not np.all((pos >= 0) & (pos < lengths[ri])):
+        raise ValueError("position out of range")
+    return _rows_for(model, sig[ri, pos], corr_mat[ri, pos])
 
 
 def predict_matrix(model: CorrectorModel, corr_mat: np.ndarray,
@@ -217,13 +208,8 @@ def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 def correct(model: CorrectorModel, tokens) -> tuple[int, ...]:
     """Per-position argmax decode of one sentence."""
-    toks = tuple(int(t) for t in tokens)
-    sigs = np.empty(len(toks), dtype=np.int64)
-    centers = np.empty(len(toks), dtype=np.int64)
-    for pos in range(len(toks)):
-        sigs[pos], centers[pos] = _position_signature(model, toks, pos)
-    probs = _rows_for(model, sigs, centers)
-    out = _argmax_keep_ties(probs, centers)
+    sigs, centers = _sentence_rows(model, tokens)
+    out = _argmax_keep_ties(_rows_for(model, sigs, centers), centers)
     return tuple(int(t) for t in out)
 
 

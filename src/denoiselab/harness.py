@@ -18,11 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .augment import PairCorpus, SampleCategory, corpus_arrays
 from .calibration import CalibrationReport
 from .corrector import CorrectorModel, correct_corpus
-
-PACKAGE_VERSION = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -165,6 +164,22 @@ def config_hash(config_doc: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def write_manifest(out_dir: str | Path, config_doc: dict, seed: int,
+                   files: dict[str, str | Path], meta: dict | None = None) -> Path:
+    """Write ``manifest.json``: config hash, seed, versions, and a digest per file."""
+    manifest = {
+        "config_hash": config_hash(config_doc),
+        "seed": seed,
+        "versions": {"denoiselab": __version__, "numpy": np.__version__},
+        "files": {name: sha256_file(p) for name, p in sorted(files.items())},
+    }
+    if meta:
+        manifest["meta"] = meta
+    path = Path(out_dir) / "manifest.json"
+    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return path
+
+
 def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
                 reliability: CalibrationReport | None = None,
                 config_doc: dict | None = None, seed: int = 0,
@@ -192,15 +207,7 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
     for name, src in (extra_files or {}).items():
         written[name] = Path(src)
 
-    manifest = {
-        "config_hash": config_hash(config_doc or {}),
-        "seed": seed,
-        "versions": {"denoiselab": PACKAGE_VERSION, "numpy": np.__version__},
-        "files": {name: sha256_file(p) for name, p in sorted(written.items())},
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    written["manifest.json"] = manifest_path
+    written["manifest.json"] = write_manifest(out, config_doc or {}, seed, written)
     return written
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import ConfusionTable, CorruptionRecord, SampleCategory
+from .augment import ConfusionTable, CorruptionRecord, SampleCategory, candidate_category
 from .world import (ENUMERATION_BUDGET, ImpossibleContextError, WorldModel,
                     conditional, validate_tokens)
 
@@ -90,14 +90,8 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     numerator = float(terms[x])
     post = numerator / denominator
 
-    cand = np.flatnonzero(terms)
-    members = tuple(int(v) for v in cand)
-    if len(members) == 1:
-        category = SampleCategory.TRUE
-    elif y in members:
-        category = SampleCategory.NOISY
-    else:
-        category = SampleCategory.MULTI_ANSWER
+    result = candidate_category(terms, y)
+    members, category = result.candidates, result.category
 
     sigma = 0.0
     for v in members:
@@ -284,13 +278,3 @@ class OracleScorer:
             # Contexts the exact model cannot explain get an uninformative
             # vector; only reachable when scoring out-of-world sentences.
             return np.full(self.world.vocab_size, 1.0 / self.world.vocab_size)
-
-
-def report_to_dict(report: PosteriorReport) -> dict:
-    return {
-        "posterior": report.posterior,
-        "category": report.category.value,
-        "sigma": report.sigma,
-        "bound": report.bound,
-        "candidates": list(report.candidates),
-    }

@@ -98,6 +98,39 @@ class PipelineReport:
     filtered: PairCorpus | None = field(repr=False, default=None)
 
 
+def revert_edits(corpus: PairCorpus, keep: np.ndarray) -> FilterResult:
+    """Revert every edit whose ``keep`` flag is false.
+
+    ``keep`` holds one flag per edit in ``iter_edits`` order.  A reverted
+    position gets its clean token back and loses its edit and category;
+    records without a reverted edit are passed through unchanged.
+    """
+    keep = np.asarray(keep, dtype=bool).tolist()
+    if len(keep) != corpus.n_edits:
+        raise ValueError("keep needs one flag per edit")
+    records = []
+    k = 0
+    for rec in corpus.records:
+        decisions = keep[k:k + len(rec.edits)]
+        k += len(rec.edits)
+        if all(decisions):
+            records.append(rec)
+            continue
+        corrupted = list(rec.corrupted)
+        for d, (i, x, _) in zip(decisions, rec.edits):
+            if not d:
+                corrupted[i] = x
+        categories = None
+        if rec.categories is not None:
+            categories = tuple(c for d, c in zip(decisions, rec.categories) if d)
+        records.append(CorruptionRecord(
+            rec.clean, tuple(corrupted), tuple(e for d, e in zip(decisions, rec.edits) if d),
+            rec.channel_rate, categories))
+    kept = sum(keep)
+    filtered = PairCorpus(tuple(records), corpus.vocab_size, corpus.rate, corpus.mode)
+    return FilterResult(filtered, kept, len(keep) - kept)
+
+
 def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     """Revert every edit whose restore confidence falls below the threshold.
 
@@ -107,82 +140,18 @@ def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must be in (0, 1)")
-    places = [(ri, edit[0]) for ri, _, _, edit in corpus.iter_edits()]
+    places = [(ri, i) for ri, _, _, (i, _, _) in corpus.iter_edits()]
     if not places:
         return FilterResult(corpus, 0, 0)
 
     if isinstance(scorer, CorrectorModel):
         probs = predict_at(scorer, corpus, places)
-        originals = np.array([edit[1] for _, _, _, edit in corpus.iter_edits()])
+        originals = np.array([x for _, _, _, (_, x, _) in corpus.iter_edits()])
         confidences = probs[np.arange(len(places)), originals]
     else:
-        confidences = np.array([
-            float(scorer.predict(corpus.records[ri].corrupted, pos)[edit[1]])
-            for (ri, pos), (_, _, _, edit) in zip(places, corpus.iter_edits())
-        ])
-
-    keep = confidences >= threshold
-    records = []
-    k = 0
-    kept = reverted = 0
-    for rec in corpus.records:
-        if not rec.edits:
-            records.append(rec)
-            continue
-        decisions = keep[k:k + len(rec.edits)]
-        k += len(rec.edits)
-        if decisions.all():
-            records.append(rec)
-            kept += len(rec.edits)
-            continue
-        corrupted = list(rec.corrupted)
-        new_edits = []
-        new_cats = [] if rec.categories is not None else None
-        for d, (edit, cat) in zip(decisions,
-                                  zip(rec.edits, rec.categories or [None] * len(rec.edits))):
-            i, x, y = edit
-            if d:
-                new_edits.append(edit)
-                if new_cats is not None:
-                    new_cats.append(cat)
-                kept += 1
-            else:
-                corrupted[i] = x
-                reverted += 1
-        records.append(CorruptionRecord(
-            rec.clean, tuple(corrupted), tuple(new_edits), rec.channel_rate,
-            tuple(new_cats) if new_cats is not None else None))
-    filtered = PairCorpus(tuple(records), corpus.vocab_size, corpus.rate, corpus.mode)
-    return FilterResult(filtered, kept, reverted)
-
-
-def _revert_edit_set(corpus: PairCorpus, flagged: set[tuple[int, int]]) -> FilterResult:
-    records = []
-    kept = reverted = 0
-    for ri, rec in enumerate(corpus.records):
-        hits = [k for k, (i, _, _) in enumerate(rec.edits) if (ri, i) in flagged]
-        if not hits:
-            records.append(rec)
-            kept += len(rec.edits)
-            continue
-        corrupted = list(rec.corrupted)
-        new_edits = []
-        new_cats = [] if rec.categories is not None else None
-        for k, edit in enumerate(rec.edits):
-            i, x, y = edit
-            if k in hits:
-                corrupted[i] = x
-                reverted += 1
-            else:
-                new_edits.append(edit)
-                if new_cats is not None:
-                    new_cats.append(rec.categories[k])
-                kept += 1
-        records.append(CorruptionRecord(
-            rec.clean, tuple(corrupted), tuple(new_edits), rec.channel_rate,
-            tuple(new_cats) if new_cats is not None else None))
-    return FilterResult(PairCorpus(tuple(records), corpus.vocab_size, corpus.rate,
-                                   corpus.mode), kept, reverted)
+        confidences = np.array([float(scorer.predict(rec.corrupted, i)[x])
+                                for _, rec, _, (i, x, _) in corpus.iter_edits()])
+    return revert_edits(corpus, confidences >= threshold)
 
 
 def _masked_scores(context_model: CorrectorModel, corpus: PairCorpus,
@@ -373,7 +342,9 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
     elif variant == "heuristic":
         context_model = train(d_r, MASKED_WINDOW, cc.alpha)
         flagged = heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
-        result = _revert_edit_set(d_o, flagged)
+        flagged |= heuristic_multi(d_o, context_model, fc.lambda_m, flagged)
+        result = revert_edits(d_o, [(ri, i) not in flagged
+                                    for ri, _, _, (i, _, _) in d_o.iter_edits()])
         final = train(result.corpus, cc.window, cc.alpha)
         rates = category_filter_rates(d_o, result.corpus)
     else:  # pragma: no cover - guarded by FilterConfig

@@ -294,6 +294,18 @@ class TestCorpusIO:
         assert doc == {"clean": [0, 1, 3], "corrupted": [0, 2, 3],
                        "edits": [[1, 1, 2]], "categories": ["noisy"]}
 
+    @pytest.mark.parametrize("field,line", [("clean", 3), ("corrupted", 2)])
+    def test_jsonl_rejects_out_of_range_tokens(self, tmp_path, field, line):
+        good = {"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]]}
+        bad = {"clean": [0, 1, 25], "corrupted": [0, 1, 25], "edits": []}
+        if field == "corrupted":
+            bad = {"clean": [0, 1, 2], "corrupted": [0, 1, -1], "edits": [[2, 2, -1]]}
+        lines = [good, bad] if line == 2 else [good, None, bad]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join((json.dumps(d) if d else "") + "\n" for d in lines))
+        with pytest.raises(ValueError, match=rf"c\.jsonl:{line}: {field} token"):
+            corpus_from_jsonl(path, vocab_size=4, rate=0.1)
+
     def test_confusion_round_trip(self):
         w = small_world(V=7, support=3, seed=1)
         t = build_confusion(w, ConfusionConfig(candidates=3, mode="long_tailed",

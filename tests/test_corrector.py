@@ -7,7 +7,7 @@ from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
 from denoiselab.corrector import (MASKED_WINDOW, ce_loss, correct, load_model,
                                   merge, model_from_json, model_to_json, predict,
-                                  save_model, train)
+                                  predict_at, save_model, train)
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
 
@@ -98,6 +98,15 @@ class TestPredict:
         model = train(corpus, window=MASKED_WINDOW)
         np.testing.assert_array_equal(predict(model, (0, 1, 2), 1),
                                       predict(model, (0, 3, 2), 1))
+
+    @pytest.mark.parametrize("place", [(0, 3), (1, 2), (0, -1)])
+    def test_places_outside_a_sentence_rejected(self, place):
+        corpus = identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4)
+        model = train(corpus)
+        with pytest.raises(ValueError, match="position out of range"):
+            predict_at(model, corpus, [(0, 0), place])
+        with pytest.raises(ValueError, match="position out of range"):
+            predict(model, corpus.records[place[0]].corrupted, place[1])
 
 
 class TestCorrect:

@@ -247,6 +247,21 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             FilterConfig(filter_source="bogus")
 
+    def test_heuristic_variant_honors_lambda_m(self):
+        import dataclasses
+        world, uniform_table, longtail_table = build_experiment_world(TINY, 4)
+        reverted = []
+        for lambda_m in (1.0, -1.0):
+            fc = FilterConfig(filter_source="heuristic", lambda_m=lambda_m)
+            cfg = dataclasses.replace(TINY, filter=fc)
+            report = run_pipeline(world, uniform_table, longtail_table, cfg, 4)
+            assert report.kept_edits + report.reverted_edits == sum(
+                r.total for r in report.category_rates.values())
+            reverted.append(report.reverted_edits)
+        # A cosine cutoff of -1 flags every shared misspelling with differing
+        # originals; a cutoff of 1 flags only identical contexts.
+        assert reverted[1] > reverted[0]
+
 
 class TestMixing:
     def test_counts_add_exactly(self):

@@ -1,0 +1,128 @@
+"""Property tests: per-sentence model rows and edit reverting agree with the corpus paths.
+
+Small random corpora over V <= 4 exercise every window shape, including
+center-free windows and signatures unseen in training (the fallback chain).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory, corpus_arrays
+from denoiselab.corrector import (correct, correct_corpus, predict, predict_at,
+                                  predict_matrix, train)
+from denoiselab.pipeline import filter_corpus, revert_edits
+
+WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2))
+
+
+@st.composite
+def pair_corpora(draw, vocab_size, max_records=6):
+    records = []
+    for _ in range(draw(st.integers(1, max_records))):
+        clean = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=7))
+        corrupted = list(clean)
+        edits = []
+        for i, x in enumerate(clean):
+            if draw(st.booleans()):
+                y = draw(st.integers(0, vocab_size - 2))
+                y += y >= x  # any token but the original
+                corrupted[i] = y
+                edits.append((i, x, y))
+        categories = None
+        if draw(st.booleans()):
+            categories = tuple(draw(st.sampled_from(list(SampleCategory))) for _ in edits)
+        records.append(CorruptionRecord(tuple(clean), tuple(corrupted), tuple(edits),
+                                        0.1, categories))
+    return PairCorpus(tuple(records), vocab_size, 0.1, "iid")
+
+
+@st.composite
+def trained_setups(draw):
+    V = draw(st.integers(2, 4))
+    window = draw(st.sampled_from(WINDOWS))
+    alpha = draw(st.sampled_from((0.01, 0.1, 1.0)))
+    model = train(draw(pair_corpora(V)), window, alpha)
+    return model, draw(pair_corpora(V))
+
+
+def assert_revert_invariants(before: PairCorpus, result, expected_kept=None):
+    after = result.corpus
+    assert result.kept_edits + result.reverted_edits == before.n_edits
+    assert after.n_edits == result.kept_edits
+    assert len(after) == len(before)
+    kept_flags = []
+    for rec_b, rec_a in zip(before.records, after.records):
+        assert rec_a.clean == rec_b.clean
+        surviving = set(rec_a.edits)
+        assert surviving <= set(rec_b.edits)
+        for i, x, y in rec_b.edits:
+            kept_flags.append((i, x, y) in surviving)
+            if not kept_flags[-1]:
+                assert rec_a.corrupted[i] == rec_b.clean[i] == x
+        if rec_b.categories is None:
+            assert rec_a.categories is None
+        else:
+            labels = dict(zip(rec_b.edits, rec_b.categories))
+            assert rec_a.categories == tuple(labels[e] for e in rec_a.edits)
+        if surviving == set(rec_b.edits):
+            assert rec_a == rec_b
+    if expected_kept is not None:
+        assert kept_flags == list(expected_kept)
+
+
+class TestModelRows:
+    @settings(max_examples=60, deadline=None)
+    @given(trained_setups())
+    def test_predict_and_predict_at_match_predict_matrix(self, setup):
+        model, corpus = setup
+        _, corr_mat, lengths = corpus_arrays(corpus)
+        rows, mask = predict_matrix(model, corr_mat, lengths)
+        places = [tuple(int(v) for v in p) for p in np.argwhere(mask)]
+        np.testing.assert_array_equal(predict_at(model, corpus, places), rows)
+        for row, (ri, pos) in zip(rows, places):
+            np.testing.assert_array_equal(predict(model, corpus.records[ri].corrupted, pos),
+                                          row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trained_setups(), st.randoms(use_true_random=False))
+    def test_predict_at_gathers_any_subset_in_order(self, setup, rnd):
+        model, corpus = setup
+        _, corr_mat, lengths = corpus_arrays(corpus)
+        rows, mask = predict_matrix(model, corr_mat, lengths)
+        index = {tuple(int(v) for v in p): k for k, p in enumerate(np.argwhere(mask))}
+        places = rnd.choices(sorted(index), k=rnd.randint(1, 2 * len(index)))
+        expected = rows[[index[p] for p in places]]
+        np.testing.assert_array_equal(predict_at(model, corpus, places), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trained_setups())
+    def test_correct_matches_correct_corpus(self, setup):
+        model, corpus = setup
+        decoded = correct_corpus(model, corpus)
+        for ri, rec in enumerate(corpus.records):
+            assert correct(model, rec.corrupted) == tuple(int(t) for t in
+                                                          decoded[ri, :rec.length])
+
+
+class TestRevertInvariants:
+    @settings(max_examples=60, deadline=None)
+    @given(trained_setups(), st.sampled_from((1e-6, 0.1, 0.3, 0.5, 0.9, 1 - 1e-6)))
+    def test_filter_corpus_reverts_exactly_the_low_confidence_edits(self, setup, threshold):
+        model, corpus = setup
+        confidences = [float(predict(model, rec.corrupted, i)[x])
+                       for _, rec, _, (i, x, _) in corpus.iter_edits()]
+        result = filter_corpus(model, corpus, threshold)
+        assert_revert_invariants(corpus, result, [c >= threshold for c in confidences])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(pair_corpora), st.randoms(use_true_random=False))
+    def test_revert_edits_follows_any_mask(self, corpus, rnd):
+        keep = [rnd.random() < 0.5 for _ in range(corpus.n_edits)]
+        assert_revert_invariants(corpus, revert_edits(corpus, keep), keep)
+
+    def test_revert_edits_needs_one_flag_per_edit(self):
+        rec = CorruptionRecord((0, 1), (0, 2), ((1, 1, 2),), 0.1)
+        with pytest.raises(ValueError, match="one flag per edit"):
+            revert_edits(PairCorpus((rec,), 3, 0.1, "iid"), [True, False])
