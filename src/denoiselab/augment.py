@@ -48,19 +48,18 @@ class CategoryResult:
     candidates: tuple[int, ...]
 
 
-def candidate_category(weights: np.ndarray, replacement: int) -> CategoryResult:
-    """Category of an edit from per-source weights of explaining the replacement.
+def candidate_categories(candidates: np.ndarray, replacements) -> list[SampleCategory]:
+    """Category of each edit from its row of candidate flags.
 
-    The nonzero entries are the candidates: a single one makes a true sample,
-    a set holding the replacement itself a noisy one, any other set a
-    multi-answer one.
+    A candidate is a source that fits the context and can explain the
+    replacement.  A single candidate makes a true sample, a set holding the
+    replacement itself a noisy one, any other set a multi-answer one.
     """
-    members = tuple(int(t) for t in np.flatnonzero(weights))
-    if len(members) == 1:
-        return CategoryResult(SampleCategory.TRUE, members)
-    if replacement in members:
-        return CategoryResult(SampleCategory.NOISY, members)
-    return CategoryResult(SampleCategory.MULTI_ANSWER, members)
+    single = (candidates.sum(axis=1) == 1).tolist()
+    noisy = candidates[np.arange(len(candidates)), replacements].tolist()
+    return [SampleCategory.TRUE if one else
+            SampleCategory.NOISY if has_replacement else SampleCategory.MULTI_ANSWER
+            for one, has_replacement in zip(single, noisy)]
 
 
 @dataclass(frozen=True)
@@ -123,12 +122,12 @@ class ConfusionTable:
             return 1.0 - rate
         return rate * float(self._matrix[source, observed])
 
-    def channel_vector(self, observed: int, rate: float) -> np.ndarray:
-        """Channel probabilities of producing ``observed`` from every source."""
+    def channel_vector(self, observed, rate: float) -> np.ndarray:
+        """Channel probabilities of producing ``observed`` (one row per token of an array)."""
         if not (0.0 <= rate < 1.0):
             raise ValueError("rate must be in [0, 1)")
-        vec = rate * self._matrix[:, observed].copy()
-        vec[observed] = 1.0 - rate
+        vec = rate * self._matrix.T[observed]
+        vec[np.eye(self.vocab_size, dtype=bool)[observed]] = 1.0 - rate
         return vec
 
 
@@ -313,22 +312,22 @@ def corrupt(tokens, table: ConfusionTable, rate: float,
     return CorruptionRecord(clean, tuple(corrupted), tuple(edits), rate)
 
 
-def _edit_category(world: WorldModel, table: ConfusionTable, tokens,
-                   position: int, original: int, replacement: int) -> CategoryResult:
-    """Exact category of one replacement given the surrounding context.
+def _candidate_flags(table: ConfusionTable, prior: np.ndarray, originals,
+                     replacements) -> np.ndarray:
+    """Candidate flags of each edit, given the prior rows of its context.
 
     Candidates are the tokens that both fit the context (nonzero prior) and
     can produce the observed replacement under the channel (the replacement
     itself, or any token holding it in its candidate set).
     """
-    prior = conditional(world, tokens, position)
-    can_emit = table.matrix[:, replacement] > 0
-    can_emit[replacement] = True  # keeping the token always emits it
-    result = candidate_category(can_emit & (prior > 0.0), replacement)
-    if original not in result.candidates:
+    rows = np.arange(len(prior))
+    flags = table.matrix.T[replacements] > 0.0
+    flags[rows, replacements] = True  # keeping the token always emits it
+    flags &= prior > 0.0
+    if not np.all(flags[rows, originals]):
         raise ValueError(
             "edit inconsistent with world/table: original cannot produce the replacement here")
-    return result
+    return flags
 
 
 def categorize(record: CorruptionRecord, world: WorldModel, table: ConfusionTable,
@@ -345,7 +344,9 @@ def categorize(record: CorruptionRecord, world: WorldModel, table: ConfusionTabl
     if edit_index != 0:
         raise IndexError("single-edit record has only edit_index 0")
     i, x, y = record.edits[0]
-    return _edit_category(world, table, record.corrupted, i, x, y)
+    flags = _candidate_flags(table, conditional(world, record.corrupted, i)[None], [x], [y])
+    return CategoryResult(candidate_categories(flags, [y])[0],
+                          tuple(int(t) for t in np.flatnonzero(flags[0])))
 
 
 def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
@@ -373,51 +374,36 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
     lengths = rng.integers(lo, hi + 1, size=n_sentences)
     sentences = sample_corpus_tokens(world, lengths, rng)
 
-    records = []
+    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64,
+                       count=int(lengths.sum()))
+    starts = np.concatenate(([0], np.cumsum(lengths)))
     if mode == "iid":
-        flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64,
-                           count=int(lengths.sum()))
-        mask = rng.random(len(flat)) < rate
-        hit = np.flatnonzero(mask)
-        repl = _draw_replacements(table, flat[hit], rng) if len(hit) else np.empty(0, np.int64)
-        starts = np.concatenate(([0], np.cumsum(lengths)))
+        hit = np.flatnonzero(rng.random(len(flat)) < rate)
+        y = _draw_replacements(table, flat[hit], rng) if len(hit) else np.empty(0, np.int64)
         owner = np.searchsorted(starts, hit, side="right") - 1
-        per_sentence: list[list[tuple[int, int, int]]] = [[] for _ in range(n_sentences)]
-        for flat_pos, s_idx, y in zip(hit, owner, repl):
-            pos = int(flat_pos - starts[s_idx])
-            per_sentence[int(s_idx)].append((pos, int(flat[flat_pos]), int(y)))
-        for i, toks in enumerate(sentences):
-            edits = per_sentence[i]
-            if not edits:
-                records.append(CorruptionRecord(toks, toks, (), rate))
-                continue
-            corrupted = list(toks)
-            for pos, _, y in edits:
-                corrupted[pos] = y
-            records.append(CorruptionRecord(toks, tuple(corrupted), tuple(edits), rate))
     elif mode == "single_edit":
         keep_clean = rng.random(n_sentences) < clean_fraction
-        positions = rng.integers(0, lengths)
-        sources = np.array([sentences[i][positions[i]] for i in range(n_sentences)])
-        repl = _draw_replacements(table, sources, rng)
-        for i, toks in enumerate(sentences):
-            if keep_clean[i]:
-                records.append(CorruptionRecord(toks, toks, (), rate))
-                continue
-            pos, x, y = int(positions[i]), int(sources[i]), int(repl[i])
-            corrupted = list(toks)
-            corrupted[pos] = y
-            records.append(CorruptionRecord(toks, tuple(corrupted), ((pos, x, y),), rate))
+        hit = starts[:-1] + rng.integers(0, lengths)
+        y = _draw_replacements(table, flat[hit], rng)  # drawn for every sentence
+        owner = np.flatnonzero(~keep_clean)
+        hit, y = hit[owner], y[owner]
     else:
         raise ValueError(f"unknown corpus mode {mode!r}")
+    pos, x = hit - starts[owner], flat[hit]
 
-    if annotate:
-        records = [
-            replace_categories(rec, tuple(
-                _edit_category(world, table, rec.clean, i, x, y).category
-                for i, x, y in rec.edits))
-            for rec in records
-        ]
+    categories = None
+    if annotate:  # one batched conditional over every edit, in its clean context
+        prior = conditional(world, _padded(sentences, lengths, world.vocab_size)[owner], pos)
+        categories = candidate_categories(_candidate_flags(table, prior, x, y), y)
+    edits = list(zip(pos.tolist(), x.tolist(), y.tolist()))
+    spans = np.searchsorted(owner, np.arange(n_sentences + 1)).tolist()
+    records = []
+    for toks, a, b in zip(sentences, spans, spans[1:]):
+        corrupted = list(toks)
+        for i, _, r in edits[a:b]:
+            corrupted[i] = r
+        records.append(CorruptionRecord(toks, tuple(corrupted), tuple(edits[a:b]), rate,
+                                        None if categories is None else tuple(categories[a:b])))
     return PairCorpus(tuple(records), world.vocab_size, rate, mode)
 
 
@@ -442,19 +428,17 @@ def corpus_arrays(corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Rows are padded with ``vocab_size`` beyond each sentence's length.
     """
     lengths = np.array([r.length for r in corpus.records], dtype=np.int64)
-    total = int(lengths.sum())
-    flat_clean = np.fromiter(chain.from_iterable(r.clean for r in corpus.records),
-                             dtype=np.int64, count=total)
-    flat_corr = np.fromiter(chain.from_iterable(r.corrupted for r in corpus.records),
-                            dtype=np.int64, count=total)
-    n, lmax = len(corpus), int(lengths.max())
-    pad = corpus.vocab_size
-    clean = np.full((n, lmax), pad, dtype=np.int64)
-    corr = np.full((n, lmax), pad, dtype=np.int64)
-    mask = np.arange(lmax)[None, :] < lengths[:, None]
-    clean[mask] = flat_clean
-    corr[mask] = flat_corr
-    return clean, corr, lengths
+    return (_padded((r.clean for r in corpus.records), lengths, corpus.vocab_size),
+            _padded((r.corrupted for r in corpus.records), lengths, corpus.vocab_size),
+            lengths)
+
+
+def _padded(sentences, lengths: np.ndarray, pad: int) -> np.ndarray:
+    """Sentences as the rows of a matrix padded with ``pad`` past each end."""
+    out = np.full((len(lengths), int(lengths.max())), pad, dtype=np.int64)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
+        chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+    return out
 
 
 def record_to_dict(record: CorruptionRecord) -> dict:
@@ -492,10 +476,14 @@ def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
     records, line_numbers = [], []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
-            line = line.strip()
-            if line:
+            if not line.strip():
+                continue
+            try:
                 records.append(record_from_dict(json.loads(line), rate))
-                line_numbers.append(number)
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                missing = "missing field " if isinstance(exc, KeyError) else ""
+                raise ValueError(f"{path}:{number}: {missing}{exc}") from None
+            line_numbers.append(number)
     if not records:
         raise ValueError(f"no records in {path}")
     ends = np.cumsum([r.length for r in records])

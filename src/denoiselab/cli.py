@@ -22,6 +22,10 @@ from .harness import MetricsRow, emit_report, write_manifest
 
 
 def _load_corpus_dir(corpus_dir: Path):
+    ok, checks = harness.verify_manifest(corpus_dir)
+    if not ok:
+        bad = ", ".join(sorted(name for name, good in checks.items() if not good))
+        raise click.ClickException(f"{corpus_dir}: manifest hash mismatch for {bad}")
     meta = json.loads((corpus_dir / "manifest.json").read_text())["meta"]
     w = world.load_world(corpus_dir / "world.json")
     table = augment.load_confusion(corpus_dir / "confusion.json")

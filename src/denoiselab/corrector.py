@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +54,9 @@ class CorrectorModel:
 
     def predict(self, tokens, position: int) -> np.ndarray:
         return predict(self, tokens, position)
+
+    def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
+        return predict_at(self, corpus, places)
 
     def correct(self, tokens) -> tuple[int, ...]:
         return correct(self, tokens)
@@ -172,13 +174,11 @@ def predict(model: CorrectorModel, tokens, position: int) -> np.ndarray:
     return _rows_for(model, sigs[position:position + 1], centers[position:position + 1])[0]
 
 
-def predict_at(model: CorrectorModel, corpus: PairCorpus,
-               places: list[tuple[int, int]]) -> np.ndarray:
-    """Batch prediction at (record_index, position) pairs."""
-    _, corr_mat, lengths = corpus_arrays(corpus)
+def predict_at(model: CorrectorModel, corpus: PairCorpus, places) -> np.ndarray:
+    """Batch prediction at (record_index, position) pairs, a list or an (n, 2) array."""
+    corr_mat, lengths = corpus_arrays(corpus)[1:]
     sig, _ = _signatures(corr_mat, lengths, model.vocab_size, model.window)
-    ri, pos = np.fromiter(chain.from_iterable(places), dtype=np.int64,
-                          count=2 * len(places)).reshape(-1, 2).T
+    ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
     if not np.all((pos >= 0) & (pos < lengths[ri])):
         raise ValueError("position out of range")
     return _rows_for(model, sig[ri, pos], corr_mat[ri, pos])
@@ -213,12 +213,11 @@ def correct(model: CorrectorModel, tokens) -> tuple[int, ...]:
     return tuple(int(t) for t in out)
 
 
-def correct_corpus(model: CorrectorModel, corpus: PairCorpus) -> np.ndarray:
-    """Vectorized decode of a whole corpus; returns the padded output matrix."""
-    clean_mat, corr_mat, lengths = corpus_arrays(corpus)
-    probs, mask = predict_matrix(model, corr_mat, lengths)
-    out = corr_mat.copy()
-    out[mask] = _argmax_keep_ties(probs, corr_mat[mask])
+def correct_corpus(scorer, corpus: PairCorpus) -> np.ndarray:
+    """Decode of every position by any scorer with ``predict_at``; the padded output matrix."""
+    out, lengths = corpus_arrays(corpus)[1:]
+    mask = np.arange(out.shape[1])[None, :] < lengths[:, None]
+    out[mask] = _argmax_keep_ties(scorer.predict_at(corpus, np.argwhere(mask)), out[mask])
     return out
 
 
@@ -253,17 +252,19 @@ def model_from_json(text: str) -> CorrectorModel:
     n_sigs = _signature_table_shape(V, window)
     counts = np.zeros((n_sigs, V), dtype=np.int64)
     for key, row in doc["counts"].items():
-        counts[int(key)] = row
+        sig = int(key)
+        if not 0 <= sig < n_sigs:
+            raise ValueError(f"counts[{key!r}]: signature id outside [0, {n_sigs})")
+        if len(row) != V:
+            raise ValueError(f"counts[{key!r}]: row has {len(row)} counts, expected {V}")
+        if min(row) < 0:
+            raise ValueError(f"counts[{key!r}]: negative count")
+        counts[sig] = row
 
-    base = V + 1
     center_counts = None
-    if 0 in window:
-        j = window.index(0)
-        center_counts = np.zeros((V, V), dtype=np.int64)
-        for key in doc["counts"]:
-            sig = int(key)
-            center = (sig // base ** j) % base
-            center_counts[center] += counts[sig]
+    if 0 in window:  # sum the rows over every offset but the center's digit
+        digits = counts.reshape(-1, V + 1, (V + 1) ** window.index(0), V)
+        center_counts = digits.sum(axis=(0, 2))[:V]
     target_counts = counts.sum(axis=0)
     return CorrectorModel(V, window, float(doc["alpha"]), counts, center_counts,
                           target_counts.astype(np.int64), int(doc["trained_chars"]),
@@ -275,4 +276,7 @@ def save_model(model: CorrectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CorrectorModel:
-    return model_from_json(Path(path).read_text())
+    try:
+        return model_from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

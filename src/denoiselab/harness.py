@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .augment import PairCorpus, SampleCategory, corpus_arrays
 from .calibration import CalibrationReport
-from .corrector import CorrectorModel, correct_corpus
+from .corrector import correct_corpus
 
 
 @dataclass(frozen=True)
@@ -72,25 +72,13 @@ def _metrics_from_matrices(clean: np.ndarray, corr: np.ndarray, out: np.ndarray,
 def evaluate(model, corpus: PairCorpus) -> Metrics:
     """Sentence-level correction metrics of a model over a pair corpus.
 
-    ``model`` is anything with a per-position ``predict``; trained correctors
-    take a vectorized path.
+    ``model`` is any scorer with a batched ``predict_at``; every position is
+    decoded to its argmax, ties keeping the written token.
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     clean, corr, lengths = corpus_arrays(corpus)
-    if isinstance(model, CorrectorModel):
-        out = correct_corpus(model, corpus)
-    else:
-        out = corr.copy()
-        for i, rec in enumerate(corpus.records):
-            toks = rec.corrupted
-            for pos in range(rec.length):
-                probs = model.predict(toks, pos)
-                top = probs.max()
-                if probs[toks[pos]] == top:
-                    continue  # ties keep the written token
-                out[i, pos] = int(np.argmax(probs))
-    return _metrics_from_matrices(clean, corr, out, lengths)
+    return _metrics_from_matrices(clean, corr, correct_corpus(model, corpus), lengths)
 
 
 @dataclass(frozen=True)

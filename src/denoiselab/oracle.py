@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import ConfusionTable, CorruptionRecord, SampleCategory, candidate_category
-from .world import (ENUMERATION_BUDGET, ImpossibleContextError, WorldModel,
-                    conditional, validate_tokens)
+from .augment import (ConfusionTable, CorruptionRecord, PairCorpus, SampleCategory,
+                      candidate_categories, corpus_arrays)
+from .world import ENUMERATION_BUDGET, WorldModel, conditional
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,23 @@ def _single_edit(record: CorruptionRecord, edit_index: int) -> tuple[int, int, i
 
 
 def restoration_distribution(world: WorldModel, table: ConfusionTable, tokens,
-                             position: int, rate: float) -> np.ndarray:
+                             position, rate: float) -> np.ndarray:
     """Posterior over the source token at ``position`` given the sentence.
 
-    The surrounding tokens are taken as the context exactly as given.
+    The surrounding tokens are taken as the context exactly as given.  Same
+    two forms as :func:`~denoiselab.world.conditional`; a batched row is all
+    zero where the context is impossible or no source emits the observed token.
     """
-    toks = validate_tokens(world, tokens)
-    observed = toks[position]
-    prior = conditional(world, toks, position)
-    chan = table.channel_vector(observed, rate)
-    terms = chan * prior
-    total = terms.sum()
-    if total == 0.0:
+    single = np.ndim(position) == 0
+    terms = conditional(world, tokens, position)
+    if single:
+        terms, tokens, position = terms[None], [tokens], [position]
+    terms *= table.channel_vector(np.asarray(tokens)[np.arange(len(terms)), position], rate)
+    total = terms.sum(axis=1, keepdims=True)
+    if single and total[0, 0] == 0.0:
         raise ValueError("observed token unreachable from any context-compatible source")
-    return terms / total
+    terms /= np.where(total > 0.0, total, 1.0)
+    return terms[0] if single else terms
 
 
 def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord,
@@ -90,8 +93,8 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     numerator = float(terms[x])
     post = numerator / denominator
 
-    result = candidate_category(terms, y)
-    members, category = result.candidates, result.category
+    members = tuple(int(t) for t in np.flatnonzero(terms))
+    category = candidate_categories(terms[None] > 0.0, [y])[0]
 
     sigma = 0.0
     for v in members:
@@ -256,10 +259,11 @@ def verify_ordering(groups: list[list[PosteriorReport]], ratio_bound: float = 10
 
 @dataclass(frozen=True)
 class OracleScorer:
-    """Drop-in scorer exposing the exact posterior as ``predict``.
+    """Drop-in scorer exposing the exact posterior through ``predict_at``.
 
-    Interchangeable with a trained corrector wherever per-position restore
-    confidences are consumed (corpus filtering, evaluation).
+    Interchangeable with a trained corrector wherever restore confidences
+    at (record_index, position) places are consumed (corpus filtering,
+    evaluation).
     """
 
     world: WorldModel
@@ -270,11 +274,12 @@ class OracleScorer:
     def vocab_size(self) -> int:
         return self.world.vocab_size
 
-    def predict(self, tokens, position: int) -> np.ndarray:
-        try:
-            return restoration_distribution(self.world, self.table, tokens,
-                                            position, self.rate)
-        except (ImpossibleContextError, ValueError):
-            # Contexts the exact model cannot explain get an uninformative
-            # vector; only reachable when scoring out-of-world sentences.
-            return np.full(self.world.vocab_size, 1.0 / self.world.vocab_size)
+    def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
+        """Exact restore rows at places, uniform where a row is all zero; bad input raises."""
+        corr, lengths = corpus_arrays(corpus)[1:]
+        if not np.array_equal((corr < self.vocab_size).sum(axis=1), lengths):  # V reads as padding
+            raise ValueError("token id out of range for this world")
+        ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
+        rows = restoration_distribution(self.world, self.table, corr[ri], pos, self.rate)
+        rows[~rows.any(axis=1)] = 1.0 / self.vocab_size
+        return rows

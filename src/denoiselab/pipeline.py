@@ -24,7 +24,7 @@ import numpy as np
 
 from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, concat_corpora, confusion_pair,
-                      generate_corpus)
+                      corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
                         predict_at, train)
@@ -134,23 +134,18 @@ def revert_edits(corpus: PairCorpus, keep: np.ndarray) -> FilterResult:
 def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     """Revert every edit whose restore confidence falls below the threshold.
 
-    The scorer is queried for the original token's probability at each edit
-    position of the corrupted sentence.  Clean sides and unedited positions
-    are never touched.
+    The scorer (anything with ``vocab_size`` and a batched ``predict_at``,
+    such as a :class:`CorrectorModel` or an :class:`OracleScorer`) is queried
+    for the original token's probability at each edit position of the
+    corrupted sentence.  Clean sides and unedited positions are never touched.
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must be in (0, 1)")
     places = [(ri, i) for ri, _, _, (i, _, _) in corpus.iter_edits()]
     if not places:
         return FilterResult(corpus, 0, 0)
-
-    if isinstance(scorer, CorrectorModel):
-        probs = predict_at(scorer, corpus, places)
-        originals = np.array([x for _, _, _, (_, x, _) in corpus.iter_edits()])
-        confidences = probs[np.arange(len(places)), originals]
-    else:
-        confidences = np.array([float(scorer.predict(rec.corrupted, i)[x])
-                                for _, rec, _, (i, x, _) in corpus.iter_edits()])
+    originals = [x for _, _, _, (_, x, _) in corpus.iter_edits()]
+    confidences = scorer.predict_at(corpus, places)[np.arange(len(places)), originals]
     return revert_edits(corpus, confidences >= threshold)
 
 
@@ -246,17 +241,16 @@ def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                              mode="single_edit", seed=seed,
                              clean_fraction=clean_fraction, annotate=True,
                              stream=stream)
-    records = []
-    for rec in corpus.records:
-        if not rec.edits:
-            records.append(rec)
-            continue
-        i, x, y = rec.edits[0]
-        prior = conditional(world, rec.clean, i)
-        if prior[y] >= plausibility * prior[x]:
-            records.append(CorruptionRecord(rec.corrupted, rec.corrupted, (), rate))
-        else:
-            records.append(rec)
+    edited = [k for k, rec in enumerate(corpus.records) if rec.edits]
+    pos, x, y = np.array([corpus.records[k].edits[0] for k in edited],
+                         dtype=np.int64).reshape(-1, 3).T
+    clean = corpus_arrays(corpus)[0]
+    prior = conditional(world, clean[edited], pos)
+    rows = np.arange(len(edited))
+    plausible = prior[rows, y] >= plausibility * prior[rows, x]
+    adopted = {k for k, adopt in zip(edited, plausible) if adopt}
+    records = [CorruptionRecord(rec.corrupted, rec.corrupted, (), rate) if k in adopted else rec
+               for k, rec in enumerate(corpus.records)]
     return PairCorpus(tuple(records), corpus.vocab_size, rate, "single_edit")
 
 
@@ -266,15 +260,16 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
 
     Measured at the edit positions of single-edit records.
     """
-    distances = []
-    for ri, rec, _, (i, _, _) in corpus.iter_edits():
-        if len(rec.edits) != 1:
-            continue
-        exact = restoration_distribution(world, table, rec.corrupted, i, rate)
-        approx = model.predict(rec.corrupted, i)
-        distances.append(0.5 * float(np.abs(exact - approx).sum()))
-    if not distances:
+    single = [(ri, i) for ri, rec, _, (i, _, _) in corpus.iter_edits() if len(rec.edits) == 1]
+    if not single:
         raise ValueError("corpus has no single-edit records to compare on")
+    ri, pos = np.array(single).T
+    corr = corpus_arrays(corpus)[1]
+    exact = restoration_distribution(world, table, corr[ri], pos, rate)
+    if not exact.any(axis=1).all():
+        raise ValueError("observed token unreachable from any context-compatible source")
+    distances = [0.5 * float(np.abs(row - model.predict(corpus.records[r].corrupted, i)).sum())
+                 for row, (r, i) in zip(exact, single)]
     return float(np.mean(distances))
 
 
@@ -327,12 +322,9 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
 
     variant = fc.filter_source
     rates = None
-    if variant == "none":
+    if variant in ("none", "mixing"):
         result = FilterResult(d_o, d_o.n_edits, 0)
-        final = baseline
-    elif variant == "mixing":
-        result = FilterResult(d_o, d_o.n_edits, 0)
-        final = mixing_baseline(d_r, d_o, cc)
+        final = baseline if variant == "none" else mixing_baseline(d_r, d_o, cc)
     elif variant in ("cross", "self"):
         source = d_r if variant == "cross" else d_o
         filter_model = train(source, cc.window, cc.alpha)

@@ -11,6 +11,7 @@ Sentences are plain tuples of token ids in ``[0, vocab_size)``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,6 +86,15 @@ class WorldModel:
             raise ValueError("dense matrix is only available for order-1 worlds")
         return self._matrix
 
+    @functools.cached_property
+    def chain_table(self) -> np.ndarray:
+        """Order-1 factors; index V is the sentence start (row) or end (column), V+1 a wildcard."""
+        V = self.vocab_size
+        table = np.ones((V + 2, V + 2))
+        table[:V, :V] = self.matrix
+        table[V, :V] = self.initial
+        return table
+
     def row(self, context: tuple[int, ...]) -> np.ndarray:
         ctx = context[-self.order:] if len(context) > self.order else context
         try:
@@ -156,10 +166,10 @@ def build_world(config: WorldConfig) -> WorldModel:
 
 
 def validate_tokens(world: WorldModel, tokens) -> tuple[int, ...]:
-    toks = tuple(int(t) for t in tokens)
+    toks = tuple(map(int, tokens))
     if len(toks) < 1:
         raise ValueError("sentence must have length >= 1")
-    if any(t < 0 or t >= world.vocab_size for t in toks):
+    if min(toks) < 0 or max(toks) >= world.vocab_size:
         raise ValueError("token id out of range for this world")
     return toks
 
@@ -174,66 +184,70 @@ def _factor(world: WorldModel, tokens: tuple[int, ...], j: int) -> float:
 def sentence_prob(world: WorldModel, tokens) -> float:
     """Exact probability of a full sentence under the chain."""
     toks = validate_tokens(world, tokens)
-    if len(toks) <= _LOG_SPACE_LENGTH:
-        prob = 1.0
-        for j in range(len(toks)):
-            f = _factor(world, toks, j)
-            if f == 0.0:
-                return 0.0
-            prob *= f
-        return prob
-    logp = 0.0
+    in_logs = len(toks) > _LOG_SPACE_LENGTH
+    acc = 0.0 if in_logs else 1.0
     for j in range(len(toks)):
         f = _factor(world, toks, j)
         if f == 0.0:
             return 0.0
-        logp += math.log(f)
-    return math.exp(logp)
+        acc = acc + math.log(f) if in_logs else acc * f
+    return math.exp(acc) if in_logs else acc
 
 
-def conditional(world: WorldModel, tokens, position: int) -> np.ndarray:
+def conditional(world: WorldModel, tokens, position):
     """Distribution of the token at ``position`` given the rest of the sentence.
 
     The value currently stored at ``position`` is ignored; only the
     surrounding context matters.  Entries are exactly zero wherever no
     completion of the context through that token has positive probability.
     Raises :class:`ImpossibleContextError` when the context itself is
-    unreachable.
+    unreachable.  Batched form: an (n, L) ``tokens`` matrix padded with
+    ``vocab_size`` past each sentence's end and (n,) positions give (n, V)
+    rows, all zero where the context is impossible.
     """
-    toks = validate_tokens(world, tokens)
-    L, V, k = len(toks), world.vocab_size, world.order
-    if not (0 <= position < L):
-        raise ValueError(f"position {position} out of range for length {L}")
-
-    affected = range(position, min(position + k, L - 1) + 1)
-    for j in range(L):
-        if j in affected:
-            continue
-        if _factor(world, toks, j) == 0.0:
-            raise ImpossibleContextError(f"context factor at index {j} is zero")
-
-    if k == 1:
-        enter = world.initial if position == 0 else world.matrix[toks[position - 1]]
-        if position == L - 1:
-            weights = enter.copy()
-        else:
-            weights = enter * world.matrix[:, toks[position + 1]]
+    V = world.vocab_size
+    single = np.ndim(position) == 0
+    if single:
+        toks = validate_tokens(world, tokens)
+        tokens, position, lengths = np.array([toks]), np.array([position]), [len(toks)]
     else:
-        weights = np.empty(V)
-        probe = list(toks)
-        for v in range(V):
-            probe[position] = v
-            w = 1.0
-            for j in affected:
-                w *= _factor(world, tuple(probe), j)
-                if w == 0.0:
-                    break
-            weights[v] = w
+        tokens, position = np.asarray(tokens, dtype=np.int64), np.asarray(position, dtype=np.int64)
+        if tokens.ndim != 2 or position.shape != (len(tokens),):
+            raise ValueError("batched conditional needs an (n, L) token matrix and n positions")
+        real = tokens < V
+        if (tokens < 0).any() or (tokens > V).any() or (real[:, 1:] > real[:, :-1]).any():
+            raise ValueError("token id out of range for this world")  # or padding mid-sentence
+        lengths = real.sum(axis=1)
+    bad = (position < 0) | (position >= lengths)
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(f"position {position[k]} out of range for length {lengths[k]}")
 
-    total = weights.sum()
-    if total == 0.0:
-        raise ImpossibleContextError(f"no token can occupy position {position} in this context")
-    return weights / total
+    if world.order == 1:
+        # T[left, v] * T[v, right] on the chain table; the context is impossible
+        # when a chain factor other than the two touching the slot is zero.
+        T, rows = world.chain_table, np.arange(len(tokens))
+        ext = np.full((len(tokens), tokens.shape[1] + 2), V)  # start and end around each row
+        ext[:, 1:-1] = tokens
+        weights = T[ext[rows, position], :V]
+        weights *= T[:V, ext[rows, position + 2]].T
+        ext[rows, position + 1] = V + 1  # the slot becomes the wildcard
+        weights[(T[ext[:, :-1], ext[:, 1:]] == 0.0).any(axis=1)] = 0.0
+    else:
+        weights = np.zeros((len(tokens), V))
+        for row, sentence, p, L in zip(weights, tokens.tolist(), position.tolist(), lengths):
+            toks = tuple(sentence[:L])
+            affected = range(p, min(p + world.order, L - 1) + 1)
+            if any(_factor(world, toks, j) == 0.0 for j in range(L) if j not in affected):
+                continue  # impossible context: the row stays zero
+            for v in range(V):
+                probe = toks[:p] + (v,) + toks[p + 1:]
+                row[v] = math.prod(_factor(world, probe, j) for j in affected)
+    total = weights.sum(axis=1, keepdims=True)
+    weights /= np.where(total > 0.0, total, 1.0)
+    if single and total[0, 0] == 0.0:
+        raise ImpossibleContextError(f"context of position {position[0]} has probability zero")
+    return weights[0] if single else weights
 
 
 def sample_sentence(world: WorldModel, length: int, rng: np.random.Generator) -> tuple[int, ...]:

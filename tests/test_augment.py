@@ -294,16 +294,29 @@ class TestCorpusIO:
         assert doc == {"clean": [0, 1, 3], "corrupted": [0, 2, 3],
                        "edits": [[1, 1, 2]], "categories": ["noisy"]}
 
-    @pytest.mark.parametrize("field,line", [("clean", 3), ("corrupted", 2)])
-    def test_jsonl_rejects_out_of_range_tokens(self, tmp_path, field, line):
+    @pytest.mark.parametrize("bad,line,message", [
+        ({"clean": [0, 1, 25], "corrupted": [0, 1, 25], "edits": []}, 3,
+         r"clean token 25 outside \[0, 4\)"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, -1], "edits": [[2, 2, -1]]}, 2,
+         r"corrupted token -1 outside \[0, 4\)"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[1, 1, 3]]}, 2,
+         r"edit \(1, 1, 3\) inconsistent with sentences"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]],
+          "categories": ["bogus"]}, 3, "'bogus' is not a valid SampleCategory"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]],
+          "categories": ["true", "noisy"]}, 2, "categories must align with edits"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 2]}, 2, "missing field 'edits'"),
+        ('{"clean": [0, 1, 2], "corrupted": [0', 3, "Expecting"),
+    ], ids=["clean-3", "corrupted-2", "inconsistent-edit-2", "unknown-category-3",
+            "misaligned-categories-2", "missing-field-2", "bad-json-3"])
+    def test_jsonl_rejects_out_of_range_tokens(self, tmp_path, bad, line, message):
+        # Also covers every other malformed line: each error names file:line.
         good = {"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]]}
-        bad = {"clean": [0, 1, 25], "corrupted": [0, 1, 25], "edits": []}
-        if field == "corrupted":
-            bad = {"clean": [0, 1, 2], "corrupted": [0, 1, -1], "edits": [[2, 2, -1]]}
-        lines = [good, bad] if line == 2 else [good, None, bad]
+        lines = [good] + [None] * (line - 2) + [bad]
         path = tmp_path / "c.jsonl"
-        path.write_text("".join((json.dumps(d) if d else "") + "\n" for d in lines))
-        with pytest.raises(ValueError, match=rf"c\.jsonl:{line}: {field} token"):
+        path.write_text("".join((d if isinstance(d, str) else json.dumps(d) if d else "")
+                                + "\n" for d in lines))
+        with pytest.raises(ValueError, match=rf"c\.jsonl:{line}: {message}"):
             corpus_from_jsonl(path, vocab_size=4, rate=0.1)
 
     def test_confusion_round_trip(self):

@@ -91,6 +91,27 @@ class TestModelCommands:
         assert (eval_dir / "metrics.csv").exists()
         run_ok(runner, ["report", "--out-dir", str(eval_dir)])
 
+    def test_train_rejects_a_corpus_dir_failing_its_manifest(self, runner, config_path,
+                                                             tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        run_ok(runner, ["gen-corpus", "--config", config_path, "--seed", "3",
+                        "--out-dir", str(corpus_dir), "--sentences", "30"])
+        path = corpus_dir / "corpus.jsonl"
+        lines = path.read_text().splitlines()
+        doc = json.loads(lines[0])
+        # One unedited token changed on both sides keeps the line a valid record.
+        j = next(j for j in range(len(doc["clean"]))
+                 if doc["clean"][j] == doc["corrupted"][j])
+        doc["clean"][j] = doc["corrupted"][j] = (doc["clean"][j] + 1) % 8
+        lines[0] = json.dumps(doc)
+        path.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "model")])
+        assert result.exit_code != 0
+        assert "manifest hash mismatch for corpus.jsonl" in result.output
+        assert not (tmp_path / "model" / "model.json").exists()
+
     def test_score_with_oracle_posteriors(self, runner, config_path, tmp_path):
         corpus_dir = tmp_path / "corpus"
         run_ok(runner, ["gen-corpus", "--config", config_path, "--seed", "4",

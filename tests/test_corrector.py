@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -257,3 +258,21 @@ class TestSerialization:
         back = model_from_json(model_to_json(model))
         assert back.center_counts is None
         np.testing.assert_array_equal(back.counts, model.counts)
+
+    @pytest.mark.parametrize("key,row,message", [
+        ("7", [7], "row has 1 counts, expected 4"),
+        ("7", [1, 0, 0], "row has 3 counts, expected 4"),
+        ("7", [1, -2, 0, 0], "negative count"),
+        ("-1", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
+        ("1000000", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
+    ], ids=["length-1-row", "short-row", "negative-count", "id-below-0", "id-too-large"])
+    def test_malformed_counts_rejected(self, tmp_path, key, row, message):
+        model = train(identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4))
+        doc = json.loads(model_to_json(model))
+        doc["counts"][key] = row
+        with pytest.raises(ValueError, match=rf"^counts\['{key}'\]: {message}"):
+            model_from_json(json.dumps(doc))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"model\.json: counts\['{key}'\]: {message}"):
+            load_model(path)

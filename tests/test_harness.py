@@ -23,10 +23,11 @@ class ScriptedModel:
         self.vocab_size = vocab_size
         self.mapping = {tuple(k): tuple(v) for k, v in mapping.items()}
 
-    def predict(self, tokens, position):
-        out = self.mapping.get(tuple(tokens), tuple(tokens))
-        probs = np.zeros(self.vocab_size)
-        probs[out[position]] = 1.0
+    def predict_at(self, corpus, places):
+        probs = np.zeros((len(places), self.vocab_size))
+        for k, (ri, position) in enumerate(places):
+            tokens = corpus.records[ri].corrupted
+            probs[k, self.mapping.get(tokens, tokens)[position]] = 1.0
         return probs
 
 
@@ -34,9 +35,10 @@ class KeepModel:
     def __init__(self, vocab_size):
         self.vocab_size = vocab_size
 
-    def predict(self, tokens, position):
-        probs = np.zeros(self.vocab_size)
-        probs[tokens[position]] = 1.0
+    def predict_at(self, corpus, places):
+        probs = np.zeros((len(places), self.vocab_size))
+        for k, (ri, position) in enumerate(places):
+            probs[k, corpus.records[ri].corrupted[position]] = 1.0
         return probs
 
 

@@ -1,0 +1,124 @@
+"""Property tests: the batched exact-posterior kernel against enumeration.
+
+Random worlds with V <= 5, order 1 and 2, and sentences of length <= 5 drawn
+uniformly over tokens, so many contexts are corrupted beyond what the world
+can produce.  ``tests/enumeration.py`` is the independent reference.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from denoiselab.augment import ConfusionConfig, SampleCategory, build_confusion, generate_corpus
+from denoiselab.oracle import restoration_distribution
+from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
+
+from enumeration import slot_distribution
+
+
+@st.composite
+def worlds(draw):
+    V = draw(st.integers(2, 5))
+    return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from((1, 2))),
+                                   support=draw(st.integers(1, V)),
+                                   seed=draw(st.integers(0, 10**6)),
+                                   weight_low=0.05, weight_high=1.0))
+
+
+@st.composite
+def tables(draw, world):
+    # Affinity needs an order-1 world; build_confusion also fails on it at V = 2,
+    # where the affine pick leaves an empty candidate pool.
+    affine = world.order == 1 and world.vocab_size > 2 and draw(st.booleans())
+    return build_confusion(world, ConfusionConfig(
+        candidates=draw(st.integers(1, world.vocab_size - 1)),
+        mode=draw(st.sampled_from(("uniform", "long_tailed"))), head_mass=0.7,
+        context_affinity=0.5 if affine else 0.0, seed=draw(st.integers(0, 100))))
+
+
+@st.composite
+def places(draw, world):
+    """Sentences, one padded row per (sentence, position) place, and the positions."""
+    V = world.vocab_size
+    sentences = draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=5),
+                              min_size=1, max_size=6))
+    width = max(map(len, sentences)) + draw(st.integers(0, 1))
+    chosen = [(s, p) for s in sentences for p in range(len(s)) if draw(st.booleans())]
+    chosen = chosen or [(sentences[0], 0)]
+    tokens = np.full((len(chosen), width), V, dtype=np.int64)
+    for row, (s, _) in zip(tokens, chosen):
+        row[:len(s)] = s
+    return [tuple(s) for s, _ in chosen], tokens, np.array([p for _, p in chosen])
+
+
+@st.composite
+def kernel_cases(draw):
+    world = draw(worlds())
+    return (world, draw(tables(world))) + draw(places(world))
+
+
+class TestBatchedConditional:
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_rows_match_enumeration_and_zero_exactly_where_it_is_impossible(self, case):
+        world, _, sentences, tokens, positions = case
+        rows = conditional(world, tokens, positions)
+        assert rows.shape == (len(sentences), world.vocab_size)
+        for row, sentence, p in zip(rows, sentences, positions):
+            want = slot_distribution(world, sentence, p)
+            if want is None:
+                assert not row.any()
+                with pytest.raises(ImpossibleContextError):
+                    conditional(world, sentence, int(p))
+                continue
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(row == 0.0, want == 0.0)
+            np.testing.assert_array_equal(conditional(world, sentence, int(p)), row)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.sampled_from((0.05, 0.1, 0.5)))
+    def test_batched_restoration_rows_equal_the_single_form(self, case, rate):
+        world, table, sentences, tokens, positions = case
+        rows = restoration_distribution(world, table, tokens, positions, rate)
+        for row, sentence, p in zip(rows, sentences, positions):
+            try:
+                single = restoration_distribution(world, table, sentence, int(p), rate)
+            except ValueError:  # impossible context or unreachable token
+                assert not row.any()
+                continue
+            np.testing.assert_array_equal(row, single)
+
+    def test_malformed_batches_rejected(self):
+        world = build_world(WorldConfig(vocab_size=3, support=3, seed=0))
+        cases = [
+            (np.array([[0, 1, 3]]), [2], "position 2 out of range for length 2"),
+            (np.array([[0, 4, 1]]), [0], "token id out of range"),
+            (np.array([[0, 3, 1]]), [0], "token id out of range"),  # padding mid-sentence
+            (np.array([0, 1]), [0], "matrix"),
+            (np.array([[0, 1]]), [0, 1], "matrix"),
+        ]
+        for tokens, positions, message in cases:
+            with pytest.raises(ValueError, match=message):
+                conditional(world, tokens, np.array(positions))
+
+
+class TestAnnotation:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.sampled_from(("iid", "single_edit")))
+    def test_categories_follow_the_rule_on_enumerated_candidate_sets(self, data, mode):
+        world = data.draw(worlds())
+        table = data.draw(tables(world))
+        corpus = generate_corpus(world, table, 12, (1, 5), 0.4, mode=mode,
+                                 seed=data.draw(st.integers(0, 1000)), annotate=True)
+        for _, rec, k, (i, _, y) in corpus.iter_edits():
+            prior = slot_distribution(world, rec.clean, i)
+            candidates = {v for v in range(world.vocab_size)
+                          if prior[v] > 0 and (v == y or table.matrix[v, y] > 0)}
+            if len(candidates) == 1:
+                want = SampleCategory.TRUE
+            elif y in candidates:
+                want = SampleCategory.NOISY
+            else:
+                want = SampleCategory.MULTI_ANSWER
+            assert rec.categories[k] == want

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from denoiselab.augment import (ConfusionConfig, CorruptionRecord,
+from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
 from denoiselab.oracle import (OracleScorer, bounds, brute_force_posterior,
                                case_confidence, posterior, restoration_distribution,
@@ -223,16 +223,34 @@ class TestOrdering:
         assert any("ceiling" in f for f in group.flags)
 
 
+def single_record_corpus(record, vocab_size):
+    return PairCorpus((record,), vocab_size, record.channel_rate, "single_edit")
+
+
 class TestOracleScorer:
-    def test_predict_matches_restoration_distribution(self):
+    def test_predict_at_matches_restoration_distribution(self):
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
         np.testing.assert_array_equal(
-            scorer.predict(record.corrupted, 1),
+            scorer.predict_at(single_record_corpus(record, 4), [(0, 1)])[0],
             restoration_distribution(world, table, record.corrupted, 1, 0.1))
 
     def test_unexplainable_context_falls_back_to_uniform(self):
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
-        got = scorer.predict((3, 3, 3), 1)  # zero-probability context
+        impossible = CorruptionRecord((3, 3, 3), (3, 3, 3), (), 0.1)  # zero-probability context
+        got = scorer.predict_at(single_record_corpus(impossible, 4), [(0, 1)])[0]
         np.testing.assert_allclose(got, 0.25, atol=1e-15)
+
+    @pytest.mark.parametrize("tokens,place,message", [
+        ((0, 99, 1), (0, 1), "token id out of range"),
+        ((0, 1, 4), (0, 0), "token id out of range"),  # 4 is the padding value
+        ((0, 1, 3), (0, 7), "position 7 out of range"),
+        ((0, 1, 3), (0, -1), "position -1 out of range"),
+    ])
+    def test_bad_tokens_and_positions_raise(self, tokens, place, message):
+        world, table, _ = equal_prior_noisy_setup()
+        scorer = OracleScorer(world, table, 0.1)
+        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 4)
+        with pytest.raises(ValueError, match=message):
+            scorer.predict_at(corpus, [(0, 0), place])
