@@ -21,12 +21,14 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, replace
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
-
-from itertools import chain
 
 from ._rng import derive_rng
 from .world import WorldModel, conditional, sample_corpus_tokens
@@ -48,18 +50,25 @@ class CategoryResult:
     candidates: tuple[int, ...]
 
 
-def candidate_categories(candidates: np.ndarray, replacements) -> list[SampleCategory]:
-    """Category of each edit from its row of candidate flags.
+CATEGORIES = tuple(SampleCategory)  # a category code indexes this tuple
+_CODES = {c: k for k, c in enumerate(CATEGORIES)}
+
+
+def candidate_category_codes(candidates: np.ndarray, replacements) -> np.ndarray:
+    """Category code of each edit from its row of candidate flags.
 
     A candidate is a source that fits the context and can explain the
     replacement.  A single candidate makes a true sample, a set holding the
     replacement itself a noisy one, any other set a multi-answer one.
     """
-    single = (candidates.sum(axis=1) == 1).tolist()
-    noisy = candidates[np.arange(len(candidates)), replacements].tolist()
-    return [SampleCategory.TRUE if one else
-            SampleCategory.NOISY if has_replacement else SampleCategory.MULTI_ANSWER
-            for one, has_replacement in zip(single, noisy)]
+    single = candidates.sum(axis=1) == 1
+    noisy = candidates[np.arange(len(candidates)), replacements]
+    return np.where(single, 0, np.where(noisy, 1, 2)).astype(np.int8)
+
+
+def candidate_categories(candidates: np.ndarray, replacements) -> list[SampleCategory]:
+    """:func:`candidate_category_codes` as categories."""
+    return [CATEGORIES[k] for k in candidate_category_codes(candidates, replacements).tolist()]
 
 
 @dataclass(frozen=True)
@@ -197,11 +206,14 @@ def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTabl
         # Remaining candidates are drawn with a preference for targets that
         # few tokens confuse into yet, so accidental shared restorations stay
         # as rare as they are in natural confusion data.
-        pool = np.array([t for t in range(V) if t != v and t not in chosen])
-        load_weight = 1.0 / (1.0 + source_load[pool]) ** 2
-        probs = load_weight / load_weight.sum()
-        extra = rng.choice(pool, size=c - len(chosen), replace=False, p=probs)
-        chosen.extend(int(t) for t in extra)
+        # A draw of zero candidates takes nothing from the stream, so skipping
+        # it (the affine pick filled the row) leaves every table unchanged.
+        if len(chosen) < c:
+            pool = np.array([t for t in range(V) if t != v and t not in chosen], dtype=np.int64)
+            load_weight = 1.0 / (1.0 + source_load[pool]) ** 2
+            probs = load_weight / load_weight.sum()
+            extra = rng.choice(pool, size=c - len(chosen), replace=False, p=probs)
+            chosen.extend(int(t) for t in extra)
         candidates[v] = chosen
         source_load[chosen] += 1.0
 
@@ -221,8 +233,32 @@ def confusion_pair(world: WorldModel, config: ConfusionConfig) -> tuple[Confusio
     return uniform, longtail
 
 
-@dataclass(frozen=True)
+def _record_problem(clean, corrupted, edits, categories) -> str | None:
+    """How one record breaks the record rule, worded as its error; None if it keeps it.
+
+    The per-record statement of the rule :func:`_first_bad_record` checks over
+    a whole corpus at once; it words the error of the first record found.
+    """
+    if len(clean) != len(corrupted):
+        return "corruption must preserve sentence length"
+    edited = set()
+    for i, x, y in edits:
+        if (not 0 <= i < len(clean) or clean[i] != x or corrupted[i] != y or x == y
+                or i in edited):
+            return f"edit {(i, x, y)} inconsistent with sentences"
+        edited.add(i)
+    for j, (a, b) in enumerate(zip(clean, corrupted)):
+        if j not in edited and a != b:
+            return f"position {j} differs but is not recorded as an edit"
+    if categories is not None and len(categories) != len(edits):
+        return "categories must align with edits"
+    return None
+
+
+@dataclass(frozen=True, slots=True)
 class CorruptionRecord:
+    """One sentence pair; :class:`PairCorpus` builds these from its columns on access."""
+
     clean: tuple[int, ...]
     corrupted: tuple[int, ...]
     edits: tuple[tuple[int, int, int], ...]   # (position, original, replacement)
@@ -230,46 +266,269 @@ class CorruptionRecord:
     categories: tuple[SampleCategory, ...] | None = None
 
     def __post_init__(self):
-        if len(self.clean) != len(self.corrupted):
-            raise ValueError("corruption must preserve sentence length")
-        for i, x, y in self.edits:
-            if self.clean[i] != x or self.corrupted[i] != y or x == y:
-                raise ValueError(f"edit {(i, x, y)} inconsistent with sentences")
-        edited = {i for i, _, _ in self.edits}
-        for j, (a, b) in enumerate(zip(self.clean, self.corrupted)):
-            if j not in edited and a != b:
-                raise ValueError(f"position {j} differs but is not recorded as an edit")
-        if self.categories is not None and len(self.categories) != len(self.edits):
-            raise ValueError("categories must align with edits")
+        problem = _record_problem(self.clean, self.corrupted, self.edits, self.categories)
+        if problem:
+            raise ValueError(problem)
+
+    @classmethod
+    def _trusted(cls, clean, corrupted, edits, channel_rate, categories) -> CorruptionRecord:
+        # Built from columns that were checked as a whole: skip the per-record check.
+        record = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (clean, corrupted, edits, channel_rate,
+                                               categories)):
+            object.__setattr__(record, name, value)
+        return record
 
     @property
     def length(self) -> int:
         return len(self.clean)
 
 
+class _Columns(NamedTuple):
+    """The flat arrays of a :class:`PairCorpus` (field docs there)."""
+
+    clean: np.ndarray
+    corrupted: np.ndarray
+    offsets: np.ndarray
+    record: np.ndarray
+    pos: np.ndarray
+    orig: np.ndarray
+    repl: np.ndarray
+    category: np.ndarray | None
+    annotated: np.ndarray
+
+
+def _edit_bounds(columns: _Columns, start: int, stop: int) -> list[int]:
+    """Where the edits of records ``start`` .. ``stop`` begin, plus the end of the last."""
+    return np.searchsorted(columns.record, np.arange(start, stop + 1)).tolist()
+
+
+def _first_bad_record(columns: _Columns, n_categories: np.ndarray | None) -> int | None:
+    """Index of the first record breaking the record rule, checked over all records at once.
+
+    Sides of equal length are assumed; ``n_categories`` holds each record's
+    category count, or None when the corpus is not annotated.
+    """
+    c = columns
+    lengths = np.diff(c.offsets)
+    at = c.offsets[c.record] + c.pos
+    ok = (c.pos >= 0) & (c.pos < lengths[c.record]) & (c.orig != c.repl)
+    ok[ok] = (c.clean[at[ok]] == c.orig[ok]) & (c.corrupted[at[ok]] == c.repl[ok])
+    ok[ok] = np.bincount(at[ok], minlength=len(c.clean))[at[ok]] == 1  # one edit per position
+    covered = np.zeros(len(c.clean), dtype=bool)
+    covered[at[ok]] = True
+    stray = np.flatnonzero((c.clean != c.corrupted) & ~covered)
+    bad = np.zeros(len(lengths), dtype=bool)
+    bad[c.record[~ok]] = True
+    bad[np.searchsorted(c.offsets, stray, side="right") - 1] = True
+    if n_categories is not None:
+        bad |= n_categories != np.bincount(c.record, minlength=len(lengths))
+    first = np.flatnonzero(bad)
+    return int(first[0]) if len(first) else None
+
+
+class _RecordError(ValueError):
+    """A record breaking the record rule; ``index`` is its place in the input."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
+def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
+                        categories: list | None) -> _Columns:
+    """Columns of records given as per-record sequences, checked as a whole.
+
+    ``categories`` holds one sequence, or None, per record.  Raises
+    :class:`_RecordError` for the first record that breaks the record rule.
+    """
+    n = len(cleans)
+    lengths = np.fromiter(map(len, cleans), np.int64, n)
+    same = lengths == np.fromiter(map(len, corrupteds), np.int64, n)
+    good = int(np.argmin(same)) if not same.all() else n  # before the first length mismatch
+    offsets = np.concatenate(([0], np.cumsum(lengths[:good])))
+    n_edits = np.fromiter(map(len, edits[:good]), np.int64, good)
+    flat_edits = np.fromiter(chain.from_iterable(chain.from_iterable(edits[:good])),
+                             np.int64, 3 * int(n_edits.sum())).reshape(-1, 3)
+    annotated = np.fromiter((cats is not None for cats in categories[:good]), bool, good)
+    n_categories = category = None
+    if annotated.any():
+        pairs = list(zip(categories[:good], edits[:good]))
+        n_categories = np.fromiter((len(e if cats is None else cats) for cats, e in pairs),
+                                   np.int64, good)
+        category = np.fromiter(chain.from_iterable(
+            [-1] * len(e) if cats is None else map(_CODES.__getitem__, cats) for cats, e in pairs),
+            np.int8, int(n_categories.sum()))
+    columns = _Columns(
+        np.fromiter(chain.from_iterable(cleans[:good]), np.int64, int(offsets[-1])),
+        np.fromiter(chain.from_iterable(corrupteds[:good]), np.int64, int(offsets[-1])),
+        offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category, annotated)
+    bad = _first_bad_record(columns, n_categories)
+    if bad is None and good < n:
+        bad = good
+    if bad is not None:
+        raise _RecordError(bad, _record_problem(cleans[bad], corrupteds[bad], edits[bad],
+                                                categories[bad]))
+    return columns
+
+
 @dataclass(frozen=True)
 class PairCorpus:
-    records: tuple[CorruptionRecord, ...]
+    """An aligned pair corpus stored as flat columns.
+
+    Record k's sentences are ``clean[offsets[k]:offsets[k + 1]]`` and the same
+    slice of ``corrupted`` (int64 token arrays).  Edits are the rows of the
+    edit columns, grouped by record in record order: ``record`` (the owning
+    record), ``pos`` (the position in its sentence), ``orig``, ``repl`` and
+    ``category`` (int8 codes indexing :data:`CATEGORIES`, or None when no
+    record is annotated).  ``annotated`` flags the records that carry
+    categories; an edit of a record without them has code -1.  The columns
+    are read-only and may be shared between corpora.
+
+    ``records`` may be given as a sequence of :class:`CorruptionRecord` with
+    the corpus's rate, all checked at once.  It reads back as a
+    :class:`RecordsView`, which builds records on access and keeps none, so
+    loops over a large corpus belong on the columns.
+    """
+
+    records: Sequence[CorruptionRecord]
     vocab_size: int
     rate: float
     mode: str
+    clean: np.ndarray = field(init=False, repr=False, compare=False)
+    corrupted: np.ndarray = field(init=False, repr=False, compare=False)
+    offsets: np.ndarray = field(init=False, repr=False, compare=False)
+    record: np.ndarray = field(init=False, repr=False, compare=False)
+    pos: np.ndarray = field(init=False, repr=False, compare=False)
+    orig: np.ndarray = field(init=False, repr=False, compare=False)
+    repl: np.ndarray = field(init=False, repr=False, compare=False)
+    category: np.ndarray | None = field(init=False, repr=False, compare=False)
+    annotated: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if isinstance(self.records, RecordsView):
+            columns = self.records.columns
+        else:
+            records = tuple(self.records)
+            for k, rec in enumerate(records):
+                if rec.channel_rate != self.rate:
+                    raise ValueError(f"record {k} has channel rate {rec.channel_rate}, "
+                                     f"the corpus {self.rate}")
+            columns = _columns_from_lists(
+                [rec.clean for rec in records], [rec.corrupted for rec in records],
+                [rec.edits for rec in records], [rec.categories for rec in records])
+        for name, array in zip(_Columns._fields, columns):
+            if array is not None:
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "records", RecordsView(columns, self.rate))
+
+    @classmethod
+    def _from_columns(cls, columns: _Columns, vocab_size: int, rate: float,
+                      mode: str) -> PairCorpus:
+        return cls(RecordsView(columns, rate), vocab_size, rate, mode)
+
+    @property
+    def columns(self) -> _Columns:
+        return self.records.columns
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.offsets) - 1
 
     @property
     def n_chars(self) -> int:
-        return sum(r.length for r in self.records)
+        return int(self.offsets[-1])
 
     @property
     def n_edits(self) -> int:
-        return sum(len(r.edits) for r in self.records)
+        return len(self.pos)
 
-    def iter_edits(self):
-        """Yields (record_index, record, edit_index, (position, original, replacement))."""
-        for ri, rec in enumerate(self.records):
-            for ei, edit in enumerate(rec.edits):
-                yield ri, rec, ei, edit
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @property
+    def flat_pos(self) -> np.ndarray:
+        """Index of each edit's token in the flat token arrays."""
+        return self.offsets[self.record] + self.pos
+
+    def places(self) -> np.ndarray:
+        """(record, position) of every edit as an (n_edits, 2) array."""
+        return np.stack((self.record, self.pos), axis=1)
+
+    def keep_edits(self, keep: np.ndarray, **columns: np.ndarray) -> PairCorpus:
+        """This corpus with only the edits flagged in ``keep``, and the per-token or
+        per-record ``columns`` given; the caller keeps them consistent."""
+        c = self.columns
+        edits = {name: getattr(c, name)[keep] for name in ("record", "pos", "orig", "repl")}
+        category = None if c.category is None else c.category[keep]
+        return PairCorpus._from_columns(c._replace(**edits, category=category, **columns),
+                                        self.vocab_size, self.rate, self.mode)
+
+
+class RecordsView(Sequence):
+    """The records of a :class:`PairCorpus`, built from its columns on access.
+
+    Indexing, slicing, iteration and ``==`` behave as on a tuple of
+    :class:`CorruptionRecord`.  Nothing is cached: every access builds new
+    records, one object per record, so the memory is only held while the
+    caller holds them.
+    """
+
+    _CHUNK = 4096  # records built at a time while iterating
+
+    def __init__(self, columns: _Columns, rate: float):
+        self.columns = columns
+        self.rate = rate
+
+    def __len__(self) -> int:
+        return len(self.columns.offsets) - 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1:
+                return tuple(self._build(start, max(start, stop)))
+            return tuple(self[k] for k in range(start, stop, step))
+        k = operator.index(index)
+        k += len(self) if k < 0 else 0
+        if not 0 <= k < len(self):
+            raise IndexError("record index out of range")
+        return self._build(k, k + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), self._CHUNK):
+            yield from self._build(start, min(start + self._CHUNK, len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, RecordsView):
+            return self.rate == other.rate and all(
+                a is b or (a is not None and b is not None and np.array_equal(a, b))
+                for a, b in zip(self.columns, other.columns))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RecordsView(<{len(self)} records>)"
+
+    def _build(self, start: int, stop: int) -> list[CorruptionRecord]:
+        c = self.columns
+        offsets = c.offsets[start:stop + 1].tolist()
+        base, end = offsets[0], offsets[-1]
+        clean, corrupted = c.clean[base:end].tolist(), c.corrupted[base:end].tolist()
+        bounds = _edit_bounds(c, start, stop)
+        e0, e1 = bounds[0], bounds[-1]
+        edits = list(zip(c.pos[e0:e1].tolist(), c.orig[e0:e1].tolist(), c.repl[e0:e1].tolist()))
+        names = None if c.category is None else [CATEGORIES[k] for k in c.category[e0:e1].tolist()]
+        out = []
+        for k, annotated in enumerate(c.annotated[start:stop].tolist()):
+            a, b = offsets[k] - base, offsets[k + 1] - base
+            ea, eb = bounds[k] - e0, bounds[k + 1] - e0
+            out.append(CorruptionRecord._trusted(
+                tuple(clean[a:b]), tuple(corrupted[a:b]), tuple(edits[ea:eb]), self.rate,
+                tuple(names[ea:eb]) if annotated else None))
+        return out
 
 
 def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
@@ -372,10 +631,7 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
 
     rng = derive_rng(seed, stream)
     lengths = rng.integers(lo, hi + 1, size=n_sentences)
-    sentences = sample_corpus_tokens(world, lengths, rng)
-
-    flat = np.fromiter(chain.from_iterable(sentences), dtype=np.int64,
-                       count=int(lengths.sum()))
+    flat = np.concatenate(sample_corpus_tokens(world, lengths, rng), dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(lengths)))
     if mode == "iid":
         hit = np.flatnonzero(rng.random(len(flat)) < rate)
@@ -391,20 +647,16 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
         raise ValueError(f"unknown corpus mode {mode!r}")
     pos, x = hit - starts[owner], flat[hit]
 
-    categories = None
+    category = None
     if annotate:  # one batched conditional over every edit, in its clean context
-        prior = conditional(world, _padded(sentences, lengths, world.vocab_size)[owner], pos)
-        categories = candidate_categories(_candidate_flags(table, prior, x, y), y)
-    edits = list(zip(pos.tolist(), x.tolist(), y.tolist()))
-    spans = np.searchsorted(owner, np.arange(n_sentences + 1)).tolist()
-    records = []
-    for toks, a, b in zip(sentences, spans, spans[1:]):
-        corrupted = list(toks)
-        for i, _, r in edits[a:b]:
-            corrupted[i] = r
-        records.append(CorruptionRecord(toks, tuple(corrupted), tuple(edits[a:b]), rate,
-                                        None if categories is None else tuple(categories[a:b])))
-    return PairCorpus(tuple(records), world.vocab_size, rate, mode)
+        prior = conditional(world, _padded(flat, starts, world.vocab_size)[owner], pos)
+        category = candidate_category_codes(_candidate_flags(table, prior, x, y), y)
+    corrupted = flat.copy()
+    corrupted[hit] = y
+    annotated = np.full(n_sentences, annotate)
+    return PairCorpus._from_columns(
+        _Columns(flat, corrupted, starts, owner, pos, x, y, category, annotated),
+        world.vocab_size, rate, mode)
 
 
 def replace_categories(record: CorruptionRecord,
@@ -414,98 +666,124 @@ def replace_categories(record: CorruptionRecord,
 
 
 def concat_corpora(first: PairCorpus, second: PairCorpus) -> PairCorpus:
+    """Records of ``second`` after those of ``first``."""
     if first.vocab_size != second.vocab_size:
         raise ValueError("corpora built over different vocabularies")
     mode = first.mode if first.mode == second.mode else "mixed"
     if first.rate != second.rate:
         raise ValueError("corpora built at different channel rates")
-    return PairCorpus(first.records + second.records, first.vocab_size, first.rate, mode)
+    a = first.columns
+    b = second.columns._replace(offsets=second.offsets[1:] + first.n_chars,
+                                record=second.record + len(first))
+    codes = [np.full(corpus.n_edits, -1, np.int8) if corpus.category is None else corpus.category
+             for corpus in (first, second)]
+    columns = _Columns(*(np.concatenate(pair) for pair in zip(a[:-2], b[:-2])),
+                       None if a.category is None and b.category is None else np.concatenate(codes),
+                       np.concatenate((a.annotated, b.annotated)))
+    return PairCorpus._from_columns(columns, first.vocab_size, first.rate, mode)
 
 
 def corpus_arrays(corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Padded (clean, corrupted, lengths) matrices for vectorized passes.
 
-    Rows are padded with ``vocab_size`` beyond each sentence's length.
+    Rows are padded with ``vocab_size`` beyond each sentence's length.  The
+    matrices are new on every call, so callers may write into them.
     """
-    lengths = np.array([r.length for r in corpus.records], dtype=np.int64)
-    return (_padded((r.clean for r in corpus.records), lengths, corpus.vocab_size),
-            _padded((r.corrupted for r in corpus.records), lengths, corpus.vocab_size),
-            lengths)
+    return (_padded(corpus.clean, corpus.offsets, corpus.vocab_size),
+            _padded(corpus.corrupted, corpus.offsets, corpus.vocab_size),
+            corpus.lengths)
 
 
-def _padded(sentences, lengths: np.ndarray, pad: int) -> np.ndarray:
-    """Sentences as the rows of a matrix padded with ``pad`` past each end."""
-    out = np.full((len(lengths), int(lengths.max())), pad, dtype=np.int64)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = np.fromiter(
-        chain.from_iterable(sentences), dtype=np.int64, count=int(lengths.sum()))
+def _padded(flat: np.ndarray, offsets: np.ndarray, pad: int) -> np.ndarray:
+    """Sentences of a flat token array as the rows of a matrix padded with
+    ``pad`` past each end."""
+    lengths = np.diff(offsets)
+    width = int(lengths.max(initial=0))
+    out = np.full((len(lengths), width), pad, dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = flat
     return out
 
 
-def record_to_dict(record: CorruptionRecord) -> dict:
-    doc = {
-        "clean": list(record.clean),
-        "corrupted": list(record.corrupted),
-        "edits": [list(e) for e in record.edits],
-    }
-    if record.categories is not None:
-        doc["categories"] = [c.value for c in record.categories]
-    return doc
-
-
-def record_from_dict(doc: dict, rate: float) -> CorruptionRecord:
-    categories = None
-    if "categories" in doc:
-        categories = tuple(SampleCategory(c) for c in doc["categories"])
-    return CorruptionRecord(
-        clean=tuple(int(t) for t in doc["clean"]),
-        corrupted=tuple(int(t) for t in doc["corrupted"]),
-        edits=tuple((int(i), int(x), int(y)) for i, x, y in doc["edits"]),
-        channel_rate=rate,
-        categories=categories,
-    )
-
-
 def corpus_to_jsonl(corpus: PairCorpus, path: str | Path) -> None:
+    """One JSON object per record: clean, corrupted, edits and, if it has them, categories."""
+    c = corpus.columns
+    clean, corrupted, offsets = c.clean.tolist(), c.corrupted.tolist(), c.offsets.tolist()
+    edits = [list(e) for e in zip(c.pos.tolist(), c.orig.tolist(), c.repl.tolist())]
+    names = [] if c.category is None else [CATEGORIES[k].value for k in c.category.tolist()]
+    bounds = _edit_bounds(c, 0, len(corpus))
     with open(path, "w") as fh:
-        for rec in corpus.records:
-            fh.write(json.dumps(record_to_dict(rec)) + "\n")
+        for k, annotated in enumerate(c.annotated.tolist()):
+            a, b, ea, eb = offsets[k], offsets[k + 1], bounds[k], bounds[k + 1]
+            doc = {"clean": clean[a:b], "corrupted": corrupted[a:b], "edits": edits[ea:eb]}
+            if annotated:
+                doc["categories"] = names[ea:eb]
+            fh.write(json.dumps(doc) + "\n")
 
 
 def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
                       mode: str = "iid") -> PairCorpus:
-    records, line_numbers = [], []
+    """Read :func:`corpus_to_jsonl` output; every error names ``path:line``.
+
+    Lines are parsed until the first malformed one and checked together, so
+    the error reported is the one on the earliest line.
+    """
+    cleans, corrupteds, edits, categories, line_numbers = [], [], [], [], []
+    failure = None
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                records.append(record_from_dict(json.loads(line), rate))
+                doc = json.loads(line)
+                cats = ([SampleCategory(c) for c in doc["categories"]]
+                        if "categories" in doc else None)
+                clean = [int(t) for t in doc["clean"]]
+                corrupted = [int(t) for t in doc["corrupted"]]
+                record_edits = [(int(i), int(x), int(y)) for i, x, y in doc["edits"]]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 missing = "missing field " if isinstance(exc, KeyError) else ""
-                raise ValueError(f"{path}:{number}: {missing}{exc}") from None
+                failure = ValueError(f"{path}:{number}: {missing}{exc}")
+                break
+            cleans.append(clean)
+            corrupteds.append(corrupted)
+            edits.append(record_edits)
+            categories.append(cats)
             line_numbers.append(number)
-    if not records:
+    try:
+        columns = _columns_from_lists(cleans, corrupteds, edits, categories)
+    except _RecordError as exc:
+        raise ValueError(f"{path}:{line_numbers[exc.index]}: {exc}") from None
+    if failure is not None:
+        raise failure
+    if not cleans:
         raise ValueError(f"no records in {path}")
-    ends = np.cumsum([r.length for r in records])
-    for field in ("clean", "corrupted"):
-        tokens = np.fromiter(chain.from_iterable(getattr(r, field) for r in records),
-                             dtype=np.int64, count=int(ends[-1]))
+    for field_name in ("clean", "corrupted"):
+        tokens = getattr(columns, field_name)
         bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
         if len(bad):
-            k = int(np.searchsorted(ends, bad[0], side="right"))
-            raise ValueError(f"{path}:{line_numbers[k]}: {field} token {tokens[bad[0]]} "
+            k = int(np.searchsorted(columns.offsets, bad[0], side="right")) - 1
+            raise ValueError(f"{path}:{line_numbers[k]}: {field_name} token {tokens[bad[0]]} "
                              f"outside [0, {vocab_size})")
-    return PairCorpus(tuple(records), vocab_size, rate, mode)
+    return PairCorpus._from_columns(columns, vocab_size, rate, mode)
 
 
 def corpus_digest(corpus: PairCorpus) -> str:
-    """Content hash over token arrays; cheap and exact."""
+    """Content hash over token arrays; cheap and exact.
+
+    The bytes are the int64 (vocab_size, n_records), the record lengths, then
+    each record's clean tokens followed by its corrupted tokens.
+    """
+    lengths = corpus.lengths
     h = hashlib.sha256()
     h.update(np.array([corpus.vocab_size, len(corpus)], dtype=np.int64).tobytes())
-    h.update(np.array([r.length for r in corpus.records], dtype=np.int64).tobytes())
-    for rec in corpus.records:
-        h.update(np.array(rec.clean, dtype=np.int64).tobytes())
-        h.update(np.array(rec.corrupted, dtype=np.int64).tobytes())
+    h.update(lengths.astype(np.int64).tobytes())
+    # Record k's block starts at 2 * offsets[k]: token g of the flat arrays goes
+    # to g + offsets[k] (clean) and g + offsets[k + 1] (corrupted).
+    index = np.arange(corpus.n_chars)
+    pairs = np.empty(2 * corpus.n_chars, dtype=np.int64)
+    pairs[index + np.repeat(corpus.offsets[:-1], lengths)] = corpus.clean
+    pairs[index + np.repeat(corpus.offsets[1:], lengths)] = corpus.corrupted
+    h.update(pairs.tobytes())
     return h.hexdigest()
 
 

@@ -49,43 +49,47 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
 
-def collect_outcomes(model: CorrectorModel, corpus: PairCorpus) -> list[PredictionOutcome]:
-    """One outcome per character position of the corpus."""
+def _outcome_arrays(model: CorrectorModel,
+                    corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(confidence, correct, kept mass on input) of every position, in corpus order."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    clean_mat, corr_mat, lengths = corpus_arrays(corpus)
-    probs, mask = predict_matrix(model, corr_mat, lengths)
-    inputs = corr_mat[mask]
-    targets = clean_mat[mask]
-    preds = _argmax_keep_ties(probs, inputs)
-    confidence = probs[np.arange(len(preds)), preds]
-    kept = probs[np.arange(len(preds)), inputs]
-    correct = preds == targets
-    return [
-        PredictionOutcome(float(c), bool(ok), float(k))
-        for c, ok, k in zip(confidence, correct, kept)
-    ]
+    _, corr_mat, lengths = corpus_arrays(corpus)
+    probs = predict_matrix(model, corr_mat, lengths)[0]
+    rows = np.arange(len(probs))
+    preds = _argmax_keep_ties(probs, corpus.corrupted)
+    return probs[rows, preds], preds == corpus.clean, probs[rows, corpus.corrupted]
+
+
+def collect_outcomes(model: CorrectorModel, corpus: PairCorpus) -> list[PredictionOutcome]:
+    """One outcome per character position of the corpus."""
+    return [PredictionOutcome(c, ok, k)
+            for c, ok, k in zip(*(a.tolist() for a in _outcome_arrays(model, corpus)))]
+
+
+def _hard(kept: np.ndarray, cutoff: float) -> np.ndarray:
+    """Positions whose mass off the written token is at least ``cutoff``."""
+    return (1.0 - kept) >= cutoff
 
 
 def filter_easy_positives(outcomes: list[PredictionOutcome],
                           cutoff: float = 0.1) -> list[PredictionOutcome]:
     """Keep outcomes whose mass off the written token is at least ``cutoff``."""
-    return [o for o in outcomes if (1.0 - o.kept_mass_on_input) >= cutoff]
+    hard = _hard(np.array([o.kept_mass_on_input for o in outcomes], dtype=float), cutoff)
+    return [o for o, keep in zip(outcomes, hard.tolist()) if keep]
 
 
-def ece(outcomes: list[PredictionOutcome], n_bins: int = 10,
-        n_excluded: int = 0) -> CalibrationReport:
-    """Equal-width-bin expected calibration error with its reliability table."""
-    if not outcomes:
+def _binned(conf: np.ndarray, correct: np.ndarray, n_bins: int,
+            n_excluded: int) -> CalibrationReport:
+    if not len(conf):
         raise ValueError("cannot compute calibration on an empty outcome list")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    conf = np.array([o.confidence for o in outcomes])
-    correct = np.array([o.correct for o in outcomes], dtype=float)
+    correct = correct.astype(float)
     idx = np.clip((conf * n_bins).astype(np.int64), 0, n_bins - 1)
 
     bins = []
-    total = len(outcomes)
+    total = len(conf)
     value = 0.0
     for b in range(n_bins):
         sel = idx == b
@@ -100,14 +104,21 @@ def ece(outcomes: list[PredictionOutcome], n_bins: int = 10,
     return CalibrationReport(tuple(bins), value, n_excluded)
 
 
+def ece(outcomes: list[PredictionOutcome], n_bins: int = 10,
+        n_excluded: int = 0) -> CalibrationReport:
+    """Equal-width-bin expected calibration error with its reliability table."""
+    return _binned(np.array([o.confidence for o in outcomes], dtype=float),
+                   np.array([o.correct for o in outcomes], dtype=bool), n_bins, n_excluded)
+
+
 def calibration_report(model: CorrectorModel, corpus: PairCorpus,
                        cutoff: float = 0.1, n_bins: int = 10) -> CalibrationReport:
     """Outcome collection, easy-positive exclusion, and binning in one step."""
-    outcomes = collect_outcomes(model, corpus)
-    kept = filter_easy_positives(outcomes, cutoff)
-    if not kept:
+    conf, correct, kept = _outcome_arrays(model, corpus)
+    hard = _hard(kept, cutoff)
+    if not hard.any():
         raise ValueError("easy-positive exclusion removed every outcome")
-    return ece(kept, n_bins=n_bins, n_excluded=len(outcomes) - len(kept))
+    return _binned(conf[hard], correct[hard], n_bins, len(hard) - int(hard.sum()))
 
 
 def write_reliability_csv(report: CalibrationReport, path: str | Path) -> None:

@@ -129,23 +129,27 @@ def score_cmd(config_path, seed, out_dir, model_path, corpus_dir, with_oracle):
     w, table, corpus, meta = _load_corpus_dir(Path(corpus_dir))
     model = corrector.load_model(model_path)
 
-    places = [(ri, edit[0]) for ri, _, _, edit in corpus.iter_edits()]
-    rows = corrector.predict_at(model, corpus, places) if places else np.empty((0, 0))
+    n = corpus.n_edits
+    confidence = (corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
+                  if n else np.empty(0))
+    single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
     path = out / "scores.jsonl"
     with open(path, "w") as fh:
-        for k, (ri, rec, ei, (i, x, y)) in enumerate(corpus.iter_edits()):
+        for ri, i, x, y, c in zip(corpus.record.tolist(), corpus.pos.tolist(),
+                                  corpus.orig.tolist(), corpus.repl.tolist(),
+                                  confidence.tolist()):
             doc = {"record": ri, "position": i, "original": x, "replacement": y,
-                   "confidence": float(rows[k, x])}
-            if with_oracle and len(rec.edits) == 1:
-                rep = oracle.posterior(w, table, rec, 0, meta["rate"])
+                   "confidence": c}
+            if with_oracle and single[ri]:
+                rep = oracle.posterior(w, table, corpus.records[ri], 0, meta["rate"])
                 doc["oracle_posterior"] = rep.posterior
                 doc["category"] = rep.category.value
                 doc["sigma"] = rep.sigma
                 doc["bound"] = rep.bound
             fh.write(json.dumps(doc) + "\n")
     write_manifest(out, experiment_config_to_dict(cfg), seed, {"scores.jsonl": path},
-                   meta={"edits": len(places)})
-    click.echo(f"scored {len(places)} edits -> {path}")
+                   meta={"edits": n})
+    click.echo(f"scored {n} edits -> {path}")
 
 
 @main.command("filter")

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import types
+import typing
 from pathlib import Path
 
 from .augment import ConfusionConfig
@@ -23,44 +25,91 @@ _SECTIONS = {
     "filter": FilterConfig,
 }
 
-_TUPLE_FIELDS = {"window", "length_range", "thresholds", "volume_sizes"}
+
+def _typed(where: str, value, hint):
+    """``value`` as a field of type ``hint`` takes it (a JSON list becomes a
+    tuple where the field is one); ValueError naming ``where`` otherwise.
+
+    A bool is not an int, and an int is kept as is where a float is expected.
+    """
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _typed(where, value, hint)
+    if origin in (tuple, list, dict):
+        kind = dict if origin is dict else list
+        if not isinstance(value, kind):
+            expected = "an object" if kind is dict else "a list"
+            raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
+        if origin is dict:
+            return {k: _typed(f"{where}.{k}", v, args[1]) for k, v in value.items()}
+        if origin is tuple and Ellipsis not in args and len(value) != len(args):
+            raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
+        items = [_typed(f"{where}[{k}]", v, args[0] if Ellipsis in args or origin is list
+                        else args[k]) for k, v in enumerate(value)]
+        return tuple(items) if origin is tuple else items
+    number = hint is float and isinstance(value, int)
+    if isinstance(value, bool) is not (hint is bool) or not (number or isinstance(value, hint)):
+        raise ValueError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+    return value
 
 
-def _build_section(cls, doc: dict):
+def _typed_fields(cls, doc: dict, prefix: str = "") -> dict:
+    hints = typing.get_type_hints(cls)
+    return {k: _typed(f"{prefix}{k}", v, hints[k]) for k, v in doc.items()}
+
+
+def _build_section(cls, doc, name: str):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{name}: expected an object, got {type(doc).__name__}")
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - names
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    kwargs = {k: tuple(v) if k in _TUPLE_FIELDS and v is not None else v
-              for k, v in doc.items()}
-    return cls(**kwargs)
+    return cls(**_typed_fields(cls, doc, f"{name}."))
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected an object, got {type(doc).__name__}")
     doc = dict(doc)
     kwargs = {}
     for section, cls in _SECTIONS.items():
         if section in doc:
-            kwargs[section] = _build_section(cls, doc.pop(section))
+            kwargs[section] = _build_section(cls, doc.pop(section), section)
     top_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(doc) - top_names
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for k, v in doc.items():
-        kwargs[k] = tuple(v) if k in _TUPLE_FIELDS and v is not None else v
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**kwargs, **_typed_fields(ExperimentConfig, doc))
 
 
 def experiment_config_to_dict(config: ExperimentConfig) -> dict:
+    """The config as plain JSON values: every tuple field becomes a list."""
     doc = dataclasses.asdict(config)
-    for key in _TUPLE_FIELDS:
-        for holder in [doc] + [doc[s] for s in _SECTIONS if s in doc]:
-            if key in holder and isinstance(holder[key], tuple):
-                holder[key] = list(holder[key])
+    for holder in [doc] + [doc[s] for s in _SECTIONS if s in doc]:
+        for key, value in holder.items():
+            if isinstance(value, tuple):
+                holder[key] = list(value)
     return doc
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
+    """The config in a JSON file (defaults when ``path`` is None).
+
+    Bad JSON, a section that is not an object, a list field that is not a
+    list, a value of the wrong type and an unknown key raise ``ValueError``
+    naming the file, and the line or the field.
+    """
     if path is None:
         return ExperimentConfig()
-    return experiment_config_from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
+    try:
+        return experiment_config_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -98,6 +98,7 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     V = corpus.vocab_size
     n_sigs = _signature_table_shape(V, window)
 
+    digest = corpus_digest(corpus)  # before the padded matrices exist, to keep the peak low
     clean_mat, corr_mat, lengths = corpus_arrays(corpus)
     sig, mask = _signatures(corr_mat, lengths, V, window)
     sig_f = sig[mask]
@@ -112,7 +113,6 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
         center_counts = center_counts.reshape(V, V).astype(np.int64)
     target_counts = np.bincount(tgt_f, minlength=V).astype(np.int64)
 
-    digest = corpus_digest(corpus)
     descriptor = f"{len(corpus)}r:{int(mask.sum())}c"
     return CorrectorModel(V, tuple(window), float(alpha), counts, center_counts,
                           target_counts, int(mask.sum()), descriptor, digest)
@@ -155,8 +155,11 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> 
                                        (int(missing.sum()), model.vocab_size)).copy()
         rows[missing] = fallback
         totals = rows.sum(axis=1)
+    # (rows + alpha) / (totals + alpha V), in place: one (positions, V) array stays alive.
     alpha = model.alpha
-    return (rows + alpha) / (totals + alpha * model.vocab_size)[:, None]
+    rows += alpha
+    rows /= (totals + alpha * model.vocab_size)[:, None]
+    return rows
 
 
 def _sentence_rows(model: CorrectorModel, tokens) -> tuple[np.ndarray, np.ndarray]:

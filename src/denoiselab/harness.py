@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import PairCorpus, SampleCategory, corpus_arrays
+from .augment import CATEGORIES, PairCorpus, SampleCategory, corpus_arrays
 from .calibration import CalibrationReport
 from .corrector import correct_corpus
 
@@ -99,19 +99,18 @@ def category_filter_rates(before: PairCorpus, after: PairCorpus) -> dict[SampleC
     """
     if len(before) != len(after):
         raise ValueError("corpora have different record counts")
-    reverted = {c: 0 for c in SampleCategory}
-    totals = {c: 0 for c in SampleCategory}
-    for rec_b, rec_a in zip(before.records, after.records):
-        if rec_b.clean != rec_a.clean:
-            raise ValueError("corpora are not aligned on their clean sides")
-        if rec_b.categories is None:
-            raise ValueError("before-corpus lacks category annotations")
-        surviving = {i for i, _, _ in rec_a.edits}
-        for (i, _, _), cat in zip(rec_b.edits, rec_b.categories):
-            totals[cat] += 1
-            if i not in surviving:
-                reverted[cat] += 1
-    return {c: CategoryRate(reverted[c], totals[c]) for c in SampleCategory}
+    if not before.annotated.all():
+        raise ValueError("before-corpus lacks category annotations")
+    if not (before.clean is after.clean or (np.array_equal(before.offsets, after.offsets)
+                                            and np.array_equal(before.clean, after.clean))):
+        raise ValueError("corpora are not aligned on their clean sides")
+    surviving = np.zeros(after.n_chars, dtype=bool)
+    surviving[after.flat_pos] = True
+    categories = before.category if len(before) else np.empty(0, np.int8)
+    totals = np.bincount(categories, minlength=len(CATEGORIES)).tolist()
+    reverted = np.bincount(categories[~surviving[before.flat_pos]],
+                           minlength=len(CATEGORIES)).tolist()
+    return {c: CategoryRate(reverted[k], totals[k]) for k, c in enumerate(CATEGORIES)}
 
 
 METRICS_HEADER = ["variant", "p", "size", "P", "R", "F1", "FPR", "ECE", "seed"]

@@ -22,9 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
-                      PairCorpus, SampleCategory, concat_corpora, confusion_pair,
-                      corpus_arrays, generate_corpus)
+from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory,
+                      concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
                         predict_at, train)
@@ -98,37 +97,22 @@ class PipelineReport:
     filtered: PairCorpus | None = field(repr=False, default=None)
 
 
-def revert_edits(corpus: PairCorpus, keep: np.ndarray) -> FilterResult:
+def revert_edits(corpus: PairCorpus, keep) -> FilterResult:
     """Revert every edit whose ``keep`` flag is false.
 
-    ``keep`` holds one flag per edit in ``iter_edits`` order.  A reverted
-    position gets its clean token back and loses its edit and category;
-    records without a reverted edit are passed through unchanged.
+    ``keep`` holds one flag per edit, in the order of the corpus's edit
+    columns.  A reverted position gets its clean token back and loses its
+    edit and category; the clean side is shared with ``corpus``.
     """
-    keep = np.asarray(keep, dtype=bool).tolist()
-    if len(keep) != corpus.n_edits:
+    keep = np.asarray(keep, dtype=bool)
+    if keep.shape != (corpus.n_edits,):
         raise ValueError("keep needs one flag per edit")
-    records = []
-    k = 0
-    for rec in corpus.records:
-        decisions = keep[k:k + len(rec.edits)]
-        k += len(rec.edits)
-        if all(decisions):
-            records.append(rec)
-            continue
-        corrupted = list(rec.corrupted)
-        for d, (i, x, _) in zip(decisions, rec.edits):
-            if not d:
-                corrupted[i] = x
-        categories = None
-        if rec.categories is not None:
-            categories = tuple(c for d, c in zip(decisions, rec.categories) if d)
-        records.append(CorruptionRecord(
-            rec.clean, tuple(corrupted), tuple(e for d, e in zip(decisions, rec.edits) if d),
-            rec.channel_rate, categories))
-    kept = sum(keep)
-    filtered = PairCorpus(tuple(records), corpus.vocab_size, corpus.rate, corpus.mode)
-    return FilterResult(filtered, kept, len(keep) - kept)
+    corrupted = corpus.corrupted
+    if not keep.all():
+        corrupted = corrupted.copy()
+        corrupted[corpus.flat_pos[~keep]] = corpus.orig[~keep]
+    kept = int(keep.sum())
+    return FilterResult(corpus.keep_edits(keep, corrupted=corrupted), kept, len(keep) - kept)
 
 
 def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
@@ -141,11 +125,10 @@ def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     """
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must be in (0, 1)")
-    places = [(ri, i) for ri, _, _, (i, _, _) in corpus.iter_edits()]
-    if not places:
+    if not corpus.n_edits:
         return FilterResult(corpus, 0, 0)
-    originals = [x for _, _, _, (_, x, _) in corpus.iter_edits()]
-    confidences = scorer.predict_at(corpus, places)[np.arange(len(places)), originals]
+    rows = scorer.predict_at(corpus, corpus.places())
+    confidences = rows[np.arange(corpus.n_edits), corpus.orig]
     return revert_edits(corpus, confidences >= threshold)
 
 
@@ -160,6 +143,22 @@ def _masked_scores(context_model: CorrectorModel, corpus: PairCorpus,
     return np.log1p(probs / floor - 1.0)
 
 
+def _flagged_places(corpus: PairCorpus, flags: np.ndarray) -> set[tuple[int, int]]:
+    return set(zip(corpus.record[flags].tolist(), corpus.pos[flags].tolist()))
+
+
+def _noisy_flags(corpus: PairCorpus, context_model: CorrectorModel, lambda_n: float,
+                 literal_ratio: bool) -> np.ndarray:
+    scores = _masked_scores(context_model, corpus, corpus.places())
+    rows = np.arange(corpus.n_edits)
+    q_x, q_y = scores[rows, corpus.orig], scores[rows, corpus.repl]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio counts only where guarded
+        if literal_ratio:
+            return (q_y > 0) & (q_x / q_y <= lambda_n)
+        top = np.maximum(q_x, q_y)
+        return (top > 0) & (np.minimum(q_x, q_y) / top >= lambda_n)
+
+
 def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
                     lambda_n: float = 0.9, literal_ratio: bool = False) -> set[tuple[int, int]]:
     """Flag edits whose original and replacement both fit the masked context.
@@ -170,21 +169,27 @@ def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
     switches to the one-sided reading (original's score at most ``lambda_n``
     times the replacement's).  Returns (record_index, position) pairs.
     """
-    places = [(ri, edit[0]) for ri, _, _, edit in corpus.iter_edits()]
-    if not places:
+    if not corpus.n_edits:
         return set()
-    scores = _masked_scores(context_model, corpus, places)
-    flagged = set()
-    for row, (ri, _, _, (i, x, y)) in zip(scores, corpus.iter_edits()):
-        q_x, q_y = float(row[x]), float(row[y])
-        if literal_ratio:
-            hit = q_y > 0 and (q_x / q_y) <= lambda_n
-        else:
-            top = max(q_x, q_y)
-            hit = top > 0 and (min(q_x, q_y) / top) >= lambda_n
-        if hit:
-            flagged.add((ri, i))
-    return flagged
+    return _flagged_places(corpus, _noisy_flags(corpus, context_model, lambda_n, literal_ratio))
+
+
+def _multi_flags(corpus: PairCorpus, context_model: CorrectorModel,
+                 lambda_m: float) -> np.ndarray:
+    probs = predict_at(context_model, corpus, corpus.places())
+    norms = np.linalg.norm(probs, axis=1, keepdims=True)
+    unit = probs / np.where(norms == 0.0, 1.0, norms)
+    flags = np.zeros(corpus.n_edits, dtype=bool)
+    for y in np.unique(corpus.repl):
+        members = np.flatnonzero(corpus.repl == y)
+        if len(members) < 2:
+            continue
+        originals = corpus.orig[members]
+        block = unit[members]
+        sims = block @ block.T
+        hit = (sims >= lambda_m) & (originals[:, None] != originals[None, :])
+        flags[members[hit.any(axis=1)]] = True
+    return flags
 
 
 def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
@@ -197,33 +202,10 @@ def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
     distributions reaches ``lambda_m``.  Edits already flagged as noisy are
     removed from the result.
     """
-    edits = list(corpus.iter_edits())
-    places = [(ri, edit[0]) for ri, _, _, edit in edits]
-    if not places:
+    if not corpus.n_edits:
         return set()
-    probs = predict_at(context_model, corpus, places)
-    norms = np.linalg.norm(probs, axis=1, keepdims=True)
-    unit = probs / np.where(norms == 0.0, 1.0, norms)
-
-    by_replacement: dict[int, list[int]] = {}
-    for k, (_, _, _, (_, _, y)) in enumerate(edits):
-        by_replacement.setdefault(y, []).append(k)
-
-    flagged: set[tuple[int, int]] = set()
-    for members in by_replacement.values():
-        if len(members) < 2:
-            continue
-        originals = np.array([edits[k][3][1] for k in members])
-        block = unit[members]
-        sims = block @ block.T
-        hit = (sims >= lambda_m) & (originals[:, None] != originals[None, :])
-        for a in np.flatnonzero(hit.any(axis=1)):
-            k = members[int(a)]
-            ri, _, _, (i, _, _) = edits[k]
-            flagged.add((ri, i))
-    if flagged_noisy:
-        flagged -= flagged_noisy
-    return flagged
+    flagged = _flagged_places(corpus, _multi_flags(corpus, context_model, lambda_m))
+    return flagged - (flagged_noisy or set())
 
 
 def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
@@ -241,17 +223,15 @@ def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                              mode="single_edit", seed=seed,
                              clean_fraction=clean_fraction, annotate=True,
                              stream=stream)
-    edited = [k for k, rec in enumerate(corpus.records) if rec.edits]
-    pos, x, y = np.array([corpus.records[k].edits[0] for k in edited],
-                         dtype=np.int64).reshape(-1, 3).T
-    clean = corpus_arrays(corpus)[0]
-    prior = conditional(world, clean[edited], pos)
-    rows = np.arange(len(edited))
-    plausible = prior[rows, y] >= plausibility * prior[rows, x]
-    adopted = {k for k, adopt in zip(edited, plausible) if adopt}
-    records = [CorruptionRecord(rec.corrupted, rec.corrupted, (), rate) if k in adopted else rec
-               for k, rec in enumerate(corpus.records)]
-    return PairCorpus(tuple(records), corpus.vocab_size, rate, "single_edit")
+    prior = conditional(world, corpus_arrays(corpus)[0][corpus.record], corpus.pos)
+    rows = np.arange(corpus.n_edits)
+    plausible = prior[rows, corpus.repl] >= plausibility * prior[rows, corpus.orig]
+    # An adopted sentence's clean side is its corrupted side, with no edit and no categories.
+    clean = corpus.clean.copy()
+    clean[corpus.flat_pos[plausible]] = corpus.repl[plausible]
+    annotated = corpus.annotated.copy()
+    annotated[corpus.record[plausible]] = False
+    return corpus.keep_edits(~plausible, clean=clean, annotated=annotated)
 
 
 def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
@@ -260,16 +240,16 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
 
     Measured at the edit positions of single-edit records.
     """
-    single = [(ri, i) for ri, rec, _, (i, _, _) in corpus.iter_edits() if len(rec.edits) == 1]
-    if not single:
+    single = np.bincount(corpus.record, minlength=len(corpus))[corpus.record] == 1
+    if not single.any():
         raise ValueError("corpus has no single-edit records to compare on")
-    ri, pos = np.array(single).T
-    corr = corpus_arrays(corpus)[1]
+    ri, pos = corpus.record[single], corpus.pos[single]
+    corr, lengths = corpus_arrays(corpus)[1:]
     exact = restoration_distribution(world, table, corr[ri], pos, rate)
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
-    distances = [0.5 * float(np.abs(row - model.predict(corpus.records[r].corrupted, i)).sum())
-                 for row, (r, i) in zip(exact, single)]
+    distances = [0.5 * float(np.abs(row - model.predict(corr[r, :lengths[r]], i)).sum())
+                 for row, r, i in zip(exact, ri.tolist(), pos.tolist())]
     return float(np.mean(distances))
 
 
@@ -333,10 +313,11 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
         rates = category_filter_rates(d_o, result.corpus)
     elif variant == "heuristic":
         context_model = train(d_r, MASKED_WINDOW, cc.alpha)
-        flagged = heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
-        flagged |= heuristic_multi(d_o, context_model, fc.lambda_m, flagged)
-        result = revert_edits(d_o, [(ri, i) not in flagged
-                                    for ri, _, _, (i, _, _) in d_o.iter_edits()])
+        flagged = np.zeros(d_o.n_edits, dtype=bool)
+        if d_o.n_edits:
+            flagged = (_noisy_flags(d_o, context_model, fc.lambda_n, fc.literal_ratio)
+                       | _multi_flags(d_o, context_model, fc.lambda_m))
+        result = revert_edits(d_o, ~flagged)
         final = train(result.corpus, cc.window, cc.alpha)
         rates = category_filter_rates(d_o, result.corpus)
     else:  # pragma: no cover - guarded by FilterConfig

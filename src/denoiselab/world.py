@@ -6,7 +6,8 @@ structural impossibility rather than a small number, and the candidate-set
 logic downstream relies on that distinction.  Probabilities are stored and
 compared in linear space.
 
-Sentences are plain tuples of token ids in ``[0, vocab_size)``.
+Sentences are sequences of token ids in ``[0, vocab_size)``: tuples, or
+int64 array rows where many are sampled at once.
 """
 
 from __future__ import annotations
@@ -272,8 +273,12 @@ def _categorical(rng: np.random.Generator, pvec: np.ndarray) -> int:
 
 
 def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,
-                         rng: np.random.Generator) -> list[tuple[int, ...]]:
-    """Vectorized multi-sentence sampling (one shared stream, fixed draw order)."""
+                         rng: np.random.Generator) -> list:
+    """Vectorized multi-sentence sampling (one shared stream, fixed draw order).
+
+    Order-1 worlds return int64 row views of one sampled matrix, order 2 and
+    higher a tuple per sentence.
+    """
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0:
         return []
@@ -298,7 +303,7 @@ def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,
         u = rng.random(n)
         idx = (tcum[prev] <= u[:, None]).sum(axis=1)
         toks[:, j] = np.minimum(idx, lastnz[prev])
-    return [tuple(int(t) for t in toks[i, :lengths[i]]) for i in range(n)]
+    return [row[:L] for row, L in zip(toks, lengths.tolist())]
 
 
 def world_to_json(world: WorldModel) -> str:

@@ -1,0 +1,88 @@
+"""Per-record reference implementations of the columnar corpus passes.
+
+Each walks the corpus record by record, as the lab did before its corpus
+became flat arrays, and shares no code with the array passes; the property
+tests in ``test_columnar.py`` hold the two to exact agreement.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+
+def record_problem(clean, corrupted, edits, categories):
+    """The error message of the record rule, checked step by step; None if kept."""
+    if len(clean) != len(corrupted):
+        return "corruption must preserve sentence length"
+    edited = []
+    for i, x, y in edits:
+        if not 0 <= i < len(clean) or clean[i] != x or corrupted[i] != y or x == y:
+            return f"edit {(i, x, y)} inconsistent with sentences"
+        if i in edited:  # a position holds one edit
+            return f"edit {(i, x, y)} inconsistent with sentences"
+        edited.append(i)
+    for j, (a, b) in enumerate(zip(clean, corrupted)):
+        if j not in edited and a != b:
+            return f"position {j} differs but is not recorded as an edit"
+    if categories is not None and len(categories) != len(edits):
+        return "categories must align with edits"
+    return None
+
+
+def digest(records, vocab_size):
+    h = hashlib.sha256()
+    h.update(np.array([vocab_size, len(records)], dtype=np.int64).tobytes())
+    h.update(np.array([len(r.clean) for r in records], dtype=np.int64).tobytes())
+    for rec in records:
+        h.update(np.array(rec.clean, dtype=np.int64).tobytes())
+        h.update(np.array(rec.corrupted, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def jsonl(records):
+    lines = []
+    for rec in records:
+        doc = {"clean": list(rec.clean), "corrupted": list(rec.corrupted),
+               "edits": [list(e) for e in rec.edits]}
+        if rec.categories is not None:
+            doc["categories"] = [c.value for c in rec.categories]
+        lines.append(json.dumps(doc) + "\n")
+    return "".join(lines)
+
+
+def revert(records, keep):
+    """(clean, corrupted, edits, categories) of each record after reverting
+    the edits whose flag in ``keep`` (one per edit, in record order) is false."""
+    out, k = [], 0
+    for rec in records:
+        flags = keep[k:k + len(rec.edits)]
+        k += len(rec.edits)
+        corrupted = list(rec.corrupted)
+        for flag, (i, x, _) in zip(flags, rec.edits):
+            if not flag:
+                corrupted[i] = x
+        categories = None
+        if rec.categories is not None:
+            categories = tuple(c for f, c in zip(flags, rec.categories) if f)
+        out.append((rec.clean, tuple(corrupted),
+                    tuple(e for f, e in zip(flags, rec.edits) if f), categories))
+    return out
+
+
+def category_counts(before, after):
+    """{category: (reverted, total)} over aligned record sequences."""
+    counts = {}
+    for rec_b, rec_a in zip(before, after):
+        surviving = {i for i, _, _ in rec_a.edits}
+        for (i, _, _), cat in zip(rec_b.edits, rec_b.categories):
+            reverted, total = counts.get(cat, (0, 0))
+            counts[cat] = (reverted + (i not in surviving), total + 1)
+    return counts
+
+
+def iter_edits(corpus):
+    """Yields (record_index, record, edit_index, (position, original, replacement))."""
+    for ri, rec in enumerate(corpus.records):
+        for ei, edit in enumerate(rec.edits):
+            yield ri, rec, ei, edit

@@ -15,6 +15,7 @@ from denoiselab.augment import (ConfusionConfig, ConfusionTable, CorruptionRecor
                                 zipf_exponent_for_head_mass)
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 from denoiselab.world import WorldConfig, build_world
+from reference import iter_edits
 
 
 def small_world(V=6, support=3, seed=0, **kw):
@@ -56,6 +57,13 @@ class TestBuildConfusion:
         w = small_world(V=4)
         with pytest.raises(ValueError, match="candidate count"):
             build_confusion(w, ConfusionConfig(candidates=4))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_token_vocabulary_with_an_affine_pick(self, seed):
+        # The affine pick fills the row, leaving no other candidate to draw.
+        w = small_world(V=2, support=2, seed=seed)
+        t = build_confusion(w, ConfusionConfig(candidates=1, context_affinity=1.0, seed=seed))
+        np.testing.assert_array_equal(t.candidates, [[1], [0]])
 
     def test_determinism_and_shared_structure_across_modes(self):
         w = small_world(V=8, support=3, seed=2)
@@ -130,7 +138,7 @@ class TestCorrupt:
     def test_replacements_come_from_candidate_sets(self):
         corpus = generate_corpus(self.world, self.table, 300, (4, 8), 0.3,
                                  mode="iid", seed=3)
-        for _, rec, _, (i, x, y) in corpus.iter_edits():
+        for _, rec, _, (i, x, y) in iter_edits(corpus):
             assert y in self.table.candidates[x]
 
 
@@ -142,6 +150,8 @@ class TestRecordInvariants:
             CorruptionRecord((0, 1), (0, 2), ((1, 0, 2),), 0.1)
         with pytest.raises(ValueError, match="not recorded"):
             CorruptionRecord((0, 1), (0, 0), (), 0.1)
+        with pytest.raises(ValueError, match="inconsistent"):  # one edit per position
+            CorruptionRecord((0, 1), (0, 2), ((1, 1, 2), (1, 1, 2)), 0.1)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)

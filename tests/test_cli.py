@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -172,3 +173,49 @@ class TestPipelineCommands:
         (out / "metrics.csv").write_text("oops\n")
         result = runner.invoke(main, ["report", "--out-dir", str(out)])
         assert result.exit_code != 0
+
+
+def golden_hashes(out_dir):
+    """SHA-256 of every output file; a manifest is hashed without its ``versions``."""
+    hashes = {}
+    for path in sorted(Path(out_dir).rglob("*")):
+        if not path.is_file():
+            continue
+        name = str(path.relative_to(out_dir))
+        if path.name == "manifest.json":
+            doc = json.loads(path.read_text())
+            doc.pop("versions")
+            hashes[name] = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        else:
+            hashes[name] = sha256_file(path)
+    return hashes
+
+
+# Recorded before the corpus moved to flat columns; any change to these bytes
+# is an output change and must be recorded as one.
+GOLDEN = {
+    "corpus/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
+    "corpus/corpus.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
+    "corpus/manifest.json": "4a0ad4d4630f6c34c91b91670b130c1e1c17ef619c34c5e98d87712ad55bdc12",
+    "corpus/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
+    "eval/manifest.json": "46b942ff7bd4f486126fc5e0bd3d3b7967974d5db057ac860b11899fb275bf60",
+    "eval/metrics.csv": "f1536811ca94c1f59e9154d8f711ed38978a0011350103f594f7e410efbd84ce",
+    "eval/reliability.csv": "d19c08748c53002448acabea56b0bb6508140c8c883d70a8f2855f260c57d8f4",
+    "filter/filtered.jsonl": "d737c10ece2859c66bc7754b5f4b86a03e40875665fbf745a9e718b58fa794c3",
+    "filter/manifest.json": "6f9d61fe48147438bd7986f70882fdd70f04b4ebf495d09138ea723f79828eca",
+    "model/manifest.json": "2c5d673c479443ea35d15aa1fb8ff38abb18c929078dcee6d6782e5230ccc6a2",
+    "model/model.json": "8d2380d9156996cc65f3835f808686095a5f4b6aea6264e035f8bcb0b217c561",
+}
+
+
+class TestGoldenOutputs:
+    def test_cli_outputs_match_recorded_hashes(self, runner, config_path, tmp_path):
+        out = tmp_path / "out"
+        corpus, model = out / "corpus", out / "model"
+        seed = ["--config", config_path, "--seed", "7"]
+        run_ok(runner, ["gen-corpus", *seed, "--out-dir", str(corpus), "--annotate"])
+        run_ok(runner, ["train", *seed, "--corpus-dir", str(corpus), "--out-dir", str(model)])
+        for step in ("filter", "eval"):
+            run_ok(runner, [step, *seed, "--model", str(model / "model.json"),
+                            "--corpus-dir", str(corpus), "--out-dir", str(out / step)])
+        assert golden_hashes(out) == GOLDEN

@@ -1,0 +1,231 @@
+"""Property tests: the columnar pair corpus against per-record reference passes.
+
+Random small corpora (V <= 5, sentences of 1-6 tokens, 0-3 edits per record,
+with, without and with some categories) are built from records, by
+generation and by a JSONL read; ``reference.py`` holds the record-by-record
+implementations the array passes must match exactly.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
+                                build_confusion, concat_corpora, corpus_arrays, corpus_digest,
+                                corpus_from_jsonl, corpus_to_jsonl, generate_corpus)
+from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
+                                    filter_easy_positives)
+from denoiselab.corrector import predict, train
+from denoiselab.harness import category_filter_rates
+from denoiselab.pipeline import revert_edits
+from denoiselab.world import WorldConfig, build_world
+
+COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category",
+           "annotated")
+
+
+@st.composite
+def record_lists(draw, vocab_size, annotation=None):
+    """Records as (clean, corrupted, edits, categories) tuples."""
+    annotation = annotation or draw(st.sampled_from(("none", "all", "some")))
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        clean = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=6))
+        positions = draw(st.lists(st.integers(0, len(clean) - 1), max_size=3, unique=True))
+        corrupted = list(clean)
+        edits = []
+        for i in sorted(positions):
+            y = draw(st.integers(0, vocab_size - 2))
+            y += y >= clean[i]  # any token but the original
+            corrupted[i] = y
+            edits.append((i, clean[i], y))
+        annotate = annotation == "all" or (annotation == "some" and draw(st.booleans()))
+        categories = (tuple(draw(st.sampled_from(list(SampleCategory))) for _ in edits)
+                      if annotate else None)
+        records.append((tuple(clean), tuple(corrupted), tuple(edits), categories))
+    return records
+
+
+@st.composite
+def corpora(draw, annotation=None, V=None):
+    V = V or draw(st.integers(2, 5))
+    records = tuple(CorruptionRecord(*r[:3], 0.1, r[3])
+                    for r in draw(record_lists(V, annotation)))
+    return PairCorpus(records, V, 0.1, "iid")
+
+
+@st.composite
+def generated(draw):
+    V = draw(st.integers(2, 5))
+    world = build_world(WorldConfig(vocab_size=V, support=draw(st.integers(1, V)),
+                                    seed=draw(st.integers(0, 1000))))
+    table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0))
+    mode = draw(st.sampled_from(("iid", "single_edit")))
+    return generate_corpus(world, table, draw(st.integers(1, 8)), (1, 6), 0.3, mode=mode,
+                           seed=draw(st.integers(0, 1000)), annotate=draw(st.booleans()))
+
+
+def assert_same_corpus(a: PairCorpus, b: PairCorpus):
+    for name in COLUMNS:
+        left, right = getattr(a, name), getattr(b, name)
+        assert (left is None) == (right is None), name
+        if left is not None:
+            np.testing.assert_array_equal(left, right, err_msg=name)
+    for left, right in zip(corpus_arrays(a), corpus_arrays(b)):
+        np.testing.assert_array_equal(left, right)
+    assert a.records == b.records
+    assert tuple(a.records) == tuple(b.records)
+
+
+def jsonl_text(corpus, tmp_path):
+    path = tmp_path / "c.jsonl"
+    corpus_to_jsonl(corpus, path)
+    return path.read_text()
+
+
+class TestBuildPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(generated())
+    def test_generated_corpus_equals_its_records(self, corpus):
+        again = PairCorpus(tuple(corpus.records), corpus.vocab_size, corpus.rate, corpus.mode)
+        assert_same_corpus(corpus, again)
+        assert all(isinstance(r, CorruptionRecord) for r in corpus.records)
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpora())
+    def test_jsonl_round_trip_keeps_columns_records_and_bytes(self, tmp_path_factory, corpus):
+        tmp_path = tmp_path_factory.mktemp("jsonl")
+        text = jsonl_text(corpus, tmp_path)
+        assert text == reference.jsonl(corpus.records)
+        back = corpus_from_jsonl(tmp_path / "c.jsonl", corpus.vocab_size, 0.1)
+        assert_same_corpus(corpus, back)
+        assert jsonl_text(back, tmp_path) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))))
+    def test_concatenation_equals_the_joined_records(self, pair):
+        first, second = pair
+        joined = PairCorpus(tuple(first.records) + tuple(second.records), first.vocab_size,
+                            0.1, "iid")
+        assert_same_corpus(concat_corpora(first, second), joined)
+
+    def test_records_view_indexes_and_slices_like_a_tuple(self):
+        world = build_world(WorldConfig(vocab_size=5, support=2, seed=1))
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
+        corpus = generate_corpus(world, table, 9, (2, 5), 0.4, annotate=True)
+        records = tuple(corpus.records)
+        assert len(corpus.records) == 9
+        assert corpus.records[-1] == records[-1]
+        assert corpus.records[2:7] == records[2:7]
+        assert corpus.records[::3] == records[::3]
+        assert corpus.records == records and records == corpus.records
+        with pytest.raises(IndexError):
+            corpus.records[9]
+        with pytest.raises(ValueError):  # the columns are shared, so they are read-only
+            corpus.clean[0] = 0
+
+
+class TestArrayPasses:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(corpora(), generated()))
+    def test_digest_matches_the_per_record_digest(self, corpus):
+        assert corpus_digest(corpus) == reference.digest(tuple(corpus.records),
+                                                         corpus.vocab_size)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(corpora(), generated()), st.randoms(use_true_random=False))
+    def test_revert_matches_the_per_record_revert(self, corpus, rnd):
+        keep = [rnd.random() < 0.5 for _ in range(corpus.n_edits)]
+        result = revert_edits(corpus, keep)
+        got = [(r.clean, r.corrupted, r.edits, r.categories) for r in result.corpus.records]
+        assert got == reference.revert(tuple(corpus.records), keep)
+        assert result.corpus.clean is corpus.clean  # the clean side is shared, not copied
+        assert (result.kept_edits, result.reverted_edits) == (sum(keep), len(keep) - sum(keep))
+
+    @settings(max_examples=80, deadline=None)
+    @given(corpora(annotation="all"), st.randoms(use_true_random=False))
+    def test_category_rates_match_the_per_record_count(self, corpus, rnd):
+        after = revert_edits(corpus, [rnd.random() < 0.5 for _ in range(corpus.n_edits)])
+        rates = category_filter_rates(corpus, after.corpus)
+        want = reference.category_counts(tuple(corpus.records), tuple(after.corpus.records))
+        assert {c: (r.reverted, r.total) for c, r in rates.items()} == \
+            {c: want.get(c, (0, 0)) for c in SampleCategory}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))),
+           st.sampled_from((0.0, 0.1, 0.5)))
+    def test_calibration_report_equals_the_object_path(self, pair, cutoff):
+        train_corpus, corpus = pair
+        model = train(train_corpus, alpha=0.1)
+        outcomes = collect_outcomes(model, corpus)
+        for outcome, (rec, i) in zip(outcomes, ((r, i) for r in corpus.records
+                                                for i in range(r.length))):
+            row = predict(model, rec.corrupted, i)
+            assert outcome.kept_mass_on_input == row[rec.corrupted[i]]
+        kept = filter_easy_positives(outcomes, cutoff)
+        if not kept:
+            with pytest.raises(ValueError, match="removed every outcome"):
+                calibration_report(model, corpus, cutoff)
+            return
+        want = ece(kept, n_excluded=len(outcomes) - len(kept))
+        assert calibration_report(model, corpus, cutoff) == want
+
+
+BREAKS = ("length", "original", "replacement", "unchanged", "stray", "position", "repeat",
+          "categories")
+
+
+def broken(record, kind):
+    """``record`` (clean, corrupted, edits, categories) broken one way; a break
+    with nothing to act on (no edits) leaves it valid."""
+    clean, corrupted, edits, categories = (list(record[0]), list(record[1]),
+                                           list(record[2]), record[3])
+    if kind == "length":
+        corrupted.append(0)
+    elif kind == "position":
+        edits.append((len(clean) + 1, 0, 1))
+    elif kind == "repeat":
+        edits += edits[:1]
+    elif kind == "categories":
+        categories = (SampleCategory.TRUE,) * (len(edits) + 1)
+    elif kind == "stray":  # a changed token without an edit
+        corrupted[-1] = clean[-1] + 1
+        edits = [e for e in edits if e[0] != len(clean) - 1]
+    elif edits:
+        i, x, y = edits[0]
+        if kind == "unchanged":
+            corrupted[i], y = x, x
+        edits[0] = (i, x + (kind == "original"), y + (kind == "replacement"))
+    return clean, corrupted, edits, categories
+
+
+class TestRecordRule:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 5).flatmap(record_lists), st.data())
+    def test_jsonl_reports_the_first_broken_record_with_its_message(self, tmp_path_factory,
+                                                                    records, data):
+        k = data.draw(st.integers(0, len(records) - 1))
+        kind = data.draw(st.sampled_from(BREAKS))
+        records = list(records)
+        records[k] = broken(records[k], kind)
+        expected = next(((line, message) for line, r in enumerate(records, 1)
+                         if (message := reference.record_problem(*r))), None)
+        path = tmp_path_factory.mktemp("rule") / "c.jsonl"
+        path.write_text("".join(json.dumps(
+            {"clean": c, "corrupted": r, "edits": [list(e) for e in e_],
+             **({} if cats is None else {"categories": [x.value for x in cats]})}) + "\n"
+            for c, r, e_, cats in records))
+        if expected is None:  # the break happened to leave a valid record
+            corpus_from_jsonl(path, 99, 0.1)
+            return
+        line, message = expected
+        with pytest.raises(ValueError) as info:
+            corpus_from_jsonl(path, 99, 0.1)
+        assert str(info.value) == f"{path}:{line}: {message}"
+        with pytest.raises(ValueError) as direct:
+            CorruptionRecord(*records[line - 1][:3], 0.1, records[line - 1][3])
+        assert str(direct.value) == message

@@ -75,6 +75,25 @@ class TestPredict:
                 assert abs(probs.sum() - 1.0) < 1e-12
                 assert np.all(probs > 0.0)
 
+    def test_rows_are_the_smoothed_counts_and_leave_the_table_alone(self):
+        world, table = training_setup(3)
+        corpus = generate_corpus(world, table, 40, (4, 8), 0.1, seed=1)
+        model = train(corpus, alpha=0.3)
+        counts = model.counts.copy()
+        V, base = model.vocab_size, model.vocab_size + 1
+        rows = predict_at(model, corpus, [(r, i) for r in range(len(corpus))
+                                          for i in range(corpus.lengths[r])])
+        k = 0
+        for rec in corpus.records:  # every signature was seen, so no fallback applies
+            padded = (V,) + rec.corrupted + (V,)
+            for i in range(rec.length):
+                sig = padded[i] + base * padded[i + 1] + base ** 2 * padded[i + 2]
+                want = (counts[sig] + 0.3) / (counts[sig].sum() + 0.3 * V)
+                np.testing.assert_array_equal(rows[k], want)
+                np.testing.assert_array_equal(predict(model, rec.corrupted, i), want)
+                k += 1
+        np.testing.assert_array_equal(model.counts, counts)
+
     def test_huge_alpha_approaches_uniform(self):
         corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
         model = train(corpus, alpha=1e9)

@@ -15,6 +15,7 @@ from denoiselab.oracle import restoration_distribution
 from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
 
 from enumeration import slot_distribution
+from reference import iter_edits
 
 
 @st.composite
@@ -28,9 +29,7 @@ def worlds(draw):
 
 @st.composite
 def tables(draw, world):
-    # Affinity needs an order-1 world; build_confusion also fails on it at V = 2,
-    # where the affine pick leaves an empty candidate pool.
-    affine = world.order == 1 and world.vocab_size > 2 and draw(st.booleans())
+    affine = world.order == 1 and draw(st.booleans())  # affinity needs an order-1 world
     return build_confusion(world, ConfusionConfig(
         candidates=draw(st.integers(1, world.vocab_size - 1)),
         mode=draw(st.sampled_from(("uniform", "long_tailed"))), head_mass=0.7,
@@ -111,7 +110,7 @@ class TestAnnotation:
         table = data.draw(tables(world))
         corpus = generate_corpus(world, table, 12, (1, 5), 0.4, mode=mode,
                                  seed=data.draw(st.integers(0, 1000)), annotate=True)
-        for _, rec, k, (i, _, y) in corpus.iter_edits():
+        for _, rec, k, (i, _, y) in iter_edits(corpus):
             prior = slot_distribution(world, rec.clean, i)
             candidates = {v for v in range(world.vocab_size)
                           if prior[v] > 0 and (v == y or table.matrix[v, y] > 0)}

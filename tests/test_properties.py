@@ -13,6 +13,7 @@ from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory, cor
 from denoiselab.corrector import (correct, correct_corpus, predict, predict_at,
                                   predict_matrix, train)
 from denoiselab.pipeline import filter_corpus, revert_edits
+from reference import iter_edits
 
 WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2))
 
@@ -112,7 +113,7 @@ class TestRevertInvariants:
     def test_filter_corpus_reverts_exactly_the_low_confidence_edits(self, setup, threshold):
         model, corpus = setup
         confidences = [float(predict(model, rec.corrupted, i)[x])
-                       for _, rec, _, (i, x, _) in corpus.iter_edits()]
+                       for _, rec, _, (i, x, _) in iter_edits(corpus)]
         result = filter_corpus(model, corpus, threshold)
         assert_revert_invariants(corpus, result, [c >= threshold for c in confidences])
 
