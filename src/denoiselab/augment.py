@@ -456,6 +456,14 @@ class PairCorpus:
         """(record, position) of every edit as an (n_edits, 2) array."""
         return np.stack((self.record, self.pos), axis=1)
 
+    def place_columns(self, places) -> tuple[np.ndarray, np.ndarray]:
+        """Record and position arrays of (record, position) places, given as pairs
+        or an (n, 2) array; a record index outside the corpus raises."""
+        ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
+        if not np.all((ri >= 0) & (ri < len(self))):
+            raise ValueError("record out of range")
+        return ri, pos
+
     def keep_edits(self, keep: np.ndarray, **columns: np.ndarray) -> PairCorpus:
         """This corpus with only the edits flagged in ``keep``, and the per-token or
         per-record ``columns`` given; the caller keeps them consistent."""
@@ -684,10 +692,12 @@ def concat_corpora(first: PairCorpus, second: PairCorpus) -> PairCorpus:
 
 
 def corpus_arrays(corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Padded (clean, corrupted, lengths) matrices for vectorized passes.
+    """Padded (clean, corrupted, lengths) matrices: the layout of the batched exact kernel.
 
-    Rows are padded with ``vocab_size`` beyond each sentence's length.  The
-    matrices are new on every call, so callers may write into them.
+    Rows are padded with ``vocab_size`` beyond each sentence's length, as
+    :func:`~denoiselab.world.conditional` reads them; every other pass works on
+    the flat columns.  The matrices are new on every call, so callers may
+    write into them.
     """
     return (_padded(corpus.clean, corpus.offsets, corpus.vocab_size),
             _padded(corpus.corrupted, corpus.offsets, corpus.vocab_size),

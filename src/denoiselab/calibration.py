@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import PairCorpus, corpus_arrays
-from .corrector import CorrectorModel, _argmax_keep_ties, predict_matrix
+from .augment import PairCorpus
+from .corrector import CorrectorModel, predict_matrix
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ def _outcome_arrays(model: CorrectorModel,
     """(confidence, correct, kept mass on input) of every position, in corpus order."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    _, corr_mat, lengths = corpus_arrays(corpus)
-    probs = predict_matrix(model, corr_mat, lengths)[0]
+    probs, preds = predict_matrix(model, corpus)
     rows = np.arange(len(probs))
-    preds = _argmax_keep_ties(probs, corpus.corrupted)
     return probs[rows, preds], preds == corpus.clean, probs[rows, corpus.corrupted]
 
 

@@ -130,8 +130,7 @@ def score_cmd(config_path, seed, out_dir, model_path, corpus_dir, with_oracle):
     model = corrector.load_model(model_path)
 
     n = corpus.n_edits
-    confidence = (corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
-                  if n else np.empty(0))
+    confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
     single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
     path = out / "scores.jsonl"
     with open(path, "w") as fh:

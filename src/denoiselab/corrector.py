@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import PairCorpus, corpus_arrays, corpus_digest
+from .augment import PairCorpus, corpus_digest
 
 DEFAULT_WINDOW = (-1, 0, 1)
 MASKED_WINDOW = (-1, 1)
@@ -41,16 +41,12 @@ class CorrectorModel:
     vocab_size: int
     window: tuple[int, ...]
     alpha: float
-    counts: np.ndarray           # (n_signatures, V) int64
+    counts: np.ndarray           # ((V + 1) ** len(window), V) int64
     center_counts: np.ndarray | None   # (V, V) when the window includes offset 0
     target_counts: np.ndarray    # (V,) global marginal over clean tokens
     trained_chars: int
     trained_on: str              # human-readable corpus descriptor
     corpus_hash: str             # content digest of the training corpus
-
-    @property
-    def n_signatures(self) -> int:
-        return (self.vocab_size + 1) ** len(self.window)
 
     def predict(self, tokens, position: int) -> np.ndarray:
         return predict(self, tokens, position)
@@ -69,21 +65,28 @@ def _signature_table_shape(vocab_size: int, window: tuple[int, ...]) -> int:
     return n_sigs
 
 
-def _signatures(corr_mat: np.ndarray, lengths: np.ndarray, vocab_size: int,
-                window: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Signature ids for every valid position; returns (sig matrix, valid mask)."""
-    n, lmax = corr_mat.shape
+def _signatures(tokens: np.ndarray, offsets: np.ndarray, vocab_size: int,
+                window: tuple[int, ...], at: np.ndarray | None = None) -> np.ndarray:
+    """Signature ids at flat positions ``at`` (every position when None) of the
+    sentences ``tokens[offsets[k]:offsets[k + 1]]``.
+
+    The sentences are laid end to end with ``reach`` copies of ``vocab_size``
+    before, between and after them, so an offset that leaves its sentence
+    reads ``vocab_size``: one gather per window offset.
+    """
     reach = max(abs(off) for off in window)
-    padded = np.full((n, lmax + 2 * reach), vocab_size, dtype=np.int64)
-    padded[:, reach:reach + lmax] = corr_mat
+    where = np.arange(len(tokens)) + reach * np.repeat(np.arange(1, len(offsets)),
+                                                       np.diff(offsets))
+    gapped = np.full(len(tokens) + reach * len(offsets), vocab_size, dtype=np.int64)
+    gapped[where] = tokens
+    at = where if at is None else where[at]
     base = vocab_size + 1
-    sig = np.zeros((n, lmax), dtype=np.int64)
+    sig = np.zeros(len(at), dtype=np.int64)
     scale = 1
     for off in window:
-        sig += padded[:, reach + off: reach + off + lmax] * scale
+        sig += gapped[at + off] * scale
         scale *= base
-    mask = np.arange(lmax)[None, :] < lengths[:, None]
-    return sig, mask
+    return sig
 
 
 def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
@@ -98,24 +101,20 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     V = corpus.vocab_size
     n_sigs = _signature_table_shape(V, window)
 
-    digest = corpus_digest(corpus)  # before the padded matrices exist, to keep the peak low
-    clean_mat, corr_mat, lengths = corpus_arrays(corpus)
-    sig, mask = _signatures(corr_mat, lengths, V, window)
-    sig_f = sig[mask]
-    tgt_f = clean_mat[mask]
-
-    counts = np.bincount(sig_f * V + tgt_f, minlength=n_sigs * V)
+    digest = corpus_digest(corpus)  # before the signature arrays exist, to keep the peak low
+    sig = _signatures(corpus.corrupted, corpus.offsets, V, window)
+    tgt = corpus.clean
+    counts = np.bincount(sig * V + tgt, minlength=n_sigs * V)
     counts = counts.reshape(n_sigs, V).astype(np.int64)
     center_counts = None
     if 0 in window:
-        centers = corr_mat[mask]
-        center_counts = np.bincount(centers * V + tgt_f, minlength=V * V)
+        center_counts = np.bincount(corpus.corrupted * V + tgt, minlength=V * V)
         center_counts = center_counts.reshape(V, V).astype(np.int64)
-    target_counts = np.bincount(tgt_f, minlength=V).astype(np.int64)
+    target_counts = np.bincount(tgt, minlength=V).astype(np.int64)
 
-    descriptor = f"{len(corpus)}r:{int(mask.sum())}c"
+    descriptor = f"{len(corpus)}r:{corpus.n_chars}c"
     return CorrectorModel(V, tuple(window), float(alpha), counts, center_counts,
-                          target_counts, int(mask.sum()), descriptor, digest)
+                          target_counts, corpus.n_chars, descriptor, digest)
 
 
 def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
@@ -162,42 +161,41 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> 
     return rows
 
 
-def _sentence_rows(model: CorrectorModel, tokens) -> tuple[np.ndarray, np.ndarray]:
-    """Signature ids and center tokens of one sentence, computed as a one-row matrix."""
-    toks = np.asarray(tokens, dtype=np.int64).reshape(1, -1)
-    sig, _ = _signatures(toks, np.array([toks.shape[1]]), model.vocab_size, model.window)
-    return sig[0], toks[0]
+def _sentence_rows(model: CorrectorModel, tokens, at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Probability rows and written tokens of one sentence, at positions ``at`` or all."""
+    toks = np.asarray(tokens, dtype=np.int64)
+    sig = _signatures(toks, np.array([0, len(toks)]), model.vocab_size, model.window, at)
+    centers = toks if at is None else toks[at]
+    return _rows_for(model, sig, centers), centers
 
 
 def predict(model: CorrectorModel, tokens, position: int) -> np.ndarray:
     """Smoothed distribution over clean tokens for one position."""
     if not (0 <= position < len(tokens)):
         raise ValueError("position out of range")
-    sigs, centers = _sentence_rows(model, tokens)
-    return _rows_for(model, sigs[position:position + 1], centers[position:position + 1])[0]
+    return _sentence_rows(model, tokens, [position])[0][0]
 
 
 def predict_at(model: CorrectorModel, corpus: PairCorpus, places) -> np.ndarray:
     """Batch prediction at (record_index, position) pairs, a list or an (n, 2) array."""
-    corr_mat, lengths = corpus_arrays(corpus)[1:]
-    sig, _ = _signatures(corr_mat, lengths, model.vocab_size, model.window)
-    ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
-    if not np.all((pos >= 0) & (pos < lengths[ri])):
+    ri, pos = corpus.place_columns(places)
+    if not np.all((pos >= 0) & (pos < corpus.lengths[ri])):
         raise ValueError("position out of range")
-    return _rows_for(model, sig[ri, pos], corr_mat[ri, pos])
+    flat = corpus.offsets[ri] + pos
+    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window, flat)
+    return _rows_for(model, sig, corpus.corrupted[flat])
 
 
-def predict_matrix(model: CorrectorModel, corr_mat: np.ndarray,
-                   lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Probability rows for every valid position of padded sentence matrices.
+def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray]:
+    """Probability rows of every position and their decode, both in flat token order.
 
-    Returns (probs, mask) where probs has shape (n_valid_positions, V) in
-    row-major position order and mask marks the valid positions.
+    Returns (probs, decoded): probs has shape (corpus.n_chars, V), row g
+    scoring ``corpus.corrupted[g]``; decoded is each row's argmax, ties
+    keeping the written token.
     """
-    sig, mask = _signatures(corr_mat, lengths, model.vocab_size, model.window)
-    centers = corr_mat[mask]
-    probs = _rows_for(model, sig[mask], centers)
-    return probs, mask
+    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window)
+    probs = _rows_for(model, sig, corpus.corrupted)
+    return probs, _argmax_keep_ties(probs, corpus.corrupted)
 
 
 def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -211,26 +209,23 @@ def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 def correct(model: CorrectorModel, tokens) -> tuple[int, ...]:
     """Per-position argmax decode of one sentence."""
-    sigs, centers = _sentence_rows(model, tokens)
-    out = _argmax_keep_ties(_rows_for(model, sigs, centers), centers)
+    out = _argmax_keep_ties(*_sentence_rows(model, tokens))
     return tuple(int(t) for t in out)
 
 
 def correct_corpus(scorer, corpus: PairCorpus) -> np.ndarray:
-    """Decode of every position by any scorer with ``predict_at``; the padded output matrix."""
-    out, lengths = corpus_arrays(corpus)[1:]
-    mask = np.arange(out.shape[1])[None, :] < lengths[:, None]
-    out[mask] = _argmax_keep_ties(scorer.predict_at(corpus, np.argwhere(mask)), out[mask])
-    return out
+    """Decode of every position by any scorer with ``predict_at``, in flat token order."""
+    record = np.repeat(np.arange(len(corpus)), corpus.lengths)
+    places = np.stack((record, np.arange(corpus.n_chars) - corpus.offsets[record]), axis=1)
+    return _argmax_keep_ties(scorer.predict_at(corpus, places), corpus.corrupted)
 
 
 def ce_loss(model: CorrectorModel, corpus: PairCorpus) -> float:
     """Mean per-token negative log probability of the clean token."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    clean_mat, corr_mat, lengths = corpus_arrays(corpus)
-    probs, mask = predict_matrix(model, corr_mat, lengths)
-    picked = probs[np.arange(probs.shape[0]), clean_mat[mask]]
+    probs = predict_matrix(model, corpus)[0]
+    picked = probs[np.arange(corpus.n_chars), corpus.clean]
     return float(np.mean(-np.log(picked)))
 
 

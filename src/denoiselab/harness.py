@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .augment import CATEGORIES, PairCorpus, SampleCategory, corpus_arrays
+from .augment import CATEGORIES, PairCorpus, SampleCategory
 from .calibration import CalibrationReport
 from .corrector import correct_corpus
 
@@ -42,14 +42,17 @@ class Metrics:
         return (self.tp, self.fp_mod, self.fn, self.n_err_sentences, self.n_clean_sentences)
 
 
-def _metrics_from_matrices(clean: np.ndarray, corr: np.ndarray, out: np.ndarray,
-                           lengths: np.ndarray) -> Metrics:
-    lmax = clean.shape[1]
-    valid = np.arange(lmax)[None, :] < lengths[:, None]
+def _sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
+    """Metrics of the flat decode ``out``, reduced per sentence with one bincount per flag."""
+    owner = np.repeat(np.arange(len(corpus)), corpus.lengths)
+    clean, corr = corpus.clean, corpus.corrupted
 
-    has_error = np.any((clean != corr) & valid, axis=1)
-    changed = np.any((out != corr) & valid, axis=1)
-    exact = np.all((out == clean) | ~valid, axis=1)
+    def any_in_sentence(flags: np.ndarray) -> np.ndarray:
+        return np.bincount(owner[flags], minlength=len(corpus)) > 0
+
+    has_error = any_in_sentence(clean != corr)
+    changed = any_in_sentence(out != corr)
+    exact = ~any_in_sentence(out != clean)
     tp = int(np.sum(has_error & changed & exact))
 
     n_modified = int(changed.sum())
@@ -58,13 +61,13 @@ def _metrics_from_matrices(clean: np.ndarray, corr: np.ndarray, out: np.ndarray,
     recall = 100.0 * tp / n_err if n_err > 0 else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
 
-    correct_pos = (clean == corr) & valid
-    broke_correct = np.any(correct_pos & (out != corr), axis=1)
-    has_correct = np.any(correct_pos, axis=1)
+    correct_pos = clean == corr
+    broke_correct = any_in_sentence(correct_pos & (out != corr))
+    has_correct = any_in_sentence(correct_pos)
     denom = int(has_correct.sum())
     fpr = 100.0 * int(np.sum(broke_correct & has_correct)) / denom if denom > 0 else 0.0
 
-    char_accuracy = 100.0 * float(np.sum((out == clean) & valid)) / float(valid.sum())
+    char_accuracy = 100.0 * float(np.sum(out == clean)) / float(corpus.n_chars)
     return Metrics(precision, recall, f1, fpr, char_accuracy,
                    tp, n_modified - tp, n_err - tp, n_err, int((~has_error).sum()))
 
@@ -77,8 +80,7 @@ def evaluate(model, corpus: PairCorpus) -> Metrics:
     """
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    clean, corr, lengths = corpus_arrays(corpus)
-    return _metrics_from_matrices(clean, corr, correct_corpus(model, corpus), lengths)
+    return _sentence_metrics(corpus, correct_corpus(model, corpus))
 
 
 @dataclass(frozen=True)

@@ -276,10 +276,10 @@ class OracleScorer:
 
     def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
         """Exact restore rows at places, uniform where a row is all zero; bad input raises."""
+        ri, pos = corpus.place_columns(places)
         corr, lengths = corpus_arrays(corpus)[1:]
         if not np.array_equal((corr < self.vocab_size).sum(axis=1), lengths):  # V reads as padding
             raise ValueError("token id out of range for this world")
-        ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
         rows = restoration_distribution(self.world, self.table, corr[ri], pos, self.rate)
         rows[~rows.any(axis=1)] = 1.0 / self.vocab_size
         return rows

@@ -132,24 +132,22 @@ def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     return revert_edits(corpus, confidences >= threshold)
 
 
-def _masked_scores(context_model: CorrectorModel, corpus: PairCorpus,
-                   places: list[tuple[int, int]]) -> np.ndarray:
+def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
+                    lambda_n: float = 0.9, literal_ratio: bool = False) -> np.ndarray:
+    """Flag edits whose original and replacement both fit the masked context.
+
+    The context model scores each edit position from its neighbors alone,
+    on a log scale.  By default an edit is flagged when the smaller of the
+    two scores is at least ``lambda_n`` times the larger; ``literal_ratio``
+    switches to the one-sided reading (original's score at most ``lambda_n``
+    times the replacement's).  Returns one flag per edit, in edit-column order.
+    """
     # Log-scaled masked scores: the count model's analogue of mask logits.
     # Ratios are taken on this compressed scale, where a 0.9 cutoff tolerates
     # roughly a factor-two difference in conditional mass between two tokens
     # that are both well attested, as a logit-ratio rule does.
-    probs = predict_at(context_model, corpus, places)
-    floor = probs.min(axis=1, keepdims=True)
-    return np.log1p(probs / floor - 1.0)
-
-
-def _flagged_places(corpus: PairCorpus, flags: np.ndarray) -> set[tuple[int, int]]:
-    return set(zip(corpus.record[flags].tolist(), corpus.pos[flags].tolist()))
-
-
-def _noisy_flags(corpus: PairCorpus, context_model: CorrectorModel, lambda_n: float,
-                 literal_ratio: bool) -> np.ndarray:
-    scores = _masked_scores(context_model, corpus, corpus.places())
+    probs = predict_at(context_model, corpus, corpus.places())
+    scores = np.log1p(probs / probs.min(axis=1, keepdims=True) - 1.0)
     rows = np.arange(corpus.n_edits)
     q_x, q_y = scores[rows, corpus.orig], scores[rows, corpus.repl]
     with np.errstate(divide="ignore", invalid="ignore"):  # a ratio counts only where guarded
@@ -159,23 +157,15 @@ def _noisy_flags(corpus: PairCorpus, context_model: CorrectorModel, lambda_n: fl
         return (top > 0) & (np.minimum(q_x, q_y) / top >= lambda_n)
 
 
-def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
-                    lambda_n: float = 0.9, literal_ratio: bool = False) -> set[tuple[int, int]]:
-    """Flag edits whose original and replacement both fit the masked context.
+def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
+                    lambda_m: float = 0.8) -> np.ndarray:
+    """Flag edit pairs sharing a misspelling with near-identical contexts.
 
-    The context model scores each edit position from its neighbors alone,
-    on a log scale.  By default an edit is flagged when the smaller of the
-    two scores is at least ``lambda_n`` times the larger; ``literal_ratio``
-    switches to the one-sided reading (original's score at most ``lambda_n``
-    times the replacement's).  Returns (record_index, position) pairs.
+    Two edits with the same replacement token but different originals are
+    both flagged when the cosine similarity of their masked context
+    distributions reaches ``lambda_m``.  Returns one flag per edit, in
+    edit-column order.
     """
-    if not corpus.n_edits:
-        return set()
-    return _flagged_places(corpus, _noisy_flags(corpus, context_model, lambda_n, literal_ratio))
-
-
-def _multi_flags(corpus: PairCorpus, context_model: CorrectorModel,
-                 lambda_m: float) -> np.ndarray:
     probs = predict_at(context_model, corpus, corpus.places())
     norms = np.linalg.norm(probs, axis=1, keepdims=True)
     unit = probs / np.where(norms == 0.0, 1.0, norms)
@@ -190,22 +180,6 @@ def _multi_flags(corpus: PairCorpus, context_model: CorrectorModel,
         hit = (sims >= lambda_m) & (originals[:, None] != originals[None, :])
         flags[members[hit.any(axis=1)]] = True
     return flags
-
-
-def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
-                    lambda_m: float = 0.8,
-                    flagged_noisy: set[tuple[int, int]] | None = None) -> set[tuple[int, int]]:
-    """Flag edit pairs sharing a misspelling with near-identical contexts.
-
-    Two edits with the same replacement token but different originals are
-    both flagged when the cosine similarity of their masked context
-    distributions reaches ``lambda_m``.  Edits already flagged as noisy are
-    removed from the result.
-    """
-    if not corpus.n_edits:
-        return set()
-    flagged = _flagged_places(corpus, _multi_flags(corpus, context_model, lambda_m))
-    return flagged - (flagged_noisy or set())
 
 
 def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
@@ -244,11 +218,11 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
     if not single.any():
         raise ValueError("corpus has no single-edit records to compare on")
     ri, pos = corpus.record[single], corpus.pos[single]
-    corr, lengths = corpus_arrays(corpus)[1:]
-    exact = restoration_distribution(world, table, corr[ri], pos, rate)
+    exact = restoration_distribution(world, table, corpus_arrays(corpus)[1][ri], pos, rate)
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
-    distances = [0.5 * float(np.abs(row - model.predict(corr[r, :lengths[r]], i)).sum())
+    starts, corr = corpus.offsets.tolist(), corpus.corrupted
+    distances = [0.5 * float(np.abs(row - model.predict(corr[starts[r]:starts[r + 1]], i)).sum())
                  for row, r, i in zip(exact, ri.tolist(), pos.tolist())]
     return float(np.mean(distances))
 
@@ -313,10 +287,8 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
         rates = category_filter_rates(d_o, result.corpus)
     elif variant == "heuristic":
         context_model = train(d_r, MASKED_WINDOW, cc.alpha)
-        flagged = np.zeros(d_o.n_edits, dtype=bool)
-        if d_o.n_edits:
-            flagged = (_noisy_flags(d_o, context_model, fc.lambda_n, fc.literal_ratio)
-                       | _multi_flags(d_o, context_model, fc.lambda_m))
+        flagged = (heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
+                   | heuristic_multi(d_o, context_model, fc.lambda_m))
         result = revert_edits(d_o, ~flagged)
         final = train(result.corpus, cc.window, cc.alpha)
         rates = category_filter_rates(d_o, result.corpus)

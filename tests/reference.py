@@ -86,3 +86,46 @@ def iter_edits(corpus):
     for ri, rec in enumerate(corpus.records):
         for ei, edit in enumerate(rec.edits):
             yield ri, rec, ei, edit
+
+
+def signature_counts(records, vocab_size, window):
+    """(counts, center_counts, target_counts) of a count model, counted position by
+    position; a neighbour outside the sentence reads ``vocab_size``."""
+    base = vocab_size + 1
+    counts = np.zeros((base ** len(window), vocab_size), dtype=np.int64)
+    center = np.zeros((vocab_size, vocab_size), dtype=np.int64) if 0 in window else None
+    target = np.zeros(vocab_size, dtype=np.int64)
+    for rec in records:
+        for i, clean_token in enumerate(rec.clean):
+            sig = 0
+            for digit, off in enumerate(window):
+                inside = 0 <= i + off < rec.length
+                sig += (rec.corrupted[i + off] if inside else vocab_size) * base ** digit
+            counts[sig, clean_token] += 1
+            if center is not None:
+                center[rec.corrupted[i], clean_token] += 1
+            target[clean_token] += 1
+    return counts, center, target
+
+
+def sentence_metrics(records, outputs):
+    """The fields of ``harness.Metrics``, in order, for one decoded output per record."""
+    tp = modified = errors = with_correct = broke = right = total = 0
+    for rec, out in zip(records, outputs):
+        error = rec.clean != rec.corrupted
+        changed = tuple(out) != rec.corrupted
+        errors += error
+        modified += changed
+        tp += error and changed and tuple(out) == rec.clean
+        kept = [i for i in range(rec.length) if rec.clean[i] == rec.corrupted[i]]
+        if kept:
+            with_correct += 1
+            broke += any(out[i] != rec.corrupted[i] for i in kept)
+        right += sum(a == b for a, b in zip(out, rec.clean))
+        total += rec.length
+    precision = 100.0 * tp / modified if modified else 0.0
+    recall = 100.0 * tp / errors if errors else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    fpr = 100.0 * broke / with_correct if with_correct else 0.0
+    return (precision, recall, f1, fpr, 100.0 * right / total,
+            tp, modified - tp, errors - tp, errors, len(records) - errors)

@@ -205,6 +205,21 @@ GOLDEN = {
     "filter/manifest.json": "6f9d61fe48147438bd7986f70882fdd70f04b4ebf495d09138ea723f79828eca",
     "model/manifest.json": "2c5d673c479443ea35d15aa1fb8ff38abb18c929078dcee6d6782e5230ccc6a2",
     "model/model.json": "8d2380d9156996cc65f3835f808686095a5f4b6aea6264e035f8bcb0b217c561",
+    # Recorded before the corrector moved to flat positions.
+    "pipeline-cross/filtered.jsonl": "2b468dab3fdae2b40089de2d5ea79a7198cb062d5bc5a263c9fb5530768fd85b",
+    "pipeline-cross/manifest.json": "bcf7976682c94f14186046304d9745940ded548ba392e360ec67cdde42bebe62",
+    "pipeline-cross/metrics.csv": "173784c68c53f6a28603520092ca6eaef870155616c9293610e7eb6f3a4db188",
+    "pipeline-cross/reliability.csv": "73d4bb540f1155176e5ceca2c7c48b5b7f04bb3d63803cd07f1af5b16754b6ec",
+    "pipeline-cross/report.json": "eecc6a239c00f15ca0680c03e53618110389fa0efbdd3c012a4e7f1215badca0",
+    "pipeline-heuristic/filtered.jsonl": "d62eb97b8429d6cbcb2a8b257c7db54a616d0a88fed956b423184f10847ce861",
+    "pipeline-heuristic/manifest.json": "0f00a1e099ca739f75ff1a47556baf4c64ad7af44a2973ba543e268e8c9f61ba",
+    "pipeline-heuristic/metrics.csv": "77ff3b3594dbd468cae9f144ab100bec62138dc85db8ec6d0c1471f24548709c",
+    "pipeline-heuristic/reliability.csv": "a07d656918dae01c9e4cc98d8c7d2363caf641012fe48cf3a5f10660803c0cc6",
+    "pipeline-heuristic/report.json": "0a48c1be024e0e1bb2a8593f994febe3fc9632da2c298011ba8219290c1e2714",
+    "score/manifest.json": "449bca228ab31c13281f31db84350e7ea1f9b8543d1e31bb9cfc23399c859ccf",
+    "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
+    "sweep-threshold/manifest.json": "9072740944c5cbb80380414dca936f0ddd847c3e2fbbf6891075253cd632bbda",
+    "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
 }
 
 
@@ -218,4 +233,10 @@ class TestGoldenOutputs:
         for step in ("filter", "eval"):
             run_ok(runner, [step, *seed, "--model", str(model / "model.json"),
                             "--corpus-dir", str(corpus), "--out-dir", str(out / step)])
+        run_ok(runner, ["score", *seed, "--model", str(model / "model.json"), "--oracle",
+                        "--corpus-dir", str(corpus), "--out-dir", str(out / "score")])
+        for mode in ("cross", "heuristic"):
+            run_ok(runner, ["pipeline", *seed, "--mode", mode,
+                            "--out-dir", str(out / f"pipeline-{mode}")])
+        run_ok(runner, ["sweep-threshold", *seed, "--out-dir", str(out / "sweep-threshold")])
         assert golden_hashes(out) == GOLDEN

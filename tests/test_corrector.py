@@ -119,10 +119,14 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, (0, 1, 2), 1),
                                       predict(model, (0, 3, 2), 1))
 
-    @pytest.mark.parametrize("place", [(0, 3), (1, 2), (0, -1)])
+    @pytest.mark.parametrize("place", [(0, 3), (1, 2), (0, -1), (-1, 0), (2, 0)])
     def test_places_outside_a_sentence_rejected(self, place):
         corpus = identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4)
         model = train(corpus)
+        if not 0 <= place[0] < len(corpus):
+            with pytest.raises(ValueError, match="record out of range"):
+                predict_at(model, corpus, [(0, 0), place])
+            return
         with pytest.raises(ValueError, match="position out of range"):
             predict_at(model, corpus, [(0, 0), place])
         with pytest.raises(ValueError, match="position out of range"):

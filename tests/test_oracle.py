@@ -247,6 +247,8 @@ class TestOracleScorer:
         ((0, 1, 4), (0, 0), "token id out of range"),  # 4 is the padding value
         ((0, 1, 3), (0, 7), "position 7 out of range"),
         ((0, 1, 3), (0, -1), "position -1 out of range"),
+        ((0, 1, 3), (-1, 0), "record out of range"),
+        ((0, 1, 3), (1, 0), "record out of range"),
     ])
     def test_bad_tokens_and_positions_raise(self, tokens, place, message):
         world, table, _ = equal_prior_noisy_setup()

@@ -99,6 +99,11 @@ def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
                           counts.sum(axis=0), int(counts.sum()), "handmade", "none")
 
 
+def flagged_places(corpus, flags):
+    """(record, position) of each edit whose flag is set."""
+    return set(zip(corpus.record[flags].tolist(), corpus.pos[flags].tolist()))
+
+
 class TestHeuristics:
     def corpus_one_edit(self, clean, corrupted, vocab_size=4):
         from denoiselab.augment import CorruptionRecord, PairCorpus
@@ -110,19 +115,21 @@ class TestHeuristics:
     def test_equal_context_masses_are_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 50, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert heuristic_noisy(corpus, model, 0.9) == {(0, 1)}
+        assert flagged_places(corpus, heuristic_noisy(corpus, model, 0.9)) == {(0, 1)}
 
     def test_unseen_replacement_not_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 0, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert heuristic_noisy(corpus, model, 0.9) == set()
+        assert flagged_places(corpus, heuristic_noisy(corpus, model, 0.9)) == set()
 
     def test_literal_ratio_reading(self):
         model = handmade_context_model({(0, 3): [0, 10, 50, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert heuristic_noisy(corpus, model, 0.9, literal_ratio=True) == {(0, 1)}
+        flags = heuristic_noisy(corpus, model, 0.9, literal_ratio=True)
+        assert flagged_places(corpus, flags) == {(0, 1)}
         model2 = handmade_context_model({(0, 3): [0, 50, 10, 0]})
-        assert heuristic_noisy(corpus, model2, 0.9, literal_ratio=True) == set()
+        flags = heuristic_noisy(corpus, model2, 0.9, literal_ratio=True)
+        assert flagged_places(corpus, flags) == set()
 
     def test_identical_contexts_same_misspelling_flagged_as_multi(self):
         model = handmade_context_model({(0, 3): [0, 30, 30, 0]})
@@ -132,7 +139,7 @@ class TestHeuristics:
             CorruptionRecord((0, 0, 3), (0, 2, 3), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        flagged = heuristic_multi(corpus, model, 0.8)
+        flagged = flagged_places(corpus, heuristic_multi(corpus, model, 0.8))
         assert flagged == {(0, 1), (1, 1)}
 
     def test_dissimilar_contexts_not_flagged(self):
@@ -144,18 +151,13 @@ class TestHeuristics:
             CorruptionRecord((3, 0, 0), (3, 2, 0), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        assert heuristic_multi(corpus, model, 0.8) == set()
+        assert flagged_places(corpus, heuristic_multi(corpus, model, 0.8)) == set()
 
-    def test_noisy_flags_subtracted_from_multi(self):
+    def test_corpus_without_edits_gets_no_flags(self):
         model = handmade_context_model({(0, 3): [0, 30, 30, 0]})
-        from denoiselab.augment import CorruptionRecord, PairCorpus
-        recs = (
-            CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1),
-            CorruptionRecord((0, 0, 3), (0, 2, 3), ((1, 0, 2),), 0.1),
-        )
-        corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        noisy = {(0, 1)}
-        assert heuristic_multi(corpus, model, 0.8, noisy) == {(1, 1)}
+        corpus = self.corpus_one_edit((0, 1, 3), (0, 1, 3))
+        for flags in (heuristic_noisy(corpus, model), heuristic_multi(corpus, model)):
+            assert flags.dtype == bool and flags.shape == (0,)
 
     def test_planted_recovery_beats_self_filter_at_canonical_threshold(self):
         # Masked-context flags recover a solid share of the contextually
@@ -168,7 +170,7 @@ class TestHeuristics:
         d_o = generate_corpus(world, longtail_table, 4_000, cfg.length_range,
                               cfg.rate, "iid", 0, annotate=True, stream="d-o")
         context_model = train(d_r, MASKED_WINDOW)
-        flagged = heuristic_noisy(d_o, context_model, 0.9)
+        flagged = flagged_places(d_o, heuristic_noisy(d_o, context_model, 0.9))
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.NOISY}
         all_edits = {(ri, e[0]) for ri, _, _, e in iter_edits(d_o)}
@@ -190,7 +192,8 @@ class TestHeuristics:
                               cfg.rate, "iid", 1, annotate=True, stream="d-o")
         context_model = train(d_r, MASKED_WINDOW)
         noisy = heuristic_noisy(d_o, context_model, 0.9)
-        flagged = heuristic_multi(d_o, context_model, 0.8, noisy)
+        multi = heuristic_multi(d_o, context_model, 0.8)
+        flagged = flagged_places(d_o, multi & ~noisy)
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.MULTI_ANSWER}
         recall = len(flagged & truth) / len(truth)

@@ -1,17 +1,22 @@
 """Property tests: per-sentence model rows and edit reverting agree with the corpus paths.
 
-Small random corpora over V <= 4 exercise every window shape, including
+Small random corpora over V <= 5 exercise every window shape, including
 center-free windows and signatures unseen in training (the fallback chain).
+Training counts and evaluation metrics equal the per-record references.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory, corpus_arrays
+import reference
+from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory
 from denoiselab.corrector import (correct, correct_corpus, predict, predict_at,
                                   predict_matrix, train)
+from denoiselab.harness import evaluate
 from denoiselab.pipeline import filter_corpus, revert_edits
 from reference import iter_edits
 
@@ -41,11 +46,16 @@ def pair_corpora(draw, vocab_size, max_records=6):
 
 @st.composite
 def trained_setups(draw):
-    V = draw(st.integers(2, 4))
+    V = draw(st.integers(2, 5))
     window = draw(st.sampled_from(WINDOWS))
     alpha = draw(st.sampled_from((0.01, 0.1, 1.0)))
     model = train(draw(pair_corpora(V)), window, alpha)
     return model, draw(pair_corpora(V))
+
+
+def all_places(corpus):
+    """(record, position) of every token, in flat token order."""
+    return [(ri, i) for ri, rec in enumerate(corpus.records) for i in range(rec.length)]
 
 
 def assert_revert_invariants(before: PairCorpus, result, expected_kept=None):
@@ -78,9 +88,8 @@ class TestModelRows:
     @given(trained_setups())
     def test_predict_and_predict_at_match_predict_matrix(self, setup):
         model, corpus = setup
-        _, corr_mat, lengths = corpus_arrays(corpus)
-        rows, mask = predict_matrix(model, corr_mat, lengths)
-        places = [tuple(int(v) for v in p) for p in np.argwhere(mask)]
+        rows = predict_matrix(model, corpus)[0]
+        places = all_places(corpus)
         np.testing.assert_array_equal(predict_at(model, corpus, places), rows)
         for row, (ri, pos) in zip(rows, places):
             np.testing.assert_array_equal(predict(model, corpus.records[ri].corrupted, pos),
@@ -90,9 +99,8 @@ class TestModelRows:
     @given(trained_setups(), st.randoms(use_true_random=False))
     def test_predict_at_gathers_any_subset_in_order(self, setup, rnd):
         model, corpus = setup
-        _, corr_mat, lengths = corpus_arrays(corpus)
-        rows, mask = predict_matrix(model, corr_mat, lengths)
-        index = {tuple(int(v) for v in p): k for k, p in enumerate(np.argwhere(mask))}
+        rows = predict_matrix(model, corpus)[0]
+        index = {place: k for k, place in enumerate(all_places(corpus))}
         places = rnd.choices(sorted(index), k=rnd.randint(1, 2 * len(index)))
         expected = rows[[index[p] for p in places]]
         np.testing.assert_array_equal(predict_at(model, corpus, places), expected)
@@ -102,9 +110,33 @@ class TestModelRows:
     def test_correct_matches_correct_corpus(self, setup):
         model, corpus = setup
         decoded = correct_corpus(model, corpus)
+        np.testing.assert_array_equal(predict_matrix(model, corpus)[1], decoded)
         for ri, rec in enumerate(corpus.records):
-            assert correct(model, rec.corrupted) == tuple(int(t) for t in
-                                                          decoded[ri, :rec.length])
+            start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
+            assert correct(model, rec.corrupted) == tuple(int(t) for t in decoded[start:stop])
+
+
+class TestAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS))
+    def test_train_counts_equal_the_per_record_count(self, corpus, window):
+        model = train(corpus, window)
+        counts, center, target = reference.signature_counts(corpus.records,
+                                                            corpus.vocab_size, window)
+        np.testing.assert_array_equal(model.counts, counts)
+        np.testing.assert_array_equal(model.target_counts, target)
+        if center is None:
+            assert model.center_counts is None
+        else:
+            np.testing.assert_array_equal(model.center_counts, center)
+
+    @settings(max_examples=80, deadline=None)
+    @given(trained_setups())
+    def test_evaluate_equals_the_per_sentence_metrics(self, setup):
+        model, corpus = setup
+        outputs = [correct(model, rec.corrupted) for rec in corpus.records]
+        assert (dataclasses.astuple(evaluate(model, corpus))
+                == reference.sentence_metrics(corpus.records, outputs))
 
 
 class TestRevertInvariants:
