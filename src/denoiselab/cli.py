@@ -10,6 +10,7 @@ self-describing and are consumed by the downstream commands.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -17,8 +18,9 @@ import click
 import numpy as np
 
 from . import augment, calibration, corrector, harness, oracle, pipeline, world
-from .config import (experiment_config_to_dict, load_experiment_config)
+from .config import experiment_config_to_dict, load_experiment_config
 from .harness import MetricsRow, emit_report, write_manifest
+from .pipeline import ExperimentConfig
 
 
 def _load_corpus_dir(corpus_dir: Path):
@@ -40,30 +42,59 @@ def main():
     """Synthetic corpus-denoising laboratory."""
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(exists=True),
-                      default=None, help="JSON experiment config")(fn)
-    fn = click.option("--seed", type=int, default=0, show_default=True)(fn)
-    fn = click.option("--out-dir", type=click.Path(), required=True)(fn)
-    return fn
+class Run:
+    """An experiment command's config, seed and (created) output directory."""
+
+    def __init__(self, config: ExperimentConfig, seed: int, out: Path):
+        self.config, self.seed, self.out = config, seed, out
+
+    def world(self):
+        """The experiment world and its uniform and long-tailed tables."""
+        return pipeline.build_experiment_world(self.config, self.seed)
+
+    def _stamp(self) -> dict:
+        """The config document and seed that every manifest records."""
+        return {"config_doc": experiment_config_to_dict(self.config), "seed": self.seed}
+
+    def manifest(self, files: dict[str, Path], meta: dict | None = None) -> None:
+        write_manifest(self.out, files=files, meta=meta, **self._stamp())
+
+    def report(self, rows: list[MetricsRow], **outputs) -> None:
+        emit_report(self.out, metrics_rows=rows, **outputs, **self._stamp())
 
 
-@main.command("gen-world")
-@_common_options
-def gen_world(config_path, seed, out_dir):
+def _experiment(name: str):
+    """Register an experiment command with ``--config``, ``--seed`` and ``--out-dir``.
+
+    The command function gets a :class:`Run` in place of those three options.
+    """
+    def register(fn):
+        @functools.wraps(fn)
+        def callback(config_path, seed, out_dir, **options):
+            config = load_experiment_config(config_path)
+            out = Path(out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            return fn(Run(config, seed, out), **options)
+
+        callback = click.option("--config", "config_path", type=click.Path(exists=True),
+                                default=None, help="JSON experiment config")(callback)
+        callback = click.option("--seed", type=int, default=0, show_default=True)(callback)
+        callback = click.option("--out-dir", type=click.Path(), required=True)(callback)
+        return main.command(name)(callback)
+    return register
+
+
+@_experiment("gen-world")
+def gen_world(run):
     """Build a world and save it as JSON."""
-    cfg = load_experiment_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    w = world.build_world(dataclasses.replace(cfg.world, seed=seed))
-    path = out / "world.json"
+    w = world.build_world(dataclasses.replace(run.config.world, seed=run.seed))
+    path = run.out / "world.json"
     world.save_world(w, path)
-    write_manifest(out, experiment_config_to_dict(cfg), seed, {"world.json": path})
+    run.manifest({"world.json": path})
     click.echo(f"world: V={w.vocab_size} order={w.order} -> {path}")
 
 
-@main.command("gen-corpus")
-@_common_options
+@_experiment("gen-corpus")
 @click.option("--channel", type=click.Choice(["uniform", "long_tailed"]),
               default="long_tailed", show_default=True)
 @click.option("--mode", type=click.Choice(["iid", "single_edit"]),
@@ -71,68 +102,54 @@ def gen_world(config_path, seed, out_dir):
 @click.option("--sentences", type=int, default=None,
               help="Override the config's target corpus size")
 @click.option("--annotate/--no-annotate", default=True, show_default=True)
-def gen_corpus(config_path, seed, out_dir, channel, mode, sentences, annotate):
+def gen_corpus(run, channel, mode, sentences, annotate):
     """Generate an aligned pair corpus through the chosen channel."""
-    cfg = load_experiment_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    w, uniform_table, longtail_table = pipeline.build_experiment_world(cfg, seed)
+    cfg, out = run.config, run.out
+    w, uniform_table, longtail_table = run.world()
     table = uniform_table if channel == "uniform" else longtail_table
     n = sentences if sentences is not None else cfg.do_sentences
     corpus = augment.generate_corpus(w, table, n, cfg.length_range, cfg.rate,
-                                     mode=mode, seed=seed, annotate=annotate)
-    files = {}
-    world.save_world(w, out / "world.json")
-    augment.save_confusion(table, out / "confusion.json")
-    augment.corpus_to_jsonl(corpus, out / "corpus.jsonl")
-    for name in ("world.json", "confusion.json", "corpus.jsonl"):
-        files[name] = out / name
-    meta = {"vocab_size": w.vocab_size, "rate": cfg.rate, "mode": mode,
-            "channel": channel, "sentences": n, "n_edits": corpus.n_edits}
-    write_manifest(out, experiment_config_to_dict(cfg), seed, files, meta)
+                                     mode=mode, seed=run.seed, annotate=annotate)
+    files = {name: out / name for name in ("world.json", "confusion.json", "corpus.jsonl")}
+    world.save_world(w, files["world.json"])
+    augment.save_confusion(table, files["confusion.json"])
+    augment.corpus_to_jsonl(corpus, files["corpus.jsonl"])
+    run.manifest(files, {"vocab_size": w.vocab_size, "rate": cfg.rate, "mode": mode,
+                         "channel": channel, "sentences": n, "n_edits": corpus.n_edits})
     click.echo(f"corpus: {n} sentences, {corpus.n_edits} edits -> {out}")
 
 
-@main.command("train")
-@_common_options
+@_experiment("train")
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
 @click.option("--window", type=str, default=None,
               help="Comma-separated offsets, e.g. '-1,0,1'")
-def train_cmd(config_path, seed, out_dir, corpus_dir, window):
+def train_cmd(run, corpus_dir, window):
     """Train a corrector on a stored corpus."""
-    cfg = load_experiment_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
-    offsets = (tuple(int(x) for x in window.split(",")) if window
-               else cfg.corrector.window)
-    model = corrector.train(corpus, offsets, cfg.corrector.alpha)
-    path = out / "model.json"
+    cc = run.config.corrector
+    offsets = tuple(int(x) for x in window.split(",")) if window else cc.window
+    model = corrector.train(corpus, offsets, cc.alpha)
+    path = run.out / "model.json"
     corrector.save_model(model, path)
-    write_manifest(out, experiment_config_to_dict(cfg), seed, {"model.json": path},
-                   meta={"trained_chars": model.trained_chars,
-                         "window": list(model.window)})
+    run.manifest({"model.json": path}, {"trained_chars": model.trained_chars,
+                                        "window": list(model.window)})
     click.echo(f"model: {model.trained_chars} chars, window {model.window} -> {path}")
 
 
-@main.command("score")
-@_common_options
+@_experiment("score")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
 @click.option("--oracle/--no-oracle", "with_oracle", default=False,
               help="Also write exact posteriors (single-edit records only)")
-def score_cmd(config_path, seed, out_dir, model_path, corpus_dir, with_oracle):
+def score_cmd(run, model_path, corpus_dir, with_oracle):
     """Write per-edit restore confidences as JSONL."""
-    cfg = load_experiment_config(config_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     w, table, corpus, meta = _load_corpus_dir(Path(corpus_dir))
     model = corrector.load_model(model_path)
 
     n = corpus.n_edits
     confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
     single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
-    path = out / "scores.jsonl"
+    path = run.out / "scores.jsonl"
     with open(path, "w") as fh:
         for ri, i, x, y, c in zip(corpus.record.tolist(), corpus.pos.tolist(),
                                   corpus.orig.tolist(), corpus.repl.tolist(),
@@ -146,73 +163,58 @@ def score_cmd(config_path, seed, out_dir, model_path, corpus_dir, with_oracle):
                 doc["sigma"] = rep.sigma
                 doc["bound"] = rep.bound
             fh.write(json.dumps(doc) + "\n")
-    write_manifest(out, experiment_config_to_dict(cfg), seed, {"scores.jsonl": path},
-                   meta={"edits": n})
+    run.manifest({"scores.jsonl": path}, {"edits": n})
     click.echo(f"scored {n} edits -> {path}")
 
 
-@main.command("filter")
-@_common_options
+@_experiment("filter")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
 @click.option("--threshold", type=float, default=None,
               help="Restore-confidence cutoff; below it edits are reverted")
-def filter_cmd(config_path, seed, out_dir, model_path, corpus_dir, threshold):
+def filter_cmd(run, model_path, corpus_dir, threshold):
     """Revert low-confidence edits of a stored corpus."""
-    cfg = load_experiment_config(config_path)
-    p = threshold if threshold is not None else cfg.filter.threshold
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    p = threshold if threshold is not None else run.config.filter.threshold
     _, _, corpus, meta = _load_corpus_dir(Path(corpus_dir))
     model = corrector.load_model(model_path)
     result = pipeline.filter_corpus(model, corpus, p)
-    path = out / "filtered.jsonl"
+    path = run.out / "filtered.jsonl"
     augment.corpus_to_jsonl(result.corpus, path)
-    write_manifest(out, experiment_config_to_dict(cfg), seed, {"filtered.jsonl": path},
-                   meta={"threshold": p, "kept": result.kept_edits,
-                         "reverted": result.reverted_edits, **meta})
+    run.manifest({"filtered.jsonl": path}, {"threshold": p, "kept": result.kept_edits,
+                                            "reverted": result.reverted_edits, **meta})
     click.echo(f"kept {result.kept_edits}, reverted {result.reverted_edits} -> {path}")
 
 
-@main.command("eval")
-@_common_options
+@_experiment("eval")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
 @click.option("--variant", type=str, default="model", show_default=True)
-def eval_cmd(config_path, seed, out_dir, model_path, corpus_dir, variant):
+def eval_cmd(run, model_path, corpus_dir, variant):
     """Evaluate a stored model on a stored corpus."""
-    cfg = load_experiment_config(config_path)
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     model = corrector.load_model(model_path)
     metrics = harness.evaluate(model, corpus)
     calib = calibration.calibration_report(model, corpus)
-    rows = [MetricsRow(variant, cfg.filter.threshold, model.trained_chars,
-                       metrics, calib.ece, seed)]
-    emit_report(out_dir, metrics_rows=rows, reliability=calib,
-                config_doc=experiment_config_to_dict(cfg), seed=seed)
+    run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,
+                           metrics, calib.ece, run.seed)], reliability=calib)
     click.echo(f"F1 {metrics.f1:.2f}  FPR {metrics.fpr:.2f}  ECE {calib.ece:.4f}")
 
 
-@main.command("pipeline")
-@_common_options
+@_experiment("pipeline")
 @click.option("--mode", type=click.Choice(list(pipeline.FILTER_SOURCES)),
               default=None, help="Filter source; defaults to the config's")
 @click.option("--threshold", type=float, default=None)
-def pipeline_cmd(config_path, seed, out_dir, mode, threshold):
+def pipeline_cmd(run, mode, threshold):
     """Run the full train-filter-retrain pipeline."""
-    cfg = load_experiment_config(config_path)
-    fc = cfg.filter
+    fc = run.config.filter
     if mode is not None:
         fc = dataclasses.replace(fc, filter_source=mode)
     if threshold is not None:
         fc = dataclasses.replace(fc, threshold=threshold)
-    cfg = dataclasses.replace(cfg, filter=fc)
+    run.config = dataclasses.replace(run.config, filter=fc)
+    cfg, seed, out = run.config, run.seed, run.out
+    report = pipeline.run_pipeline(*run.world(), cfg, seed)
 
-    w, uniform_table, longtail_table = pipeline.build_experiment_world(cfg, seed)
-    report = pipeline.run_pipeline(w, uniform_table, longtail_table, cfg, seed)
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     filtered_path = out / "filtered.jsonl"
     augment.corpus_to_jsonl(report.filtered, filtered_path)
     summary = {
@@ -238,48 +240,34 @@ def pipeline_cmd(config_path, seed, out_dir, mode, threshold):
         MetricsRow(report.variant, report.threshold, cfg.do_sentences,
                    report.metrics_after, report.calibration_after.ece, seed),
     ]
-    emit_report(out, metrics_rows=rows, reliability=report.calibration_after,
-                config_doc=experiment_config_to_dict(cfg), seed=seed,
-                extra_files={"filtered.jsonl": filtered_path,
-                             "report.json": report_path})
+    run.report(rows, reliability=report.calibration_after,
+               extra_files={"filtered.jsonl": filtered_path, "report.json": report_path})
     click.echo(json.dumps(summary, sort_keys=True))
 
 
-@main.command("sweep-threshold")
-@_common_options
-def sweep_threshold_cmd(config_path, seed, out_dir):
+@_experiment("sweep-threshold")
+def sweep_threshold_cmd(run):
     """Run the pipeline across the threshold grid."""
-    cfg = load_experiment_config(config_path)
-    w, uniform_table, longtail_table = pipeline.build_experiment_world(cfg, seed)
-    points = pipeline.threshold_sweep(w, uniform_table, longtail_table, cfg, seed=seed)
-    rows = [MetricsRow("cross", pt.threshold, cfg.do_sentences, pt.metrics,
-                       pt.ece, seed) for pt in points]
-    emit_report(out_dir, metrics_rows=rows,
-                config_doc=experiment_config_to_dict(cfg), seed=seed)
+    cfg, seed = run.config, run.seed
+    points = pipeline.threshold_sweep(*run.world(), cfg, seed=seed)
+    run.report([MetricsRow("cross", pt.threshold, cfg.do_sentences, pt.metrics,
+                           pt.ece, seed) for pt in points])
     for pt in points:
         click.echo(f"p={pt.threshold:g} F1={pt.metrics.f1:.2f} "
                    f"FPR={pt.metrics.fpr:.2f} ECE={pt.ece:.4f}")
 
 
-@main.command("sweep-volume")
-@_common_options
-def sweep_volume_cmd(config_path, seed, out_dir):
+@_experiment("sweep-volume")
+def sweep_volume_cmd(run):
     """Grow the filter-model training volume along the configured ladder."""
-    cfg = load_experiment_config(config_path)
-    w, uniform_table, longtail_table = pipeline.build_experiment_world(cfg, seed)
-    points = pipeline.volume_sweep(w, uniform_table, longtail_table, cfg, seed=seed)
-    rows = [MetricsRow("volume", 1e-2, pt.size_chars, pt.metrics, pt.ece, seed)
-            for pt in points]
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    tv_path = out / "volume_tv.csv"
+    points = pipeline.volume_sweep(*run.world(), run.config, seed=run.seed)
+    tv_path = run.out / "volume_tv.csv"
     with open(tv_path, "w") as fh:
         fh.write("size,tv_distance\n")
         for pt in points:
             fh.write(f"{pt.size_chars},{pt.tv_distance:.8f}\n")
-    emit_report(out, metrics_rows=rows,
-                config_doc=experiment_config_to_dict(cfg), seed=seed,
-                extra_files={"volume_tv.csv": tv_path})
+    run.report([MetricsRow("volume", 1e-2, pt.size_chars, pt.metrics, pt.ece, run.seed)
+                for pt in points], extra_files={"volume_tv.csv": tv_path})
     for pt in points:
         click.echo(f"size={pt.size_chars} F1={pt.metrics.f1:.2f} tv={pt.tv_distance:.4f}")
 

@@ -1,8 +1,10 @@
 """Config file loading and canonical serialization.
 
 Experiment configs are plain nested dataclasses; the JSON form mirrors the
-dataclass structure section by section.  Unknown keys are rejected so typos
-fail loudly, and the canonical dict form feeds the manifest's config hash.
+dataclass structure section by section, and a key it omits keeps the default
+experiment's value.  Unknown keys, and keys every run sets itself, are
+rejected so typos and ignored settings fail loudly; the canonical dict form
+feeds the manifest's config hash.
 """
 
 from __future__ import annotations
@@ -13,16 +15,14 @@ import types
 import typing
 from pathlib import Path
 
-from .augment import ConfusionConfig
-from .corrector import CorrectorConfig
-from .pipeline import ExperimentConfig, FilterConfig
-from .world import WorldConfig
+from .pipeline import ExperimentConfig
 
-_SECTIONS = {
-    "world": WorldConfig,
-    "confusion": ConfusionConfig,
-    "corrector": CorrectorConfig,
-    "filter": FilterConfig,
+_SECTIONS = ("world", "confusion", "corrector", "filter")
+# Section keys a run overwrites, so a value in a file would be ignored.
+_SET_BY_RUN = {
+    "world.seed": "set by --seed",
+    "confusion.seed": "set by --seed",
+    "confusion.mode": "set per channel",
 }
 
 
@@ -61,24 +61,32 @@ def _typed_fields(cls, doc: dict, prefix: str = "") -> dict:
     return {k: _typed(f"{prefix}{k}", v, hints[k]) for k, v in doc.items()}
 
 
-def _build_section(cls, doc, name: str):
+def _build_section(default, doc, name: str):
+    """The section ``default`` with the values ``doc`` sets."""
     if not isinstance(doc, dict):
         raise ValueError(f"{name}: expected an object, got {type(doc).__name__}")
+    cls = type(default)
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - names
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**_typed_fields(cls, doc, f"{name}."))
+    for key in sorted(doc):
+        reason = _SET_BY_RUN.get(f"{name}.{key}")
+        if reason:
+            raise ValueError(f"{name}.{key}: {reason}")
+    return dataclasses.replace(default, **_typed_fields(cls, doc, f"{name}."))
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValueError(f"expected an object, got {type(doc).__name__}")
     doc = dict(doc)
+    defaults = ExperimentConfig()
     kwargs = {}
-    for section, cls in _SECTIONS.items():
+    for section in _SECTIONS:
         if section in doc:
-            kwargs[section] = _build_section(cls, doc.pop(section), section)
+            kwargs[section] = _build_section(getattr(defaults, section), doc.pop(section),
+                                             section)
     top_names = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(doc) - top_names
     if unknown:
@@ -100,8 +108,9 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     """The config in a JSON file (defaults when ``path`` is None).
 
     Bad JSON, a section that is not an object, a list field that is not a
-    list, a value of the wrong type and an unknown key raise ``ValueError``
-    naming the file, and the line or the field.
+    list, a value of the wrong type or out of range, an unknown key and a key
+    a run sets itself raise ``ValueError`` naming the file, and the line or
+    the field.
     """
     if path is None:
         return ExperimentConfig()

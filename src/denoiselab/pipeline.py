@@ -75,6 +75,30 @@ class ExperimentConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     volume_sizes: tuple[int, ...] = DEFAULT_VOLUME_SIZES
 
+    def __post_init__(self):
+        if not (0.0 < self.rate < 1.0):
+            raise ValueError(f"rate: must be in (0, 1), got {self.rate}")
+        for name in ("dr_sentences", "do_sentences", "eval_sentences"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+        lo, hi = self.length_range
+        if not (1 <= lo <= hi):
+            raise ValueError(f"length_range: needs 1 <= lo <= hi, got {list(self.length_range)}")
+        if not (0.0 <= self.eval_clean_fraction < 1.0):
+            raise ValueError("eval_clean_fraction: must be in [0, 1), "
+                             f"got {self.eval_clean_fraction}")
+        if not (self.eval_plausibility >= 0):
+            raise ValueError(f"eval_plausibility: must be >= 0, got {self.eval_plausibility}")
+        if not self.thresholds:
+            raise ValueError("thresholds: must not be empty")
+        for p in self.thresholds:
+            if not (0.0 < p < 1.0):
+                raise ValueError(f"thresholds: {p} outside (0, 1)")
+        if any(n < 1 for n in self.volume_sizes):
+            raise ValueError(f"volume_sizes: must be positive, got {list(self.volume_sizes)}")
+        if list(self.volume_sizes) != sorted(self.volume_sizes):
+            raise ValueError(f"volume_sizes: must be ascending, got {list(self.volume_sizes)}")
+
 
 @dataclass(frozen=True)
 class FilterResult:
@@ -234,17 +258,28 @@ def build_experiment_world(config: ExperimentConfig, seed: int):
     return world, uniform, longtail
 
 
-def _corpora_for(world, uniform, longtail, config: ExperimentConfig, seed: int):
-    d_r = generate_corpus(world, uniform, config.dr_sentences, config.length_range,
-                          config.rate, mode="iid", seed=seed, stream="d-r")
+def _uniform_corpus(world: WorldModel, uniform: ConfusionTable,
+                    config: ExperimentConfig, seed: int) -> PairCorpus:
+    """The uniform-channel corpus ``d_r`` (filter training data; half of mixing)."""
+    return generate_corpus(world, uniform, config.dr_sentences, config.length_range,
+                           config.rate, mode="iid", seed=seed, stream="d-r")
+
+
+def _target_and_eval(world: WorldModel, longtail: ConfusionTable,
+                     config: ExperimentConfig, seed: int) -> tuple[PairCorpus, PairCorpus]:
+    """The annotated target corpus ``d_o`` and the evaluation corpus."""
     d_o = generate_corpus(world, longtail, config.do_sentences, config.length_range,
-                          config.rate, mode="iid", seed=seed, annotate=True,
-                          stream="d-o")
+                          config.rate, mode="iid", seed=seed, annotate=True, stream="d-o")
     eval_corpus = make_eval_corpus(world, longtail, config.eval_sentences,
                                    config.length_range, config.rate, seed=seed,
                                    clean_fraction=config.eval_clean_fraction,
                                    plausibility=config.eval_plausibility)
-    return d_r, d_o, eval_corpus
+    return d_o, eval_corpus
+
+
+def _scored(model, eval_corpus: PairCorpus) -> tuple[Metrics, CalibrationReport]:
+    """A model's metrics and calibration on the evaluation corpus."""
+    return evaluate(model, eval_corpus), calibration_report(model, eval_corpus)
 
 
 def mixing_baseline(d_r: PairCorpus, d_o: PairCorpus,
@@ -265,42 +300,33 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
     selected variant so every report carries a before/after comparison on
     the same evaluation corpus.
     """
-    fc = config.filter
-    cc = config.corrector
-    d_r, d_o, eval_corpus = _corpora_for(world, uniform_table, longtail_table,
-                                         config, seed)
-
-    baseline = train(d_o, cc.window, cc.alpha)
-    metrics_before = evaluate(baseline, eval_corpus)
-    calib_before = calibration_report(baseline, eval_corpus)
-
+    fc, cc = config.filter, config.corrector
     variant = fc.filter_source
-    rates = None
-    if variant in ("none", "mixing"):
-        result = FilterResult(d_o, d_o.n_edits, 0)
-        final = baseline if variant == "none" else mixing_baseline(d_r, d_o, cc)
-    elif variant in ("cross", "self"):
-        source = d_r if variant == "cross" else d_o
-        filter_model = train(source, cc.window, cc.alpha)
-        result = filter_corpus(filter_model, d_o, fc.threshold)
-        final = train(result.corpus, cc.window, cc.alpha)
-        rates = category_filter_rates(d_o, result.corpus)
-    elif variant == "heuristic":
-        context_model = train(d_r, MASKED_WINDOW, cc.alpha)
-        flagged = (heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
-                   | heuristic_multi(d_o, context_model, fc.lambda_m))
-        result = revert_edits(d_o, ~flagged)
-        final = train(result.corpus, cc.window, cc.alpha)
-        rates = category_filter_rates(d_o, result.corpus)
-    else:  # pragma: no cover - guarded by FilterConfig
-        raise ValueError(f"unknown variant {variant}")
+    d_r = (_uniform_corpus(world, uniform_table, config, seed)
+           if variant in ("cross", "heuristic", "mixing") else None)
+    d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
+    baseline = train(d_o, cc.window, cc.alpha)
+    before = _scored(baseline, eval_corpus)
 
-    metrics_after = evaluate(final, eval_corpus) if variant != "none" else metrics_before
-    calib_after = (calibration_report(final, eval_corpus)
-                   if variant != "none" else calib_before)
-    return PipelineReport(variant, fc.threshold, result.kept_edits,
-                          result.reverted_edits, rates, metrics_before,
-                          metrics_after, calib_before, calib_after, result.corpus)
+    result, rates, final = FilterResult(d_o, d_o.n_edits, 0), None, baseline
+    if variant == "mixing":
+        final = mixing_baseline(d_r, d_o, cc)
+    elif variant != "none":
+        if variant == "heuristic":
+            context_model = train(d_r, MASKED_WINDOW, cc.alpha)
+            flagged = (heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
+                       | heuristic_multi(d_o, context_model, fc.lambda_m))
+            result = revert_edits(d_o, ~flagged)
+        else:  # the self filter is the baseline model itself
+            filter_model = train(d_r, cc.window, cc.alpha) if variant == "cross" else baseline
+            result = filter_corpus(filter_model, d_o, fc.threshold)
+        final = train(result.corpus, cc.window, cc.alpha)
+        rates = category_filter_rates(d_o, result.corpus)
+    after = before if variant == "none" else _scored(final, eval_corpus)
+    (metrics_before, calib_before), (metrics_after, calib_after) = before, after
+    return PipelineReport(variant, fc.threshold, result.kept_edits, result.reverted_edits,
+                          rates, metrics_before, metrics_after, calib_before, calib_after,
+                          result.corpus)
 
 
 @dataclass(frozen=True)
@@ -325,15 +351,13 @@ def threshold_sweep(world: WorldModel, uniform_table: ConfusionTable,
             raise ValueError(f"threshold {p} outside (0, 1)")
 
     cc = config.corrector
-    d_r, d_o, eval_corpus = _corpora_for(world, uniform_table, longtail_table,
-                                         config, seed)
+    d_r = _uniform_corpus(world, uniform_table, config, seed)
+    d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
     filter_model = train(d_r, cc.window, cc.alpha)
     points = []
     for p in grid:
         result = filter_corpus(filter_model, d_o, p)
-        final = train(result.corpus, cc.window, cc.alpha)
-        metrics = evaluate(final, eval_corpus)
-        calib = calibration_report(final, eval_corpus)
+        metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
         points.append(SweepPoint(p, metrics, calib.ece, result.kept_edits,
                                  result.reverted_edits))
     return points
@@ -362,13 +386,7 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
     cc = config.corrector
     mean_len = 0.5 * (config.length_range[0] + config.length_range[1])
 
-    d_o = generate_corpus(world, longtail_table, config.do_sentences,
-                          config.length_range, config.rate, mode="iid",
-                          seed=seed, annotate=True, stream="d-o")
-    eval_corpus = make_eval_corpus(world, longtail_table, config.eval_sentences,
-                                   config.length_range, config.rate, seed=seed,
-                                   clean_fraction=config.eval_clean_fraction,
-                                   plausibility=config.eval_plausibility)
+    d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
     tv_corpus = generate_corpus(world, longtail_table,
                                 max(200, config.eval_sentences // 5),
                                 config.length_range, config.rate,
@@ -383,9 +401,7 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
         filter_model = train(d_r, cc.window, cc.alpha)
         tv = tv_to_oracle(filter_model, world, uniform_table, tv_corpus, config.rate)
         result = filter_corpus(filter_model, d_o, threshold)
-        final = train(result.corpus, cc.window, cc.alpha)
-        metrics = evaluate(final, eval_corpus)
-        calib = calibration_report(final, eval_corpus)
+        metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
         points.append(VolumePoint(int(size), metrics, tv, calib.ece))
     return points
 

@@ -1,0 +1,83 @@
+"""Run the CLI output matrix and print the SHA-256 of every file it writes.
+
+The matrix (:func:`commands`) runs, each command into its own directory:
+
+- ``gen-world``;
+- ``gen-corpus`` iid and annotated (the corpus the model commands read),
+  single_edit, and uniform ``--no-annotate``;
+- ``train`` with the config's window and with ``--window=-1,1``;
+- ``score`` with and without ``--oracle``;
+- ``filter`` at the config's threshold and at 0.01;
+- ``eval``;
+- ``pipeline --mode`` cross, self, heuristic, mixing and none;
+- ``sweep-threshold`` and ``sweep-volume``.
+
+That is 59 files, ``manifest.json`` files included.  ``TestGoldenOutputs``
+pins the same matrix on a tiny config; this script runs it on the default
+experiment, once per seed, in a fresh directory.  Each line is
+``sha256  seed<s>/<command dir>/<file>``, sorted by path, so two source
+trees are byte-identical on the matrix when ``diff`` of their runs is empty::
+
+    PYTHONPATH=src python tests/output_matrix.py --seeds 0 3 > after.txt
+    PYTHONPATH=../parent/src python tests/output_matrix.py --seeds 0 3 > before.txt
+    diff before.txt after.txt
+
+The lab is imported from ``PYTHONPATH``, so the same script checks any
+checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+from denoiselab import cli
+
+
+def commands(out: Path) -> list[list[str]]:
+    """The matrix's CLI argument lists, without ``--config`` and ``--seed``."""
+    corpus = str(out / "corpus")
+    uses = ["--model", str(out / "model" / "model.json"), "--corpus-dir", corpus]
+    calls = [
+        ("gen-world", "gen-world"),
+        ("corpus", "gen-corpus", "--mode", "iid", "--annotate"),
+        ("corpus-single", "gen-corpus", "--mode", "single_edit"),
+        ("corpus-uniform", "gen-corpus", "--channel", "uniform", "--no-annotate"),
+        ("model", "train", "--corpus-dir", corpus),
+        ("model-window", "train", "--corpus-dir", corpus, "--window=-1,1"),
+        ("score", "score", *uses, "--oracle"),
+        ("score-no-oracle", "score", *uses),
+        ("filter", "filter", *uses),
+        ("filter-0.01", "filter", *uses, "--threshold", "0.01"),
+        ("eval", "eval", *uses),
+        *((f"pipeline-{mode}", "pipeline", "--mode", mode)
+          for mode in ("cross", "self", "heuristic", "mixing", "none")),
+        ("sweep-threshold", "sweep-threshold"),
+        ("sweep-volume", "sweep-volume"),
+    ]
+    return [[command, "--out-dir", str(out / name), *args]
+            for name, command, *args in calls]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages
+            for seed in args.seeds:
+                for call in commands(root / f"seed{seed}"):
+                    cli.main([*call, "--seed", str(seed)], standalone_mode=False)
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(root).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

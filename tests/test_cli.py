@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import output_matrix
 from denoiselab.cli import main
 from denoiselab.harness import sha256_file
 
@@ -220,23 +221,47 @@ GOLDEN = {
     "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
     "sweep-threshold/manifest.json": "9072740944c5cbb80380414dca936f0ddd847c3e2fbbf6891075253cd632bbda",
     "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
+    # Recorded before the experiment scaffold was written once.
+    "corpus-single/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
+    "corpus-single/corpus.jsonl": "6d101ab6e338a4dde83639fc4c615bde13eb4ad03909fbb1b5285cee0da356d2",
+    "corpus-single/manifest.json": "50eb1a1f8d0a5d677c434bc48b8f0ac2541887373bd92e9ef504c2b66c94539a",
+    "corpus-single/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
+    "corpus-uniform/confusion.json": "a4533ecfb031b0b9b628c77a04896991d7e833f80e8241199b2bc8d8d66aadd5",
+    "corpus-uniform/corpus.jsonl": "838aac57d0c9c2eb5930b963475647169555b9d62652c421ebf67164229dd757",
+    "corpus-uniform/manifest.json": "fe7a94fdeb70f5bba2f71d164bad18499da42923040199338cd8f4dccbfa04d2",
+    "corpus-uniform/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
+    "filter-0.01/filtered.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
+    "filter-0.01/manifest.json": "7362caaaf859a882079a9921f8163f8a29599148f90a649aabf00a9cb84f26f0",
+    "gen-world/manifest.json": "bc124dbef265d1291ce11d78994a1b4e9c906dd0a45d9119b063b44a68561b61",
+    "gen-world/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
+    "model-window/manifest.json": "0eac5a8fc4972b378c4ee404777825f9be825770dca0412ef58e22770e596b00",
+    "model-window/model.json": "05e3d1cc4d188ac907f36465070b37352c479999de8e0c5d7ecbee8cf8e87796",
+    "pipeline-mixing/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
+    "pipeline-mixing/manifest.json": "f8fbebe77312c74dd74e80b9a21f138241e0657defe3c681d179265bd6847033",
+    "pipeline-mixing/metrics.csv": "122f2910661f8d7d32509f5f68ad3b8e5604ba34053057ba4603c72cda3cb66c",
+    "pipeline-mixing/reliability.csv": "a6d5fa6cd17b7857f91a2324d93baee8fc3f4473f1506137b9db2a52f5682112",
+    "pipeline-mixing/report.json": "264812c04063162a4a306993f6f463b914a85e5f438290f53c3e902da30dd352",
+    "pipeline-none/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
+    "pipeline-none/manifest.json": "92050019051f0fffe423ec11e8787d3420888494a26d326346db8eecd0b5ca13",
+    "pipeline-none/metrics.csv": "b12014ee2ff79aa162ac36c470c896951b00ea0becc9cba21549f9fdbfb76bdb",
+    "pipeline-none/reliability.csv": "07eb6b5686452ea191f7fa8fee5fbffa155dea83175197174e89d3aa91510754",
+    "pipeline-none/report.json": "cc6ac7106abd08a039a50d796e6f2c63c0a3231f4ea14f375a507bf29bf78966",
+    "pipeline-self/filtered.jsonl": "0a51de0a930f8ee35ec601f4f7908c8dae0e6c0df409f37a4d40b22f7dd0e933",
+    "pipeline-self/manifest.json": "67fe5720902d77b6c09a55f136810ab57768f640c872054299e211746fad7a92",
+    "pipeline-self/metrics.csv": "c637f1780ed33eb944571bd0fde17914adf231cbdf0782e537f88f350f1aea86",
+    "pipeline-self/reliability.csv": "75b8c2d3e4bbc69ca59e69efe9e37005c7135e3f74450a2cfd7fb712ca8ecc67",
+    "pipeline-self/report.json": "679925c9f98c57358461f50084cb239fbdf410ac7ad3fa33ed4cf01d648a1072",
+    "score-no-oracle/manifest.json": "45d54fe27c09b06d0017cb929c7d222de197021fd51ca38b9165b4f2fba1a2c9",
+    "score-no-oracle/scores.jsonl": "3b07d4cb7d85aec680df59c4b2acbac7a1a25a2d24a663d62295035e402626fc",
+    "sweep-volume/manifest.json": "4457d5dbabeac865c63d0bfc113c9ba35e08f0d572579e8dc57e0281143be48f",
+    "sweep-volume/metrics.csv": "504b167ef18cf90c6095624eed4bae3f023934b205a4902c9f008d664cb80087",
+    "sweep-volume/volume_tv.csv": "47750deea99b5600ee467c3e000d7427a9da33dbd9b1759ac5901ad9d810423c",
 }
 
 
 class TestGoldenOutputs:
     def test_cli_outputs_match_recorded_hashes(self, runner, config_path, tmp_path):
         out = tmp_path / "out"
-        corpus, model = out / "corpus", out / "model"
-        seed = ["--config", config_path, "--seed", "7"]
-        run_ok(runner, ["gen-corpus", *seed, "--out-dir", str(corpus), "--annotate"])
-        run_ok(runner, ["train", *seed, "--corpus-dir", str(corpus), "--out-dir", str(model)])
-        for step in ("filter", "eval"):
-            run_ok(runner, [step, *seed, "--model", str(model / "model.json"),
-                            "--corpus-dir", str(corpus), "--out-dir", str(out / step)])
-        run_ok(runner, ["score", *seed, "--model", str(model / "model.json"), "--oracle",
-                        "--corpus-dir", str(corpus), "--out-dir", str(out / "score")])
-        for mode in ("cross", "heuristic"):
-            run_ok(runner, ["pipeline", *seed, "--mode", mode,
-                            "--out-dir", str(out / f"pipeline-{mode}")])
-        run_ok(runner, ["sweep-threshold", *seed, "--out-dir", str(out / "sweep-threshold")])
+        for call in output_matrix.commands(out):
+            run_ok(runner, [*call, "--config", config_path, "--seed", "7"])
         assert golden_hashes(out) == GOLDEN

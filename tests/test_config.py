@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import re
 
 import pytest
 
 from denoiselab.config import experiment_config_to_dict, load_experiment_config
+from denoiselab.pipeline import ExperimentConfig
 
 
 @pytest.mark.parametrize("text,message", [
@@ -20,9 +22,28 @@ from denoiselab.config import experiment_config_to_dict, load_experiment_config
     ('[1, 2]', ": expected an object, got list"),
     ('{"world": {"vocab_size": 20,\n "seed": }', ":2: invalid JSON: Expecting value"),
     ('{"world": {"colour": 1}}', r": unknown WorldConfig keys: \['colour'\]"),
+    ('{"world": {"seed": 3}}', ": world.seed: set by --seed"),
+    ('{"confusion": {"seed": 3}}', ": confusion.seed: set by --seed"),
+    ('{"confusion": {"mode": "long_tailed"}}', ": confusion.mode: set per channel"),
+    ('{"rate": 1.5}', r": rate: must be in \(0, 1\), got 1.5"),
+    ('{"rate": -0.2}', r": rate: must be in \(0, 1\), got -0.2"),
+    ('{"eval_sentences": 0}', ": eval_sentences: must be at least 1, got 0"),
+    ('{"length_range": [9, 3]}', r": length_range: needs 1 <= lo <= hi, got \[9, 3\]"),
+    ('{"length_range": [0, 3]}', r": length_range: needs 1 <= lo <= hi, got \[0, 3\]"),
+    ('{"eval_clean_fraction": 1.0}', r": eval_clean_fraction: must be in \[0, 1\), got 1.0"),
+    ('{"eval_plausibility": -3}', ": eval_plausibility: must be >= 0, got -3"),
+    ('{"eval_plausibility": NaN}', ": eval_plausibility: must be >= 0, got nan"),
+    ('{"thresholds": []}', ": thresholds: must not be empty"),
+    ('{"thresholds": [0.1, 1.5]}', r": thresholds: 1.5 outside \(0, 1\)"),
+    ('{"volume_sizes": [0, 10]}', r": volume_sizes: must be positive, got \[0, 10\]"),
+    ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
         "tuple-item", "tuple-length", "bool-for-float", "bool-for-int", "int-for-bool",
-        "nested-row", "top-not-object", "bad-json", "unknown-key"])
+        "nested-row", "top-not-object", "bad-json", "unknown-key", "world-seed",
+        "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
+        "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
+        "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
+        "volume-size-zero", "volume-sizes-descending"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -39,3 +60,13 @@ def test_valid_file_keeps_its_values(tmp_path):
     assert cfg.world.weight_low == 1 and isinstance(cfg.world.weight_low, int)
     assert cfg.corrector.window == (-1, 1) and cfg.length_range == (5, 9)
     assert experiment_config_to_dict(cfg)["thresholds"] == [0.1, 1e-3]
+
+
+def test_a_partial_section_keeps_the_default_experiments_other_fields(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"world": {"vocab_size": 12}, "confusion": {"candidates": 2}}')
+    cfg = load_experiment_config(path)
+    default = ExperimentConfig()
+    assert cfg.world == dataclasses.replace(default.world, vocab_size=12)
+    assert cfg.confusion == dataclasses.replace(default.confusion, candidates=2)
+    assert cfg.corrector == default.corrector and cfg.filter == default.filter

@@ -247,6 +247,26 @@ class TestRunPipeline:
         assert a.kept_edits == b.kept_edits
         assert a.calibration_after.ece == b.calibration_after.ece
 
+    @pytest.mark.parametrize("variant,streams", [
+        ("cross", ["d-r", "d-o", "eval"]), ("heuristic", ["d-r", "d-o", "eval"]),
+        ("mixing", ["d-r", "d-o", "eval"]), ("self", ["d-o", "eval"]),
+        ("none", ["d-o", "eval"])])
+    def test_only_variants_reading_d_r_generate_it(self, monkeypatch, variant, streams):
+        import dataclasses
+
+        import denoiselab.pipeline as pipeline
+        generated = []
+
+        def recording(*args, stream="corpus", **kwargs):
+            generated.append(stream)
+            return generate_corpus(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(pipeline, "generate_corpus", recording)
+        world, uniform_table, longtail_table = build_experiment_world(TINY, 0)
+        cfg = dataclasses.replace(TINY, filter=FilterConfig(filter_source=variant))
+        run_pipeline(world, uniform_table, longtail_table, cfg, 0)
+        assert generated == streams
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(filter_source="bogus")
