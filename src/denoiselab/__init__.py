@@ -9,8 +9,7 @@ and runs the train-filter-retrain pipeline with calibration diagnostics.
 __version__ = "0.1.0"  # the package's only version string; modules import it from here
 
 from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
-                      PairCorpus, SampleCategory, build_confusion, categorize,
-                      corrupt, generate_corpus)
+                      PairCorpus, SampleCategory, build_confusion, generate_corpus)
 from .calibration import (CalibrationReport, PredictionOutcome, collect_outcomes,
                           ece, filter_easy_positives)
 from .corrector import CorrectorConfig, CorrectorModel, ce_loss, correct, merge, predict, train

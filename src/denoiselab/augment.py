@@ -34,20 +34,10 @@ from ._rng import derive_rng
 from .world import WorldModel, conditional, sample_corpus_tokens
 
 
-class UnsupportedRecordError(ValueError):
-    """Categorization was asked for a record it is not defined on."""
-
-
 class SampleCategory(str, enum.Enum):
     TRUE = "true"
     NOISY = "noisy"
     MULTI_ANSWER = "multi_answer"
-
-
-@dataclass(frozen=True)
-class CategoryResult:
-    category: SampleCategory
-    candidates: tuple[int, ...]
 
 
 CATEGORIES = tuple(SampleCategory)  # a category code indexes this tuple
@@ -64,11 +54,6 @@ def candidate_category_codes(candidates: np.ndarray, replacements) -> np.ndarray
     single = candidates.sum(axis=1) == 1
     noisy = candidates[np.arange(len(candidates)), replacements]
     return np.where(single, 0, np.where(noisy, 1, 2)).astype(np.int8)
-
-
-def candidate_categories(candidates: np.ndarray, replacements) -> list[SampleCategory]:
-    """:func:`candidate_category_codes` as categories."""
-    return [CATEGORIES[k] for k in candidate_category_codes(candidates, replacements).tolist()]
 
 
 @dataclass(frozen=True)
@@ -548,37 +533,6 @@ def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
     return table.candidates[sources, idx]
 
 
-def corrupt(tokens, table: ConfusionTable, rate: float,
-            rng: np.random.Generator, mode: str = "iid") -> CorruptionRecord:
-    """Apply the channel to one sentence.
-
-    ``iid`` replaces each position independently with probability ``rate``;
-    ``single_edit`` forces exactly one replacement at a uniformly chosen
-    position (the regime the exact posterior analysis assumes).
-    """
-    clean = tuple(int(t) for t in tokens)
-    L = len(clean)
-    if not (0.0 <= rate <= 1.0):
-        raise ValueError("rate must be in [0, 1]")
-    if mode == "iid":
-        mask = rng.random(L) < rate
-        positions = np.flatnonzero(mask)
-    elif mode == "single_edit":
-        positions = np.array([int(rng.integers(L))])
-    else:
-        raise ValueError(f"unknown corruption mode {mode!r}")
-
-    corrupted = list(clean)
-    edits = []
-    if len(positions) > 0:
-        sources = np.array([clean[i] for i in positions])
-        repl = _draw_replacements(table, sources, rng)
-        for i, x, y in zip(positions, sources, repl):
-            corrupted[int(i)] = int(y)
-            edits.append((int(i), int(x), int(y)))
-    return CorruptionRecord(clean, tuple(corrupted), tuple(edits), rate)
-
-
 def _candidate_flags(table: ConfusionTable, prior: np.ndarray, originals,
                      replacements) -> np.ndarray:
     """Candidate flags of each edit, given the prior rows of its context.
@@ -597,41 +551,25 @@ def _candidate_flags(table: ConfusionTable, prior: np.ndarray, originals,
     return flags
 
 
-def categorize(record: CorruptionRecord, world: WorldModel, table: ConfusionTable,
-               edit_index: int = 0) -> CategoryResult:
-    """Categorize the edit of a single-edit record.
-
-    Multi-edit records are rejected: with more than one replacement the
-    context of an edit is itself corrupted and the exact taxonomy no longer
-    applies.
-    """
-    if len(record.edits) != 1:
-        raise UnsupportedRecordError(
-            f"categorize needs a single-edit record, got {len(record.edits)} edits")
-    if edit_index != 0:
-        raise IndexError("single-edit record has only edit_index 0")
-    i, x, y = record.edits[0]
-    flags = _candidate_flags(table, conditional(world, record.corrupted, i)[None], [x], [y])
-    return CategoryResult(candidate_categories(flags, [y])[0],
-                          tuple(int(t) for t in np.flatnonzero(flags[0])))
-
-
 def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                     length_range: tuple[int, int] = (8, 16), rate: float = 0.1,
                     mode: str = "iid", seed: int = 0, clean_fraction: float = 0.0,
                     annotate: bool = False, stream: str = "corpus") -> PairCorpus:
     """Sample clean sentences and push them through the channel.
 
-    ``clean_fraction`` leaves that share of sentences pristine (single_edit
-    mode only), which evaluation corpora need so false-positive behavior is
-    observable.  ``annotate`` stores the exact category of every edit,
-    computed against the clean context at planting time.
+    ``rate``, the per-token replacement probability of ``iid`` mode, must lie
+    in [0, 1].  ``clean_fraction`` leaves that share of sentences pristine
+    (single_edit mode only), which evaluation corpora need so false-positive
+    behavior is observable.  ``annotate`` stores the exact category of every
+    edit, computed against the clean context at planting time.
     """
     if n_sentences < 1:
         raise ValueError("empty corpus: n_sentences must be >= 1")
     lo, hi = length_range
     if not (1 <= lo <= hi):
         raise ValueError("invalid length range")
+    if not (0.0 <= rate <= 1.0):
+        raise ValueError("rate must be in [0, 1]")
     if clean_fraction and mode != "single_edit":
         raise ValueError("clean_fraction is only supported in single_edit mode")
     if not (0.0 <= clean_fraction < 1.0):

@@ -20,10 +20,12 @@ import numpy as np
 from . import augment, calibration, corrector, harness, oracle, pipeline, world
 from .config import experiment_config_to_dict, load_experiment_config
 from .harness import MetricsRow, emit_report, write_manifest
-from .pipeline import ExperimentConfig
+from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
 
 def _load_corpus_dir(corpus_dir: Path):
+    if not (corpus_dir / "manifest.json").is_file():
+        raise click.ClickException(f"{corpus_dir}: no manifest.json; not a gen-corpus output")
     ok, checks = harness.verify_manifest(corpus_dir)
     if not ok:
         bad = ", ".join(sorted(name for name, good in checks.items() if not good))
@@ -35,6 +37,22 @@ def _load_corpus_dir(corpus_dir: Path):
                                        vocab_size=meta["vocab_size"],
                                        rate=meta["rate"], mode=meta["mode"])
     return w, table, corpus, meta
+
+
+def _load_model(model_path: str):
+    """The model file given by ``--model``; a bad one is reported as a usage error."""
+    try:
+        return corrector.load_model(model_path)
+    except ValueError as exc:  # the message names the file and the field
+        raise click.ClickException(str(exc)) from None
+
+
+def _window(ctx, param, value):
+    """``--window`` as a tuple of offsets, or None when not given."""
+    try:
+        return tuple(int(x) for x in value.split(",")) if value else None
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
 @click.group()
@@ -71,7 +89,10 @@ def _experiment(name: str):
     def register(fn):
         @functools.wraps(fn)
         def callback(config_path, seed, out_dir, **options):
-            config = load_experiment_config(config_path)
+            try:
+                config = load_experiment_config(config_path)
+            except ValueError as exc:  # the message names the file and the field
+                raise click.ClickException(str(exc)) from None
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             return fn(Run(config, seed, out), **options)
@@ -121,14 +142,13 @@ def gen_corpus(run, channel, mode, sentences, annotate):
 
 @_experiment("train")
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
-@click.option("--window", type=str, default=None,
+@click.option("--window", type=str, default=None, callback=_window,
               help="Comma-separated offsets, e.g. '-1,0,1'")
 def train_cmd(run, corpus_dir, window):
     """Train a corrector on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     cc = run.config.corrector
-    offsets = tuple(int(x) for x in window.split(",")) if window else cc.window
-    model = corrector.train(corpus, offsets, cc.alpha)
+    model = corrector.train(corpus, window or cc.window, cc.alpha)
     path = run.out / "model.json"
     corrector.save_model(model, path)
     run.manifest({"model.json": path}, {"trained_chars": model.trained_chars,
@@ -144,7 +164,7 @@ def train_cmd(run, corpus_dir, window):
 def score_cmd(run, model_path, corpus_dir, with_oracle):
     """Write per-edit restore confidences as JSONL."""
     w, table, corpus, meta = _load_corpus_dir(Path(corpus_dir))
-    model = corrector.load_model(model_path)
+    model = _load_model(model_path)
 
     n = corpus.n_edits
     confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
@@ -176,7 +196,7 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
     """Revert low-confidence edits of a stored corpus."""
     p = threshold if threshold is not None else run.config.filter.threshold
     _, _, corpus, meta = _load_corpus_dir(Path(corpus_dir))
-    model = corrector.load_model(model_path)
+    model = _load_model(model_path)
     result = pipeline.filter_corpus(model, corpus, p)
     path = run.out / "filtered.jsonl"
     augment.corpus_to_jsonl(result.corpus, path)
@@ -192,7 +212,7 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
 def eval_cmd(run, model_path, corpus_dir, variant):
     """Evaluate a stored model on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
-    model = corrector.load_model(model_path)
+    model = _load_model(model_path)
     metrics = harness.evaluate(model, corpus)
     calib = calibration.calibration_report(model, corpus)
     run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,
@@ -266,7 +286,7 @@ def sweep_volume_cmd(run):
         fh.write("size,tv_distance\n")
         for pt in points:
             fh.write(f"{pt.size_chars},{pt.tv_distance:.8f}\n")
-    run.report([MetricsRow("volume", 1e-2, pt.size_chars, pt.metrics, pt.ece, run.seed)
+    run.report([MetricsRow("volume", VOLUME_THRESHOLD, pt.size_chars, pt.metrics, pt.ece, run.seed)
                 for pt in points], extra_files={"volume_tv.csv": tv_path})
     for pt in points:
         click.echo(f"size={pt.size_chars} F1={pt.metrics.f1:.2f} tv={pt.tv_distance:.4f}")

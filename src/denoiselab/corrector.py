@@ -245,6 +245,10 @@ def model_to_json(model: CorrectorModel) -> str:
 
 def model_from_json(text: str) -> CorrectorModel:
     doc = json.loads(text)
+    for key in ("vocab_size", "window", "alpha", "corpus_hash", "trained_chars",
+                "trained_on", "counts"):
+        if key not in doc:
+            raise ValueError(f"missing field {key!r}")
     V = int(doc["vocab_size"])
     window = tuple(int(o) for o in doc["window"])
     n_sigs = _signature_table_shape(V, window)

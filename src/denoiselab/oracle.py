@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import (ConfusionTable, CorruptionRecord, PairCorpus, SampleCategory,
-                      candidate_categories, corpus_arrays)
+from .augment import (CATEGORIES, ConfusionTable, CorruptionRecord, PairCorpus,
+                      SampleCategory, candidate_category_codes, corpus_arrays)
 from .world import ENUMERATION_BUDGET, WorldModel, conditional
 
 
@@ -94,7 +94,7 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     post = numerator / denominator
 
     members = tuple(int(t) for t in np.flatnonzero(terms))
-    category = candidate_categories(terms[None] > 0.0, [y])[0]
+    category = CATEGORIES[candidate_category_codes(terms[None] > 0.0, [y])[0]]
 
     sigma = 0.0
     for v in members:

@@ -34,6 +34,7 @@ from .world import WorldConfig, WorldModel, build_world, conditional
 FILTER_SOURCES = ("cross", "self", "heuristic", "none", "mixing")
 DEFAULT_THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_VOLUME_SIZES = (10**3, 10**4, 10**5)
+VOLUME_THRESHOLD = 1e-2  # the volume sweep's filter threshold; filter.threshold is not read
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,8 @@ class ExperimentConfig:
         for p in self.thresholds:
             if not (0.0 < p < 1.0):
                 raise ValueError(f"thresholds: {p} outside (0, 1)")
+        if not self.volume_sizes:
+            raise ValueError("volume_sizes: must not be empty")
         if any(n < 1 for n in self.volume_sizes):
             raise ValueError(f"volume_sizes: must be positive, got {list(self.volume_sizes)}")
         if list(self.volume_sizes) != sorted(self.volume_sizes):
@@ -156,13 +159,14 @@ def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     return revert_edits(corpus, confidences >= threshold)
 
 
-def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
+def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray,
                     lambda_n: float = 0.9, literal_ratio: bool = False) -> np.ndarray:
     """Flag edits whose original and replacement both fit the masked context.
 
-    The context model scores each edit position from its neighbors alone,
-    on a log scale.  By default an edit is flagged when the smaller of the
-    two scores is at least ``lambda_n`` times the larger; ``literal_ratio``
+    ``masked`` holds a masked-context model's ``predict_at`` row per edit, in
+    edit-column order: each edit scored from its neighbors alone, read on a
+    log scale.  By default an edit is flagged when the smaller of the two
+    scores is at least ``lambda_n`` times the larger; ``literal_ratio``
     switches to the one-sided reading (original's score at most ``lambda_n``
     times the replacement's).  Returns one flag per edit, in edit-column order.
     """
@@ -170,8 +174,7 @@ def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
     # Ratios are taken on this compressed scale, where a 0.9 cutoff tolerates
     # roughly a factor-two difference in conditional mass between two tokens
     # that are both well attested, as a logit-ratio rule does.
-    probs = predict_at(context_model, corpus, corpus.places())
-    scores = np.log1p(probs / probs.min(axis=1, keepdims=True) - 1.0)
+    scores = np.log1p(masked / masked.min(axis=1, keepdims=True) - 1.0)
     rows = np.arange(corpus.n_edits)
     q_x, q_y = scores[rows, corpus.orig], scores[rows, corpus.repl]
     with np.errstate(divide="ignore", invalid="ignore"):  # a ratio counts only where guarded
@@ -181,18 +184,17 @@ def heuristic_noisy(corpus: PairCorpus, context_model: CorrectorModel,
         return (top > 0) & (np.minimum(q_x, q_y) / top >= lambda_n)
 
 
-def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
+def heuristic_multi(corpus: PairCorpus, masked: np.ndarray,
                     lambda_m: float = 0.8) -> np.ndarray:
     """Flag edit pairs sharing a misspelling with near-identical contexts.
 
     Two edits with the same replacement token but different originals are
-    both flagged when the cosine similarity of their masked context
-    distributions reaches ``lambda_m``.  Returns one flag per edit, in
-    edit-column order.
+    both flagged when the cosine similarity of their ``masked`` rows (as
+    :func:`heuristic_noisy` takes them) reaches ``lambda_m``.  Returns one
+    flag per edit, in edit-column order.
     """
-    probs = predict_at(context_model, corpus, corpus.places())
-    norms = np.linalg.norm(probs, axis=1, keepdims=True)
-    unit = probs / np.where(norms == 0.0, 1.0, norms)
+    norms = np.linalg.norm(masked, axis=1, keepdims=True)
+    unit = masked / np.where(norms == 0.0, 1.0, norms)
     flags = np.zeros(corpus.n_edits, dtype=bool)
     for y in np.unique(corpus.repl):
         members = np.flatnonzero(corpus.repl == y)
@@ -209,7 +211,7 @@ def heuristic_multi(corpus: PairCorpus, context_model: CorrectorModel,
 def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                      length_range: tuple[int, int] = (8, 16), rate: float = 0.1,
                      seed: int = 0, clean_fraction: float = 0.5,
-                     plausibility: float = 0.1, stream: str = "eval") -> PairCorpus:
+                     plausibility: float = 0.1) -> PairCorpus:
     """Human-judged evaluation corpus over the given channel.
 
     Single-edit corruption, except that a replacement whose contextual
@@ -220,7 +222,7 @@ def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
     corpus = generate_corpus(world, table, n_sentences, length_range, rate,
                              mode="single_edit", seed=seed,
                              clean_fraction=clean_fraction, annotate=True,
-                             stream=stream)
+                             stream="eval")
     prior = conditional(world, corpus_arrays(corpus)[0][corpus.record], corpus.pos)
     rows = np.arange(corpus.n_edits)
     plausible = prior[rows, corpus.repl] >= plausibility * prior[rows, corpus.orig]
@@ -313,9 +315,9 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
         final = mixing_baseline(d_r, d_o, cc)
     elif variant != "none":
         if variant == "heuristic":
-            context_model = train(d_r, MASKED_WINDOW, cc.alpha)
-            flagged = (heuristic_noisy(d_o, context_model, fc.lambda_n, fc.literal_ratio)
-                       | heuristic_multi(d_o, context_model, fc.lambda_m))
+            masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.places())
+            flagged = (heuristic_noisy(d_o, masked, fc.lambda_n, fc.literal_ratio)
+                       | heuristic_multi(d_o, masked, fc.lambda_m))
             result = revert_edits(d_o, ~flagged)
         else:  # the self filter is the baseline model itself
             filter_model = train(d_r, cc.window, cc.alpha) if variant == "cross" else baseline
@@ -340,26 +342,17 @@ class SweepPoint:
 
 def threshold_sweep(world: WorldModel, uniform_table: ConfusionTable,
                     longtail_table: ConfusionTable, config: ExperimentConfig,
-                    thresholds: tuple[float, ...] | None = None,
                     seed: int = 0) -> list[SweepPoint]:
-    """One filtered run per threshold, sharing the trained filter model."""
-    grid = tuple(thresholds if thresholds is not None else config.thresholds)
-    if not grid:
-        raise ValueError("threshold grid is empty")
-    for p in grid:
-        if not (0.0 < p < 1.0):
-            raise ValueError(f"threshold {p} outside (0, 1)")
-
+    """One filtered run per threshold of ``config.thresholds``, sharing the filter model."""
     cc = config.corrector
     d_r = _uniform_corpus(world, uniform_table, config, seed)
     d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
     filter_model = train(d_r, cc.window, cc.alpha)
     points = []
-    for p in grid:
+    for p in config.thresholds:
         result = filter_corpus(filter_model, d_o, p)
         metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
-        points.append(SweepPoint(p, metrics, calib.ece, result.kept_edits,
-                                 result.reverted_edits))
+        points.append(SweepPoint(p, metrics, calib.ece, result.kept_edits, result.reverted_edits))
     return points
 
 
@@ -373,16 +366,13 @@ class VolumePoint:
 
 def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
                  longtail_table: ConfusionTable, config: ExperimentConfig,
-                 sizes: tuple[int, ...] | None = None, seed: int = 0,
-                 threshold: float = 1e-2) -> list[VolumePoint]:
-    """Grow the filter-training corpus along a character-count ladder.
+                 seed: int = 0) -> list[VolumePoint]:
+    """Grow the filter-training corpus along the ``config.volume_sizes`` ladder.
 
     The target corpus, evaluation corpus, and comparison corpus are shared
     across ladder steps; only the filter model's training volume changes.
+    Every step filters at :data:`VOLUME_THRESHOLD`.
     """
-    ladder = tuple(sizes if sizes is not None else config.volume_sizes)
-    if list(ladder) != sorted(ladder):
-        raise ValueError("sizes must be ascending")
     cc = config.corrector
     mean_len = 0.5 * (config.length_range[0] + config.length_range[1])
 
@@ -393,21 +383,20 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
                                 mode="single_edit", seed=seed, stream="tv")
 
     points = []
-    for size in ladder:
+    for size in config.volume_sizes:
         n_sentences = max(1, int(round(size / mean_len)))
         d_r = generate_corpus(world, uniform_table, n_sentences,
                               config.length_range, config.rate, mode="iid",
                               seed=seed, stream=f"d-r-{size}")
         filter_model = train(d_r, cc.window, cc.alpha)
         tv = tv_to_oracle(filter_model, world, uniform_table, tv_corpus, config.rate)
-        result = filter_corpus(filter_model, d_o, threshold)
+        result = filter_corpus(filter_model, d_o, VOLUME_THRESHOLD)
         metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
         points.append(VolumePoint(int(size), metrics, tv, calib.ece))
     return points
 
 
 def oracle_filter(world: WorldModel, table: ConfusionTable, corpus: PairCorpus,
-                  threshold: float, rate: float | None = None) -> FilterResult:
-    """Filtering with the exact posterior in place of a trained model."""
-    scorer = OracleScorer(world, table, rate if rate is not None else corpus.rate)
-    return filter_corpus(scorer, corpus, threshold)
+                  threshold: float) -> FilterResult:
+    """Filtering with the exact posterior, at the corpus's rate, in place of a trained model."""
+    return filter_corpus(OracleScorer(world, table, corpus.rate), corpus, threshold)

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
-                                PairCorpus, SampleCategory, UnsupportedRecordError,
-                                build_confusion, categorize, concat_corpora,
+                                PairCorpus, SampleCategory, build_confusion, concat_corpora,
                                 confusion_from_json, confusion_pair, confusion_to_json,
                                 corpus_arrays, corpus_digest, corpus_from_jsonl,
-                                corpus_to_jsonl, corrupt, generate_corpus,
+                                corpus_to_jsonl, generate_corpus,
                                 zipf_exponent_for_head_mass)
+from denoiselab.oracle import posterior
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 from denoiselab.world import WorldConfig, build_world
 from reference import iter_edits
@@ -108,23 +107,29 @@ class TestCorrupt:
                                                                  context_affinity=0.0))
 
     def test_zero_rate_is_identity(self):
-        rec = corrupt((0, 1, 2, 3), self.table, 0.0, derive_rng(0, "a"))
-        assert rec.corrupted == rec.clean
-        assert rec.edits == ()
+        corpus = generate_corpus(self.world, self.table, 50, (4, 8), 0.0, seed=0)
+        np.testing.assert_array_equal(corpus.corrupted, corpus.clean)
+        assert corpus.n_edits == 0
 
     def test_full_rate_replaces_everything(self):
+        world = small_world(V=4, support=3, seed=1)
         t = manual_table(4, [[1], [2], [3], [0]])  # single forced candidate
-        rec = corrupt((0, 1, 2, 3), t, 1.0, derive_rng(0, "b"))
-        assert rec.corrupted == (1, 2, 3, 0)
-        assert len(rec.edits) == 4
+        corpus = generate_corpus(world, t, 50, (4, 8), 1.0, seed=0)
+        np.testing.assert_array_equal(corpus.corrupted, (corpus.clean + 1) % 4)
+        assert corpus.n_edits == corpus.n_chars
 
     def test_single_edit_forces_one_replacement(self):
-        for i in range(20):
-            rec = corrupt((0, 1, 2, 3, 4), self.table, 0.1, derive_rng(i, "c"),
-                          mode="single_edit")
-            assert len(rec.edits) == 1
+        corpus = generate_corpus(self.world, self.table, 20, (5, 5), 0.1,
+                                 mode="single_edit", seed=0)
+        assert np.array_equal(np.bincount(corpus.record, minlength=20), np.ones(20))
+        for rec in corpus.records:
             i_, x, y = rec.edits[0]
             assert rec.clean[i_] == x and rec.corrupted[i_] == y and x != y
+
+    @pytest.mark.parametrize("rate", [1.5, -0.2])
+    def test_rate_outside_unit_interval_rejected(self, rate):
+        with pytest.raises(ValueError, match=r"rate must be in \[0, 1\]"):
+            generate_corpus(self.world, self.table, 20, (4, 8), rate, seed=0)
 
     def test_edit_fraction_matches_rate(self):
         # ~1e5 characters at rate 0.1; fraction within 3 sigma (fixed seed).
@@ -192,29 +197,29 @@ class TestCategorize:
         # token 2 -> 5: sources of 5 are {2}, and 5 has zero prior in context.
         world, table = categorization_world()
         rec = CorruptionRecord((0, 2, 3), (0, 5, 3), ((1, 2, 5),), 0.1)
-        res = categorize(rec, world, table)
+        res = posterior(world, table, rec)
         assert res.category == SampleCategory.TRUE
         assert res.candidates == (2,)
 
     def test_noisy_sample(self):
         world, table = categorization_world()
         rec = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1)
-        res = categorize(rec, world, table)
+        res = posterior(world, table, rec)
         assert res.category == SampleCategory.NOISY
         assert set(res.candidates) >= {1, 2}
 
     def test_multi_answer_sample(self):
         world, table = categorization_world()
         rec = CorruptionRecord((0, 1, 3), (0, 4, 3), ((1, 1, 4),), 0.1)
-        res = categorize(rec, world, table)
+        res = posterior(world, table, rec)
         assert res.category == SampleCategory.MULTI_ANSWER
         assert set(res.candidates) == {1, 2}
 
     def test_multi_edit_rejected(self):
         world, table = categorization_world()
         rec = CorruptionRecord((0, 1, 3, 0), (0, 2, 3, 5), ((1, 1, 2), (3, 0, 5)), 0.1)
-        with pytest.raises(UnsupportedRecordError):
-            categorize(rec, world, table)
+        with pytest.raises(ValueError, match="single-edit records only"):
+            posterior(world, table, rec)
 
     def test_partition_is_exhaustive_and_consistent(self):
         w = small_world(V=8, support=3, seed=6)
@@ -223,7 +228,7 @@ class TestCategorize:
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=9, annotate=True)
         for rec in corpus.records:
-            res = categorize(rec, w, t)
+            res = posterior(w, t, rec)
             _, x, y = rec.edits[0]
             assert x in res.candidates
             assert len(res.candidates) >= 1

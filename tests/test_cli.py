@@ -132,6 +132,58 @@ class TestModelCommands:
         assert all("oracle_posterior" in d and "category" in d for d in docs)
 
 
+class TestBadInputs:
+    """A bad input file or option ends in click's one-line error, not a traceback."""
+
+    def assert_usage_error(self, result, *fragments):
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit), result.exception  # no traceback
+        assert "Traceback" not in result.output
+        assert "Error: " in result.output
+        for fragment in fragments:
+            assert fragment in result.output
+
+    def corpus_and_model(self, runner, config_path, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        run_ok(runner, ["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir),
+                        "--sentences", "30"])
+        run_ok(runner, ["train", "--config", config_path, "--corpus-dir", str(corpus_dir),
+                        "--out-dir", str(tmp_path / "model")])
+        return corpus_dir, tmp_path / "model" / "model.json"
+
+    def test_bad_config_file_names_the_file_and_the_field(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"rate": 1.5}')
+        result = runner.invoke(main, ["pipeline", "--config", str(path),
+                                      "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result, "bad.json: rate: must be in (0, 1), got 1.5")
+
+    def test_model_file_missing_a_field_names_the_file_and_the_field(self, runner, config_path,
+                                                                     tmp_path):
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        model = tmp_path / "m.json"
+        model.write_text("{}")
+        result = runner.invoke(main, ["eval", "--config", config_path, "--model", str(model),
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "eval")])
+        self.assert_usage_error(result, "m.json: missing field 'vocab_size'")
+
+    def test_corpus_dir_without_manifest_is_named(self, runner, config_path, tmp_path):
+        empty = tmp_path / "not-a-corpus"
+        empty.mkdir()
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(empty),
+                                      "--out-dir", str(tmp_path / "model")])
+        self.assert_usage_error(result, "not-a-corpus: no manifest.json")
+
+    def test_bad_window_is_named(self, runner, config_path, tmp_path):
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir), "--window", "a",
+                                      "--out-dir", str(tmp_path / "model-a")])
+        self.assert_usage_error(result, "--window", "expected comma-separated integers")
+
+
 class TestPipelineCommands:
     def test_pipeline_rerun_is_byte_identical(self, runner, config_path, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

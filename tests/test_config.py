@@ -35,6 +35,7 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"eval_plausibility": NaN}', ": eval_plausibility: must be >= 0, got nan"),
     ('{"thresholds": []}', ": thresholds: must not be empty"),
     ('{"thresholds": [0.1, 1.5]}', r": thresholds: 1.5 outside \(0, 1\)"),
+    ('{"volume_sizes": []}', ": volume_sizes: must not be empty"),
     ('{"volume_sizes": [0, 10]}', r": volume_sizes: must be positive, got \[0, 10\]"),
     ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
@@ -43,7 +44,7 @@ from denoiselab.pipeline import ExperimentConfig
         "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
         "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
         "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
-        "volume-size-zero", "volume-sizes-descending"])
+        "no-volume-sizes", "volume-size-zero", "volume-sizes-descending"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)

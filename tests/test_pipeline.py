@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from denoiselab.augment import (ConfusionConfig, SampleCategory, build_confusion,
                                 concat_corpora, generate_corpus)
-from denoiselab.corrector import (MASKED_WINDOW, CorrectorModel, train)
+from denoiselab.corrector import MASKED_WINDOW, CorrectorModel, predict_at, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import (ExperimentConfig, FilterConfig,
                                  build_experiment_world, filter_corpus,
@@ -99,6 +101,11 @@ def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
                           counts.sum(axis=0), int(counts.sum()), "handmade", "none")
 
 
+def masked_rows(model, corpus):
+    """The context model's row at each edit of the corpus, as the heuristics take them."""
+    return predict_at(model, corpus, corpus.places())
+
+
 def flagged_places(corpus, flags):
     """(record, position) of each edit whose flag is set."""
     return set(zip(corpus.record[flags].tolist(), corpus.pos[flags].tolist()))
@@ -115,20 +122,22 @@ class TestHeuristics:
     def test_equal_context_masses_are_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 50, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert flagged_places(corpus, heuristic_noisy(corpus, model, 0.9)) == {(0, 1)}
+        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus),
+                                                      0.9)) == {(0, 1)}
 
     def test_unseen_replacement_not_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 0, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert flagged_places(corpus, heuristic_noisy(corpus, model, 0.9)) == set()
+        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus),
+                                                      0.9)) == set()
 
     def test_literal_ratio_reading(self):
         model = handmade_context_model({(0, 3): [0, 10, 50, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        flags = heuristic_noisy(corpus, model, 0.9, literal_ratio=True)
+        flags = heuristic_noisy(corpus, masked_rows(model, corpus), 0.9, literal_ratio=True)
         assert flagged_places(corpus, flags) == {(0, 1)}
         model2 = handmade_context_model({(0, 3): [0, 50, 10, 0]})
-        flags = heuristic_noisy(corpus, model2, 0.9, literal_ratio=True)
+        flags = heuristic_noisy(corpus, masked_rows(model2, corpus), 0.9, literal_ratio=True)
         assert flagged_places(corpus, flags) == set()
 
     def test_identical_contexts_same_misspelling_flagged_as_multi(self):
@@ -139,7 +148,7 @@ class TestHeuristics:
             CorruptionRecord((0, 0, 3), (0, 2, 3), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        flagged = flagged_places(corpus, heuristic_multi(corpus, model, 0.8))
+        flagged = flagged_places(corpus, heuristic_multi(corpus, masked_rows(model, corpus), 0.8))
         assert flagged == {(0, 1), (1, 1)}
 
     def test_dissimilar_contexts_not_flagged(self):
@@ -151,12 +160,14 @@ class TestHeuristics:
             CorruptionRecord((3, 0, 0), (3, 2, 0), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        assert flagged_places(corpus, heuristic_multi(corpus, model, 0.8)) == set()
+        assert flagged_places(corpus, heuristic_multi(corpus, masked_rows(model, corpus),
+                                                      0.8)) == set()
 
     def test_corpus_without_edits_gets_no_flags(self):
         model = handmade_context_model({(0, 3): [0, 30, 30, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 1, 3))
-        for flags in (heuristic_noisy(corpus, model), heuristic_multi(corpus, model)):
+        masked = masked_rows(model, corpus)
+        for flags in (heuristic_noisy(corpus, masked), heuristic_multi(corpus, masked)):
             assert flags.dtype == bool and flags.shape == (0,)
 
     def test_planted_recovery_beats_self_filter_at_canonical_threshold(self):
@@ -169,8 +180,8 @@ class TestHeuristics:
                               cfg.rate, "iid", 0, stream="d-r")
         d_o = generate_corpus(world, longtail_table, 4_000, cfg.length_range,
                               cfg.rate, "iid", 0, annotate=True, stream="d-o")
-        context_model = train(d_r, MASKED_WINDOW)
-        flagged = flagged_places(d_o, heuristic_noisy(d_o, context_model, 0.9))
+        masked = masked_rows(train(d_r, MASKED_WINDOW), d_o)
+        flagged = flagged_places(d_o, heuristic_noisy(d_o, masked, 0.9))
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.NOISY}
         all_edits = {(ri, e[0]) for ri, _, _, e in iter_edits(d_o)}
@@ -190,9 +201,9 @@ class TestHeuristics:
                               cfg.rate, "iid", 1, stream="d-r")
         d_o = generate_corpus(world, longtail_table, 4_000, cfg.length_range,
                               cfg.rate, "iid", 1, annotate=True, stream="d-o")
-        context_model = train(d_r, MASKED_WINDOW)
-        noisy = heuristic_noisy(d_o, context_model, 0.9)
-        multi = heuristic_multi(d_o, context_model, 0.8)
+        masked = masked_rows(train(d_r, MASKED_WINDOW), d_o)
+        noisy = heuristic_noisy(d_o, masked, 0.9)
+        multi = heuristic_multi(d_o, masked, 0.8)
         flagged = flagged_places(d_o, multi & ~noisy)
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.MULTI_ANSWER}
@@ -223,7 +234,6 @@ class TestEvalCorpus:
 
 class TestRunPipeline:
     def test_none_variant_is_identity(self):
-        import dataclasses
         world, uniform_table, longtail_table = build_experiment_world(TINY, 0)
         cfg = dataclasses.replace(TINY, filter=FilterConfig(filter_source="none"))
         report = run_pipeline(world, uniform_table, longtail_table, cfg, 0)
@@ -252,8 +262,6 @@ class TestRunPipeline:
         ("mixing", ["d-r", "d-o", "eval"]), ("self", ["d-o", "eval"]),
         ("none", ["d-o", "eval"])])
     def test_only_variants_reading_d_r_generate_it(self, monkeypatch, variant, streams):
-        import dataclasses
-
         import denoiselab.pipeline as pipeline
         generated = []
 
@@ -272,7 +280,6 @@ class TestRunPipeline:
             FilterConfig(filter_source="bogus")
 
     def test_heuristic_variant_honors_lambda_m(self):
-        import dataclasses
         world, uniform_table, longtail_table = build_experiment_world(TINY, 4)
         reverted = []
         for lambda_m in (1.0, -1.0):
@@ -305,28 +312,25 @@ class TestSweeps:
         world, uniform_table, longtail_table = build_experiment_world(TINY, 4)
         points = threshold_sweep(world, uniform_table, longtail_table, TINY, seed=4)
         assert [pt.threshold for pt in points] == list(TINY.thresholds)
+        # The sweep reads its grid from the config, which refuses a bad one.
         with pytest.raises(ValueError):
-            threshold_sweep(world, uniform_table, longtail_table, TINY,
-                            thresholds=(0.5, 1.5), seed=4)
+            dataclasses.replace(TINY, thresholds=(0.5, 1.5))
         with pytest.raises(ValueError):
-            threshold_sweep(world, uniform_table, longtail_table, TINY,
-                            thresholds=(), seed=4)
+            dataclasses.replace(TINY, thresholds=())
 
     def test_volume_sweep_shape_and_order(self):
         world, uniform_table, longtail_table = build_experiment_world(TINY, 5)
         sizes = (500, 2_000)
-        points = volume_sweep(world, uniform_table, longtail_table, TINY,
-                              sizes=sizes, seed=5)
+        cfg = dataclasses.replace(TINY, volume_sizes=sizes)
+        points = volume_sweep(world, uniform_table, longtail_table, cfg, seed=5)
         assert [pt.size_chars for pt in points] == list(sizes)
         assert all(pt.tv_distance >= 0 for pt in points)
         with pytest.raises(ValueError, match="ascending"):
-            volume_sweep(world, uniform_table, longtail_table, TINY,
-                         sizes=(2_000, 500), seed=5)
+            dataclasses.replace(TINY, volume_sizes=(2_000, 500))
 
     def test_volume_sweep_deterministic(self):
         world, uniform_table, longtail_table = build_experiment_world(TINY, 6)
-        a = volume_sweep(world, uniform_table, longtail_table, TINY,
-                         sizes=(500, 2_000), seed=6)
-        b = volume_sweep(world, uniform_table, longtail_table, TINY,
-                         sizes=(500, 2_000), seed=6)
+        cfg = dataclasses.replace(TINY, volume_sizes=(500, 2_000))
+        a = volume_sweep(world, uniform_table, longtail_table, cfg, seed=6)
+        b = volume_sweep(world, uniform_table, longtail_table, cfg, seed=6)
         assert a == b
