@@ -19,12 +19,13 @@ category, decided exactly from the hard zeros of the world and the table:
 from __future__ import annotations
 
 import enum
+import gc
 import hashlib
 import json
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,7 +42,8 @@ class SampleCategory(str, enum.Enum):
 
 
 CATEGORIES = tuple(SampleCategory)  # a category code indexes this tuple
-_CODES = {c: k for k, c in enumerate(CATEGORIES)}
+_CODES = {c.value: k for k, c in enumerate(CATEGORIES)}  # a SampleCategory finds its value too
+_UNANNOTATED = object()  # the category of an edit of a record without categories: code -1
 
 
 def candidate_category_codes(candidates: np.ndarray, replacements) -> np.ndarray:
@@ -335,15 +337,14 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
     n_edits = np.fromiter(map(len, edits[:good]), np.int64, good)
     flat_edits = np.fromiter(chain.from_iterable(chain.from_iterable(edits[:good])),
                              np.int64, 3 * int(n_edits.sum())).reshape(-1, 3)
-    annotated = np.fromiter((cats is not None for cats in categories[:good]), bool, good)
+    annotated = np.fromiter(map(operator.is_not, categories[:good], repeat(None)), bool, good)
     n_categories = category = None
     if annotated.any():
-        pairs = list(zip(categories[:good], edits[:good]))
-        n_categories = np.fromiter((len(e if cats is None else cats) for cats, e in pairs),
-                                   np.int64, good)
-        category = np.fromiter(chain.from_iterable(
-            [-1] * len(e) if cats is None else map(_CODES.__getitem__, cats) for cats, e in pairs),
-            np.int8, int(n_categories.sum()))
+        names = [[_UNANNOTATED] * len(e) if cats is None else cats
+                 for cats, e in zip(categories[:good], edits[:good])]
+        n_categories = np.fromiter(map(len, names), np.int64, good)
+        category = np.fromiter(map({**_CODES, _UNANNOTATED: -1}.__getitem__,
+                                   chain.from_iterable(names)), np.int8, int(n_categories.sum()))
     columns = _Columns(
         np.fromiter(chain.from_iterable(cleans[:good]), np.int64, int(offsets[-1])),
         np.fromiter(chain.from_iterable(corrupteds[:good]), np.int64, int(offsets[-1])),
@@ -652,65 +653,155 @@ def _padded(flat: np.ndarray, offsets: np.ndarray, pad: int) -> np.ndarray:
     return out
 
 
+def _joined_groups(texts: list[str], index: np.ndarray, bounds: np.ndarray) -> list[str]:
+    """For each group k, ``", ".join`` of ``texts[index[j]]`` over its items j in
+    ``bounds[k]:bounds[k + 1]``, cut out of one join over all items."""
+    joined = ", ".join(map(texts.__getitem__, index.tolist()))
+    starts = np.zeros(len(index) + 1, dtype=np.int64)  # where each item begins in ``joined``
+    np.cumsum(np.fromiter(map(len, texts), np.int64, len(texts))[index] + 2, out=starts[1:])
+    lo = starts[bounds[:-1]]
+    hi = np.maximum(starts[bounds[1:]] - 2, lo)  # an empty group cuts an empty string
+    return [joined[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+
+
+def _token_groups(tokens: np.ndarray, offsets: np.ndarray) -> list[str]:
+    """Each sentence's tokens as comma-joined decimals; each distinct id is formatted once."""
+    ids, index = np.unique(tokens, return_inverse=True)
+    return _joined_groups(list(map(str, ids.tolist())), index, offsets)
+
+
+_QUOTED = [json.dumps(c.value) for c in CATEGORIES]
+
+
 def corpus_to_jsonl(corpus: PairCorpus, path: str | Path) -> None:
-    """One JSON object per record: clean, corrupted, edits and, if it has them, categories."""
+    """One JSON object per record: clean, corrupted, edits and, if it has them, categories.
+
+    Each line is the record's ``json.dumps`` text, and each column is
+    formatted in one pass.
+    """
     c = corpus.columns
-    clean, corrupted, offsets = c.clean.tolist(), c.corrupted.tolist(), c.offsets.tolist()
-    edits = [list(e) for e in zip(c.pos.tolist(), c.orig.tolist(), c.repl.tolist())]
-    names = [] if c.category is None else [CATEGORIES[k].value for k in c.category.tolist()]
-    bounds = _edit_bounds(c, 0, len(corpus))
-    with open(path, "w") as fh:
-        for k, annotated in enumerate(c.annotated.tolist()):
-            a, b, ea, eb = offsets[k], offsets[k + 1], bounds[k], bounds[k + 1]
-            doc = {"clean": clean[a:b], "corrupted": corrupted[a:b], "edits": edits[ea:eb]}
-            if annotated:
-                doc["categories"] = names[ea:eb]
-            fh.write(json.dumps(doc) + "\n")
+    bounds = np.asarray(_edit_bounds(c, 0, len(corpus)))
+    clean, corrupted = _token_groups(c.clean, c.offsets), _token_groups(c.corrupted, c.offsets)
+    edits = _joined_groups(list(map("[{}, {}, {}]".format, c.pos.tolist(), c.orig.tolist(),
+                                    c.repl.tolist())), np.arange(corpus.n_edits), bounds)
+    # Code -1 (an edit of a record without categories) is cut but never written.
+    names = None if c.category is None else _joined_groups(_QUOTED, c.category, bounds)
+    lines = []
+    for k, annotated in enumerate(c.annotated.tolist()):
+        line = f'{{"clean": [{clean[k]}], "corrupted": [{corrupted[k]}], "edits": [{edits[k]}]'
+        lines.append(f'{line}, "categories": [{names[k]}]}}\n' if annotated else line + "}\n")
+    Path(path).write_text("".join(lines))
+
+
+_RECORD_FIELDS = ("clean", "corrupted", "edits")
+
+
+def _first_not(kind: type, values) -> str:
+    """JSON text of the first of ``values`` whose type is not ``kind``."""
+    return json.dumps(next(v for v in values if type(v) is not kind))
+
+
+def _record_fields(docs: list) -> tuple[list, list, list, list]:
+    """The clean, corrupted, edits and categories (None where absent) of parsed JSONL
+    lines, one list per field, checked at C speed.
+
+    Tokens and edit fields are JSON integers (``int``, not ``bool``), each edit
+    is three of them, and ``categories``, if present, lists category values.
+    The ValueError raised words the first offending value found, so on one
+    line it is that line's error.
+    """
+    if not set(map(type, docs)) <= {dict}:
+        raise ValueError("expected a JSON object")
+    for name in _RECORD_FIELDS:
+        if not all(map(operator.contains, docs, repeat(name))):
+            raise ValueError(f"missing field {name!r}")
+    fields = {name: [doc[name] for doc in docs] for name in _RECORD_FIELDS}
+    fields["categories"] = [doc["categories"] for doc in docs if "categories" in doc]
+    for name, values in fields.items():
+        if not set(map(type, values)) <= {list}:
+            raise ValueError(f"{name} must be a list, got {_first_not(list, values)}")
+    for name in ("clean", "corrupted"):
+        if not set(map(type, chain.from_iterable(fields[name]))) <= {int}:
+            bad = _first_not(int, chain.from_iterable(fields[name]))
+            raise ValueError(f"{name} token {bad} is not an integer")
+    entries = list(chain.from_iterable(fields["edits"]))
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {3}
+            and set(map(type, chain.from_iterable(entries))) <= {int}):
+        bad = next(e for e in entries
+                   if type(e) is not list or len(e) != 3 or set(map(type, e)) != {int})
+        raise ValueError(f"edit {json.dumps(bad)} is not three integers")
+    names = list(chain.from_iterable(fields["categories"]))
+    if not (set(map(type, names)) <= {str} and set(names) <= _CODES.keys()):
+        bad = next(v for v in names if type(v) is not str or v not in _CODES)
+        raise ValueError(f"{bad!r} is not a valid SampleCategory")
+    return (*(fields[name] for name in _RECORD_FIELDS),
+            [doc.get("categories") for doc in docs])
+
+
+def _parsed_columns(lines: list[str]) -> tuple[_Columns, tuple[int, str] | None]:
+    """Columns of the records on JSONL ``lines`` up to the first line that is not a
+    record's fields (:func:`_record_fields`), and that line's index and error (None
+    when every line is); :class:`_RecordError` names the first of those records
+    that breaks the record rule.
+
+    The lines are parsed as one JSON array; only when that parse or a check on
+    it fails are they parsed one by one, to find and word the first error.
+    """
+    fields = failure = None
+    try:
+        docs = json.loads("[" + ",".join(lines) + "]")
+        # One brace of each kind per line, with one object per line, puts each
+        # object on its own line: none can end on a later line than it starts.
+        if (len(docs) == len(lines) and set(map(str.count, lines, repeat("{"))) == {1}
+                and set(map(str.count, lines, repeat("}"))) == {1}):
+            fields = _record_fields(docs)
+    except ValueError:
+        pass
+    if fields is None:
+        docs = []
+        for k, line in enumerate(lines):
+            try:
+                doc = json.loads(line)
+                _record_fields([doc])
+            except ValueError as exc:
+                failure = (k, str(exc))
+                break
+            docs.append(doc)
+        fields = _record_fields(docs)
+    return _columns_from_lists(*fields), failure
 
 
 def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
                       mode: str = "iid") -> PairCorpus:
     """Read :func:`corpus_to_jsonl` output; every error names ``path:line``.
 
-    Lines are parsed until the first malformed one and checked together, so
-    the error reported is the one on the earliest line.
+    The lines before the first malformed one are checked together, so the
+    error reported is the one on the earliest line.
     """
-    cleans, corrupteds, edits, categories, line_numbers = [], [], [], [], []
-    failure = None
     with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                doc = json.loads(line)
-                cats = ([SampleCategory(c) for c in doc["categories"]]
-                        if "categories" in doc else None)
-                clean = [int(t) for t in doc["clean"]]
-                corrupted = [int(t) for t in doc["corrupted"]]
-                record_edits = [(int(i), int(x), int(y)) for i, x, y in doc["edits"]]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                missing = "missing field " if isinstance(exc, KeyError) else ""
-                failure = ValueError(f"{path}:{number}: {missing}{exc}")
-                break
-            cleans.append(clean)
-            corrupteds.append(corrupted)
-            edits.append(record_edits)
-            categories.append(cats)
-            line_numbers.append(number)
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if line.strip()]
+    # The parse builds about four containers per line and no reference cycles, so
+    # a cyclic collection during it would only walk them: the collector pauses
+    # until they are freed.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        columns = _columns_from_lists(cleans, corrupteds, edits, categories)
+        columns, failure = _parsed_columns([line for _, line in numbered])
     except _RecordError as exc:
-        raise ValueError(f"{path}:{line_numbers[exc.index]}: {exc}") from None
+        raise ValueError(f"{path}:{numbered[exc.index][0]}: {exc}") from None
+    finally:
+        if collecting:
+            gc.enable()
     if failure is not None:
-        raise failure
-    if not cleans:
+        raise ValueError(f"{path}:{numbered[failure[0]][0]}: {failure[1]}")
+    if not numbered:
         raise ValueError(f"no records in {path}")
     for field_name in ("clean", "corrupted"):
         tokens = getattr(columns, field_name)
         bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
         if len(bad):
             k = int(np.searchsorted(columns.offsets, bad[0], side="right")) - 1
-            raise ValueError(f"{path}:{line_numbers[k]}: {field_name} token {tokens[bad[0]]} "
+            raise ValueError(f"{path}:{numbered[k][0]}: {field_name} token {tokens[bad[0]]} "
                              f"outside [0, {vocab_size})")
     return PairCorpus._from_columns(columns, vocab_size, rate, mode)
 
@@ -762,4 +853,7 @@ def save_confusion(table: ConfusionTable, path: str | Path) -> None:
 
 
 def load_confusion(path: str | Path) -> ConfusionTable:
-    return confusion_from_json(Path(path).read_text())
+    try:
+        return confusion_from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -31,11 +31,14 @@ def _load_corpus_dir(corpus_dir: Path):
         bad = ", ".join(sorted(name for name, good in checks.items() if not good))
         raise click.ClickException(f"{corpus_dir}: manifest hash mismatch for {bad}")
     meta = json.loads((corpus_dir / "manifest.json").read_text())["meta"]
-    w = world.load_world(corpus_dir / "world.json")
-    table = augment.load_confusion(corpus_dir / "confusion.json")
-    corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl",
-                                       vocab_size=meta["vocab_size"],
-                                       rate=meta["rate"], mode=meta["mode"])
+    try:  # each message names the file
+        w = world.load_world(corpus_dir / "world.json")
+        table = augment.load_confusion(corpus_dir / "confusion.json")
+        corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl",
+                                           vocab_size=meta["vocab_size"],
+                                           rate=meta["rate"], mode=meta["mode"])
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     return w, table, corpus, meta
 
 
@@ -45,6 +48,9 @@ def _load_model(model_path: str):
         return corrector.load_model(model_path)
     except ValueError as exc:  # the message names the file and the field
         raise click.ClickException(str(exc)) from None
+
+
+_THRESHOLD = click.FloatRange(0, 1, min_open=True, max_open=True)
 
 
 def _window(ctx, param, value):
@@ -120,7 +126,7 @@ def gen_world(run):
               default="long_tailed", show_default=True)
 @click.option("--mode", type=click.Choice(["iid", "single_edit"]),
               default="iid", show_default=True)
-@click.option("--sentences", type=int, default=None,
+@click.option("--sentences", type=click.IntRange(min=1), default=None,
               help="Override the config's target corpus size")
 @click.option("--annotate/--no-annotate", default=True, show_default=True)
 def gen_corpus(run, channel, mode, sentences, annotate):
@@ -168,21 +174,24 @@ def score_cmd(run, model_path, corpus_dir, with_oracle):
 
     n = corpus.n_edits
     confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
-    single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
-    path = run.out / "scores.jsonl"
-    with open(path, "w") as fh:
-        for ri, i, x, y, c in zip(corpus.record.tolist(), corpus.pos.tolist(),
-                                  corpus.orig.tolist(), corpus.repl.tolist(),
-                                  confidence.tolist()):
-            doc = {"record": ri, "position": i, "original": x, "replacement": y,
-                   "confidence": c}
-            if with_oracle and single[ri]:
+    records = corpus.record.tolist()
+    oracle_fields = [""] * n
+    if with_oracle:
+        single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
+        for k, ri in enumerate(records):
+            if single[ri]:
                 rep = oracle.posterior(w, table, corpus.records[ri], 0, meta["rate"])
-                doc["oracle_posterior"] = rep.posterior
-                doc["category"] = rep.category.value
-                doc["sigma"] = rep.sigma
-                doc["bound"] = rep.bound
-            fh.write(json.dumps(doc) + "\n")
+                oracle_fields[k] = ", " + json.dumps(
+                    {"oracle_posterior": rep.posterior, "category": rep.category.value,
+                     "sigma": rep.sigma, "bound": rep.bound})[1:-1]
+    # Each line is json.dumps of its object; one dumps call formats every confidence.
+    confidences = json.dumps(confidence.tolist())[1:-1].split(", ")
+    path = run.out / "scores.jsonl"
+    path.write_text("".join(
+        f'{{"record": {ri}, "position": {i}, "original": {x}, "replacement": {y}, '
+        f'"confidence": {c}{extra}}}\n'
+        for ri, i, x, y, c, extra in zip(records, corpus.pos.tolist(), corpus.orig.tolist(),
+                                         corpus.repl.tolist(), confidences, oracle_fields)))
     run.manifest({"scores.jsonl": path}, {"edits": n})
     click.echo(f"scored {n} edits -> {path}")
 
@@ -190,7 +199,7 @@ def score_cmd(run, model_path, corpus_dir, with_oracle):
 @_experiment("filter")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
-@click.option("--threshold", type=float, default=None,
+@click.option("--threshold", type=_THRESHOLD, default=None,
               help="Restore-confidence cutoff; below it edits are reverted")
 def filter_cmd(run, model_path, corpus_dir, threshold):
     """Revert low-confidence edits of a stored corpus."""
@@ -223,7 +232,7 @@ def eval_cmd(run, model_path, corpus_dir, variant):
 @_experiment("pipeline")
 @click.option("--mode", type=click.Choice(list(pipeline.FILTER_SOURCES)),
               default=None, help="Filter source; defaults to the config's")
-@click.option("--threshold", type=float, default=None)
+@click.option("--threshold", type=_THRESHOLD, default=None)
 def pipeline_cmd(run, mode, threshold):
     """Run the full train-filter-retrain pipeline."""
     fc = run.config.filter

@@ -243,17 +243,37 @@ def model_to_json(model: CorrectorModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    return type(value) is int  # a JSON integer: not a float, not a bool
+
+
+_MODEL_FIELDS = {  # each top-level field: what it must be, and the test of that
+    "vocab_size": ("an integer", _is_int),
+    "window": ("a list of integers", lambda v: type(v) is list and all(map(_is_int, v))),
+    "alpha": ("a number", lambda v: type(v) in (int, float)),
+    "corpus_hash": ("a string", lambda v: type(v) is str),
+    "trained_chars": ("an integer", _is_int),
+    "trained_on": ("a string", lambda v: type(v) is str),
+    "counts": ("an object of integer lists", lambda v: type(v) is dict),  # rows: below
+}
+
+
 def model_from_json(text: str) -> CorrectorModel:
     doc = json.loads(text)
-    for key in ("vocab_size", "window", "alpha", "corpus_hash", "trained_chars",
-                "trained_on", "counts"):
+    if type(doc) is not dict:
+        raise ValueError("expected a JSON object")
+    for key, (kind, holds) in _MODEL_FIELDS.items():
         if key not in doc:
             raise ValueError(f"missing field {key!r}")
-    V = int(doc["vocab_size"])
-    window = tuple(int(o) for o in doc["window"])
+        if not holds(doc[key]):
+            raise ValueError(f"field {key!r} must be {kind}")
+    V = doc["vocab_size"]
+    window = tuple(doc["window"])
     n_sigs = _signature_table_shape(V, window)
     counts = np.zeros((n_sigs, V), dtype=np.int64)
     for key, row in doc["counts"].items():
+        if type(row) is not list or not set(map(type, row)) <= {int}:
+            raise ValueError(f"counts[{key!r}]: row must be a list of integers")
         sig = int(key)
         if not 0 <= sig < n_sigs:
             raise ValueError(f"counts[{key!r}]: signature id outside [0, {n_sigs})")
@@ -269,7 +289,7 @@ def model_from_json(text: str) -> CorrectorModel:
         center_counts = digits.sum(axis=(0, 2))[:V]
     target_counts = counts.sum(axis=0)
     return CorrectorModel(V, window, float(doc["alpha"]), counts, center_counts,
-                          target_counts.astype(np.int64), int(doc["trained_chars"]),
+                          target_counts.astype(np.int64), doc["trained_chars"],
                           doc["trained_on"], doc["corpus_hash"])
 
 

@@ -340,4 +340,7 @@ def save_world(world: WorldModel, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldModel:
-    return world_from_json(Path(path).read_text())
+    try:
+        return world_from_json(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -322,8 +322,19 @@ class TestCorpusIO:
           "categories": ["true", "noisy"]}, 2, "categories must align with edits"),
         ({"clean": [0, 1, 2], "corrupted": [0, 1, 2]}, 2, "missing field 'edits'"),
         ('{"clean": [0, 1, 2], "corrupted": [0', 3, "Expecting"),
+        ({"clean": [0, 2.7, 2], "corrupted": [0, 2.7, 2], "edits": []}, 3,
+         r"clean token 2\.7 is not an integer"),
+        ({"clean": [0, 2, 2], "corrupted": [0, 3, 2], "edits": [[1.9, 2, 3]]}, 2,
+         r"edit \[1\.9, 2, 3\] is not three integers"),
+        ({"clean": [0, "2", 2], "corrupted": [0, 2, 2], "edits": []}, 2,
+         'clean token "2" is not an integer'),
+        ({"clean": [0, 1, 2], "corrupted": [0, True, 2], "edits": []}, 2,
+         "corrupted token true is not an integer"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]],
+          "categories": None}, 2, "categories must be a list, got null"),
     ], ids=["clean-3", "corrupted-2", "inconsistent-edit-2", "unknown-category-3",
-            "misaligned-categories-2", "missing-field-2", "bad-json-3"])
+            "misaligned-categories-2", "missing-field-2", "bad-json-3", "float-token-3",
+            "float-edit-2", "string-token-2", "bool-token-2", "null-categories-2"])
     def test_jsonl_rejects_out_of_range_tokens(self, tmp_path, bad, line, message):
         # Also covers every other malformed line: each error names file:line.
         good = {"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]]}

@@ -132,6 +132,28 @@ class TestModelCommands:
         assert all("oracle_posterior" in d and "category" in d for d in docs)
 
 
+class TestScoresFile:
+    @pytest.mark.parametrize("oracle", ["--no-oracle", "--oracle"])
+    def test_every_line_is_json_dumps_of_its_object(self, runner, config_path, tmp_path,
+                                                    oracle):
+        corpus_dir = tmp_path / "corpus"
+        run_ok(runner, ["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir),
+                        "--sentences", "120"])
+        run_ok(runner, ["train", "--config", config_path, "--corpus-dir", str(corpus_dir),
+                        "--out-dir", str(tmp_path / "model")])
+        run_ok(runner, ["score", "--config", config_path, "--corpus-dir", str(corpus_dir),
+                        "--model", str(tmp_path / "model" / "model.json"),
+                        "--out-dir", str(tmp_path / "scores"), oracle])
+        lines = (tmp_path / "scores" / "scores.jsonl").read_text().splitlines(keepends=True)
+        docs = [json.loads(line) for line in lines]
+        assert lines and [json.dumps(doc) + "\n" for doc in docs] == lines
+        with_oracle = ["oracle_posterior" in doc for doc in docs]
+        if oracle == "--oracle":  # single-edit records carry the oracle fields, others not
+            assert any(with_oracle) and not all(with_oracle)
+        else:
+            assert not any(with_oracle)
+
+
 class TestBadInputs:
     """A bad input file or option ends in click's one-line error, not a traceback."""
 
@@ -175,6 +197,53 @@ class TestBadInputs:
                                       "--corpus-dir", str(empty),
                                       "--out-dir", str(tmp_path / "model")])
         self.assert_usage_error(result, "not-a-corpus: no manifest.json")
+
+    def test_model_file_with_a_wrong_typed_field_names_the_file_and_the_field(
+            self, runner, config_path, tmp_path):
+        corpus_dir, model_path = self.corpus_and_model(runner, config_path, tmp_path)
+        doc = json.loads(model_path.read_text())
+        doc["counts"] = 5
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["eval", "--config", config_path, "--model", str(model),
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "eval")])
+        self.assert_usage_error(result, "m.json: field 'counts' must be an object of integer lists")
+
+    @pytest.mark.parametrize("name,line,break_it,message", [
+        ("corpus.jsonl", 2, lambda doc: doc.pop("edits"), "corpus.jsonl:2: missing field 'edits'"),
+        ("confusion.json", 1, lambda doc: doc["weights"][0].__setitem__(0, 0.9),
+         "confusion.json: weight row 0 does not sum to 1"),
+    ], ids=["corpus-line-2", "confusion"])
+    def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
+                                                      name, line, break_it, message):
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        path = corpus_dir / name
+        lines = path.read_text().splitlines(keepends=True)
+        doc = json.loads(lines[line - 1])
+        break_it(doc)
+        lines[line - 1] = json.dumps(doc) + "\n" * lines[line - 1].endswith("\n")
+        path.write_text("".join(lines))
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        manifest["files"][name] = sha256_file(path)  # the manifest matches the bad file
+        (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "model-bad")])
+        self.assert_usage_error(result, message)
+
+    @pytest.mark.parametrize("args,fragment", [
+        (["filter", "--threshold", "1.5"], "'--threshold': 1.5 is not in the range 0<x<1"),
+        (["pipeline", "--threshold", "0"], "'--threshold': 0.0 is not in the range 0<x<1"),
+        (["gen-corpus", "--sentences", "0"], "'--sentences': 0 is not in the range x>=1"),
+    ], ids=["filter-threshold-1.5", "pipeline-threshold-0", "gen-corpus-sentences-0"])
+    def test_out_of_range_option_is_named(self, runner, config_path, tmp_path, args, fragment):
+        inputs = (["--model", str(tmp_path), "--corpus-dir", str(tmp_path)]
+                  if args[0] == "filter" else [])
+        result = runner.invoke(main, [*args, *inputs, "--config", config_path,
+                                      "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result, fragment)
+        assert not (tmp_path / "out").exists()
 
     def test_bad_window_is_named(self, runner, config_path, tmp_path):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)

@@ -3,7 +3,8 @@
 Random small corpora (V <= 5, sentences of 1-6 tokens, 0-3 edits per record,
 with, without and with some categories) are built from records, by
 generation and by a JSONL read; ``reference.py`` holds the record-by-record
-implementations the array passes must match exactly.
+implementations the array passes must match exactly.  The JSONL tests go up
+to V = 12, so that token ids of two digits are written and read.
 """
 
 import json
@@ -229,3 +230,121 @@ class TestRecordRule:
         with pytest.raises(ValueError) as direct:
             CorruptionRecord(*records[line - 1][:3], 0.1, records[line - 1][3])
         assert str(direct.value) == message
+
+
+@st.composite
+def jsonl_corpora(draw):
+    """Corpora over up to 12 tokens: annotated, not, or mixed by concatenation."""
+    V = draw(st.integers(2, 12))
+    first = draw(corpora(V=V))
+    return concat_corpora(first, draw(corpora(V=V))) if draw(st.booleans()) else first
+
+
+def spaced(data, lines):
+    """File text of ``lines`` (each ending in a newline) with blank lines drawn in and
+    maybe no final newline, and the line number of each of ``lines`` in it."""
+    blanks = st.lists(st.sampled_from(("\n", "  \n", "\t\n")), max_size=2)
+    out, numbers = [], []
+    for line in lines:
+        out += data.draw(blanks)
+        numbers.append(len(out) + 1)
+        out.append(line)
+    out += data.draw(blanks)
+    text = "".join(out)
+    return (text[:-1] if data.draw(st.booleans()) else text), numbers
+
+
+BAD_LINES = ("invalid-json", "two-objects", "not-an-object", "missing-field", "non-integer-token",
+             "bad-edit", "null-categories", "out-of-range", "inconsistent-edit",
+             "unknown-category")
+
+
+def bad_line(data, doc, V):
+    """One record's object ``doc`` made bad in a drawn way: the line's text and the
+    message the line-by-line parse gives for it (None when the line is not JSON)."""
+    kind = data.draw(st.sampled_from(BAD_LINES))
+    non_integer = data.draw(st.sampled_from((1.5, True, False, "1", None, [1])))
+    line = json.dumps(doc)
+    if kind == "invalid-json":
+        return line[:data.draw(st.integers(1, len(line) - 1))], None
+    if kind == "two-objects":
+        return f"{line} {line}", None
+    if kind == "not-an-object":
+        return json.dumps([doc]), "expected a JSON object"
+    if kind == "missing-field":
+        name = data.draw(st.sampled_from(("clean", "corrupted", "edits")))
+        del doc[name]
+        return json.dumps(doc), f"missing field {name!r}"
+    if kind == "non-integer-token":
+        name = data.draw(st.sampled_from(("clean", "corrupted")))
+        doc[name][data.draw(st.integers(0, len(doc[name]) - 1))] = non_integer
+        return json.dumps(doc), f"{name} token {json.dumps(non_integer)} is not an integer"
+    if kind == "bad-edit":
+        doc["edits"].append([0, 0, 1])
+        e = data.draw(st.integers(0, len(doc["edits"]) - 1))
+        edit = doc["edits"][e]
+        if data.draw(st.booleans()):
+            edit[data.draw(st.integers(0, 2))] = non_integer
+        else:
+            del edit[data.draw(st.integers(0, 2))]
+        return json.dumps(doc), f"edit {json.dumps(edit)} is not three integers"
+    if kind == "null-categories":
+        doc["categories"] = None
+        return json.dumps(doc), "categories must be a list, got null"
+    if kind == "out-of-range":
+        token = data.draw(st.sampled_from((V, V + 7, -1)))
+        doc["clean"].append(token)
+        doc["corrupted"].append(token)
+        return json.dumps(doc), f"clean token {token} outside [0, {V})"
+    if kind == "inconsistent-edit":
+        doc["edits"].append([len(doc["clean"]) + 1, 0, 1])
+        return json.dumps(doc), reference.record_problem(
+            doc["clean"], doc["corrupted"], doc["edits"], doc.get("categories"))
+    doc["categories"] = ["bogus"] + doc.get("categories", [])[1:]
+    return json.dumps(doc), "'bogus' is not a valid SampleCategory"
+
+
+class TestJsonlFastPath:
+    @settings(max_examples=80, deadline=None)
+    @given(jsonl_corpora(), st.data())
+    def test_written_bytes_are_the_reference_and_read_back_as_the_columns(
+            self, tmp_path_factory, corpus, data):
+        path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
+        corpus_to_jsonl(corpus, path)
+        text = path.read_text()
+        assert text == reference.jsonl(corpus.records)
+        assert_same_corpus(corpus_from_jsonl(path, corpus.vocab_size, 0.1), corpus)
+        path.write_text(spaced(data, text.splitlines(keepends=True))[0])
+        assert_same_corpus(corpus_from_jsonl(path, corpus.vocab_size, 0.1), corpus)
+
+    @settings(max_examples=200, deadline=None)
+    @given(jsonl_corpora(), st.data())
+    def test_a_bad_line_is_reported_as_the_line_by_line_parse_reports_it(
+            self, tmp_path_factory, corpus, data):
+        lines = reference.jsonl(corpus.records).splitlines(keepends=True)
+        k = data.draw(st.integers(0, len(lines) - 1))
+        bad, message = bad_line(data, json.loads(lines[k]), corpus.vocab_size)
+        lines[k] = bad + "\n"
+        text, numbers = spaced(data, lines)
+        path = tmp_path_factory.mktemp("bad") / "c.jsonl"
+        path.write_text(text)
+        if message is None:  # the parser's message for the line as the file holds it
+            with pytest.raises(json.JSONDecodeError) as parse:
+                json.loads(text.splitlines(keepends=True)[numbers[k] - 1])
+            message = str(parse.value)
+        with pytest.raises(ValueError) as info:
+            corpus_from_jsonl(path, corpus.vocab_size, 0.1)
+        assert str(info.value) == f"{path}:{numbers[k]}: {message}"
+
+    def test_a_record_cut_over_two_lines_is_not_joined_back(self, tmp_path):
+        # Cutting one record over lines 1-2 and putting two records on line 3 keeps
+        # one JSON value per line in the joined parse; the reader must still refuse.
+        record = '{"clean": [0, 1], "corrupted": [0, 1], "edits": []}'
+        head = '{"clean": [0'  # the joined parse adds the comma
+        path = tmp_path / "c.jsonl"
+        path.write_text(f'{head}\n1], "corrupted": [0, 1], "edits": []}}\n{record}, {record}\n')
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(head + "\n")
+        with pytest.raises(ValueError) as info:
+            corpus_from_jsonl(path, 2, 0.1)
+        assert str(info.value) == f"{path}:1: {expected.value}"

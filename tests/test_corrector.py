@@ -299,3 +299,20 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"model\.json: counts\['{key}'\]: {message}"):
             load_model(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("vocab_size", "4", r"field 'vocab_size' must be an integer"),
+        ("window", [-1, 0.5], r"field 'window' must be a list of integers"),
+        ("alpha", "0.1", r"field 'alpha' must be a number"),
+        ("corpus_hash", 5, r"field 'corpus_hash' must be a string"),
+        ("trained_chars", 1.5, r"field 'trained_chars' must be an integer"),
+        ("trained_on", None, r"field 'trained_on' must be a string"),
+        ("counts", 5, r"field 'counts' must be an object of integer lists"),
+        ("counts", {"7": [1, 0.5, 0, 0]}, r"counts\['7'\]: row must be a list of integers"),
+    ], ids=["vocab-size-string", "window-float", "alpha-string", "hash-int",
+            "trained-chars-float", "trained-on-null", "counts-int", "counts-float-row"])
+    def test_wrong_typed_field_rejected(self, key, value, message):
+        doc = json.loads(model_to_json(train(identity_corpus([(0, 1, 2)], vocab_size=4))))
+        doc[key] = value
+        with pytest.raises(ValueError, match=rf"^{message}$"):
+            model_from_json(json.dumps(doc))
