@@ -119,11 +119,11 @@ class ConfusionTable:
         return rate * float(self._matrix[source, observed])
 
     def channel_vector(self, observed, rate: float) -> np.ndarray:
-        """Channel probabilities of producing ``observed`` (one row per token of an array)."""
+        """``transition_prob(v, observed, rate)`` at each source v; a row per token of an array."""
         if not (0.0 <= rate < 1.0):
             raise ValueError("rate must be in [0, 1)")
         vec = rate * self._matrix.T[observed]
-        vec[np.eye(self.vocab_size, dtype=bool)[observed]] = 1.0 - rate
+        vec[(observed,) if vec.ndim == 1 else (np.arange(len(vec)), observed)] = 1.0 - rate
         return vec
 
 
@@ -226,6 +226,9 @@ def _record_problem(clean, corrupted, edits, categories) -> str | None:
     The per-record statement of the rule :func:`_first_bad_record` checks over
     a whole corpus at once; it words the error of the first record found.
     """
+    big = [v for v in chain(clean, corrupted, *edits) if type(v) is int and not -2**63 <= v < 2**63]
+    if big:
+        return f"integer {big[0]} does not fit in 64 bits"
     if len(clean) != len(corrupted):
         return "corruption must preserve sentence length"
     edited = set()
@@ -335,8 +338,6 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
     good = int(np.argmin(same)) if not same.all() else n  # before the first length mismatch
     offsets = np.concatenate(([0], np.cumsum(lengths[:good])))
     n_edits = np.fromiter(map(len, edits[:good]), np.int64, good)
-    flat_edits = np.fromiter(chain.from_iterable(chain.from_iterable(edits[:good])),
-                             np.int64, 3 * int(n_edits.sum())).reshape(-1, 3)
     annotated = np.fromiter(map(operator.is_not, categories[:good], repeat(None)), bool, good)
     n_categories = category = None
     if annotated.any():
@@ -345,13 +346,21 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
         n_categories = np.fromiter(map(len, names), np.int64, good)
         category = np.fromiter(map({**_CODES, _UNANNOTATED: -1}.__getitem__,
                                    chain.from_iterable(names)), np.int8, int(n_categories.sum()))
-    columns = _Columns(
-        np.fromiter(chain.from_iterable(cleans[:good]), np.int64, int(offsets[-1])),
-        np.fromiter(chain.from_iterable(corrupteds[:good]), np.int64, int(offsets[-1])),
-        offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category, annotated)
-    bad = _first_bad_record(columns, n_categories)
-    if bad is None and good < n:
-        bad = good
+    try:
+        flat_edits = np.fromiter(chain.from_iterable(chain.from_iterable(edits[:good])),
+                                 np.int64, 3 * int(n_edits.sum())).reshape(-1, 3)
+        columns = _Columns(
+            np.fromiter(chain.from_iterable(cleans[:good]), np.int64, int(offsets[-1])),
+            np.fromiter(chain.from_iterable(corrupteds[:good]), np.int64, int(offsets[-1])),
+            offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category,
+            annotated)
+    except OverflowError:  # an integer beyond int64: the per-record rule finds the first error
+        bad = next(k for k in range(good)
+                   if _record_problem(cleans[k], corrupteds[k], edits[k], categories[k]))
+    else:
+        bad = _first_bad_record(columns, n_categories)
+        if bad is None and good < n:
+            bad = good
     if bad is not None:
         raise _RecordError(bad, _record_problem(cleans[bad], corrupteds[bad], edits[bad],
                                                 categories[bad]))

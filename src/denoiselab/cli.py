@@ -24,13 +24,21 @@ from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
 
 def _load_corpus_dir(corpus_dir: Path):
-    if not (corpus_dir / "manifest.json").is_file():
+    manifest = corpus_dir / "manifest.json"
+    if not manifest.is_file():
         raise click.ClickException(f"{corpus_dir}: no manifest.json; not a gen-corpus output")
+    try:
+        doc = json.loads(manifest.read_text())
+    except ValueError as exc:
+        raise click.ClickException(f"{manifest}: {exc}") from None
+    meta = doc.get("meta") if isinstance(doc, dict) else None
+    if not (isinstance(meta, dict) and {"vocab_size", "rate", "mode"} <= meta.keys()
+            and isinstance(doc.get("files"), dict)):
+        raise click.ClickException(f"{manifest}: expected 'files' and 'meta' objects")
     ok, checks = harness.verify_manifest(corpus_dir)
     if not ok:
         bad = ", ".join(sorted(name for name, good in checks.items() if not good))
         raise click.ClickException(f"{corpus_dir}: manifest hash mismatch for {bad}")
-    meta = json.loads((corpus_dir / "manifest.json").read_text())["meta"]
     try:  # each message names the file
         w = world.load_world(corpus_dir / "world.json")
         table = augment.load_confusion(corpus_dir / "confusion.json")

@@ -67,14 +67,13 @@ def restoration_distribution(world: WorldModel, table: ConfusionTable, tokens,
     """
     single = np.ndim(position) == 0
     terms = conditional(world, tokens, position)
-    if single:
-        terms, tokens, position = terms[None], [tokens], [position]
-    terms *= table.channel_vector(np.asarray(tokens)[np.arange(len(terms)), position], rate)
-    total = terms.sum(axis=1, keepdims=True)
-    if single and total[0, 0] == 0.0:
+    observed = tokens[position] if single else np.asarray(tokens)[np.arange(len(terms)), position]
+    terms *= table.channel_vector(observed, rate)
+    total = terms.sum(axis=-1, keepdims=True)
+    if single and total[0] == 0.0:
         raise ValueError("observed token unreachable from any context-compatible source")
     terms /= np.where(total > 0.0, total, 1.0)
-    return terms[0] if single else terms
+    return terms
 
 
 def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord,
@@ -85,15 +84,13 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
         rate = record.channel_rate
     prior = conditional(world, record.corrupted, i)
     chan = table.channel_vector(y, rate)
+    terms = chan * prior
+    members = tuple(np.flatnonzero(terms).tolist())
+    prior, chan = prior.tolist(), chan.tolist()
     if chan[x] == 0.0 or prior[x] == 0.0:
         raise ValueError("record inconsistent with world/table: original cannot emit the edit")
 
-    terms = chan * prior
-    denominator = float(terms.sum())
-    numerator = float(terms[x])
-    post = numerator / denominator
-
-    members = tuple(int(t) for t in np.flatnonzero(terms))
+    post = float(terms[x]) / float(terms.sum())
     category = CATEGORIES[candidate_category_codes(terms[None] > 0.0, [y])[0]]
 
     sigma = 0.0
@@ -102,22 +99,20 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
             continue
         sigma += (prior[v] / prior[x]) * (chan[v] / chan[x])
 
-    bound = None
-    bound_params = None
+    bound = bound_params = None
     if category == SampleCategory.NOISY:
-        a = float(prior[y] / prior[x])
+        a = prior[y] / prior[x]
         bound = 1.0 / (1.0 + a * (1.0 - rate) / rate)
         bound_params = (a, None)
     elif category == SampleCategory.MULTI_ANSWER:
-        alts = [v for v in members if v != x]
-        top = max(alts, key=lambda v: terms[v])
-        a = float(prior[top] / prior[x])
-        b = float(chan[top] / chan[x])
+        top = max((v for v in members if v != x), key=terms.item)
+        a = prior[top] / prior[x]
+        b = chan[top] / chan[x]
         bound = 1.0 / (1.0 + a * b)
         bound_params = (a, b)
 
-    priors = {int(v): float(prior[v]) for v in members}
-    return PosteriorReport(post, members, category, float(sigma), bound, bound_params, priors)
+    priors = {v: prior[v] for v in members}
+    return PosteriorReport(post, members, category, sigma, bound, bound_params, priors)
 
 
 def brute_force_posterior(world: WorldModel, table: ConfusionTable,

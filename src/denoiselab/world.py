@@ -204,12 +204,24 @@ def conditional(world: WorldModel, tokens, position):
     Raises :class:`ImpossibleContextError` when the context itself is
     unreachable.  Batched form: an (n, L) ``tokens`` matrix padded with
     ``vocab_size`` past each sentence's end and (n,) positions give (n, V)
-    rows, all zero where the context is impossible.
+    rows, all zero where the context is impossible.  For an order-1 world
+    the single form is a direct lookup on the chain table, with the same
+    values bit for bit as the batched row; otherwise it is the batch of one.
     """
     V = world.vocab_size
     single = np.ndim(position) == 0
     if single:
         toks = validate_tokens(world, tokens)
+        if not 0 <= position < len(toks):
+            raise ValueError(f"position {position} out of range for length {len(toks)}")
+        if world.order == 1:  # the order-1 rule below, on one unpadded sentence
+            T, ext = world.chain_table, np.array([V, *toks, V])
+            ext[position + 1] = V + 1
+            weights = T[ext[position], :V] * T[:V, ext[position + 2]]
+            total = weights.sum() if T[ext[:-1], ext[1:]].all() else 0.0
+            if total == 0.0:
+                raise ImpossibleContextError(f"context of position {position} has probability zero")
+            return weights / total
         tokens, position, lengths = np.array([toks]), np.array([position]), [len(toks)]
     else:
         tokens, position = np.asarray(tokens, dtype=np.int64), np.asarray(position, dtype=np.int64)
@@ -219,10 +231,10 @@ def conditional(world: WorldModel, tokens, position):
         if (tokens < 0).any() or (tokens > V).any() or (real[:, 1:] > real[:, :-1]).any():
             raise ValueError("token id out of range for this world")  # or padding mid-sentence
         lengths = real.sum(axis=1)
-    bad = (position < 0) | (position >= lengths)
-    if bad.any():
-        k = bad.argmax()
-        raise ValueError(f"position {position[k]} out of range for length {lengths[k]}")
+        bad = (position < 0) | (position >= lengths)
+        if bad.any():
+            k = bad.argmax()
+            raise ValueError(f"position {position[k]} out of range for length {lengths[k]}")
 
     if world.order == 1:
         # T[left, v] * T[v, right] on the chain table; the context is impossible

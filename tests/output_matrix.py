@@ -22,6 +22,14 @@ trees are byte-identical on the matrix when ``diff`` of their runs is empty::
     PYTHONPATH=../parent/src python tests/output_matrix.py --seeds 0 3 > before.txt
     diff before.txt after.txt
 
+With ``--posteriors`` the script prints, instead of the matrix, one line
+``sha256  seed<s>/posteriors`` per seed: the SHA-256 over the ``repr`` of
+every :func:`~denoiselab.oracle.posterior` report (every field, with its
+type) of the default experiment's annotated single-edit ``d_o`` corpus, so
+the same ``diff`` shows whether the exact oracle moved::
+
+    PYTHONPATH=src python tests/output_matrix.py --posteriors --seeds 0 3 5
+
 The lab is imported from ``PYTHONPATH``, so the same script checks any
 checkout.
 """
@@ -35,7 +43,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-from denoiselab import cli
+from denoiselab import cli, oracle
+from denoiselab.augment import generate_corpus
+from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 
 
 def commands(out: Path) -> list[list[str]]:
@@ -63,10 +73,31 @@ def commands(out: Path) -> list[list[str]]:
             for name, command, *args in calls]
 
 
+def posteriors_digest(seed: int, config: ExperimentConfig | None = None) -> str:
+    """SHA-256 over the reprs of the posterior reports of the single-edit ``d_o``'s edits
+    (default experiment unless ``config`` is given)."""
+    config = config or ExperimentConfig()
+    world, _, longtail = build_experiment_world(config, seed)
+    corpus = generate_corpus(world, longtail, config.do_sentences, config.length_range,
+                             config.rate, mode="single_edit", seed=seed, annotate=True,
+                             stream="d-o")
+    h = hashlib.sha256()
+    for rec in corpus.records:
+        if rec.edits:
+            h.update(repr(oracle.posterior(world, longtail, rec, 0, config.rate)).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
+    parser.add_argument("--posteriors", action="store_true",
+                        help="print the posterior-report digest of each seed instead")
     args = parser.parse_args(argv)
+    if args.posteriors:
+        for seed in args.seeds:
+            print(f"{posteriors_digest(seed)}  seed{seed}/posteriors")
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages

@@ -13,6 +13,9 @@ import numpy as np
 
 def record_problem(clean, corrupted, edits, categories):
     """The error message of the record rule, checked step by step; None if kept."""
+    for value in (*clean, *corrupted, *(v for edit in edits for v in edit)):
+        if not -2**63 <= value < 2**63:  # the columns are int64
+            return f"integer {value} does not fit in 64 bits"
     if len(clean) != len(corrupted):
         return "corruption must preserve sentence length"
     edited = []

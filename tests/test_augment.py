@@ -93,6 +93,20 @@ class TestChannelLaw:
         assert vec[y] == pytest.approx(0.9)
         assert vec[x] == pytest.approx(0.05)
 
+    def test_channel_vector_is_the_channel_law_at_every_source(self):
+        t = build_confusion(small_world(V=5), ConfusionConfig(candidates=2, mode="long_tailed",
+                                                              head_mass=0.7))
+        V = t.vocab_size
+        for rate in (0.0, 0.1, 0.5):
+            rows = t.channel_vector(np.arange(V), rate)
+            for observed in range(V):
+                want = [t.transition_prob(source, observed, rate) for source in range(V)]
+                assert t.channel_vector(observed, rate).tolist() == want
+                assert rows[observed].tolist() == want
+        for observed in (0, np.arange(V)):
+            with pytest.raises(ValueError, match="rate must be in"):
+                t.channel_vector(observed, 1.0)
+
     def test_weight_rows_sum_to_one(self):
         w = small_world(V=9, support=3, seed=4)
         t = build_confusion(w, ConfusionConfig(candidates=4, mode="long_tailed",
@@ -332,9 +346,14 @@ class TestCorpusIO:
          "corrupted token true is not an integer"),
         ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]],
           "categories": None}, 2, "categories must be a list, got null"),
+        ({"clean": [0, 10**20, 2], "corrupted": [0, 10**20, 2], "edits": []}, 3,
+         "integer 100000000000000000000 does not fit in 64 bits"),
+        ({"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, -10**19]]}, 2,
+         "integer -10000000000000000000 does not fit in 64 bits"),
     ], ids=["clean-3", "corrupted-2", "inconsistent-edit-2", "unknown-category-3",
             "misaligned-categories-2", "missing-field-2", "bad-json-3", "float-token-3",
-            "float-edit-2", "string-token-2", "bool-token-2", "null-categories-2"])
+            "float-edit-2", "string-token-2", "bool-token-2", "null-categories-2",
+            "int64-overflow-token-3", "int64-overflow-edit-2"])
     def test_jsonl_rejects_out_of_range_tokens(self, tmp_path, bad, line, message):
         # Also covers every other malformed line: each error names file:line.
         good = {"clean": [0, 1, 2], "corrupted": [0, 1, 3], "edits": [[2, 2, 3]]}
@@ -344,6 +363,16 @@ class TestCorpusIO:
                                 + "\n" for d in lines))
         with pytest.raises(ValueError, match=rf"c\.jsonl:{line}: {message}"):
             corpus_from_jsonl(path, vocab_size=4, rate=0.1)
+
+    def test_jsonl_reports_a_broken_record_before_a_later_integer_beyond_int64(self, tmp_path):
+        lines = [{"clean": [0, 1], "corrupted": [0, 2], "edits": []},
+                 {"clean": [0, 10**20], "corrupted": [0, 10**20], "edits": []}]
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps(doc) + "\n" for doc in lines))
+        with pytest.raises(ValueError, match=r"c\.jsonl:1: position 1 differs"):
+            corpus_from_jsonl(path, vocab_size=4, rate=0.1)
+        with pytest.raises(ValueError, match="^integer 18446744073709551616 does not fit in 64"):
+            CorruptionRecord((0, 2**64), (0, 2**64), (), 0.1)
 
     def test_confusion_round_trip(self):
         w = small_world(V=7, support=3, seed=1)

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 
 import output_matrix
 from denoiselab.cli import main
+from denoiselab.config import experiment_config_from_dict
 from denoiselab.harness import sha256_file
 
 TINY_CONFIG = {
@@ -198,6 +199,24 @@ class TestBadInputs:
                                       "--out-dir", str(tmp_path / "model")])
         self.assert_usage_error(result, "not-a-corpus: no manifest.json")
 
+    @pytest.mark.parametrize("text,fragment", [
+        ('{"files": ', "Expecting value"),
+        ('{"meta": {"vocab_size": 8, "rate": 0.1, "mode": "iid"}}',
+         "expected 'files' and 'meta' objects"),
+        ('{"files": {}}', "expected 'files' and 'meta' objects"),
+        ('{"files": {}, "meta": {"rate": 0.1, "mode": "iid"}}',
+         "expected 'files' and 'meta' objects"),
+        ("[]", "expected 'files' and 'meta' objects"),
+    ], ids=["truncated", "no-files", "no-meta", "meta-without-vocab-size", "not-an-object"])
+    def test_malformed_corpus_dir_manifest_is_named(self, runner, config_path, tmp_path,
+                                                    text, fragment):
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        (corpus_dir / "manifest.json").write_text(text)
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "model-bad")])
+        self.assert_usage_error(result, f"{corpus_dir / 'manifest.json'}: ", fragment)
+
     def test_model_file_with_a_wrong_typed_field_names_the_file_and_the_field(
             self, runner, config_path, tmp_path):
         corpus_dir, model_path = self.corpus_and_model(runner, config_path, tmp_path)
@@ -214,7 +233,9 @@ class TestBadInputs:
         ("corpus.jsonl", 2, lambda doc: doc.pop("edits"), "corpus.jsonl:2: missing field 'edits'"),
         ("confusion.json", 1, lambda doc: doc["weights"][0].__setitem__(0, 0.9),
          "confusion.json: weight row 0 does not sum to 1"),
-    ], ids=["corpus-line-2", "confusion"])
+        ("corpus.jsonl", 2, lambda doc: doc["clean"].__setitem__(0, 10**20),
+         "corpus.jsonl:2: integer 100000000000000000000 does not fit in 64 bits"),
+    ], ids=["corpus-line-2", "confusion", "corpus-int64-line-2"])
     def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
                                                       name, line, break_it, message):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -386,3 +407,9 @@ class TestGoldenOutputs:
         for call in output_matrix.commands(out):
             run_ok(runner, [*call, "--config", config_path, "--seed", "7"])
         assert golden_hashes(out) == GOLDEN
+
+    def test_posterior_reports_match_recorded_hash(self):
+        # Every field of every posterior report of the tiny config's single-edit d_o.
+        config = experiment_config_from_dict(TINY_CONFIG)
+        assert output_matrix.posteriors_digest(7, config) == (
+            "3f06587c9603a417720e007465b446fb4b664d30619543f7c88252859809388c")

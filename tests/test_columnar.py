@@ -177,7 +177,7 @@ class TestArrayPasses:
 
 
 BREAKS = ("length", "original", "replacement", "unchanged", "stray", "position", "repeat",
-          "categories")
+          "categories", "int64")
 
 
 def broken(record, kind):
@@ -193,6 +193,8 @@ def broken(record, kind):
         edits += edits[:1]
     elif kind == "categories":
         categories = (SampleCategory.TRUE,) * (len(edits) + 1)
+    elif kind == "int64":  # a token no int64 column can hold
+        clean[-1] = corrupted[-1] = 2**63
     elif kind == "stray":  # a changed token without an edit
         corrupted[-1] = clean[-1] + 1
         edits = [e for e in edits if e[0] != len(clean) - 1]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoiselab.augment import ConfusionConfig, SampleCategory, build_confusion, generate_corpus
-from denoiselab.oracle import restoration_distribution
+from denoiselab.oracle import brute_force_posterior, posterior, restoration_distribution
 from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
 
 from enumeration import slot_distribution
@@ -121,3 +121,24 @@ class TestAnnotation:
             else:
                 want = SampleCategory.MULTI_ANSWER
             assert rec.categories[k] == want
+
+
+class TestPosterior:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), st.sampled_from((0.1, 0.4)))
+    def test_reports_match_enumeration_the_restoration_row_and_the_annotation(self, data, rate):
+        world = data.draw(worlds())
+        table = data.draw(tables(world))
+        corpus = generate_corpus(world, table, 10, (1, 5), rate, mode="single_edit",
+                                 seed=data.draw(st.integers(0, 1000)), annotate=True)
+        for rec in corpus.records:
+            if len(rec.edits) != 1:
+                continue
+            (i, _, _), = rec.edits
+            rep = posterior(world, table, rec)
+            assert abs(rep.posterior - brute_force_posterior(world, table, rec)) <= 1e-12
+            row = restoration_distribution(world, table, rec.corrupted, i, rate)
+            assert rep.candidates == tuple(np.flatnonzero(row).tolist())
+            assert rep.category == rec.categories[0]
+            prior = conditional(world, rec.corrupted, i)
+            assert rep.priors == {v: prior[v] for v in rep.candidates}

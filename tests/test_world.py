@@ -142,6 +142,33 @@ class TestConditional:
         with pytest.raises(ValueError, match="position"):
             conditional(w, (0, 1), 2)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("tokens,position,message", [
+        ((), 0, "sentence must have length >= 1"),
+        ((0, -1, 2), 0, "token id out of range for this world"),
+        ((0, 3, 2), 0, "token id out of range for this world"),
+        ((0, 1, 2), -1, "position -1 out of range for length 3"),
+        ((0, 1, 2), 3, "position 3 out of range for length 3"),
+        ((0, 1, 2), np.int64(3), "position 3 out of range for length 3"),
+    ], ids=["empty", "token-minus-1", "token-V", "position-minus-1", "position-L",
+            "numpy-position-L"])
+    def test_single_form_errors(self, order, tokens, position, message):
+        w = build_world(WorldConfig(vocab_size=3, order=order, support=3, seed=1))
+        with pytest.raises(ValueError) as info:
+            conditional(w, tokens, position)
+        assert type(info.value) is ValueError and str(info.value) == message
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_impossible_context_message(self, order):
+        rows = {",".join(map(str, ctx)): [0.0, 1.0, 0.0] if ctx[-1] == 0 else
+                [1.0, 0.0, 0.0] for k in range(1, order + 1)
+                for ctx in np.ndindex(*(3,) * k)}
+        w = build_world(WorldConfig(vocab_size=3, order=order, seed=0, rows=rows,
+                                    initial=[1.0, 0.0, 0.0]))
+        with pytest.raises(ImpossibleContextError,
+                           match="^context of position 2 has probability zero$"):
+            conditional(w, (0, 2, 0, 1), 2)  # 0 -> 2 never happens
+
     def test_order2_matches_enumeration(self):
         w = build_world(WorldConfig(vocab_size=3, order=2, support=2, seed=2))
         sent = sample_sentence(w, 4, derive_rng(5, "o2"))
