@@ -31,6 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
 from ._rng import derive_rng
 from .world import WorldModel, conditional, sample_corpus_tokens
 
@@ -89,9 +90,10 @@ class ConfusionTable:
     zipf_exponent: float | None = None
 
     def __post_init__(self):
-        V, c = self.candidates.shape
-        if V != self.vocab_size or self.weights.shape != (V, c):
+        shape = self.candidates.shape
+        if len(shape) != 2 or shape[0] != self.vocab_size or self.weights.shape != shape:
             raise ValueError("candidate/weight shapes disagree")
+        V, c = shape
         for v in range(V):
             row = self.candidates[v]
             if len(set(row.tolist())) != c or np.any(row == v):
@@ -846,10 +848,19 @@ def confusion_to_json(table: ConfusionTable) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+_CONFUSION_FIELDS = {
+    "vocab_size": ("an integer", is_int),
+    "mode": ("a string", lambda v: type(v) is str),
+    "zipf_exponent": ("a number or null", lambda v: v is None or is_number(v)),
+    "candidates": ("a list of integer lists", list_of(list_of(is_int))),
+    "weights": ("a list of number lists", list_of(list_of(is_number))),
+}
+
+
 def confusion_from_json(text: str) -> ConfusionTable:
-    doc = json.loads(text)
+    doc = checked_object(text, _CONFUSION_FIELDS)
     return ConfusionTable(
-        vocab_size=int(doc["vocab_size"]),
+        vocab_size=doc["vocab_size"],
         mode=doc["mode"],
         candidates=np.asarray(doc["candidates"], dtype=np.int64),
         weights=np.asarray(doc["weights"], dtype=float),
@@ -862,7 +873,4 @@ def save_confusion(table: ConfusionTable, path: str | Path) -> None:
 
 
 def load_confusion(path: str | Path) -> ConfusionTable:
-    try:
-        return confusion_from_json(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load_file(path, confusion_from_json)

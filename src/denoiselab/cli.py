@@ -24,22 +24,15 @@ from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
 
 def _load_corpus_dir(corpus_dir: Path):
-    manifest = corpus_dir / "manifest.json"
-    if not manifest.is_file():
-        raise click.ClickException(f"{corpus_dir}: no manifest.json; not a gen-corpus output")
-    try:
-        doc = json.loads(manifest.read_text())
-    except ValueError as exc:
-        raise click.ClickException(f"{manifest}: {exc}") from None
-    meta = doc.get("meta") if isinstance(doc, dict) else None
-    if not (isinstance(meta, dict) and {"vocab_size", "rate", "mode"} <= meta.keys()
-            and isinstance(doc.get("files"), dict)):
-        raise click.ClickException(f"{manifest}: expected 'files' and 'meta' objects")
-    ok, checks = harness.verify_manifest(corpus_dir)
-    if not ok:
-        bad = ", ".join(sorted(name for name, good in checks.items() if not good))
-        raise click.ClickException(f"{corpus_dir}: manifest hash mismatch for {bad}")
     try:  # each message names the file
+        meta = harness.read_manifest(corpus_dir, ("files", "meta"))["meta"]
+        if not {"vocab_size", "rate", "mode"} <= meta.keys():
+            raise ValueError(f"{corpus_dir / 'manifest.json'}: "
+                             "expected 'files' and 'meta' objects")
+        ok, checks = harness.verify_manifest(corpus_dir)
+        if not ok:
+            bad = ", ".join(sorted(name for name, good in checks.items() if not good))
+            raise ValueError(f"{corpus_dir}: manifest hash mismatch for {bad}")
         w = world.load_world(corpus_dir / "world.json")
         table = augment.load_confusion(corpus_dir / "confusion.json")
         corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl",
@@ -313,7 +306,10 @@ def sweep_volume_cmd(run):
 @click.option("--out-dir", type=click.Path(exists=True), required=True)
 def report_cmd(out_dir):
     """Verify a run directory's manifest and print its summary."""
-    ok, checks = harness.verify_manifest(out_dir)
+    try:
+        ok, checks = harness.verify_manifest(out_dir)
+    except ValueError as exc:  # the message names the file
+        raise click.ClickException(str(exc)) from None
     for name, good in sorted(checks.items()):
         click.echo(f"{'ok ' if good else 'BAD'} {name}")
     metrics_path = Path(out_dir) / "metrics.csv"

@@ -15,6 +15,7 @@ import types
 import typing
 from pathlib import Path
 
+from ._jsonfile import load_file
 from .pipeline import ExperimentConfig
 
 _SECTIONS = ("world", "confusion", "corrector", "filter")
@@ -114,11 +115,4 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     """
     if path is None:
         return ExperimentConfig()
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    try:
-        return experiment_config_from_dict(doc)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load_file(path, lambda text: experiment_config_from_dict(json.loads(text)))

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
 from .augment import PairCorpus, corpus_digest
 
 DEFAULT_WINDOW = (-1, 0, 1)
@@ -243,30 +244,19 @@ def model_to_json(model: CorrectorModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _is_int(value) -> bool:
-    return type(value) is int  # a JSON integer: not a float, not a bool
-
-
 _MODEL_FIELDS = {  # each top-level field: what it must be, and the test of that
-    "vocab_size": ("an integer", _is_int),
-    "window": ("a list of integers", lambda v: type(v) is list and all(map(_is_int, v))),
-    "alpha": ("a number", lambda v: type(v) in (int, float)),
+    "vocab_size": ("an integer", is_int),
+    "window": ("a list of integers", list_of(is_int)),
+    "alpha": ("a number", is_number),
     "corpus_hash": ("a string", lambda v: type(v) is str),
-    "trained_chars": ("an integer", _is_int),
+    "trained_chars": ("an integer", is_int),
     "trained_on": ("a string", lambda v: type(v) is str),
     "counts": ("an object of integer lists", lambda v: type(v) is dict),  # rows: below
 }
 
 
 def model_from_json(text: str) -> CorrectorModel:
-    doc = json.loads(text)
-    if type(doc) is not dict:
-        raise ValueError("expected a JSON object")
-    for key, (kind, holds) in _MODEL_FIELDS.items():
-        if key not in doc:
-            raise ValueError(f"missing field {key!r}")
-        if not holds(doc[key]):
-            raise ValueError(f"field {key!r} must be {kind}")
+    doc = checked_object(text, _MODEL_FIELDS)
     V = doc["vocab_size"]
     window = tuple(doc["window"])
     n_sigs = _signature_table_shape(V, window)
@@ -298,7 +288,4 @@ def save_model(model: CorrectorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CorrectorModel:
-    try:
-        return model_from_json(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load_file(path, model_from_json)

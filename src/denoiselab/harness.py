@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .augment import CATEGORIES, PairCorpus, SampleCategory
-from .calibration import CalibrationReport
+from .calibration import CalibrationReport, write_reliability_csv
 from .corrector import correct_corpus
 
 
@@ -178,8 +178,6 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
     Outputs are byte-identical across reruns with the same inputs: no
     timestamps, sorted keys, fixed float formatting.
     """
-    from .calibration import write_reliability_csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
@@ -200,12 +198,31 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
     return written
 
 
+def read_manifest(out_dir: str | Path, objects: tuple[str, ...] = ("files",)) -> dict:
+    """A run directory's ``manifest.json``, with an object under each key of ``objects``
+    and a digest per plain file name in ``files``; ValueError naming the file otherwise."""
+    path = Path(out_dir) / "manifest.json"
+    if not path.is_file():
+        raise ValueError(f"{out_dir}: no manifest.json")
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), dict) for k in objects)):
+        raise ValueError(f"{path}: expected {' and '.join(map(repr, objects))} "
+                         f"object{'s' * (len(objects) > 1)}")
+    for name, digest in doc["files"].items():
+        if name in ("", ".", "..") or "/" in name or "\0" in name or type(digest) is not str:
+            raise ValueError(f"{path}: 'files' must map plain file names to digests, "
+                             f"got {name!r}")
+    return doc
+
+
 def verify_manifest(out_dir: str | Path) -> tuple[bool, dict[str, bool]]:
-    """Recompute file hashes recorded in a run directory's manifest."""
+    """Recompute file hashes recorded in a run directory's manifest (see :func:`read_manifest`)."""
     out = Path(out_dir)
-    manifest = json.loads((out / "manifest.json").read_text())
     checks = {}
-    for name, digest in manifest["files"].items():
+    for name, digest in read_manifest(out)["files"].items():
         path = out / name
-        checks[name] = path.exists() and sha256_file(path) == digest
+        checks[name] = path.is_file() and sha256_file(path) == digest
     return all(checks.values()), checks

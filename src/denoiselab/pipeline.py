@@ -26,7 +26,7 @@ from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategor
                       concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
-                        predict_at, train)
+                        _signatures, predict_at, train)
 from .harness import CategoryRate, Metrics, category_filter_rates, evaluate
 from .oracle import OracleScorer, restoration_distribution
 from .world import WorldConfig, WorldModel, build_world, conditional
@@ -42,7 +42,6 @@ class FilterConfig:
     threshold: float = 0.2
     filter_source: str = "cross"
     lambda_n: float = 0.9
-    lambda_m: float = 0.8
     literal_ratio: bool = False  # one-sided reading of the masked-logit rule
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class FilterConfig:
             raise ValueError(f"filter_source must be one of {FILTER_SOURCES}")
         if not (0.0 < self.lambda_n <= 1.0):
             raise ValueError("lambda_n must be in (0, 1]")
-        if not (-1.0 <= self.lambda_m <= 1.0):
-            raise ValueError("lambda_m must be in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -184,28 +181,20 @@ def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray,
         return (top > 0) & (np.minimum(q_x, q_y) / top >= lambda_n)
 
 
-def heuristic_multi(corpus: PairCorpus, masked: np.ndarray,
-                    lambda_m: float = 0.8) -> np.ndarray:
-    """Flag edit pairs sharing a misspelling with near-identical contexts.
+def heuristic_multi(corpus: PairCorpus) -> np.ndarray:
+    """Flag edits sharing a misspelling and its context with a different original.
 
-    Two edits with the same replacement token but different originals are
-    both flagged when the cosine similarity of their ``masked`` rows (as
-    :func:`heuristic_noisy` takes them) reaches ``lambda_m``.  Returns one
-    flag per edit, in edit-column order.
+    An edit is flagged when another edit has the same replacement, the same
+    corrupted left and right neighbours (a sentence edge reads
+    ``vocab_size``) and a different original.  Those neighbours are all a
+    masked-window model reads, so such edits have identical masked rows.
+    Returns one flag per edit, in edit-column order.
     """
-    norms = np.linalg.norm(masked, axis=1, keepdims=True)
-    unit = masked / np.where(norms == 0.0, 1.0, norms)
-    flags = np.zeros(corpus.n_edits, dtype=bool)
-    for y in np.unique(corpus.repl):
-        members = np.flatnonzero(corpus.repl == y)
-        if len(members) < 2:
-            continue
-        originals = corpus.orig[members]
-        block = unit[members]
-        sims = block @ block.T
-        hit = (sims >= lambda_m) & (originals[:, None] != originals[None, :])
-        flags[members[hit.any(axis=1)]] = True
-    return flags
+    V = corpus.vocab_size
+    context = _signatures(corpus.corrupted, corpus.offsets, V, MASKED_WINDOW, corpus.flat_pos)
+    groups, group = np.unique(context * V + corpus.repl, return_inverse=True)
+    originals = np.unique(group * V + corpus.orig) // V  # one entry per (group, original)
+    return np.bincount(originals, minlength=len(groups))[group] > 1
 
 
 def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
@@ -317,7 +306,7 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
         if variant == "heuristic":
             masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.places())
             flagged = (heuristic_noisy(d_o, masked, fc.lambda_n, fc.literal_ratio)
-                       | heuristic_multi(d_o, masked, fc.lambda_m))
+                       | heuristic_multi(d_o))
             result = revert_edits(d_o, ~flagged)
         else:  # the self filter is the baseline model itself
             filter_model = train(d_r, cc.window, cc.alpha) if variant == "cross" else baseline

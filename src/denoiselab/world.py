@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
 from ._rng import derive_rng
 
 PROB_TOL = 1e-12
@@ -77,7 +78,7 @@ class WorldModel:
                 raise ValueError(f"context {ctx} has invalid length for order {self.order}")
             _check_prob_vector(row, self.vocab_size, f"transitions[{ctx}]")
         if self.order == 1:
-            matrix = np.stack([self.transitions[(v,)] for v in range(self.vocab_size)])
+            matrix = np.stack([self.row((v,)) for v in range(self.vocab_size)])
             object.__setattr__(self, "_matrix", matrix)
 
     @property
@@ -332,19 +333,20 @@ def world_to_json(world: WorldModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+_WORLD_FIELDS = {
+    "vocab_size": ("an integer", is_int),
+    "order": ("an integer", is_int),
+    "seed": ("an integer", is_int),
+    "initial": ("a list of numbers", list_of(is_number)),
+    "transitions": ("an object of number lists",
+                    lambda v: type(v) is dict and all(map(list_of(is_number), v.values()))),
+}
+
+
 def world_from_json(text: str) -> WorldModel:
-    doc = json.loads(text)
-    transitions = {
-        tuple(int(t) for t in key.split(",")): np.asarray(row, dtype=float)
-        for key, row in doc["transitions"].items()
-    }
-    return WorldModel(
-        vocab_size=int(doc["vocab_size"]),
-        order=int(doc["order"]),
-        seed=int(doc["seed"]),
-        initial=np.asarray(doc["initial"], dtype=float),
-        transitions=transitions,
-    )
+    doc = checked_object(text, _WORLD_FIELDS)
+    return build_world(WorldConfig(doc["vocab_size"], doc["order"], doc["seed"],
+                                   rows=doc["transitions"], initial=doc["initial"]))
 
 
 def save_world(world: WorldModel, path: str | Path) -> None:
@@ -352,7 +354,4 @@ def save_world(world: WorldModel, path: str | Path) -> None:
 
 
 def load_world(path: str | Path) -> WorldModel:
-    try:
-        return world_from_json(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    return load_file(path, world_from_json)

@@ -91,6 +91,20 @@ def iter_edits(corpus):
             yield ri, rec, ei, edit
 
 
+def multi_answer_flags(records, vocab_size):
+    """One flag per edit, in record order: some other edit has the same replacement,
+    the same corrupted left and right neighbours (``vocab_size`` past a sentence
+    end) and a different original; every pair of edits is compared."""
+    edits = []
+    for rec in records:
+        for i, x, y in rec.edits:
+            left = rec.corrupted[i - 1] if i > 0 else vocab_size
+            right = rec.corrupted[i + 1] if i + 1 < rec.length else vocab_size
+            edits.append(((y, left, right), x))
+    return [any(key == other_key and x != other_x for other_key, other_x in edits)
+            for key, x in edits]
+
+
 def signature_counts(records, vocab_size, window):
     """(counts, center_counts, target_counts) of a count model, counted position by
     position; a neighbour outside the sentence reads ``vocab_size``."""

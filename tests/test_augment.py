@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from denoiselab.augment import (ConfusionConfig, ConfusionTable, CorruptionRecor
                                 PairCorpus, SampleCategory, build_confusion, concat_corpora,
                                 confusion_from_json, confusion_pair, confusion_to_json,
                                 corpus_arrays, corpus_digest, corpus_from_jsonl,
-                                corpus_to_jsonl, generate_corpus,
-                                zipf_exponent_for_head_mass)
+                                corpus_to_jsonl, generate_corpus, load_confusion,
+                                save_confusion, zipf_exponent_for_head_mass)
 from denoiselab.oracle import posterior
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 from denoiselab.world import WorldConfig, build_world
@@ -381,6 +382,23 @@ class TestCorpusIO:
         back = confusion_from_json(confusion_to_json(t))
         np.testing.assert_array_equal(back.candidates, t.candidates)
         np.testing.assert_array_equal(back.weights, t.weights)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.clear(), "missing field 'vocab_size'"),
+        (lambda doc: doc.update(weights=0.5), "field 'weights' must be a list of number lists"),
+        (lambda doc: doc["candidates"][0].__setitem__(0, 1.0),
+         "field 'candidates' must be a list of integer lists"),
+        (lambda doc: doc.update(zipf_exponent="1"), "field 'zipf_exponent' must be a number"),
+        (lambda doc: doc.update(candidates=[], weights=[]), "candidate/weight shapes disagree"),
+    ], ids=["empty", "weights-number", "candidate-float", "exponent-string", "no-rows"])
+    def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "confusion.json"
+        save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2)), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_confusion(path)
 
     def test_concat_and_digest(self):
         w = small_world(V=6, support=2, seed=0)

@@ -217,6 +217,22 @@ class TestBadInputs:
                                       "--out-dir", str(tmp_path / "model-bad")])
         self.assert_usage_error(result, f"{corpus_dir / 'manifest.json'}: ", fragment)
 
+    @pytest.mark.parametrize("text,fragment", [
+        (None, ": no manifest.json"),
+        ('{"files": ', ": Expecting value"),
+        ('{"files": ["metrics.csv"]}', ": expected 'files' object"),
+        ('{"files": {"../metrics.csv": "0"}}',
+         ": 'files' must map plain file names to digests, got '../metrics.csv'"),
+    ], ids=["missing", "truncated", "files-list", "parent-dir-name"])
+    def test_report_on_a_bad_manifest_is_named(self, runner, tmp_path, text, fragment):
+        out = tmp_path / "run"
+        out.mkdir()
+        if text is not None:
+            (out / "manifest.json").write_text(text)
+        result = runner.invoke(main, ["report", "--out-dir", str(out)])
+        named = out if text is None else out / "manifest.json"
+        self.assert_usage_error(result, f"{named}{fragment}")
+
     def test_model_file_with_a_wrong_typed_field_names_the_file_and_the_field(
             self, runner, config_path, tmp_path):
         corpus_dir, model_path = self.corpus_and_model(runner, config_path, tmp_path)
@@ -235,7 +251,8 @@ class TestBadInputs:
          "confusion.json: weight row 0 does not sum to 1"),
         ("corpus.jsonl", 2, lambda doc: doc["clean"].__setitem__(0, 10**20),
          "corpus.jsonl:2: integer 100000000000000000000 does not fit in 64 bits"),
-    ], ids=["corpus-line-2", "confusion", "corpus-int64-line-2"])
+        ("world.json", 1, lambda doc: doc.clear(), "world.json: missing field 'vocab_size'"),
+    ], ids=["corpus-line-2", "confusion", "corpus-int64-line-2", "world-empty"])
     def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
                                                       name, line, break_it, message):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -335,67 +352,70 @@ def golden_hashes(out_dir):
 
 
 # Recorded before the corpus moved to flat columns; any change to these bytes
-# is an output change and must be recorded as one.
+# is an output change and must be recorded as one.  Every manifest.json entry
+# was re-recorded when filter.lambda_m left the config (its config_hash moved),
+# and the pipeline-heuristic/* entries when the multi-answer rule became a
+# context group-by.
 GOLDEN = {
     "corpus/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus/corpus.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "corpus/manifest.json": "4a0ad4d4630f6c34c91b91670b130c1e1c17ef619c34c5e98d87712ad55bdc12",
+    "corpus/manifest.json": "d469b8e2cb39647ff42b9bf287b48b573f944b22b85a7183165b804dc878c31c",
     "corpus/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "eval/manifest.json": "46b942ff7bd4f486126fc5e0bd3d3b7967974d5db057ac860b11899fb275bf60",
+    "eval/manifest.json": "9d1ba3c710096a558254f80e9c8e186ecafbccd60c22f797eda638376aa61148",
     "eval/metrics.csv": "f1536811ca94c1f59e9154d8f711ed38978a0011350103f594f7e410efbd84ce",
     "eval/reliability.csv": "d19c08748c53002448acabea56b0bb6508140c8c883d70a8f2855f260c57d8f4",
     "filter/filtered.jsonl": "d737c10ece2859c66bc7754b5f4b86a03e40875665fbf745a9e718b58fa794c3",
-    "filter/manifest.json": "6f9d61fe48147438bd7986f70882fdd70f04b4ebf495d09138ea723f79828eca",
-    "model/manifest.json": "2c5d673c479443ea35d15aa1fb8ff38abb18c929078dcee6d6782e5230ccc6a2",
+    "filter/manifest.json": "4e020d2eca2b2dde5b2641592d5d5974b59cff4add019f40942ef74fe7c46703",
+    "model/manifest.json": "8d8bf52dbd36a4cb6e8b00f4a8e0726af46da2bcce28a5898f6b7adae64d6a86",
     "model/model.json": "8d2380d9156996cc65f3835f808686095a5f4b6aea6264e035f8bcb0b217c561",
     # Recorded before the corrector moved to flat positions.
     "pipeline-cross/filtered.jsonl": "2b468dab3fdae2b40089de2d5ea79a7198cb062d5bc5a263c9fb5530768fd85b",
-    "pipeline-cross/manifest.json": "bcf7976682c94f14186046304d9745940ded548ba392e360ec67cdde42bebe62",
+    "pipeline-cross/manifest.json": "651f72b934be7350671041cba9952136286c982896b8e1421cc9bd544658a5e9",
     "pipeline-cross/metrics.csv": "173784c68c53f6a28603520092ca6eaef870155616c9293610e7eb6f3a4db188",
     "pipeline-cross/reliability.csv": "73d4bb540f1155176e5ceca2c7c48b5b7f04bb3d63803cd07f1af5b16754b6ec",
     "pipeline-cross/report.json": "eecc6a239c00f15ca0680c03e53618110389fa0efbdd3c012a4e7f1215badca0",
-    "pipeline-heuristic/filtered.jsonl": "d62eb97b8429d6cbcb2a8b257c7db54a616d0a88fed956b423184f10847ce861",
-    "pipeline-heuristic/manifest.json": "0f00a1e099ca739f75ff1a47556baf4c64ad7af44a2973ba543e268e8c9f61ba",
-    "pipeline-heuristic/metrics.csv": "77ff3b3594dbd468cae9f144ab100bec62138dc85db8ec6d0c1471f24548709c",
-    "pipeline-heuristic/reliability.csv": "a07d656918dae01c9e4cc98d8c7d2363caf641012fe48cf3a5f10660803c0cc6",
-    "pipeline-heuristic/report.json": "0a48c1be024e0e1bb2a8593f994febe3fc9632da2c298011ba8219290c1e2714",
-    "score/manifest.json": "449bca228ab31c13281f31db84350e7ea1f9b8543d1e31bb9cfc23399c859ccf",
+    "pipeline-heuristic/filtered.jsonl": "31609f0627359eb036f79a2ded2f3d415a740c64b5a5a8b741bd511e11a21b02",
+    "pipeline-heuristic/manifest.json": "2b7776247e1d7728a5cc25b83b164a0f4fdb4d1f075538cb1f3b68ab948ea33a",
+    "pipeline-heuristic/metrics.csv": "9b1b7494a84b866ffd50db6a04f05718113c1cf802789a0b4cd978ba0ec75940",
+    "pipeline-heuristic/reliability.csv": "6b21f2f2a79887dd8401596de7e64ee41daacaa52885061761274d32722e2c29",
+    "pipeline-heuristic/report.json": "873985acd78ba203227f15db1a61d7ab029097ecb2a867d152df2b22ca7e4fa4",
+    "score/manifest.json": "a8fa115144eecbc91c9594e9317a528e67fa36fa3e241e9eda6bc0161baea58a",
     "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
-    "sweep-threshold/manifest.json": "9072740944c5cbb80380414dca936f0ddd847c3e2fbbf6891075253cd632bbda",
+    "sweep-threshold/manifest.json": "d4efec47bb4ea93a0194c7a74967fb6fef0fa153223d696b88c9510dafb87e81",
     "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
     # Recorded before the experiment scaffold was written once.
     "corpus-single/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus-single/corpus.jsonl": "6d101ab6e338a4dde83639fc4c615bde13eb4ad03909fbb1b5285cee0da356d2",
-    "corpus-single/manifest.json": "50eb1a1f8d0a5d677c434bc48b8f0ac2541887373bd92e9ef504c2b66c94539a",
+    "corpus-single/manifest.json": "8c9775d737d3f9b65da5d4a647adaff7c3f4af24abc215362618b84897f0483b",
     "corpus-single/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "corpus-uniform/confusion.json": "a4533ecfb031b0b9b628c77a04896991d7e833f80e8241199b2bc8d8d66aadd5",
     "corpus-uniform/corpus.jsonl": "838aac57d0c9c2eb5930b963475647169555b9d62652c421ebf67164229dd757",
-    "corpus-uniform/manifest.json": "fe7a94fdeb70f5bba2f71d164bad18499da42923040199338cd8f4dccbfa04d2",
+    "corpus-uniform/manifest.json": "85eb06b91a8f29a0be13ddb9f1f8b4c44b6a93fe9dc02c33cdefcb2d0e780c36",
     "corpus-uniform/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "filter-0.01/filtered.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "filter-0.01/manifest.json": "7362caaaf859a882079a9921f8163f8a29599148f90a649aabf00a9cb84f26f0",
-    "gen-world/manifest.json": "bc124dbef265d1291ce11d78994a1b4e9c906dd0a45d9119b063b44a68561b61",
+    "filter-0.01/manifest.json": "f508bd5abbbdbee97e710498bdabb74308fca0f5cf5ff970e7923a5f23316ddd",
+    "gen-world/manifest.json": "b083f1f957a5f62bedb26f1a6d09156e50d6bcb9873b390076094be004a1da91",
     "gen-world/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "model-window/manifest.json": "0eac5a8fc4972b378c4ee404777825f9be825770dca0412ef58e22770e596b00",
+    "model-window/manifest.json": "43b479e18c42727c88f5026d23dde177970bd1f6cc942b3add0688902e6d3102",
     "model-window/model.json": "05e3d1cc4d188ac907f36465070b37352c479999de8e0c5d7ecbee8cf8e87796",
     "pipeline-mixing/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-mixing/manifest.json": "f8fbebe77312c74dd74e80b9a21f138241e0657defe3c681d179265bd6847033",
+    "pipeline-mixing/manifest.json": "3ced6ca19a157a5651cbf3dc9f5373e5eb76eb4295d3b55019c56d878ae9c6bc",
     "pipeline-mixing/metrics.csv": "122f2910661f8d7d32509f5f68ad3b8e5604ba34053057ba4603c72cda3cb66c",
     "pipeline-mixing/reliability.csv": "a6d5fa6cd17b7857f91a2324d93baee8fc3f4473f1506137b9db2a52f5682112",
     "pipeline-mixing/report.json": "264812c04063162a4a306993f6f463b914a85e5f438290f53c3e902da30dd352",
     "pipeline-none/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-none/manifest.json": "92050019051f0fffe423ec11e8787d3420888494a26d326346db8eecd0b5ca13",
+    "pipeline-none/manifest.json": "adf22eea11fce88f84fd30f8b0d836c1aec79943a375515cc69761c838144f08",
     "pipeline-none/metrics.csv": "b12014ee2ff79aa162ac36c470c896951b00ea0becc9cba21549f9fdbfb76bdb",
     "pipeline-none/reliability.csv": "07eb6b5686452ea191f7fa8fee5fbffa155dea83175197174e89d3aa91510754",
     "pipeline-none/report.json": "cc6ac7106abd08a039a50d796e6f2c63c0a3231f4ea14f375a507bf29bf78966",
     "pipeline-self/filtered.jsonl": "0a51de0a930f8ee35ec601f4f7908c8dae0e6c0df409f37a4d40b22f7dd0e933",
-    "pipeline-self/manifest.json": "67fe5720902d77b6c09a55f136810ab57768f640c872054299e211746fad7a92",
+    "pipeline-self/manifest.json": "157f4ccf0ae2a9953c8d61c0b668a8461c5962d95d2b8ef741008ff3e3bac53a",
     "pipeline-self/metrics.csv": "c637f1780ed33eb944571bd0fde17914adf231cbdf0782e537f88f350f1aea86",
     "pipeline-self/reliability.csv": "75b8c2d3e4bbc69ca59e69efe9e37005c7135e3f74450a2cfd7fb712ca8ecc67",
     "pipeline-self/report.json": "679925c9f98c57358461f50084cb239fbdf410ac7ad3fa33ed4cf01d648a1072",
-    "score-no-oracle/manifest.json": "45d54fe27c09b06d0017cb929c7d222de197021fd51ca38b9165b4f2fba1a2c9",
+    "score-no-oracle/manifest.json": "84e45602592f81ba164435c7fb5f2d872e0bcc1363932567b602c445a7e24a46",
     "score-no-oracle/scores.jsonl": "3b07d4cb7d85aec680df59c4b2acbac7a1a25a2d24a663d62295035e402626fc",
-    "sweep-volume/manifest.json": "4457d5dbabeac865c63d0bfc113c9ba35e08f0d572579e8dc57e0281143be48f",
+    "sweep-volume/manifest.json": "3a8883e2b4e0ff845523b9e38f2c81c34fbe48adb6ced4c44bd57a917d74dc01",
     "sweep-volume/metrics.csv": "504b167ef18cf90c6095624eed4bae3f023934b205a4902c9f008d664cb80087",
     "sweep-volume/volume_tv.csv": "47750deea99b5600ee467c3e000d7427a9da33dbd9b1759ac5901ad9d810423c",
 }

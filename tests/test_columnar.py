@@ -22,7 +22,7 @@ from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
                                     filter_easy_positives)
 from denoiselab.corrector import predict, train
 from denoiselab.harness import category_filter_rates
-from denoiselab.pipeline import revert_edits
+from denoiselab.pipeline import heuristic_multi, revert_edits
 from denoiselab.world import WorldConfig, build_world
 
 COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category",
@@ -57,6 +57,16 @@ def corpora(draw, annotation=None, V=None):
     records = tuple(CorruptionRecord(*r[:3], 0.1, r[3])
                     for r in draw(record_lists(V, annotation)))
     return PairCorpus(records, V, 0.1, "iid")
+
+
+@st.composite
+def crowded(draw):
+    """Up to 18 records over two or three tokens: edits often share a replacement
+    and both neighbours, which may be edits themselves or sentence ends."""
+    V = draw(st.integers(2, 3))
+    records = [r for _ in range(3) for r in draw(record_lists(V))]
+    return PairCorpus(tuple(CorruptionRecord(*r[:3], 0.1, r[3]) for r in records),
+                      V, 0.1, "iid")
 
 
 @st.composite
@@ -155,6 +165,14 @@ class TestArrayPasses:
         want = reference.category_counts(tuple(corpus.records), tuple(after.corpus.records))
         assert {c: (r.reverted, r.total) for c, r in rates.items()} == \
             {c: want.get(c, (0, 0)) for c in SampleCategory}
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(crowded(), corpora(), generated()))
+    def test_multi_answer_flags_match_the_pairwise_rule(self, corpus):
+        flags = heuristic_multi(corpus)
+        assert flags.dtype == bool
+        assert flags.tolist() == reference.multi_answer_flags(tuple(corpus.records),
+                                                              corpus.vocab_size)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))),

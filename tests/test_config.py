@@ -22,6 +22,7 @@ from denoiselab.pipeline import ExperimentConfig
     ('[1, 2]', ": expected an object, got list"),
     ('{"world": {"vocab_size": 20,\n "seed": }', ":2: invalid JSON: Expecting value"),
     ('{"world": {"colour": 1}}', r": unknown WorldConfig keys: \['colour'\]"),
+    ('{"filter": {"lambda_m": 0.8}}', r": unknown FilterConfig keys: \['lambda_m'\]"),
     ('{"world": {"seed": 3}}', ": world.seed: set by --seed"),
     ('{"confusion": {"seed": 3}}', ": confusion.seed: set by --seed"),
     ('{"confusion": {"mode": "long_tailed"}}', ": confusion.mode: set per channel"),
@@ -40,8 +41,8 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
         "tuple-item", "tuple-length", "bool-for-float", "bool-for-int", "int-for-bool",
-        "nested-row", "top-not-object", "bad-json", "unknown-key", "world-seed",
-        "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
+        "nested-row", "top-not-object", "bad-json", "unknown-key", "removed-lambda-m",
+        "world-seed", "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
         "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
         "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
         "no-volume-sizes", "volume-size-zero", "volume-sizes-descending"])

@@ -141,33 +141,28 @@ class TestHeuristics:
         assert flagged_places(corpus, flags) == set()
 
     def test_identical_contexts_same_misspelling_flagged_as_multi(self):
-        model = handmade_context_model({(0, 3): [0, 30, 30, 0]})
         from denoiselab.augment import CorruptionRecord, PairCorpus
         recs = (
             CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1),
             CorruptionRecord((0, 0, 3), (0, 2, 3), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        flagged = flagged_places(corpus, heuristic_multi(corpus, masked_rows(model, corpus), 0.8))
-        assert flagged == {(0, 1), (1, 1)}
+        assert flagged_places(corpus, heuristic_multi(corpus)) == {(0, 1), (1, 1)}
 
     def test_dissimilar_contexts_not_flagged(self):
-        model = handmade_context_model({(0, 3): [0, 40, 0, 0],
-                                        (3, 0): [0, 0, 0, 40]})
         from denoiselab.augment import CorruptionRecord, PairCorpus
         recs = (
             CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1),
             CorruptionRecord((3, 0, 0), (3, 2, 0), ((1, 0, 2),), 0.1),
         )
         corpus = PairCorpus(recs, 4, 0.1, "single_edit")
-        assert flagged_places(corpus, heuristic_multi(corpus, masked_rows(model, corpus),
-                                                      0.8)) == set()
+        assert flagged_places(corpus, heuristic_multi(corpus)) == set()
 
     def test_corpus_without_edits_gets_no_flags(self):
         model = handmade_context_model({(0, 3): [0, 30, 30, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 1, 3))
         masked = masked_rows(model, corpus)
-        for flags in (heuristic_noisy(corpus, masked), heuristic_multi(corpus, masked)):
+        for flags in (heuristic_noisy(corpus, masked), heuristic_multi(corpus)):
             assert flags.dtype == bool and flags.shape == (0,)
 
     def test_planted_recovery_beats_self_filter_at_canonical_threshold(self):
@@ -203,7 +198,7 @@ class TestHeuristics:
                               cfg.rate, "iid", 1, annotate=True, stream="d-o")
         masked = masked_rows(train(d_r, MASKED_WINDOW), d_o)
         noisy = heuristic_noisy(d_o, masked, 0.9)
-        multi = heuristic_multi(d_o, masked, 0.8)
+        multi = heuristic_multi(d_o)
         flagged = flagged_places(d_o, multi & ~noisy)
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.MULTI_ANSWER}
@@ -278,20 +273,6 @@ class TestRunPipeline:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(filter_source="bogus")
-
-    def test_heuristic_variant_honors_lambda_m(self):
-        world, uniform_table, longtail_table = build_experiment_world(TINY, 4)
-        reverted = []
-        for lambda_m in (1.0, -1.0):
-            fc = FilterConfig(filter_source="heuristic", lambda_m=lambda_m)
-            cfg = dataclasses.replace(TINY, filter=fc)
-            report = run_pipeline(world, uniform_table, longtail_table, cfg, 4)
-            assert report.kept_edits + report.reverted_edits == sum(
-                r.total for r in report.category_rates.values())
-            reverted.append(report.reverted_edits)
-        # A cosine cutoff of -1 flags every shared misspelling with differing
-        # originals; a cutoff of 1 flags only identical contexts.
-        assert reverted[1] > reverted[0]
 
 
 class TestMixing:

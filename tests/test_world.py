@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,8 @@ from hypothesis import strategies as st
 
 from denoiselab._rng import derive_rng
 from denoiselab.world import (ImpossibleContextError, WorldConfig, build_world,
-                              conditional, sample_corpus_tokens, sample_sentence,
-                              sentence_prob, world_from_json, world_to_json)
+                              conditional, load_world, sample_corpus_tokens, sample_sentence,
+                              save_world, sentence_prob, world_from_json, world_to_json)
 
 from enumeration import chain_prob, slot_distribution, total_mass
 
@@ -208,3 +211,28 @@ class TestSerialization:
         for ctx, row in w.transitions.items():
             np.testing.assert_array_equal(back.transitions[ctx], row)
         assert world_to_json(back) == world_to_json(w)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc.clear(), "missing field 'vocab_size'"),
+        (lambda doc: doc.update(transitions=[]), "field 'transitions' must be an object of "
+                                                 "number lists"),
+        (lambda doc: doc["transitions"].update({"0": "x"}), "field 'transitions' must be"),
+        (lambda doc: doc.update(order="1"), "field 'order' must be an integer"),
+        (lambda doc: doc["transitions"].pop("2"),
+         r"world has no transition row for context \(2,\)"),
+    ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
+            "missing-row"])
+    def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
+        path = tmp_path / "world.json"
+        save_world(uniform_world(), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + message):
+            load_world(path)
+
+    def test_load_refuses_a_non_object(self, tmp_path):
+        path = tmp_path / "world.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected a JSON object")):
+            load_world(path)
