@@ -264,7 +264,10 @@ def model_from_json(text: str) -> CorrectorModel:
     for key, row in doc["counts"].items():
         if type(row) is not list or not set(map(type, row)) <= {int}:
             raise ValueError(f"counts[{key!r}]: row must be a list of integers")
-        sig = int(key)
+        try:
+            sig = int(key)
+        except ValueError:
+            raise ValueError(f"counts[{key!r}]: signature id is not an integer") from None
         if not 0 <= sig < n_sigs:
             raise ValueError(f"counts[{key!r}]: signature id outside [0, {n_sigs})")
         if len(row) != V:

@@ -142,7 +142,7 @@ def brute_force_posterior(world: WorldModel, table: ConfusionTable,
         for j in range(1, L):
             if prob == 0.0:
                 break
-            prob *= float(world.row(cand[max(0, j - world.order):j])[cand[j]])
+            prob *= float(world.transitions[cand[max(0, j - world.order):j]][cand[j]])
         if prob == 0.0:
             continue
         weight = prob * table.transition_prob(cand[i], y, rate)

@@ -6,13 +6,19 @@ structural impossibility rather than a small number, and the candidate-set
 logic downstream relies on that distinction.  Probabilities are stored and
 compared in linear space.
 
+Every factor of a sentence's probability is one entry of the dense table
+``WorldModel.factors``.  Its row is the token's context: the last ``order``
+tokens as a base-(V+1) number, with the digit V before the sentence start,
+so the all-V row is the initial distribution.  Its column is the token;
+column V, the sentence end, holds ones.  Sentence probabilities, both
+samplers and the exact kernel read that one table, for every order.
+
 Sentences are sequences of token ids in ``[0, vocab_size)``: tuples, or
 int64 array rows where many are sampled at once.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -65,44 +71,37 @@ class WorldModel:
     seed: int
     initial: np.ndarray
     transitions: dict[tuple[int, ...], np.ndarray]
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.vocab_size < 2:
+        V, k = self.vocab_size, self.order
+        if V < 2:
             raise ValueError("vocab_size must be >= 2")
-        if self.order < 1:
+        if k < 1:
             raise ValueError("order must be >= 1")
-        _check_prob_vector(self.initial, self.vocab_size, "initial")
+        _check_prob_vector(self.initial, V, "initial")
         for ctx, row in self.transitions.items():
-            if not (1 <= len(ctx) <= self.order):
-                raise ValueError(f"context {ctx} has invalid length for order {self.order}")
-            _check_prob_vector(row, self.vocab_size, f"transitions[{ctx}]")
-        if self.order == 1:
-            matrix = np.stack([self.row((v,)) for v in range(self.vocab_size)])
-            object.__setattr__(self, "_matrix", matrix)
+            if not (1 <= len(ctx) <= k):
+                raise ValueError(f"context {ctx} has invalid length for order {k}")
+            if min(ctx) < 0 or max(ctx) >= V:
+                raise ValueError(f"context {ctx} has a token outside [0, {V})")
+            _check_prob_vector(row, V, f"transitions[{ctx}]")
+        if len(self.transitions) < (V ** (k + 1) - V) // (V - 1):  # contexts of length 1..k
+            missing = next(c for c in _all_contexts(V, k) if c not in self.transitions)
+            raise ValueError(f"world has no transition row for context {missing}")
+        factors = np.ones(((V + 1) ** k, V + 1))
+        factors[-1, :V] = self.initial
+        padded = np.array([(V,) * (k - len(ctx)) + ctx for ctx in self.transitions])
+        factors[np.ravel_multi_index(padded.T, (V + 1,) * k), :V] = list(self.transitions.values())
+        factors.flags.writeable = False
+        object.__setattr__(self, "factors", factors)
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense (V, V) transition matrix; order-1 worlds only."""
-        if self._matrix is None:
+        """Dense (V, V) transition matrix, a view of ``factors``; order-1 worlds only."""
+        if self.order != 1:
             raise ValueError("dense matrix is only available for order-1 worlds")
-        return self._matrix
-
-    @functools.cached_property
-    def chain_table(self) -> np.ndarray:
-        """Order-1 factors; index V is the sentence start (row) or end (column), V+1 a wildcard."""
-        V = self.vocab_size
-        table = np.ones((V + 2, V + 2))
-        table[:V, :V] = self.matrix
-        table[V, :V] = self.initial
-        return table
-
-    def row(self, context: tuple[int, ...]) -> np.ndarray:
-        ctx = context[-self.order:] if len(context) > self.order else context
-        try:
-            return self.transitions[tuple(ctx)]
-        except KeyError:
-            raise ValueError(f"world has no transition row for context {tuple(ctx)}") from None
+        return self.factors[:-1, :-1]
 
 
 def _check_prob_vector(vec: np.ndarray, size: int, where: str) -> None:
@@ -142,7 +141,11 @@ def build_world(config: WorldConfig) -> WorldModel:
     if config.rows is not None:
         transitions = {}
         for key, row in config.rows.items():
-            ctx = tuple(int(t) for t in str(key).split(",") if t != "")
+            try:
+                ctx = tuple(int(t) for t in str(key).split(",") if t != "")
+            except ValueError:
+                raise ValueError(f"transitions[{key!r}]: context is not comma-separated "
+                                 "integers") from None
             transitions[ctx] = np.asarray(row, dtype=float)
         if config.initial is None:
             raise ValueError("explicit rows require an explicit initial vector")
@@ -176,23 +179,18 @@ def validate_tokens(world: WorldModel, tokens) -> tuple[int, ...]:
     return toks
 
 
-def _factor(world: WorldModel, tokens: tuple[int, ...], j: int) -> float:
-    if j == 0:
-        return float(world.initial[tokens[0]])
-    ctx = tokens[max(0, j - world.order):j]
-    return float(world.row(ctx)[tokens[j]])
-
-
 def sentence_prob(world: WorldModel, tokens) -> float:
     """Exact probability of a full sentence under the chain."""
     toks = validate_tokens(world, tokens)
     in_logs = len(toks) > _LOG_SPACE_LENGTH
     acc = 0.0 if in_logs else 1.0
-    for j in range(len(toks)):
-        f = _factor(world, toks, j)
+    rows, cid = len(world.factors), len(world.factors) - 1
+    for t in toks:
+        f = float(world.factors[cid, t])
         if f == 0.0:
             return 0.0
         acc = acc + math.log(f) if in_logs else acc * f
+        cid = (cid * (world.vocab_size + 1) + t) % rows  # drop the oldest digit
     return math.exp(acc) if in_logs else acc
 
 
@@ -205,25 +203,30 @@ def conditional(world: WorldModel, tokens, position):
     Raises :class:`ImpossibleContextError` when the context itself is
     unreachable.  Batched form: an (n, L) ``tokens`` matrix padded with
     ``vocab_size`` past each sentence's end and (n,) positions give (n, V)
-    rows, all zero where the context is impossible.  For an order-1 world
-    the single form is a direct lookup on the chain table, with the same
-    values bit for bit as the batched row; otherwise it is the batch of one.
+    rows, all zero where the context is impossible.  A row is the product of
+    the ``order + 1`` chain factors that read the slot, its own and the next
+    ``order`` tokens', each a row of ``world.factors`` with the slot's digit
+    running over the vocabulary; any other zero factor of the sentence makes
+    the context impossible.  The single form is the batch of one, except for
+    an order-1 world: there it is a direct lookup on the same table, with the
+    same values bit for bit as the batched row.
     """
-    V = world.vocab_size
+    V, k, T = world.vocab_size, world.order, world.factors
     single = np.ndim(position) == 0
     if single:
         toks = validate_tokens(world, tokens)
         if not 0 <= position < len(toks):
             raise ValueError(f"position {position} out of range for length {len(toks)}")
-        if world.order == 1:  # the order-1 rule below, on one unpadded sentence
-            T, ext = world.chain_table, np.array([V, *toks, V])
-            ext[position + 1] = V + 1
+        if k == 1:  # the rule below, on one unpadded sentence
+            ext = np.array([V, *toks, V])
             weights = T[ext[position], :V] * T[:V, ext[position + 2]]
-            total = weights.sum() if T[ext[:-1], ext[1:]].all() else 0.0
+            chain = T[ext[:-1], ext[1:]]
+            chain[position:position + 2] = 1.0  # the two factors that read the slot
+            total = weights.sum() if chain.all() else 0.0
             if total == 0.0:
                 raise ImpossibleContextError(f"context of position {position} has probability zero")
             return weights / total
-        tokens, position, lengths = np.array([toks]), np.array([position]), [len(toks)]
+        tokens, position = np.array([toks]), np.array([position])
     else:
         tokens, position = np.asarray(tokens, dtype=np.int64), np.asarray(position, dtype=np.int64)
         if tokens.ndim != 2 or position.shape != (len(tokens),):
@@ -234,29 +237,27 @@ def conditional(world: WorldModel, tokens, position):
         lengths = real.sum(axis=1)
         bad = (position < 0) | (position >= lengths)
         if bad.any():
-            k = bad.argmax()
-            raise ValueError(f"position {position[k]} out of range for length {lengths[k]}")
+            i = bad.argmax()
+            raise ValueError(f"position {position[i]} out of range for length {lengths[i]}")
 
-    if world.order == 1:
-        # T[left, v] * T[v, right] on the chain table; the context is impossible
-        # when a chain factor other than the two touching the slot is zero.
-        T, rows = world.chain_table, np.arange(len(tokens))
-        ext = np.full((len(tokens), tokens.shape[1] + 2), V)  # start and end around each row
-        ext[:, 1:-1] = tokens
-        weights = T[ext[rows, position], :V]
-        weights *= T[:V, ext[rows, position + 2]].T
-        ext[rows, position + 1] = V + 1  # the slot becomes the wildcard
-        weights[(T[ext[:, :-1], ext[:, 1:]] == 0.0).any(axis=1)] = 0.0
-    else:
-        weights = np.zeros((len(tokens), V))
-        for row, sentence, p, L in zip(weights, tokens.tolist(), position.tolist(), lengths):
-            toks = tuple(sentence[:L])
-            affected = range(p, min(p + world.order, L - 1) + 1)
-            if any(_factor(world, toks, j) == 0.0 for j in range(L) if j not in affected):
-                continue  # impossible context: the row stays zero
-            for v in range(V):
-                probe = toks[:p] + (v,) + toks[p + 1:]
-                row[v] = math.prod(_factor(world, probe, j) for j in affected)
+    # Factor j of a row is T[ids[:, j], succ[:, j]]: the context before token j
+    # and token j, with k starts before each row and k ends after it.
+    n, width = tokens.shape
+    ext = np.full((n, width + 2 * k), V)
+    ext[:, k:-k] = tokens
+    ids, succ = ext[:, :width + k], ext[:, k:]
+    for d in range(1, k):
+        ids = ids * (V + 1) + ext[:, d:d + width + k]
+    rows = np.arange(n)
+    zero = T[ids, succ] == 0.0
+    zero[rows[:, None], position[:, None] + np.arange(k + 1)] = False  # the slot's factors
+    weights = T[ids[rows, position], :V]
+    for e in range(1, k + 1):  # in the context of token position + e the slot is digit e - 1
+        step = (V + 1) ** (e - 1)
+        cid = ids[rows, position + e]
+        digits = T.reshape(-1, V + 1, step, V + 1)  # [higher digits, slot digit, lower, token]
+        weights *= digits[cid // ((V + 1) * step), :V, cid % step, succ[rows, position + e]]
+    weights[zero.any(axis=1)] = 0.0
     total = weights.sum(axis=1, keepdims=True)
     weights /= np.where(total > 0.0, total, 1.0)
     if single and total[0, 0] == 0.0:
@@ -268,11 +269,11 @@ def sample_sentence(world: WorldModel, length: int, rng: np.random.Generator) ->
     """Draw one sentence of the given length from the chain."""
     if length < 1:
         raise ValueError("length must be >= 1")
+    rows, cid = len(world.factors), len(world.factors) - 1
     toks: list[int] = []
-    toks.append(_categorical(rng, world.initial))
-    for j in range(1, length):
-        row = world.row(tuple(toks[max(0, j - world.order):j]))
-        toks.append(_categorical(rng, row))
+    for _ in range(length):
+        toks.append(_categorical(rng, world.factors[cid, :-1]))
+        cid = (cid * (world.vocab_size + 1) + toks[-1]) % rows
     return tuple(toks)
 
 
@@ -302,20 +303,15 @@ def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,
     if world.order > 1:
         return [sample_sentence(world, int(L), rng) for L in lengths]
 
-    V = world.vocab_size
-    cum0 = np.cumsum(world.initial)
-    last0 = int(np.flatnonzero(world.initial)[-1])
-    tcum = np.cumsum(world.matrix, axis=1)
-    lastnz = np.array([np.flatnonzero(world.matrix[v])[-1] for v in range(V)])
-
+    T = world.factors[:, :-1]  # order 1: row V is the sentence start
+    tcum = np.cumsum(T, axis=1)
+    lastnz = np.array([np.flatnonzero(row)[-1] for row in T])
     toks = np.zeros((n, lmax), dtype=np.int64)
-    u = rng.random(n)
-    toks[:, 0] = np.minimum(np.searchsorted(cum0, u, side="right"), last0)
-    for j in range(1, lmax):
-        prev = toks[:, j - 1]
+    prev = np.full(n, world.vocab_size)
+    for j in range(lmax):
         u = rng.random(n)
         idx = (tcum[prev] <= u[:, None]).sum(axis=1)
-        toks[:, j] = np.minimum(idx, lastnz[prev])
+        toks[:, j] = prev = np.minimum(idx, lastnz[prev])
     return [row[:L] for row, L in zip(toks, lengths.tolist())]
 
 

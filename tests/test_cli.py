@@ -19,6 +19,9 @@ TINY_CONFIG = {
     "length_range": [5, 9],
     "volume_sizes": [400, 1500],
 }
+# The same on an order-2 world; context affinity needs an order-1 world.
+ORDER_2_CONFIG = {**TINY_CONFIG, "world": {**TINY_CONFIG["world"], "order": 2},
+                  "confusion": {**TINY_CONFIG["confusion"], "context_affinity": 0.0}}
 
 
 @pytest.fixture()
@@ -433,3 +436,18 @@ class TestGoldenOutputs:
         config = experiment_config_from_dict(TINY_CONFIG)
         assert output_matrix.posteriors_digest(7, config) == (
             "3f06587c9603a417720e007465b446fb4b664d30619543f7c88252859809388c")
+
+    def test_order_2_outputs_match_recorded_digests(self, runner, tmp_path):
+        # Recorded before the chain-factor table served every world order.
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(ORDER_2_CONFIG))
+        out = tmp_path / "out"
+        for call in output_matrix.commands(out):
+            run_ok(runner, [*call, "--config", str(config_path), "--seed", "7"])
+        listing = "".join(f"{name}  {digest}\n"
+                          for name, digest in sorted(golden_hashes(out).items()))
+        assert hashlib.sha256(listing.encode()).hexdigest() == (
+            "206f88e0d98fdb5ae810b807885970c5b2c945c80e9be6b4f9b53d4095dfaee0")
+        config = experiment_config_from_dict(ORDER_2_CONFIG)
+        assert output_matrix.posteriors_digest(7, config) == (
+            "78ef95a05e18aa11fadcfe26a90da0f9899c9ba0d67a32421ff9843741e0cf7e")

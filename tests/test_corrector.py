@@ -288,7 +288,9 @@ class TestSerialization:
         ("7", [1, -2, 0, 0], "negative count"),
         ("-1", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("1000000", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
-    ], ids=["length-1-row", "short-row", "negative-count", "id-below-0", "id-too-large"])
+        ("a", [1, 0, 0, 0], "signature id is not an integer"),
+    ], ids=["length-1-row", "short-row", "negative-count", "id-below-0", "id-too-large",
+            "id-not-integer"])
     def test_malformed_counts_rejected(self, tmp_path, key, row, message):
         model = train(identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4))
         doc = json.loads(model_to_json(model))

@@ -1,6 +1,6 @@
 """Property tests: the batched exact-posterior kernel against enumeration.
 
-Random worlds with V <= 5, order 1 and 2, and sentences of length <= 5 drawn
+Random worlds with V <= 5, order 1 to 3, and sentences of length <= 5 drawn
 uniformly over tokens, so many contexts are corrupted beyond what the world
 can produce.  ``tests/enumeration.py`` is the independent reference.
 """
@@ -21,7 +21,7 @@ from reference import iter_edits
 @st.composite
 def worlds(draw):
     V = draw(st.integers(2, 5))
-    return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from((1, 2))),
+    return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from((1, 2, 3))),
                                    support=draw(st.integers(1, V)),
                                    seed=draw(st.integers(0, 10**6)),
                                    weight_low=0.05, weight_high=1.0))

@@ -11,7 +11,7 @@ from denoiselab.world import (ImpossibleContextError, WorldConfig, build_world,
                               conditional, load_world, sample_corpus_tokens, sample_sentence,
                               save_world, sentence_prob, world_from_json, world_to_json)
 
-from enumeration import chain_prob, slot_distribution, total_mass
+from enumeration import all_sentences, chain_prob, slot_distribution, total_mass
 
 
 def uniform_world(V=3):
@@ -32,6 +32,15 @@ def chain_world(V=4):
     initial[0] = 1.0
     return build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
                                    initial=initial))
+
+
+def order_2_without(context):
+    """A bad-file edit: the document of an order-2, V = 3 world without one row."""
+    def edit(doc):
+        doc.update(json.loads(world_to_json(build_world(
+            WorldConfig(vocab_size=3, order=2, support=2, seed=0)))))
+        del doc["transitions"][context]
+    return edit
 
 
 RING_OVERLAP_ROWS = {"0": [0.5, 0.5, 0.0], "1": [0.0, 0.5, 0.5], "2": [0.5, 0.0, 0.5]}
@@ -195,6 +204,13 @@ class TestSentenceProb:
         sent = sample_sentence(w, 4, derive_rng(0, "p"))
         assert sentence_prob(w, sent) == pytest.approx(chain_prob(w, sent), abs=1e-15)
 
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_higher_orders_match_enumeration_exactly(self, order):
+        w = build_world(WorldConfig(vocab_size=3, order=order, support=2, seed=4))
+        assert abs(total_mass(w, 4) - 1.0) < 1e-12
+        for sent in all_sentences(3, 4):
+            assert sentence_prob(w, sent) == chain_prob(w, sent)
+
     def test_long_sentence_log_space_path(self):
         w = uniform_world(3)
         sent = tuple([0, 1, 2] * 30)
@@ -220,8 +236,16 @@ class TestSerialization:
         (lambda doc: doc.update(order="1"), "field 'order' must be an integer"),
         (lambda doc: doc["transitions"].pop("2"),
          r"world has no transition row for context \(2,\)"),
+        (lambda doc: doc["transitions"].update(a=doc["transitions"]["0"]),
+         r"transitions\['a'\]: context is not comma-separated integers"),
+        (lambda doc: doc["transitions"].update({"7": doc["transitions"]["0"]}),
+         r"context \(7,\) has a token outside \[0, 3\)"),
+        (lambda doc: doc["transitions"].update({"-1": doc["transitions"]["0"]}),
+         r"context \(-1,\) has a token outside \[0, 3\)"),
+        (order_2_without("0,1"), r"world has no transition row for context \(0, 1\)"),
     ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
-            "missing-row"])
+            "missing-row", "context-not-integers", "context-token-7",
+            "context-token-minus-1", "order-2-missing-row"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "world.json"
         save_world(uniform_world(), path)
