@@ -33,7 +33,7 @@ import numpy as np
 
 from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
 from ._rng import derive_rng
-from .world import WorldModel, conditional, sample_corpus_tokens
+from .world import WorldModel, categorical_sampler, conditional, sample_corpus_tokens
 
 
 class SampleCategory(str, enum.Enum):
@@ -100,6 +100,8 @@ class ConfusionTable:
                 raise ValueError(f"candidate row {v} repeats tokens or contains itself")
             if np.any(row < 0) or np.any(row >= V):
                 raise ValueError(f"candidate row {v} has out-of-range tokens")
+            if np.any(self.weights[v] < 0.0) or np.any(self.weights[v] > 1.0):
+                raise ValueError(f"weight row {v} has entries outside [0, 1]")
             if abs(float(self.weights[v].sum()) - 1.0) > 1e-12:
                 raise ValueError(f"weight row {v} does not sum to 1")
         matrix = np.zeros((V, V))
@@ -538,10 +540,7 @@ class RecordsView(Sequence):
 
 def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
-    cum = np.cumsum(table.weights, axis=1)
-    u = rng.random(len(sources))
-    idx = (cum[sources] <= u[:, None]).sum(axis=1)
-    idx = np.minimum(idx, table.weights.shape[1] - 1)
+    idx = categorical_sampler(table.weights)(sources, rng.random(len(sources)))
     return table.candidates[sources, idx]
 
 

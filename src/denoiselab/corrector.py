@@ -268,6 +268,8 @@ def model_from_json(text: str) -> CorrectorModel:
             sig = int(key)
         except ValueError:
             raise ValueError(f"counts[{key!r}]: signature id is not an integer") from None
+        if str(sig) != key:  # one spelling per signature
+            raise ValueError(f"counts[{key!r}]: signature id is not written as '{sig}'")
         if not 0 <= sig < n_sigs:
             raise ValueError(f"counts[{key!r}]: signature id outside [0, {n_sigs})")
         if len(row) != V:

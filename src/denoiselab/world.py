@@ -10,8 +10,8 @@ Every factor of a sentence's probability is one entry of the dense table
 ``WorldModel.factors``.  Its row is the token's context: the last ``order``
 tokens as a base-(V+1) number, with the digit V before the sentence start,
 so the all-V row is the initial distribution.  Its column is the token;
-column V, the sentence end, holds ones.  Sentence probabilities, both
-samplers and the exact kernel read that one table, for every order.
+column V, the sentence end, holds ones.  Sentence probabilities, the
+sampler and the exact kernel read that one table, for every order.
 
 Sentences are sequences of token ids in ``[0, vocab_size)``: tuples, or
 int64 array rows where many are sampled at once.
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from ._rng import derive_rng
 PROB_TOL = 1e-12
 ENUMERATION_BUDGET = 10**6
 CONTEXT_BUDGET = 10**4
+_CONTEXT_KEY = re.compile(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*")  # ",".join(map(str, ctx))
 
 # Switch sentence_prob to summed logs beyond this length; short products are
 # exact enough in linear space and keep oracle equality tests tight.
@@ -141,12 +143,10 @@ def build_world(config: WorldConfig) -> WorldModel:
     if config.rows is not None:
         transitions = {}
         for key, row in config.rows.items():
-            try:
-                ctx = tuple(int(t) for t in str(key).split(",") if t != "")
-            except ValueError:
+            if not _CONTEXT_KEY.fullmatch(str(key)):  # one spelling per context
                 raise ValueError(f"transitions[{key!r}]: context is not comma-separated "
-                                 "integers") from None
-            transitions[ctx] = np.asarray(row, dtype=float)
+                                 "integers as world_to_json writes them")
+            transitions[tuple(map(int, str(key).split(",")))] = np.asarray(row, dtype=float)
         if config.initial is None:
             raise ValueError("explicit rows require an explicit initial vector")
         initial = np.asarray(config.initial, dtype=float)
@@ -266,52 +266,39 @@ def conditional(world: WorldModel, tokens, position):
 
 
 def sample_sentence(world: WorldModel, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one sentence of the given length from the chain."""
+    """Draw one sentence of the given length: :func:`sample_corpus_tokens`'s batch of one."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rows, cid = len(world.factors), len(world.factors) - 1
-    toks: list[int] = []
-    for _ in range(length):
-        toks.append(_categorical(rng, world.factors[cid, :-1]))
-        cid = (cid * (world.vocab_size + 1) + toks[-1]) % rows
-    return tuple(toks)
+    return tuple(sample_corpus_tokens(world, [length], rng)[0].tolist())
 
 
-def _categorical(rng: np.random.Generator, pvec: np.ndarray) -> int:
-    # Draw over the compressed support so hard zeros can never be selected.
-    nz = np.flatnonzero(pvec)
-    cum = np.cumsum(pvec[nz])
-    u = rng.random() * cum[-1]
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return int(nz[min(idx, len(nz) - 1)])
+def categorical_sampler(probs: np.ndarray):
+    """``draw(rows, u)``: per i, the count of row ``rows[i]``'s cumulative sums at or below
+    ``u[i]``, at most the row's last nonzero column, so a stored zero is never drawn."""
+    cum = np.cumsum(probs, axis=1)
+    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] != 0, axis=1)
+    cum[np.arange(probs.shape[1]) >= last[:, None]] = np.inf  # the count stops at ``last``
+    return lambda rows, u: (cum[rows] <= u[:, None]).sum(axis=1)
 
 
 def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,
                          rng: np.random.Generator) -> list:
-    """Vectorized multi-sentence sampling (one shared stream, fixed draw order).
-
-    Order-1 worlds return int64 row views of one sampled matrix, order 2 and
-    higher a tuple per sentence.
-    """
+    """Sentences of the given lengths: int64 row views of one matrix, drawn a column at a
+    time (one ``rng.random(n)`` each) from the ``world.factors`` rows of the context ids,
+    which walk as in :func:`sentence_prob`; for an order-1 world the id is the last token."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0:
         return []
     if np.any(lengths < 1):
         raise ValueError("lengths must be >= 1")
-    n, lmax = len(lengths), int(lengths.max())
-
-    if world.order > 1:
-        return [sample_sentence(world, int(L), rng) for L in lengths]
-
-    T = world.factors[:, :-1]  # order 1: row V is the sentence start
-    tcum = np.cumsum(T, axis=1)
-    lastnz = np.array([np.flatnonzero(row)[-1] for row in T])
-    toks = np.zeros((n, lmax), dtype=np.int64)
-    prev = np.full(n, world.vocab_size)
-    for j in range(lmax):
-        u = rng.random(n)
-        idx = (tcum[prev] <= u[:, None]).sum(axis=1)
-        toks[:, j] = prev = np.minimum(idx, lastnz[prev])
+    n, rows = len(lengths), len(world.factors)
+    draw = categorical_sampler(world.factors[:, :-1])
+    shifted = np.arange(rows) * (world.vocab_size + 1) % rows  # the oldest digit dropped
+    toks = np.zeros((n, int(lengths.max())), dtype=np.int64)
+    cid = np.full(n, rows - 1)  # the all-start context
+    for j in range(toks.shape[1]):
+        toks[:, j] = tok = draw(cid, rng.random(n))
+        cid = shifted[cid] + tok
     return [row[:L] for row, L in zip(toks, lengths.tolist())]
 
 

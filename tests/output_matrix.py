@@ -30,6 +30,10 @@ the same ``diff`` shows whether the exact oracle moved::
 
     PYTHONPATH=src python tests/output_matrix.py --posteriors --seeds 0 3 5
 
+With ``--order K`` both run the default experiment on a world of order K,
+with ``context_affinity`` 0 (affine candidates need an order-1 world); the
+commands then read that config from a ``config.json`` outside the listing.
+
 The lab is imported from ``PYTHONPATH``, so the same script checks any
 checkout.
 """
@@ -39,12 +43,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
 
 from denoiselab import cli, oracle
 from denoiselab.augment import generate_corpus
+from denoiselab.config import experiment_config_from_dict
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 
 
@@ -88,22 +94,34 @@ def posteriors_digest(seed: int, config: ExperimentConfig | None = None) -> str:
     return h.hexdigest()
 
 
+def order_config(order: int) -> dict:
+    """The config document of the default experiment at world order ``order``."""
+    return {"world": {"order": order}, "confusion": {"context_affinity": 0.0}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 3])
     parser.add_argument("--posteriors", action="store_true",
                         help="print the posterior-report digest of each seed instead")
+    parser.add_argument("--order", type=int,
+                        help="world order of the default experiment (context affinity 0)")
     args = parser.parse_args(argv)
+    doc = None if args.order is None else order_config(args.order)
     if args.posteriors:
+        config = None if doc is None else experiment_config_from_dict(doc)
         for seed in args.seeds:
-            print(f"{posteriors_digest(seed)}  seed{seed}/posteriors")
+            print(f"{posteriors_digest(seed, config)}  seed{seed}/posteriors")
         return 0
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
+        root, uses = Path(tmp) / "out", []
+        if doc is not None:
+            (Path(tmp) / "config.json").write_text(json.dumps(doc))
+            uses = ["--config", str(Path(tmp) / "config.json")]
         with contextlib.redirect_stdout(sys.stderr):  # the commands' own messages
             for seed in args.seeds:
                 for call in commands(root / f"seed{seed}"):
-                    cli.main([*call, "--seed", str(seed)], standalone_mode=False)
+                    cli.main([*call, *uses, "--seed", str(seed)], standalone_mode=False)
         for path in sorted(p for p in root.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest}  {path.relative_to(root).as_posix()}")

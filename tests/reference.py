@@ -3,6 +3,9 @@
 Each walks the corpus record by record, as the lab did before its corpus
 became flat arrays, and shares no code with the array passes; the property
 tests in ``test_columnar.py`` hold the two to exact agreement.
+:func:`order_1_sentences` is the order-1 sampler as it was before one column
+loop served every world order; ``test_world.py`` holds the sampler to it bit
+for bit.
 """
 
 import hashlib
@@ -146,3 +149,20 @@ def sentence_metrics(records, outputs):
     fpr = 100.0 * broke / with_correct if with_correct else 0.0
     return (precision, recall, f1, fpr, 100.0 * right / total,
             tp, modified - tp, errors - tp, errors, len(records) - errors)
+
+
+def order_1_sentences(world, lengths, rng):
+    """The order-1 column loop, indexed by the previous token; row V of the table is
+    the sentence start, and each row's last nonzero is found row by row."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n, lmax = len(lengths), int(lengths.max())
+    T = world.factors[:, :-1]  # order 1: row V is the sentence start
+    tcum = np.cumsum(T, axis=1)
+    lastnz = np.array([np.flatnonzero(row)[-1] for row in T])
+    toks = np.zeros((n, lmax), dtype=np.int64)
+    prev = np.full(n, world.vocab_size)
+    for j in range(lmax):
+        u = rng.random(n)
+        idx = (tcum[prev] <= u[:, None]).sum(axis=1)
+        toks[:, j] = prev = np.minimum(idx, lastnz[prev])
+    return [row[:L] for row, L in zip(toks, lengths.tolist())]

@@ -252,10 +252,13 @@ class TestBadInputs:
         ("corpus.jsonl", 2, lambda doc: doc.pop("edits"), "corpus.jsonl:2: missing field 'edits'"),
         ("confusion.json", 1, lambda doc: doc["weights"][0].__setitem__(0, 0.9),
          "confusion.json: weight row 0 does not sum to 1"),
+        ("confusion.json", 1, lambda doc: doc["weights"].__setitem__(0, [1.5, -0.5]),
+         "confusion.json: weight row 0 has entries outside [0, 1]"),
         ("corpus.jsonl", 2, lambda doc: doc["clean"].__setitem__(0, 10**20),
          "corpus.jsonl:2: integer 100000000000000000000 does not fit in 64 bits"),
         ("world.json", 1, lambda doc: doc.clear(), "world.json: missing field 'vocab_size'"),
-    ], ids=["corpus-line-2", "confusion", "corpus-int64-line-2", "world-empty"])
+    ], ids=["corpus-line-2", "confusion", "confusion-negative", "corpus-int64-line-2",
+            "world-empty"])
     def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
                                                       name, line, break_it, message):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -438,7 +441,7 @@ class TestGoldenOutputs:
             "3f06587c9603a417720e007465b446fb4b664d30619543f7c88252859809388c")
 
     def test_order_2_outputs_match_recorded_digests(self, runner, tmp_path):
-        # Recorded before the chain-factor table served every world order.
+        # Recorded after one column-loop sampler served every world order.
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(ORDER_2_CONFIG))
         out = tmp_path / "out"
@@ -447,7 +450,7 @@ class TestGoldenOutputs:
         listing = "".join(f"{name}  {digest}\n"
                           for name, digest in sorted(golden_hashes(out).items()))
         assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "206f88e0d98fdb5ae810b807885970c5b2c945c80e9be6b4f9b53d4095dfaee0")
+            "a198d39b510423fc855e1504c1a51e6041aeba920fb7a2b8ed4ced66d64059cb")
         config = experiment_config_from_dict(ORDER_2_CONFIG)
         assert output_matrix.posteriors_digest(7, config) == (
-            "78ef95a05e18aa11fadcfe26a90da0f9899c9ba0d67a32421ff9843741e0cf7e")
+            "243c2768a7202027b0349181c7b6d8eb8cfd2b7a946d28edbfb9391e10168768")

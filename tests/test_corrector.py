@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,17 +290,20 @@ class TestSerialization:
         ("-1", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("1000000", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("a", [1, 0, 0, 0], "signature id is not an integer"),
+        ("+1", [1, 0, 0, 0], "signature id is not written as '1'"),
+        (" 1", [1, 0, 0, 0], "signature id is not written as '1'"),
     ], ids=["length-1-row", "short-row", "negative-count", "id-below-0", "id-too-large",
-            "id-not-integer"])
+            "id-not-integer", "id-plus-sign", "id-leading-space"])
     def test_malformed_counts_rejected(self, tmp_path, key, row, message):
         model = train(identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4))
         doc = json.loads(model_to_json(model))
         doc["counts"][key] = row
-        with pytest.raises(ValueError, match=rf"^counts\['{key}'\]: {message}"):
+        with pytest.raises(ValueError, match=rf"^counts\['{re.escape(key)}'\]: {message}"):
             model_from_json(json.dumps(doc))
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=rf"model\.json: counts\['{key}'\]: {message}"):
+        with pytest.raises(ValueError,
+                           match=rf"model\.json: counts\['{re.escape(key)}'\]: {message}"):
             load_model(path)
 
     @pytest.mark.parametrize("key,value,message", [

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from denoiselab._rng import derive_rng
 from denoiselab.world import (ImpossibleContextError, WorldConfig, build_world,
-                              conditional, load_world, sample_corpus_tokens, sample_sentence,
-                              save_world, sentence_prob, world_from_json, world_to_json)
+                              categorical_sampler, conditional, load_world,
+                              sample_corpus_tokens, sample_sentence, save_world,
+                              sentence_prob, world_from_json, world_to_json)
 
+import reference
 from enumeration import all_sentences, chain_prob, slot_distribution, total_mass
 
 
@@ -41,6 +43,20 @@ def order_2_without(context):
             WorldConfig(vocab_size=3, order=2, support=2, seed=0)))))
         del doc["transitions"][context]
     return edit
+
+
+@st.composite
+def order_1_worlds(draw):
+    """Order-1 worlds from explicit rows, with exact zeros in most of them."""
+    V = draw(st.integers(2, 6))
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+
+    def vector():
+        raw = np.array(draw(st.lists(weight, min_size=V, max_size=V).filter(any)))
+        return list(raw / raw.sum())
+
+    return build_world(WorldConfig(vocab_size=V, order=1, seed=0, initial=vector(),
+                                   rows={str(v): vector() for v in range(V)}))
 
 
 RING_OVERLAP_ROWS = {"0": [0.5, 0.5, 0.0], "1": [0.0, 0.5, 0.5], "2": [0.5, 0.0, 0.5]}
@@ -103,11 +119,46 @@ class TestSampling:
         sigma = np.sqrt(p * (1 - p) / n)
         np.testing.assert_array_less(np.abs(counts / n - p), 3 * sigma)
 
-    def test_vectorized_sampling_never_emits_zero_transitions(self):
-        w = build_world(WorldConfig(vocab_size=6, support=2, seed=9))
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_vectorized_sampling_never_emits_zero_transitions(self, order):
+        w = build_world(WorldConfig(vocab_size=6, order=order, support=2, seed=9))
         sents = sample_corpus_tokens(w, np.full(2000, 6), derive_rng(4, "z"))
         for s in sents:
             assert sentence_prob(w, s) > 0.0
+
+    def test_a_uniform_past_the_rounded_total_draws_the_last_nonzero(self):
+        probs = np.array([[0.1] * 10 + [0.0, 0.0], [0.0, 1.0] + [0.0] * 10])
+        assert np.cumsum(probs[0])[-1] < 1.0  # ten tenths round below one
+        draw = categorical_sampler(probs)
+        u = np.array([np.nextafter(1.0, 0.0)] * 2)
+        assert draw(np.array([0, 1]), u).tolist() == [9, 1]
+
+    @given(order_1_worlds(), st.lists(st.integers(1, 9), min_size=1, max_size=12),
+           st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_order_1_sampling_matches_the_reference_loop(self, w, lengths, seed):
+        got_rng, want_rng = derive_rng(seed, "r"), derive_rng(seed, "r")
+        got = sample_corpus_tokens(w, lengths, got_rng)
+        want = reference.order_1_sentences(w, lengths, want_rng)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_higher_order_sentence_frequencies_match_enumeration(self, order):
+        # Every length-3 sentence within 4 sigma of its exact probability, and
+        # no sentence of probability zero drawn.
+        V, n = 3, 60_000
+        w = build_world(WorldConfig(vocab_size=V, order=order, support=2, seed=6))
+        sents = np.array(sample_corpus_tokens(w, np.full(n, 3), derive_rng(8, "freq")))
+        counts = np.bincount((sents * [V * V, V, 1]).sum(axis=1), minlength=V**3)
+        for code, sent in enumerate(all_sentences(V, 3)):
+            p = chain_prob(w, sent)
+            if p == 0.0:
+                assert counts[code] == 0, sent
+            else:
+                assert abs(counts[code] / n - p) < 4 * np.sqrt(p * (1 - p) / n), sent
 
     @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
@@ -243,9 +294,15 @@ class TestSerialization:
         (lambda doc: doc["transitions"].update({"-1": doc["transitions"]["0"]}),
          r"context \(-1,\) has a token outside \[0, 3\)"),
         (order_2_without("0,1"), r"world has no transition row for context \(0, 1\)"),
+        *((lambda doc, key=key: doc["transitions"].update({key: doc["transitions"]["1"]}),
+           re.escape(f"transitions[{key!r}]: context is not comma-separated integers as "
+                     "world_to_json writes them"))
+          for key in ("0,", " 1", "+1", "0_1", "01")),
     ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
             "missing-row", "context-not-integers", "context-token-7",
-            "context-token-minus-1", "order-2-missing-row"])
+            "context-token-minus-1", "order-2-missing-row", "context-trailing-comma",
+            "context-leading-space", "context-plus-sign", "context-underscore",
+            "context-leading-zero"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "world.json"
         save_world(uniform_world(), path)
