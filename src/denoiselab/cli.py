@@ -24,31 +24,42 @@ from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
 
 def _load_corpus_dir(corpus_dir: Path):
+    manifest = corpus_dir / "manifest.json"
     try:  # each message names the file
         meta = harness.read_manifest(corpus_dir, ("files", "meta"))["meta"]
         if not {"vocab_size", "rate", "mode"} <= meta.keys():
-            raise ValueError(f"{corpus_dir / 'manifest.json'}: "
-                             "expected 'files' and 'meta' objects")
+            raise ValueError(f"{manifest}: expected 'files' and 'meta' objects")
         ok, checks = harness.verify_manifest(corpus_dir)
         if not ok:
             bad = ", ".join(sorted(name for name, good in checks.items() if not good))
             raise ValueError(f"{corpus_dir}: manifest hash mismatch for {bad}")
         w = world.load_world(corpus_dir / "world.json")
         table = augment.load_confusion(corpus_dir / "confusion.json")
-        corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl",
-                                           vocab_size=meta["vocab_size"],
-                                           rate=meta["rate"], mode=meta["mode"])
+        V, rate, mode = meta["vocab_size"], meta["rate"], meta["mode"]
+        if type(V) is not int or not V == w.vocab_size == table.vocab_size:
+            raise ValueError(f"{manifest}: meta 'vocab_size' must be world.json's {w.vocab_size} "
+                             f"and confusion.json's {table.vocab_size}, got {V!r}")
+        if type(rate) not in (int, float) or not 0 <= rate < 1:
+            raise ValueError(f"{manifest}: meta 'rate' must be a number in [0, 1), got {rate!r}")
+        if mode not in ("iid", "single_edit"):
+            raise ValueError(f"{manifest}: meta 'mode' must be iid or single_edit, got {mode!r}")
+        corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl", vocab_size=V,
+                                           rate=rate, mode=mode)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from None
     return w, table, corpus, meta
 
 
-def _load_model(model_path: str):
-    """The model file given by ``--model``; a bad one is reported as a usage error."""
+def _load_model(model_path: str, corpus: augment.PairCorpus):
+    """The ``--model`` file, for ``corpus``; a bad one is reported as a usage error."""
     try:
-        return corrector.load_model(model_path)
+        model = corrector.load_model(model_path)
     except ValueError as exc:  # the message names the file and the field
         raise click.ClickException(str(exc)) from None
+    if model.vocab_size != corpus.vocab_size:
+        raise click.ClickException(f"{model_path}: model vocab_size {model.vocab_size} "
+                                   f"differs from the corpus's {corpus.vocab_size}")
+    return model
 
 
 _THRESHOLD = click.FloatRange(0, 1, min_open=True, max_open=True)
@@ -155,7 +166,10 @@ def train_cmd(run, corpus_dir, window):
     """Train a corrector on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     cc = run.config.corrector
-    model = corrector.train(corpus, window or cc.window, cc.alpha)
+    try:  # a window whose count table is too large for the corpus's vocabulary
+        model = corrector.train(corpus, window or cc.window, cc.alpha)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     path = run.out / "model.json"
     corrector.save_model(model, path)
     run.manifest({"model.json": path}, {"trained_chars": model.trained_chars,
@@ -171,7 +185,7 @@ def train_cmd(run, corpus_dir, window):
 def score_cmd(run, model_path, corpus_dir, with_oracle):
     """Write per-edit restore confidences as JSONL."""
     w, table, corpus, meta = _load_corpus_dir(Path(corpus_dir))
-    model = _load_model(model_path)
+    model = _load_model(model_path, corpus)
 
     n = corpus.n_edits
     confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
@@ -206,7 +220,7 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
     """Revert low-confidence edits of a stored corpus."""
     p = threshold if threshold is not None else run.config.filter.threshold
     _, _, corpus, meta = _load_corpus_dir(Path(corpus_dir))
-    model = _load_model(model_path)
+    model = _load_model(model_path, corpus)
     result = pipeline.filter_corpus(model, corpus, p)
     path = run.out / "filtered.jsonl"
     augment.corpus_to_jsonl(result.corpus, path)
@@ -222,7 +236,7 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
 def eval_cmd(run, model_path, corpus_dir, variant):
     """Evaluate a stored model on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
-    model = _load_model(model_path)
+    model = _load_model(model_path, corpus)
     metrics = harness.evaluate(model, corpus)
     calib = calibration.calibration_report(model, corpus)
     run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,37 +32,49 @@ _TABLE_BUDGET = 5 * 10**7
 
 
 @dataclass(frozen=True)
-class CorrectorConfig:
+class CorrectorConfig:  # the one check of a corrector's settings
     window: tuple[int, ...] = DEFAULT_WINDOW
     alpha: float = 0.1
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < float("inf"):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if len(self.window) == 0:
+            raise ValueError("window needs at least one offset")
 
 
 @dataclass(eq=False)
 class CorrectorModel:
+    """A count table and its settings; the marginals and size are read off ``counts``."""
+
     vocab_size: int
     window: tuple[int, ...]
     alpha: float
     counts: np.ndarray           # ((V + 1) ** len(window), V) int64
-    center_counts: np.ndarray | None   # (V, V) when the window includes offset 0
-    target_counts: np.ndarray    # (V,) global marginal over clean tokens
-    trained_chars: int
     trained_on: str              # human-readable corpus descriptor
     corpus_hash: str             # content digest of the training corpus
+    center_counts: np.ndarray | None = field(init=False)  # (V, V) when the window has 0
+    target_counts: np.ndarray = field(init=False)         # (V,) marginal over clean tokens
+    trained_chars: int = field(init=False)                # one count per trained position
 
-    def predict(self, tokens, position: int) -> np.ndarray:
-        return predict(self, tokens, position)
+    def __post_init__(self):
+        V = self.vocab_size
+        self.center_counts = None
+        if 0 in self.window:  # sum the rows over every offset but the center's digit
+            digits = self.counts.reshape(-1, V + 1, (V + 1) ** self.window.index(0), V)
+            self.center_counts = digits.sum(axis=(0, 2))[:V]
+        self.target_counts = self.counts.sum(axis=0)
+        self.trained_chars = int(self.counts.sum())
 
     def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
         return predict_at(self, corpus, places)
 
-    def correct(self, tokens) -> tuple[int, ...]:
-        return correct(self, tokens)
 
-
-def _signature_table_shape(vocab_size: int, window: tuple[int, ...]) -> int:
+def _signature_table_shape(vocab_size: int, window: tuple[int, ...], where: str = "window") -> int:
     n_sigs = (vocab_size + 1) ** len(window)
     if n_sigs * vocab_size > _TABLE_BUDGET:
-        raise ValueError("window/vocabulary too large for a dense count table")
+        raise ValueError(f"{where}: {len(window)} offsets over {vocab_size} tokens are too large "
+                         f"for a dense count table ({n_sigs * vocab_size} > {_TABLE_BUDGET})")
     return n_sigs
 
 
@@ -95,27 +107,16 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     """Count (signature -> clean token) pairs over every position of the corpus."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if len(window) == 0:
-        raise ValueError("window needs at least one offset")
+    settings = CorrectorConfig(tuple(window), float(alpha))
     V = corpus.vocab_size
-    n_sigs = _signature_table_shape(V, window)
+    n_sigs = _signature_table_shape(V, settings.window)
 
     digest = corpus_digest(corpus)  # before the signature arrays exist, to keep the peak low
-    sig = _signatures(corpus.corrupted, corpus.offsets, V, window)
-    tgt = corpus.clean
-    counts = np.bincount(sig * V + tgt, minlength=n_sigs * V)
+    sig = _signatures(corpus.corrupted, corpus.offsets, V, settings.window)
+    counts = np.bincount(sig * V + corpus.clean, minlength=n_sigs * V)
     counts = counts.reshape(n_sigs, V).astype(np.int64)
-    center_counts = None
-    if 0 in window:
-        center_counts = np.bincount(corpus.corrupted * V + tgt, minlength=V * V)
-        center_counts = center_counts.reshape(V, V).astype(np.int64)
-    target_counts = np.bincount(tgt, minlength=V).astype(np.int64)
-
     descriptor = f"{len(corpus)}r:{corpus.n_chars}c"
-    return CorrectorModel(V, tuple(window), float(alpha), counts, center_counts,
-                          target_counts, corpus.n_chars, descriptor, digest)
+    return CorrectorModel(V, settings.window, settings.alpha, counts, descriptor, digest)
 
 
 def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
@@ -123,19 +124,10 @@ def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
     if (first.vocab_size, first.window, first.alpha) != \
             (second.vocab_size, second.window, second.alpha):
         raise ValueError("models disagree on vocabulary, window, or alpha")
-    center = None
-    if first.center_counts is not None:
-        center = first.center_counts + second.center_counts
-    combined = hashlib.sha256(
-        (first.corpus_hash + second.corpus_hash).encode()).hexdigest()
+    combined = hashlib.sha256((first.corpus_hash + second.corpus_hash).encode()).hexdigest()
     return CorrectorModel(
-        first.vocab_size, first.window, first.alpha,
-        first.counts + second.counts, center,
-        first.target_counts + second.target_counts,
-        first.trained_chars + second.trained_chars,
-        f"merge({first.trained_on},{second.trained_on})",
-        combined,
-    )
+        first.vocab_size, first.window, first.alpha, first.counts + second.counts,
+        f"merge({first.trained_on},{second.trained_on})", combined)
 
 
 def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -148,12 +140,8 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> 
     totals = rows.sum(axis=1)
     missing = totals == 0.0
     if np.any(missing):
-        if model.center_counts is not None:
-            fallback = model.center_counts[centers[missing]].astype(float)
-        else:
-            fallback = np.broadcast_to(model.target_counts.astype(float),
-                                       (int(missing.sum()), model.vocab_size)).copy()
-        rows[missing] = fallback
+        rows[missing] = (model.target_counts if model.center_counts is None
+                         else model.center_counts[centers[missing]])
         totals = rows.sum(axis=1)
     # (rows + alpha) / (totals + alpha V), in place: one (positions, V) array stays alive.
     alpha = model.alpha
@@ -258,8 +246,8 @@ _MODEL_FIELDS = {  # each top-level field: what it must be, and the test of that
 def model_from_json(text: str) -> CorrectorModel:
     doc = checked_object(text, _MODEL_FIELDS)
     V = doc["vocab_size"]
-    window = tuple(doc["window"])
-    n_sigs = _signature_table_shape(V, window)
+    settings = CorrectorConfig(tuple(doc["window"]), float(doc["alpha"]))
+    n_sigs = _signature_table_shape(V, settings.window)
     counts = np.zeros((n_sigs, V), dtype=np.int64)
     for key, row in doc["counts"].items():
         if type(row) is not list or not set(map(type, row)) <= {int}:
@@ -277,15 +265,11 @@ def model_from_json(text: str) -> CorrectorModel:
         if min(row) < 0:
             raise ValueError(f"counts[{key!r}]: negative count")
         counts[sig] = row
-
-    center_counts = None
-    if 0 in window:  # sum the rows over every offset but the center's digit
-        digits = counts.reshape(-1, V + 1, (V + 1) ** window.index(0), V)
-        center_counts = digits.sum(axis=(0, 2))[:V]
-    target_counts = counts.sum(axis=0)
-    return CorrectorModel(V, window, float(doc["alpha"]), counts, center_counts,
-                          target_counts.astype(np.int64), doc["trained_chars"],
-                          doc["trained_on"], doc["corpus_hash"])
+    model = CorrectorModel(V, settings.window, settings.alpha, counts,
+                           doc["trained_on"], doc["corpus_hash"])
+    if model.trained_chars != doc["trained_chars"]:
+        raise ValueError(f"field 'trained_chars' must be {model.trained_chars}, the counts' sum")
+    return model
 
 
 def save_model(model: CorrectorModel, path: str | Path) -> None:

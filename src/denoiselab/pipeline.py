@@ -26,7 +26,7 @@ from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategor
                       concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
-                        _signatures, predict_at, train)
+                        _signature_table_shape, _signatures, predict, predict_at, train)
 from .harness import CategoryRate, Metrics, category_filter_rates, evaluate
 from .oracle import OracleScorer, restoration_distribution
 from .world import WorldConfig, WorldModel, build_world, conditional
@@ -98,6 +98,7 @@ class ExperimentConfig:
             raise ValueError(f"volume_sizes: must be positive, got {list(self.volume_sizes)}")
         if list(self.volume_sizes) != sorted(self.volume_sizes):
             raise ValueError(f"volume_sizes: must be ascending, got {list(self.volume_sizes)}")
+        _signature_table_shape(self.world.vocab_size, self.corrector.window, "corrector.window")
 
 
 @dataclass(frozen=True)
@@ -237,7 +238,7 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
     starts, corr = corpus.offsets.tolist(), corpus.corrupted
-    distances = [0.5 * float(np.abs(row - model.predict(corr[starts[r]:starts[r + 1]], i)).sum())
+    distances = [0.5 * float(np.abs(row - predict(model, corr[starts[r]:starts[r + 1]], i)).sum())
                  for row, r, i in zip(exact, ri.tolist(), pos.tolist())]
     return float(np.mean(distances))
 

@@ -210,7 +210,21 @@ class TestBadInputs:
         ('{"files": {}, "meta": {"rate": 0.1, "mode": "iid"}}',
          "expected 'files' and 'meta' objects"),
         ("[]", "expected 'files' and 'meta' objects"),
-    ], ids=["truncated", "no-files", "no-meta", "meta-without-vocab-size", "not-an-object"])
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": "x", "mode": "iid"}}',
+         "meta 'rate' must be a number in [0, 1), got 'x'"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 1.5, "mode": "iid"}}',
+         "meta 'rate' must be a number in [0, 1), got 1.5"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": true, "mode": "iid"}}',
+         "meta 'rate' must be a number in [0, 1), got True"),
+        ('{"files": {}, "meta": {"vocab_size": 30, "rate": 0.1, "mode": "iid"}}',
+         "meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got 30"),
+        ('{"files": {}, "meta": {"vocab_size": "8", "rate": 0.1, "mode": "iid"}}',
+         "meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got '8'"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": "both"}}',
+         "meta 'mode' must be iid or single_edit, got 'both'"),
+    ], ids=["truncated", "no-files", "no-meta", "meta-without-vocab-size", "not-an-object",
+            "rate-string", "rate-above-one", "rate-bool", "vocab-size-not-the-worlds",
+            "vocab-size-string", "mode-unknown"])
     def test_malformed_corpus_dir_manifest_is_named(self, runner, config_path, tmp_path,
                                                     text, fragment):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -247,6 +261,22 @@ class TestBadInputs:
                                       "--corpus-dir", str(corpus_dir),
                                       "--out-dir", str(tmp_path / "eval")])
         self.assert_usage_error(result, "m.json: field 'counts' must be an object of integer lists")
+
+    @pytest.mark.parametrize("command", ["score", "filter", "eval"])
+    def test_model_for_another_vocabulary_names_the_file_and_both_sizes(
+            self, runner, config_path, tmp_path, command):
+        corpus_dir, model_path = self.corpus_and_model(runner, config_path, tmp_path)
+        wider = tmp_path / "v10.json"
+        wider.write_text(json.dumps({**TINY_CONFIG,
+                                     "world": {**TINY_CONFIG["world"], "vocab_size": 10}}))
+        run_ok(runner, ["gen-corpus", "--config", str(wider), "--sentences", "30",
+                        "--out-dir", str(tmp_path / "corpus-v10")])
+        result = runner.invoke(main, [command, "--config", config_path,
+                                      "--model", str(model_path),
+                                      "--corpus-dir", str(tmp_path / "corpus-v10"),
+                                      "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(
+            result, f"{model_path}: model vocab_size 8 differs from the corpus's 10")
 
     @pytest.mark.parametrize("name,line,break_it,message", [
         ("corpus.jsonl", 2, lambda doc: doc.pop("edits"), "corpus.jsonl:2: missing field 'edits'"),
@@ -295,6 +325,25 @@ class TestBadInputs:
                                       "--corpus-dir", str(corpus_dir), "--window", "a",
                                       "--out-dir", str(tmp_path / "model-a")])
         self.assert_usage_error(result, "--window", "expected comma-separated integers")
+
+    def test_window_too_wide_for_the_count_table_is_named(self, runner, config_path, tmp_path):
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--window=-4,-3,-2,-1,0,1,2,3",
+                                      "--out-dir", str(tmp_path / "model-wide")])
+        self.assert_usage_error(result, "window: 8 offsets over 8 tokens are too large for a "
+                                "dense count table (344373768 > 50000000)")
+        assert not (tmp_path / "model-wide" / "model.json").exists()
+
+    def test_config_window_too_wide_stops_the_pipeline_before_it_runs(self, runner, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}))
+        result = runner.invoke(main, ["pipeline", "--config", str(path),
+                                      "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result, "wide.json: corrector.window: 6 offsets over 20 tokens "
+                                "are too large for a dense count table")
+        assert not (tmp_path / "out").exists()
 
 
 class TestPipelineCommands:

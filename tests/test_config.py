@@ -39,13 +39,21 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"volume_sizes": []}', ": volume_sizes: must not be empty"),
     ('{"volume_sizes": [0, 10]}', r": volume_sizes: must be positive, got \[0, 10\]"),
     ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
+    ('{"corrector": {"alpha": -1}}', ": alpha must be positive and finite, got -1"),
+    ('{"corrector": {"alpha": 0}}', ": alpha must be positive and finite, got 0"),
+    ('{"corrector": {"window": []}}', ": window needs at least one offset"),
+    ('{"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}',
+     r": corrector.window: 6 offsets over 20 tokens are too large for a dense count table "
+     r"\(1715322420 > 50000000\)"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
         "tuple-item", "tuple-length", "bool-for-float", "bool-for-int", "int-for-bool",
         "nested-row", "top-not-object", "bad-json", "unknown-key", "removed-lambda-m",
         "world-seed", "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
         "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
         "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
-        "no-volume-sizes", "volume-size-zero", "volume-sizes-descending"])
+        "no-volume-sizes", "volume-size-zero", "volume-sizes-descending",
+        "corrector-alpha-negative", "corrector-alpha-zero", "corrector-window-empty",
+        "corrector-window-six-offsets"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)

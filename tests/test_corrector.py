@@ -306,6 +306,25 @@ class TestSerialization:
                            match=rf"model\.json: counts\['{re.escape(key)}'\]: {message}"):
             load_model(path)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"alpha": 0}, "alpha must be positive and finite, got 0.0"),
+        ({"alpha": -0.5}, "alpha must be positive and finite, got -0.5"),
+        ({"window": [], "counts": {}}, "window needs at least one offset"),
+        ({"trained_chars": 4}, "field 'trained_chars' must be 3, the counts' sum"),
+        ({"trained_chars": 2}, "field 'trained_chars' must be 3, the counts' sum"),
+    ], ids=["alpha-zero", "alpha-negative", "window-empty", "trained-chars-one-over",
+            "trained-chars-one-under"])
+    def test_bad_settings_and_size_rejected(self, tmp_path, fields, message):
+        doc = json.loads(model_to_json(train(identity_corpus([(0, 1, 2)], vocab_size=4))))
+        assert doc["trained_chars"] == 3
+        doc.update(fields)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            model_from_json(json.dumps(doc))
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"^{re.escape(f'{path}: {message}')}$"):
+            load_model(path)
+
     @pytest.mark.parametrize("key,value,message", [
         ("vocab_size", "4", r"field 'vocab_size' must be an integer"),
         ("window", [-1, 0.5], r"field 'window' must be a list of integers"),

@@ -97,8 +97,7 @@ def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
     base = vocab_size + 1
     for (left, right), row in counts_by_context.items():
         counts[left + base * right] = row
-    return CorrectorModel(vocab_size, MASKED_WINDOW, alpha, counts, None,
-                          counts.sum(axis=0), int(counts.sum()), "handmade", "none")
+    return CorrectorModel(vocab_size, MASKED_WINDOW, alpha, counts, "handmade", "none")
 
 
 def masked_rows(model, corpus):

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 import reference
 from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory
-from denoiselab.corrector import (correct, correct_corpus, predict, predict_at,
-                                  predict_matrix, train)
+from denoiselab.corrector import (correct, correct_corpus, merge, model_from_json,
+                                  model_to_json, predict, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
 from denoiselab.pipeline import filter_corpus, revert_edits
 from reference import iter_edits
@@ -118,17 +118,27 @@ class TestModelRows:
 
 class TestAgainstReference:
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS))
-    def test_train_counts_equal_the_per_record_count(self, corpus, window):
+    @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS), st.data())
+    def test_train_counts_equal_the_per_record_count(self, corpus, window, data):
+        """Training, merging the models of two halves and a JSON round trip all
+        give the per-record counts; the marginals and size are read off them."""
         model = train(corpus, window)
         counts, center, target = reference.signature_counts(corpus.records,
                                                             corpus.vocab_size, window)
-        np.testing.assert_array_equal(model.counts, counts)
-        np.testing.assert_array_equal(model.target_counts, target)
-        if center is None:
-            assert model.center_counts is None
-        else:
-            np.testing.assert_array_equal(model.center_counts, center)
+        models = [model, model_from_json(model_to_json(model))]
+        cut = data.draw(st.integers(1, len(corpus)), label="cut")
+        if cut < len(corpus):
+            halves = [PairCorpus(part, corpus.vocab_size, 0.1, "iid")
+                      for part in (corpus.records[:cut], corpus.records[cut:])]
+            models.append(merge(*(train(half, window) for half in halves)))
+        for model in models:
+            np.testing.assert_array_equal(model.counts, counts)
+            np.testing.assert_array_equal(model.target_counts, target)
+            if center is None:
+                assert model.center_counts is None
+            else:
+                np.testing.assert_array_equal(model.center_counts, center)
+            assert model.trained_chars == corpus.n_chars
 
     @settings(max_examples=80, deadline=None)
     @given(trained_setups())
