@@ -80,6 +80,26 @@ class ConfusionConfig:
     context_affinity: float = 0.35
     seed: int = 0
 
+    def __post_init__(self):  # the rules that read these fields alone; _fits_world has the rest
+        if self.candidates < 1:
+            raise ValueError(f"candidates must be at least 1, got {self.candidates}")
+        if self.mode not in ("uniform", "long_tailed"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.candidates > 1:  # one config builds both channels
+            zipf_exponent_for_head_mass(self.candidates, self.head_mass)
+        if not 0.0 <= self.context_affinity <= 1.0:
+            raise ValueError(f"context_affinity must be in [0, 1], got {self.context_affinity}")
+
+
+def _fits_world(config: ConfusionConfig, vocab_size: int, order: int, where: str = "") -> None:
+    """The confusion rules that read the world; ``where`` prefixes the field names."""
+    if config.candidates >= vocab_size:
+        raise ValueError(f"{where}candidates must be below the world's vocab_size {vocab_size}, "
+                         f"got {config.candidates}")
+    if config.context_affinity > 0 and order != 1:
+        raise ValueError(f"{where}context_affinity must be 0 in an order-{order} world "
+                         f"(affine candidates need order 1), got {config.context_affinity}")
+
 
 @dataclass(frozen=True)
 class ConfusionTable:
@@ -136,7 +156,7 @@ def zipf_exponent_for_head_mass(n_candidates: int, head_mass: float) -> float:
     if n_candidates < 2:
         raise ValueError("head mass is only meaningful for >= 2 candidates")
     if not (1.0 / n_candidates < head_mass < 1.0):
-        raise ValueError(f"head_mass must lie in (1/{n_candidates}, 1)")
+        raise ValueError(f"head_mass must lie in (1/{n_candidates}, 1), got {head_mass}")
     ranks = np.arange(1, n_candidates + 1, dtype=float)
 
     def head(e: float) -> float:
@@ -177,14 +197,8 @@ def _affine_candidate(world: WorldModel, token: int, rng: np.random.Generator) -
 
 def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTable:
     """Build a per-token candidate table against a world."""
+    _fits_world(config, world.vocab_size, world.order)
     V, c = world.vocab_size, config.candidates
-    if not (1 <= c < V):
-        raise ValueError(f"candidate count must be in [1, {V})")
-    if config.mode not in ("uniform", "long_tailed"):
-        raise ValueError(f"unknown mode {config.mode!r}")
-    if config.context_affinity > 0 and world.order != 1:
-        raise ValueError("context_affinity requires an order-1 world")
-
     rng = derive_rng(config.seed, "confusion")
     candidates = np.zeros((V, c), dtype=np.int64)
     source_load = np.zeros(V)  # how many tokens already confuse into each target
@@ -224,15 +238,22 @@ def confusion_pair(world: WorldModel, config: ConfusionConfig) -> tuple[Confusio
     return uniform, longtail
 
 
-def _record_problem(clean, corrupted, edits, categories) -> str | None:
+def _record_problem(clean, corrupted, edits, categories,
+                    vocab_size: int | None = None) -> str | None:
     """How one record breaks the record rule, worded as its error; None if it keeps it.
 
     The per-record statement of the rule :func:`_first_bad_record` checks over
     a whole corpus at once; it words the error of the first record found.
+    Tokens are checked against ``vocab_size`` when one is given.
     """
     big = [v for v in chain(clean, corrupted, *edits) if type(v) is int and not -2**63 <= v < 2**63]
     if big:
         return f"integer {big[0]} does not fit in 64 bits"
+    if vocab_size is not None:
+        for name, tokens in (("clean", clean), ("corrupted", corrupted)):
+            outside = [t for t in tokens if not 0 <= t < vocab_size]
+            if outside:
+                return f"{name} token {outside[0]} outside [0, {vocab_size})"
     if len(clean) != len(corrupted):
         return "corruption must preserve sentence length"
     edited = set()
@@ -297,7 +318,8 @@ def _edit_bounds(columns: _Columns, start: int, stop: int) -> list[int]:
     return np.searchsorted(columns.record, np.arange(start, stop + 1)).tolist()
 
 
-def _first_bad_record(columns: _Columns, n_categories: np.ndarray | None) -> int | None:
+def _first_bad_record(columns: _Columns, n_categories: np.ndarray | None,
+                      vocab_size: int) -> int | None:
     """Index of the first record breaking the record rule, checked over all records at once.
 
     Sides of equal length are assumed; ``n_categories`` holds each record's
@@ -309,12 +331,13 @@ def _first_bad_record(columns: _Columns, n_categories: np.ndarray | None) -> int
     ok = (c.pos >= 0) & (c.pos < lengths[c.record]) & (c.orig != c.repl)
     ok[ok] = (c.clean[at[ok]] == c.orig[ok]) & (c.corrupted[at[ok]] == c.repl[ok])
     ok[ok] = np.bincount(at[ok], minlength=len(c.clean))[at[ok]] == 1  # one edit per position
-    covered = np.zeros(len(c.clean), dtype=bool)
-    covered[at[ok]] = True
-    stray = np.flatnonzero((c.clean != c.corrupted) & ~covered)
+    stray = c.clean != c.corrupted  # then every bad token
+    stray[at[ok]] = False  # a kept edit explains its position
+    for tokens in (c.clean, c.corrupted):
+        stray |= (tokens < 0) | (tokens >= vocab_size)
     bad = np.zeros(len(lengths), dtype=bool)
     bad[c.record[~ok]] = True
-    bad[np.searchsorted(c.offsets, stray, side="right") - 1] = True
+    bad[np.searchsorted(c.offsets, np.flatnonzero(stray), side="right") - 1] = True
     if n_categories is not None:
         bad |= n_categories != np.bincount(c.record, minlength=len(lengths))
     first = np.flatnonzero(bad)
@@ -330,11 +353,12 @@ class _RecordError(ValueError):
 
 
 def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
-                        categories: list | None) -> _Columns:
+                        categories: list | None, vocab_size: int) -> _Columns:
     """Columns of records given as per-record sequences, checked as a whole.
 
     ``categories`` holds one sequence, or None, per record.  Raises
-    :class:`_RecordError` for the first record that breaks the record rule.
+    :class:`_RecordError` for the first record that breaks the record rule,
+    tokens in ``[0, vocab_size)`` included.
     """
     n = len(cleans)
     lengths = np.fromiter(map(len, cleans), np.int64, n)
@@ -359,15 +383,15 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
             offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category,
             annotated)
     except OverflowError:  # an integer beyond int64: the per-record rule finds the first error
-        bad = next(k for k in range(good)
-                   if _record_problem(cleans[k], corrupteds[k], edits[k], categories[k]))
+        bad = next(k for k in range(good) if _record_problem(
+            cleans[k], corrupteds[k], edits[k], categories[k], vocab_size))
     else:
-        bad = _first_bad_record(columns, n_categories)
+        bad = _first_bad_record(columns, n_categories, vocab_size)
         if bad is None and good < n:
             bad = good
     if bad is not None:
         raise _RecordError(bad, _record_problem(cleans[bad], corrupteds[bad], edits[bad],
-                                                categories[bad]))
+                                                categories[bad], vocab_size))
     return columns
 
 
@@ -415,7 +439,8 @@ class PairCorpus:
                                      f"the corpus {self.rate}")
             columns = _columns_from_lists(
                 [rec.clean for rec in records], [rec.corrupted for rec in records],
-                [rec.edits for rec in records], [rec.categories for rec in records])
+                [rec.edits for rec in records], [rec.categories for rec in records],
+                self.vocab_size)
         for name, array in zip(_Columns._fields, columns):
             if array is not None:
                 array.flags.writeable = False
@@ -748,7 +773,8 @@ def _record_fields(docs: list) -> tuple[list, list, list, list]:
             [doc.get("categories") for doc in docs])
 
 
-def _parsed_columns(lines: list[str]) -> tuple[_Columns, tuple[int, str] | None]:
+def _parsed_columns(lines: list[str],
+                    vocab_size: int) -> tuple[_Columns, tuple[int, str] | None]:
     """Columns of the records on JSONL ``lines`` up to the first line that is not a
     record's fields (:func:`_record_fields`), and that line's index and error (None
     when every line is); :class:`_RecordError` names the first of those records
@@ -778,7 +804,7 @@ def _parsed_columns(lines: list[str]) -> tuple[_Columns, tuple[int, str] | None]
                 break
             docs.append(doc)
         fields = _record_fields(docs)
-    return _columns_from_lists(*fields), failure
+    return _columns_from_lists(*fields, vocab_size), failure
 
 
 def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
@@ -796,7 +822,7 @@ def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
     collecting = gc.isenabled()
     gc.disable()
     try:
-        columns, failure = _parsed_columns([line for _, line in numbered])
+        columns, failure = _parsed_columns([line for _, line in numbered], vocab_size)
     except _RecordError as exc:
         raise ValueError(f"{path}:{numbered[exc.index][0]}: {exc}") from None
     finally:
@@ -806,13 +832,6 @@ def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
         raise ValueError(f"{path}:{numbered[failure[0]][0]}: {failure[1]}")
     if not numbered:
         raise ValueError(f"no records in {path}")
-    for field_name in ("clean", "corrupted"):
-        tokens = getattr(columns, field_name)
-        bad = np.flatnonzero((tokens < 0) | (tokens >= vocab_size))
-        if len(bad):
-            k = int(np.searchsorted(columns.offsets, bad[0], side="right")) - 1
-            raise ValueError(f"{path}:{numbered[k][0]}: {field_name} token {tokens[bad[0]]} "
-                             f"outside [0, {vocab_size})")
     return PairCorpus._from_columns(columns, vocab_size, rate, mode)
 
 

@@ -52,7 +52,7 @@ def _typed(where: str, value, hint):
                         else args[k]) for k, v in enumerate(value)]
         return tuple(items) if origin is tuple else items
     number = hint is float and isinstance(value, int)
-    if isinstance(value, bool) is not (hint is bool) or not (number or isinstance(value, hint)):
+    if isinstance(value, bool) or not (number or isinstance(value, hint)):  # no field is a bool
         raise ValueError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
     return value
 

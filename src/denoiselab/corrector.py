@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,7 +38,7 @@ class CorrectorConfig:  # the one check of a corrector's settings
     alpha: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < float("inf"):
+        if not 0.0 < self.alpha <= sys.float_info.max:  # exact for an int beyond float range
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if len(self.window) == 0:
             raise ValueError("window needs at least one offset")
@@ -107,7 +108,7 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     """Count (signature -> clean token) pairs over every position of the corpus."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    settings = CorrectorConfig(tuple(window), float(alpha))
+    settings = CorrectorConfig(tuple(window), alpha)
     V = corpus.vocab_size
     n_sigs = _signature_table_shape(V, settings.window)
 
@@ -116,7 +117,7 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     counts = np.bincount(sig * V + corpus.clean, minlength=n_sigs * V)
     counts = counts.reshape(n_sigs, V).astype(np.int64)
     descriptor = f"{len(corpus)}r:{corpus.n_chars}c"
-    return CorrectorModel(V, settings.window, settings.alpha, counts, descriptor, digest)
+    return CorrectorModel(V, settings.window, float(settings.alpha), counts, descriptor, digest)
 
 
 def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
@@ -246,7 +247,9 @@ _MODEL_FIELDS = {  # each top-level field: what it must be, and the test of that
 def model_from_json(text: str) -> CorrectorModel:
     doc = checked_object(text, _MODEL_FIELDS)
     V = doc["vocab_size"]
-    settings = CorrectorConfig(tuple(doc["window"]), float(doc["alpha"]))
+    if V < 1:
+        raise ValueError(f"field 'vocab_size' must be at least 1, got {V}")
+    settings = CorrectorConfig(tuple(doc["window"]), doc["alpha"])
     n_sigs = _signature_table_shape(V, settings.window)
     counts = np.zeros((n_sigs, V), dtype=np.int64)
     for key, row in doc["counts"].items():
@@ -265,7 +268,7 @@ def model_from_json(text: str) -> CorrectorModel:
         if min(row) < 0:
             raise ValueError(f"counts[{key!r}]: negative count")
         counts[sig] = row
-    model = CorrectorModel(V, settings.window, settings.alpha, counts,
+    model = CorrectorModel(V, settings.window, float(settings.alpha), counts,
                            doc["trained_on"], doc["corpus_hash"])
     if model.trained_chars != doc["trained_chars"]:
         raise ValueError(f"field 'trained_chars' must be {model.trained_chars}, the counts' sum")

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory,
+from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory, _fits_world,
                       concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
@@ -35,22 +35,19 @@ FILTER_SOURCES = ("cross", "self", "heuristic", "none", "mixing")
 DEFAULT_THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_VOLUME_SIZES = (10**3, 10**4, 10**5)
 VOLUME_THRESHOLD = 1e-2  # the volume sweep's filter threshold; filter.threshold is not read
+NOISY_RATIO = 0.9  # the heuristic's cutoff on the ratio of an edit's two masked scores
 
 
 @dataclass(frozen=True)
 class FilterConfig:
     threshold: float = 0.2
     filter_source: str = "cross"
-    lambda_n: float = 0.9
-    literal_ratio: bool = False  # one-sided reading of the masked-logit rule
 
     def __post_init__(self):
         if not (0.0 < self.threshold < 1.0):
             raise ValueError("threshold must be in (0, 1)")
         if self.filter_source not in FILTER_SOURCES:
             raise ValueError(f"filter_source must be one of {FILTER_SOURCES}")
-        if not (0.0 < self.lambda_n <= 1.0):
-            raise ValueError("lambda_n must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,7 @@ class ExperimentConfig:
         if list(self.volume_sizes) != sorted(self.volume_sizes):
             raise ValueError(f"volume_sizes: must be ascending, got {list(self.volume_sizes)}")
         _signature_table_shape(self.world.vocab_size, self.corrector.window, "corrector.window")
+        _fits_world(self.confusion, self.world.vocab_size, self.world.order, "confusion.")
 
 
 @dataclass(frozen=True)
@@ -157,16 +155,13 @@ def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
     return revert_edits(corpus, confidences >= threshold)
 
 
-def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray,
-                    lambda_n: float = 0.9, literal_ratio: bool = False) -> np.ndarray:
+def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray) -> np.ndarray:
     """Flag edits whose original and replacement both fit the masked context.
 
     ``masked`` holds a masked-context model's ``predict_at`` row per edit, in
     edit-column order: each edit scored from its neighbors alone, read on a
-    log scale.  By default an edit is flagged when the smaller of the two
-    scores is at least ``lambda_n`` times the larger; ``literal_ratio``
-    switches to the one-sided reading (original's score at most ``lambda_n``
-    times the replacement's).  Returns one flag per edit, in edit-column order.
+    log scale.  An edit is flagged when the smaller of the two scores is at
+    least :data:`NOISY_RATIO` times the larger; one flag per edit, in that order.
     """
     # Log-scaled masked scores: the count model's analogue of mask logits.
     # Ratios are taken on this compressed scale, where a 0.9 cutoff tolerates
@@ -175,11 +170,9 @@ def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray,
     scores = np.log1p(masked / masked.min(axis=1, keepdims=True) - 1.0)
     rows = np.arange(corpus.n_edits)
     q_x, q_y = scores[rows, corpus.orig], scores[rows, corpus.repl]
-    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio counts only where guarded
-        if literal_ratio:
-            return (q_y > 0) & (q_x / q_y <= lambda_n)
-        top = np.maximum(q_x, q_y)
-        return (top > 0) & (np.minimum(q_x, q_y) / top >= lambda_n)
+    top = np.maximum(q_x, q_y)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a ratio counts only where top > 0
+        return (top > 0) & (np.minimum(q_x, q_y) / top >= NOISY_RATIO)
 
 
 def heuristic_multi(corpus: PairCorpus) -> np.ndarray:
@@ -306,8 +299,7 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
     elif variant != "none":
         if variant == "heuristic":
             masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.places())
-            flagged = (heuristic_noisy(d_o, masked, fc.lambda_n, fc.literal_ratio)
-                       | heuristic_multi(d_o))
+            flagged = heuristic_noisy(d_o, masked) | heuristic_multi(d_o)
             result = revert_edits(d_o, ~flagged)
         else:  # the self filter is the baseline model itself
             filter_model = train(d_r, cc.window, cc.alpha) if variant == "cross" else baseline

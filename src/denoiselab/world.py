@@ -65,6 +65,21 @@ class WorldConfig:
     rows: dict[str, list[float]] | None = None
     initial: list[float] | None = None
 
+    def __post_init__(self):  # the rules that read these fields alone
+        V, k = self.vocab_size, self.order
+        if V < 2:
+            raise ValueError(f"vocab_size must be at least 2, got {V}")
+        if k < 1:
+            raise ValueError(f"order must be at least 1, got {k}")
+        if V ** min(k, 14) > CONTEXT_BUDGET:  # an order past 13 exceeds it even at V = 2
+            raise ValueError(f"vocab_size**order = {V}**{k} exceeds context budget "
+                             f"{CONTEXT_BUDGET}")
+        if not 1 <= self.support <= V:
+            raise ValueError(f"support must be in [1, {V}], got {self.support}")
+        if not 0 < self.weight_low <= self.weight_high < math.inf:
+            raise ValueError("weight band must satisfy 0 < weight_low <= weight_high < inf, "
+                             f"got [{self.weight_low}, {self.weight_high}]")
+
 
 @dataclass(frozen=True)
 class WorldModel:
@@ -76,11 +91,7 @@ class WorldModel:
     factors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        V, k = self.vocab_size, self.order
-        if V < 2:
-            raise ValueError("vocab_size must be >= 2")
-        if k < 1:
-            raise ValueError("order must be >= 1")
+        V, k = self.vocab_size, self.order  # in range: build_world takes them from a WorldConfig
         _check_prob_vector(self.initial, V, "initial")
         for ctx, row in self.transitions.items():
             if not (1 <= len(ctx) <= k):
@@ -137,9 +148,6 @@ def _all_contexts(vocab_size: int, order: int):
 def build_world(config: WorldConfig) -> WorldModel:
     """Construct a world from explicit rows or the sparse-row generator."""
     V, k = config.vocab_size, config.order
-    if V ** k > CONTEXT_BUDGET:
-        raise ValueError(f"vocab_size**order = {V**k} exceeds context budget {CONTEXT_BUDGET}")
-
     if config.rows is not None:
         transitions = {}
         for key, row in config.rows.items():
@@ -151,11 +159,6 @@ def build_world(config: WorldConfig) -> WorldModel:
             raise ValueError("explicit rows require an explicit initial vector")
         initial = np.asarray(config.initial, dtype=float)
         return WorldModel(V, k, config.seed, initial, transitions)
-
-    if not (1 <= config.support <= V):
-        raise ValueError(f"support must be in [1, {V}]")
-    if not (0 < config.weight_low <= config.weight_high):
-        raise ValueError("weight band must satisfy 0 < low <= high")
 
     rng = derive_rng(config.seed, "world")
     if config.initial is not None:

@@ -14,11 +14,18 @@ import json
 import numpy as np
 
 
-def record_problem(clean, corrupted, edits, categories):
-    """The error message of the record rule, checked step by step; None if kept."""
+def record_problem(clean, corrupted, edits, categories, vocab_size=None):
+    """The error message of the record rule, checked step by step; None if kept.
+
+    Tokens are held to ``[0, vocab_size)`` when a vocabulary is given.
+    """
     for value in (*clean, *corrupted, *(v for edit in edits for v in edit)):
         if not -2**63 <= value < 2**63:  # the columns are int64
             return f"integer {value} does not fit in 64 bits"
+    for name, tokens in (("clean", clean), ("corrupted", corrupted)):
+        for token in tokens:
+            if vocab_size is not None and not 0 <= token < vocab_size:
+                return f"{name} token {token} outside [0, {vocab_size})"
     if len(clean) != len(corrupted):
         return "corruption must preserve sentence length"
     edited = []

@@ -55,7 +55,7 @@ class TestBuildConfusion:
 
     def test_candidate_count_must_be_below_vocab(self):
         w = small_world(V=4)
-        with pytest.raises(ValueError, match="candidate count"):
+        with pytest.raises(ValueError, match="candidates must be below the world's vocab_size 4"):
             build_confusion(w, ConfusionConfig(candidates=4))
 
     @pytest.mark.parametrize("seed", range(4))

@@ -184,6 +184,21 @@ class TestBadInputs:
                                       "--out-dir", str(tmp_path / "out")])
         self.assert_usage_error(result, "bad.json: rate: must be in (0, 1), got 1.5")
 
+    @pytest.mark.parametrize("command,doc,message", [
+        ("gen-world", {"world": {"support": 0}}, "support must be in [1, 20], got 0"),
+        ("gen-corpus", {"confusion": {"candidates": 25}},
+         "confusion.candidates must be below the world's vocab_size 20, got 25"),
+    ], ids=["gen-world-support", "gen-corpus-candidates"])
+    def test_bad_world_or_confusion_setting_is_one_line(self, runner, tmp_path, command, doc,
+                                                        message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        result = runner.invoke(main, [command, "--config", str(path),
+                                      "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result)
+        assert result.output == f"Error: {path}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_model_file_missing_a_field_names_the_file_and_the_field(self, runner, config_path,
                                                                      tmp_path):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -409,68 +424,69 @@ def golden_hashes(out_dir):
 # Recorded before the corpus moved to flat columns; any change to these bytes
 # is an output change and must be recorded as one.  Every manifest.json entry
 # was re-recorded when filter.lambda_m left the config (its config_hash moved),
-# and the pipeline-heuristic/* entries when the multi-answer rule became a
-# context group-by.
+# and again when filter.lambda_n and filter.literal_ratio left it; the
+# pipeline-heuristic/* entries when the multi-answer rule became a context
+# group-by.
 GOLDEN = {
     "corpus/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus/corpus.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "corpus/manifest.json": "d469b8e2cb39647ff42b9bf287b48b573f944b22b85a7183165b804dc878c31c",
+    "corpus/manifest.json": "9a266bf69b73a9edf9676c55f49a1b9ab9049e460aad73c84475bf5ab6558c07",
     "corpus/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "eval/manifest.json": "9d1ba3c710096a558254f80e9c8e186ecafbccd60c22f797eda638376aa61148",
+    "eval/manifest.json": "d6d160dd7237c56fffec8ef98bef05b4129d1457b2cc116e18a55d9a99d7bc04",
     "eval/metrics.csv": "f1536811ca94c1f59e9154d8f711ed38978a0011350103f594f7e410efbd84ce",
     "eval/reliability.csv": "d19c08748c53002448acabea56b0bb6508140c8c883d70a8f2855f260c57d8f4",
     "filter/filtered.jsonl": "d737c10ece2859c66bc7754b5f4b86a03e40875665fbf745a9e718b58fa794c3",
-    "filter/manifest.json": "4e020d2eca2b2dde5b2641592d5d5974b59cff4add019f40942ef74fe7c46703",
-    "model/manifest.json": "8d8bf52dbd36a4cb6e8b00f4a8e0726af46da2bcce28a5898f6b7adae64d6a86",
+    "filter/manifest.json": "27557e53bcbe8235a258e801c1a9bae6b18d681ea9434e9c44814acb43508250",
+    "model/manifest.json": "c6744631d67df90918138c11dd6ba36e8863585dcb4186a3335cf439bb7325bb",
     "model/model.json": "8d2380d9156996cc65f3835f808686095a5f4b6aea6264e035f8bcb0b217c561",
     # Recorded before the corrector moved to flat positions.
     "pipeline-cross/filtered.jsonl": "2b468dab3fdae2b40089de2d5ea79a7198cb062d5bc5a263c9fb5530768fd85b",
-    "pipeline-cross/manifest.json": "651f72b934be7350671041cba9952136286c982896b8e1421cc9bd544658a5e9",
+    "pipeline-cross/manifest.json": "91446908c9a0c719976485c24e554cfdb0ca7b015d770997f41203cf330970a2",
     "pipeline-cross/metrics.csv": "173784c68c53f6a28603520092ca6eaef870155616c9293610e7eb6f3a4db188",
     "pipeline-cross/reliability.csv": "73d4bb540f1155176e5ceca2c7c48b5b7f04bb3d63803cd07f1af5b16754b6ec",
     "pipeline-cross/report.json": "eecc6a239c00f15ca0680c03e53618110389fa0efbdd3c012a4e7f1215badca0",
     "pipeline-heuristic/filtered.jsonl": "31609f0627359eb036f79a2ded2f3d415a740c64b5a5a8b741bd511e11a21b02",
-    "pipeline-heuristic/manifest.json": "2b7776247e1d7728a5cc25b83b164a0f4fdb4d1f075538cb1f3b68ab948ea33a",
+    "pipeline-heuristic/manifest.json": "201f797c0ef7bc4ddbd57d7d03c5cd306e5293bbe5560f7c7fc44934e061319d",
     "pipeline-heuristic/metrics.csv": "9b1b7494a84b866ffd50db6a04f05718113c1cf802789a0b4cd978ba0ec75940",
     "pipeline-heuristic/reliability.csv": "6b21f2f2a79887dd8401596de7e64ee41daacaa52885061761274d32722e2c29",
     "pipeline-heuristic/report.json": "873985acd78ba203227f15db1a61d7ab029097ecb2a867d152df2b22ca7e4fa4",
-    "score/manifest.json": "a8fa115144eecbc91c9594e9317a528e67fa36fa3e241e9eda6bc0161baea58a",
+    "score/manifest.json": "ef2c8375736eb67b112328e207b736bec0679ef1b76791a260b0f090e02aceb9",
     "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
-    "sweep-threshold/manifest.json": "d4efec47bb4ea93a0194c7a74967fb6fef0fa153223d696b88c9510dafb87e81",
+    "sweep-threshold/manifest.json": "72b142bc9bf5c07a3b36263abc1fb5642d2d1dd0c4856495113378bbbfeb1e42",
     "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
     # Recorded before the experiment scaffold was written once.
     "corpus-single/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus-single/corpus.jsonl": "6d101ab6e338a4dde83639fc4c615bde13eb4ad03909fbb1b5285cee0da356d2",
-    "corpus-single/manifest.json": "8c9775d737d3f9b65da5d4a647adaff7c3f4af24abc215362618b84897f0483b",
+    "corpus-single/manifest.json": "18af0435e24f132dc2d22a2261b3e60b8bb4aac322810057b077be419e985494",
     "corpus-single/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "corpus-uniform/confusion.json": "a4533ecfb031b0b9b628c77a04896991d7e833f80e8241199b2bc8d8d66aadd5",
     "corpus-uniform/corpus.jsonl": "838aac57d0c9c2eb5930b963475647169555b9d62652c421ebf67164229dd757",
-    "corpus-uniform/manifest.json": "85eb06b91a8f29a0be13ddb9f1f8b4c44b6a93fe9dc02c33cdefcb2d0e780c36",
+    "corpus-uniform/manifest.json": "2393d7cf97dfe8c852c5034f097d2c2fde34286e272754a812a775f23a779b21",
     "corpus-uniform/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "filter-0.01/filtered.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "filter-0.01/manifest.json": "f508bd5abbbdbee97e710498bdabb74308fca0f5cf5ff970e7923a5f23316ddd",
-    "gen-world/manifest.json": "b083f1f957a5f62bedb26f1a6d09156e50d6bcb9873b390076094be004a1da91",
+    "filter-0.01/manifest.json": "80dea818fd853a7e6566e4d6aa6256945bd46b745da06e8d01260972244e88e7",
+    "gen-world/manifest.json": "5e09dbb7cfc4f09e1e2fc321da160d91725cbb110e6219211c74242139eac8d8",
     "gen-world/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "model-window/manifest.json": "43b479e18c42727c88f5026d23dde177970bd1f6cc942b3add0688902e6d3102",
+    "model-window/manifest.json": "dfe151ea1f0021b5d2ee0750d7d563247a5866fdb9fc9919ade916efdca5db9e",
     "model-window/model.json": "05e3d1cc4d188ac907f36465070b37352c479999de8e0c5d7ecbee8cf8e87796",
     "pipeline-mixing/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-mixing/manifest.json": "3ced6ca19a157a5651cbf3dc9f5373e5eb76eb4295d3b55019c56d878ae9c6bc",
+    "pipeline-mixing/manifest.json": "83fbcb1fbef3420969c4ee70fed71cc8b0bdc97b1fba6310ea052acc42dc8166",
     "pipeline-mixing/metrics.csv": "122f2910661f8d7d32509f5f68ad3b8e5604ba34053057ba4603c72cda3cb66c",
     "pipeline-mixing/reliability.csv": "a6d5fa6cd17b7857f91a2324d93baee8fc3f4473f1506137b9db2a52f5682112",
     "pipeline-mixing/report.json": "264812c04063162a4a306993f6f463b914a85e5f438290f53c3e902da30dd352",
     "pipeline-none/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-none/manifest.json": "adf22eea11fce88f84fd30f8b0d836c1aec79943a375515cc69761c838144f08",
+    "pipeline-none/manifest.json": "5c125c7b9ee65cc4654e2380a723506746f0f24332e300e3e30145791e019e66",
     "pipeline-none/metrics.csv": "b12014ee2ff79aa162ac36c470c896951b00ea0becc9cba21549f9fdbfb76bdb",
     "pipeline-none/reliability.csv": "07eb6b5686452ea191f7fa8fee5fbffa155dea83175197174e89d3aa91510754",
     "pipeline-none/report.json": "cc6ac7106abd08a039a50d796e6f2c63c0a3231f4ea14f375a507bf29bf78966",
     "pipeline-self/filtered.jsonl": "0a51de0a930f8ee35ec601f4f7908c8dae0e6c0df409f37a4d40b22f7dd0e933",
-    "pipeline-self/manifest.json": "157f4ccf0ae2a9953c8d61c0b668a8461c5962d95d2b8ef741008ff3e3bac53a",
+    "pipeline-self/manifest.json": "5ad0ae0f585ea5c2453c779ede3be7f910d0a7ff9e6dbe74656945bd544ddc0c",
     "pipeline-self/metrics.csv": "c637f1780ed33eb944571bd0fde17914adf231cbdf0782e537f88f350f1aea86",
     "pipeline-self/reliability.csv": "75b8c2d3e4bbc69ca59e69efe9e37005c7135e3f74450a2cfd7fb712ca8ecc67",
     "pipeline-self/report.json": "679925c9f98c57358461f50084cb239fbdf410ac7ad3fa33ed4cf01d648a1072",
-    "score-no-oracle/manifest.json": "84e45602592f81ba164435c7fb5f2d872e0bcc1363932567b602c445a7e24a46",
+    "score-no-oracle/manifest.json": "6f2227f867c46c8389576a00d181e4d2e6710d798ca367e9dc9b68f35fa6b01f",
     "score-no-oracle/scores.jsonl": "3b07d4cb7d85aec680df59c4b2acbac7a1a25a2d24a663d62295035e402626fc",
-    "sweep-volume/manifest.json": "3a8883e2b4e0ff845523b9e38f2c81c34fbe48adb6ced4c44bd57a917d74dc01",
+    "sweep-volume/manifest.json": "611f60f40f2ddf22cd3b5e387ad093c0f2a9c32236f515ac7fd3fbe33ac74741",
     "sweep-volume/metrics.csv": "504b167ef18cf90c6095624eed4bae3f023934b205a4902c9f008d664cb80087",
     "sweep-volume/volume_tv.csv": "47750deea99b5600ee467c3e000d7427a9da33dbd9b1759ac5901ad9d810423c",
 }
@@ -490,7 +506,8 @@ class TestGoldenOutputs:
             "3f06587c9603a417720e007465b446fb4b664d30619543f7c88252859809388c")
 
     def test_order_2_outputs_match_recorded_digests(self, runner, tmp_path):
-        # Recorded after one column-loop sampler served every world order.
+        # Recorded after one column-loop sampler served every world order, and again
+        # when filter.lambda_n and filter.literal_ratio left the config (config_hash only).
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(ORDER_2_CONFIG))
         out = tmp_path / "out"
@@ -499,7 +516,7 @@ class TestGoldenOutputs:
         listing = "".join(f"{name}  {digest}\n"
                           for name, digest in sorted(golden_hashes(out).items()))
         assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "a198d39b510423fc855e1504c1a51e6041aeba920fb7a2b8ed4ced66d64059cb")
+            "f73806b0229163da16b4b46d515aac1f3740703958064ad4c9948f423d158076")
         config = experiment_config_from_dict(ORDER_2_CONFIG)
         assert output_matrix.posteriors_digest(7, config) == (
             "243c2768a7202027b0349181c7b6d8eb8cfd2b7a946d28edbfb9391e10168768")

@@ -8,6 +8,7 @@ to V = 12, so that token ids of two digits are written and read.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -195,15 +196,25 @@ class TestArrayPasses:
 
 
 BREAKS = ("length", "original", "replacement", "unchanged", "stray", "position", "repeat",
-          "categories", "int64")
+          "categories", "int64", "clean-range", "negative-token", "corrupted-range")
 
 
-def broken(record, kind):
+def broken(record, kind, vocab_size):
     """``record`` (clean, corrupted, edits, categories) broken one way; a break
     with nothing to act on (no edits) leaves it valid."""
     clean, corrupted, edits, categories = (list(record[0]), list(record[1]),
                                            list(record[2]), record[3])
-    if kind == "length":
+    last = len(clean) - 1
+    if kind in ("clean-range", "negative-token", "corrupted-range"):  # else a valid record
+        edits = [e for e in edits if e[0] != last]
+        if kind == "corrupted-range":  # an edit to a token outside the vocabulary
+            corrupted[last] = vocab_size
+            edits.append((last, clean[last], vocab_size))
+        else:  # the same token on both sides
+            clean[last] = corrupted[last] = vocab_size if kind == "clean-range" else -1
+        if categories is not None:
+            categories = (SampleCategory.TRUE,) * len(edits)
+    elif kind == "length":
         corrupted.append(0)
     elif kind == "position":
         edits.append((len(clean) + 1, 0, 1))
@@ -214,7 +225,7 @@ def broken(record, kind):
     elif kind == "int64":  # a token no int64 column can hold
         clean[-1] = corrupted[-1] = 2**63
     elif kind == "stray":  # a changed token without an edit
-        corrupted[-1] = clean[-1] + 1
+        corrupted[-1] = (clean[-1] + 1) % vocab_size
         edits = [e for e in edits if e[0] != len(clean) - 1]
     elif edits:
         i, x, y = edits[0]
@@ -226,30 +237,57 @@ def broken(record, kind):
 
 class TestRecordRule:
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(2, 5).flatmap(record_lists), st.data())
+    @given(st.integers(2, 5), st.data())
     def test_jsonl_reports_the_first_broken_record_with_its_message(self, tmp_path_factory,
-                                                                    records, data):
+                                                                    V, data):
+        records = list(data.draw(record_lists(V)))
         k = data.draw(st.integers(0, len(records) - 1))
         kind = data.draw(st.sampled_from(BREAKS))
-        records = list(records)
-        records[k] = broken(records[k], kind)
+        records[k] = broken(records[k], kind, V)
         expected = next(((line, message) for line, r in enumerate(records, 1)
-                         if (message := reference.record_problem(*r))), None)
+                         if (message := reference.record_problem(*r, V))), None)
         path = tmp_path_factory.mktemp("rule") / "c.jsonl"
         path.write_text("".join(json.dumps(
             {"clean": c, "corrupted": r, "edits": [list(e) for e in e_],
              **({} if cats is None else {"categories": [x.value for x in cats]})}) + "\n"
             for c, r, e_, cats in records))
         if expected is None:  # the break happened to leave a valid record
-            corpus_from_jsonl(path, 99, 0.1)
+            corpus_from_jsonl(path, V, 0.1)
             return
         line, message = expected
         with pytest.raises(ValueError) as info:
-            corpus_from_jsonl(path, 99, 0.1)
+            corpus_from_jsonl(path, V, 0.1)
         assert str(info.value) == f"{path}:{line}: {message}"
-        with pytest.raises(ValueError) as direct:
-            CorruptionRecord(*records[line - 1][:3], 0.1, records[line - 1][3])
+        with pytest.raises(ValueError) as direct:  # a record alone has no vocabulary to break
+            PairCorpus((CorruptionRecord(*records[line - 1][:3], 0.1, records[line - 1][3]),),
+                       V, 0.1, "iid")
         assert str(direct.value) == message
+
+    @pytest.mark.parametrize("lines,message", [
+        ([([0, 25], [0, 25], []), ([0, 1], [0, 2], [])], "clean token 25 outside [0, 20)"),
+        ([([0, 1], [0, 25], [[1, 1, 25]]), ([-1, 1], [-1, 1], [])],
+         "corrupted token 25 outside [0, 20)"),
+    ], ids=["range-before-a-stray-token", "corrupted-side-before-clean-side"])
+    def test_a_bad_token_is_reported_on_its_own_line(self, tmp_path, lines, message):
+        # Line 2 breaks the rule too, by another rule or on the other side; line 1 is named.
+        path = tmp_path / "c.jsonl"
+        path.write_text("".join(json.dumps({"clean": c, "corrupted": r, "edits": e}) + "\n"
+                                for c, r, e in lines))
+        with pytest.raises(ValueError) as info:
+            corpus_from_jsonl(path, 20, 0.1)
+        assert str(info.value) == f"{path}:1: {message}"
+
+    @pytest.mark.parametrize("clean,corrupted,edits,message", [
+        ((0, 25), (0, 25), (), "clean token 25 outside [0, 20)"),
+        ((-1, 3), (-1, 3), (), "clean token -1 outside [0, 20)"),
+        ((0, 3), (0, 20), ((1, 3, 20),), "corrupted token 20 outside [0, 20)"),
+    ], ids=["too-large", "negative", "corrupted-side"])
+    def test_records_with_a_token_outside_the_vocabulary_are_refused(self, clean, corrupted,
+                                                                    edits, message):
+        good = CorruptionRecord((1, 2), (1, 2), (), 0.1)
+        bad = CorruptionRecord(clean, corrupted, edits, 0.1)  # alone it has no vocabulary
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            PairCorpus((good, bad), 20, 0.1, "iid")
 
 
 @st.composite

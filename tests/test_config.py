@@ -17,12 +17,13 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"length_range": [8, 12, 16]}', ": length_range: expected 2 items, got 3"),
     ('{"rate": true}', ": rate: expected float, got bool"),
     ('{"world": {"order": false}}', ": world.order: expected int, got bool"),
-    ('{"filter": {"literal_ratio": 1}}', ": filter.literal_ratio: expected bool, got int"),
     ('{"world": {"rows": {"0": [1, "a"]}}}', r": world.rows.0\[1\]: expected float, got str"),
     ('[1, 2]', ": expected an object, got list"),
     ('{"world": {"vocab_size": 20,\n "seed": }', ":2: invalid JSON: Expecting value"),
     ('{"world": {"colour": 1}}', r": unknown WorldConfig keys: \['colour'\]"),
     ('{"filter": {"lambda_m": 0.8}}', r": unknown FilterConfig keys: \['lambda_m'\]"),
+    ('{"filter": {"lambda_n": 0.9}}', r": unknown FilterConfig keys: \['lambda_n'\]"),
+    ('{"filter": {"literal_ratio": false}}', r": unknown FilterConfig keys: \['literal_ratio'\]"),
     ('{"world": {"seed": 3}}', ": world.seed: set by --seed"),
     ('{"confusion": {"seed": 3}}', ": confusion.seed: set by --seed"),
     ('{"confusion": {"mode": "long_tailed"}}', ": confusion.mode: set per channel"),
@@ -41,18 +42,37 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
     ('{"corrector": {"alpha": -1}}', ": alpha must be positive and finite, got -1"),
     ('{"corrector": {"alpha": 0}}', ": alpha must be positive and finite, got 0"),
+    ('{"corrector": {"alpha": 1%s}}' % ("0" * 400),
+     ": alpha must be positive and finite, got 1%s$" % ("0" * 400)),
+    ('{"world": {"support": 0}}', r": support must be in \[1, 20\], got 0"),
+    ('{"world": {"vocab_size": 1}}', ": vocab_size must be at least 2, got 1"),
+    ('{"world": {"order": 0}}', ": order must be at least 1, got 0"),
+    ('{"world": {"weight_low": 0}}',
+     r": weight band must satisfy 0 < weight_low <= weight_high < inf, got \[0, 1.0\]"),
+    ('{"world": {"order": 4}}', r": vocab_size\*\*order = 20\*\*4 exceeds context budget 10000"),
+    ('{"world": {"order": 2}}', r": confusion.context_affinity must be 0 in an order-2 world "
+     r"\(affine candidates need order 1\), got 0.6"),
+    ('{"confusion": {"candidates": 0}}', ": candidates must be at least 1, got 0"),
+    ('{"confusion": {"candidates": 25}}',
+     ": confusion.candidates must be below the world's vocab_size 20, got 25"),
+    ('{"confusion": {"head_mass": 0.1}}', r": head_mass must lie in \(1/3, 1\), got 0.1"),
+    ('{"confusion": {"context_affinity": -3}}', r": context_affinity must be in \[0, 1\], got -3"),
     ('{"corrector": {"window": []}}', ": window needs at least one offset"),
     ('{"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}',
      r": corrector.window: 6 offsets over 20 tokens are too large for a dense count table "
      r"\(1715322420 > 50000000\)"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
-        "tuple-item", "tuple-length", "bool-for-float", "bool-for-int", "int-for-bool",
+        "tuple-item", "tuple-length", "bool-for-float", "bool-for-int",
         "nested-row", "top-not-object", "bad-json", "unknown-key", "removed-lambda-m",
-        "world-seed", "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
+        "removed-lambda-n", "removed-literal-ratio", "world-seed", "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
         "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
         "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
         "no-volume-sizes", "volume-size-zero", "volume-sizes-descending",
-        "corrector-alpha-negative", "corrector-alpha-zero", "corrector-window-empty",
+        "corrector-alpha-negative", "corrector-alpha-zero", "corrector-alpha-beyond-float",
+        "world-support-zero", "world-vocab-one", "world-order-zero", "world-weight-low-zero",
+        "world-order-over-budget", "world-order-two-with-affinity", "confusion-candidates-zero",
+        "confusion-candidates-over-vocab", "confusion-head-mass-low",
+        "confusion-affinity-negative", "corrector-window-empty",
         "corrector-window-six-offsets"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
     path = tmp_path / "config.json"

@@ -307,13 +307,17 @@ class TestSerialization:
             load_model(path)
 
     @pytest.mark.parametrize("fields,message", [
-        ({"alpha": 0}, "alpha must be positive and finite, got 0.0"),
+        ({"alpha": 0}, "alpha must be positive and finite, got 0"),
         ({"alpha": -0.5}, "alpha must be positive and finite, got -0.5"),
+        ({"alpha": 10**400}, f"alpha must be positive and finite, got {10**400}"),
         ({"window": [], "counts": {}}, "window needs at least one offset"),
         ({"trained_chars": 4}, "field 'trained_chars' must be 3, the counts' sum"),
         ({"trained_chars": 2}, "field 'trained_chars' must be 3, the counts' sum"),
-    ], ids=["alpha-zero", "alpha-negative", "window-empty", "trained-chars-one-over",
-            "trained-chars-one-under"])
+        ({"vocab_size": 0}, "field 'vocab_size' must be at least 1, got 0"),
+        ({"vocab_size": -2}, "field 'vocab_size' must be at least 1, got -2"),
+    ], ids=["alpha-zero", "alpha-negative", "alpha-beyond-float", "window-empty",
+            "trained-chars-one-over", "trained-chars-one-under", "vocab-size-zero",
+            "vocab-size-negative"])
     def test_bad_settings_and_size_rejected(self, tmp_path, fields, message):
         doc = json.loads(model_to_json(train(identity_corpus([(0, 1, 2)], vocab_size=4))))
         assert doc["trained_chars"] == 3

@@ -244,7 +244,7 @@ class TestOracleScorer:
 
     @pytest.mark.parametrize("tokens,place,message", [
         ((0, 99, 1), (0, 1), "token id out of range"),
-        ((0, 1, 4), (0, 0), "token id out of range"),  # 4 is the padding value
+        ((0, 1, 4), (0, 0), "token id out of range"),  # 4, the world's size, reads as padding
         ((0, 1, 3), (0, 7), "position 7 out of range"),
         ((0, 1, 3), (0, -1), "position -1 out of range"),
         ((0, 1, 3), (-1, 0), "record out of range"),
@@ -253,6 +253,7 @@ class TestOracleScorer:
     def test_bad_tokens_and_positions_raise(self, tokens, place, message):
         world, table, _ = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
-        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 4)
+        # A corpus over a wider vocabulary than the world's 4 tokens holds 99 and 4.
+        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 100)
         with pytest.raises(ValueError, match=message):
             scorer.predict_at(corpus, [(0, 0), place])

@@ -121,23 +121,20 @@ class TestHeuristics:
     def test_equal_context_masses_are_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 50, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus),
-                                                      0.9)) == {(0, 1)}
+        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus))) == {
+            (0, 1)}
 
     def test_unseen_replacement_not_flagged(self):
         model = handmade_context_model({(0, 3): [0, 50, 0, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus),
-                                                      0.9)) == set()
+        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus))) == set()
 
-    def test_literal_ratio_reading(self):
-        model = handmade_context_model({(0, 3): [0, 10, 50, 0]})
+    @pytest.mark.parametrize("masses", [(10, 50), (50, 10)], ids=["original-less", "original-more"])
+    def test_unequal_context_masses_not_flagged_either_way_round(self, masses):
+        # Log-scaled scores log(101) and log(501): their ratio, 0.74, is below 0.9.
+        model = handmade_context_model({(0, 3): [0, *masses, 0]})
         corpus = self.corpus_one_edit((0, 1, 3), (0, 2, 3))
-        flags = heuristic_noisy(corpus, masked_rows(model, corpus), 0.9, literal_ratio=True)
-        assert flagged_places(corpus, flags) == {(0, 1)}
-        model2 = handmade_context_model({(0, 3): [0, 50, 10, 0]})
-        flags = heuristic_noisy(corpus, masked_rows(model2, corpus), 0.9, literal_ratio=True)
-        assert flagged_places(corpus, flags) == set()
+        assert flagged_places(corpus, heuristic_noisy(corpus, masked_rows(model, corpus))) == set()
 
     def test_identical_contexts_same_misspelling_flagged_as_multi(self):
         from denoiselab.augment import CorruptionRecord, PairCorpus
@@ -175,7 +172,7 @@ class TestHeuristics:
         d_o = generate_corpus(world, longtail_table, 4_000, cfg.length_range,
                               cfg.rate, "iid", 0, annotate=True, stream="d-o")
         masked = masked_rows(train(d_r, MASKED_WINDOW), d_o)
-        flagged = flagged_places(d_o, heuristic_noisy(d_o, masked, 0.9))
+        flagged = flagged_places(d_o, heuristic_noisy(d_o, masked))
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
                  if rec.categories[ei] == SampleCategory.NOISY}
         all_edits = {(ri, e[0]) for ri, _, _, e in iter_edits(d_o)}
@@ -196,7 +193,7 @@ class TestHeuristics:
         d_o = generate_corpus(world, longtail_table, 4_000, cfg.length_range,
                               cfg.rate, "iid", 1, annotate=True, stream="d-o")
         masked = masked_rows(train(d_r, MASKED_WINDOW), d_o)
-        noisy = heuristic_noisy(d_o, masked, 0.9)
+        noisy = heuristic_noisy(d_o, masked)
         multi = heuristic_multi(d_o)
         flagged = flagged_places(d_o, multi & ~noisy)
         truth = {(ri, e[0]) for ri, rec, ei, e in iter_edits(d_o)
