@@ -617,7 +617,7 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
     starts = np.concatenate(([0], np.cumsum(lengths)))
     if mode == "iid":
         hit = np.flatnonzero(rng.random(len(flat)) < rate)
-        y = _draw_replacements(table, flat[hit], rng) if len(hit) else np.empty(0, np.int64)
+        y = _draw_replacements(table, flat[hit], rng)
         owner = np.searchsorted(starts, hit, side="right") - 1
     elif mode == "single_edit":
         keep_clean = rng.random(n_sentences) < clean_fraction

@@ -2,9 +2,10 @@
 
 Experiment configs are plain nested dataclasses; the JSON form mirrors the
 dataclass structure section by section, and a key it omits keeps the default
-experiment's value.  Unknown keys, and keys every run sets itself, are
-rejected so typos and ignored settings fail loudly; the canonical dict form
-feeds the manifest's config hash.
+experiment's value.  Unknown keys, keys every run sets itself, and a
+``confusion.head_mass`` beside a single candidate are rejected so typos and
+ignored settings fail loudly; the canonical dict form feeds the manifest's
+config hash.
 """
 
 from __future__ import annotations
@@ -75,7 +76,10 @@ def _build_section(default, doc, name: str):
         reason = _SET_BY_RUN.get(f"{name}.{key}")
         if reason:
             raise ValueError(f"{name}.{key}: {reason}")
-    return dataclasses.replace(default, **_typed_fields(cls, doc, f"{name}."))
+    section = dataclasses.replace(default, **_typed_fields(cls, doc, f"{name}."))
+    if name == "confusion" and "head_mass" in doc and section.candidates == 1:
+        raise ValueError("confusion.head_mass: unused with 1 candidate")  # no long tail to shape
+    return section
 
 
 def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
@@ -109,9 +113,9 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     """The config in a JSON file (defaults when ``path`` is None).
 
     Bad JSON, a section that is not an object, a list field that is not a
-    list, a value of the wrong type or out of range, an unknown key and a key
-    a run sets itself raise ``ValueError`` naming the file, and the line or
-    the field.
+    list, a value of the wrong type or out of range, an unknown key, a key
+    a run sets itself and a ``head_mass`` that one candidate leaves unused
+    raise ``ValueError`` naming the file, and the line or the field.
     """
     if path is None:
         return ExperimentConfig()

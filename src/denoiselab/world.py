@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -79,6 +80,9 @@ class WorldConfig:
         if not 0 < self.weight_low <= self.weight_high < math.inf:
             raise ValueError("weight band must satisfy 0 < weight_low <= weight_high < inf, "
                              f"got [{self.weight_low}, {self.weight_high}]")
+        if not V * self.weight_high <= sys.float_info.max:  # bounds a row's raw weight sum
+            raise ValueError("vocab_size * weight_high must be finite, "
+                             f"got {V} * {self.weight_high}")
 
 
 @dataclass(frozen=True)
@@ -276,12 +280,24 @@ def sample_sentence(world: WorldModel, length: int, rng: np.random.Generator) ->
 
 
 def categorical_sampler(probs: np.ndarray):
-    """``draw(rows, u)``: per i, the count of row ``rows[i]``'s cumulative sums at or below
-    ``u[i]``, at most the row's last nonzero column, so a stored zero is never drawn."""
-    cum = np.cumsum(probs, axis=1)
-    last = probs.shape[1] - 1 - np.argmax(probs[:, ::-1] != 0, axis=1)
-    cum[np.arange(probs.shape[1]) >= last[:, None]] = np.inf  # the count stops at ``last``
-    return lambda rows, u: (cum[rows] <= u[:, None]).sum(axis=1)
+    """``draw(rows, u)``: per i, the first column of row ``rows[i]`` whose cumulative sum
+    exceeds ``u[i]``, at most the row's last nonzero column, so a stored zero is never
+    drawn.  Only nonzero columns are compared (each row needs one): their sums are stored
+    rank-major, ``+inf`` from a row's last rank on, one 1-D compare per rank drawn."""
+    zero = probs == 0.0
+    cols = np.argsort(zero, axis=1, kind="stable")  # each row's nonzero columns first, in order
+    width = probs.shape[1] - zero.sum(axis=1)
+    # Each sum is the full row's at that column, bit for bit: adding 0.0 is exact.
+    cum = np.cumsum(np.take_along_axis(probs, cols, axis=1), axis=1)
+    cum[np.arange(probs.shape[1]) >= width[:, None] - 1] = np.inf  # the count stops there
+    bands = np.ascontiguousarray(cum.T)
+
+    def draw(rows, u):
+        k = np.zeros(len(rows), dtype=np.int64)
+        for band in bands[:width[rows].max(initial=1) - 1]:  # the widest requested row
+            k += band[rows] <= u
+        return cols[rows, k]
+    return draw
 
 
 def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,

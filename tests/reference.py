@@ -4,8 +4,10 @@ Each walks the corpus record by record, as the lab did before its corpus
 became flat arrays, and shares no code with the array passes; the property
 tests in ``test_columnar.py`` hold the two to exact agreement.
 :func:`order_1_sentences` is the order-1 sampler as it was before one column
-loop served every world order; ``test_world.py`` holds the sampler to it bit
-for bit.
+loop served every world order, :func:`full_row_draw` the inverse-CDF draw as
+it was before it compared only each row's nonzero columns, and
+:func:`column_loop_sentences` the column loop of any order on that draw;
+``test_world.py`` holds the sampler to them bit for bit.
 """
 
 import hashlib
@@ -173,3 +175,28 @@ def order_1_sentences(world, lengths, rng):
         idx = (tcum[prev] <= u[:, None]).sum(axis=1)
         toks[:, j] = prev = np.minimum(idx, lastnz[prev])
     return [row[:L] for row, L in zip(toks, lengths.tolist())]
+
+
+def full_row_draw(probs, rows, u):
+    """The count of row ``rows[i]``'s full cumulative sums at or below ``u[i]``, each
+    sum ``+inf`` from the row's last nonzero column on."""
+    cum = np.cumsum(probs, axis=1)
+    for r, row in enumerate(probs):
+        cum[r, np.flatnonzero(row)[-1]:] = np.inf
+    return (cum[rows] <= u[:, None]).sum(axis=1)
+
+
+def column_loop_sentences(world, lengths, rng):
+    """Each column drawn with :func:`full_row_draw` (one ``rng.random(n)``) from the
+    ``world.factors`` row of each sentence's last ``order`` tokens, ``vocab_size``
+    before the start, read as a base-(V+1) number."""
+    V, k = world.vocab_size, world.order
+    lengths = np.asarray(lengths, dtype=np.int64)
+    n, lmax = len(lengths), int(lengths.max())
+    toks = np.full((n, k + lmax), V, dtype=np.int64)  # k start digits before each sentence
+    for j in range(lmax):
+        cid = np.zeros(n, dtype=np.int64)
+        for d in range(k):
+            cid = cid * (V + 1) + toks[:, j + d]
+        toks[:, k + j] = full_row_draw(world.factors[:, :-1], cid, rng.random(n))
+    return [row[k:k + L] for row, L in zip(toks, lengths.tolist())]

@@ -270,6 +270,15 @@ class TestGenerateCorpus:
         b = generate_corpus(w, t, 60, (4, 8), 0.1, seed=5)
         assert a.records == b.records
 
+    def test_zero_rate_iid_corpus_has_no_edits(self):
+        # No position is hit, so the replacement draw gets an empty batch.
+        w = small_world(V=6, support=2, seed=0)
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        corpus = generate_corpus(w, t, 40, (4, 8), 0.0, mode="iid", seed=2, annotate=True)
+        assert corpus.n_edits == 0 and all(rec.edits == () for rec in corpus.records)
+        np.testing.assert_array_equal(corpus.corrupted, corpus.clean)
+        assert corpus.columns.repl.dtype == np.int64 and len(corpus.columns.category) == 0
+
     def test_clean_fraction(self):
         w = small_world(V=6, support=2, seed=0)
         t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))

@@ -49,6 +49,10 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"world": {"order": 0}}', ": order must be at least 1, got 0"),
     ('{"world": {"weight_low": 0}}',
      r": weight band must satisfy 0 < weight_low <= weight_high < inf, got \[0, 1.0\]"),
+    ('{"world": {"weight_low": 1e308, "weight_high": 1.7e308}}',
+     r": vocab_size \* weight_high must be finite, got 20 \* 1.7e\+308"),
+    ('{"world": {"weight_high": 1%s}}' % ("0" * 400),
+     r": vocab_size \* weight_high must be finite, got 20 \* 1%s$" % ("0" * 400)),
     ('{"world": {"order": 4}}', r": vocab_size\*\*order = 20\*\*4 exceeds context budget 10000"),
     ('{"world": {"order": 2}}', r": confusion.context_affinity must be 0 in an order-2 world "
      r"\(affine candidates need order 1\), got 0.6"),
@@ -56,6 +60,8 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"confusion": {"candidates": 25}}',
      ": confusion.candidates must be below the world's vocab_size 20, got 25"),
     ('{"confusion": {"head_mass": 0.1}}', r": head_mass must lie in \(1/3, 1\), got 0.1"),
+    ('{"confusion": {"candidates": 1, "head_mass": 0.1}}',
+     ": confusion.head_mass: unused with 1 candidate"),
     ('{"confusion": {"context_affinity": -3}}', r": context_affinity must be in \[0, 1\], got -3"),
     ('{"corrector": {"window": []}}', ": window needs at least one offset"),
     ('{"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}',
@@ -70,8 +76,10 @@ from denoiselab.pipeline import ExperimentConfig
         "no-volume-sizes", "volume-size-zero", "volume-sizes-descending",
         "corrector-alpha-negative", "corrector-alpha-zero", "corrector-alpha-beyond-float",
         "world-support-zero", "world-vocab-one", "world-order-zero", "world-weight-low-zero",
+        "world-weight-sum-overflows", "world-weight-high-beyond-float",
         "world-order-over-budget", "world-order-two-with-affinity", "confusion-candidates-zero",
         "confusion-candidates-over-vocab", "confusion-head-mass-low",
+        "confusion-head-mass-one-candidate",
         "confusion-affinity-negative", "corrector-window-empty",
         "corrector-window-six-offsets"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):

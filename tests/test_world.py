@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from denoiselab._rng import derive_rng
@@ -58,6 +58,34 @@ def order_1_worlds(draw):
     return build_world(WorldConfig(vocab_size=V, order=1, seed=0, initial=vector(),
                                    rows={str(v): vector() for v in range(V)}))
 
+
+@st.composite
+def weight_rows(draw):
+    """Sampler rows with exact zeros anywhere and a nonzero in each; about half are
+    equal shares, whose sums can round below 1 (ten tenths do)."""
+    width = draw(st.integers(1, 24))
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        nonzero = draw(st.lists(st.booleans(), min_size=width, max_size=width).filter(any))
+        equal = draw(st.booleans())
+        raw = np.array([float(nz) if equal or not nz else draw(st.floats(0.01, 1.0))
+                        for nz in nonzero])
+        rows.append(raw / raw.sum())
+    return np.array(rows)
+
+
+def edge_uniforms(probs):
+    """0, every cumulative sum of ``probs`` and its two float neighbours, and the
+    largest double below 1: the uniforms in [0, 1) where a draw can change."""
+    cum = np.cumsum(probs, axis=1).ravel()
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum,
+                        np.nextafter(cum, 0.0), np.nextafter(cum, 2.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+# Zeros at the front, in the middle and at the end of a row, and a width-1 row.
+ZEROS_EVERYWHERE = np.array([[0.0, 0.0, 0.5, 0.5], [0.5, 0.0, 0.0, 0.5],
+                             [0.5, 0.5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
 
 RING_OVERLAP_ROWS = {"0": [0.5, 0.5, 0.0], "1": [0.0, 0.5, 0.5], "2": [0.5, 0.0, 0.5]}
 
@@ -144,6 +172,43 @@ class TestSampling:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
         assert got_rng.random() == want_rng.random()  # the same draws were taken
+
+    def test_draw_skips_zeros_at_the_front_middle_and_end(self):
+        draw = categorical_sampler(ZEROS_EVERYWHERE)
+        for u, want in [(0.0, [2, 0, 0, 1]), (0.25, [2, 0, 0, 1]), (0.5, [3, 3, 1, 1]),
+                        (np.nextafter(1.0, 0.0), [3, 3, 1, 1])]:
+            assert draw(np.arange(4), np.full(4, u)).tolist() == want
+
+    @given(weight_rows())
+    @example(ZEROS_EVERYWHERE)
+    @settings(max_examples=200, deadline=None)
+    def test_draw_matches_the_full_row_reference(self, probs):
+        u = edge_uniforms(probs)
+        rows, u = np.repeat(np.arange(len(probs)), len(u)), np.tile(u, len(probs))
+        got = categorical_sampler(probs)(rows, u)
+        want = reference.full_row_draw(probs, rows, u)
+        assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+    def test_an_empty_batch_draws_nothing(self):
+        draw = categorical_sampler(np.array([[0.25, 0.0, 0.75], [0.0, 1.0, 0.0]]))
+        got = draw(np.empty(0, np.int64), np.empty(0))
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @given(st.integers(2, 5), st.integers(1, 5), st.integers(0, 100),
+           st.lists(st.integers(1, 7), min_size=1, max_size=10), st.integers(0, 2**32))
+    @settings(max_examples=25, deadline=None)
+    def test_higher_order_sampling_matches_the_full_row_column_loop(
+            self, order, V, support, world_seed, lengths, seed):
+        w = build_world(WorldConfig(vocab_size=V, order=order, support=min(support, V),
+                                    seed=world_seed, weight_low=0.05, weight_high=1.0))
+        got_rng, want_rng = derive_rng(seed, "r"), derive_rng(seed, "r")
+        got = sample_corpus_tokens(w, lengths, got_rng)
+        want = reference.column_loop_sentences(w, lengths, want_rng)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @pytest.mark.parametrize("order", [2, 3])
     def test_higher_order_sentence_frequencies_match_enumeration(self, order):
