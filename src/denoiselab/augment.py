@@ -45,18 +45,21 @@ class SampleCategory(str, enum.Enum):
 CATEGORIES = tuple(SampleCategory)  # a category code indexes this tuple
 _CODES = {c.value: k for k, c in enumerate(CATEGORIES)}  # a SampleCategory finds its value too
 _UNANNOTATED = object()  # the category of an edit of a record without categories: code -1
+# The category rule: a code (an index of CATEGORIES) per [single candidate][candidate set
+# holds the replacement].  A single candidate makes a true sample, a set holding the
+# replacement itself a noisy one, any other set a multi-answer one.
+CATEGORY_TABLE = ((2, 1), (0, 0))
 
 
 def candidate_category_codes(candidates: np.ndarray, replacements) -> np.ndarray:
-    """Category code of each edit from its row of candidate flags.
+    """Category code of each edit from its row of candidate flags, read off the table.
 
-    A candidate is a source that fits the context and can explain the
-    replacement.  A single candidate makes a true sample, a set holding the
-    replacement itself a noisy one, any other set a multi-answer one.
+    A candidate is a source that fits the context and can explain the replacement.
     """
     single = candidates.sum(axis=1) == 1
     noisy = candidates[np.arange(len(candidates)), replacements]
-    return np.where(single, 0, np.where(noisy, 1, 2)).astype(np.int8)
+    # [single][noisy] as a row-major index; int8 arithmetic keeps the index arrays small
+    return np.array(CATEGORY_TABLE, np.int8).ravel()[2 * single.view(np.int8) + noisy]
 
 
 @dataclass(frozen=True)
@@ -120,9 +123,9 @@ class ConfusionTable:
                 raise ValueError(f"candidate row {v} repeats tokens or contains itself")
             if np.any(row < 0) or np.any(row >= V):
                 raise ValueError(f"candidate row {v} has out-of-range tokens")
-            if np.any(self.weights[v] < 0.0) or np.any(self.weights[v] > 1.0):
+            if not ((self.weights[v] >= 0.0) & (self.weights[v] <= 1.0)).all():  # NaN fails
                 raise ValueError(f"weight row {v} has entries outside [0, 1]")
-            if abs(float(self.weights[v].sum()) - 1.0) > 1e-12:
+            if not abs(float(self.weights[v].sum()) - 1.0) <= 1e-12:
                 raise ValueError(f"weight row {v} does not sum to 1")
         matrix = np.zeros((V, V))
         for v in range(V):
@@ -289,14 +292,18 @@ class CorruptionRecord:
     def _trusted(cls, clean, corrupted, edits, channel_rate, categories) -> CorruptionRecord:
         # Built from columns that were checked as a whole: skip the per-record check.
         record = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (clean, corrupted, edits, channel_rate,
-                                               categories)):
-            object.__setattr__(record, name, value)
+        for setter, value in zip(_SLOT_SETTERS, (clean, corrupted, edits, channel_rate,
+                                                 categories)):
+            setter(record, value)
         return record
 
     @property
     def length(self) -> int:
         return len(self.clean)
+
+
+# The slots' descriptor setters, which a frozen dataclass leaves usable.
+_SLOT_SETTERS = tuple(CorruptionRecord.__dict__[s].__set__ for s in CorruptionRecord.__slots__)
 
 
 class _Columns(NamedTuple):

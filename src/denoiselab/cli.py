@@ -191,14 +191,16 @@ def score_cmd(run, model_path, corpus_dir, with_oracle):
     confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
     records = corpus.record.tolist()
     oracle_fields = [""] * n
-    if with_oracle:
+    if with_oracle:  # a single-edit record's edit is edit k, the count of edits before it
         single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
-        for k, ri in enumerate(records):
-            if single[ri]:
-                rep = oracle.posterior(w, table, corpus.records[ri], 0, meta["rate"])
+        k = 0
+        for record, one in zip(corpus.records, single):
+            if one:
+                rep = oracle.posterior(w, table, record, 0, meta["rate"])
                 oracle_fields[k] = ", " + json.dumps(
                     {"oracle_posterior": rep.posterior, "category": rep.category.value,
                      "sigma": rep.sigma, "bound": rep.bound})[1:-1]
+            k += len(record.edits)
     # Each line is json.dumps of its object; one dumps call formats every confidence.
     confidences = json.dumps(confidence.tolist())[1:-1].split(", ")
     path = run.out / "scores.jsonl"

@@ -267,6 +267,8 @@ def model_from_json(text: str) -> CorrectorModel:
             raise ValueError(f"counts[{key!r}]: row has {len(row)} counts, expected {V}")
         if min(row) < 0:
             raise ValueError(f"counts[{key!r}]: negative count")
+        if max(row) >= 2**63:
+            raise ValueError(f"counts[{key!r}]: count outside int64")
         counts[sig] = row
     model = CorrectorModel(V, settings.window, float(settings.alpha), counts,
                            doc["trained_on"], doc["corpus_hash"])

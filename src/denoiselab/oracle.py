@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .augment import (CATEGORIES, ConfusionTable, CorruptionRecord, PairCorpus,
-                      SampleCategory, candidate_category_codes, corpus_arrays)
+from .augment import (CATEGORIES, CATEGORY_TABLE, ConfusionTable, CorruptionRecord,
+                      PairCorpus, SampleCategory, corpus_arrays)
 from .world import ENUMERATION_BUDGET, WorldModel, conditional
 
 
@@ -85,13 +85,13 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     prior = conditional(world, record.corrupted, i)
     chan = table.channel_vector(y, rate)
     terms = chan * prior
-    members = tuple(np.flatnonzero(terms).tolist())
+    members = tuple(terms.nonzero()[0].tolist())
     prior, chan = prior.tolist(), chan.tolist()
     if chan[x] == 0.0 or prior[x] == 0.0:
         raise ValueError("record inconsistent with world/table: original cannot emit the edit")
 
     post = float(terms[x]) / float(terms.sum())
-    category = CATEGORIES[candidate_category_codes(terms[None] > 0.0, [y])[0]]
+    category = CATEGORIES[CATEGORY_TABLE[len(members) == 1][y in members]]
 
     sigma = 0.0
     for v in members:

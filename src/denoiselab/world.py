@@ -124,10 +124,10 @@ class WorldModel:
 def _check_prob_vector(vec: np.ndarray, size: int, where: str) -> None:
     if vec.shape != (size,):
         raise ValueError(f"{where}: expected length {size}, got {vec.shape}")
-    if np.any(vec < 0.0) or np.any(vec > 1.0):
+    if not ((vec >= 0.0) & (vec <= 1.0)).all():  # NaN fails
         raise ValueError(f"{where}: entries outside [0, 1]")
     total = float(vec.sum())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:
         raise ValueError(f"{where}: sums to {total}, not 1")
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab.augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
-                                PairCorpus, SampleCategory, build_confusion, concat_corpora,
+from denoiselab.augment import (CATEGORY_TABLE, ConfusionConfig, ConfusionTable,
+                                CorruptionRecord, PairCorpus, SampleCategory, build_confusion,
+                                candidate_category_codes, concat_corpora,
                                 confusion_from_json, confusion_pair, confusion_to_json,
                                 corpus_arrays, corpus_digest, corpus_from_jsonl,
                                 corpus_to_jsonl, generate_corpus, load_confusion,
@@ -236,6 +237,20 @@ class TestCategorize:
         with pytest.raises(ValueError, match="single-edit records only"):
             posterior(world, table, rec)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batch_codes_equal_the_scalar_reading_of_the_table(self, data):
+        width, n = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 10))
+        rows = data.draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                                  min_size=n, max_size=n))
+        rows[data.draw(st.integers(0, n - 1))] = [False] * width  # no candidate at all
+        replacements = data.draw(st.lists(st.integers(0, width - 1), min_size=n, max_size=n))
+        codes = candidate_category_codes(np.array(rows, dtype=bool), replacements)
+        assert codes.dtype == np.int8
+        for row, y, code in zip(rows, replacements, codes.tolist()):
+            members = [v for v, hit in enumerate(row) if hit]  # as posterior reads its candidates
+            assert code == CATEGORY_TABLE[len(members) == 1][y in members]
+
     def test_partition_is_exhaustive_and_consistent(self):
         w = small_world(V=8, support=3, seed=6)
         t = build_confusion(w, ConfusionConfig(candidates=3, seed=2,
@@ -399,7 +414,10 @@ class TestCorpusIO:
          "field 'candidates' must be a list of integer lists"),
         (lambda doc: doc.update(zipf_exponent="1"), "field 'zipf_exponent' must be a number"),
         (lambda doc: doc.update(candidates=[], weights=[]), "candidate/weight shapes disagree"),
-    ], ids=["empty", "weights-number", "candidate-float", "exponent-string", "no-rows"])
+        (lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
+         "weight row 0 has entries outside [0, 1]"),
+    ], ids=["empty", "weights-number", "candidate-float", "exponent-string", "no-rows",
+            "weight-nan"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "confusion.json"
         save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2)), path)

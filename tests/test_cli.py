@@ -302,8 +302,12 @@ class TestBadInputs:
         ("corpus.jsonl", 2, lambda doc: doc["clean"].__setitem__(0, 10**20),
          "corpus.jsonl:2: integer 100000000000000000000 does not fit in 64 bits"),
         ("world.json", 1, lambda doc: doc.clear(), "world.json: missing field 'vocab_size'"),
+        ("confusion.json", 1, lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
+         "confusion.json: weight row 0 has entries outside [0, 1]"),
+        ("world.json", 1, lambda doc: doc["initial"].__setitem__(0, float("nan")),
+         "world.json: initial: entries outside [0, 1]"),
     ], ids=["corpus-line-2", "confusion", "confusion-negative", "corpus-int64-line-2",
-            "world-empty"])
+            "world-empty", "confusion-nan", "world-nan"])
     def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
                                                       name, line, break_it, message):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)

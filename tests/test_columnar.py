@@ -16,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
-                                build_confusion, concat_corpora, corpus_arrays, corpus_digest,
-                                corpus_from_jsonl, corpus_to_jsonl, generate_corpus)
+from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, PairCorpus,
+                                SampleCategory, build_confusion, concat_corpora, corpus_arrays,
+                                corpus_digest, corpus_from_jsonl, corpus_to_jsonl,
+                                generate_corpus)
 from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
                                     filter_easy_positives)
 from denoiselab.corrector import predict, train
@@ -139,6 +140,29 @@ class TestBuildPaths:
             corpus.records[9]
         with pytest.raises(ValueError):  # the columns are shared, so they are read-only
             corpus.clean[0] = 0
+
+    @pytest.mark.parametrize("annotate", [True, False], ids=["annotated", "unannotated"])
+    def test_view_records_equal_checked_records_field_by_field(self, annotate):
+        world = build_world(WorldConfig(vocab_size=6, support=3, seed=4))
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
+        corpus = generate_corpus(world, table, 80, (1, 8), 0.3, seed=7, annotate=annotate)
+        offsets = corpus.offsets.tolist()
+        edits = list(zip(corpus.record.tolist(), zip(corpus.pos.tolist(), corpus.orig.tolist(),
+                                                     corpus.repl.tolist())))
+        names = ([None] * len(edits) if corpus.category is None
+                 else [CATEGORIES[k] for k in corpus.category.tolist()])
+        assert len(corpus.records) == 80 and len({ri for ri, _ in edits}) < 80 < len(edits)
+        for ri, built in enumerate(corpus.records):  # the view builds them unchecked
+            mine = [(edit, name) for (owner, edit), name in zip(edits, names) if owner == ri]
+            a, b = offsets[ri], offsets[ri + 1]
+            checked = CorruptionRecord(tuple(corpus.clean[a:b].tolist()),
+                                       tuple(corpus.corrupted[a:b].tolist()),
+                                       tuple(edit for edit, _ in mine), corpus.rate,
+                                       tuple(name for _, name in mine) if annotate else None)
+            for field in CorruptionRecord.__slots__:
+                left, right = getattr(built, field), getattr(checked, field)
+                assert left == right and repr(left) == repr(right), field  # repr: element types
+            assert built == checked and hash(built) == hash(checked)
 
 
 class TestArrayPasses:

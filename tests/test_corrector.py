@@ -287,12 +287,14 @@ class TestSerialization:
         ("7", [7], "row has 1 counts, expected 4"),
         ("7", [1, 0, 0], "row has 3 counts, expected 4"),
         ("7", [1, -2, 0, 0], "negative count"),
+        ("7", [2**63, 0, 0, 0], "count outside int64"),
         ("-1", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("1000000", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("a", [1, 0, 0, 0], "signature id is not an integer"),
         ("+1", [1, 0, 0, 0], "signature id is not written as '1'"),
         (" 1", [1, 0, 0, 0], "signature id is not written as '1'"),
-    ], ids=["length-1-row", "short-row", "negative-count", "id-below-0", "id-too-large",
+    ], ids=["length-1-row", "short-row", "negative-count", "count-beyond-int64", "id-below-0",
+            "id-too-large",
             "id-not-integer", "id-plus-sign", "id-leading-space"])
     def test_malformed_counts_rejected(self, tmp_path, key, row, message):
         model = train(identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4))

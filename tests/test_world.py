@@ -350,6 +350,10 @@ class TestSerialization:
                                                  "number lists"),
         (lambda doc: doc["transitions"].update({"0": "x"}), "field 'transitions' must be"),
         (lambda doc: doc.update(order="1"), "field 'order' must be an integer"),
+        (lambda doc: doc["initial"].__setitem__(0, float("nan")),
+         r"initial: entries outside \[0, 1\]"),
+        (lambda doc: doc["transitions"]["1"].__setitem__(0, float("nan")),
+         r"transitions\[\(1,\)\]: entries outside \[0, 1\]"),
         (lambda doc: doc["transitions"].pop("2"),
          r"world has no transition row for context \(2,\)"),
         (lambda doc: doc["transitions"].update(a=doc["transitions"]["0"]),
@@ -364,7 +368,8 @@ class TestSerialization:
                      "world_to_json writes them"))
           for key in ("0,", " 1", "+1", "0_1", "01")),
     ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
-            "missing-row", "context-not-integers", "context-token-7",
+            "initial-nan", "transition-row-nan", "missing-row", "context-not-integers",
+            "context-token-7",
             "context-token-minus-1", "order-2-missing-row", "context-trailing-comma",
             "context-leading-space", "context-plus-sign", "context-underscore",
             "context-leading-zero"])
