@@ -49,20 +49,21 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
 
-def _outcome_arrays(model: CorrectorModel,
+def _outcome_arrays(scored: tuple[np.ndarray, np.ndarray],
                     corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(confidence, correct, kept mass on input) of every position, in corpus order."""
+    """(confidence, correct, kept mass on input) of every position, in corpus order,
+    from the (probs, decoded) pair of :func:`~denoiselab.corrector.predict_matrix`."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    probs, preds = predict_matrix(model, corpus)
+    probs, preds = scored
     rows = np.arange(len(probs))
     return probs[rows, preds], preds == corpus.clean, probs[rows, corpus.corrupted]
 
 
 def collect_outcomes(model: CorrectorModel, corpus: PairCorpus) -> list[PredictionOutcome]:
     """One outcome per character position of the corpus."""
-    return [PredictionOutcome(c, ok, k)
-            for c, ok, k in zip(*(a.tolist() for a in _outcome_arrays(model, corpus)))]
+    arrays = _outcome_arrays(predict_matrix(model, corpus), corpus)
+    return [PredictionOutcome(c, ok, k) for c, ok, k in zip(*(a.tolist() for a in arrays))]
 
 
 def _hard(kept: np.ndarray, cutoff: float) -> np.ndarray:
@@ -109,10 +110,11 @@ def ece(outcomes: list[PredictionOutcome], n_bins: int = 10,
                    np.array([o.correct for o in outcomes], dtype=bool), n_bins, n_excluded)
 
 
-def calibration_report(model: CorrectorModel, corpus: PairCorpus,
+def calibration_report(scored: tuple[np.ndarray, np.ndarray], corpus: PairCorpus,
                        cutoff: float = 0.1, n_bins: int = 10) -> CalibrationReport:
-    """Outcome collection, easy-positive exclusion, and binning in one step."""
-    conf, correct, kept = _outcome_arrays(model, corpus)
+    """Outcome collection, easy-positive exclusion, and binning in one step, over
+    ``scored``, the (probs, decoded) pair ``predict_matrix(model, corpus)``."""
+    conf, correct, kept = _outcome_arrays(scored, corpus)
     hard = _hard(kept, cutoff)
     if not hard.any():
         raise ValueError("easy-positive exclusion removed every outcome")

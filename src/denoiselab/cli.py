@@ -239,8 +239,9 @@ def eval_cmd(run, model_path, corpus_dir, variant):
     """Evaluate a stored model on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     model = _load_model(model_path, corpus)
-    metrics = harness.evaluate(model, corpus)
-    calib = calibration.calibration_report(model, corpus)
+    scored = corrector.predict_matrix(model, corpus)
+    metrics = harness.sentence_metrics(corpus, scored[1])
+    calib = calibration.calibration_report(scored, corpus)
     run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,
                            metrics, calib.ece, run.seed)], reliability=calib)
     click.echo(f"F1 {metrics.f1:.2f}  FPR {metrics.fpr:.2f}  ECE {calib.ece:.4f}")

@@ -84,22 +84,32 @@ def _signatures(tokens: np.ndarray, offsets: np.ndarray, vocab_size: int,
     """Signature ids at flat positions ``at`` (every position when None) of the
     sentences ``tokens[offsets[k]:offsets[k + 1]]``.
 
-    The sentences are laid end to end with ``reach`` copies of ``vocab_size``
-    before, between and after them, so an offset that leaves its sentence
-    reads ``vocab_size``: one gather per window offset.
+    Digit ``i`` in base ``vocab_size + 1`` is the token at offset ``window[i]``
+    from the position, or ``vocab_size`` where that offset leaves the sentence.
+    Every position reads one shifted copy of ``tokens`` per offset, with each
+    sentence's first or last ``|off|`` slots set to ``vocab_size``; positions
+    ``at`` gather at ``at + off`` and test it against their own sentence's
+    bounds, which a search on ``offsets`` finds.
     """
-    reach = max(abs(off) for off in window)
-    where = np.arange(len(tokens)) + reach * np.repeat(np.arange(1, len(offsets)),
-                                                       np.diff(offsets))
-    gapped = np.full(len(tokens) + reach * len(offsets), vocab_size, dtype=np.int64)
-    gapped[where] = tokens
-    at = where if at is None else where[at]
-    base = vocab_size + 1
-    sig = np.zeros(len(at), dtype=np.int64)
-    scale = 1
-    for off in window:
-        sig += gapped[at + off] * scale
-        scale *= base
+    if at is None:
+        starts, ends = offsets[:-1], offsets[1:]
+    else:
+        at = np.asarray(at, dtype=np.int64)
+        k = np.searchsorted(offsets, at, side="right") - 1
+        starts, ends = offsets[k], offsets[k + 1]
+    sig = np.zeros(len(tokens) if at is None else len(at), dtype=np.int64)
+    for off in reversed(window):  # Horner's rule, in place: window[0] is the lowest digit
+        if at is None:
+            read = np.roll(tokens, -off) if off else tokens  # tokens[g + off], wrapping
+            for j in range(abs(off)):  # the j-th slot from each sentence's far edge
+                edge = ends - 1 - j if off > 0 else starts + j
+                read[edge[(edge >= starts) & (edge < ends)]] = vocab_size
+        else:
+            pos = at + off
+            read = tokens.take(pos, mode="clip")
+            read[(pos < starts) if off < 0 else (pos >= ends)] = vocab_size
+        sig *= vocab_size + 1
+        sig += read
     return sig
 
 
@@ -114,7 +124,9 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
 
     digest = corpus_digest(corpus)  # before the signature arrays exist, to keep the peak low
     sig = _signatures(corpus.corrupted, corpus.offsets, V, settings.window)
-    counts = np.bincount(sig * V + corpus.clean, minlength=n_sigs * V)
+    sig *= V  # (signature, clean token) pair ids, in place
+    sig += corpus.clean
+    counts = np.bincount(sig, minlength=n_sigs * V)
     counts = counts.reshape(n_sigs, V).astype(np.int64)
     descriptor = f"{len(corpus)}r:{corpus.n_chars}c"
     return CorrectorModel(V, settings.window, float(settings.alpha), counts, descriptor, digest)
@@ -154,6 +166,8 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> 
 def _sentence_rows(model: CorrectorModel, tokens, at=None) -> tuple[np.ndarray, np.ndarray]:
     """Probability rows and written tokens of one sentence, at positions ``at`` or all."""
     toks = np.asarray(tokens, dtype=np.int64)
+    if len(toks) and toks.view(np.uint64).max() >= model.vocab_size:  # a negative id wraps high
+        raise ValueError(f"token id out of range [0, {model.vocab_size})")
     sig = _signatures(toks, np.array([0, len(toks)]), model.vocab_size, model.window, at)
     centers = toks if at is None else toks[at]
     return _rows_for(model, sig, centers), centers
@@ -252,6 +266,7 @@ def model_from_json(text: str) -> CorrectorModel:
     settings = CorrectorConfig(tuple(doc["window"]), doc["alpha"])
     n_sigs = _signature_table_shape(V, settings.window)
     counts = np.zeros((n_sigs, V), dtype=np.int64)
+    total = 0  # a Python int, so the table's sum is checked before int64 can wrap
     for key, row in doc["counts"].items():
         if type(row) is not list or not set(map(type, row)) <= {int}:
             raise ValueError(f"counts[{key!r}]: row must be a list of integers")
@@ -269,6 +284,9 @@ def model_from_json(text: str) -> CorrectorModel:
             raise ValueError(f"counts[{key!r}]: negative count")
         if max(row) >= 2**63:
             raise ValueError(f"counts[{key!r}]: count outside int64")
+        total += sum(row)
+        if total >= 2**63:
+            raise ValueError(f"counts[{key!r}]: the counts' total passes int64")
         counts[sig] = row
     model = CorrectorModel(V, settings.window, float(settings.alpha), counts,
                            doc["trained_on"], doc["corpus_hash"])

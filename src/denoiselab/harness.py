@@ -42,8 +42,11 @@ class Metrics:
         return (self.tp, self.fp_mod, self.fn, self.n_err_sentences, self.n_clean_sentences)
 
 
-def _sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
-    """Metrics of the flat decode ``out``, reduced per sentence with one bincount per flag."""
+def sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
+    """Metrics of the flat decode ``out`` of ``corpus`` (as ``predict_matrix`` returns
+    it), reduced per sentence with one bincount per flag."""
+    if len(corpus) == 0:
+        raise ValueError("empty corpus")
     owner = np.repeat(np.arange(len(corpus)), corpus.lengths)
     clean, corr = corpus.clean, corpus.corrupted
 
@@ -78,9 +81,7 @@ def evaluate(model, corpus: PairCorpus) -> Metrics:
     ``model`` is any scorer with a batched ``predict_at``; every position is
     decoded to its argmax, ties keeping the written token.
     """
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
-    return _sentence_metrics(corpus, correct_corpus(model, corpus))
+    return sentence_metrics(corpus, correct_corpus(model, corpus))
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,7 @@ def restoration_distribution(world: WorldModel, table: ConfusionTable, tokens,
     two forms as :func:`~denoiselab.world.conditional`; a batched row is all
     zero where the context is impossible or no source emits the observed token.
     """
-    single = np.ndim(position) == 0
+    single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
     terms = conditional(world, tokens, position)
     observed = tokens[position] if single else np.asarray(tokens)[np.arange(len(terms)), position]
     terms *= table.channel_vector(observed, rate)

@@ -26,8 +26,9 @@ from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategor
                       concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
-                        _signature_table_shape, _signatures, predict, predict_at, train)
-from .harness import CategoryRate, Metrics, category_filter_rates, evaluate
+                        _signature_table_shape, _signatures, predict, predict_at,
+                        predict_matrix, train)
+from .harness import CategoryRate, Metrics, category_filter_rates, sentence_metrics
 from .oracle import OracleScorer, restoration_distribution
 from .world import WorldConfig, WorldModel, build_world, conditional
 
@@ -263,8 +264,9 @@ def _target_and_eval(world: WorldModel, longtail: ConfusionTable,
 
 
 def _scored(model, eval_corpus: PairCorpus) -> tuple[Metrics, CalibrationReport]:
-    """A model's metrics and calibration on the evaluation corpus."""
-    return evaluate(model, eval_corpus), calibration_report(model, eval_corpus)
+    """A model's metrics and calibration on the evaluation corpus, from one scoring pass."""
+    scored = predict_matrix(model, eval_corpus)
+    return sentence_metrics(eval_corpus, scored[1]), calibration_report(scored, eval_corpus)
 
 
 def mixing_baseline(d_r: PairCorpus, d_o: PairCorpus,

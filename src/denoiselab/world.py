@@ -219,7 +219,7 @@ def conditional(world: WorldModel, tokens, position):
     same values bit for bit as the batched row.
     """
     V, k, T = world.vocab_size, world.order, world.factors
-    single = np.ndim(position) == 0
+    single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
     if single:
         toks = validate_tokens(world, tokens)
         if not 0 <= position < len(toks):

@@ -15,7 +15,7 @@ import pytest
 from denoiselab.augment import (ConfusionConfig, SampleCategory, build_confusion,
                                 generate_corpus)
 from denoiselab.calibration import PredictionOutcome, calibration_report, ece
-from denoiselab.corrector import train
+from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import evaluate, sha256_file
 from denoiselab.oracle import bounds, brute_force_posterior, posterior, verify_ordering
 from denoiselab.pipeline import (ExperimentConfig, build_experiment_world,
@@ -197,8 +197,10 @@ def test_criterion_7_calibration_separation():
                                        plausibility=cfg.eval_plausibility)
         uniform_model = train(d_r, cfg.corrector.window, cfg.corrector.alpha)
         longtail_model = train(d_o, cfg.corrector.window, cfg.corrector.alpha)
-        rows.append((calibration_report(uniform_model, shared_eval, cutoff=0.1).ece,
-                     calibration_report(longtail_model, shared_eval, cutoff=0.1).ece,
+        rows.append((calibration_report(predict_matrix(uniform_model, shared_eval), shared_eval,
+                                        cutoff=0.1).ece,
+                     calibration_report(predict_matrix(longtail_model, shared_eval), shared_eval,
+                                        cutoff=0.1).ece,
                      evaluate(uniform_model, shared_eval).f1,
                      evaluate(longtail_model, shared_eval).f1))
     elapsed = time.monotonic() - t0

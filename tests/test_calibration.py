@@ -7,7 +7,7 @@ from denoiselab.augment import ConfusionConfig, build_confusion, generate_corpus
 from denoiselab.calibration import (PredictionOutcome, calibration_report,
                                     collect_outcomes, ece, filter_easy_positives,
                                     write_reliability_csv)
-from denoiselab.corrector import predict, train
+from denoiselab.corrector import predict, predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
 
 
@@ -120,7 +120,7 @@ class TestReportHelpers:
                                                        context_affinity=0.0))
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
-        report = calibration_report(model, corpus, cutoff=0.1)
+        report = calibration_report(predict_matrix(model, corpus), corpus, cutoff=0.1)
         outcomes = collect_outcomes(model, corpus)
         assert report.n_excluded == len(outcomes) - report.n_outcomes
         assert report.n_excluded > 0

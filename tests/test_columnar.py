@@ -22,7 +22,7 @@ from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, P
                                 generate_corpus)
 from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
                                     filter_easy_positives)
-from denoiselab.corrector import predict, train
+from denoiselab.corrector import predict, predict_matrix, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
 from denoiselab.world import WorldConfig, build_world
@@ -213,10 +213,10 @@ class TestArrayPasses:
         kept = filter_easy_positives(outcomes, cutoff)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):
-                calibration_report(model, corpus, cutoff)
+                calibration_report(predict_matrix(model, corpus), corpus, cutoff)
             return
         want = ece(kept, n_excluded=len(outcomes) - len(kept))
-        assert calibration_report(model, corpus, cutoff) == want
+        assert calibration_report(predict_matrix(model, corpus), corpus, cutoff) == want
 
 
 BREAKS = ("length", "original", "replacement", "unchanged", "stray", "position", "repeat",

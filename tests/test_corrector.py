@@ -133,6 +133,14 @@ class TestPredict:
         with pytest.raises(ValueError, match="position out of range"):
             predict(model, corpus.records[place[0]].corrupted, place[1])
 
+    @pytest.mark.parametrize("tokens", [(-1, 2, 3), (0, 4, 1), (20,), (0, 400)])
+    def test_tokens_outside_the_vocabulary_rejected(self, tokens):
+        model = train(identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4))
+        with pytest.raises(ValueError, match=r"^token id out of range \[0, 4\)$"):
+            predict(model, tokens, 0)
+        with pytest.raises(ValueError, match=r"^token id out of range \[0, 4\)$"):
+            correct(model, tokens)
+
 
 class TestCorrect:
     def test_identity_trained_model_keeps_input(self):
@@ -288,13 +296,14 @@ class TestSerialization:
         ("7", [1, 0, 0], "row has 3 counts, expected 4"),
         ("7", [1, -2, 0, 0], "negative count"),
         ("7", [2**63, 0, 0, 0], "count outside int64"),
+        ("7", [2**62, 2**62, 0, 0], "the counts' total passes int64"),
         ("-1", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("1000000", [1, 0, 0, 0], r"signature id outside \[0, 125\)"),
         ("a", [1, 0, 0, 0], "signature id is not an integer"),
         ("+1", [1, 0, 0, 0], "signature id is not written as '1'"),
         (" 1", [1, 0, 0, 0], "signature id is not written as '1'"),
-    ], ids=["length-1-row", "short-row", "negative-count", "count-beyond-int64", "id-below-0",
-            "id-too-large",
+    ], ids=["length-1-row", "short-row", "negative-count", "count-beyond-int64",
+            "total-beyond-int64", "id-below-0", "id-too-large",
             "id-not-integer", "id-plus-sign", "id-leading-space"])
     def test_malformed_counts_rejected(self, tmp_path, key, row, message):
         model = train(identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4))

@@ -257,3 +257,19 @@ class TestOracleScorer:
         corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 100)
         with pytest.raises(ValueError, match=message):
             scorer.predict_at(corpus, [(0, 0), place])
+
+
+class TestScalarPosition:
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_int_numpy_int_and_0d_array_give_the_same_rows(self, order):
+        world = build_world(WorldConfig(vocab_size=4, order=order, support=4, seed=3))
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
+        tokens = (0, 2, 1, 3, 2)
+        for position in range(len(tokens)):
+            forms = (position, np.int64(position), np.array(position))
+            for kernel in (lambda p: conditional(world, tokens, p),
+                           lambda p: restoration_distribution(world, table, tokens, p, 0.1)):
+                want = kernel(position)
+                assert want.shape == (world.vocab_size,)
+                for p in forms[1:]:
+                    np.testing.assert_array_equal(kernel(p), want)

@@ -1,8 +1,9 @@
 """Property tests: per-sentence model rows and edit reverting agree with the corpus paths.
 
 Small random corpora over V <= 5 exercise every window shape, including
-center-free windows and signatures unseen in training (the fallback chain).
-Training counts and evaluation metrics equal the per-record references.
+center-free windows, one-sided windows that reach past short sentences, and
+signatures unseen in training (the fallback chain).  Training counts and
+evaluation metrics equal the per-record references.
 """
 
 import dataclasses
@@ -14,13 +15,14 @@ from hypothesis import strategies as st
 
 import reference
 from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory
-from denoiselab.corrector import (correct, correct_corpus, merge, model_from_json,
+from denoiselab.calibration import calibration_report
+from denoiselab.corrector import (_signatures, correct, correct_corpus, merge, model_from_json,
                                   model_to_json, predict, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
-from denoiselab.pipeline import filter_corpus, revert_edits
+from denoiselab.pipeline import _scored, filter_corpus, revert_edits
 from reference import iter_edits
 
-WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2))
+WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
 
 
 @st.composite
@@ -114,6 +116,36 @@ class TestModelRows:
         for ri, rec in enumerate(corpus.records):
             start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
             assert correct(model, rec.corrupted) == tuple(int(t) for t in decoded[start:stop])
+
+
+class TestSignatures:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS),
+           st.randoms(use_true_random=False))
+    def test_positions_at_gather_the_every_position_ids(self, corpus, window, rnd):
+        """The ``at`` form equals the whole-corpus form read at ``at``, for any
+        order and repeats of positions."""
+        V, tokens, offsets = corpus.vocab_size, corpus.corrupted.copy(), corpus.offsets
+        every = _signatures(tokens, offsets, V, window)
+        at = np.array([rnd.randrange(corpus.n_chars)
+                       for _ in range(rnd.randint(1, 2 * corpus.n_chars))])
+        np.testing.assert_array_equal(_signatures(tokens, offsets, V, window, at), every[at])
+        np.testing.assert_array_equal(tokens, corpus.corrupted)  # the input is left alone
+
+
+class TestScoredOnce:
+    @settings(max_examples=60, deadline=None)
+    @given(trained_setups())
+    def test_scored_equals_evaluate_and_calibration_report(self, setup):
+        model, corpus = setup
+        metrics = evaluate(model, corpus)
+        try:
+            calib = calibration_report(predict_matrix(model, corpus), corpus)
+        except ValueError as exc:  # the easy-positive cut removed every outcome
+            with pytest.raises(ValueError, match=str(exc)):
+                _scored(model, corpus)
+            return
+        assert _scored(model, corpus) == (metrics, calib)
 
 
 class TestAgainstReference:
