@@ -483,17 +483,19 @@ class PairCorpus:
         """Index of each edit's token in the flat token arrays."""
         return self.offsets[self.record] + self.pos
 
-    def places(self) -> np.ndarray:
-        """(record, position) of every edit as an (n_edits, 2) array."""
-        return np.stack((self.record, self.pos), axis=1)
-
-    def place_columns(self, places) -> tuple[np.ndarray, np.ndarray]:
-        """Record and position arrays of (record, position) places, given as pairs
-        or an (n, 2) array; a record index outside the corpus raises."""
-        ri, pos = np.asarray(places, dtype=np.int64).reshape(-1, 2).T
-        if not np.all((ri >= 0) & (ri < len(self))):
-            raise ValueError("record out of range")
-        return ri, pos
+    def positions(self, at) -> np.ndarray:
+        """Flat token positions ``at`` (indexes into ``corrupted``) as a 1-D int64 array;
+        any other shape or dtype (a bool mask, say), or a position outside [0, n_chars),
+        raises."""
+        at = np.asarray(at)
+        if at.ndim != 1 or (at.dtype.kind not in "iu" and at.size):  # [] reads as float
+            raise ValueError("positions must be a 1-D array of integer flat indexes, "
+                             f"got {at.dtype} of shape {at.shape}")
+        at = at.astype(np.int64, copy=False)
+        bad = at[(at < 0) | (at >= self.n_chars)]
+        if len(bad):
+            raise ValueError(f"position {bad[0]} out of range [0, {self.n_chars})")
+        return at
 
     def keep_edits(self, keep: np.ndarray, **columns: np.ndarray) -> PairCorpus:
         """This corpus with only the edits flagged in ``keep``, and the per-token or

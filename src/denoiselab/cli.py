@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import augment, calibration, corrector, harness, oracle, pipeline, world
+from . import augment, corrector, harness, oracle, pipeline, world
 from .config import experiment_config_to_dict, load_experiment_config
 from .harness import MetricsRow, emit_report, write_manifest
 from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
@@ -188,7 +188,7 @@ def score_cmd(run, model_path, corpus_dir, with_oracle):
     model = _load_model(model_path, corpus)
 
     n = corpus.n_edits
-    confidence = corrector.predict_at(model, corpus, corpus.places())[np.arange(n), corpus.orig]
+    confidence = pipeline.restore_confidences(model, corpus)
     records = corpus.record.tolist()
     oracle_fields = [""] * n
     if with_oracle:  # a single-edit record's edit is edit k, the count of edits before it
@@ -223,7 +223,7 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
     p = threshold if threshold is not None else run.config.filter.threshold
     _, _, corpus, meta = _load_corpus_dir(Path(corpus_dir))
     model = _load_model(model_path, corpus)
-    result = pipeline.filter_corpus(model, corpus, p)
+    result = pipeline.filter_corpus(corpus, pipeline.restore_confidences(model, corpus), p)
     path = run.out / "filtered.jsonl"
     augment.corpus_to_jsonl(result.corpus, path)
     run.manifest({"filtered.jsonl": path}, {"threshold": p, "kept": result.kept_edits,
@@ -239,9 +239,7 @@ def eval_cmd(run, model_path, corpus_dir, variant):
     """Evaluate a stored model on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     model = _load_model(model_path, corpus)
-    scored = corrector.predict_matrix(model, corpus)
-    metrics = harness.sentence_metrics(corpus, scored[1])
-    calib = calibration.calibration_report(scored, corpus)
+    metrics, calib = pipeline._scored(model, corpus)
     run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,
                            metrics, calib.ece, run.seed)], reliability=calib)
     click.echo(f"F1 {metrics.f1:.2f}  FPR {metrics.fpr:.2f}  ECE {calib.ece:.4f}")

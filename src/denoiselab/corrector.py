@@ -30,6 +30,8 @@ MASKED_WINDOW = (-1, 1)
 
 # Dense signature tables; (V+1)**len(window) * V entries must stay desk-sized.
 _TABLE_BUDGET = 5 * 10**7
+# Positions per count-row gather in _rows_for: its int64 scratch is one block, not all rows.
+_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class CorrectorModel:
         self.target_counts = self.counts.sum(axis=0)
         self.trained_chars = int(self.counts.sum())
 
-    def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
-        return predict_at(self, corpus, places)
+    def predict_at(self, corpus: PairCorpus, at) -> np.ndarray:
+        return predict_at(self, corpus, at)
 
 
 def _signature_table_shape(vocab_size: int, window: tuple[int, ...], where: str = "window") -> int:
@@ -149,7 +151,9 @@ def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> 
     Unseen signature -> center marginal (when the window has a center) ->
     global target marginal; smoothing turns an all-zero row into uniform.
     """
-    rows = model.counts[sig_f].astype(float)
+    rows = np.empty((len(sig_f), model.vocab_size))
+    for lo in range(0, len(sig_f), _ROW_BLOCK):  # only one block's int64 gather at a time
+        rows[lo:lo + _ROW_BLOCK] = model.counts[sig_f[lo:lo + _ROW_BLOCK]]
     totals = rows.sum(axis=1)
     missing = totals == 0.0
     if np.any(missing):
@@ -180,14 +184,11 @@ def predict(model: CorrectorModel, tokens, position: int) -> np.ndarray:
     return _sentence_rows(model, tokens, [position])[0][0]
 
 
-def predict_at(model: CorrectorModel, corpus: PairCorpus, places) -> np.ndarray:
-    """Batch prediction at (record_index, position) pairs, a list or an (n, 2) array."""
-    ri, pos = corpus.place_columns(places)
-    if not np.all((pos >= 0) & (pos < corpus.lengths[ri])):
-        raise ValueError("position out of range")
-    flat = corpus.offsets[ri] + pos
-    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window, flat)
-    return _rows_for(model, sig, corpus.corrupted[flat])
+def predict_at(model: CorrectorModel, corpus: PairCorpus, at) -> np.ndarray:
+    """Probability rows at flat token positions ``at``, indexes into ``corpus.corrupted``."""
+    at = corpus.positions(at)
+    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window, at)
+    return _rows_for(model, sig, corpus.corrupted[at])
 
 
 def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray]:
@@ -219,9 +220,7 @@ def correct(model: CorrectorModel, tokens) -> tuple[int, ...]:
 
 def correct_corpus(scorer, corpus: PairCorpus) -> np.ndarray:
     """Decode of every position by any scorer with ``predict_at``, in flat token order."""
-    record = np.repeat(np.arange(len(corpus)), corpus.lengths)
-    places = np.stack((record, np.arange(corpus.n_chars) - corpus.offsets[record]), axis=1)
-    return _argmax_keep_ties(scorer.predict_at(corpus, places), corpus.corrupted)
+    return _argmax_keep_ties(scorer.predict_at(corpus, np.arange(corpus.n_chars)), corpus.corrupted)
 
 
 def ce_loss(model: CorrectorModel, corpus: PairCorpus) -> float:

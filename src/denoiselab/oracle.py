@@ -99,17 +99,13 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
             continue
         sigma += (prior[v] / prior[x]) * (chan[v] / chan[x])
 
-    bound = bound_params = None
+    bound_params = None
     if category == SampleCategory.NOISY:
-        a = prior[y] / prior[x]
-        bound = 1.0 / (1.0 + a * (1.0 - rate) / rate)
-        bound_params = (a, None)
+        bound_params = (prior[y] / prior[x], None)
     elif category == SampleCategory.MULTI_ANSWER:
         top = max((v for v in members if v != x), key=terms.item)
-        a = prior[top] / prior[x]
-        b = chan[top] / chan[x]
-        bound = 1.0 / (1.0 + a * b)
-        bound_params = (a, b)
+        bound_params = (prior[top] / prior[x], chan[top] / chan[x])
+    bound = None if bound_params is None else bounds(*bound_params, category, rate)
 
     priors = {v: prior[v] for v in members}
     return PosteriorReport(post, members, category, sigma, bound, bound_params, priors)
@@ -172,18 +168,19 @@ def case_confidence(category: SampleCategory, prior_ratio: float,
     return 1.0 / (1.0 + prior_ratio * (channel_numerator / channel_denominator))
 
 
-def bounds(a: float, b: float | None, category: SampleCategory) -> float:
-    """Numeric posterior ceilings at channel rate 0.1.
+def bounds(a: float, b: float | None, category: SampleCategory, rate: float = 0.1) -> float:
+    """Posterior ceilings at channel rate ``rate``; :func:`posterior`'s ``bound``.
 
-    Noisy samples: keep/replace odds are at least 9, so the posterior cannot
-    exceed ``1 / (1 + 9a)`` once priors of competing candidates are within a
-    factor ``1/a``.  Multi-answer samples: ``1 / (1 + a*b)`` where ``b``
-    lower-bounds the candidates' channel-weight ratio.
+    Noisy samples: keep/replace odds are at least ``(1 - rate) / rate`` (9 at
+    rate 0.1), so the posterior cannot exceed ``1 / (1 + a (1 - rate) / rate)``
+    once priors of competing candidates are within a factor ``1/a``.
+    Multi-answer samples: ``1 / (1 + a*b)`` where ``b`` lower-bounds the
+    candidates' channel-weight ratio.
     """
     if a <= 0.0:
         raise ValueError("a must be positive")
     if category == SampleCategory.NOISY:
-        return 1.0 / (1.0 + 9.0 * a)
+        return 1.0 / (1.0 + a * (1.0 - rate) / rate)
     if category == SampleCategory.MULTI_ANSWER:
         if b is None or b <= 0.0:
             raise ValueError("multi-answer bound needs positive b")
@@ -257,24 +254,22 @@ class OracleScorer:
     """Drop-in scorer exposing the exact posterior through ``predict_at``.
 
     Interchangeable with a trained corrector wherever restore confidences
-    at (record_index, position) places are consumed (corpus filtering,
-    evaluation).
+    at flat token positions are consumed (corpus filtering, evaluation).
     """
 
     world: WorldModel
     table: ConfusionTable
     rate: float
 
-    @property
-    def vocab_size(self) -> int:
-        return self.world.vocab_size
-
-    def predict_at(self, corpus: PairCorpus, places) -> np.ndarray:
-        """Exact restore rows at places, uniform where a row is all zero; bad input raises."""
-        ri, pos = corpus.place_columns(places)
+    def predict_at(self, corpus: PairCorpus, at) -> np.ndarray:
+        """Exact restore rows at flat positions ``at``, uniform where a row is all zero."""
+        at = corpus.positions(at)
+        ri = np.searchsorted(corpus.offsets, at, side="right") - 1
         corr, lengths = corpus_arrays(corpus)[1:]
-        if not np.array_equal((corr < self.vocab_size).sum(axis=1), lengths):  # V reads as padding
+        V = self.world.vocab_size
+        if not np.array_equal((corr < V).sum(axis=1), lengths):  # V reads as padding
             raise ValueError("token id out of range for this world")
-        rows = restoration_distribution(self.world, self.table, corr[ri], pos, self.rate)
-        rows[~rows.any(axis=1)] = 1.0 / self.vocab_size
+        rows = restoration_distribution(self.world, self.table, corr[ri], at - corpus.offsets[ri],
+                                        self.rate)
+        rows[~rows.any(axis=1)] = 1.0 / V
         return rows

@@ -139,21 +139,24 @@ def revert_edits(corpus: PairCorpus, keep) -> FilterResult:
     return FilterResult(corpus.keep_edits(keep, corrupted=corrupted), kept, len(keep) - kept)
 
 
-def filter_corpus(scorer, corpus: PairCorpus, threshold: float) -> FilterResult:
-    """Revert every edit whose restore confidence falls below the threshold.
+def restore_confidences(scorer, corpus: PairCorpus) -> np.ndarray:
+    """Each edit's restore confidence, in edit-column order.
 
-    The scorer (anything with ``vocab_size`` and a batched ``predict_at``,
-    such as a :class:`CorrectorModel` or an :class:`OracleScorer`) is queried
-    for the original token's probability at each edit position of the
-    corrupted sentence.  Clean sides and unedited positions are never touched.
+    The scorer (anything with a batched ``predict_at``, such as a
+    :class:`CorrectorModel` or an :class:`OracleScorer`) is queried for the
+    original token's probability at each edit position of the corrupted sentence.
     """
+    rows = scorer.predict_at(corpus, corpus.flat_pos)
+    return rows[np.arange(corpus.n_edits), corpus.orig]
+
+
+def filter_corpus(corpus: PairCorpus, confidences, threshold: float) -> FilterResult:
+    """Revert every edit whose confidence (one per edit, as :func:`restore_confidences`
+    gives them) falls below the threshold.  Clean sides and unedited positions are
+    never touched."""
     if not (0.0 < threshold < 1.0):
         raise ValueError("threshold must be in (0, 1)")
-    if not corpus.n_edits:
-        return FilterResult(corpus, 0, 0)
-    rows = scorer.predict_at(corpus, corpus.places())
-    confidences = rows[np.arange(corpus.n_edits), corpus.orig]
-    return revert_edits(corpus, confidences >= threshold)
+    return revert_edits(corpus, np.asarray(confidences) >= threshold)
 
 
 def heuristic_noisy(corpus: PairCorpus, masked: np.ndarray) -> np.ndarray:
@@ -300,12 +303,12 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
         final = mixing_baseline(d_r, d_o, cc)
     elif variant != "none":
         if variant == "heuristic":
-            masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.places())
+            masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.flat_pos)
             flagged = heuristic_noisy(d_o, masked) | heuristic_multi(d_o)
             result = revert_edits(d_o, ~flagged)
         else:  # the self filter is the baseline model itself
             filter_model = train(d_r, cc.window, cc.alpha) if variant == "cross" else baseline
-            result = filter_corpus(filter_model, d_o, fc.threshold)
+            result = filter_corpus(d_o, restore_confidences(filter_model, d_o), fc.threshold)
         final = train(result.corpus, cc.window, cc.alpha)
         rates = category_filter_rates(d_o, result.corpus)
     after = before if variant == "none" else _scored(final, eval_corpus)
@@ -327,14 +330,15 @@ class SweepPoint:
 def threshold_sweep(world: WorldModel, uniform_table: ConfusionTable,
                     longtail_table: ConfusionTable, config: ExperimentConfig,
                     seed: int = 0) -> list[SweepPoint]:
-    """One filtered run per threshold of ``config.thresholds``, sharing the filter model."""
+    """One filtered run per threshold of ``config.thresholds``, sharing the filter
+    model's confidences on the target corpus, which are scored once."""
     cc = config.corrector
     d_r = _uniform_corpus(world, uniform_table, config, seed)
     d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
-    filter_model = train(d_r, cc.window, cc.alpha)
+    confidences = restore_confidences(train(d_r, cc.window, cc.alpha), d_o)
     points = []
     for p in config.thresholds:
-        result = filter_corpus(filter_model, d_o, p)
+        result = filter_corpus(d_o, confidences, p)
         metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
         points.append(SweepPoint(p, metrics, calib.ece, result.kept_edits, result.reverted_edits))
     return points
@@ -374,7 +378,7 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
                               seed=seed, stream=f"d-r-{size}")
         filter_model = train(d_r, cc.window, cc.alpha)
         tv = tv_to_oracle(filter_model, world, uniform_table, tv_corpus, config.rate)
-        result = filter_corpus(filter_model, d_o, VOLUME_THRESHOLD)
+        result = filter_corpus(d_o, restore_confidences(filter_model, d_o), VOLUME_THRESHOLD)
         metrics, calib = _scored(train(result.corpus, cc.window, cc.alpha), eval_corpus)
         points.append(VolumePoint(int(size), metrics, tv, calib.ece))
     return points
@@ -383,4 +387,5 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
 def oracle_filter(world: WorldModel, table: ConfusionTable, corpus: PairCorpus,
                   threshold: float) -> FilterResult:
     """Filtering with the exact posterior, at the corpus's rate, in place of a trained model."""
-    return filter_corpus(OracleScorer(world, table, corpus.rate), corpus, threshold)
+    scorer = OracleScorer(world, table, corpus.rate)
+    return filter_corpus(corpus, restore_confidences(scorer, corpus), threshold)

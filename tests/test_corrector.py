@@ -1,15 +1,16 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.corrector import (MASKED_WINDOW, ce_loss, correct, load_model,
+from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, ce_loss, correct, load_model,
                                   merge, model_from_json, model_to_json, predict,
-                                  predict_at, save_model, train)
+                                  predict_at, predict_matrix, save_model, train)
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
 
@@ -82,8 +83,7 @@ class TestPredict:
         model = train(corpus, alpha=0.3)
         counts = model.counts.copy()
         V, base = model.vocab_size, model.vocab_size + 1
-        rows = predict_at(model, corpus, [(r, i) for r in range(len(corpus))
-                                          for i in range(corpus.lengths[r])])
+        rows = predict_at(model, corpus, np.arange(corpus.n_chars))
         k = 0
         for rec in corpus.records:  # every signature was seen, so no fallback applies
             padded = (V,) + rec.corrupted + (V,)
@@ -120,18 +120,27 @@ class TestPredict:
         np.testing.assert_array_equal(predict(model, (0, 1, 2), 1),
                                       predict(model, (0, 3, 2), 1))
 
-    @pytest.mark.parametrize("place", [(0, 3), (1, 2), (0, -1), (-1, 0), (2, 0)])
+    @pytest.mark.parametrize("place", [(0, 5), (0, -1), (4, 9), ((0, 0), (1, 1)), ((2,),)])
     def test_places_outside_a_sentence_rejected(self, place):
+        # Places are flat positions into the corpus's 5 tokens: one outside [0, 5) is
+        # outside every sentence, and (record, position) pairs are not positions.
         corpus = identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4)
         model = train(corpus)
-        if not 0 <= place[0] < len(corpus):
-            with pytest.raises(ValueError, match="record out of range"):
-                predict_at(model, corpus, [(0, 0), place])
-            return
-        with pytest.raises(ValueError, match="position out of range"):
-            predict_at(model, corpus, [(0, 0), place])
-        with pytest.raises(ValueError, match="position out of range"):
-            predict(model, corpus.records[place[0]].corrupted, place[1])
+        with pytest.raises(ValueError, match="out of range" if np.ndim(place) == 1 else "1-D"):
+            predict_at(model, corpus, place)
+        for position in (-1, 3):
+            with pytest.raises(ValueError, match="position out of range"):
+                predict(model, corpus.records[0].corrupted, position)
+
+    def test_positions_must_be_integers(self):
+        corpus = identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4)
+        model = train(corpus)
+        for at in ([0.5, 1.0], np.ones(5, dtype=bool)):  # a float array or a mask is not positions
+            with pytest.raises(ValueError, match="integer flat indexes"):
+                predict_at(model, corpus, at)
+        assert predict_at(model, corpus, []).shape == (0, 4)
+        np.testing.assert_array_equal(predict_at(model, corpus, np.array([4], np.uint8)),
+                                      predict_at(model, corpus, [4]))
 
     @pytest.mark.parametrize("tokens", [(-1, 2, 3), (0, 4, 1), (20,), (0, 400)])
     def test_tokens_outside_the_vocabulary_rejected(self, tokens):
@@ -140,6 +149,22 @@ class TestPredict:
             predict(model, tokens, 0)
         with pytest.raises(ValueError, match=r"^token id out of range \[0, 4\)$"):
             correct(model, tokens)
+
+    def test_rows_are_gathered_in_blocks_without_a_second_full_copy(self):
+        world = build_world(WorldConfig(vocab_size=20, support=3, seed=0))
+        table = build_confusion(world, ConfusionConfig(candidates=3, seed=0))
+        model = train(generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=1))
+        corpus = generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=2)
+        assert corpus.n_chars > 4 * _ROW_BLOCK
+        tracemalloc.start()
+        try:
+            probs = predict_matrix(model, corpus)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * probs.nbytes  # an int64 copy of every row would take twice
+        at = np.array([0, _ROW_BLOCK - 1, _ROW_BLOCK, 3 * _ROW_BLOCK + 1, corpus.n_chars - 1])
+        np.testing.assert_array_equal(predict_at(model, corpus, at), probs[at])
 
 
 class TestCorrect:

@@ -12,7 +12,7 @@ from denoiselab.corrector import train
 from denoiselab.harness import (MetricsRow, category_filter_rates, config_hash,
                                 emit_report, evaluate, sha256_file, verify_manifest)
 from denoiselab.oracle import OracleScorer
-from denoiselab.pipeline import filter_corpus
+from denoiselab.pipeline import filter_corpus, restore_confidences
 from denoiselab.world import WorldConfig, build_world
 
 
@@ -23,11 +23,12 @@ class ScriptedModel:
         self.vocab_size = vocab_size
         self.mapping = {tuple(k): tuple(v) for k, v in mapping.items()}
 
-    def predict_at(self, corpus, places):
-        probs = np.zeros((len(places), self.vocab_size))
-        for k, (ri, position) in enumerate(places):
+    def predict_at(self, corpus, at):
+        probs = np.zeros((len(at), self.vocab_size))
+        for k, g in enumerate(at):
+            ri = int(np.searchsorted(corpus.offsets, g, side="right")) - 1
             tokens = corpus.records[ri].corrupted
-            probs[k, self.mapping.get(tokens, tokens)[position]] = 1.0
+            probs[k, self.mapping.get(tokens, tokens)[g - corpus.offsets[ri]]] = 1.0
         return probs
 
 
@@ -35,10 +36,9 @@ class KeepModel:
     def __init__(self, vocab_size):
         self.vocab_size = vocab_size
 
-    def predict_at(self, corpus, places):
-        probs = np.zeros((len(places), self.vocab_size))
-        for k, (ri, position) in enumerate(places):
-            probs[k, corpus.records[ri].corrupted[position]] = 1.0
+    def predict_at(self, corpus, at):
+        probs = np.zeros((len(at), self.vocab_size))
+        probs[np.arange(len(at)), corpus.corrupted[at]] = 1.0
         return probs
 
 
@@ -144,7 +144,8 @@ class TestCategoryFilterRates:
 
     def test_rates_reconcile_with_filter_counts(self):
         world, table, corpus = self.build()
-        result = filter_corpus(OracleScorer(world, table, 0.1), corpus, 0.5)
+        confidences = restore_confidences(OracleScorer(world, table, 0.1), corpus)
+        result = filter_corpus(corpus, confidences, 0.5)
         rates = category_filter_rates(corpus, result.corpus)
         assert sum(r.reverted for r in rates.values()) == result.reverted_edits
         assert sum(r.total for r in rates.values()) == corpus.n_edits

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab.augment import ConfusionConfig, SampleCategory, build_confusion, generate_corpus
-from denoiselab.oracle import brute_force_posterior, posterior, restoration_distribution
+from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
+                                build_confusion, generate_corpus)
+from denoiselab.oracle import (OracleScorer, brute_force_posterior, posterior,
+                               restoration_distribution)
 from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
 
 from enumeration import slot_distribution
@@ -100,6 +102,27 @@ class TestBatchedConditional:
         for tokens, positions, message in cases:
             with pytest.raises(ValueError, match=message):
                 conditional(world, tokens, np.array(positions))
+
+
+class TestOracleScorer:
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_cases(), st.sampled_from((0.05, 0.1, 0.5)), st.randoms(use_true_random=False))
+    def test_any_subset_of_flat_positions_gives_the_restoration_rows_in_order(self, case, rate,
+                                                                              rnd):
+        world, table, sentences, _, _ = case
+        corpus = PairCorpus([CorruptionRecord(s, s, (), rate) for s in sentences],
+                            world.vocab_size, rate, "iid")
+        at = rnd.choices(range(corpus.n_chars), k=rnd.randint(0, 2 * corpus.n_chars))
+        rows = OracleScorer(world, table, rate).predict_at(corpus, at)
+        assert rows.shape == (len(at), world.vocab_size)
+        for row, g in zip(rows, at):
+            k = int(np.searchsorted(corpus.offsets, g, side="right")) - 1
+            try:
+                want = restoration_distribution(world, table, sentences[k],
+                                                int(g - corpus.offsets[k]), rate)
+            except ValueError:  # impossible context or unreachable token: uniform
+                want = np.full(world.vocab_size, 1.0 / world.vocab_size)
+            np.testing.assert_array_equal(row, want)
 
 
 class TestAnnotation:

@@ -232,23 +232,23 @@ class TestOracleScorer:
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
         np.testing.assert_array_equal(
-            scorer.predict_at(single_record_corpus(record, 4), [(0, 1)])[0],
+            scorer.predict_at(single_record_corpus(record, 4), [1])[0],
             restoration_distribution(world, table, record.corrupted, 1, 0.1))
 
     def test_unexplainable_context_falls_back_to_uniform(self):
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
         impossible = CorruptionRecord((3, 3, 3), (3, 3, 3), (), 0.1)  # zero-probability context
-        got = scorer.predict_at(single_record_corpus(impossible, 4), [(0, 1)])[0]
+        got = scorer.predict_at(single_record_corpus(impossible, 4), [1])[0]
         np.testing.assert_allclose(got, 0.25, atol=1e-15)
 
-    @pytest.mark.parametrize("tokens,place,message", [
+    @pytest.mark.parametrize("tokens,place,message", [  # place: the flat positions asked for
         ((0, 99, 1), (0, 1), "token id out of range"),
         ((0, 1, 4), (0, 0), "token id out of range"),  # 4, the world's size, reads as padding
         ((0, 1, 3), (0, 7), "position 7 out of range"),
         ((0, 1, 3), (0, -1), "position -1 out of range"),
-        ((0, 1, 3), (-1, 0), "record out of range"),
-        ((0, 1, 3), (1, 0), "record out of range"),
+        ((0, 1, 3), (0, 3), "position 3 out of range"),  # n_chars
+        ((0, 1, 3), ((0, 0), (0, 1)), "1-D"),  # (record, position) pairs are not positions
     ])
     def test_bad_tokens_and_positions_raise(self, tokens, place, message):
         world, table, _ = equal_prior_noisy_setup()
@@ -256,7 +256,7 @@ class TestOracleScorer:
         # A corpus over a wider vocabulary than the world's 4 tokens holds 99 and 4.
         corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 100)
         with pytest.raises(ValueError, match=message):
-            scorer.predict_at(corpus, [(0, 0), place])
+            scorer.predict_at(corpus, place)
 
 
 class TestScalarPosition:

@@ -10,8 +10,8 @@ from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import (ExperimentConfig, FilterConfig,
                                  build_experiment_world, filter_corpus,
                                  heuristic_multi, heuristic_noisy, make_eval_corpus,
-                                 mixing_baseline, oracle_filter, run_pipeline,
-                                 threshold_sweep, volume_sweep)
+                                 mixing_baseline, oracle_filter, restore_confidences,
+                                 run_pipeline, threshold_sweep, volume_sweep)
 from denoiselab.world import WorldConfig, build_world, conditional
 from reference import iter_edits
 
@@ -35,23 +35,28 @@ TINY = ExperimentConfig(
 )
 
 
+def model_filter(model, corpus, threshold):
+    """Filter ``corpus`` on the model's restore confidences, as the pipeline does."""
+    return filter_corpus(corpus, restore_confidences(model, corpus), threshold)
+
+
 class TestFilterCorpus:
     def test_vanishing_threshold_keeps_everything(self):
         world, table, corpus, model = small_setup()
-        result = filter_corpus(model, corpus, 1e-9)
+        result = model_filter(model, corpus, 1e-9)
         assert result.reverted_edits == 0
         assert result.corpus.records == corpus.records
 
     def test_threshold_near_one_reverts_everything(self):
         world, table, corpus, model = small_setup()
-        result = filter_corpus(model, corpus, 1.0 - 1e-12)
+        result = model_filter(model, corpus, 1.0 - 1e-12)
         assert result.kept_edits == 0
         for rec in result.corpus.records:
             assert rec.corrupted == rec.clean
 
     def test_partition_and_untouched_positions(self):
         world, table, corpus, model = small_setup(1)
-        result = filter_corpus(model, corpus, 0.3)
+        result = model_filter(model, corpus, 0.3)
         assert result.kept_edits + result.reverted_edits == corpus.n_edits
         for before, after in zip(corpus.records, result.corpus.records):
             assert after.clean == before.clean
@@ -84,10 +89,20 @@ class TestFilterCorpus:
 
     def test_invalid_threshold_rejected(self):
         world, table, corpus, model = small_setup()
+        confidences = restore_confidences(model, corpus)
         with pytest.raises(ValueError):
-            filter_corpus(model, corpus, 0.0)
+            filter_corpus(corpus, confidences, 0.0)
         with pytest.raises(ValueError):
-            filter_corpus(model, corpus, 1.0)
+            filter_corpus(corpus, confidences, 1.0)
+        with pytest.raises(ValueError, match="one flag per edit"):
+            filter_corpus(corpus, confidences[1:], 0.5)
+
+    def test_corpus_without_edits_passes_through(self):
+        world, table, corpus, model = small_setup()
+        clean = corpus.keep_edits(np.zeros(corpus.n_edits, bool), corrupted=corpus.clean)
+        for result in (model_filter(model, clean, 0.5), oracle_filter(world, table, clean, 0.5)):
+            assert (result.kept_edits, result.reverted_edits) == (0, 0)
+            assert result.corpus.records == clean.records
 
 
 def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
@@ -102,7 +117,7 @@ def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
 
 def masked_rows(model, corpus):
     """The context model's row at each edit of the corpus, as the heuristics take them."""
-    return predict_at(model, corpus, corpus.places())
+    return predict_at(model, corpus, corpus.flat_pos)
 
 
 def flagged_places(corpus, flags):
@@ -180,7 +195,7 @@ class TestHeuristics:
         precision = len(flagged & truth) / len(flagged)
         self_model = train(d_o)
         removed = all_edits - {(ri, e[0]) for ri, _, _, e
-                               in iter_edits(filter_corpus(self_model, d_o, 1e-2).corpus)}
+                               in iter_edits(model_filter(self_model, d_o, 1e-2).corpus)}
         self_recall = len(removed & truth) / len(truth)
         assert precision > 0.5
         assert recall > self_recall
@@ -294,6 +309,18 @@ class TestSweeps:
             dataclasses.replace(TINY, thresholds=(0.5, 1.5))
         with pytest.raises(ValueError):
             dataclasses.replace(TINY, thresholds=())
+
+    def test_threshold_sweep_points_equal_cross_runs(self):
+        # The sweep scores d_o once; each point must still be the cross run at its threshold.
+        world, uniform_table, longtail_table = build_experiment_world(TINY, 4)
+        points = threshold_sweep(world, uniform_table, longtail_table, TINY, seed=4)
+        for pt in points:
+            cfg = dataclasses.replace(TINY, filter=FilterConfig(pt.threshold, "cross"))
+            report = run_pipeline(world, uniform_table, longtail_table, cfg, 4)
+            assert (pt.kept_edits, pt.reverted_edits) == (report.kept_edits,
+                                                          report.reverted_edits)
+            assert pt.metrics == report.metrics_after
+            assert pt.ece == report.calibration_after.ece
 
     def test_volume_sweep_shape_and_order(self):
         world, uniform_table, longtail_table = build_experiment_world(TINY, 5)

@@ -19,7 +19,7 @@ from denoiselab.calibration import calibration_report
 from denoiselab.corrector import (_signatures, correct, correct_corpus, merge, model_from_json,
                                   model_to_json, predict, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
-from denoiselab.pipeline import _scored, filter_corpus, revert_edits
+from denoiselab.pipeline import _scored, filter_corpus, restore_confidences, revert_edits
 from reference import iter_edits
 
 WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
@@ -91,9 +91,8 @@ class TestModelRows:
     def test_predict_and_predict_at_match_predict_matrix(self, setup):
         model, corpus = setup
         rows = predict_matrix(model, corpus)[0]
-        places = all_places(corpus)
-        np.testing.assert_array_equal(predict_at(model, corpus, places), rows)
-        for row, (ri, pos) in zip(rows, places):
+        np.testing.assert_array_equal(predict_at(model, corpus, np.arange(corpus.n_chars)), rows)
+        for row, (ri, pos) in zip(rows, all_places(corpus)):
             np.testing.assert_array_equal(predict(model, corpus.records[ri].corrupted, pos),
                                           row)
 
@@ -102,10 +101,8 @@ class TestModelRows:
     def test_predict_at_gathers_any_subset_in_order(self, setup, rnd):
         model, corpus = setup
         rows = predict_matrix(model, corpus)[0]
-        index = {place: k for k, place in enumerate(all_places(corpus))}
-        places = rnd.choices(sorted(index), k=rnd.randint(1, 2 * len(index)))
-        expected = rows[[index[p] for p in places]]
-        np.testing.assert_array_equal(predict_at(model, corpus, places), expected)
+        at = rnd.choices(range(corpus.n_chars), k=rnd.randint(1, 2 * corpus.n_chars))
+        np.testing.assert_array_equal(predict_at(model, corpus, at), rows[at])
 
     @settings(max_examples=60, deadline=None)
     @given(trained_setups())
@@ -188,7 +185,7 @@ class TestRevertInvariants:
         model, corpus = setup
         confidences = [float(predict(model, rec.corrupted, i)[x])
                        for _, rec, _, (i, x, _) in iter_edits(corpus)]
-        result = filter_corpus(model, corpus, threshold)
+        result = filter_corpus(corpus, restore_confidences(model, corpus), threshold)
         assert_revert_invariants(corpus, result, [c >= threshold for c in confidences])
 
     @settings(max_examples=60, deadline=None)
