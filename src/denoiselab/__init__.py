@@ -12,7 +12,7 @@ from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, build_confusion, generate_corpus)
 from .calibration import (CalibrationReport, PredictionOutcome, collect_outcomes,
                           ece, filter_easy_positives)
-from .corrector import CorrectorConfig, CorrectorModel, ce_loss, correct, merge, predict, train
+from .corrector import CorrectorConfig, CorrectorModel, ce_loss, merge, train
 from .harness import Metrics, category_filter_rates, emit_report, evaluate
 from .oracle import (OracleScorer, PosteriorReport, bounds, brute_force_posterior,
                      case_confidence, posterior, restoration_distribution,

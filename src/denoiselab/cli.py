@@ -39,8 +39,8 @@ def _load_corpus_dir(corpus_dir: Path):
         if type(V) is not int or not V == w.vocab_size == table.vocab_size:
             raise ValueError(f"{manifest}: meta 'vocab_size' must be world.json's {w.vocab_size} "
                              f"and confusion.json's {table.vocab_size}, got {V!r}")
-        if type(rate) not in (int, float) or not 0 <= rate < 1:
-            raise ValueError(f"{manifest}: meta 'rate' must be a number in [0, 1), got {rate!r}")
+        if type(rate) not in (int, float) or not 0 < rate < 1:  # ExperimentConfig's range
+            raise ValueError(f"{manifest}: meta 'rate' must be a number in (0, 1), got {rate!r}")
         if mode not in ("iid", "single_edit"):
             raise ValueError(f"{manifest}: meta 'mode' must be iid or single_edit, got {mode!r}")
         corpus = augment.corpus_from_jsonl(corpus_dir / "corpus.jsonl", vocab_size=V,
@@ -194,9 +194,13 @@ def score_cmd(run, model_path, corpus_dir, with_oracle):
     if with_oracle:  # a single-edit record's edit is edit k, the count of edits before it
         single = (np.bincount(corpus.record, minlength=len(corpus)) == 1).tolist()
         k = 0
-        for record, one in zip(corpus.records, single):
+        for r, (record, one) in enumerate(zip(corpus.records, single)):
             if one:
-                rep = oracle.posterior(w, table, record, 0, meta["rate"])
+                try:
+                    rep = oracle.posterior(w, table, record, 0, meta["rate"])
+                except ValueError as exc:  # a record its own world and table cannot explain
+                    raise click.ClickException(
+                        f"{Path(corpus_dir) / 'corpus.jsonl'}: record {r}: {exc}") from None
                 oracle_fields[k] = ", " + json.dumps(
                     {"oracle_posterior": rep.posterior, "category": rep.category.value,
                      "sigma": rep.sigma, "bound": rep.bound})[1:-1]

@@ -30,7 +30,7 @@ MASKED_WINDOW = (-1, 1)
 
 # Dense signature tables; (V+1)**len(window) * V entries must stay desk-sized.
 _TABLE_BUDGET = 5 * 10**7
-# Positions per count-row gather in _rows_for: its int64 scratch is one block, not all rows.
+# Positions per count-row gather in _rows: its int64 scratch is one block, not all rows.
 _ROW_BLOCK = 4096
 
 
@@ -145,50 +145,39 @@ def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
         f"merge({first.trained_on},{second.trained_on})", combined)
 
 
-def _rows_for(model: CorrectorModel, sig_f: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Smoothed probability rows with the unseen-signature fallback chain.
+def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray | None = None) -> np.ndarray:
+    """Smoothed probability rows at flat positions ``at`` of ``corpus`` (every
+    position when None), with the unseen-signature fallback chain.
 
     Unseen signature -> center marginal (when the window has a center) ->
     global target marginal; smoothing turns an all-zero row into uniform.
+    The corpus must be over the model's vocabulary: its tokens then lie in
+    ``[0, V)``, and a wider one would alias signature ids.
     """
-    rows = np.empty((len(sig_f), model.vocab_size))
-    for lo in range(0, len(sig_f), _ROW_BLOCK):  # only one block's int64 gather at a time
-        rows[lo:lo + _ROW_BLOCK] = model.counts[sig_f[lo:lo + _ROW_BLOCK]]
+    V = model.vocab_size
+    if corpus.vocab_size != V:
+        raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the model's {V}")
+    sig = _signatures(corpus.corrupted, corpus.offsets, V, model.window, at)
+    rows = np.empty((len(sig), V))
+    for lo in range(0, len(sig), _ROW_BLOCK):  # only one block's int64 gather at a time
+        rows[lo:lo + _ROW_BLOCK] = model.counts[sig[lo:lo + _ROW_BLOCK]]
     totals = rows.sum(axis=1)
     missing = totals == 0.0
     if np.any(missing):
+        centers = corpus.corrupted if at is None else corpus.corrupted[at]
         rows[missing] = (model.target_counts if model.center_counts is None
                          else model.center_counts[centers[missing]])
         totals = rows.sum(axis=1)
     # (rows + alpha) / (totals + alpha V), in place: one (positions, V) array stays alive.
     alpha = model.alpha
     rows += alpha
-    rows /= (totals + alpha * model.vocab_size)[:, None]
+    rows /= (totals + alpha * V)[:, None]
     return rows
-
-
-def _sentence_rows(model: CorrectorModel, tokens, at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Probability rows and written tokens of one sentence, at positions ``at`` or all."""
-    toks = np.asarray(tokens, dtype=np.int64)
-    if len(toks) and toks.view(np.uint64).max() >= model.vocab_size:  # a negative id wraps high
-        raise ValueError(f"token id out of range [0, {model.vocab_size})")
-    sig = _signatures(toks, np.array([0, len(toks)]), model.vocab_size, model.window, at)
-    centers = toks if at is None else toks[at]
-    return _rows_for(model, sig, centers), centers
-
-
-def predict(model: CorrectorModel, tokens, position: int) -> np.ndarray:
-    """Smoothed distribution over clean tokens for one position."""
-    if not (0 <= position < len(tokens)):
-        raise ValueError("position out of range")
-    return _sentence_rows(model, tokens, [position])[0][0]
 
 
 def predict_at(model: CorrectorModel, corpus: PairCorpus, at) -> np.ndarray:
     """Probability rows at flat token positions ``at``, indexes into ``corpus.corrupted``."""
-    at = corpus.positions(at)
-    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window, at)
-    return _rows_for(model, sig, corpus.corrupted[at])
+    return _rows(model, corpus, corpus.positions(at))
 
 
 def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray]:
@@ -198,8 +187,7 @@ def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarra
     scoring ``corpus.corrupted[g]``; decoded is each row's argmax, ties
     keeping the written token.
     """
-    sig = _signatures(corpus.corrupted, corpus.offsets, model.vocab_size, model.window)
-    probs = _rows_for(model, sig, corpus.corrupted)
+    probs = _rows(model, corpus)
     return probs, _argmax_keep_ties(probs, corpus.corrupted)
 
 
@@ -210,12 +198,6 @@ def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     keep = probs[np.arange(len(probs)), inputs] == row_max
     out[keep] = inputs[keep]
     return out
-
-
-def correct(model: CorrectorModel, tokens) -> tuple[int, ...]:
-    """Per-position argmax decode of one sentence."""
-    out = _argmax_keep_ties(*_sentence_rows(model, tokens))
-    return tuple(int(t) for t in out)
 
 
 def correct_corpus(scorer, corpus: PairCorpus) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import (CATEGORIES, CATEGORY_TABLE, ConfusionTable, CorruptionRecord,
-                      PairCorpus, SampleCategory, corpus_arrays)
+                      PairCorpus, SampleCategory)
 from .world import ENUMERATION_BUDGET, WorldModel, conditional
 
 
@@ -264,12 +264,14 @@ class OracleScorer:
     def predict_at(self, corpus: PairCorpus, at) -> np.ndarray:
         """Exact restore rows at flat positions ``at``, uniform where a row is all zero."""
         at = corpus.positions(at)
-        ri = np.searchsorted(corpus.offsets, at, side="right") - 1
-        corr, lengths = corpus_arrays(corpus)[1:]
         V = self.world.vocab_size
-        if not np.array_equal((corr < V).sum(axis=1), lengths):  # V reads as padding
-            raise ValueError("token id out of range for this world")
-        rows = restoration_distribution(self.world, self.table, corr[ri], at - corpus.offsets[ri],
-                                        self.rate)
+        if corpus.vocab_size != V:  # the corpus's tokens then lie in [0, V)
+            raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
+        ri = np.searchsorted(corpus.offsets, at, side="right") - 1
+        starts, lengths = corpus.offsets[ri], corpus.offsets[ri + 1] - corpus.offsets[ri]
+        cols = np.arange(lengths.max(initial=0))  # padded rows of the asked sentences only
+        tokens = corpus.corrupted.take(starts[:, None] + cols, mode="clip")
+        tokens[cols >= lengths[:, None]] = V
+        rows = restoration_distribution(self.world, self.table, tokens, at - starts, self.rate)
         rows[~rows.any(axis=1)] = 1.0 / V
         return rows

@@ -25,9 +25,8 @@ import numpy as np
 from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory, _fits_world,
                       concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
-from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel,
-                        _signature_table_shape, _signatures, predict, predict_at,
-                        predict_matrix, train)
+from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel, _rows,
+                        _signature_table_shape, _signatures, predict_at, predict_matrix, train)
 from .harness import CategoryRate, Metrics, category_filter_rates, sentence_metrics
 from .oracle import OracleScorer, restoration_distribution
 from .world import WorldConfig, WorldModel, build_world, conditional
@@ -234,10 +233,8 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
     exact = restoration_distribution(world, table, corpus_arrays(corpus)[1][ri], pos, rate)
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
-    starts, corr = corpus.offsets.tolist(), corpus.corrupted
-    distances = [0.5 * float(np.abs(row - predict(model, corr[starts[r]:starts[r + 1]], i)).sum())
-                 for row, r, i in zip(exact, ri.tolist(), pos.tolist())]
-    return float(np.mean(distances))
+    exact -= _rows(model, corpus, corpus.flat_pos[single])
+    return float(np.mean(0.5 * np.abs(exact).sum(axis=1)))
 
 
 def build_experiment_world(config: ExperimentConfig, seed: int):

@@ -1,12 +1,17 @@
-"""Hand-built worlds, tables, and records with known exact posteriors."""
+"""Hand-built worlds, tables, and records with known exact posteriors, and one-record corpora."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from denoiselab._rng import derive_rng
-from denoiselab.augment import ConfusionTable, CorruptionRecord
+from denoiselab.augment import ConfusionTable, CorruptionRecord, PairCorpus
 from denoiselab.world import WorldConfig, build_world
+
+
+def one_record(corpus, k):
+    """Record ``k`` of ``corpus`` as a corpus of its own, so a scorer sees no other sentence."""
+    return PairCorpus(corpus.records[k:k + 1], corpus.vocab_size, corpus.rate, corpus.mode)
 
 
 def manual_table(V, candidates, weights, mode="uniform"):

@@ -7,8 +7,10 @@ from denoiselab.augment import ConfusionConfig, build_confusion, generate_corpus
 from denoiselab.calibration import (PredictionOutcome, calibration_report,
                                     collect_outcomes, ece, filter_easy_positives,
                                     write_reliability_csv)
-from denoiselab.corrector import predict, predict_matrix, train
+from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
+
+from constructions import one_record
 
 
 def outcome(conf, correct, kept=0.0):
@@ -30,9 +32,9 @@ class TestCollectOutcomes:
     def test_kept_mass_is_recomputable(self):
         outcomes = collect_outcomes(self.model, self.corpus)
         k = 0
-        for rec in self.corpus.records[:10]:
-            for pos in range(rec.length):
-                probs = predict(self.model, rec.corrupted, pos)
+        for ri, rec in enumerate(self.corpus.records[:10]):
+            rows = predict_matrix(self.model, one_record(self.corpus, ri))[0]
+            for pos, probs in enumerate(rows):
                 assert outcomes[k].kept_mass_on_input == probs[rec.corrupted[pos]]
                 assert outcomes[k].confidence == probs.max()
                 k += 1

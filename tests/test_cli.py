@@ -226,11 +226,13 @@ class TestBadInputs:
          "expected 'files' and 'meta' objects"),
         ("[]", "expected 'files' and 'meta' objects"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": "x", "mode": "iid"}}',
-         "meta 'rate' must be a number in [0, 1), got 'x'"),
+         "meta 'rate' must be a number in (0, 1), got 'x'"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 1.5, "mode": "iid"}}',
-         "meta 'rate' must be a number in [0, 1), got 1.5"),
+         "meta 'rate' must be a number in (0, 1), got 1.5"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": true, "mode": "iid"}}',
-         "meta 'rate' must be a number in [0, 1), got True"),
+         "meta 'rate' must be a number in (0, 1), got True"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0, "mode": "iid"}}',
+         "meta 'rate' must be a number in (0, 1), got 0"),
         ('{"files": {}, "meta": {"vocab_size": 30, "rate": 0.1, "mode": "iid"}}',
          "meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got 30"),
         ('{"files": {}, "meta": {"vocab_size": "8", "rate": 0.1, "mode": "iid"}}',
@@ -238,8 +240,8 @@ class TestBadInputs:
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": "both"}}',
          "meta 'mode' must be iid or single_edit, got 'both'"),
     ], ids=["truncated", "no-files", "no-meta", "meta-without-vocab-size", "not-an-object",
-            "rate-string", "rate-above-one", "rate-bool", "vocab-size-not-the-worlds",
-            "vocab-size-string", "mode-unknown"])
+            "rate-string", "rate-above-one", "rate-bool", "rate-zero",
+            "vocab-size-not-the-worlds", "vocab-size-string", "mode-unknown"])
     def test_malformed_corpus_dir_manifest_is_named(self, runner, config_path, tmp_path,
                                                     text, fragment):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -324,6 +326,30 @@ class TestBadInputs:
                                       "--corpus-dir", str(corpus_dir),
                                       "--out-dir", str(tmp_path / "model-bad")])
         self.assert_usage_error(result, message)
+
+    def test_score_oracle_on_an_edit_the_table_cannot_emit_names_the_record(self, runner,
+                                                                            config_path, tmp_path):
+        corpus_dir = tmp_path / "corpus"
+        run_ok(runner, ["gen-corpus", "--config", config_path, "--out-dir", str(corpus_dir),
+                        "--mode", "single_edit", "--sentences", "30"])
+        run_ok(runner, ["train", "--config", config_path, "--corpus-dir", str(corpus_dir),
+                        "--out-dir", str(tmp_path / "model")])
+        (_, x, y), = json.loads((corpus_dir / "corpus.jsonl").read_text().splitlines()[0])["edits"]
+        path = corpus_dir / "confusion.json"
+        doc = json.loads(path.read_text())
+        row = doc["candidates"][x]  # record 0's original no longer emits its replacement
+        row[row.index(y)] = min(set(range(8)) - {x, *row})
+        path.write_text(json.dumps(doc))
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        manifest["files"]["confusion.json"] = sha256_file(path)
+        (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["score", "--config", config_path, "--oracle",
+                                      "--model", str(tmp_path / "model" / "model.json"),
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "scores")])
+        self.assert_usage_error(result)
+        assert result.output == (f"Error: {corpus_dir / 'corpus.jsonl'}: record 0: record "
+                                 "inconsistent with world/table: original cannot emit the edit\n")
 
     @pytest.mark.parametrize("args,fragment", [
         (["filter", "--threshold", "1.5"], "'--threshold': 1.5 is not in the range 0<x<1"),

@@ -22,10 +22,12 @@ from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, P
                                 generate_corpus)
 from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
                                     filter_easy_positives)
-from denoiselab.corrector import predict, predict_matrix, train
+from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
 from denoiselab.world import WorldConfig, build_world
+
+from constructions import one_record
 
 COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category",
            "annotated")
@@ -206,10 +208,11 @@ class TestArrayPasses:
         train_corpus, corpus = pair
         model = train(train_corpus, alpha=0.1)
         outcomes = collect_outcomes(model, corpus)
-        for outcome, (rec, i) in zip(outcomes, ((r, i) for r in corpus.records
-                                                for i in range(r.length))):
-            row = predict(model, rec.corrupted, i)
-            assert outcome.kept_mass_on_input == row[rec.corrupted[i]]
+        rows = (row for k in range(len(corpus))  # each record scored as a corpus of its own
+                for row in predict_matrix(model, one_record(corpus, k))[0])
+        tokens = (t for rec in corpus.records for t in rec.corrupted)
+        for outcome, row, token in zip(outcomes, rows, tokens):
+            assert outcome.kept_mass_on_input == row[token]
         kept = filter_easy_positives(outcomes, cutoff)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):

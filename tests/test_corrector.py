@@ -8,11 +8,14 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, ce_loss, correct, load_model,
-                                  merge, model_from_json, model_to_json, predict,
-                                  predict_at, predict_matrix, save_model, train)
+from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, ce_loss, load_model, merge,
+                                  model_from_json, model_to_json, predict_at, predict_matrix,
+                                  save_model, train)
+from denoiselab.harness import evaluate
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
+
+from constructions import one_record
 
 
 def identity_corpus(tokens_list, vocab_size):
@@ -31,7 +34,7 @@ class TestTrain:
     def test_single_identity_pair_concentrates_on_observed(self):
         corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
         model = train(corpus, alpha=0.01)
-        probs = predict(model, (0, 1, 2, 3), 1)
+        probs = predict_at(model, corpus, [1])[0]
         assert np.argmax(probs) == 1
         assert probs[1] > 0.95
 
@@ -71,11 +74,10 @@ class TestPredict:
         world, table = training_setup(3)
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
-        for rec in corpus.records[:20]:
-            for pos in range(rec.length):
-                probs = predict(model, rec.corrupted, pos)
-                assert abs(probs.sum() - 1.0) < 1e-12
-                assert np.all(probs > 0.0)
+        rows = predict_matrix(model, corpus)[0]
+        assert rows.shape == (corpus.n_chars, 8)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12
+        assert np.all(rows > 0.0)
 
     def test_rows_are_the_smoothed_counts_and_leave_the_table_alone(self):
         world, table = training_setup(3)
@@ -85,40 +87,41 @@ class TestPredict:
         V, base = model.vocab_size, model.vocab_size + 1
         rows = predict_at(model, corpus, np.arange(corpus.n_chars))
         k = 0
-        for rec in corpus.records:  # every signature was seen, so no fallback applies
+        for ri, rec in enumerate(corpus.records):  # every signature was seen: no fallback
             padded = (V,) + rec.corrupted + (V,)
+            alone = predict_matrix(model, one_record(corpus, ri))[0]  # no neighbour to read
             for i in range(rec.length):
                 sig = padded[i] + base * padded[i + 1] + base ** 2 * padded[i + 2]
                 want = (counts[sig] + 0.3) / (counts[sig].sum() + 0.3 * V)
                 np.testing.assert_array_equal(rows[k], want)
-                np.testing.assert_array_equal(predict(model, rec.corrupted, i), want)
+                np.testing.assert_array_equal(alone[i], want)
                 k += 1
         np.testing.assert_array_equal(model.counts, counts)
 
     def test_huge_alpha_approaches_uniform(self):
         corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
         model = train(corpus, alpha=1e9)
-        probs = predict(model, (0, 1, 2, 3), 2)
+        probs = predict_at(model, corpus, [2])[0]
         np.testing.assert_allclose(probs, 0.25, atol=1e-8)
 
     def test_signature_with_single_target_argmaxes_it(self):
         rec = CorruptionRecord((0, 1, 2), (0, 3, 2), ((1, 1, 3),), 0.1)
         corpus = PairCorpus((rec,), 4, 0.1, "iid")
         model = train(corpus)
-        assert np.argmax(predict(model, (0, 3, 2), 1)) == 1
+        assert np.argmax(predict_at(model, corpus, [1])[0]) == 1  # corrupted (0, 3, 2)
 
     def test_unseen_signature_falls_back_to_center_marginal(self):
         corpus = identity_corpus([(0, 1, 2), (3, 1, 0)], vocab_size=4)
         model = train(corpus, alpha=0.01)
         # context never seen, center token 1 seen twice with target 1
-        probs = predict(model, (2, 1, 3), 1)
+        probs = predict_at(model, identity_corpus([(2, 1, 3)], vocab_size=4), [1])[0]
         assert np.argmax(probs) == 1
 
     def test_masked_window_ignores_center(self):
         corpus = identity_corpus([(0, 1, 2), (0, 3, 2)], vocab_size=4)
         model = train(corpus, window=MASKED_WINDOW)
-        np.testing.assert_array_equal(predict(model, (0, 1, 2), 1),
-                                      predict(model, (0, 3, 2), 1))
+        middles = predict_at(model, corpus, [1, 4])  # the 1 of (0, 1, 2) and the 3 of (0, 3, 2)
+        np.testing.assert_array_equal(middles[0], middles[1])
 
     @pytest.mark.parametrize("place", [(0, 5), (0, -1), (4, 9), ((0, 0), (1, 1)), ((2,),)])
     def test_places_outside_a_sentence_rejected(self, place):
@@ -128,9 +131,6 @@ class TestPredict:
         model = train(corpus)
         with pytest.raises(ValueError, match="out of range" if np.ndim(place) == 1 else "1-D"):
             predict_at(model, corpus, place)
-        for position in (-1, 3):
-            with pytest.raises(ValueError, match="position out of range"):
-                predict(model, corpus.records[0].corrupted, position)
 
     def test_positions_must_be_integers(self):
         corpus = identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4)
@@ -142,13 +142,20 @@ class TestPredict:
         np.testing.assert_array_equal(predict_at(model, corpus, np.array([4], np.uint8)),
                                       predict_at(model, corpus, [4]))
 
-    @pytest.mark.parametrize("tokens", [(-1, 2, 3), (0, 4, 1), (20,), (0, 400)])
+    @pytest.mark.parametrize("tokens", [(5, 0, 1), (0, 4, 1), (20,), (0, 2)])
     def test_tokens_outside_the_vocabulary_rejected(self, tokens):
+        # Every path refuses a corpus over another vocabulary, here max(tokens) + 1, whatever
+        # it holds. Over 4 tokens (base 5), (5, 0, 1) at position 0 would read the signature
+        # id of (start, 0, 1): 4 + 5 * 5 + 0 = 4 + 5 * 0 + 25 * 1.
         model = train(identity_corpus([(0, 1, 2), (3, 1)], vocab_size=4))
-        with pytest.raises(ValueError, match=r"^token id out of range \[0, 4\)$"):
-            predict(model, tokens, 0)
-        with pytest.raises(ValueError, match=r"^token id out of range \[0, 4\)$"):
-            correct(model, tokens)
+        corpus = identity_corpus([tokens], vocab_size=max(tokens) + 1)
+        message = rf"^corpus vocab_size {max(tokens) + 1} differs from the model's 4$"
+        for score in (lambda: predict_at(model, corpus, [0]), lambda: predict_matrix(model, corpus),
+                      lambda: evaluate(model, corpus), lambda: ce_loss(model, corpus)):
+            with pytest.raises(ValueError, match=message):
+                score()
+        with pytest.raises(ValueError, match=r"token -1 outside \[0, 4\)"):
+            identity_corpus([(-1, 2, 3)], vocab_size=4)  # a corpus holds only its own tokens
 
     def test_rows_are_gathered_in_blocks_without_a_second_full_copy(self):
         world = build_world(WorldConfig(vocab_size=20, support=3, seed=0))
@@ -171,12 +178,13 @@ class TestCorrect:
     def test_identity_trained_model_keeps_input(self):
         corpus = identity_corpus([(0, 1, 2, 3), (1, 2, 3, 0)], vocab_size=4)
         model = train(corpus)
-        assert correct(model, (0, 1, 2, 3)) == (0, 1, 2, 3)
+        np.testing.assert_array_equal(predict_matrix(model, corpus)[1], corpus.corrupted)
 
     def test_uniform_model_ties_keep_input(self):
         corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
         model = train(corpus, alpha=1e12)
-        assert correct(model, (3, 2, 1, 0)) == (3, 2, 1, 0)
+        probe = identity_corpus([(3, 2, 1, 0)], vocab_size=4)
+        assert predict_matrix(model, probe)[1].tolist() == [3, 2, 1, 0]
 
     def test_planted_unambiguous_error_is_restored(self):
         # Cycle world: v is always followed by v + 1, and every confusion
@@ -201,9 +209,11 @@ class TestCorrect:
         # Edits away from sentence boundaries: with one-sided context the
         # window cannot tell a center corruption from a corrupted neighbor,
         # so boundary slots stay genuinely ambiguous for this model class.
-        deep = [r for r in evalc.records if 2 <= r.edits[0][0] <= r.length - 3]
+        decoded, starts = predict_matrix(model, evalc)[1].tolist(), evalc.offsets.tolist()
+        deep = [k for k, r in enumerate(evalc.records) if 2 <= r.edits[0][0] <= r.length - 3]
         assert len(deep) > 150
-        hits = sum(correct(model, r.corrupted) == r.clean for r in deep)
+        hits = sum(tuple(decoded[starts[k]:starts[k + 1]]) == evalc.records[k].clean
+                   for k in deep)
         assert hits / len(deep) > 0.95
 
     def test_restoration_rate_on_random_world(self):
@@ -214,13 +224,14 @@ class TestCorrect:
         model = train(corpus)
         evalc = generate_corpus(world, table, 400, (4, 8), 0.1,
                                 mode="single_edit", seed=9, annotate=True)
+        decoded = predict_matrix(model, evalc)[1]
         edit_ok = total = 0
-        for rec in evalc.records:
+        for k, rec in enumerate(evalc.records):
             if rec.categories[0] != SampleCategory.TRUE:
                 continue
             total += 1
             i, x, _ = rec.edits[0]
-            edit_ok += correct(model, rec.corrupted)[i] == x
+            edit_ok += decoded[evalc.offsets[k] + i] == x
         assert total > 100
         assert edit_ok / total > 0.85
 
@@ -228,8 +239,8 @@ class TestCorrect:
         world, table = training_setup(5)
         corpus = generate_corpus(world, table, 50, (4, 8), 0.1, seed=0)
         model = train(corpus)
-        sent = corpus.records[0].corrupted
-        assert correct(model, sent) == correct(model, sent)
+        np.testing.assert_array_equal(predict_matrix(model, corpus)[1],
+                                      predict_matrix(model, corpus)[1])
 
 
 class TestCeLoss:
@@ -279,12 +290,9 @@ class TestConvergence:
         model = train(corpus)
         evalc = generate_corpus(world, table, 2_000, (6, 10), 0.1,
                                 mode="single_edit", seed=8, annotate=True)
-        confidences = []
-        for rec in evalc.records:
-            if rec.categories[0] != SampleCategory.NOISY:
-                continue
-            i, x, _ = rec.edits[0]
-            confidences.append(float(predict(model, rec.corrupted, i)[x]))
+        rows = predict_at(model, evalc, evalc.flat_pos)  # one edit per record
+        confidences = [float(row[x]) for row, x, rec in zip(rows, evalc.orig, evalc.records)
+                       if rec.categories[0] == SampleCategory.NOISY]
         assert len(confidences) > 30
         ceiling = 1 / (1 + 9 * 0.1)
         assert float(np.median(confidences)) <= ceiling
@@ -305,8 +313,8 @@ class TestSerialization:
         assert back.window == model.window and back.alpha == model.alpha
         assert back.trained_on == model.trained_on
         assert back.corpus_hash == model.corpus_hash
-        sent = corpus.records[0].corrupted
-        np.testing.assert_array_equal(predict(back, sent, 0), predict(model, sent, 0))
+        np.testing.assert_array_equal(predict_matrix(back, corpus)[0],
+                                      predict_matrix(model, corpus)[0])
         assert model_to_json(back) == model_to_json(model)
 
     def test_masked_model_round_trip(self):

@@ -2,7 +2,9 @@
 
 Random worlds with V <= 5, order 1 to 3, and sentences of length <= 5 drawn
 uniformly over tokens, so many contexts are corrupted beyond what the world
-can produce.  ``tests/enumeration.py`` is the independent reference.
+can produce.  ``tests/enumeration.py`` is the independent reference.  The
+distance of a trained model to the exact posterior, taken over a corpus at
+once, equals its mean over the records scored one at a time.
 """
 
 import numpy as np
@@ -12,18 +14,21 @@ from hypothesis import strategies as st
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion, generate_corpus)
+from denoiselab.corrector import MASKED_WINDOW, predict_matrix, train
 from denoiselab.oracle import (OracleScorer, brute_force_posterior, posterior,
                                restoration_distribution)
+from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
 
+from constructions import one_record
 from enumeration import slot_distribution
 from reference import iter_edits
 
 
 @st.composite
-def worlds(draw):
+def worlds(draw, orders=(1, 2, 3)):
     V = draw(st.integers(2, 5))
-    return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from((1, 2, 3))),
+    return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from(orders)),
                                    support=draw(st.integers(1, V)),
                                    seed=draw(st.integers(0, 10**6)),
                                    weight_low=0.05, weight_high=1.0))
@@ -123,6 +128,30 @@ class TestOracleScorer:
             except ValueError:  # impossible context or unreachable token: uniform
                 want = np.full(world.vocab_size, 1.0 / world.vocab_size)
             np.testing.assert_array_equal(row, want)
+
+
+class TestTvToOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from(((-1, 0, 1), MASKED_WINDOW, (0,))))
+    def test_tv_is_the_mean_over_single_edit_records_scored_alone(self, data, window):
+        world = data.draw(worlds(orders=(1, 2)))
+        table = data.draw(tables(world))
+        seed = data.draw(st.integers(0, 1000))
+        model = train(generate_corpus(world, table, 20, (1, 6), 0.3, seed=seed), window)
+        corpus = generate_corpus(world, table, 10, (1, 5), 0.3, seed=seed, stream="probe")
+        distances = []
+        for k, rec in enumerate(corpus.records):
+            if len(rec.edits) != 1:
+                continue
+            (i, _, _), = rec.edits
+            exact = restoration_distribution(world, table, rec.corrupted, i, 0.3)
+            row = predict_matrix(model, one_record(corpus, k))[0][i]
+            distances.append(0.5 * float(np.abs(exact - row).sum()))
+        if not distances:
+            with pytest.raises(ValueError, match="no single-edit records"):
+                tv_to_oracle(model, world, table, corpus, 0.3)
+            return
+        assert tv_to_oracle(model, world, table, corpus, 0.3) == np.mean(distances)
 
 
 class TestAnnotation:

@@ -243,8 +243,8 @@ class TestOracleScorer:
         np.testing.assert_allclose(got, 0.25, atol=1e-15)
 
     @pytest.mark.parametrize("tokens,place,message", [  # place: the flat positions asked for
-        ((0, 99, 1), (0, 1), "token id out of range"),
-        ((0, 1, 4), (0, 0), "token id out of range"),  # 4, the world's size, reads as padding
+        ((0, 99, 1), (0, 1), "corpus vocab_size 100 differs from the world's 4"),
+        ((0, 1, 4), (0, 0), "corpus vocab_size 5 differs from the world's 4"),  # 4 would pad
         ((0, 1, 3), (0, 7), "position 7 out of range"),
         ((0, 1, 3), (0, -1), "position -1 out of range"),
         ((0, 1, 3), (0, 3), "position 3 out of range"),  # n_chars
@@ -253,8 +253,10 @@ class TestOracleScorer:
     def test_bad_tokens_and_positions_raise(self, tokens, place, message):
         world, table, _ = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
-        # A corpus over a wider vocabulary than the world's 4 tokens holds 99 and 4.
-        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1), 100)
+        # A corpus that holds 99 or 4 is over a wider vocabulary than the world's 4 tokens,
+        # and is refused whatever it is asked; the position cases use the world's own.
+        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1),
+                                      max(max(tokens) + 1, world.vocab_size))
         with pytest.raises(ValueError, match=message):
             scorer.predict_at(corpus, place)
 

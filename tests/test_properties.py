@@ -1,9 +1,12 @@
-"""Property tests: per-sentence model rows and edit reverting agree with the corpus paths.
+"""Property tests: model rows, decodes and edit reverting agree with the corpus paths.
 
 Small random corpora over V <= 5 exercise every window shape, including
 center-free windows, one-sided windows that reach past short sentences, and
-signatures unseen in training (the fallback chain).  Training counts and
-evaluation metrics equal the per-record references.
+signatures unseen in training (the fallback chain).  A record scored as a
+corpus of its own gives the rows its sentence gets inside the corpus, so no
+row reads a neighbouring sentence.  Training counts and evaluation metrics
+equal the per-record references, and every scorer refuses a corpus over
+another vocabulary.
 """
 
 import dataclasses
@@ -14,12 +17,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from denoiselab.augment import CorruptionRecord, PairCorpus, SampleCategory
+from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
+                                build_confusion)
 from denoiselab.calibration import calibration_report
-from denoiselab.corrector import (_signatures, correct, correct_corpus, merge, model_from_json,
-                                  model_to_json, predict, predict_at, predict_matrix, train)
+from denoiselab.corrector import (_signatures, correct_corpus, merge, model_from_json,
+                                  model_to_json, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
+from denoiselab.oracle import OracleScorer
 from denoiselab.pipeline import _scored, filter_corpus, restore_confidences, revert_edits
+from denoiselab.world import WorldConfig, build_world
+
+from constructions import one_record
 from reference import iter_edits
 
 WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
@@ -55,9 +63,9 @@ def trained_setups(draw):
     return model, draw(pair_corpora(V))
 
 
-def all_places(corpus):
-    """(record, position) of every token, in flat token order."""
-    return [(ri, i) for ri, rec in enumerate(corpus.records) for i in range(rec.length)]
+def alone(model, corpus, ri):
+    """(probs, decoded) of record ``ri`` scored as a corpus of its own."""
+    return predict_matrix(model, one_record(corpus, ri))
 
 
 def assert_revert_invariants(before: PairCorpus, result, expected_kept=None):
@@ -92,9 +100,9 @@ class TestModelRows:
         model, corpus = setup
         rows = predict_matrix(model, corpus)[0]
         np.testing.assert_array_equal(predict_at(model, corpus, np.arange(corpus.n_chars)), rows)
-        for row, (ri, pos) in zip(rows, all_places(corpus)):
-            np.testing.assert_array_equal(predict(model, corpus.records[ri].corrupted, pos),
-                                          row)
+        for ri in range(len(corpus)):
+            start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
+            np.testing.assert_array_equal(alone(model, corpus, ri)[0], rows[start:stop])
 
     @settings(max_examples=60, deadline=None)
     @given(trained_setups(), st.randoms(use_true_random=False))
@@ -110,9 +118,9 @@ class TestModelRows:
         model, corpus = setup
         decoded = correct_corpus(model, corpus)
         np.testing.assert_array_equal(predict_matrix(model, corpus)[1], decoded)
-        for ri, rec in enumerate(corpus.records):
+        for ri in range(len(corpus)):
             start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
-            assert correct(model, rec.corrupted) == tuple(int(t) for t in decoded[start:stop])
+            np.testing.assert_array_equal(alone(model, corpus, ri)[1], decoded[start:stop])
 
 
 class TestSignatures:
@@ -173,9 +181,43 @@ class TestAgainstReference:
     @given(trained_setups())
     def test_evaluate_equals_the_per_sentence_metrics(self, setup):
         model, corpus = setup
-        outputs = [correct(model, rec.corrupted) for rec in corpus.records]
+        outputs = [tuple(alone(model, corpus, ri)[1].tolist()) for ri in range(len(corpus))]
         assert (dataclasses.astuple(evaluate(model, corpus))
                 == reference.sentence_metrics(corpus.records, outputs))
+
+
+class TestVocabularyRule:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 5), st.data())
+    def test_every_scorer_refuses_a_corpus_over_another_vocabulary(self, V, data):
+        W = data.draw(st.integers(2, 6).filter(lambda w: w != V), label="corpus vocab_size")
+        model = train(data.draw(pair_corpora(V)), data.draw(st.sampled_from(WINDOWS)))
+        corpus = data.draw(pair_corpora(W))
+        world = build_world(WorldConfig(vocab_size=V, support=V, seed=0))
+        table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0))
+        at = np.arange(corpus.n_chars)
+        for scorer, owner in ((model, "model"), (OracleScorer(world, table, 0.1), "world")):
+            message = rf"^corpus vocab_size {W} differs from the {owner}'s {V}$"
+            with pytest.raises(ValueError, match=message):
+                scorer.predict_at(corpus, at)
+            with pytest.raises(ValueError, match=message):
+                evaluate(scorer, corpus)
+        message = rf"^corpus vocab_size {W} differs from the model's {V}$"
+        with pytest.raises(ValueError, match=message):
+            predict_at(model, corpus, at)
+        with pytest.raises(ValueError, match=message):
+            predict_matrix(model, corpus)
+
+    def test_a_wider_corpus_would_alias_signature_ids(self):
+        # Over 4 tokens the digits are base 5: token 5 at position 0 of (5, 0, 1) carries
+        # into the next digit, 4 + 5 * 5 + 0 = 4 + 5 * 0 + 25 * 1, the id of (start, 0, 1).
+        window = (-1, 0, 1)
+        wide = _signatures(np.array([5, 0, 1]), np.array([0, 3]), 4, window, [0])
+        assert wide == _signatures(np.array([0, 1]), np.array([0, 2]), 4, window, [0])
+        model = train(PairCorpus((CorruptionRecord((0, 1), (0, 1), (), 0.1),), 4, 0.1, "iid"))
+        corpus = PairCorpus((CorruptionRecord((5, 0, 1), (5, 0, 1), (), 0.1),), 6, 0.1, "iid")
+        with pytest.raises(ValueError, match="^corpus vocab_size 6 differs from the model's 4$"):
+            predict_at(model, corpus, [0])
 
 
 class TestRevertInvariants:
@@ -183,8 +225,8 @@ class TestRevertInvariants:
     @given(trained_setups(), st.sampled_from((1e-6, 0.1, 0.3, 0.5, 0.9, 1 - 1e-6)))
     def test_filter_corpus_reverts_exactly_the_low_confidence_edits(self, setup, threshold):
         model, corpus = setup
-        confidences = [float(predict(model, rec.corrupted, i)[x])
-                       for _, rec, _, (i, x, _) in iter_edits(corpus)]
+        confidences = [float(alone(model, corpus, ri)[0][i, x])
+                       for ri, _, _, (i, x, _) in iter_edits(corpus)]
         result = filter_corpus(corpus, restore_confidences(model, corpus), threshold)
         assert_revert_invariants(corpus, result, [c >= threshold for c in confidences])
 
