@@ -288,21 +288,12 @@ class CorruptionRecord:
         if problem:
             raise ValueError(problem)
 
-    @classmethod
-    def _trusted(cls, clean, corrupted, edits, channel_rate, categories) -> CorruptionRecord:
-        # Built from columns that were checked as a whole: skip the per-record check.
-        record = object.__new__(cls)
-        for setter, value in zip(_SLOT_SETTERS, (clean, corrupted, edits, channel_rate,
-                                                 categories)):
-            setter(record, value)
-        return record
-
     @property
     def length(self) -> int:
         return len(self.clean)
 
 
-# The slots' descriptor setters, which a frozen dataclass leaves usable.
+# The slots' setters, usable on a frozen dataclass: RecordsView builds records with them.
 _SLOT_SETTERS = tuple(CorruptionRecord.__dict__[s].__set__ for s in CorruptionRecord.__slots__)
 
 
@@ -557,18 +548,24 @@ class RecordsView(Sequence):
         c = self.columns
         offsets = c.offsets[start:stop + 1].tolist()
         base, end = offsets[0], offsets[-1]
-        clean, corrupted = c.clean[base:end].tolist(), c.corrupted[base:end].tolist()
+        clean, corrupted = tuple(c.clean[base:end].tolist()), tuple(c.corrupted[base:end].tolist())
         bounds = _edit_bounds(c, start, stop)
         e0, e1 = bounds[0], bounds[-1]
-        edits = list(zip(c.pos[e0:e1].tolist(), c.orig[e0:e1].tolist(), c.repl[e0:e1].tolist()))
-        names = None if c.category is None else [CATEGORIES[k] for k in c.category[e0:e1].tolist()]
-        out = []
-        for k, annotated in enumerate(c.annotated[start:stop].tolist()):
-            a, b = offsets[k] - base, offsets[k + 1] - base
-            ea, eb = bounds[k] - e0, bounds[k + 1] - e0
-            out.append(CorruptionRecord._trusted(
-                tuple(clean[a:b]), tuple(corrupted[a:b]), tuple(edits[ea:eb]), self.rate,
-                tuple(names[ea:eb]) if annotated else None))
+        edits = tuple(zip(c.pos[e0:e1].tolist(), c.orig[e0:e1].tolist(), c.repl[e0:e1].tolist()))
+        names = None if c.category is None else tuple(
+            map(CATEGORIES.__getitem__, c.category[e0:e1].tolist()))
+        set_clean, set_corrupted, set_edits, set_rate, set_categories = _SLOT_SETTERS
+        new, rate, out = object.__new__, self.rate, []
+        for a, b, ea, eb, annotated in zip(offsets, offsets[1:], bounds, bounds[1:],
+                                           c.annotated[start:stop].tolist()):
+            a, b, ea, eb = a - base, b - base, ea - e0, eb - e0
+            record = new(CorruptionRecord)
+            set_clean(record, clean[a:b])
+            set_corrupted(record, corrupted[a:b])
+            set_edits(record, edits[ea:eb])
+            set_rate(record, rate)
+            set_categories(record, names[ea:eb] if annotated else None)
+            out.append(record)
         return out
 
 

@@ -100,7 +100,9 @@ def _signatures(tokens: np.ndarray, offsets: np.ndarray, vocab_size: int,
         k = np.searchsorted(offsets, at, side="right") - 1
         starts, ends = offsets[k], offsets[k + 1]
     sig = np.zeros(len(tokens) if at is None else len(at), dtype=np.int64)
+    reach = int((ends - starts).max(initial=0))  # past it, every read is vocab_size
     for off in reversed(window):  # Horner's rule, in place: window[0] is the lowest digit
+        off = max(-reach, min(off, reach))
         if at is None:
             read = np.roll(tokens, -off) if off else tokens  # tokens[g + off], wrapping
             for j in range(abs(off)):  # the j-th slot from each sentence's far edge

@@ -86,28 +86,29 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     chan = table.channel_vector(y, rate)
     terms = chan * prior
     members = tuple(terms.nonzero()[0].tolist())
-    prior, chan = prior.tolist(), chan.tolist()
-    if chan[x] == 0.0 or prior[x] == 0.0:
+    prior, chan = prior.item, chan.item  # a few entries as Python floats, not all V
+    px, cx = prior(x), chan(x)
+    if cx == 0.0 or px == 0.0:
         raise ValueError("record inconsistent with world/table: original cannot emit the edit")
 
-    post = float(terms[x]) / float(terms.sum())
+    post = terms.item(x) / float(terms.sum())
     category = CATEGORIES[CATEGORY_TABLE[len(members) == 1][y in members]]
 
     sigma = 0.0
     for v in members:
         if v == x or v == y:
             continue
-        sigma += (prior[v] / prior[x]) * (chan[v] / chan[x])
+        sigma += (prior(v) / px) * (chan(v) / cx)
 
     bound_params = None
     if category == SampleCategory.NOISY:
-        bound_params = (prior[y] / prior[x], None)
+        bound_params = (prior(y) / px, None)
     elif category == SampleCategory.MULTI_ANSWER:
         top = max((v for v in members if v != x), key=terms.item)
-        bound_params = (prior[top] / prior[x], chan[top] / chan[x])
+        bound_params = (prior(top) / px, chan(top) / cx)
     bound = None if bound_params is None else bounds(*bound_params, category, rate)
 
-    priors = {v: prior[v] for v in members}
+    priors = {v: prior(v) for v in members}
     return PosteriorReport(post, members, category, sigma, bound, bound_params, priors)
 
 

@@ -34,6 +34,7 @@ from ._rng import derive_rng
 PROB_TOL = 1e-12
 ENUMERATION_BUDGET = 10**6
 CONTEXT_BUDGET = 10**4
+_SLOT_ROW_FLOATS = 2**20  # order-1 slot rows a world keeps; all (V+1)**2 pairs at V = 20
 _CONTEXT_KEY = re.compile(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*")  # ",".join(map(str, ctx))
 
 # Switch sentence_prob to summed logs beyond this length; short products are
@@ -93,6 +94,8 @@ class WorldModel:
     initial: np.ndarray
     transitions: dict[tuple[int, ...], np.ndarray]
     factors: np.ndarray = field(init=False, repr=False, compare=False)
+    # Order 1: the single conditional's row for each (left, right) pair it read, None if all 0.
+    _slot_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         V, k = self.vocab_size, self.order  # in range: build_world takes them from a WorldConfig
@@ -215,8 +218,9 @@ def conditional(world: WorldModel, tokens, position):
     ``order`` tokens', each a row of ``world.factors`` with the slot's digit
     running over the vocabulary; any other zero factor of the sentence makes
     the context impossible.  The single form is the batch of one, except for
-    an order-1 world: there it is a direct lookup on the same table, with the
-    same values bit for bit as the batched row.
+    an order-1 world: there it reads the sentence's factors as Python floats
+    and copies the slot's row, which the world keeps per (left, right) pair,
+    up to ``_SLOT_ROW_FLOATS`` floats (8 MB) in all.
     """
     V, k, T = world.vocab_size, world.order, world.factors
     single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
@@ -225,14 +229,19 @@ def conditional(world: WorldModel, tokens, position):
         if not 0 <= position < len(toks):
             raise ValueError(f"position {position} out of range for length {len(toks)}")
         if k == 1:  # the rule below, on one unpadded sentence
-            ext = np.array([V, *toks, V])
-            weights = T[ext[position], :V] * T[:V, ext[position + 2]]
-            chain = T[ext[:-1], ext[1:]]
-            chain[position:position + 2] = 1.0  # the two factors that read the slot
-            total = weights.sum() if chain.all() else 0.0
-            if total == 0.0:
+            ext, rows = (V, *toks, V), world._slot_rows
+            chain = list(map(T.item, ext, ext[1:]))
+            del chain[position:position + 2]  # the two factors that read the slot
+            pair = ext[position], ext[position + 2]
+            if pair not in rows:
+                if (len(rows) + 1) * V > _SLOT_ROW_FLOATS:
+                    rows.clear()
+                weights = T[pair[0], :V] * T[:V, pair[1]]
+                total = weights.sum()
+                rows[pair] = weights / total if total > 0.0 else None
+            if 0.0 in chain or rows[pair] is None:
                 raise ImpossibleContextError(f"context of position {position} has probability zero")
-            return weights / total
+            return rows[pair].copy()
         tokens, position = np.array([toks]), np.array([position])
     else:
         tokens, position = np.asarray(tokens, dtype=np.int64), np.asarray(position, dtype=np.int64)

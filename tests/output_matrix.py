@@ -30,6 +30,11 @@ the same ``diff`` shows whether the exact oracle moved::
 
     PYTHONPATH=src python tests/output_matrix.py --posteriors --seeds 0 3 5
 
+Each seed's digest is computed twice on one world: first while the world
+keeps no order-1 slot rows yet (``WorldModel._slot_rows``), then with the
+rows the first pass kept; the script exits 1 when the two differ, so a kept
+row that reads as another's shows in the same check.
+
 With ``--order K`` both run the default experiment on a world of order K,
 with ``context_affinity`` 0 (affine candidates need an order-1 world); the
 commands then read that config from a ``config.json`` outside the listing.
@@ -82,16 +87,25 @@ def commands(out: Path) -> list[list[str]]:
 def posteriors_digest(seed: int, config: ExperimentConfig | None = None) -> str:
     """SHA-256 over the reprs of the posterior reports of the single-edit ``d_o``'s edits
     (default experiment unless ``config`` is given)."""
+    return posteriors_digests(seed, config, passes=1)[0]
+
+
+def posteriors_digests(seed: int, config: ExperimentConfig | None = None,
+                       passes: int = 2) -> list[str]:
+    """:func:`posteriors_digest` of each of ``passes`` passes over one world and corpus."""
     config = config or ExperimentConfig()
     world, _, longtail = build_experiment_world(config, seed)
     corpus = generate_corpus(world, longtail, config.do_sentences, config.length_range,
                              config.rate, mode="single_edit", seed=seed, annotate=True,
                              stream="d-o")
-    h = hashlib.sha256()
-    for rec in corpus.records:
-        if rec.edits:
+    records = [rec for rec in corpus.records if rec.edits]
+    digests = []
+    for _ in range(passes):
+        h = hashlib.sha256()
+        for rec in records:
             h.update(repr(oracle.posterior(world, longtail, rec, 0, config.rate)).encode())
-    return h.hexdigest()
+        digests.append(h.hexdigest())
+    return digests
 
 
 def order_config(order: int) -> dict:
@@ -110,9 +124,15 @@ def main(argv=None) -> int:
     doc = None if args.order is None else order_config(args.order)
     if args.posteriors:
         config = None if doc is None else experiment_config_from_dict(doc)
+        status = 0
         for seed in args.seeds:
-            print(f"{posteriors_digest(seed, config)}  seed{seed}/posteriors")
-        return 0
+            cold, warm = posteriors_digests(seed, config)
+            print(f"{cold}  seed{seed}/posteriors")
+            if warm != cold:
+                print(f"seed{seed}: posterior digest {warm} with kept slot rows differs from "
+                      f"{cold} without them", file=sys.stderr)
+                status = 1
+        return status
     with tempfile.TemporaryDirectory() as tmp:
         root, uses = Path(tmp) / "out", []
         if doc is not None:

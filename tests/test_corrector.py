@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import signal
 import tracemalloc
 
 import numpy as np
@@ -389,3 +390,25 @@ class TestSerialization:
         doc[key] = value
         with pytest.raises(ValueError, match=rf"^{message}$"):
             model_from_json(json.dumps(doc))
+
+    def test_offsets_past_every_sentence_score_promptly_and_alike(self):
+        world, table = training_setup(6)
+        corpus = generate_corpus(world, table, 200, (4, 8), 0.1, seed=2)
+        doc = json.loads(model_to_json(train(corpus, (-1, 0, 10**6))))
+        want = predict_matrix(model_from_json(json.dumps(doc)), corpus)[0]
+
+        def too_slow(*_):
+            raise TimeoutError("scoring took over 10 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(10)  # an edge loop of 2**62 steps would never end
+        try:
+            for offset in (2**62, 2**63 - 1, -2**70):
+                doc["window"] = [-1, 0, offset]
+                model = model_from_json(json.dumps(doc))
+                np.testing.assert_array_equal(predict_matrix(model, corpus)[0], want)
+                np.testing.assert_array_equal(
+                    predict_at(model, corpus, np.arange(corpus.n_chars)), want)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)

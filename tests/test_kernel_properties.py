@@ -1,24 +1,32 @@
 """Property tests: the batched exact-posterior kernel against enumeration.
 
-Random worlds with V <= 5, order 1 to 3, and sentences of length <= 5 drawn
+Random worlds with V <= 5 (up to 12 where a row of 8 or more must sum as a
+batched row does), order 1 to 3, and sentences of length <= 5 drawn
 uniformly over tokens, so many contexts are corrupted beyond what the world
 can produce.  ``tests/enumeration.py`` is the independent reference.  The
 distance of a trained model to the exact posterior, taken over a corpus at
-once, equals its mean over the records scored one at a time.
+once, equals its mean over the records scored one at a time.  An order-1
+world keeps its single conditional's rows per (left, right) pair: interleaved
+worlds, a changed report or row and kept rows each give what a new world
+gives, and the kept rows stay within ``_SLOT_ROW_FLOATS`` at a large V.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion, generate_corpus)
 from denoiselab.corrector import MASKED_WINDOW, predict_matrix, train
 from denoiselab.oracle import (OracleScorer, brute_force_posterior, posterior,
                                restoration_distribution)
 from denoiselab.pipeline import tv_to_oracle
-from denoiselab.world import ImpossibleContextError, WorldConfig, build_world, conditional
+from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig,
+                              build_world, conditional, sample_sentence)
 
 from constructions import one_record
 from enumeration import slot_distribution
@@ -26,10 +34,11 @@ from reference import iter_edits
 
 
 @st.composite
-def worlds(draw, orders=(1, 2, 3)):
-    V = draw(st.integers(2, 5))
+def worlds(draw, orders=(1, 2, 3), sizes=(2, 5), sparse=False):
+    """Random worlds; ``sparse`` ones leave a zero in every row."""
+    V = draw(st.integers(*sizes))
     return build_world(WorldConfig(vocab_size=V, order=draw(st.sampled_from(orders)),
-                                   support=draw(st.integers(1, V)),
+                                   support=draw(st.integers(1, V - 1 if sparse else V)),
                                    seed=draw(st.integers(0, 10**6)),
                                    weight_low=0.05, weight_high=1.0))
 
@@ -94,6 +103,45 @@ class TestBatchedConditional:
                 assert not row.any()
                 continue
             np.testing.assert_array_equal(row, single)
+
+    @settings(max_examples=60, deadline=None)
+    @given(worlds(orders=(1,), sizes=(2, 12)))  # rows of 8 or more sum pairwise
+    @example(build_world(WorldConfig(vocab_size=2, support=1, seed=0)))
+    @example(build_world(WorldConfig(vocab_size=20, support=20, seed=0, weight_low=0.05,
+                                     weight_high=1.0)))
+    def test_order_1_single_rows_are_the_batched_rows_of_every_neighbour_pair(self, world):
+        """Each (left, right) pair, either one a sentence edge, around one slot: the
+        slot is then at position 0, L - 1 or inside a sentence of length 1 to 3."""
+        V = world.vocab_size
+        sentences = [[t for t in (left, 0, right) if t < V]
+                     for left in range(V + 1) for right in range(V + 1)]
+        positions = np.array([int(left < V) for left in range(V + 1) for _ in range(V + 1)])
+        tokens = np.full((len(sentences), 3), V)
+        for row, sentence in zip(tokens, sentences):
+            row[:len(sentence)] = sentence
+        for row, sentence, p in zip(conditional(world, tokens, positions), sentences, positions):
+            if not row.any():
+                with pytest.raises(ImpossibleContextError):
+                    conditional(world, sentence, int(p))
+                continue
+            np.testing.assert_array_equal(conditional(world, sentence, int(p)), row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_zero_factor_outside_the_slot_makes_the_context_impossible(self, data):
+        world = data.draw(worlds(orders=(1,), sparse=True))
+        V, L = world.vocab_size, data.draw(st.integers(4, 6))
+        p = data.draw(st.sampled_from((0, L - 1)) | st.integers(0, L - 1))
+        # Factor j reads tokens j - 1 and j; the slot's own are factors p and p + 1.
+        j = data.draw(st.sampled_from([j for j in range(1, L) if j not in (p, p + 1)]))
+        tokens = data.draw(st.lists(st.integers(0, V - 1), min_size=L, max_size=L))
+        tokens[j] = data.draw(st.sampled_from(np.flatnonzero(world.matrix[tokens[j - 1]] == 0)
+                                              .tolist()))
+        padded = np.array([tokens + [V]])
+        assert not conditional(world, padded, np.array([p])).any()
+        assert slot_distribution(world, tokens, p) is None
+        with pytest.raises(ImpossibleContextError):
+            conditional(world, tokens, p)
 
     def test_malformed_batches_rejected(self):
         world = build_world(WorldConfig(vocab_size=3, support=3, seed=0))
@@ -194,3 +242,113 @@ class TestPosterior:
             assert rep.category == rec.categories[0]
             prior = conditional(world, rec.corrupted, i)
             assert rep.priors == {v: prior[v] for v in rep.candidates}
+
+
+def cold_posterior(world, table, record, rate):
+    """The repr of ``posterior``'s report, or of its error, on a world keeping no slot rows."""
+    world._slot_rows.clear()
+    return kept_posterior(world, table, record, rate)
+
+
+def kept_posterior(world, table, record, rate):
+    try:
+        return repr(posterior(world, table, record, 0, rate))
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestKeptSlotRows:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.integers(2, 4), st.sampled_from((1, 2)), st.sampled_from((0.1, 0.4)))
+    def test_interleaved_worlds_and_tables_each_get_their_cold_report(self, data, V, order,
+                                                                      rate):
+        setups = []
+        for _ in range(2):  # two worlds of one shape, each with a table of its own
+            world = data.draw(worlds(orders=(order,), sizes=(V, V)))
+            setups.append((world, data.draw(tables(world))))
+        (w0, t0), (w1, t1) = setups
+        setups += [(w0, t1), (w1, t0)]
+        seed = data.draw(st.integers(0, 1000))
+        records = [rec for world, table in setups[:2]
+                   for rec in generate_corpus(world, table, 6, (1, 4), rate, mode="single_edit",
+                                              seed=seed).records if rec.edits]
+        calls = [(world, table, rec) for rec in records for world, table in setups]
+        want = [cold_posterior(*call, rate) for call in calls]
+        for _ in range(2):  # the worlds keep their rows, then serve every call from them
+            assert [kept_posterior(*call, rate) for call in calls] == want
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_changing_a_reports_priors_does_not_change_the_next(self, data):
+        world = data.draw(worlds(orders=(1, 2)))
+        table = data.draw(tables(world))
+        corpus = generate_corpus(world, table, 6, (1, 4), 0.1, mode="single_edit",
+                                 seed=data.draw(st.integers(0, 1000)))
+        for rec in corpus.records:
+            if rec.edits:
+                first = posterior(world, table, rec)
+                want = dict(first.priors)
+                first.priors.clear()
+                first.priors[-1] = 2.0
+                assert posterior(world, table, rec).priors == want
+                i = rec.edits[0][0]
+                row = conditional(world, rec.corrupted, i)
+                want = row.copy()
+                row *= 0.0
+                np.testing.assert_array_equal(conditional(world, rec.corrupted, i), want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), st.sampled_from((0.1, 0.4)))
+    def test_a_record_its_world_and_table_cannot_explain_raises_on_every_call(self, data, rate):
+        V = data.draw(st.integers(3, 5))
+        world = data.draw(worlds(orders=(1, 2), sizes=(V, V)))
+        table = build_confusion(world, ConfusionConfig(
+            candidates=data.draw(st.integers(1, V - 2)), context_affinity=0.0,
+            seed=data.draw(st.integers(0, 100))))
+        length = data.draw(st.integers(1, 5))
+        observed = sample_sentence(world, length, derive_rng(data.draw(st.integers(0, 1000)), "m"))
+        i = data.draw(st.integers(0, length - 1))
+        y = observed[i]
+        mute = [x for x in range(V) if x != y and table.matrix[x, y] == 0.0]
+        assume(mute)
+        x = data.draw(st.sampled_from(mute))  # a source the channel never turns into y
+        clean = observed[:i] + (x,) + observed[i + 1:]
+        record = CorruptionRecord(clean, observed, ((i, x, y),), rate)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="original cannot emit the edit"):
+                posterior(world, table, record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from((0.1, 0.4)))
+    def test_reports_from_kept_rows_match_enumeration(self, data, rate):
+        world = data.draw(worlds(orders=(1, 2)))
+        table = data.draw(tables(world))
+        corpus = generate_corpus(world, table, 10, (1, 5), rate, mode="single_edit",
+                                 seed=data.draw(st.integers(0, 1000)))
+        records = [rec for rec in corpus.records if rec.edits]
+        for rec in records:
+            posterior(world, table, rec)
+        for rec in records:
+            warm = posterior(world, table, rec).posterior
+            assert abs(warm - brute_force_posterior(world, table, rec)) <= 1e-12
+
+    def test_a_large_world_keeps_rows_of_the_pairs_it_reads_within_its_budget(self):
+        V = 1000  # a dense table of every pair's row would take 8 GB
+        world = build_world(WorldConfig(vocab_size=V, support=V, seed=0))
+        table = build_confusion(world, ConfusionConfig(candidates=3, context_affinity=0.0))
+        records = [rec for rec in generate_corpus(world, table, 20, (3, 6), 0.1,
+                                                  mode="single_edit", seed=0).records
+                   if rec.edits]
+        tracemalloc.start()
+        try:
+            for rec in records:
+                posterior(world, table, rec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # 20 rows of 8 KB each, not V**2 floats
+        rows = world._slot_rows
+        for left in range(V):  # twice the pairs the budget holds
+            for right in (1, 2):
+                conditional(world, [left, 0, right], 1)
+                assert len(rows) * V <= _SLOT_ROW_FLOATS

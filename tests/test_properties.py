@@ -137,6 +137,18 @@ class TestSignatures:
         np.testing.assert_array_equal(_signatures(tokens, offsets, V, window, at), every[at])
         np.testing.assert_array_equal(tokens, corpus.corrupted)  # the input is left alone
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from((8, -8, 10**4, -10**4)))
+    def test_an_offset_past_every_sentence_reads_padding_on_both_paths(self, corpus, offset):
+        """Such an offset gives the digit ``vocab_size`` everywhere, also past int64."""
+        V, tokens, offsets = corpus.vocab_size, corpus.corrupted, corpus.offsets
+        want = _signatures(tokens, offsets, V, (-1, 0)) + V * (V + 1) ** 2
+        np.testing.assert_array_equal(_signatures(tokens, offsets, V, (-1, 0, offset)), want)
+        at = np.arange(corpus.n_chars)
+        for far in (offset, 2**63 - 1, -2**70):  # at + far would wrap or overflow int64
+            np.testing.assert_array_equal(_signatures(tokens, offsets, V, (-1, 0, far), at),
+                                          want)
+
 
 class TestScoredOnce:
     @settings(max_examples=60, deadline=None)
