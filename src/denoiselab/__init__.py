@@ -10,13 +10,11 @@ __version__ = "0.1.0"  # the package's only version string; modules import it fr
 
 from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, build_confusion, generate_corpus)
-from .calibration import (CalibrationReport, PredictionOutcome, collect_outcomes,
-                          ece, filter_easy_positives)
+from .calibration import CalibrationReport, PredictionOutcome, ece
 from .corrector import CorrectorConfig, CorrectorModel, ce_loss, merge, train
 from .harness import Metrics, category_filter_rates, emit_report, evaluate
 from .oracle import (OracleScorer, PosteriorReport, bounds, brute_force_posterior,
-                     case_confidence, posterior, restoration_distribution,
-                     verify_ordering)
+                     posterior, restoration_distribution, verify_ordering)
 from .pipeline import (ExperimentConfig, FilterConfig, PipelineReport,
                        filter_corpus, heuristic_multi, heuristic_noisy,
                        make_eval_corpus, mixing_baseline, run_pipeline,

@@ -33,11 +33,12 @@ def checked_object(text: str, fields: dict) -> dict:
 
 
 def load_file(path: str | Path, from_json):
-    """``from_json`` of the text of ``path``; a ValueError is raised again naming
-    the file, and the line where the text is not JSON."""
+    """``from_json`` of the text of ``path``; a ValueError, or an OverflowError
+    from a number too large for its array, is raised again as a ValueError
+    naming the file, and the line where the text is not JSON."""
     try:
         return from_json(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ValueError(f"{path}: {exc}") from None

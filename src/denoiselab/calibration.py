@@ -4,7 +4,8 @@ Outcomes are per-position predictions: the top-1 confidence, whether the
 argmax matched the clean token, and how much mass the model kept on the
 written token.  Positions where almost all mass stays on the input are easy
 positives; excluding them before binning keeps the diagram from being
-swamped by trivially-correct keep decisions.
+swamped by trivially-correct keep decisions.  :func:`calibration_report`
+does both over a model's scored corpus; :func:`ece` bins hand-built outcomes.
 
 Binning rule: equal-width bins over [0, 1]; a confidence exactly on a bin
 boundary belongs to the upper bin, except 1.0 which stays in the top bin.
@@ -19,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .augment import PairCorpus
-from .corrector import CorrectorModel, predict_matrix
 
 
 @dataclass(frozen=True)
@@ -60,24 +60,6 @@ def _outcome_arrays(scored: tuple[np.ndarray, np.ndarray],
     return probs[rows, preds], preds == corpus.clean, probs[rows, corpus.corrupted]
 
 
-def collect_outcomes(model: CorrectorModel, corpus: PairCorpus) -> list[PredictionOutcome]:
-    """One outcome per character position of the corpus."""
-    arrays = _outcome_arrays(predict_matrix(model, corpus), corpus)
-    return [PredictionOutcome(c, ok, k) for c, ok, k in zip(*(a.tolist() for a in arrays))]
-
-
-def _hard(kept: np.ndarray, cutoff: float) -> np.ndarray:
-    """Positions whose mass off the written token is at least ``cutoff``."""
-    return (1.0 - kept) >= cutoff
-
-
-def filter_easy_positives(outcomes: list[PredictionOutcome],
-                          cutoff: float = 0.1) -> list[PredictionOutcome]:
-    """Keep outcomes whose mass off the written token is at least ``cutoff``."""
-    hard = _hard(np.array([o.kept_mass_on_input for o in outcomes], dtype=float), cutoff)
-    return [o for o, keep in zip(outcomes, hard.tolist()) if keep]
-
-
 def _binned(conf: np.ndarray, correct: np.ndarray, n_bins: int,
             n_excluded: int) -> CalibrationReport:
     if not len(conf):
@@ -103,11 +85,10 @@ def _binned(conf: np.ndarray, correct: np.ndarray, n_bins: int,
     return CalibrationReport(tuple(bins), value, n_excluded)
 
 
-def ece(outcomes: list[PredictionOutcome], n_bins: int = 10,
-        n_excluded: int = 0) -> CalibrationReport:
-    """Equal-width-bin expected calibration error with its reliability table."""
+def ece(outcomes: list[PredictionOutcome], n_bins: int = 10) -> CalibrationReport:
+    """Equal-width-bin expected calibration error of hand-built outcomes, none excluded."""
     return _binned(np.array([o.confidence for o in outcomes], dtype=float),
-                   np.array([o.correct for o in outcomes], dtype=bool), n_bins, n_excluded)
+                   np.array([o.correct for o in outcomes], dtype=bool), n_bins, 0)
 
 
 def calibration_report(scored: tuple[np.ndarray, np.ndarray], corpus: PairCorpus,
@@ -115,7 +96,7 @@ def calibration_report(scored: tuple[np.ndarray, np.ndarray], corpus: PairCorpus
     """Outcome collection, easy-positive exclusion, and binning in one step, over
     ``scored``, the (probs, decoded) pair ``predict_matrix(model, corpus)``."""
     conf, correct, kept = _outcome_arrays(scored, corpus)
-    hard = _hard(kept, cutoff)
+    hard = (1.0 - kept) >= cutoff  # the mass off the written token
     if not hard.any():
         raise ValueError("easy-positive exclusion removed every outcome")
     return _binned(conf[hard], correct[hard], n_bins, len(hard) - int(hard.sum()))

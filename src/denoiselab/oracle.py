@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import (CATEGORIES, CATEGORY_TABLE, ConfusionTable, CorruptionRecord,
-                      PairCorpus, SampleCategory)
+                      PairCorpus, SampleCategory, _padded)
 from .world import ENUMERATION_BUDGET, WorldModel, conditional
 
 
@@ -151,24 +151,6 @@ def brute_force_posterior(world: WorldModel, table: ConfusionTable,
     return true_mass / total
 
 
-def case_confidence(category: SampleCategory, prior_ratio: float,
-                    channel_numerator: float, channel_denominator: float) -> float:
-    """Closed-form two-candidate confidence for one case.
-
-    ``prior_ratio`` compares the alternative against the original in the
-    context; the channel fraction compares their probabilities of emitting
-    the observed token.  True samples evaluate to 1 regardless.
-    """
-    if category == SampleCategory.TRUE:
-        return 1.0
-    if channel_denominator == 0.0:
-        raise ZeroDivisionError(
-            "original cannot emit the observed token; record is unreachable")
-    if prior_ratio < 0.0 or channel_numerator < 0.0:
-        raise ValueError("ratios must be non-negative")
-    return 1.0 / (1.0 + prior_ratio * (channel_numerator / channel_denominator))
-
-
 def bounds(a: float, b: float | None, category: SampleCategory, rate: float = 0.1) -> float:
     """Posterior ceilings at channel rate ``rate``; :func:`posterior`'s ``bound``.
 
@@ -269,10 +251,8 @@ class OracleScorer:
         if corpus.vocab_size != V:  # the corpus's tokens then lie in [0, V)
             raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
         ri = np.searchsorted(corpus.offsets, at, side="right") - 1
-        starts, lengths = corpus.offsets[ri], corpus.offsets[ri + 1] - corpus.offsets[ri]
-        cols = np.arange(lengths.max(initial=0))  # padded rows of the asked sentences only
-        tokens = corpus.corrupted.take(starts[:, None] + cols, mode="clip")
-        tokens[cols >= lengths[:, None]] = V
-        rows = restoration_distribution(self.world, self.table, tokens, at - starts, self.rate)
+        tokens = _padded(corpus.corrupted, corpus.offsets, V)[ri]
+        rows = restoration_distribution(self.world, self.table, tokens,
+                                        at - corpus.offsets[ri], self.rate)
         rows[~rows.any(axis=1)] = 1.0 / V
         return rows

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory, _fits_world,
-                      concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
+                      _padded, concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel, _rows,
                         _signature_table_shape, _signatures, predict_at, predict_matrix, train)
@@ -230,7 +230,8 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
     if not single.any():
         raise ValueError("corpus has no single-edit records to compare on")
     ri, pos = corpus.record[single], corpus.pos[single]
-    exact = restoration_distribution(world, table, corpus_arrays(corpus)[1][ri], pos, rate)
+    tokens = _padded(corpus.corrupted, corpus.offsets, corpus.vocab_size)[ri]
+    exact = restoration_distribution(world, table, tokens, pos, rate)
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
     exact -= _rows(model, corpus, corpus.flat_pos[single])

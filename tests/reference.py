@@ -160,6 +160,22 @@ def sentence_metrics(records, outputs):
             tp, modified - tp, errors - tp, errors, len(records) - errors)
 
 
+def calibration_outcomes(records, scored, cutoff):
+    """The (confidence, correct, kept mass on the written token) outcomes of
+    every position whose mass off the written token is at least ``cutoff``, and
+    the number of the others; ``scored`` holds each record's own (probs,
+    decoded) pair, and the confidence is the row's maximum."""
+    kept, n_excluded = [], 0
+    for rec, (probs, decoded) in zip(records, scored):
+        for row, pred, clean, written in zip(probs, decoded, rec.clean, rec.corrupted):
+            outcome = (float(row.max()), bool(pred == clean), float(row[written]))
+            if 1.0 - outcome[2] >= cutoff:
+                kept.append(outcome)
+            else:
+                n_excluded += 1
+    return kept, n_excluded
+
+
 def order_1_sentences(world, lengths, rng):
     """The order-1 column loop, indexed by the previous token; row V of the table is
     the sentence start, and each row's last nonzero is found row by row."""

@@ -416,8 +416,11 @@ class TestCorpusIO:
         (lambda doc: doc.update(candidates=[], weights=[]), "candidate/weight shapes disagree"),
         (lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
          "weight row 0 has entries outside [0, 1]"),
+        (lambda doc: doc["candidates"][0].__setitem__(0, 2**63),
+         "Python int too large to convert to C long"),
+        (lambda doc: doc["weights"][0].__setitem__(0, 10**400), "int too large to convert to float"),
     ], ids=["empty", "weights-number", "candidate-float", "exponent-string", "no-rows",
-            "weight-nan"])
+            "weight-nan", "candidate-beyond-int64", "weight-beyond-float"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "confusion.json"
         save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2)), path)

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab.augment import ConfusionConfig, build_confusion, generate_corpus
-from denoiselab.calibration import (PredictionOutcome, calibration_report,
-                                    collect_outcomes, ece, filter_easy_positives,
+import reference
+from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, build_confusion,
+                                generate_corpus)
+from denoiselab.calibration import (PredictionOutcome, calibration_report, ece,
                                     write_reliability_csv)
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
@@ -17,6 +18,23 @@ def outcome(conf, correct, kept=0.0):
     return PredictionOutcome(conf, correct, kept)
 
 
+def hand_report(kept_masses, cutoff):
+    """``calibration_report`` of a hand-built (probs, decoded) pair: one sentence
+    of token 0, whose row i keeps ``kept_masses[i]`` on it and decodes to it, so
+    each position's confidence is its kept mass."""
+    kept = np.array(kept_masses, dtype=float)
+    tokens = (0,) * len(kept)
+    corpus = PairCorpus([CorruptionRecord(tokens, tokens, (), 0.0)], 2, 0.0, "iid")
+    scored = (np.column_stack([kept, 1.0 - kept]), np.zeros(len(kept), dtype=np.int64))
+    return calibration_report(scored, corpus, cutoff)
+
+
+def confidences(report):
+    """The confidence of each kept position, when each bin holds at most one."""
+    assert all(b.count <= 1 for b in report.bins)
+    return [b.mean_confidence for b in report.bins if b.count]
+
+
 class TestCollectOutcomes:
     def setup_method(self):
         self.world = build_world(WorldConfig(vocab_size=6, support=2, seed=0))
@@ -26,42 +44,46 @@ class TestCollectOutcomes:
         self.model = train(self.corpus)
 
     def test_one_outcome_per_character(self):
-        outcomes = collect_outcomes(self.model, self.corpus)
-        assert len(outcomes) == self.corpus.n_chars
+        report = calibration_report(predict_matrix(self.model, self.corpus), self.corpus,
+                                    cutoff=0.0)
+        assert report.n_outcomes == self.corpus.n_chars
 
     def test_kept_mass_is_recomputable(self):
-        outcomes = collect_outcomes(self.model, self.corpus)
-        k = 0
-        for ri, rec in enumerate(self.corpus.records[:10]):
-            rows = predict_matrix(self.model, one_record(self.corpus, ri))[0]
-            for pos, probs in enumerate(rows):
-                assert outcomes[k].kept_mass_on_input == probs[rec.corrupted[pos]]
-                assert outcomes[k].confidence == probs.max()
-                k += 1
+        scored = [predict_matrix(self.model, one_record(self.corpus, ri))
+                  for ri in range(len(self.corpus))]
+        whole = predict_matrix(self.model, self.corpus)
+        for cutoff in (0.1, 0.3, 0.5, 0.7, 0.9):  # the kept mass decides each exclusion
+            kept, n_excluded = reference.calibration_outcomes(self.corpus.records, scored,
+                                                              cutoff)
+            want = ece([PredictionOutcome(*o) for o in kept])
+            report = calibration_report(whole, self.corpus, cutoff)
+            assert (report.bins, report.ece, report.n_excluded) == \
+                (want.bins, want.ece, n_excluded)
 
     def test_identity_model_outcomes_confident_and_correct(self):
         clean = generate_corpus(self.world, self.table, 60, (4, 8), 0.0, seed=3)
         model = train(clean, alpha=0.001)
-        outcomes = collect_outcomes(model, clean)
-        assert np.mean([o.correct for o in outcomes]) > 0.99
-        assert np.mean([o.confidence for o in outcomes]) > 0.9
+        report = calibration_report(predict_matrix(model, clean), clean, cutoff=0.0, n_bins=1)
+        assert report.n_excluded == 0
+        assert report.bins[0].accuracy > 0.99
+        assert report.bins[0].mean_confidence > 0.9
 
 
 class TestFilterEasyPositives:
     def test_hand_case(self):
-        kept_masses = (0.99, 0.95, 0.85, 0.5, 0.1)
-        outcomes = [outcome(0.5, True, k) for k in kept_masses]
-        kept = filter_easy_positives(outcomes, cutoff=0.1)
-        assert [o.kept_mass_on_input for o in kept] == [0.85, 0.5, 0.1]
+        report = hand_report((0.99, 0.95, 0.85, 0.5, 0.1), cutoff=0.1)
+        assert confidences(report) == [0.1, 0.5, 0.85]
+        assert report.n_excluded == 2
 
     def test_zero_cutoff_keeps_all(self):
-        outcomes = [outcome(0.5, True, k) for k in (0.0, 0.5, 1.0)]
-        assert filter_easy_positives(outcomes, cutoff=0.0) == outcomes
+        report = hand_report((0.0, 0.5, 1.0), cutoff=0.0)
+        assert confidences(report) == [0.0, 0.5, 1.0]
+        assert report.n_excluded == 0
 
     def test_unit_cutoff_keeps_only_zero_mass(self):
-        outcomes = [outcome(0.5, True, k) for k in (0.0, 0.01, 1.0)]
-        kept = filter_easy_positives(outcomes, cutoff=1.0)
-        assert [o.kept_mass_on_input for o in kept] == [0.0]
+        report = hand_report((0.0, 0.01, 1.0), cutoff=1.0)
+        assert confidences(report) == [0.0]
+        assert report.n_excluded == 2
 
 
 class TestEce:
@@ -123,8 +145,7 @@ class TestReportHelpers:
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
         report = calibration_report(predict_matrix(model, corpus), corpus, cutoff=0.1)
-        outcomes = collect_outcomes(model, corpus)
-        assert report.n_excluded == len(outcomes) - report.n_outcomes
+        assert report.n_excluded == corpus.n_chars - report.n_outcomes
         assert report.n_excluded > 0
 
     def test_reliability_csv(self, tmp_path):

@@ -327,6 +327,22 @@ class TestBadInputs:
                                       "--out-dir", str(tmp_path / "model-bad")])
         self.assert_usage_error(result, message)
 
+    def test_score_on_a_world_beyond_float_range_is_one_line(self, runner, config_path,
+                                                            tmp_path):
+        corpus_dir, model_path = self.corpus_and_model(runner, config_path, tmp_path)
+        path = corpus_dir / "world.json"
+        doc = json.loads(path.read_text())
+        doc["initial"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        manifest = json.loads((corpus_dir / "manifest.json").read_text())
+        manifest["files"]["world.json"] = sha256_file(path)
+        (corpus_dir / "manifest.json").write_text(json.dumps(manifest))
+        result = runner.invoke(main, ["score", "--config", config_path, "--model", str(model_path),
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "scores")])
+        self.assert_usage_error(result)
+        assert result.output == f"Error: {path}: int too large to convert to float\n"
+
     def test_score_oracle_on_an_edit_the_table_cannot_emit_names_the_record(self, runner,
                                                                             config_path, tmp_path):
         corpus_dir = tmp_path / "corpus"

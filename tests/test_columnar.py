@@ -20,8 +20,7 @@ from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, P
                                 SampleCategory, build_confusion, concat_corpora, corpus_arrays,
                                 corpus_digest, corpus_from_jsonl, corpus_to_jsonl,
                                 generate_corpus)
-from denoiselab.calibration import (calibration_report, collect_outcomes, ece,
-                                    filter_easy_positives)
+from denoiselab.calibration import PredictionOutcome, calibration_report, ece
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
@@ -207,19 +206,16 @@ class TestArrayPasses:
     def test_calibration_report_equals_the_object_path(self, pair, cutoff):
         train_corpus, corpus = pair
         model = train(train_corpus, alpha=0.1)
-        outcomes = collect_outcomes(model, corpus)
-        rows = (row for k in range(len(corpus))  # each record scored as a corpus of its own
-                for row in predict_matrix(model, one_record(corpus, k))[0])
-        tokens = (t for rec in corpus.records for t in rec.corrupted)
-        for outcome, row, token in zip(outcomes, rows, tokens):
-            assert outcome.kept_mass_on_input == row[token]
-        kept = filter_easy_positives(outcomes, cutoff)
+        scored = [predict_matrix(model, one_record(corpus, k))  # each record a corpus of its own
+                  for k in range(len(corpus))]
+        kept, n_excluded = reference.calibration_outcomes(corpus.records, scored, cutoff)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):
                 calibration_report(predict_matrix(model, corpus), corpus, cutoff)
             return
-        want = ece(kept, n_excluded=len(outcomes) - len(kept))
-        assert calibration_report(predict_matrix(model, corpus), corpus, cutoff) == want
+        want = ece([PredictionOutcome(*o) for o in kept])
+        report = calibration_report(predict_matrix(model, corpus), corpus, cutoff)
+        assert (report.bins, report.ece, report.n_excluded) == (want.bins, want.ece, n_excluded)
 
 
 BREAKS = ("length", "original", "replacement", "unchanged", "stray", "position", "repeat",

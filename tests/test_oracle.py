@@ -3,9 +3,8 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.oracle import (OracleScorer, bounds, brute_force_posterior,
-                               case_confidence, posterior, restoration_distribution,
-                               verify_ordering)
+from denoiselab.oracle import (OracleScorer, bounds, brute_force_posterior, posterior,
+                               restoration_distribution, verify_ordering)
 from denoiselab.world import WorldConfig, build_world, conditional
 
 from constructions import (bound_demo_setup, equal_prior_noisy_setup,
@@ -116,28 +115,23 @@ class TestSigmaDecomposition:
 
 
 class TestCaseConfidence:
+    """The closed-form two-candidate confidence ``1 / (1 + a * channel ratio)``
+    of one case, which :func:`bounds` holds for both non-true categories."""
+
     def test_hand_ratio(self):
-        got = case_confidence(SampleCategory.NOISY, 1.0, 0.9, 0.05)
+        # Equal priors, channel odds 0.9 / 0.05 = 18: the rate-1/19 noisy ceiling.
+        got = bounds(1.0, None, SampleCategory.NOISY, rate=1 / 19)
         assert got == pytest.approx(1 / 19, abs=1e-15)
 
     def test_large_channel_ratio_limit(self):
-        got = case_confidence(SampleCategory.NOISY, 1.0, 1.0, 1e-12)
+        got = bounds(1.0, None, SampleCategory.NOISY, rate=1e-12)
         assert got < 1e-11
 
     def test_zero_prior_reduces_to_alternative_form(self):
         # With the replacement's prior at zero its term vanishes; confidence
         # is then governed by the remaining alternative, the multi-answer form.
-        noisy_part = case_confidence(SampleCategory.NOISY, 0.0, 0.9, 0.05)
-        assert noisy_part == 1.0
-        multi = case_confidence(SampleCategory.MULTI_ANSWER, 0.5, 0.05, 0.05)
+        multi = bounds(0.5, 1.0, SampleCategory.MULTI_ANSWER)
         assert multi == pytest.approx(1 / 1.5, abs=1e-15)
-
-    def test_unreachable_record_raises(self):
-        with pytest.raises(ZeroDivisionError):
-            case_confidence(SampleCategory.NOISY, 1.0, 0.9, 0.0)
-
-    def test_true_case(self):
-        assert case_confidence(SampleCategory.TRUE, 123.0, 0.0, 0.0) == 1.0
 
 
 class TestBounds:

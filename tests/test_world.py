@@ -354,6 +354,9 @@ class TestSerialization:
          r"initial: entries outside \[0, 1\]"),
         (lambda doc: doc["transitions"]["1"].__setitem__(0, float("nan")),
          r"transitions\[\(1,\)\]: entries outside \[0, 1\]"),
+        (lambda doc: doc["initial"].__setitem__(0, 10**400), r"int too large to convert to float"),
+        (lambda doc: doc["transitions"]["1"].__setitem__(0, 10**400),
+         r"int too large to convert to float"),
         (lambda doc: doc["transitions"].pop("2"),
          r"world has no transition row for context \(2,\)"),
         (lambda doc: doc["transitions"].update(a=doc["transitions"]["0"]),
@@ -368,7 +371,8 @@ class TestSerialization:
                      "world_to_json writes them"))
           for key in ("0,", " 1", "+1", "0_1", "01")),
     ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
-            "initial-nan", "transition-row-nan", "missing-row", "context-not-integers",
+            "initial-nan", "transition-row-nan", "initial-beyond-float",
+            "transition-row-beyond-float", "missing-row", "context-not-integers",
             "context-token-7",
             "context-token-minus-1", "order-2-missing-row", "context-trailing-comma",
             "context-leading-space", "context-plus-sign", "context-underscore",
