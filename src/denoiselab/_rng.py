@@ -14,14 +14,9 @@ import hashlib
 import numpy as np
 
 
-def _label_entropy(label: object) -> int:
-    if isinstance(label, (int, np.integer)):
-        return int(label) & (2**63 - 1)
-    digest = hashlib.sha256(str(label).encode("utf-8")).hexdigest()
-    return int(digest[:16], 16)
-
-
-def derive_rng(seed: int, *labels: object) -> np.random.Generator:
-    """Generator for the stream named by ``labels`` under a global seed."""
-    entropy = [int(seed) & (2**63 - 1)] + [_label_entropy(x) for x in labels]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def derive_rng(seed: int, *labels: str) -> np.random.Generator:
+    """Generator for the stream named by ``labels`` under a global seed in [0, 2**63)."""
+    if not 0 <= seed < 2**63:  # distinct seeds name distinct streams
+        raise ValueError(f"seed must be in [0, 2**63), got {seed}")
+    entropy = [int(hashlib.sha256(label.encode()).hexdigest()[:16], 16) for label in labels]
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *entropy]))

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
+from ._jsonfile import checked_object, fits_int64, load_file
 from ._rng import derive_rng
 from .world import WorldModel, categorical_sampler, conditional, sample_corpus_tokens
 
@@ -89,7 +89,7 @@ class ConfusionConfig:
         if self.mode not in ("uniform", "long_tailed"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.candidates > 1:  # one config builds both channels
-            zipf_exponent_for_head_mass(self.candidates, self.head_mass)
+            _check_head_mass(self.candidates, self.head_mass)
         if not 0.0 <= self.context_affinity <= 1.0:
             raise ValueError(f"context_affinity must be in [0, 1], got {self.context_affinity}")
 
@@ -154,12 +154,16 @@ class ConfusionTable:
         return vec
 
 
-def zipf_exponent_for_head_mass(n_candidates: int, head_mass: float) -> float:
-    """Exponent e such that rank-weighted k**-e puts ``head_mass`` on rank 1."""
+def _check_head_mass(n_candidates: int, head_mass: float) -> None:  # allocates nothing
     if n_candidates < 2:
         raise ValueError("head mass is only meaningful for >= 2 candidates")
     if not (1.0 / n_candidates < head_mass < 1.0):
         raise ValueError(f"head_mass must lie in (1/{n_candidates}, 1), got {head_mass}")
+
+
+def zipf_exponent_for_head_mass(n_candidates: int, head_mass: float) -> float:
+    """Exponent e such that rank-weighted k**-e puts ``head_mass`` on rank 1."""
+    _check_head_mass(n_candidates, head_mass)
     ranks = np.arange(1, n_candidates + 1, dtype=float)
 
     def head(e: float) -> float:
@@ -249,7 +253,7 @@ def _record_problem(clean, corrupted, edits, categories,
     a whole corpus at once; it words the error of the first record found.
     Tokens are checked against ``vocab_size`` when one is given.
     """
-    big = [v for v in chain(clean, corrupted, *edits) if type(v) is int and not -2**63 <= v < 2**63]
+    big = [v for v in chain(clean, corrupted, *edits) if type(v) is int and not fits_int64(v)]
     if big:
         return f"integer {big[0]} does not fit in 64 bits"
     if vocab_size is not None:
@@ -872,13 +876,8 @@ def confusion_to_json(table: ConfusionTable) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-_CONFUSION_FIELDS = {
-    "vocab_size": ("an integer", is_int),
-    "mode": ("a string", lambda v: type(v) is str),
-    "zipf_exponent": ("a number or null", lambda v: v is None or is_number(v)),
-    "candidates": ("a list of integer lists", list_of(list_of(is_int))),
-    "weights": ("a list of number lists", list_of(list_of(is_number))),
-}
+_CONFUSION_FIELDS = {"vocab_size": int, "mode": str, "zipf_exponent": float | None,
+                     "candidates": list[list[int]], "weights": list[list[float]]}
 
 
 def confusion_from_json(text: str) -> ConfusionTable:

@@ -23,12 +23,13 @@ from .harness import MetricsRow, emit_report, write_manifest
 from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
 
+_CORPUS_META = {"vocab_size": int, "rate": float, "mode": str}  # what a corpus dir's reader reads
+
+
 def _load_corpus_dir(corpus_dir: Path):
     manifest = corpus_dir / "manifest.json"
     try:  # each message names the file
-        meta = harness.read_manifest(corpus_dir, ("files", "meta"))["meta"]
-        if not {"vocab_size", "rate", "mode"} <= meta.keys():
-            raise ValueError(f"{manifest}: expected 'files' and 'meta' objects")
+        meta = harness.read_manifest(corpus_dir, _CORPUS_META)["meta"]
         ok, checks = harness.verify_manifest(corpus_dir)
         if not ok:
             bad = ", ".join(sorted(name for name, good in checks.items() if not good))
@@ -36,10 +37,10 @@ def _load_corpus_dir(corpus_dir: Path):
         w = world.load_world(corpus_dir / "world.json")
         table = augment.load_confusion(corpus_dir / "confusion.json")
         V, rate, mode = meta["vocab_size"], meta["rate"], meta["mode"]
-        if type(V) is not int or not V == w.vocab_size == table.vocab_size:
+        if not V == w.vocab_size == table.vocab_size:
             raise ValueError(f"{manifest}: meta 'vocab_size' must be world.json's {w.vocab_size} "
                              f"and confusion.json's {table.vocab_size}, got {V!r}")
-        if type(rate) not in (int, float) or not 0 < rate < 1:  # ExperimentConfig's range
+        if not 0 < rate < 1:  # ExperimentConfig's range
             raise ValueError(f"{manifest}: meta 'rate' must be a number in (0, 1), got {rate!r}")
         if mode not in ("iid", "single_edit"):
             raise ValueError(f"{manifest}: meta 'mode' must be iid or single_edit, got {mode!r}")
@@ -117,7 +118,8 @@ def _experiment(name: str):
 
         callback = click.option("--config", "config_path", type=click.Path(exists=True),
                                 default=None, help="JSON experiment config")(callback)
-        callback = click.option("--seed", type=int, default=0, show_default=True)(callback)
+        callback = click.option("--seed", type=click.IntRange(0, 2**63 - 1), default=0,
+                                show_default=True)(callback)
         callback = click.option("--out-dir", type=click.Path(), required=True)(callback)
         return main.command(name)(callback)
     return register

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import types
 import typing
 from pathlib import Path
 
-from ._jsonfile import load_file
+from ._jsonfile import load_file, typed
 from .pipeline import ExperimentConfig
 
 _SECTIONS = ("world", "confusion", "corrector", "filter")
@@ -28,45 +27,14 @@ _SET_BY_RUN = {
 }
 
 
-def _typed(where: str, value, hint):
-    """``value`` as a field of type ``hint`` takes it (a JSON list becomes a
-    tuple where the field is one); ValueError naming ``where`` otherwise.
-
-    A bool is not an int, and an int is kept as is where a float is expected.
-    """
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (hint,) = (a for a in args if a is not type(None))
-        return _typed(where, value, hint)
-    if origin in (tuple, list, dict):
-        kind = dict if origin is dict else list
-        if not isinstance(value, kind):
-            expected = "an object" if kind is dict else "a list"
-            raise ValueError(f"{where}: expected {expected}, got {type(value).__name__}")
-        if origin is dict:
-            return {k: _typed(f"{where}.{k}", v, args[1]) for k, v in value.items()}
-        if origin is tuple and Ellipsis not in args and len(value) != len(args):
-            raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
-        items = [_typed(f"{where}[{k}]", v, args[0] if Ellipsis in args or origin is list
-                        else args[k]) for k, v in enumerate(value)]
-        return tuple(items) if origin is tuple else items
-    number = hint is float and isinstance(value, int)
-    if isinstance(value, bool) or not (number or isinstance(value, hint)):  # no field is a bool
-        raise ValueError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
-    return value
-
-
 def _typed_fields(cls, doc: dict, prefix: str = "") -> dict:
     hints = typing.get_type_hints(cls)
-    return {k: _typed(f"{prefix}{k}", v, hints[k]) for k, v in doc.items()}
+    return {k: typed(f"{prefix}{k}", v, hints[k]) for k, v in doc.items()}
 
 
 def _build_section(default, doc, name: str):
     """The section ``default`` with the values ``doc`` sets."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{name}: expected an object, got {type(doc).__name__}")
+    typed(name, doc, dict)
     cls = type(default)
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - names

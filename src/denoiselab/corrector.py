@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
+from ._jsonfile import checked_object, fits_int64, load_file
 from .augment import PairCorpus, corpus_digest
 
 DEFAULT_WINDOW = (-1, 0, 1)
@@ -230,15 +230,8 @@ def model_to_json(model: CorrectorModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-_MODEL_FIELDS = {  # each top-level field: what it must be, and the test of that
-    "vocab_size": ("an integer", is_int),
-    "window": ("a list of integers", list_of(is_int)),
-    "alpha": ("a number", is_number),
-    "corpus_hash": ("a string", lambda v: type(v) is str),
-    "trained_chars": ("an integer", is_int),
-    "trained_on": ("a string", lambda v: type(v) is str),
-    "counts": ("an object of integer lists", lambda v: type(v) is dict),  # rows: below
-}
+_MODEL_FIELDS = {"vocab_size": int, "window": list[int], "alpha": float, "corpus_hash": str,
+                 "trained_chars": int, "trained_on": str, "counts": dict}  # rows: below
 
 
 def model_from_json(text: str) -> CorrectorModel:
@@ -265,7 +258,7 @@ def model_from_json(text: str) -> CorrectorModel:
             raise ValueError(f"counts[{key!r}]: row has {len(row)} counts, expected {V}")
         if min(row) < 0:
             raise ValueError(f"counts[{key!r}]: negative count")
-        if max(row) >= 2**63:
+        if not fits_int64(max(row)):
             raise ValueError(f"counts[{key!r}]: count outside int64")
         total += sum(row)
         if total >= 2**63:

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._jsonfile import checked_object, load_file
 from .augment import CATEGORIES, PairCorpus, SampleCategory
 from .calibration import CalibrationReport, write_reliability_csv
 from .corrector import correct_corpus
@@ -199,21 +200,17 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
     return written
 
 
-def read_manifest(out_dir: str | Path, objects: tuple[str, ...] = ("files",)) -> dict:
-    """A run directory's ``manifest.json``, with an object under each key of ``objects``
-    and a digest per plain file name in ``files``; ValueError naming the file otherwise."""
+def read_manifest(out_dir: str | Path, meta: dict | None = None) -> dict:
+    """A run directory's ``manifest.json``, with a digest per plain file name in ``files``
+    and, when ``meta`` names fields (see :func:`typed`), a ``meta`` object holding them;
+    ValueError naming the file otherwise."""
     path = Path(out_dir) / "manifest.json"
     if not path.is_file():
         raise ValueError(f"{out_dir}: no manifest.json")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if not (isinstance(doc, dict) and all(isinstance(doc.get(k), dict) for k in objects)):
-        raise ValueError(f"{path}: expected {' and '.join(map(repr, objects))} "
-                         f"object{'s' * (len(objects) > 1)}")
-    for name, digest in doc["files"].items():
-        if name in ("", ".", "..") or "/" in name or "\0" in name or type(digest) is not str:
+    fields = {"files": dict[str, str], **({"meta": meta} if meta else {})}
+    doc = load_file(path, lambda text: checked_object(text, fields))
+    for name in doc["files"]:
+        if name in ("", ".", "..") or "/" in name or "\0" in name:
             raise ValueError(f"{path}: 'files' must map plain file names to digests, "
                              f"got {name!r}")
     return doc

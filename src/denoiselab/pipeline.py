@@ -97,6 +97,11 @@ class ExperimentConfig:
             raise ValueError(f"volume_sizes: must be ascending, got {list(self.volume_sizes)}")
         _signature_table_shape(self.world.vocab_size, self.corrector.window, "corrector.window")
         _fits_world(self.confusion, self.world.vocab_size, self.world.order, "confusion.")
+        if self.world.rows is not None or self.world.initial is not None:
+            try:  # an explicit world is checked whole here, not when a command builds it
+                build_world(self.world)
+            except ValueError as exc:
+                raise ValueError(f"world: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import checked_object, is_int, is_number, list_of, load_file
+from ._jsonfile import checked_object, load_file
 from ._rng import derive_rng
 
 PROB_TOL = 1e-12
@@ -344,14 +344,8 @@ def world_to_json(world: WorldModel) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-_WORLD_FIELDS = {
-    "vocab_size": ("an integer", is_int),
-    "order": ("an integer", is_int),
-    "seed": ("an integer", is_int),
-    "initial": ("a list of numbers", list_of(is_number)),
-    "transitions": ("an object of number lists",
-                    lambda v: type(v) is dict and all(map(list_of(is_number), v.values()))),
-}
+_WORLD_FIELDS = {"vocab_size": int, "order": int, "seed": int, "initial": list[float],
+                 "transitions": dict[str, list[float]]}
 
 
 def world_from_json(text: str) -> WorldModel:

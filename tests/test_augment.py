@@ -409,18 +409,22 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.clear(), "missing field 'vocab_size'"),
-        (lambda doc: doc.update(weights=0.5), "field 'weights' must be a list of number lists"),
+        (lambda doc: doc.update(weights=0.5), "weights: expected a list, got float"),
         (lambda doc: doc["candidates"][0].__setitem__(0, 1.0),
-         "field 'candidates' must be a list of integer lists"),
-        (lambda doc: doc.update(zipf_exponent="1"), "field 'zipf_exponent' must be a number"),
+         "candidates[0][0]: expected int, got float"),
+        (lambda doc: doc.update(zipf_exponent="1"), "zipf_exponent: expected float, got str"),
         (lambda doc: doc.update(candidates=[], weights=[]), "candidate/weight shapes disagree"),
         (lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
-         "weight row 0 has entries outside [0, 1]"),
+         "weights[0][0]: expected a finite number, got nan"),
+        (lambda doc: doc["weights"][1].__setitem__(1, float("-inf")),
+         "weights[1][1]: expected a finite number, got -inf"),
         (lambda doc: doc["candidates"][0].__setitem__(0, 2**63),
-         "Python int too large to convert to C long"),
-        (lambda doc: doc["weights"][0].__setitem__(0, 10**400), "int too large to convert to float"),
+         "candidates[0][0]: expected an int64 integer, got 9223372036854775808"),
+        (lambda doc: doc["weights"][0].__setitem__(0, 10**400),
+         f"weights[0][0]: expected an int64 integer, got {10**400}"),
     ], ids=["empty", "weights-number", "candidate-float", "exponent-string", "no-rows",
-            "weight-nan", "candidate-beyond-int64", "weight-beyond-float"])
+            "weight-nan", "weight-minus-infinity", "candidate-beyond-int64",
+            "weight-beyond-float"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "confusion.json"
         save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2)), path)

@@ -188,7 +188,13 @@ class TestBadInputs:
         ("gen-world", {"world": {"support": 0}}, "support must be in [1, 20], got 0"),
         ("gen-corpus", {"confusion": {"candidates": 25}},
          "confusion.candidates must be below the world's vocab_size 20, got 25"),
-    ], ids=["gen-world-support", "gen-corpus-candidates"])
+        ("gen-corpus", {"confusion": {"candidates": 2**31}},
+         "confusion.candidates must be below the world's vocab_size 20, got 2147483648"),
+        ("gen-world", {"world": {"initial": []}}, "world: initial: expected length 20, got (0,)"),
+        ("gen-corpus", {"world": {"rows": {}}},
+         "world: explicit rows require an explicit initial vector"),
+    ], ids=["gen-world-support", "gen-corpus-candidates", "gen-corpus-candidates-2-to-31",
+            "gen-world-initial-empty", "gen-corpus-rows-without-initial"])
     def test_bad_world_or_confusion_setting_is_one_line(self, runner, tmp_path, command, doc,
                                                         message):
         path = tmp_path / "bad.json"
@@ -218,30 +224,35 @@ class TestBadInputs:
         self.assert_usage_error(result, "not-a-corpus: no manifest.json")
 
     @pytest.mark.parametrize("text,fragment", [
-        ('{"files": ', "Expecting value"),
-        ('{"meta": {"vocab_size": 8, "rate": 0.1, "mode": "iid"}}',
-         "expected 'files' and 'meta' objects"),
-        ('{"files": {}}', "expected 'files' and 'meta' objects"),
+        ('{"files": ', ":1: invalid JSON: Expecting value"),
+        ('{"meta": {"vocab_size": 8, "rate": 0.1, "mode": "iid"}}', ": missing field 'files'"),
+        ('{"files": {}}', ": missing field 'meta'"),
+        ('{"files": {}, "meta": []}', ": meta: expected an object, got list"),
         ('{"files": {}, "meta": {"rate": 0.1, "mode": "iid"}}',
-         "expected 'files' and 'meta' objects"),
-        ("[]", "expected 'files' and 'meta' objects"),
+         ": missing field 'meta.vocab_size'"),
+        ("[]", ": expected a JSON object"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": "x", "mode": "iid"}}',
-         "meta 'rate' must be a number in (0, 1), got 'x'"),
+         ": meta.rate: expected float, got str"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 1.5, "mode": "iid"}}',
-         "meta 'rate' must be a number in (0, 1), got 1.5"),
+         ": meta 'rate' must be a number in (0, 1), got 1.5"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": true, "mode": "iid"}}',
-         "meta 'rate' must be a number in (0, 1), got True"),
+         ": meta.rate: expected float, got bool"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": NaN, "mode": "iid"}}',
+         ": meta.rate: expected a finite number, got nan"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0, "mode": "iid"}}',
-         "meta 'rate' must be a number in (0, 1), got 0"),
+         ": meta 'rate' must be a number in (0, 1), got 0"),
         ('{"files": {}, "meta": {"vocab_size": 30, "rate": 0.1, "mode": "iid"}}',
-         "meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got 30"),
+         ": meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got 30"),
         ('{"files": {}, "meta": {"vocab_size": "8", "rate": 0.1, "mode": "iid"}}',
-         "meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got '8'"),
+         ": meta.vocab_size: expected int, got str"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": "both"}}',
-         "meta 'mode' must be iid or single_edit, got 'both'"),
-    ], ids=["truncated", "no-files", "no-meta", "meta-without-vocab-size", "not-an-object",
-            "rate-string", "rate-above-one", "rate-bool", "rate-zero",
-            "vocab-size-not-the-worlds", "vocab-size-string", "mode-unknown"])
+         ": meta 'mode' must be iid or single_edit, got 'both'"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": 1}}',
+         ": meta.mode: expected str, got int"),
+    ], ids=["truncated", "no-files", "no-meta", "meta-list", "meta-without-vocab-size",
+            "not-an-object", "rate-string", "rate-above-one", "rate-bool", "rate-nan",
+            "rate-zero", "vocab-size-not-the-worlds", "vocab-size-string", "mode-unknown",
+            "mode-int"])
     def test_malformed_corpus_dir_manifest_is_named(self, runner, config_path, tmp_path,
                                                     text, fragment):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -249,15 +260,16 @@ class TestBadInputs:
         result = runner.invoke(main, ["train", "--config", config_path,
                                       "--corpus-dir", str(corpus_dir),
                                       "--out-dir", str(tmp_path / "model-bad")])
-        self.assert_usage_error(result, f"{corpus_dir / 'manifest.json'}: ", fragment)
+        self.assert_usage_error(result, f"{corpus_dir / 'manifest.json'}{fragment}")
 
     @pytest.mark.parametrize("text,fragment", [
         (None, ": no manifest.json"),
-        ('{"files": ', ": Expecting value"),
-        ('{"files": ["metrics.csv"]}', ": expected 'files' object"),
+        ('{"files": ', ":1: invalid JSON: Expecting value"),
+        ('{"files": ["metrics.csv"]}', ": files: expected an object, got list"),
+        ('{"files": {"metrics.csv": 0}}', ": files.metrics.csv: expected str, got int"),
         ('{"files": {"../metrics.csv": "0"}}',
          ": 'files' must map plain file names to digests, got '../metrics.csv'"),
-    ], ids=["missing", "truncated", "files-list", "parent-dir-name"])
+    ], ids=["missing", "truncated", "files-list", "digest-int", "parent-dir-name"])
     def test_report_on_a_bad_manifest_is_named(self, runner, tmp_path, text, fragment):
         out = tmp_path / "run"
         out.mkdir()
@@ -277,7 +289,7 @@ class TestBadInputs:
         result = runner.invoke(main, ["eval", "--config", config_path, "--model", str(model),
                                       "--corpus-dir", str(corpus_dir),
                                       "--out-dir", str(tmp_path / "eval")])
-        self.assert_usage_error(result, "m.json: field 'counts' must be an object of integer lists")
+        self.assert_usage_error(result, "m.json: counts: expected an object, got int")
 
     @pytest.mark.parametrize("command", ["score", "filter", "eval"])
     def test_model_for_another_vocabulary_names_the_file_and_both_sizes(
@@ -305,9 +317,9 @@ class TestBadInputs:
          "corpus.jsonl:2: integer 100000000000000000000 does not fit in 64 bits"),
         ("world.json", 1, lambda doc: doc.clear(), "world.json: missing field 'vocab_size'"),
         ("confusion.json", 1, lambda doc: doc["weights"][0].__setitem__(0, float("nan")),
-         "confusion.json: weight row 0 has entries outside [0, 1]"),
+         "confusion.json: weights[0][0]: expected a finite number, got nan"),
         ("world.json", 1, lambda doc: doc["initial"].__setitem__(0, float("nan")),
-         "world.json: initial: entries outside [0, 1]"),
+         "world.json: initial[0]: expected a finite number, got nan"),
     ], ids=["corpus-line-2", "confusion", "confusion-negative", "corpus-int64-line-2",
             "world-empty", "confusion-nan", "world-nan"])
     def test_corpus_dir_file_failing_to_load_is_named(self, runner, config_path, tmp_path,
@@ -341,7 +353,8 @@ class TestBadInputs:
                                       "--corpus-dir", str(corpus_dir),
                                       "--out-dir", str(tmp_path / "scores")])
         self.assert_usage_error(result)
-        assert result.output == f"Error: {path}: int too large to convert to float\n"
+        assert result.output == (f"Error: {path}: initial[0]: expected an int64 integer, "
+                                 f"got {10**400}\n")
 
     def test_score_oracle_on_an_edit_the_table_cannot_emit_names_the_record(self, runner,
                                                                             config_path, tmp_path):
@@ -378,6 +391,15 @@ class TestBadInputs:
         result = runner.invoke(main, [*args, *inputs, "--config", config_path,
                                       "--out-dir", str(tmp_path / "out")])
         self.assert_usage_error(result, fragment)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**63)])
+    def test_seed_outside_the_stream_range_is_refused(self, runner, config_path, tmp_path, seed):
+        # Masked to 63 bits, --seed 2**63 wrote seed 0's corpus under another manifest seed.
+        result = runner.invoke(main, ["gen-corpus", "--config", config_path, "--seed", seed,
+                                      "--sentences", "30", "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result, f"'--seed': {seed} is not in the range "
+                                f"0<=x<={2**63 - 1}")
         assert not (tmp_path / "out").exists()
 
     def test_bad_window_is_named(self, runner, config_path, tmp_path):

@@ -34,7 +34,9 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"length_range": [0, 3]}', r": length_range: needs 1 <= lo <= hi, got \[0, 3\]"),
     ('{"eval_clean_fraction": 1.0}', r": eval_clean_fraction: must be in \[0, 1\), got 1.0"),
     ('{"eval_plausibility": -3}', ": eval_plausibility: must be >= 0, got -3"),
-    ('{"eval_plausibility": NaN}', ": eval_plausibility: must be >= 0, got nan"),
+    ('{"eval_plausibility": NaN}', ": eval_plausibility: expected a finite number, got nan"),
+    ('{"eval_plausibility": Infinity}', ": eval_plausibility: expected a finite number, got inf"),
+    ('{"thresholds": [0.1, -Infinity]}', r": thresholds\[1\]: expected a finite number, got -inf"),
     ('{"thresholds": []}', ": thresholds: must not be empty"),
     ('{"thresholds": [0.1, 1.5]}', r": thresholds: 1.5 outside \(0, 1\)"),
     ('{"volume_sizes": []}', ": volume_sizes: must not be empty"),
@@ -43,7 +45,7 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"corrector": {"alpha": -1}}', ": alpha must be positive and finite, got -1"),
     ('{"corrector": {"alpha": 0}}', ": alpha must be positive and finite, got 0"),
     ('{"corrector": {"alpha": 1%s}}' % ("0" * 400),
-     ": alpha must be positive and finite, got 1%s$" % ("0" * 400)),
+     ": corrector.alpha: expected an int64 integer, got 1%s$" % ("0" * 400)),
     ('{"world": {"support": 0}}', r": support must be in \[1, 20\], got 0"),
     ('{"world": {"vocab_size": 1}}', ": vocab_size must be at least 2, got 1"),
     ('{"world": {"order": 0}}', ": order must be at least 1, got 0"),
@@ -52,13 +54,21 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"world": {"weight_low": 1e308, "weight_high": 1.7e308}}',
      r": vocab_size \* weight_high must be finite, got 20 \* 1.7e\+308"),
     ('{"world": {"weight_high": 1%s}}' % ("0" * 400),
-     r": vocab_size \* weight_high must be finite, got 20 \* 1%s$" % ("0" * 400)),
+     ": world.weight_high: expected an int64 integer, got 1%s$" % ("0" * 400)),
     ('{"world": {"order": 4}}', r": vocab_size\*\*order = 20\*\*4 exceeds context budget 10000"),
     ('{"world": {"order": 2}}', r": confusion.context_affinity must be 0 in an order-2 world "
      r"\(affine candidates need order 1\), got 0.6"),
     ('{"confusion": {"candidates": 0}}', ": candidates must be at least 1, got 0"),
     ('{"confusion": {"candidates": 25}}',
      ": confusion.candidates must be below the world's vocab_size 20, got 25"),
+    ('{"confusion": {"candidates": 2147483648}}',
+     ": confusion.candidates must be below the world's vocab_size 20, got 2147483648"),
+    ('{"confusion": {"candidates": 9223372036854775808}}',
+     ": confusion.candidates: expected an int64 integer, got 9223372036854775808"),
+    ('{"length_range": [5, 9223372036854775808]}',
+     r": length_range\[1\]: expected an int64 integer, got 9223372036854775808"),
+    ('{"world": {"initial": []}}', r": world: initial: expected length 20, got \(0,\)"),
+    ('{"world": {"rows": {}}}', ": world: explicit rows require an explicit initial vector"),
     ('{"confusion": {"head_mass": 0.1}}', r": head_mass must lie in \(1/3, 1\), got 0.1"),
     ('{"confusion": {"candidates": 1, "head_mass": 0.1}}',
      ": confusion.head_mass: unused with 1 candidate"),
@@ -72,13 +82,16 @@ from denoiselab.pipeline import ExperimentConfig
         "nested-row", "top-not-object", "bad-json", "unknown-key", "removed-lambda-m",
         "removed-lambda-n", "removed-literal-ratio", "world-seed", "confusion-seed", "confusion-mode", "rate-above-one", "rate-negative",
         "no-sentences", "length-range-reversed", "length-range-zero", "all-clean-eval",
-        "negative-plausibility", "nan-plausibility", "no-thresholds", "threshold-above-one",
+        "negative-plausibility", "nan-plausibility", "infinite-plausibility",
+        "threshold-minus-infinity", "no-thresholds", "threshold-above-one",
         "no-volume-sizes", "volume-size-zero", "volume-sizes-descending",
         "corrector-alpha-negative", "corrector-alpha-zero", "corrector-alpha-beyond-float",
         "world-support-zero", "world-vocab-one", "world-order-zero", "world-weight-low-zero",
         "world-weight-sum-overflows", "world-weight-high-beyond-float",
         "world-order-over-budget", "world-order-two-with-affinity", "confusion-candidates-zero",
-        "confusion-candidates-over-vocab", "confusion-head-mass-low",
+        "confusion-candidates-over-vocab", "confusion-candidates-2-to-31",
+        "confusion-candidates-beyond-int64", "length-range-beyond-int64",
+        "world-initial-empty", "world-rows-without-initial", "confusion-head-mass-low",
         "confusion-head-mass-one-candidate",
         "confusion-affinity-negative", "corrector-window-empty",
         "corrector-window-six-offsets"])

@@ -128,6 +128,12 @@ class TestSampling:
         rng = derive_rng(0, "t")
         assert sample_sentence(w, 4, rng) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_seed_outside_the_stream_range_is_refused(self, seed):
+        # Masked to 63 bits, 2**63 named seed 0's stream and -1 named 2**63 - 1's.
+        with pytest.raises(ValueError, match=re.escape(f"seed must be in [0, 2**63), got {seed}")):
+            derive_rng(seed, "world")
+
     def test_fixed_seed_reproduces_sentence(self):
         w = build_world(WorldConfig(vocab_size=5, support=2, seed=3))
         a = sample_sentence(w, 10, derive_rng(11, "s"))
@@ -346,17 +352,21 @@ class TestSerialization:
 
     @pytest.mark.parametrize("edit,message", [
         (lambda doc: doc.clear(), "missing field 'vocab_size'"),
-        (lambda doc: doc.update(transitions=[]), "field 'transitions' must be an object of "
-                                                 "number lists"),
-        (lambda doc: doc["transitions"].update({"0": "x"}), "field 'transitions' must be"),
-        (lambda doc: doc.update(order="1"), "field 'order' must be an integer"),
+        (lambda doc: doc.update(transitions=[]), "transitions: expected an object, got list"),
+        (lambda doc: doc["transitions"].update({"0": "x"}),
+         "transitions.0: expected a list, got str"),
+        (lambda doc: doc.update(order="1"), "order: expected int, got str"),
+        (lambda doc: doc.update(seed=2**63), f"seed: expected an int64 integer, got {2**63}"),
         (lambda doc: doc["initial"].__setitem__(0, float("nan")),
-         r"initial: entries outside \[0, 1\]"),
+         r"initial\[0\]: expected a finite number, got nan"),
         (lambda doc: doc["transitions"]["1"].__setitem__(0, float("nan")),
-         r"transitions\[\(1,\)\]: entries outside \[0, 1\]"),
-        (lambda doc: doc["initial"].__setitem__(0, 10**400), r"int too large to convert to float"),
+         r"transitions.1\[0\]: expected a finite number, got nan"),
+        (lambda doc: doc["transitions"]["2"].__setitem__(2, float("inf")),
+         r"transitions.2\[2\]: expected a finite number, got inf"),
+        (lambda doc: doc["initial"].__setitem__(0, 10**400),
+         rf"initial\[0\]: expected an int64 integer, got {10**400}$"),
         (lambda doc: doc["transitions"]["1"].__setitem__(0, 10**400),
-         r"int too large to convert to float"),
+         rf"transitions.1\[0\]: expected an int64 integer, got {10**400}$"),
         (lambda doc: doc["transitions"].pop("2"),
          r"world has no transition row for context \(2,\)"),
         (lambda doc: doc["transitions"].update(a=doc["transitions"]["0"]),
@@ -371,7 +381,8 @@ class TestSerialization:
                      "world_to_json writes them"))
           for key in ("0,", " 1", "+1", "0_1", "01")),
     ], ids=["empty", "transitions-list", "transition-row-string", "order-string",
-            "initial-nan", "transition-row-nan", "initial-beyond-float",
+            "seed-beyond-int64", "initial-nan", "transition-row-nan",
+            "transition-row-infinity", "initial-beyond-float",
             "transition-row-beyond-float", "missing-row", "context-not-integers",
             "context-token-7",
             "context-token-minus-1", "order-2-missing-row", "context-trailing-comma",
