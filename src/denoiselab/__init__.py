@@ -10,8 +10,8 @@ __version__ = "0.1.0"  # the package's only version string; modules import it fr
 
 from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, build_confusion, generate_corpus)
-from .calibration import CalibrationReport, PredictionOutcome, ece
-from .corrector import CorrectorConfig, CorrectorModel, ce_loss, merge, train
+from .calibration import CalibrationReport, ece
+from .corrector import CorrectorConfig, CorrectorModel, train
 from .harness import Metrics, category_filter_rates, emit_report, evaluate
 from .oracle import (OracleScorer, PosteriorReport, bounds, brute_force_posterior,
                      posterior, restoration_distribution, verify_ordering)
@@ -19,5 +19,4 @@ from .pipeline import (ExperimentConfig, FilterConfig, PipelineReport,
                        filter_corpus, heuristic_multi, heuristic_noisy,
                        make_eval_corpus, mixing_baseline, run_pipeline,
                        threshold_sweep, volume_sweep)
-from .world import (ImpossibleContextError, WorldConfig, WorldModel, build_world,
-                    conditional, sample_sentence, sentence_prob)
+from .world import ImpossibleContextError, WorldConfig, WorldModel, build_world, conditional

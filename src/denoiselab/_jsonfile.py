@@ -48,6 +48,11 @@ def typed(where: str, value, hint):
         if kind is dict:
             return {k: typed(f"{where}.{k}", v, args[1])
                     for k, v in value.items()} if args else value
+        if kind is list and args[0] in (int, float):  # the whole list first; items word errors
+            kinds = set(map(type, value))
+            if kinds == {int} and fits_int64(min(value)) and fits_int64(max(value)) or (
+                    args[0] is float and kinds == {float} and all(map(math.isfinite, value))):
+                return value
         if kind is tuple and Ellipsis not in args and len(value) != len(args):
             raise ValueError(f"{where}: expected {len(args)} items, got {len(value)}")
         items = [typed(f"{where}[{k}]", v, args[0] if Ellipsis in args or kind is list

@@ -597,6 +597,15 @@ def _candidate_flags(table: ConfusionTable, prior: np.ndarray, originals,
     return flags
 
 
+TOKEN_BUDGET = 2**24  # sentences x longest length; 2**20 x (8 to 16) peaked at 1.05 GB
+
+
+def check_token_budget(n_sentences: int, max_length: int, where: str) -> None:
+    if n_sentences * max_length > TOKEN_BUDGET:
+        raise ValueError(f"{where}: {n_sentences} sentences of up to {max_length} tokens "
+                         f"pass the budget of {TOKEN_BUDGET} tokens per corpus")
+
+
 def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                     length_range: tuple[int, int] = (8, 16), rate: float = 0.1,
                     mode: str = "iid", seed: int = 0, clean_fraction: float = 0.0,
@@ -614,6 +623,7 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
     lo, hi = length_range
     if not (1 <= lo <= hi):
         raise ValueError("invalid length range")
+    check_token_budget(n_sentences, hi, "n_sentences")
     if not (0.0 <= rate <= 1.0):
         raise ValueError("rate must be in [0, 1]")
     if clean_fraction and mode != "single_edit":

@@ -5,7 +5,8 @@ argmax matched the clean token, and how much mass the model kept on the
 written token.  Positions where almost all mass stays on the input are easy
 positives; excluding them before binning keeps the diagram from being
 swamped by trivially-correct keep decisions.  :func:`calibration_report`
-does both over a model's scored corpus; :func:`ece` bins hand-built outcomes.
+does both over a model's scored corpus; :func:`ece` bins given confidences
+and correct flags.
 
 Binning rule: equal-width bins over [0, 1]; a confidence exactly on a bin
 boundary belongs to the upper bin, except 1.0 which stays in the top bin.
@@ -14,7 +15,7 @@ boundary belongs to the upper bin, except 1.0 which stays in the top bin.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,8 @@ import numpy as np
 from .augment import PairCorpus
 
 
-@dataclass(frozen=True)
-class PredictionOutcome:
-    confidence: float          # probability of the predicted token
-    correct: bool              # predicted token == clean token
-    kept_mass_on_input: float  # probability assigned to the written token
+class NoOutcomeError(ValueError):
+    """Easy-positive exclusion left no outcome to bin."""
 
 
 @dataclass(frozen=True)
@@ -49,24 +47,14 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
 
-def _outcome_arrays(scored: tuple[np.ndarray, np.ndarray],
-                    corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(confidence, correct, kept mass on input) of every position, in corpus order,
-    from the (probs, decoded) pair of :func:`~denoiselab.corrector.predict_matrix`."""
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
-    probs, preds = scored
-    rows = np.arange(len(probs))
-    return probs[rows, preds], preds == corpus.clean, probs[rows, corpus.corrupted]
-
-
-def _binned(conf: np.ndarray, correct: np.ndarray, n_bins: int,
-            n_excluded: int) -> CalibrationReport:
+def ece(confidence, correct, n_bins: int = 10) -> CalibrationReport:
+    """Equal-width-bin expected calibration error of the top-1 ``confidence`` of each
+    outcome and its ``correct`` flag, none excluded."""
+    conf, correct = np.asarray(confidence, dtype=float), np.asarray(correct, dtype=float)
     if not len(conf):
         raise ValueError("cannot compute calibration on an empty outcome list")
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    correct = correct.astype(float)
     idx = np.clip((conf * n_bins).astype(np.int64), 0, n_bins - 1)
 
     bins = []
@@ -82,24 +70,22 @@ def _binned(conf: np.ndarray, correct: np.ndarray, n_bins: int,
         accuracy = float(correct[sel].mean())
         bins.append(CalibrationBin(b / n_bins, (b + 1) / n_bins, mean_conf, accuracy, count))
         value += (count / total) * abs(accuracy - mean_conf)
-    return CalibrationReport(tuple(bins), value, n_excluded)
-
-
-def ece(outcomes: list[PredictionOutcome], n_bins: int = 10) -> CalibrationReport:
-    """Equal-width-bin expected calibration error of hand-built outcomes, none excluded."""
-    return _binned(np.array([o.confidence for o in outcomes], dtype=float),
-                   np.array([o.correct for o in outcomes], dtype=bool), n_bins, 0)
+    return CalibrationReport(tuple(bins), value, 0)
 
 
 def calibration_report(scored: tuple[np.ndarray, np.ndarray], corpus: PairCorpus,
                        cutoff: float = 0.1, n_bins: int = 10) -> CalibrationReport:
-    """Outcome collection, easy-positive exclusion, and binning in one step, over
+    """Easy-positive exclusion and binning of every position's outcome in one step, over
     ``scored``, the (probs, decoded) pair ``predict_matrix(model, corpus)``."""
-    conf, correct, kept = _outcome_arrays(scored, corpus)
-    hard = (1.0 - kept) >= cutoff  # the mass off the written token
+    if len(corpus) == 0:
+        raise ValueError("empty corpus")
+    probs, preds = scored
+    rows = np.arange(len(probs))
+    hard = (1.0 - probs[rows, corpus.corrupted]) >= cutoff  # the mass off the written token
     if not hard.any():
-        raise ValueError("easy-positive exclusion removed every outcome")
-    return _binned(conf[hard], correct[hard], n_bins, len(hard) - int(hard.sum()))
+        raise NoOutcomeError("easy-positive exclusion removed every outcome")
+    report = ece(probs[rows, preds][hard], (preds == corpus.clean)[hard], n_bins)
+    return replace(report, n_excluded=len(hard) - int(hard.sum()))
 
 
 def write_reliability_csv(report: CalibrationReport, path: str | Path) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import augment, corrector, harness, oracle, pipeline, world
+from . import augment, calibration, corrector, harness, oracle, pipeline, world
 from .config import experiment_config_to_dict, load_experiment_config
 from .harness import MetricsRow, emit_report, write_manifest
 from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
@@ -114,7 +114,10 @@ def _experiment(name: str):
                 raise click.ClickException(str(exc)) from None
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            return fn(Run(config, seed, out), **options)
+            try:
+                return fn(Run(config, seed, out), **options)
+            except calibration.NoOutcomeError as exc:  # the run found nothing to calibrate on
+                raise click.ClickException(str(exc)) from None
 
         callback = click.option("--config", "config_path", type=click.Path(exists=True),
                                 default=None, help="JSON experiment config")(callback)
@@ -149,6 +152,10 @@ def gen_corpus(run, channel, mode, sentences, annotate):
     w, uniform_table, longtail_table = run.world()
     table = uniform_table if channel == "uniform" else longtail_table
     n = sentences if sentences is not None else cfg.do_sentences
+    try:
+        augment.check_token_budget(n, cfg.length_range[1], "--sentences")
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from None
     corpus = augment.generate_corpus(w, table, n, cfg.length_range, cfg.rate,
                                      mode=mode, seed=run.seed, annotate=annotate)
     files = {name: out / name for name in ("world.json", "confusion.json", "corpus.jsonl")}

@@ -8,13 +8,12 @@ its neighbors; a center-free window such as (-1, 1) yields the masked
 variant used to query what fits a context regardless of what is written
 there.
 
-Counting is associative: models trained on corpus shards merge exactly into
-the model trained on the concatenation.
+Counts add: the model trained on a concatenation of corpora counts the sum
+of the count tables of the models trained on each.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
@@ -136,17 +135,6 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     return CorrectorModel(V, settings.window, float(settings.alpha), counts, descriptor, digest)
 
 
-def merge(first: CorrectorModel, second: CorrectorModel) -> CorrectorModel:
-    """Exact combination of two models trained with identical settings."""
-    if (first.vocab_size, first.window, first.alpha) != \
-            (second.vocab_size, second.window, second.alpha):
-        raise ValueError("models disagree on vocabulary, window, or alpha")
-    combined = hashlib.sha256((first.corpus_hash + second.corpus_hash).encode()).hexdigest()
-    return CorrectorModel(
-        first.vocab_size, first.window, first.alpha, first.counts + second.counts,
-        f"merge({first.trained_on},{second.trained_on})", combined)
-
-
 def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray | None = None) -> np.ndarray:
     """Smoothed probability rows at flat positions ``at`` of ``corpus`` (every
     position when None), with the unseen-signature fallback chain.
@@ -200,20 +188,6 @@ def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     keep = probs[np.arange(len(probs)), inputs] == row_max
     out[keep] = inputs[keep]
     return out
-
-
-def correct_corpus(scorer, corpus: PairCorpus) -> np.ndarray:
-    """Decode of every position by any scorer with ``predict_at``, in flat token order."""
-    return _argmax_keep_ties(scorer.predict_at(corpus, np.arange(corpus.n_chars)), corpus.corrupted)
-
-
-def ce_loss(model: CorrectorModel, corpus: PairCorpus) -> float:
-    """Mean per-token negative log probability of the clean token."""
-    if len(corpus) == 0:
-        raise ValueError("empty corpus")
-    probs = predict_matrix(model, corpus)[0]
-    picked = probs[np.arange(corpus.n_chars), corpus.clean]
-    return float(np.mean(-np.log(picked)))
 
 
 def model_to_json(model: CorrectorModel) -> str:

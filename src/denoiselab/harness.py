@@ -22,7 +22,7 @@ from . import __version__
 from ._jsonfile import checked_object, load_file
 from .augment import CATEGORIES, PairCorpus, SampleCategory
 from .calibration import CalibrationReport, write_reliability_csv
-from .corrector import correct_corpus
+from .corrector import _argmax_keep_ties
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,6 @@ class Metrics:
     fn: int
     n_err_sentences: int
     n_clean_sentences: int
-
-    @property
-    def counts(self) -> tuple[int, int, int, int, int]:
-        return (self.tp, self.fp_mod, self.fn, self.n_err_sentences, self.n_clean_sentences)
 
 
 def sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
@@ -82,7 +78,8 @@ def evaluate(model, corpus: PairCorpus) -> Metrics:
     ``model`` is any scorer with a batched ``predict_at``; every position is
     decoded to its argmax, ties keeping the written token.
     """
-    return sentence_metrics(corpus, correct_corpus(model, corpus))
+    rows = model.predict_at(corpus, np.arange(corpus.n_chars))
+    return sentence_metrics(corpus, _argmax_keep_ties(rows, corpus.corrupted))
 
 
 @dataclass(frozen=True)

@@ -57,21 +57,20 @@ def _single_edit(record: CorruptionRecord, edit_index: int) -> tuple[int, int, i
     return record.edits[0]
 
 
-def restoration_distribution(world: WorldModel, table: ConfusionTable, tokens,
-                             position, rate: float) -> np.ndarray:
-    """Posterior over the source token at ``position`` given the sentence.
-
-    The surrounding tokens are taken as the context exactly as given.  Same
-    two forms as :func:`~denoiselab.world.conditional`; a batched row is all
-    zero where the context is impossible or no source emits the observed token.
-    """
-    single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
-    terms = conditional(world, tokens, position)
-    observed = tokens[position] if single else np.asarray(tokens)[np.arange(len(terms)), position]
-    terms *= table.channel_vector(observed, rate)
-    total = terms.sum(axis=-1, keepdims=True)
-    if single and total[0] == 0.0:
-        raise ValueError("observed token unreachable from any context-compatible source")
+def restoration_distribution(world: WorldModel, table: ConfusionTable, corpus: PairCorpus,
+                             at, rate: float) -> np.ndarray:
+    """Posterior over the source token at each flat position ``at`` of ``corpus``, taking
+    the rest of its corrupted sentence as the context exactly as given; a row is all zero
+    where the context is impossible or no source emits the observed token."""
+    at = corpus.positions(at)
+    V = world.vocab_size
+    if corpus.vocab_size != V:
+        raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
+    ri = np.searchsorted(corpus.offsets, at, side="right") - 1
+    tokens = _padded(corpus.corrupted, corpus.offsets, V)[ri]
+    terms = conditional(world, tokens, at - corpus.offsets[ri])
+    terms *= table.channel_vector(corpus.corrupted[at], rate)
+    total = terms.sum(axis=1, keepdims=True)
     terms /= np.where(total > 0.0, total, 1.0)
     return terms
 
@@ -246,13 +245,6 @@ class OracleScorer:
 
     def predict_at(self, corpus: PairCorpus, at) -> np.ndarray:
         """Exact restore rows at flat positions ``at``, uniform where a row is all zero."""
-        at = corpus.positions(at)
-        V = self.world.vocab_size
-        if corpus.vocab_size != V:  # the corpus's tokens then lie in [0, V)
-            raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
-        ri = np.searchsorted(corpus.offsets, at, side="right") - 1
-        tokens = _padded(corpus.corrupted, corpus.offsets, V)[ri]
-        rows = restoration_distribution(self.world, self.table, tokens,
-                                        at - corpus.offsets[ri], self.rate)
-        rows[~rows.any(axis=1)] = 1.0 / V
+        rows = restoration_distribution(self.world, self.table, corpus, at, self.rate)
+        rows[~rows.any(axis=1)] = 1.0 / self.world.vocab_size
         return rows

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory, _fits_world,
-                      _padded, concat_corpora, confusion_pair, corpus_arrays, generate_corpus)
+                      check_token_budget, concat_corpora, confusion_pair, corpus_arrays,
+                      generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel, _rows,
                         _signature_table_shape, _signatures, predict_at, predict_matrix, train)
@@ -36,6 +37,7 @@ DEFAULT_THRESHOLDS = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
 DEFAULT_VOLUME_SIZES = (10**3, 10**4, 10**5)
 VOLUME_THRESHOLD = 1e-2  # the volume sweep's filter threshold; filter.threshold is not read
 NOISY_RATIO = 0.9  # the heuristic's cutoff on the ratio of an edit's two masked scores
+TV_SENTENCES = 200  # the volume sweep's smallest corpus for the distance to the oracle
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not (0.0 < self.rate < 1.0):
             raise ValueError(f"rate: must be in (0, 1), got {self.rate}")
-        for name in ("dr_sentences", "do_sentences", "eval_sentences"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
         lo, hi = self.length_range
         if not (1 <= lo <= hi):
             raise ValueError(f"length_range: needs 1 <= lo <= hi, got {list(self.length_range)}")
+        for name in ("dr_sentences", "do_sentences", "eval_sentences"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be at least 1, got {getattr(self, name)}")
+            check_token_budget(getattr(self, name), hi, name)
+        check_token_budget(TV_SENTENCES, hi, "length_range")
         if not (0.0 <= self.eval_clean_fraction < 1.0):
             raise ValueError("eval_clean_fraction: must be in [0, 1), "
                              f"got {self.eval_clean_fraction}")
@@ -95,6 +99,7 @@ class ExperimentConfig:
             raise ValueError(f"volume_sizes: must be positive, got {list(self.volume_sizes)}")
         if list(self.volume_sizes) != sorted(self.volume_sizes):
             raise ValueError(f"volume_sizes: must be ascending, got {list(self.volume_sizes)}")
+        check_token_budget(_ladder_sentences(self.volume_sizes[-1], (lo, hi)), hi, "volume_sizes")
         _signature_table_shape(self.world.vocab_size, self.corrector.window, "corrector.window")
         _fits_world(self.confusion, self.world.vocab_size, self.world.order, "confusion.")
         if self.world.rows is not None or self.world.initial is not None:
@@ -234,12 +239,11 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
     single = np.bincount(corpus.record, minlength=len(corpus))[corpus.record] == 1
     if not single.any():
         raise ValueError("corpus has no single-edit records to compare on")
-    ri, pos = corpus.record[single], corpus.pos[single]
-    tokens = _padded(corpus.corrupted, corpus.offsets, corpus.vocab_size)[ri]
-    exact = restoration_distribution(world, table, tokens, pos, rate)
+    at = corpus.flat_pos[single]
+    exact = restoration_distribution(world, table, corpus, at, rate)
     if not exact.any(axis=1).all():
         raise ValueError("observed token unreachable from any context-compatible source")
-    exact -= _rows(model, corpus, corpus.flat_pos[single])
+    exact -= _rows(model, corpus, at)
     return float(np.mean(0.5 * np.abs(exact).sum(axis=1)))
 
 
@@ -347,6 +351,10 @@ def threshold_sweep(world: WorldModel, uniform_table: ConfusionTable,
     return points
 
 
+def _ladder_sentences(size: int, length_range: tuple[int, int]) -> int:
+    return max(1, int(round(size / (0.5 * (length_range[0] + length_range[1])))))
+
+
 @dataclass(frozen=True)
 class VolumePoint:
     size_chars: int
@@ -365,18 +373,15 @@ def volume_sweep(world: WorldModel, uniform_table: ConfusionTable,
     Every step filters at :data:`VOLUME_THRESHOLD`.
     """
     cc = config.corrector
-    mean_len = 0.5 * (config.length_range[0] + config.length_range[1])
-
     d_o, eval_corpus = _target_and_eval(world, longtail_table, config, seed)
     tv_corpus = generate_corpus(world, longtail_table,
-                                max(200, config.eval_sentences // 5),
+                                max(TV_SENTENCES, config.eval_sentences // 5),
                                 config.length_range, config.rate,
                                 mode="single_edit", seed=seed, stream="tv")
 
     points = []
     for size in config.volume_sizes:
-        n_sentences = max(1, int(round(size / mean_len)))
-        d_r = generate_corpus(world, uniform_table, n_sentences,
+        d_r = generate_corpus(world, uniform_table, _ladder_sentences(size, config.length_range),
                               config.length_range, config.rate, mode="iid",
                               seed=seed, stream=f"d-r-{size}")
         filter_model = train(d_r, cc.window, cc.alpha)

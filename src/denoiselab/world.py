@@ -10,8 +10,8 @@ Every factor of a sentence's probability is one entry of the dense table
 ``WorldModel.factors``.  Its row is the token's context: the last ``order``
 tokens as a base-(V+1) number, with the digit V before the sentence start,
 so the all-V row is the initial distribution.  Its column is the token;
-column V, the sentence end, holds ones.  Sentence probabilities, the
-sampler and the exact kernel read that one table, for every order.
+column V, the sentence end, holds ones.  The sampler and the exact kernel
+read that one table, for every order.
 
 Sentences are sequences of token ids in ``[0, vocab_size)``: tuples, or
 int64 array rows where many are sampled at once.
@@ -36,10 +36,6 @@ ENUMERATION_BUDGET = 10**6
 CONTEXT_BUDGET = 10**4
 _SLOT_ROW_FLOATS = 2**20  # order-1 slot rows a world keeps; all (V+1)**2 pairs at V = 20
 _CONTEXT_KEY = re.compile(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*")  # ",".join(map(str, ctx))
-
-# Switch sentence_prob to summed logs beyond this length; short products are
-# exact enough in linear space and keep oracle equality tests tight.
-_LOG_SPACE_LENGTH = 64
 
 
 class ImpossibleContextError(ValueError):
@@ -180,30 +176,6 @@ def build_world(config: WorldConfig) -> WorldModel:
     return WorldModel(V, k, config.seed, initial, transitions)
 
 
-def validate_tokens(world: WorldModel, tokens) -> tuple[int, ...]:
-    toks = tuple(map(int, tokens))
-    if len(toks) < 1:
-        raise ValueError("sentence must have length >= 1")
-    if min(toks) < 0 or max(toks) >= world.vocab_size:
-        raise ValueError("token id out of range for this world")
-    return toks
-
-
-def sentence_prob(world: WorldModel, tokens) -> float:
-    """Exact probability of a full sentence under the chain."""
-    toks = validate_tokens(world, tokens)
-    in_logs = len(toks) > _LOG_SPACE_LENGTH
-    acc = 0.0 if in_logs else 1.0
-    rows, cid = len(world.factors), len(world.factors) - 1
-    for t in toks:
-        f = float(world.factors[cid, t])
-        if f == 0.0:
-            return 0.0
-        acc = acc + math.log(f) if in_logs else acc * f
-        cid = (cid * (world.vocab_size + 1) + t) % rows  # drop the oldest digit
-    return math.exp(acc) if in_logs else acc
-
-
 def conditional(world: WorldModel, tokens, position):
     """Distribution of the token at ``position`` given the rest of the sentence.
 
@@ -225,7 +197,11 @@ def conditional(world: WorldModel, tokens, position):
     V, k, T = world.vocab_size, world.order, world.factors
     single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
     if single:
-        toks = validate_tokens(world, tokens)
+        toks = tuple(map(int, tokens))
+        if len(toks) < 1:
+            raise ValueError("sentence must have length >= 1")
+        if min(toks) < 0 or max(toks) >= V:
+            raise ValueError("token id out of range for this world")
         if not 0 <= position < len(toks):
             raise ValueError(f"position {position} out of range for length {len(toks)}")
         if k == 1:  # the rule below, on one unpadded sentence
@@ -281,13 +257,6 @@ def conditional(world: WorldModel, tokens, position):
     return weights[0] if single else weights
 
 
-def sample_sentence(world: WorldModel, length: int, rng: np.random.Generator) -> tuple[int, ...]:
-    """Draw one sentence of the given length: :func:`sample_corpus_tokens`'s batch of one."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    return tuple(sample_corpus_tokens(world, [length], rng)[0].tolist())
-
-
 def categorical_sampler(probs: np.ndarray):
     """``draw(rows, u)``: per i, the first column of row ``rows[i]`` whose cumulative sum
     exceeds ``u[i]``, at most the row's last nonzero column, so a stored zero is never
@@ -313,7 +282,7 @@ def sample_corpus_tokens(world: WorldModel, lengths: np.ndarray,
                          rng: np.random.Generator) -> list:
     """Sentences of the given lengths: int64 row views of one matrix, drawn a column at a
     time (one ``rng.random(n)`` each) from the ``world.factors`` rows of the context ids,
-    which walk as in :func:`sentence_prob`; for an order-1 world the id is the last token."""
+    each token's last ``order`` tokens; for an order-1 world the id is the last token."""
     lengths = np.asarray(lengths, dtype=np.int64)
     if lengths.size == 0:
         return []

@@ -39,8 +39,8 @@ from denoiselab.cli import main as cli_main
 from denoiselab.config import experiment_config_from_dict, experiment_config_to_dict
 from denoiselab.harness import sha256_file
 
-VALUES = (None, True, False, 0, 1, -1, 0.5, 2**63, -2**63 - 1, 10**400, float("nan"),
-          float("inf"), float("-inf"), "", "x", [], [0], {}, {"a": 0})
+VALUES = (None, True, False, 0, 1, -1, 0.5, 2**31, 2**62, 2**63, -2**63 - 1, 10**400,
+          float("nan"), float("inf"), float("-inf"), "", "x", [], [0], {}, {"a": 0})
 TARGETS = ("config", "world.json", "confusion.json", "manifest.json", "corpus.jsonl",
            "model.json")
 _INT_KEY = re.compile(r"-?\d+(,-?\d+)*")

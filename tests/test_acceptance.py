@@ -14,7 +14,7 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, SampleCategory, build_confusion,
                                 generate_corpus)
-from denoiselab.calibration import PredictionOutcome, calibration_report, ece
+from denoiselab.calibration import calibration_report, ece
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import evaluate, sha256_file
 from denoiselab.oracle import bounds, brute_force_posterior, posterior, verify_ordering
@@ -174,9 +174,8 @@ def test_criterion_5_sigma_consistency():
 
 
 def test_criterion_6_ece_unit_cases():
-    hand = ece([PredictionOutcome(0.9, True, 0.0), PredictionOutcome(0.9, True, 0.0),
-                PredictionOutcome(0.6, True, 0.0), PredictionOutcome(0.6, False, 0.0)])
-    perfect = ece([PredictionOutcome(1.0, True, 0.0)] * 5)
+    hand = ece([0.9, 0.9, 0.6, 0.6], [True, True, True, False])
+    perfect = ece([1.0] * 5, [True] * 5)
     ok = abs(hand.ece - 0.1) <= 1e-12 and perfect.ece == 0.0
     verdict(6, ok, f"hand four-outcome case = {hand.ece}, perfect set = {perfect.ece}")
 

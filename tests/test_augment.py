@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from denoiselab.augment import (CATEGORY_TABLE, ConfusionConfig, ConfusionTable,
+from denoiselab.augment import (CATEGORY_TABLE, TOKEN_BUDGET, ConfusionConfig, ConfusionTable,
                                 CorruptionRecord, PairCorpus, SampleCategory, build_confusion,
-                                candidate_category_codes, concat_corpora,
+                                candidate_category_codes, check_token_budget, concat_corpora,
                                 confusion_from_json, confusion_pair, confusion_to_json,
                                 corpus_arrays, corpus_digest, corpus_from_jsonl,
                                 corpus_to_jsonl, generate_corpus, load_confusion,
@@ -277,6 +277,15 @@ class TestGenerateCorpus:
         w, t = categorization_world()
         with pytest.raises(ValueError, match="empty corpus"):
             generate_corpus(w, t, 0)
+
+    def test_token_budget_is_checked_before_anything_is_drawn(self):
+        # Sentences times the longest length may reach the budget, not pass it.
+        w, t = categorization_world()
+        for n, hi in ((2**62, 16), (TOKEN_BUDGET // 16 + 1, 16), (1, TOKEN_BUDGET + 1)):
+            with pytest.raises(ValueError, match=f"^n_sentences: {n} sentences of up to {hi} "
+                               f"tokens pass the budget of {TOKEN_BUDGET} tokens per corpus$"):
+                generate_corpus(w, t, n, (1, hi))
+        check_token_budget(TOKEN_BUDGET // 16, 16, "n_sentences")  # the edge itself passes
 
     def test_determinism(self):
         w = small_world(V=6, support=2, seed=0)

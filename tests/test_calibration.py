@@ -6,16 +6,11 @@ from hypothesis import strategies as st
 import reference
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, build_confusion,
                                 generate_corpus)
-from denoiselab.calibration import (PredictionOutcome, calibration_report, ece,
-                                    write_reliability_csv)
+from denoiselab.calibration import calibration_report, ece, write_reliability_csv
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
 
 from constructions import one_record
-
-
-def outcome(conf, correct, kept=0.0):
-    return PredictionOutcome(conf, correct, kept)
 
 
 def hand_report(kept_masses, cutoff):
@@ -55,7 +50,7 @@ class TestCollectOutcomes:
         for cutoff in (0.1, 0.3, 0.5, 0.7, 0.9):  # the kept mass decides each exclusion
             kept, n_excluded = reference.calibration_outcomes(self.corpus.records, scored,
                                                               cutoff)
-            want = ece([PredictionOutcome(*o) for o in kept])
+            want = ece([o[0] for o in kept], [o[1] for o in kept])
             report = calibration_report(whole, self.corpus, cutoff)
             assert (report.bins, report.ece, report.n_excluded) == \
                 (want.bins, want.ece, n_excluded)
@@ -88,32 +83,27 @@ class TestFilterEasyPositives:
 
 class TestEce:
     def test_hand_four_outcome_case(self):
-        outcomes = [outcome(0.9, True), outcome(0.9, True),
-                    outcome(0.6, True), outcome(0.6, False)]
-        report = ece(outcomes, n_bins=10)
+        report = ece([0.9, 0.9, 0.6, 0.6], [True, True, True, False], n_bins=10)
         assert report.ece == pytest.approx(0.1, abs=1e-12)
         occupied = [b for b in report.bins if b.count]
         assert [(b.lower, b.count) for b in occupied] == [(0.6, 2), (0.9, 2)]
 
     def test_perfect_predictions_zero(self):
-        outcomes = [outcome(1.0, True)] * 7
-        assert ece(outcomes).ece == 0.0
+        assert ece([1.0] * 7, [True] * 7).ece == 0.0
 
     def test_boundary_goes_to_upper_bin_and_one_stays_top(self):
-        report = ece([outcome(0.5, True)], n_bins=10)
+        report = ece([0.5], [True], n_bins=10)
         assert report.bins[5].count == 1
-        report = ece([outcome(1.0, True)], n_bins=10)
+        report = ece([1.0], [True], n_bins=10)
         assert report.bins[9].count == 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ece([])
+            ece([], [])
 
     def test_report_recomputable_from_bins(self):
         rng = np.random.default_rng(0)
-        outcomes = [outcome(float(c), bool(ok))
-                    for c, ok in zip(rng.random(500), rng.random(500) < 0.7)]
-        report = ece(outcomes)
+        report = ece(rng.random(500), rng.random(500) < 0.7)
         total = sum(b.count for b in report.bins)
         rebuilt = sum((b.count / total) * abs(b.accuracy - b.mean_confidence)
                       for b in report.bins)
@@ -123,18 +113,16 @@ class TestEce:
                     max_size=200))
     @settings(max_examples=60, deadline=None)
     def test_ece_in_unit_interval(self, raw):
-        outcomes = [outcome(c, ok) for c, ok in raw]
-        report = ece(outcomes)
+        report = ece(*zip(*raw))
         assert 0.0 <= report.ece <= 1.0
-        assert sum(b.count for b in report.bins) == len(outcomes)
+        assert sum(b.count for b in report.bins) == len(raw)
 
     def test_calibrated_synthetic_set_has_small_ece(self):
         # Confidence drawn, correctness Bernoulli at exactly that confidence.
         rng = np.random.default_rng(42)
         conf = rng.uniform(0.05, 0.95, size=20_000)
         correct = rng.random(20_000) < conf
-        outcomes = [outcome(float(c), bool(ok)) for c, ok in zip(conf, correct)]
-        assert ece(outcomes).ece < 0.02
+        assert ece(conf, correct).ece < 0.02
 
 
 class TestReportHelpers:
@@ -149,8 +137,7 @@ class TestReportHelpers:
         assert report.n_excluded > 0
 
     def test_reliability_csv(self, tmp_path):
-        outcomes = [outcome(0.9, True), outcome(0.6, False)]
-        report = ece(outcomes)
+        report = ece([0.9, 0.6], [True, False])
         path = tmp_path / "rel.csv"
         write_reliability_csv(report, path)
         lines = path.read_text().strip().splitlines()

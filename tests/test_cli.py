@@ -419,6 +419,29 @@ class TestBadInputs:
                                 "dense count table (344373768 > 50000000)")
         assert not (tmp_path / "model-wide" / "model.json").exists()
 
+    def test_sentences_past_the_token_budget_are_one_line(self, runner, config_path, tmp_path):
+        result = runner.invoke(main, ["gen-corpus", "--config", config_path, "--sentences",
+                                      str(2**62), "--out-dir", str(tmp_path / "out")])
+        self.assert_usage_error(result)
+        assert result.output == (f"Error: --sentences: {2**62} sentences of up to 9 tokens "
+                                 "pass the budget of 16777216 tokens per corpus\n")
+
+    def test_no_outcome_left_to_calibrate_on_is_one_line(self, runner, tmp_path):
+        # At a rate near 0 in a world of one successor per token, every evaluated
+        # position keeps nearly all its mass on the written token: an easy positive.
+        path = tmp_path / "easy.json"
+        path.write_text(json.dumps({"rate": 1e-9, "world": {"support": 1}, "dr_sentences": 400,
+                                    "do_sentences": 2000, "eval_sentences": 120}))
+        config = ["--config", str(path)]
+        corpus_dir, model_dir = str(tmp_path / "corpus"), str(tmp_path / "model")
+        run_ok(runner, ["gen-corpus", *config, "--out-dir", corpus_dir])
+        run_ok(runner, ["train", *config, "--corpus-dir", corpus_dir, "--out-dir", model_dir])
+        for args in (["pipeline"], ["sweep-threshold"],
+                     ["eval", "--model", f"{model_dir}/model.json", "--corpus-dir", corpus_dir]):
+            result = runner.invoke(main, [*args, *config, "--out-dir", str(tmp_path / args[0])])
+            self.assert_usage_error(result)
+            assert result.output == "Error: easy-positive exclusion removed every outcome\n"
+
     def test_config_window_too_wide_stops_the_pipeline_before_it_runs(self, runner, tmp_path):
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}))

@@ -20,7 +20,7 @@ from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, P
                                 SampleCategory, build_confusion, concat_corpora, corpus_arrays,
                                 corpus_digest, corpus_from_jsonl, corpus_to_jsonl,
                                 generate_corpus)
-from denoiselab.calibration import PredictionOutcome, calibration_report, ece
+from denoiselab.calibration import calibration_report, ece
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
@@ -213,7 +213,7 @@ class TestArrayPasses:
             with pytest.raises(ValueError, match="removed every outcome"):
                 calibration_report(predict_matrix(model, corpus), corpus, cutoff)
             return
-        want = ece([PredictionOutcome(*o) for o in kept])
+        want = ece([o[0] for o in kept], [o[1] for o in kept])
         report = calibration_report(predict_matrix(model, corpus), corpus, cutoff)
         assert (report.bins, report.ece, report.n_excluded) == (want.bins, want.ece, n_excluded)
 

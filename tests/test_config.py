@@ -3,7 +3,10 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from denoiselab._jsonfile import typed
 from denoiselab.config import experiment_config_to_dict, load_experiment_config
 from denoiselab.pipeline import ExperimentConfig
 
@@ -67,6 +70,14 @@ from denoiselab.pipeline import ExperimentConfig
      ": confusion.candidates: expected an int64 integer, got 9223372036854775808"),
     ('{"length_range": [5, 9223372036854775808]}',
      r": length_range\[1\]: expected an int64 integer, got 9223372036854775808"),
+    ('{"do_sentences": 4611686018427387904}', ": do_sentences: 4611686018427387904 sentences "
+     "of up to 16 tokens pass the budget of 16777216 tokens per corpus"),
+    ('{"length_range": [8, 2147483648]}',
+     ": dr_sentences: 40000 sentences of up to 2147483648 tokens pass the budget"),
+    ('{"length_range": [8, 100000], "dr_sentences": 1, "do_sentences": 1, "eval_sentences": 1}',
+     ": length_range: 200 sentences of up to 100000 tokens pass the budget"),
+    ('{"volume_sizes": [1000, 4611686018427387904]}',
+     r": volume_sizes: \d+ sentences of up to 16 tokens pass the budget"),
     ('{"world": {"initial": []}}', r": world: initial: expected length 20, got \(0,\)"),
     ('{"world": {"rows": {}}}', ": world: explicit rows require an explicit initial vector"),
     ('{"confusion": {"head_mass": 0.1}}', r": head_mass must lie in \(1/3, 1\), got 0.1"),
@@ -91,6 +102,8 @@ from denoiselab.pipeline import ExperimentConfig
         "world-order-over-budget", "world-order-two-with-affinity", "confusion-candidates-zero",
         "confusion-candidates-over-vocab", "confusion-candidates-2-to-31",
         "confusion-candidates-beyond-int64", "length-range-beyond-int64",
+        "do-sentences-over-token-budget", "length-range-over-token-budget",
+        "length-range-over-token-budget-of-the-tv-corpus", "volume-size-over-token-budget",
         "world-initial-empty", "world-rows-without-initial", "confusion-head-mass-low",
         "confusion-head-mass-one-candidate",
         "confusion-affinity-negative", "corrector-window-empty",
@@ -121,3 +134,23 @@ def test_a_partial_section_keeps_the_default_experiments_other_fields(tmp_path):
     assert cfg.world == dataclasses.replace(default.world, vocab_size=12)
     assert cfg.confusion == dataclasses.replace(default.confusion, candidates=2)
     assert cfg.corrector == default.corrector and cfg.filter == default.filter
+
+
+NUMBERS = st.integers(-2**64, 2**64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((int, float)),
+       st.lists(NUMBERS) | st.lists(st.floats()) | st.lists(NUMBERS | st.floats())
+       | st.lists(NUMBERS | st.floats() | st.booleans() | st.none() | st.text(max_size=1)))
+def test_a_list_of_numbers_reads_as_its_items_do(kind, items):
+    """The checker's whole-list check of a ``list[int]`` or ``list[float]`` field gives
+    what reading each item on its own gives: the same items, or the first bad one's error."""
+    try:
+        want = [typed(f"row[{k}]", v, kind) for k, v in enumerate(items)]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            typed("row", items, list[kind])
+        return
+    got = typed("row", items, list[kind])
+    assert got == want and list(map(type, got)) == list(map(type, want))

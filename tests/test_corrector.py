@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import signal
 import tracemalloc
@@ -9,9 +8,8 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, ce_loss, load_model, merge,
-                                  model_from_json, model_to_json, predict_at, predict_matrix,
-                                  save_model, train)
+from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, load_model, model_from_json,
+                                  model_to_json, predict_at, predict_matrix, save_model, train)
 from denoiselab.harness import evaluate
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
@@ -44,30 +42,15 @@ class TestTrain:
             train(PairCorpus((), 4, 0.1, "iid"))
 
     def test_merge_equals_joint_training(self):
+        """The counts, and so the marginals, of two shards add up to the whole corpus's."""
         world, table = training_setup()
         full = generate_corpus(world, table, 50, (4, 8), 0.1, seed=3)
-        left = PairCorpus(full.records[:25], 8, 0.1, "iid")
-        right = PairCorpus(full.records[25:], 8, 0.1, "iid")
-        merged = merge(train(left), train(right))
+        left = train(PairCorpus(full.records[:25], 8, 0.1, "iid"))
+        right = train(PairCorpus(full.records[25:], 8, 0.1, "iid"))
         joint = train(full)
-        np.testing.assert_array_equal(merged.counts, joint.counts)
-        np.testing.assert_array_equal(merged.center_counts, joint.center_counts)
-        np.testing.assert_array_equal(merged.target_counts, joint.target_counts)
-
-    def test_merge_associativity(self):
-        world, table = training_setup(1)
-        parts = [generate_corpus(world, table, 20, (4, 6), 0.1, seed=s)
-                 for s in range(3)]
-        models = [train(c) for c in parts]
-        ab_c = merge(merge(models[0], models[1]), models[2])
-        a_bc = merge(models[0], merge(models[1], models[2]))
-        np.testing.assert_array_equal(ab_c.counts, a_bc.counts)
-
-    def test_merge_rejects_mismatched_settings(self):
-        world, table = training_setup(2)
-        corpus = generate_corpus(world, table, 10, (4, 6), 0.1, seed=0)
-        with pytest.raises(ValueError):
-            merge(train(corpus, alpha=0.1), train(corpus, alpha=0.2))
+        for part in ("counts", "center_counts", "target_counts"):
+            np.testing.assert_array_equal(getattr(left, part) + getattr(right, part),
+                                          getattr(joint, part))
 
 
 class TestPredict:
@@ -152,7 +135,7 @@ class TestPredict:
         corpus = identity_corpus([tokens], vocab_size=max(tokens) + 1)
         message = rf"^corpus vocab_size {max(tokens) + 1} differs from the model's 4$"
         for score in (lambda: predict_at(model, corpus, [0]), lambda: predict_matrix(model, corpus),
-                      lambda: evaluate(model, corpus), lambda: ce_loss(model, corpus)):
+                      lambda: evaluate(model, corpus)):
             with pytest.raises(ValueError, match=message):
                 score()
         with pytest.raises(ValueError, match=r"token -1 outside \[0, 4\)"):
@@ -242,19 +225,6 @@ class TestCorrect:
         model = train(corpus)
         np.testing.assert_array_equal(predict_matrix(model, corpus)[1],
                                       predict_matrix(model, corpus)[1])
-
-
-class TestCeLoss:
-    def test_uniform_model_loss_is_log_vocab(self):
-        corpus = identity_corpus([(0, 1, 2, 3), (3, 2, 1, 0)], vocab_size=4)
-        model = train(corpus, alpha=1e12)
-        assert ce_loss(model, corpus) == pytest.approx(math.log(4), abs=1e-6)
-
-    def test_point_mass_model_loss_vanishes_with_alpha(self):
-        corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
-        losses = [ce_loss(train(corpus, alpha=a), corpus) for a in (1.0, 0.01, 1e-6)]
-        assert losses[0] > losses[1] > losses[2]
-        assert losses[2] < 1e-5
 
 
 class TestConvergence:

@@ -28,6 +28,8 @@ def config_case(path, value):
 @config_case(("confusion", "candidates"), 2**63)
 @config_case(("length_range", 1), 2**63)
 @config_case(("do_sentences",), 2**63)
+@config_case(("do_sentences",), 2**62)
+@config_case(("length_range", 1), 2**31)
 @config_case(("world", "initial"), [])
 @config_case(("world", "rows"), {})
 def test_one_odd_value_succeeds_or_names_the_file(workspace, target, pick, value):

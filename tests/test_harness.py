@@ -7,7 +7,7 @@ from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
                                 PairCorpus, SampleCategory, build_confusion,
                                 generate_corpus)
-from denoiselab.calibration import ece, PredictionOutcome
+from denoiselab.calibration import ece
 from denoiselab.corrector import train
 from denoiselab.harness import (MetricsRow, category_filter_rates, config_hash,
                                 emit_report, evaluate, sha256_file, verify_manifest)
@@ -68,7 +68,7 @@ class TestEvaluate:
         m = evaluate(model, corpus)
         assert m.precision == 50.0 and m.recall == 50.0 and m.f1 == 50.0
         assert m.fpr == 25.0
-        assert m.counts == (1, 1, 1, 2, 2)
+        assert (m.tp, m.fp_mod, m.fn, m.n_err_sentences, m.n_clean_sentences) == (1, 1, 1, 2, 2)
 
     def test_perfect_oracle_on_unambiguous_corpus(self):
         # Cycle world with a one-to-one transition structure: every record
@@ -174,8 +174,7 @@ class TestEmitReport:
         return [MetricsRow("cross", 0.2, 1000, m, 0.08, 7)]
 
     def test_outputs_are_byte_identical_across_reruns(self, tmp_path):
-        outcomes = [PredictionOutcome(0.9, True, 0.5)] * 4
-        rel = ece(outcomes)
+        rel = ece([0.9] * 4, [True] * 4)
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             emit_report(out, metrics_rows=self.fake_rows(), reliability=rel,

@@ -26,7 +26,7 @@ from denoiselab.oracle import (OracleScorer, brute_force_posterior, posterior,
                                restoration_distribution)
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig,
-                              build_world, conditional, sample_sentence)
+                              build_world, conditional, sample_corpus_tokens)
 
 from constructions import one_record
 from enumeration import slot_distribution
@@ -73,6 +73,23 @@ def kernel_cases(draw):
     return (world, draw(tables(world))) + draw(places(world))
 
 
+def place_corpus(sentences, vocab_size, rate):
+    """One unedited record per sentence."""
+    return PairCorpus([CorruptionRecord(s, s, (), rate) for s in sentences], vocab_size, rate,
+                      "iid")
+
+
+def enumerated_restoration(world, table, sentence, position, rate):
+    """The restore row by enumeration: each source's slot probability times the channel
+    law of the observed token, normalized; all zero where no source explains the slot."""
+    prior = slot_distribution(world, sentence, position)
+    if prior is None:
+        return np.zeros(world.vocab_size)
+    y = sentence[position]
+    row = prior * [table.transition_prob(v, y, rate) for v in range(world.vocab_size)]
+    return row / row.sum() if row.any() else row
+
+
 class TestBatchedConditional:
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases())
@@ -93,16 +110,16 @@ class TestBatchedConditional:
 
     @settings(max_examples=150, deadline=None)
     @given(kernel_cases(), st.sampled_from((0.05, 0.1, 0.5)))
-    def test_batched_restoration_rows_equal_the_single_form(self, case, rate):
-        world, table, sentences, tokens, positions = case
-        rows = restoration_distribution(world, table, tokens, positions, rate)
+    def test_restoration_rows_match_enumeration_times_the_channel(self, case, rate):
+        world, table, sentences, _, positions = case
+        corpus = place_corpus(sentences, world.vocab_size, rate)
+        rows = restoration_distribution(world, table, corpus, corpus.offsets[:-1] + positions,
+                                        rate)
+        assert rows.shape == (len(sentences), world.vocab_size)
         for row, sentence, p in zip(rows, sentences, positions):
-            try:
-                single = restoration_distribution(world, table, sentence, int(p), rate)
-            except ValueError:  # impossible context or unreachable token
-                assert not row.any()
-                continue
-            np.testing.assert_array_equal(row, single)
+            want = enumerated_restoration(world, table, sentence, p, rate)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(row == 0.0, want == 0.0)
 
     @settings(max_examples=60, deadline=None)
     @given(worlds(orders=(1,), sizes=(2, 12)))  # rows of 8 or more sum pairwise
@@ -163,19 +180,17 @@ class TestOracleScorer:
     def test_any_subset_of_flat_positions_gives_the_restoration_rows_in_order(self, case, rate,
                                                                               rnd):
         world, table, sentences, _, _ = case
-        corpus = PairCorpus([CorruptionRecord(s, s, (), rate) for s in sentences],
-                            world.vocab_size, rate, "iid")
+        corpus = place_corpus(sentences, world.vocab_size, rate)
         at = rnd.choices(range(corpus.n_chars), k=rnd.randint(0, 2 * corpus.n_chars))
         rows = OracleScorer(world, table, rate).predict_at(corpus, at)
         assert rows.shape == (len(at), world.vocab_size)
         for row, g in zip(rows, at):
             k = int(np.searchsorted(corpus.offsets, g, side="right")) - 1
-            try:
-                want = restoration_distribution(world, table, sentences[k],
-                                                int(g - corpus.offsets[k]), rate)
-            except ValueError:  # impossible context or unreachable token: uniform
+            want = enumerated_restoration(world, table, sentences[k], g - corpus.offsets[k], rate)
+            if not want.any():  # impossible context or unreachable token: uniform
                 want = np.full(world.vocab_size, 1.0 / world.vocab_size)
-            np.testing.assert_array_equal(row, want)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(row == 0.0, want == 0.0)
 
 
 class TestTvToOracle:
@@ -192,8 +207,9 @@ class TestTvToOracle:
             if len(rec.edits) != 1:
                 continue
             (i, _, _), = rec.edits
-            exact = restoration_distribution(world, table, rec.corrupted, i, 0.3)
-            row = predict_matrix(model, one_record(corpus, k))[0][i]
+            alone = one_record(corpus, k)
+            exact = restoration_distribution(world, table, alone, [i], 0.3)[0]
+            row = predict_matrix(model, alone)[0][i]
             distances.append(0.5 * float(np.abs(exact - row).sum()))
         if not distances:
             with pytest.raises(ValueError, match="no single-edit records"):
@@ -231,13 +247,13 @@ class TestPosterior:
         table = data.draw(tables(world))
         corpus = generate_corpus(world, table, 10, (1, 5), rate, mode="single_edit",
                                  seed=data.draw(st.integers(0, 1000)), annotate=True)
-        for rec in corpus.records:
+        for k, rec in enumerate(corpus.records):
             if len(rec.edits) != 1:
                 continue
             (i, _, _), = rec.edits
             rep = posterior(world, table, rec)
             assert abs(rep.posterior - brute_force_posterior(world, table, rec)) <= 1e-12
-            row = restoration_distribution(world, table, rec.corrupted, i, rate)
+            row = restoration_distribution(world, table, corpus, [corpus.offsets[k] + i], rate)[0]
             assert rep.candidates == tuple(np.flatnonzero(row).tolist())
             assert rep.category == rec.categories[0]
             prior = conditional(world, rec.corrupted, i)
@@ -306,7 +322,8 @@ class TestKeptSlotRows:
             candidates=data.draw(st.integers(1, V - 2)), context_affinity=0.0,
             seed=data.draw(st.integers(0, 100))))
         length = data.draw(st.integers(1, 5))
-        observed = sample_sentence(world, length, derive_rng(data.draw(st.integers(0, 1000)), "m"))
+        rng = derive_rng(data.draw(st.integers(0, 1000)), "m")
+        observed = tuple(sample_corpus_tokens(world, [length], rng)[0].tolist())
         i = data.draw(st.integers(0, length - 1))
         y = observed[i]
         mute = [x for x in range(V) if x != y and table.matrix[x, y] == 0.0]

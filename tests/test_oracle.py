@@ -68,7 +68,8 @@ class TestPosterior:
                                         initial=[1.0 / V] * V))
         table = manual_table(V, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
                              np.full((V, 3), 1 / 3))
-        dist = restoration_distribution(world, table, (0, 2, 1), 1, 0.1)
+        corpus = PairCorpus([CorruptionRecord((0, 2, 1), (0, 2, 1), (), 0.1)], V, 0.1, "iid")
+        dist = restoration_distribution(world, table, corpus, [1], 0.1)[0]
         sources = [v for v in range(V) if v != 2]
         np.testing.assert_allclose(dist[sources], dist[sources][0], atol=1e-15)
 
@@ -225,9 +226,9 @@ class TestOracleScorer:
     def test_predict_at_matches_restoration_distribution(self):
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
-        np.testing.assert_array_equal(
-            scorer.predict_at(single_record_corpus(record, 4), [1])[0],
-            restoration_distribution(world, table, record.corrupted, 1, 0.1))
+        corpus = single_record_corpus(record, 4)
+        np.testing.assert_array_equal(scorer.predict_at(corpus, [1]),
+                                      restoration_distribution(world, table, corpus, [1], 0.1))
 
     def test_unexplainable_context_falls_back_to_uniform(self):
         world, table, record = equal_prior_noisy_setup()
@@ -259,13 +260,10 @@ class TestScalarPosition:
     @pytest.mark.parametrize("order", [1, 2])
     def test_int_numpy_int_and_0d_array_give_the_same_rows(self, order):
         world = build_world(WorldConfig(vocab_size=4, order=order, support=4, seed=3))
-        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
         tokens = (0, 2, 1, 3, 2)
         for position in range(len(tokens)):
             forms = (position, np.int64(position), np.array(position))
-            for kernel in (lambda p: conditional(world, tokens, p),
-                           lambda p: restoration_distribution(world, table, tokens, p, 0.1)):
-                want = kernel(position)
-                assert want.shape == (world.vocab_size,)
-                for p in forms[1:]:
-                    np.testing.assert_array_equal(kernel(p), want)
+            want = conditional(world, tokens, position)
+            assert want.shape == (world.vocab_size,)
+            for p in forms[1:]:
+                np.testing.assert_array_equal(conditional(world, tokens, p), want)

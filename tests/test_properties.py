@@ -20,8 +20,8 @@ import reference
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion)
 from denoiselab.calibration import calibration_report
-from denoiselab.corrector import (_signatures, correct_corpus, merge, model_from_json,
-                                  model_to_json, predict_at, predict_matrix, train)
+from denoiselab.corrector import (_signatures, model_from_json, model_to_json, predict_at,
+                                  predict_matrix, train)
 from denoiselab.harness import evaluate
 from denoiselab.oracle import OracleScorer
 from denoiselab.pipeline import _scored, filter_corpus, restore_confidences, revert_edits
@@ -98,11 +98,13 @@ class TestModelRows:
     @given(trained_setups())
     def test_predict_and_predict_at_match_predict_matrix(self, setup):
         model, corpus = setup
-        rows = predict_matrix(model, corpus)[0]
+        rows, decoded = predict_matrix(model, corpus)
         np.testing.assert_array_equal(predict_at(model, corpus, np.arange(corpus.n_chars)), rows)
         for ri in range(len(corpus)):
             start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
-            np.testing.assert_array_equal(alone(model, corpus, ri)[0], rows[start:stop])
+            own_rows, own_decoded = alone(model, corpus, ri)
+            np.testing.assert_array_equal(own_rows, rows[start:stop])
+            np.testing.assert_array_equal(own_decoded, decoded[start:stop])
 
     @settings(max_examples=60, deadline=None)
     @given(trained_setups(), st.randoms(use_true_random=False))
@@ -111,16 +113,6 @@ class TestModelRows:
         rows = predict_matrix(model, corpus)[0]
         at = rnd.choices(range(corpus.n_chars), k=rnd.randint(1, 2 * corpus.n_chars))
         np.testing.assert_array_equal(predict_at(model, corpus, at), rows[at])
-
-    @settings(max_examples=60, deadline=None)
-    @given(trained_setups())
-    def test_correct_matches_correct_corpus(self, setup):
-        model, corpus = setup
-        decoded = correct_corpus(model, corpus)
-        np.testing.assert_array_equal(predict_matrix(model, corpus)[1], decoded)
-        for ri in range(len(corpus)):
-            start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
-            np.testing.assert_array_equal(alone(model, corpus, ri)[1], decoded[start:stop])
 
 
 class TestSignatures:
@@ -169,8 +161,8 @@ class TestAgainstReference:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS), st.data())
     def test_train_counts_equal_the_per_record_count(self, corpus, window, data):
-        """Training, merging the models of two halves and a JSON round trip all
-        give the per-record counts; the marginals and size are read off them."""
+        """Training and a JSON round trip give the per-record counts, and so do the
+        counts of two halves added up; the marginals and size are read off them."""
         model = train(corpus, window)
         counts, center, target = reference.signature_counts(corpus.records,
                                                             corpus.vocab_size, window)
@@ -179,7 +171,8 @@ class TestAgainstReference:
         if cut < len(corpus):
             halves = [PairCorpus(part, corpus.vocab_size, 0.1, "iid")
                       for part in (corpus.records[:cut], corpus.records[cut:])]
-            models.append(merge(*(train(half, window) for half in halves)))
+            np.testing.assert_array_equal(sum(train(half, window).counts for half in halves),
+                                          counts)
         for model in models:
             np.testing.assert_array_equal(model.counts, counts)
             np.testing.assert_array_equal(model.target_counts, target)

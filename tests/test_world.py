@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from denoiselab._rng import derive_rng
 from denoiselab.world import (ImpossibleContextError, WorldConfig, build_world,
                               categorical_sampler, conditional, load_world,
-                              sample_corpus_tokens, sample_sentence, save_world,
-                              sentence_prob, world_from_json, world_to_json)
+                              sample_corpus_tokens, save_world, world_from_json, world_to_json)
 
 import reference
 from enumeration import all_sentences, chain_prob, slot_distribution, total_mass
@@ -126,7 +125,7 @@ class TestSampling:
     def test_point_mass_chain_yields_unique_path(self):
         w = chain_world(4)
         rng = derive_rng(0, "t")
-        assert sample_sentence(w, 4, rng) == (0, 1, 2, 3)
+        assert sample_corpus_tokens(w, [4], rng)[0].tolist() == [0, 1, 2, 3]
 
     @pytest.mark.parametrize("seed", [-1, 2**63])
     def test_seed_outside_the_stream_range_is_refused(self, seed):
@@ -136,9 +135,9 @@ class TestSampling:
 
     def test_fixed_seed_reproduces_sentence(self):
         w = build_world(WorldConfig(vocab_size=5, support=2, seed=3))
-        a = sample_sentence(w, 10, derive_rng(11, "s"))
-        b = sample_sentence(w, 10, derive_rng(11, "s"))
-        assert a == b
+        a = sample_corpus_tokens(w, [10], derive_rng(11, "s"))[0]
+        b = sample_corpus_tokens(w, [10], derive_rng(11, "s"))[0]
+        np.testing.assert_array_equal(a, b)
 
     def test_uniform_bigram_frequencies(self):
         # 1e5 two-token draws from the uniform world; every bigram cell should
@@ -158,7 +157,7 @@ class TestSampling:
         w = build_world(WorldConfig(vocab_size=6, order=order, support=2, seed=9))
         sents = sample_corpus_tokens(w, np.full(2000, 6), derive_rng(4, "z"))
         for s in sents:
-            assert sentence_prob(w, s) > 0.0
+            assert chain_prob(w, s) > 0.0
 
     def test_a_uniform_past_the_rounded_total_draws_the_last_nonzero(self):
         probs = np.array([[0.1] * 10 + [0.0, 0.0], [0.0, 1.0] + [0.0] * 10])
@@ -222,6 +221,7 @@ class TestSampling:
         # no sentence of probability zero drawn.
         V, n = 3, 60_000
         w = build_world(WorldConfig(vocab_size=V, order=order, support=2, seed=6))
+        assert abs(total_mass(w, 3) - 1.0) < 1e-12
         sents = np.array(sample_corpus_tokens(w, np.full(n, 3), derive_rng(8, "freq")))
         counts = np.bincount((sents * [V * V, V, 1]).sum(axis=1), minlength=V**3)
         for code, sent in enumerate(all_sentences(V, 3)):
@@ -235,7 +235,7 @@ class TestSampling:
     @settings(max_examples=30, deadline=None)
     def test_sampled_tokens_valid(self, V, length, seed):
         w = build_world(WorldConfig(vocab_size=V, support=min(2, V), seed=seed % 100))
-        s = sample_sentence(w, length, derive_rng(seed, "h"))
+        s = sample_corpus_tokens(w, [length], derive_rng(seed, "h"))[0]
         assert len(s) == length
         assert all(0 <= t < V for t in s)
 
@@ -257,7 +257,8 @@ class TestConditional:
         for seed in range(15):
             V = 3 + seed % 4
             w = build_world(WorldConfig(vocab_size=V, support=2, seed=seed))
-            sent = sample_sentence(w, 4, derive_rng(seed, "c"))
+            assert abs(total_mass(w, 4) - 1.0) < 1e-12
+            sent = tuple(sample_corpus_tokens(w, [4], derive_rng(seed, "c"))[0].tolist())
             for pos in range(4):
                 want = slot_distribution(w, sent, pos)
                 got = conditional(w, sent, pos)
@@ -305,38 +306,10 @@ class TestConditional:
 
     def test_order2_matches_enumeration(self):
         w = build_world(WorldConfig(vocab_size=3, order=2, support=2, seed=2))
-        sent = sample_sentence(w, 4, derive_rng(5, "o2"))
+        sent = tuple(sample_corpus_tokens(w, [4], derive_rng(5, "o2"))[0].tolist())
         for pos in range(4):
             np.testing.assert_allclose(conditional(w, sent, pos),
                                        slot_distribution(w, sent, pos), atol=1e-12)
-
-
-class TestSentenceProb:
-    def test_chain_path_probability_one(self):
-        w = chain_world(4)
-        assert sentence_prob(w, (0, 1, 2, 3)) == 1.0
-
-    def test_zero_transition_gives_zero(self):
-        w = chain_world(4)
-        assert sentence_prob(w, (0, 2, 3, 0)) == 0.0
-
-    def test_matches_enumeration_and_total_mass(self):
-        w = build_world(WorldConfig(vocab_size=4, support=2, seed=1))
-        assert abs(total_mass(w, 4) - 1.0) < 1e-12
-        sent = sample_sentence(w, 4, derive_rng(0, "p"))
-        assert sentence_prob(w, sent) == pytest.approx(chain_prob(w, sent), abs=1e-15)
-
-    @pytest.mark.parametrize("order", [2, 3])
-    def test_higher_orders_match_enumeration_exactly(self, order):
-        w = build_world(WorldConfig(vocab_size=3, order=order, support=2, seed=4))
-        assert abs(total_mass(w, 4) - 1.0) < 1e-12
-        for sent in all_sentences(3, 4):
-            assert sentence_prob(w, sent) == chain_prob(w, sent)
-
-    def test_long_sentence_log_space_path(self):
-        w = uniform_world(3)
-        sent = tuple([0, 1, 2] * 30)
-        assert sentence_prob(w, sent) == pytest.approx(3.0 ** -90, rel=1e-9)
 
 
 class TestSerialization:
