@@ -17,6 +17,6 @@ from .oracle import (OracleScorer, PosteriorReport, bounds, brute_force_posterio
                      posterior, restoration_distribution, verify_ordering)
 from .pipeline import (ExperimentConfig, FilterConfig, PipelineReport,
                        filter_corpus, heuristic_multi, heuristic_noisy,
-                       make_eval_corpus, mixing_baseline, run_pipeline,
+                       make_eval_corpus, run_pipeline,
                        threshold_sweep, volume_sweep)
 from .world import ImpossibleContextError, WorldConfig, WorldModel, build_world, conditional

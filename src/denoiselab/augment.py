@@ -44,7 +44,6 @@ class SampleCategory(str, enum.Enum):
 
 CATEGORIES = tuple(SampleCategory)  # a category code indexes this tuple
 _CODES = {c.value: k for k, c in enumerate(CATEGORIES)}  # a SampleCategory finds its value too
-_UNANNOTATED = object()  # the category of an edit of a record without categories: code -1
 # The category rule: a code (an index of CATEGORIES) per [single candidate][candidate set
 # holds the replacement].  A single candidate makes a true sample, a set holding the
 # replacement itself a noisy one, any other set a multi-answer one.
@@ -284,7 +283,6 @@ class CorruptionRecord:
     clean: tuple[int, ...]
     corrupted: tuple[int, ...]
     edits: tuple[tuple[int, int, int], ...]   # (position, original, replacement)
-    channel_rate: float
     categories: tuple[SampleCategory, ...] | None = None
 
     def __post_init__(self):
@@ -312,7 +310,6 @@ class _Columns(NamedTuple):
     orig: np.ndarray
     repl: np.ndarray
     category: np.ndarray | None
-    annotated: np.ndarray
 
 
 def _edit_bounds(columns: _Columns, start: int, stop: int) -> list[int]:
@@ -358,32 +355,31 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
                         categories: list | None, vocab_size: int) -> _Columns:
     """Columns of records given as per-record sequences, checked as a whole.
 
-    ``categories`` holds one sequence, or None, per record.  Raises
-    :class:`_RecordError` for the first record that breaks the record rule,
-    tokens in ``[0, vocab_size)`` included.
+    ``categories`` holds one sequence, or None, per record: a sequence on every
+    record or on none.  Raises :class:`_RecordError` for the first record that
+    breaks the record rule, tokens in ``[0, vocab_size)`` included, or that
+    differs from the first record in having categories.
     """
     n = len(cleans)
     lengths = np.fromiter(map(len, cleans), np.int64, n)
     same = lengths == np.fromiter(map(len, corrupteds), np.int64, n)
-    good = int(np.argmin(same)) if not same.all() else n  # before the first length mismatch
+    labeled = np.fromiter(map(operator.is_not, categories, repeat(None)), bool, n)
+    same &= labeled == labeled[:1]
+    good = int(np.argmin(same)) if not same.all() else n  # before the first such record
     offsets = np.concatenate(([0], np.cumsum(lengths[:good])))
     n_edits = np.fromiter(map(len, edits[:good]), np.int64, good)
-    annotated = np.fromiter(map(operator.is_not, categories[:good], repeat(None)), bool, good)
     n_categories = category = None
-    if annotated.any():
-        names = [[_UNANNOTATED] * len(e) if cats is None else cats
-                 for cats, e in zip(categories[:good], edits[:good])]
-        n_categories = np.fromiter(map(len, names), np.int64, good)
-        category = np.fromiter(map({**_CODES, _UNANNOTATED: -1}.__getitem__,
-                                   chain.from_iterable(names)), np.int8, int(n_categories.sum()))
+    if labeled[:1].any():
+        n_categories = np.fromiter(map(len, categories[:good]), np.int64, good)
+        category = np.fromiter(map(_CODES.__getitem__, chain.from_iterable(categories[:good])),
+                               np.int8, int(n_categories.sum()))
     try:
         flat_edits = np.fromiter(chain.from_iterable(chain.from_iterable(edits[:good])),
                                  np.int64, 3 * int(n_edits.sum())).reshape(-1, 3)
         columns = _Columns(
             np.fromiter(chain.from_iterable(cleans[:good]), np.int64, int(offsets[-1])),
             np.fromiter(chain.from_iterable(corrupteds[:good]), np.int64, int(offsets[-1])),
-            offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category,
-            annotated)
+            offsets, np.repeat(np.arange(good), n_edits), *flat_edits.T.copy(), category)
     except OverflowError:  # an integer beyond int64: the per-record rule finds the first error
         bad = next(k for k in range(good) if _record_problem(
             cleans[k], corrupteds[k], edits[k], categories[k], vocab_size))
@@ -393,7 +389,10 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
             bad = good
     if bad is not None:
         raise _RecordError(bad, _record_problem(cleans[bad], corrupteds[bad], edits[bad],
-                                                categories[bad], vocab_size))
+                                                categories[bad], vocab_size)
+                           or (f"record {bad} has categories, but record 0 has none"
+                               if labeled[bad] else
+                               f"record {bad} has no categories, but record 0 has them"))
     return columns
 
 
@@ -405,13 +404,13 @@ class PairCorpus:
     slice of ``corrupted`` (int64 token arrays).  Edits are the rows of the
     edit columns, grouped by record in record order: ``record`` (the owning
     record), ``pos`` (the position in its sentence), ``orig``, ``repl`` and
-    ``category`` (int8 codes indexing :data:`CATEGORIES`, or None when no
-    record is annotated).  ``annotated`` flags the records that carry
-    categories; an edit of a record without them has code -1.  The columns
-    are read-only and may be shared between corpora.
+    ``category`` (int8 codes indexing :data:`CATEGORIES`, or None when the
+    corpus is not annotated: a corpus carries categories on every record or
+    on none).  The columns are read-only and may be shared between corpora.
+    ``rate`` and ``mode`` are the corpus's channel rate and corruption mode.
 
-    ``records`` may be given as a sequence of :class:`CorruptionRecord` with
-    the corpus's rate, all checked at once.  It reads back as a
+    ``records`` may be given as a sequence of :class:`CorruptionRecord`, all
+    checked at once.  It reads back as a
     :class:`RecordsView`, which builds records on access and keeps none, so
     loops over a large corpus belong on the columns.
     """
@@ -428,17 +427,12 @@ class PairCorpus:
     orig: np.ndarray = field(init=False, repr=False, compare=False)
     repl: np.ndarray = field(init=False, repr=False, compare=False)
     category: np.ndarray | None = field(init=False, repr=False, compare=False)
-    annotated: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.records, RecordsView):
             columns = self.records.columns
         else:
             records = tuple(self.records)
-            for k, rec in enumerate(records):
-                if rec.channel_rate != self.rate:
-                    raise ValueError(f"record {k} has channel rate {rec.channel_rate}, "
-                                     f"the corpus {self.rate}")
             columns = _columns_from_lists(
                 [rec.clean for rec in records], [rec.corrupted for rec in records],
                 [rec.edits for rec in records], [rec.categories for rec in records],
@@ -447,12 +441,12 @@ class PairCorpus:
             if array is not None:
                 array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "records", RecordsView(columns, self.rate))
+        object.__setattr__(self, "records", RecordsView(columns))
 
     @classmethod
     def _from_columns(cls, columns: _Columns, vocab_size: int, rate: float,
                       mode: str) -> PairCorpus:
-        return cls(RecordsView(columns, rate), vocab_size, rate, mode)
+        return cls(RecordsView(columns), vocab_size, rate, mode)
 
     @property
     def columns(self) -> _Columns:
@@ -513,9 +507,8 @@ class RecordsView(Sequence):
 
     _CHUNK = 4096  # records built at a time while iterating
 
-    def __init__(self, columns: _Columns, rate: float):
+    def __init__(self, columns: _Columns):
         self.columns = columns
-        self.rate = rate
 
     def __len__(self) -> int:
         return len(self.columns.offsets) - 1
@@ -538,7 +531,7 @@ class RecordsView(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, RecordsView):
-            return self.rate == other.rate and all(
+            return all(
                 a is b or (a is not None and b is not None and np.array_equal(a, b))
                 for a, b in zip(self.columns, other.columns))
         if isinstance(other, tuple):
@@ -558,17 +551,15 @@ class RecordsView(Sequence):
         edits = tuple(zip(c.pos[e0:e1].tolist(), c.orig[e0:e1].tolist(), c.repl[e0:e1].tolist()))
         names = None if c.category is None else tuple(
             map(CATEGORIES.__getitem__, c.category[e0:e1].tolist()))
-        set_clean, set_corrupted, set_edits, set_rate, set_categories = _SLOT_SETTERS
-        new, rate, out = object.__new__, self.rate, []
-        for a, b, ea, eb, annotated in zip(offsets, offsets[1:], bounds, bounds[1:],
-                                           c.annotated[start:stop].tolist()):
+        set_clean, set_corrupted, set_edits, set_categories = _SLOT_SETTERS
+        new, out = object.__new__, []
+        for a, b, ea, eb in zip(offsets, offsets[1:], bounds, bounds[1:]):
             a, b, ea, eb = a - base, b - base, ea - e0, eb - e0
             record = new(CorruptionRecord)
             set_clean(record, clean[a:b])
             set_corrupted(record, corrupted[a:b])
             set_edits(record, edits[ea:eb])
-            set_rate(record, rate)
-            set_categories(record, names[ea:eb] if annotated else None)
+            set_categories(record, None if names is None else names[ea:eb])
             out.append(record)
         return out
 
@@ -651,38 +642,35 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
 
     category = None
     if annotate:  # one batched conditional over every edit, in its clean context
-        prior = conditional(world, _padded(flat, starts, world.vocab_size)[owner], pos)
+        prior = conditional(world, _padded(flat, starts, world.vocab_size), pos, owner)
         category = candidate_category_codes(_candidate_flags(table, prior, x, y), y)
     corrupted = flat.copy()
     corrupted[hit] = y
-    annotated = np.full(n_sentences, annotate)
     return PairCorpus._from_columns(
-        _Columns(flat, corrupted, starts, owner, pos, x, y, category, annotated),
+        _Columns(flat, corrupted, starts, owner, pos, x, y, category),
         world.vocab_size, rate, mode)
 
 
 def replace_categories(record: CorruptionRecord,
                        categories: tuple[SampleCategory, ...] | None) -> CorruptionRecord:
-    return CorruptionRecord(record.clean, record.corrupted, record.edits,
-                            record.channel_rate, categories)
+    return CorruptionRecord(record.clean, record.corrupted, record.edits, categories)
 
 
 def concat_corpora(first: PairCorpus, second: PairCorpus) -> PairCorpus:
-    """Records of ``second`` after those of ``first``."""
+    """Records of ``second`` after those of ``first``; annotated only when both are."""
     if first.vocab_size != second.vocab_size:
         raise ValueError("corpora built over different vocabularies")
-    mode = first.mode if first.mode == second.mode else "mixed"
+    if first.mode != second.mode:
+        raise ValueError("corpora built in different modes")
     if first.rate != second.rate:
         raise ValueError("corpora built at different channel rates")
     a = first.columns
     b = second.columns._replace(offsets=second.offsets[1:] + first.n_chars,
                                 record=second.record + len(first))
-    codes = [np.full(corpus.n_edits, -1, np.int8) if corpus.category is None else corpus.category
-             for corpus in (first, second)]
-    columns = _Columns(*(np.concatenate(pair) for pair in zip(a[:-2], b[:-2])),
-                       None if a.category is None and b.category is None else np.concatenate(codes),
-                       np.concatenate((a.annotated, b.annotated)))
-    return PairCorpus._from_columns(columns, first.vocab_size, first.rate, mode)
+    category = (None if a.category is None or b.category is None
+                else np.concatenate((a.category, b.category)))
+    columns = _Columns(*(np.concatenate(pair) for pair in zip(a[:-1], b[:-1])), category)
+    return PairCorpus._from_columns(columns, first.vocab_size, first.rate, first.mode)
 
 
 def corpus_arrays(corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -739,12 +727,11 @@ def corpus_to_jsonl(corpus: PairCorpus, path: str | Path) -> None:
     clean, corrupted = _token_groups(c.clean, c.offsets), _token_groups(c.corrupted, c.offsets)
     edits = _joined_groups(list(map("[{}, {}, {}]".format, c.pos.tolist(), c.orig.tolist(),
                                     c.repl.tolist())), np.arange(corpus.n_edits), bounds)
-    # Code -1 (an edit of a record without categories) is cut but never written.
     names = None if c.category is None else _joined_groups(_QUOTED, c.category, bounds)
     lines = []
-    for k, annotated in enumerate(c.annotated.tolist()):
+    for k in range(len(corpus)):
         line = f'{{"clean": [{clean[k]}], "corrupted": [{corrupted[k]}], "edits": [{edits[k]}]'
-        lines.append(f'{line}, "categories": [{names[k]}]}}\n' if annotated else line + "}\n")
+        lines.append(line + "}\n" if names is None else f'{line}, "categories": [{names[k]}]}}\n')
     Path(path).write_text("".join(lines))
 
 

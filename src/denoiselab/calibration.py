@@ -23,6 +23,10 @@ import numpy as np
 from .augment import PairCorpus
 
 
+EASY_CUTOFF = 0.1  # an outcome is an easy positive below this mass off the written token
+N_BINS = 10  # equal-width bins over [0, 1]
+
+
 class NoOutcomeError(ValueError):
     """Easy-positive exclusion left no outcome to bin."""
 
@@ -47,44 +51,43 @@ class CalibrationReport:
         return sum(b.count for b in self.bins)
 
 
-def ece(confidence, correct, n_bins: int = 10) -> CalibrationReport:
-    """Equal-width-bin expected calibration error of the top-1 ``confidence`` of each
-    outcome and its ``correct`` flag, none excluded."""
+def ece(confidence, correct) -> CalibrationReport:
+    """Expected calibration error over :data:`N_BINS` equal-width bins of the top-1
+    ``confidence`` of each outcome and its ``correct`` flag, none excluded."""
     conf, correct = np.asarray(confidence, dtype=float), np.asarray(correct, dtype=float)
     if not len(conf):
         raise ValueError("cannot compute calibration on an empty outcome list")
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    idx = np.clip((conf * n_bins).astype(np.int64), 0, n_bins - 1)
+    idx = np.clip((conf * N_BINS).astype(np.int64), 0, N_BINS - 1)
 
     bins = []
     total = len(conf)
     value = 0.0
-    for b in range(n_bins):
+    for b in range(N_BINS):
         sel = idx == b
         count = int(sel.sum())
         if count == 0:
-            bins.append(CalibrationBin(b / n_bins, (b + 1) / n_bins, 0.0, 0.0, 0))
+            bins.append(CalibrationBin(b / N_BINS, (b + 1) / N_BINS, 0.0, 0.0, 0))
             continue
         mean_conf = float(conf[sel].mean())
         accuracy = float(correct[sel].mean())
-        bins.append(CalibrationBin(b / n_bins, (b + 1) / n_bins, mean_conf, accuracy, count))
+        bins.append(CalibrationBin(b / N_BINS, (b + 1) / N_BINS, mean_conf, accuracy, count))
         value += (count / total) * abs(accuracy - mean_conf)
     return CalibrationReport(tuple(bins), value, 0)
 
 
-def calibration_report(scored: tuple[np.ndarray, np.ndarray], corpus: PairCorpus,
-                       cutoff: float = 0.1, n_bins: int = 10) -> CalibrationReport:
-    """Easy-positive exclusion and binning of every position's outcome in one step, over
-    ``scored``, the (probs, decoded) pair ``predict_matrix(model, corpus)``."""
+def calibration_report(scored: tuple[np.ndarray, np.ndarray],
+                       corpus: PairCorpus) -> CalibrationReport:
+    """Easy-positive exclusion (:data:`EASY_CUTOFF`) and binning of every position's
+    outcome in one step, over ``scored``, the (probs, decoded) pair
+    ``predict_matrix(model, corpus)``."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
     probs, preds = scored
     rows = np.arange(len(probs))
-    hard = (1.0 - probs[rows, corpus.corrupted]) >= cutoff  # the mass off the written token
+    hard = (1.0 - probs[rows, corpus.corrupted]) >= EASY_CUTOFF  # the mass off the written token
     if not hard.any():
         raise NoOutcomeError("easy-positive exclusion removed every outcome")
-    report = ece(probs[rows, preds][hard], (preds == corpus.clean)[hard], n_bins)
+    report = ece(probs[rows, preds][hard], (preds == corpus.clean)[hard])
     return replace(report, n_excluded=len(hard) - int(hard.sum()))
 
 

@@ -247,13 +247,12 @@ def filter_cmd(run, model_path, corpus_dir, threshold):
 @_experiment("eval")
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--corpus-dir", type=click.Path(exists=True), required=True)
-@click.option("--variant", type=str, default="model", show_default=True)
-def eval_cmd(run, model_path, corpus_dir, variant):
+def eval_cmd(run, model_path, corpus_dir):
     """Evaluate a stored model on a stored corpus."""
     _, _, corpus, _ = _load_corpus_dir(Path(corpus_dir))
     model = _load_model(model_path, corpus)
     metrics, calib = pipeline._scored(model, corpus)
-    run.report([MetricsRow(variant, run.config.filter.threshold, model.trained_chars,
+    run.report([MetricsRow("model", run.config.filter.threshold, model.trained_chars,
                            metrics, calib.ece, run.seed)], reliability=calib)
     click.echo(f"F1 {metrics.f1:.2f}  FPR {metrics.fpr:.2f}  ECE {calib.ece:.4f}")
 

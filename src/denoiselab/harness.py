@@ -100,16 +100,15 @@ def category_filter_rates(before: PairCorpus, after: PairCorpus) -> dict[SampleC
     """
     if len(before) != len(after):
         raise ValueError("corpora have different record counts")
-    if not before.annotated.all():
+    if before.category is None:
         raise ValueError("before-corpus lacks category annotations")
     if not (before.clean is after.clean or (np.array_equal(before.offsets, after.offsets)
                                             and np.array_equal(before.clean, after.clean))):
         raise ValueError("corpora are not aligned on their clean sides")
     surviving = np.zeros(after.n_chars, dtype=bool)
     surviving[after.flat_pos] = True
-    categories = before.category if len(before) else np.empty(0, np.int8)
-    totals = np.bincount(categories, minlength=len(CATEGORIES)).tolist()
-    reverted = np.bincount(categories[~surviving[before.flat_pos]],
+    totals = np.bincount(before.category, minlength=len(CATEGORIES)).tolist()
+    reverted = np.bincount(before.category[~surviving[before.flat_pos]],
                            minlength=len(CATEGORIES)).tolist()
     return {c: CategoryRate(reverted[k], totals[k]) for k, c in enumerate(CATEGORIES)}
 

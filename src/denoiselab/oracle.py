@@ -67,8 +67,8 @@ def restoration_distribution(world: WorldModel, table: ConfusionTable, corpus: P
     if corpus.vocab_size != V:
         raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
     ri = np.searchsorted(corpus.offsets, at, side="right") - 1
-    tokens = _padded(corpus.corrupted, corpus.offsets, V)[ri]
-    terms = conditional(world, tokens, at - corpus.offsets[ri])
+    terms = conditional(world, _padded(corpus.corrupted, corpus.offsets, V),
+                        at - corpus.offsets[ri], ri)
     terms *= table.channel_vector(corpus.corrupted[at], rate)
     total = terms.sum(axis=1, keepdims=True)
     terms /= np.where(total > 0.0, total, 1.0)
@@ -76,11 +76,9 @@ def restoration_distribution(world: WorldModel, table: ConfusionTable, corpus: P
 
 
 def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord,
-              edit_index: int = 0, rate: float | None = None) -> PosteriorReport:
-    """Exact restoration confidence of a single-edit record's edit."""
+              edit_index: int, rate: float) -> PosteriorReport:
+    """Exact restoration confidence of a single-edit record's edit at channel rate ``rate``."""
     i, x, y = _single_edit(record, edit_index)
-    if rate is None:
-        rate = record.channel_rate
     prior = conditional(world, record.corrupted, i)
     chan = table.channel_vector(y, rate)
     terms = chan * prior
@@ -112,8 +110,7 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
 
 
 def brute_force_posterior(world: WorldModel, table: ConfusionTable,
-                          record: CorruptionRecord, edit_index: int = 0,
-                          rate: float | None = None) -> float:
+                          record: CorruptionRecord, edit_index: int, rate: float) -> float:
     """Posterior mass of the true clean sentence by full enumeration.
 
     Every candidate clean sentence is weighted by its chain probability times
@@ -122,8 +119,6 @@ def brute_force_posterior(world: WorldModel, table: ConfusionTable,
     law.  Deliberately exhaustive; budget-guarded.
     """
     i, _, y = _single_edit(record, edit_index)
-    if rate is None:
-        rate = record.channel_rate
     observed = record.corrupted
     L, V = record.length, world.vocab_size
     if V ** L > ENUMERATION_BUDGET:

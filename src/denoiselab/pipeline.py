@@ -26,7 +26,7 @@ from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategor
                       check_token_budget, concat_corpora, confusion_pair, corpus_arrays,
                       generate_corpus)
 from .calibration import CalibrationReport, calibration_report
-from .corrector import (MASKED_WINDOW, CorrectorConfig, CorrectorModel, _rows,
+from .corrector import (MASKED_WINDOW, CorrectorConfig, _rows,
                         _signature_table_shape, _signatures, predict_at, predict_matrix, train)
 from .harness import CategoryRate, Metrics, category_filter_rates, sentence_metrics
 from .oracle import OracleScorer, restoration_distribution
@@ -219,15 +219,13 @@ def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
                              mode="single_edit", seed=seed,
                              clean_fraction=clean_fraction, annotate=True,
                              stream="eval")
-    prior = conditional(world, corpus_arrays(corpus)[0][corpus.record], corpus.pos)
+    prior = conditional(world, corpus_arrays(corpus)[0], corpus.pos, corpus.record)
     rows = np.arange(corpus.n_edits)
     plausible = prior[rows, corpus.repl] >= plausibility * prior[rows, corpus.orig]
-    # An adopted sentence's clean side is its corrupted side, with no edit and no categories.
+    # An adopted sentence's clean side is its corrupted side, with no edit and so no category.
     clean = corpus.clean.copy()
     clean[corpus.flat_pos[plausible]] = corpus.repl[plausible]
-    annotated = corpus.annotated.copy()
-    annotated[corpus.record[plausible]] = False
-    return corpus.keep_edits(~plausible, clean=clean, annotated=annotated)
+    return corpus.keep_edits(~plausible, clean=clean)
 
 
 def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
@@ -279,15 +277,6 @@ def _scored(model, eval_corpus: PairCorpus) -> tuple[Metrics, CalibrationReport]
     return sentence_metrics(eval_corpus, scored[1]), calibration_report(scored, eval_corpus)
 
 
-def mixing_baseline(d_r: PairCorpus, d_o: PairCorpus,
-                    corrector_config: CorrectorConfig = CorrectorConfig()) -> CorrectorModel:
-    """Model trained on the plain concatenation of the two corpora."""
-    if len(d_r) == 0 or len(d_o) == 0:
-        raise ValueError("mixing needs two non-empty corpora")
-    return train(concat_corpora(d_r, d_o), corrector_config.window,
-                 corrector_config.alpha)
-
-
 def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
                  longtail_table: ConfusionTable, config: ExperimentConfig,
                  seed: int = 0) -> PipelineReport:
@@ -306,8 +295,8 @@ def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,
     before = _scored(baseline, eval_corpus)
 
     result, rates, final = FilterResult(d_o, d_o.n_edits, 0), None, baseline
-    if variant == "mixing":
-        final = mixing_baseline(d_r, d_o, cc)
+    if variant == "mixing":  # trained on the plain concatenation of the two corpora
+        final = train(concat_corpora(d_r, d_o), cc.window, cc.alpha)
     elif variant != "none":
         if variant == "heuristic":
             masked = predict_at(train(d_r, MASKED_WINDOW, cc.alpha), d_o, d_o.flat_pos)

@@ -176,23 +176,25 @@ def build_world(config: WorldConfig) -> WorldModel:
     return WorldModel(V, k, config.seed, initial, transitions)
 
 
-def conditional(world: WorldModel, tokens, position):
+def conditional(world: WorldModel, tokens, position, rows=None):
     """Distribution of the token at ``position`` given the rest of the sentence.
 
     The value currently stored at ``position`` is ignored; only the
     surrounding context matters.  Entries are exactly zero wherever no
     completion of the context through that token has positive probability.
     Raises :class:`ImpossibleContextError` when the context itself is
-    unreachable.  Batched form: an (n, L) ``tokens`` matrix padded with
-    ``vocab_size`` past each sentence's end and (n,) positions give (n, V)
-    rows, all zero where the context is impossible.  A row is the product of
-    the ``order + 1`` chain factors that read the slot, its own and the next
+    unreachable.  Batched form: an (m, L) ``tokens`` matrix of sentences
+    padded with ``vocab_size`` past each one's end, and per query its
+    position and its sentence's row (``rows``, both (n,)), give (n, V) rows,
+    all zero where the context is impossible.  A row is the product of the
+    ``order + 1`` chain factors that read the slot, its own and the next
     ``order`` tokens', each a row of ``world.factors`` with the slot's digit
     running over the vocabulary; any other zero factor of the sentence makes
-    the context impossible.  The single form is the batch of one, except for
-    an order-1 world: there it reads the sentence's factors as Python floats
-    and copies the slot's row, which the world keeps per (left, right) pair,
-    up to ``_SLOT_ROW_FLOATS`` floats (8 MB) in all.
+    the context impossible (each sentence's zero factors are counted once,
+    and a query subtracts the slot's own).  The single form is the batch of
+    one, except for an order-1 world: there it reads the sentence's factors
+    as Python floats and copies the slot's row, which the world keeps per
+    (left, right) pair, up to ``_SLOT_ROW_FLOATS`` floats (8 MB) in all.
     """
     V, k, T = world.vocab_size, world.order, world.factors
     single = type(position) is int or np.ndim(position) == 0  # np.ndim(int) is slow
@@ -205,51 +207,55 @@ def conditional(world: WorldModel, tokens, position):
         if not 0 <= position < len(toks):
             raise ValueError(f"position {position} out of range for length {len(toks)}")
         if k == 1:  # the rule below, on one unpadded sentence
-            ext, rows = (V, *toks, V), world._slot_rows
+            ext, kept = (V, *toks, V), world._slot_rows
             chain = list(map(T.item, ext, ext[1:]))
             del chain[position:position + 2]  # the two factors that read the slot
             pair = ext[position], ext[position + 2]
-            if pair not in rows:
-                if (len(rows) + 1) * V > _SLOT_ROW_FLOATS:
-                    rows.clear()
+            if pair not in kept:
+                if (len(kept) + 1) * V > _SLOT_ROW_FLOATS:
+                    kept.clear()
                 weights = T[pair[0], :V] * T[:V, pair[1]]
                 total = weights.sum()
-                rows[pair] = weights / total if total > 0.0 else None
-            if 0.0 in chain or rows[pair] is None:
+                kept[pair] = weights / total if total > 0.0 else None
+            if 0.0 in chain or kept[pair] is None:
                 raise ImpossibleContextError(f"context of position {position} has probability zero")
-            return rows[pair].copy()
-        tokens, position = np.array([toks]), np.array([position])
+            return kept[pair].copy()
+        tokens, position, rows = np.array([toks]), np.array([position]), np.zeros(1, np.int64)
     else:
         tokens, position = np.asarray(tokens, dtype=np.int64), np.asarray(position, dtype=np.int64)
-        if tokens.ndim != 2 or position.shape != (len(tokens),):
-            raise ValueError("batched conditional needs an (n, L) token matrix and n positions")
+        rows = np.asarray(rows, dtype=np.int64)
+        if tokens.ndim != 2 or position.ndim != 1 or rows.shape != position.shape:
+            raise ValueError("batched conditional needs an (m, L) token matrix, "
+                             "and n positions with n rows")
         real = tokens < V
         if (tokens < 0).any() or (tokens > V).any() or (real[:, 1:] > real[:, :-1]).any():
             raise ValueError("token id out of range for this world")  # or padding mid-sentence
-        lengths = real.sum(axis=1)
+        if ((rows < 0) | (rows >= len(tokens))).any():
+            raise ValueError(f"row out of range for {len(tokens)} sentences")
+        lengths = real.sum(axis=1)[rows]
         bad = (position < 0) | (position >= lengths)
         if bad.any():
             i = bad.argmax()
             raise ValueError(f"position {position[i]} out of range for length {lengths[i]}")
 
-    # Factor j of a row is T[ids[:, j], succ[:, j]]: the context before token j
-    # and token j, with k starts before each row and k ends after it.
-    n, width = tokens.shape
-    ext = np.full((n, width + 2 * k), V)
+    # Factor j of a sentence is T[ids[:, j], succ[:, j]]: the context before token j
+    # and token j, with k starts before each sentence and k ends after it.
+    width = tokens.shape[1]
+    ext = np.full((len(tokens), width + 2 * k), V)
     ext[:, k:-k] = tokens
     ids, succ = ext[:, :width + k], ext[:, k:]
     for d in range(1, k):
         ids = ids * (V + 1) + ext[:, d:d + width + k]
-    rows = np.arange(n)
-    zero = T[ids, succ] == 0.0
-    zero[rows[:, None], position[:, None] + np.arange(k + 1)] = False  # the slot's factors
+    zeros = np.count_nonzero(T[ids, succ] == 0.0, axis=1)  # per sentence
+    slot = rows[:, None], position[:, None] + np.arange(k + 1)  # the slot's factors
+    zeros = zeros[rows] - np.count_nonzero(T[ids[slot], succ[slot]] == 0.0, axis=1)
     weights = T[ids[rows, position], :V]
     for e in range(1, k + 1):  # in the context of token position + e the slot is digit e - 1
         step = (V + 1) ** (e - 1)
         cid = ids[rows, position + e]
         digits = T.reshape(-1, V + 1, step, V + 1)  # [higher digits, slot digit, lower, token]
         weights *= digits[cid // ((V + 1) * step), :V, cid % step, succ[rows, position + e]]
-    weights[zero.any(axis=1)] = 0.0
+    weights[zeros > 0] = 0.0
     total = weights.sum(axis=1, keepdims=True)
     weights /= np.where(total > 0.0, total, 1.0)
     if single and total[0, 0] == 0.0:

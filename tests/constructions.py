@@ -38,7 +38,7 @@ def equal_prior_noisy_setup(head_weight=0.5):
                           [head_weight, 1 - head_weight],
                           [0.5, 0.5], [0.5, 0.5]],
                          mode="uniform" if head_weight == 0.5 else "long_tailed")
-    record = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1)
+    record = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),))
     return world, table, record
 
 
@@ -58,7 +58,7 @@ def bound_demo_setup():
     }
     world = build_world(WorldConfig(vocab_size=4, order=1, seed=0, rows=rows,
                                     initial=[1.0, 0.0, 0.0, 0.0]))
-    record = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1)
+    record = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),))
     longtail = manual_table(4, [[3, 1], [2, 0], [1, 3], [0, 1]],
                             [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5]],
                             mode="long_tailed")
@@ -97,8 +97,8 @@ def ordering_triple(seed):
                   [0, 1], [0, 1]]
     table = manual_table(V, candidates, np.full((V, 2), 0.5))
     records = [
-        CorruptionRecord((0, 2, 1), (0, 7, 1), ((1, 2, 7),), 0.1),
-        CorruptionRecord((0, 3, 1), (0, 4, 1), ((1, 3, 4),), 0.1),
-        CorruptionRecord((0, 5, 1), (0, 8, 1), ((1, 5, 8),), 0.1),
+        CorruptionRecord((0, 2, 1), (0, 7, 1), ((1, 2, 7),)),
+        CorruptionRecord((0, 3, 1), (0, 4, 1), ((1, 3, 4),)),
+        CorruptionRecord((0, 5, 1), (0, 8, 1), ((1, 5, 8),)),
     ]
     return world, table, records

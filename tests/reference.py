@@ -45,6 +45,21 @@ def record_problem(clean, corrupted, edits, categories, vocab_size=None):
     return None
 
 
+def first_record_problem(records, vocab_size):
+    """Index and error message of the first of ``records`` (clean, corrupted, edits,
+    categories) that breaks the record rule, or that has categories where the first
+    record has none or the reverse; None if every record keeps both rules."""
+    for k, (clean, corrupted, edits, categories) in enumerate(records):
+        message = record_problem(clean, corrupted, edits, categories, vocab_size)
+        if message is None and (categories is None) != (records[0][3] is None):
+            message = (f"record {k} has no categories, but record 0 has them"
+                       if categories is None else
+                       f"record {k} has categories, but record 0 has none")
+        if message:
+            return k, message
+    return None
+
+
 def digest(records, vocab_size):
     h = hashlib.sha256()
     h.update(np.array([vocab_size, len(records)], dtype=np.int64).tobytes())

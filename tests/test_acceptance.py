@@ -79,8 +79,8 @@ def test_criterion_1_oracle_equivalence(oracle_records):
     t0 = time.monotonic()
     worst = 0.0
     for world, table, rec in oracle_records:
-        gap = abs(posterior(world, table, rec).posterior
-                  - brute_force_posterior(world, table, rec))
+        gap = abs(posterior(world, table, rec, 0, 0.1).posterior
+                  - brute_force_posterior(world, table, rec, 0, 0.1))
         worst = max(worst, gap)
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed < 5.0 and len(oracle_records) >= 100
@@ -96,12 +96,12 @@ def test_criterion_2_case1_exactness(oracle_records):
     checked = 0
     exact = True
     for w, t, rec in oracle_records:
-        rep = posterior(w, t, rec)
+        rep = posterior(w, t, rec, 0, 0.1)
         if rep.category == SampleCategory.TRUE:
             checked += 1
             exact = exact and rep.posterior == 1.0
     for rec in corpus.records:
-        rep = posterior(world, longtail_table, rec)
+        rep = posterior(world, longtail_table, rec, 0, cfg.rate)
         if rep.category == SampleCategory.TRUE:
             checked += 1
             exact = exact and rep.posterior == 1.0
@@ -119,7 +119,7 @@ def test_criterion_3_uniform_channel_bound():
                              mode="single_edit", seed=12, annotate=True)
     noisy_posteriors, ratios = [], []
     for rec in corpus.records:
-        rep = posterior(world, table, rec)
+        rep = posterior(world, table, rec, 0, 0.1)
         if rep.category == SampleCategory.NOISY:
             noisy_posteriors.append(rep.posterior)
             ratios.append(rep.bound_params[0])
@@ -127,8 +127,8 @@ def test_criterion_3_uniform_channel_bound():
                   and max(noisy_posteriors) <= ceiling + 1e-9)
 
     demo_world, demo_uniform, demo_longtail, demo_record = bound_demo_setup()
-    over = posterior(demo_world, demo_longtail, demo_record).posterior
-    under = posterior(demo_world, demo_uniform, demo_record).posterior
+    over = posterior(demo_world, demo_longtail, demo_record, 0, 0.1).posterior
+    under = posterior(demo_world, demo_uniform, demo_record, 0, 0.1).posterior
     demo_ok = over > ceiling and under <= ceiling + 1e-9
     verdict(3, bounded_ok and demo_ok,
             f"{len(noisy_posteriors)} noisy records max {max(noisy_posteriors):.4f} "
@@ -140,7 +140,7 @@ def test_criterion_4_strict_ordering():
     groups = []
     for seed in range(50):
         world, table, records = ordering_triple(seed)
-        groups.append([posterior(world, table, rec) for rec in records])
+        groups.append([posterior(world, table, rec, 0, 0.1) for rec in records])
     result = verify_ordering(groups, ratio_bound=10.0)
     n_violations = sum(len(g.violations) for g in result.groups)
     ok = result.n_qualified == 50 and result.all_passed and n_violations == 0
@@ -158,7 +158,7 @@ def test_criterion_5_sigma_consistency():
         corpus = generate_corpus(world, table, 40, (3, 4), 0.1,
                                  mode="single_edit", seed=seed)
         for rec in corpus.records:
-            rep = posterior(world, table, rec)
+            rep = posterior(world, table, rec, 0, 0.1)
             if len(rep.candidates) < 3:
                 continue
             rich += 1
@@ -196,10 +196,10 @@ def test_criterion_7_calibration_separation():
                                        plausibility=cfg.eval_plausibility)
         uniform_model = train(d_r, cfg.corrector.window, cfg.corrector.alpha)
         longtail_model = train(d_o, cfg.corrector.window, cfg.corrector.alpha)
-        rows.append((calibration_report(predict_matrix(uniform_model, shared_eval), shared_eval,
-                                        cutoff=0.1).ece,
-                     calibration_report(predict_matrix(longtail_model, shared_eval), shared_eval,
-                                        cutoff=0.1).ece,
+        rows.append((calibration_report(predict_matrix(uniform_model, shared_eval),
+                                        shared_eval).ece,
+                     calibration_report(predict_matrix(longtail_model, shared_eval),
+                                        shared_eval).ece,
                      evaluate(uniform_model, shared_eval).f1,
                      evaluate(longtail_model, shared_eval).f1))
     elapsed = time.monotonic() - t0

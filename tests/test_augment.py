@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,13 +167,13 @@ class TestCorrupt:
 class TestRecordInvariants:
     def test_length_preserved_and_edit_consistency(self):
         with pytest.raises(ValueError, match="length"):
-            CorruptionRecord((0, 1), (0,), (), 0.1)
+            CorruptionRecord((0, 1), (0,), ())
         with pytest.raises(ValueError, match="inconsistent"):
-            CorruptionRecord((0, 1), (0, 2), ((1, 0, 2),), 0.1)
+            CorruptionRecord((0, 1), (0, 2), ((1, 0, 2),))
         with pytest.raises(ValueError, match="not recorded"):
-            CorruptionRecord((0, 1), (0, 0), (), 0.1)
+            CorruptionRecord((0, 1), (0, 0), ())
         with pytest.raises(ValueError, match="inconsistent"):  # one edit per position
-            CorruptionRecord((0, 1), (0, 2), ((1, 1, 2), (1, 1, 2)), 0.1)
+            CorruptionRecord((0, 1), (0, 2), ((1, 1, 2), (1, 1, 2)))
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -212,30 +213,30 @@ class TestCategorize:
         # 5 -> 4: only 5 emits 4 here ... but 5 does not fit; build instead on
         # token 2 -> 5: sources of 5 are {2}, and 5 has zero prior in context.
         world, table = categorization_world()
-        rec = CorruptionRecord((0, 2, 3), (0, 5, 3), ((1, 2, 5),), 0.1)
-        res = posterior(world, table, rec)
+        rec = CorruptionRecord((0, 2, 3), (0, 5, 3), ((1, 2, 5),))
+        res = posterior(world, table, rec, 0, 0.1)
         assert res.category == SampleCategory.TRUE
         assert res.candidates == (2,)
 
     def test_noisy_sample(self):
         world, table = categorization_world()
-        rec = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1)
-        res = posterior(world, table, rec)
+        rec = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),))
+        res = posterior(world, table, rec, 0, 0.1)
         assert res.category == SampleCategory.NOISY
         assert set(res.candidates) >= {1, 2}
 
     def test_multi_answer_sample(self):
         world, table = categorization_world()
-        rec = CorruptionRecord((0, 1, 3), (0, 4, 3), ((1, 1, 4),), 0.1)
-        res = posterior(world, table, rec)
+        rec = CorruptionRecord((0, 1, 3), (0, 4, 3), ((1, 1, 4),))
+        res = posterior(world, table, rec, 0, 0.1)
         assert res.category == SampleCategory.MULTI_ANSWER
         assert set(res.candidates) == {1, 2}
 
     def test_multi_edit_rejected(self):
         world, table = categorization_world()
-        rec = CorruptionRecord((0, 1, 3, 0), (0, 2, 3, 5), ((1, 1, 2), (3, 0, 5)), 0.1)
+        rec = CorruptionRecord((0, 1, 3, 0), (0, 2, 3, 5), ((1, 1, 2), (3, 0, 5)))
         with pytest.raises(ValueError, match="single-edit records only"):
-            posterior(world, table, rec)
+            posterior(world, table, rec, 0, 0.1)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -258,7 +259,7 @@ class TestCategorize:
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=9, annotate=True)
         for rec in corpus.records:
-            res = posterior(w, t, rec)
+            res = posterior(w, t, rec, 0, 0.1)
             _, x, y = rec.edits[0]
             assert x in res.candidates
             assert len(res.candidates) >= 1
@@ -286,6 +287,18 @@ class TestGenerateCorpus:
                                f"tokens pass the budget of {TOKEN_BUDGET} tokens per corpus$"):
                 generate_corpus(w, t, n, (1, hi))
         check_token_budget(TOKEN_BUDGET // 16, 16, "n_sentences")  # the edge itself passes
+
+    def test_annotation_memory_does_not_grow_with_edits_times_the_sentence_length(self):
+        # Each edit once held a padded copy of its sentence: 150 MiB for these 6,046 edits.
+        world, _, longtail = build_experiment_world(ExperimentConfig(), 0)
+        tracemalloc.start()
+        try:
+            corpus = generate_corpus(world, longtail, 20, (1000, 1000), 0.3, annotate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.n_edits > 5000
+        assert peak < 16 * 2**20
 
     def test_determinism(self):
         w = small_world(V=6, support=2, seed=0)
@@ -348,7 +361,7 @@ class TestCorpusIO:
 
     def test_jsonl_field_shape(self, tmp_path):
         w, t = categorization_world()
-        rec = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), 0.1,
+        rec = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),),
                                (SampleCategory.NOISY,))
         corpus = PairCorpus((rec,), 6, 0.1, "single_edit")
         path = tmp_path / "c.jsonl"
@@ -406,7 +419,7 @@ class TestCorpusIO:
         with pytest.raises(ValueError, match=r"c\.jsonl:1: position 1 differs"):
             corpus_from_jsonl(path, vocab_size=4, rate=0.1)
         with pytest.raises(ValueError, match="^integer 18446744073709551616 does not fit in 64"):
-            CorruptionRecord((0, 2**64), (0, 2**64), (), 0.1)
+            CorruptionRecord((0, 2**64), (0, 2**64), ())
 
     def test_confusion_round_trip(self):
         w = small_world(V=7, support=3, seed=1)
@@ -453,6 +466,52 @@ class TestCorpusIO:
         assert corpus_digest(a) != corpus_digest(b)
         assert corpus_digest(a) == corpus_digest(generate_corpus(w, t, 10, (4, 6),
                                                                  0.1, seed=1))
+
+    def test_concat_refuses_corpora_of_different_modes(self):
+        w = small_world(V=6, support=2, seed=0)
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        iid = generate_corpus(w, t, 10, (4, 6), 0.1, seed=1)
+        single = generate_corpus(w, t, 10, (4, 6), 0.1, mode="single_edit", seed=2)
+        with pytest.raises(ValueError, match="^corpora built in different modes$"):
+            concat_corpora(iid, single)
+        assert concat_corpora(single, single).mode == "single_edit"
+
+    def test_concat_is_annotated_only_when_both_inputs_are(self):
+        w = small_world(V=6, support=2, seed=0)
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        plain = generate_corpus(w, t, 10, (4, 6), 0.3, seed=1)
+        annotated = generate_corpus(w, t, 15, (4, 6), 0.3, seed=2, annotate=True)
+        for first, second in ((plain, annotated), (annotated, plain)):
+            both = concat_corpora(first, second)
+            assert both.category is None
+            assert all(rec.categories is None for rec in both.records)
+            assert both.n_edits == plain.n_edits + annotated.n_edits
+        both = concat_corpora(annotated, annotated)
+        np.testing.assert_array_equal(both.category, np.tile(annotated.category, 2))
+
+    @pytest.mark.parametrize("first", [None, (SampleCategory.NOISY,)], ids=["plain", "annotated"])
+    def test_categories_on_some_records_only_are_refused(self, tmp_path, first):
+        other = None if first else (SampleCategory.TRUE,)
+        records = [CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),), first),
+                   CorruptionRecord((0, 1), (0, 1), (), () if first else None),
+                   CorruptionRecord((3, 1), (3, 2), ((1, 1, 2),), other)]
+        message = ("record 2 has categories, but record 0 has none" if other else
+                   "record 2 has no categories, but record 0 has them")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PairCorpus(records, 6, 0.1, "iid")
+        path = tmp_path / "c.jsonl"
+        lines = [json.dumps({"clean": list(r.clean), "corrupted": list(r.corrupted),
+                             "edits": [list(e) for e in r.edits],
+                             **({} if r.categories is None else
+                                {"categories": [c.value for c in r.categories]})})
+                 for r in records]
+        path.write_text(f"{lines[0]}\n\n{lines[1]}\n{lines[2]}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:4: {message}$"):
+            corpus_from_jsonl(path, vocab_size=6, rate=0.1)
+        # A record-rule error on an earlier line is reported first.
+        path.write_text(f"{lines[0]}\n\n{lines[1].replace('[0, 1]', '[0, 9]', 1)}\n{lines[2]}\n")
+        with pytest.raises(ValueError, match=r"c\.jsonl:3: clean token 9 outside \[0, 6\)$"):
+            corpus_from_jsonl(path, vocab_size=6, rate=0.1)
 
     def test_corpus_arrays_padding(self):
         w = small_world(V=6, support=2, seed=0)

@@ -6,22 +6,22 @@ from hypothesis import strategies as st
 import reference
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, build_confusion,
                                 generate_corpus)
-from denoiselab.calibration import calibration_report, ece, write_reliability_csv
+from denoiselab.calibration import EASY_CUTOFF, calibration_report, ece, write_reliability_csv
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
 
 from constructions import one_record
 
 
-def hand_report(kept_masses, cutoff):
+def hand_report(kept_masses):
     """``calibration_report`` of a hand-built (probs, decoded) pair: one sentence
     of token 0, whose row i keeps ``kept_masses[i]`` on it and decodes to it, so
     each position's confidence is its kept mass."""
     kept = np.array(kept_masses, dtype=float)
     tokens = (0,) * len(kept)
-    corpus = PairCorpus([CorruptionRecord(tokens, tokens, (), 0.0)], 2, 0.0, "iid")
+    corpus = PairCorpus([CorruptionRecord(tokens, tokens, ())], 2, 0.0, "iid")
     scored = (np.column_stack([kept, 1.0 - kept]), np.zeros(len(kept), dtype=np.int64))
-    return calibration_report(scored, corpus, cutoff)
+    return calibration_report(scored, corpus)
 
 
 def confidences(report):
@@ -39,51 +39,51 @@ class TestCollectOutcomes:
         self.model = train(self.corpus)
 
     def test_one_outcome_per_character(self):
-        report = calibration_report(predict_matrix(self.model, self.corpus), self.corpus,
-                                    cutoff=0.0)
-        assert report.n_outcomes == self.corpus.n_chars
+        report = calibration_report(predict_matrix(self.model, self.corpus), self.corpus)
+        assert report.n_outcomes + report.n_excluded == self.corpus.n_chars
 
     def test_kept_mass_is_recomputable(self):
         scored = [predict_matrix(self.model, one_record(self.corpus, ri))
                   for ri in range(len(self.corpus))]
         whole = predict_matrix(self.model, self.corpus)
-        for cutoff in (0.1, 0.3, 0.5, 0.7, 0.9):  # the kept mass decides each exclusion
-            kept, n_excluded = reference.calibration_outcomes(self.corpus.records, scored,
-                                                              cutoff)
-            want = ece([o[0] for o in kept], [o[1] for o in kept])
-            report = calibration_report(whole, self.corpus, cutoff)
-            assert (report.bins, report.ece, report.n_excluded) == \
-                (want.bins, want.ece, n_excluded)
+        # the kept mass decides each exclusion
+        kept, n_excluded = reference.calibration_outcomes(self.corpus.records, scored,
+                                                          EASY_CUTOFF)
+        want = ece([o[0] for o in kept], [o[1] for o in kept])
+        report = calibration_report(whole, self.corpus)
+        assert (report.bins, report.ece, report.n_excluded) == (want.bins, want.ece, n_excluded)
 
     def test_identity_model_outcomes_confident_and_correct(self):
         clean = generate_corpus(self.world, self.table, 60, (4, 8), 0.0, seed=3)
         model = train(clean, alpha=0.001)
-        report = calibration_report(predict_matrix(model, clean), clean, cutoff=0.0, n_bins=1)
-        assert report.n_excluded == 0
-        assert report.bins[0].accuracy > 0.99
-        assert report.bins[0].mean_confidence > 0.9
+        probs, preds = predict_matrix(model, clean)
+        report = ece(probs[np.arange(len(preds)), preds], preds == clean.clean)  # none excluded
+        counts = np.array([b.count for b in report.bins])
+        assert counts.sum() == clean.n_chars
+        assert np.dot(counts, [b.accuracy for b in report.bins]) / counts.sum() > 0.99
+        assert np.dot(counts, [b.mean_confidence for b in report.bins]) / counts.sum() > 0.9
 
 
 class TestFilterEasyPositives:
     def test_hand_case(self):
-        report = hand_report((0.99, 0.95, 0.85, 0.5, 0.1), cutoff=0.1)
+        report = hand_report((0.99, 0.95, 0.85, 0.5, 0.1))
         assert confidences(report) == [0.1, 0.5, 0.85]
         assert report.n_excluded == 2
 
-    def test_zero_cutoff_keeps_all(self):
-        report = hand_report((0.0, 0.5, 1.0), cutoff=0.0)
-        assert confidences(report) == [0.0, 0.5, 1.0]
-        assert report.n_excluded == 0
+    def test_full_kept_mass_is_excluded(self):
+        report = hand_report((0.0, 0.5, 1.0))
+        assert confidences(report) == [0.0, 0.5]
+        assert report.n_excluded == 1
 
-    def test_unit_cutoff_keeps_only_zero_mass(self):
-        report = hand_report((0.0, 0.01, 1.0), cutoff=1.0)
-        assert confidences(report) == [0.0]
-        assert report.n_excluded == 2
+    def test_small_kept_masses_are_kept(self):
+        report = hand_report((0.0, 0.01, 1.0))
+        assert [(b.count, b.mean_confidence) for b in report.bins if b.count] == [(2, 0.005)]
+        assert report.n_excluded == 1
 
 
 class TestEce:
     def test_hand_four_outcome_case(self):
-        report = ece([0.9, 0.9, 0.6, 0.6], [True, True, True, False], n_bins=10)
+        report = ece([0.9, 0.9, 0.6, 0.6], [True, True, True, False])
         assert report.ece == pytest.approx(0.1, abs=1e-12)
         occupied = [b for b in report.bins if b.count]
         assert [(b.lower, b.count) for b in occupied] == [(0.6, 2), (0.9, 2)]
@@ -92,9 +92,9 @@ class TestEce:
         assert ece([1.0] * 7, [True] * 7).ece == 0.0
 
     def test_boundary_goes_to_upper_bin_and_one_stays_top(self):
-        report = ece([0.5], [True], n_bins=10)
+        report = ece([0.5], [True])
         assert report.bins[5].count == 1
-        report = ece([1.0], [True], n_bins=10)
+        report = ece([1.0], [True])
         assert report.bins[9].count == 1
 
     def test_empty_rejected(self):
@@ -132,7 +132,7 @@ class TestReportHelpers:
                                                        context_affinity=0.0))
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
-        report = calibration_report(predict_matrix(model, corpus), corpus, cutoff=0.1)
+        report = calibration_report(predict_matrix(model, corpus), corpus)
         assert report.n_excluded == corpus.n_chars - report.n_outcomes
         assert report.n_excluded > 0
 

@@ -1,12 +1,14 @@
 """Property tests: the columnar pair corpus against per-record reference passes.
 
 Random small corpora (V <= 5, sentences of 1-6 tokens, 0-3 edits per record,
-with, without and with some categories) are built from records, by
+with categories on every record or on none) are built from records, by
 generation and by a JSONL read; ``reference.py`` holds the record-by-record
-implementations the array passes must match exactly.  The JSONL tests go up
+implementations the array passes must match exactly, and the record-rule
+test also draws records of which only some carry categories.  The JSONL tests go up
 to V = 12, so that token ids of two digits are written and read.
 """
 
+import dataclasses
 import json
 import re
 
@@ -20,7 +22,7 @@ from denoiselab.augment import (CATEGORIES, ConfusionConfig, CorruptionRecord, P
                                 SampleCategory, build_confusion, concat_corpora, corpus_arrays,
                                 corpus_digest, corpus_from_jsonl, corpus_to_jsonl,
                                 generate_corpus)
-from denoiselab.calibration import calibration_report, ece
+from denoiselab.calibration import EASY_CUTOFF, calibration_report, ece
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
@@ -28,13 +30,13 @@ from denoiselab.world import WorldConfig, build_world
 
 from constructions import one_record
 
-COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category",
-           "annotated")
+COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category")
 
 
 @st.composite
 def record_lists(draw, vocab_size, annotation=None):
-    """Records as (clean, corrupted, edits, categories) tuples."""
+    """Records as (clean, corrupted, edits, categories) tuples; categories on every
+    record, on none, or (``some``, which no corpus accepts) on some."""
     annotation = annotation or draw(st.sampled_from(("none", "all", "some")))
     records = []
     for _ in range(draw(st.integers(1, 6))):
@@ -57,7 +59,8 @@ def record_lists(draw, vocab_size, annotation=None):
 @st.composite
 def corpora(draw, annotation=None, V=None):
     V = V or draw(st.integers(2, 5))
-    records = tuple(CorruptionRecord(*r[:3], 0.1, r[3])
+    annotation = annotation or draw(st.sampled_from(("none", "all")))
+    records = tuple(CorruptionRecord(*r)
                     for r in draw(record_lists(V, annotation)))
     return PairCorpus(records, V, 0.1, "iid")
 
@@ -67,8 +70,9 @@ def crowded(draw):
     """Up to 18 records over two or three tokens: edits often share a replacement
     and both neighbours, which may be edits themselves or sentence ends."""
     V = draw(st.integers(2, 3))
-    records = [r for _ in range(3) for r in draw(record_lists(V))]
-    return PairCorpus(tuple(CorruptionRecord(*r[:3], 0.1, r[3]) for r in records),
+    annotation = draw(st.sampled_from(("none", "all")))
+    records = [r for _ in range(3) for r in draw(record_lists(V, annotation))]
+    return PairCorpus(tuple(CorruptionRecord(*r) for r in records),
                       V, 0.1, "iid")
 
 
@@ -123,8 +127,10 @@ class TestBuildPaths:
     @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))))
     def test_concatenation_equals_the_joined_records(self, pair):
         first, second = pair
-        joined = PairCorpus(tuple(first.records) + tuple(second.records), first.vocab_size,
-                            0.1, "iid")
+        records = tuple(first.records) + tuple(second.records)
+        if first.category is None or second.category is None:  # annotated only when both are
+            records = tuple(dataclasses.replace(r, categories=None) for r in records)
+        joined = PairCorpus(records, first.vocab_size, 0.1, "iid")
         assert_same_corpus(concat_corpora(first, second), joined)
 
     def test_records_view_indexes_and_slices_like_a_tuple(self):
@@ -158,7 +164,7 @@ class TestBuildPaths:
             a, b = offsets[ri], offsets[ri + 1]
             checked = CorruptionRecord(tuple(corpus.clean[a:b].tolist()),
                                        tuple(corpus.corrupted[a:b].tolist()),
-                                       tuple(edit for edit, _ in mine), corpus.rate,
+                                       tuple(edit for edit, _ in mine),
                                        tuple(name for _, name in mine) if annotate else None)
             for field in CorruptionRecord.__slots__:
                 left, right = getattr(built, field), getattr(checked, field)
@@ -201,20 +207,19 @@ class TestArrayPasses:
                                                               corpus.vocab_size)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))),
-           st.sampled_from((0.0, 0.1, 0.5)))
-    def test_calibration_report_equals_the_object_path(self, pair, cutoff):
+    @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))))
+    def test_calibration_report_equals_the_object_path(self, pair):
         train_corpus, corpus = pair
         model = train(train_corpus, alpha=0.1)
         scored = [predict_matrix(model, one_record(corpus, k))  # each record a corpus of its own
                   for k in range(len(corpus))]
-        kept, n_excluded = reference.calibration_outcomes(corpus.records, scored, cutoff)
+        kept, n_excluded = reference.calibration_outcomes(corpus.records, scored, EASY_CUTOFF)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):
-                calibration_report(predict_matrix(model, corpus), corpus, cutoff)
+                calibration_report(predict_matrix(model, corpus), corpus)
             return
         want = ece([o[0] for o in kept], [o[1] for o in kept])
-        report = calibration_report(predict_matrix(model, corpus), corpus, cutoff)
+        report = calibration_report(predict_matrix(model, corpus), corpus)
         assert (report.bins, report.ece, report.n_excluded) == (want.bins, want.ece, n_excluded)
 
 
@@ -267,8 +272,7 @@ class TestRecordRule:
         k = data.draw(st.integers(0, len(records) - 1))
         kind = data.draw(st.sampled_from(BREAKS))
         records[k] = broken(records[k], kind, V)
-        expected = next(((line, message) for line, r in enumerate(records, 1)
-                         if (message := reference.record_problem(*r, V))), None)
+        expected = reference.first_record_problem(records, V)
         path = tmp_path_factory.mktemp("rule") / "c.jsonl"
         path.write_text("".join(json.dumps(
             {"clean": c, "corrupted": r, "edits": [list(e) for e in e_],
@@ -277,13 +281,12 @@ class TestRecordRule:
         if expected is None:  # the break happened to leave a valid record
             corpus_from_jsonl(path, V, 0.1)
             return
-        line, message = expected
+        line, message = expected[0] + 1, expected[1]
         with pytest.raises(ValueError) as info:
             corpus_from_jsonl(path, V, 0.1)
         assert str(info.value) == f"{path}:{line}: {message}"
         with pytest.raises(ValueError) as direct:  # a record alone has no vocabulary to break
-            PairCorpus((CorruptionRecord(*records[line - 1][:3], 0.1, records[line - 1][3]),),
-                       V, 0.1, "iid")
+            PairCorpus(tuple(CorruptionRecord(*r) for r in records[:line]), V, 0.1, "iid")
         assert str(direct.value) == message
 
     @pytest.mark.parametrize("lines,message", [
@@ -307,15 +310,15 @@ class TestRecordRule:
     ], ids=["too-large", "negative", "corrupted-side"])
     def test_records_with_a_token_outside_the_vocabulary_are_refused(self, clean, corrupted,
                                                                     edits, message):
-        good = CorruptionRecord((1, 2), (1, 2), (), 0.1)
-        bad = CorruptionRecord(clean, corrupted, edits, 0.1)  # alone it has no vocabulary
+        good = CorruptionRecord((1, 2), (1, 2), ())
+        bad = CorruptionRecord(clean, corrupted, edits)  # alone it has no vocabulary
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             PairCorpus((good, bad), 20, 0.1, "iid")
 
 
 @st.composite
 def jsonl_corpora(draw):
-    """Corpora over up to 12 tokens: annotated, not, or mixed by concatenation."""
+    """Corpora over up to 12 tokens, annotated or not, some joined by concatenation."""
     V = draw(st.integers(2, 12))
     first = draw(corpora(V=V))
     return concat_corpora(first, draw(corpora(V=V))) if draw(st.booleans()) else first

@@ -18,7 +18,7 @@ from constructions import one_record
 
 
 def identity_corpus(tokens_list, vocab_size):
-    records = tuple(CorruptionRecord(t, t, (), 0.0) for t in tokens_list)
+    records = tuple(CorruptionRecord(t, t, ()) for t in tokens_list)
     return PairCorpus(records, vocab_size, 0.0, "iid")
 
 
@@ -89,7 +89,7 @@ class TestPredict:
         np.testing.assert_allclose(probs, 0.25, atol=1e-8)
 
     def test_signature_with_single_target_argmaxes_it(self):
-        rec = CorruptionRecord((0, 1, 2), (0, 3, 2), ((1, 1, 3),), 0.1)
+        rec = CorruptionRecord((0, 1, 2), (0, 3, 2), ((1, 1, 3),))
         corpus = PairCorpus((rec,), 4, 0.1, "iid")
         model = train(corpus)
         assert np.argmax(predict_at(model, corpus, [1])[0]) == 1  # corrupted (0, 3, 2)

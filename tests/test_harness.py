@@ -47,7 +47,7 @@ def corpus_from_pairs(pairs, vocab_size, rate=0.1):
     for clean, corrupted in pairs:
         edits = tuple((i, a, b) for i, (a, b) in enumerate(zip(clean, corrupted))
                       if a != b)
-        records.append(CorruptionRecord(tuple(clean), tuple(corrupted), edits, rate))
+        records.append(CorruptionRecord(tuple(clean), tuple(corrupted), edits))
     return PairCorpus(tuple(records), vocab_size, rate, "single_edit")
 
 

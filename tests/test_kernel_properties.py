@@ -75,7 +75,7 @@ def kernel_cases(draw):
 
 def place_corpus(sentences, vocab_size, rate):
     """One unedited record per sentence."""
-    return PairCorpus([CorruptionRecord(s, s, (), rate) for s in sentences], vocab_size, rate,
+    return PairCorpus([CorruptionRecord(s, s, ()) for s in sentences], vocab_size, rate,
                       "iid")
 
 
@@ -95,7 +95,7 @@ class TestBatchedConditional:
     @given(kernel_cases())
     def test_rows_match_enumeration_and_zero_exactly_where_it_is_impossible(self, case):
         world, _, sentences, tokens, positions = case
-        rows = conditional(world, tokens, positions)
+        rows = conditional(world, tokens, positions, np.arange(len(positions)))
         assert rows.shape == (len(sentences), world.vocab_size)
         for row, sentence, p in zip(rows, sentences, positions):
             want = slot_distribution(world, sentence, p)
@@ -136,7 +136,8 @@ class TestBatchedConditional:
         tokens = np.full((len(sentences), 3), V)
         for row, sentence in zip(tokens, sentences):
             row[:len(sentence)] = sentence
-        for row, sentence, p in zip(conditional(world, tokens, positions), sentences, positions):
+        rows = conditional(world, tokens, positions, np.arange(len(positions)))
+        for row, sentence, p in zip(rows, sentences, positions):
             if not row.any():
                 with pytest.raises(ImpossibleContextError):
                     conditional(world, sentence, int(p))
@@ -155,7 +156,7 @@ class TestBatchedConditional:
         tokens[j] = data.draw(st.sampled_from(np.flatnonzero(world.matrix[tokens[j - 1]] == 0)
                                               .tolist()))
         padded = np.array([tokens + [V]])
-        assert not conditional(world, padded, np.array([p])).any()
+        assert not conditional(world, padded, np.array([p]), np.array([0])).any()
         assert slot_distribution(world, tokens, p) is None
         with pytest.raises(ImpossibleContextError):
             conditional(world, tokens, p)
@@ -163,15 +164,43 @@ class TestBatchedConditional:
     def test_malformed_batches_rejected(self):
         world = build_world(WorldConfig(vocab_size=3, support=3, seed=0))
         cases = [
-            (np.array([[0, 1, 3]]), [2], "position 2 out of range for length 2"),
-            (np.array([[0, 4, 1]]), [0], "token id out of range"),
-            (np.array([[0, 3, 1]]), [0], "token id out of range"),  # padding mid-sentence
-            (np.array([0, 1]), [0], "matrix"),
-            (np.array([[0, 1]]), [0, 1], "matrix"),
+            (np.array([[0, 1, 3]]), [2], [0], "position 2 out of range for length 2"),
+            (np.array([[0, 1, 2], [0, 3, 3]]), [1], [1], "position 1 out of range for length 1"),
+            (np.array([[0, 4, 1]]), [0], [0], "token id out of range"),
+            (np.array([[0, 3, 1]]), [0], [0], "token id out of range"),  # padding mid-sentence
+            (np.array([0, 1]), [0], [0], "matrix"),
+            (np.array([[0, 1]]), [0, 1], [0], "matrix"),  # a row per position
+            (np.array([[0, 1]]), [0], [1], "row out of range for 1 sentences"),
+            (np.array([[0, 1]]), [0], [-1], "row out of range for 1 sentences"),
         ]
-        for tokens, positions, message in cases:
+        for tokens, positions, rows, message in cases:
             with pytest.raises(ValueError, match=message):
-                conditional(world, tokens, np.array(positions))
+                conditional(world, tokens, np.array(positions), np.array(rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_sentence_matrix_serves_repeated_rows(self, data):
+        """Queries share the matrix's sentences, several to a sentence and in any order."""
+        world = data.draw(worlds(orders=(1, 2)))
+        V = world.vocab_size
+        sentences = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=5),
+                                       min_size=1, max_size=4))
+        tokens = np.full((len(sentences), max(map(len, sentences))), V, dtype=np.int64)
+        for row, s in zip(tokens, sentences):
+            row[:len(s)] = s
+        queries = data.draw(st.lists(st.sampled_from(
+            [(k, p) for k, s in enumerate(sentences) for p in range(len(s))]), max_size=12))
+        rows = np.array([k for k, _ in queries], dtype=np.int64)
+        positions = np.array([p for _, p in queries], dtype=np.int64)
+        got = conditional(world, tokens, positions, rows)
+        assert got.shape == (len(queries), V)
+        for row, (k, p) in zip(got, queries):
+            want = slot_distribution(world, sentences[k], p)
+            if want is None:
+                assert not row.any()
+                continue
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(row == 0.0, want == 0.0)
 
 
 class TestOracleScorer:
@@ -251,8 +280,9 @@ class TestPosterior:
             if len(rec.edits) != 1:
                 continue
             (i, _, _), = rec.edits
-            rep = posterior(world, table, rec)
-            assert abs(rep.posterior - brute_force_posterior(world, table, rec)) <= 1e-12
+            rep = posterior(world, table, rec, 0, rate)
+            assert abs(rep.posterior - brute_force_posterior(world, table, rec, 0, rate)) \
+                <= 1e-12
             row = restoration_distribution(world, table, corpus, [corpus.offsets[k] + i], rate)[0]
             assert rep.candidates == tuple(np.flatnonzero(row).tolist())
             assert rep.category == rec.categories[0]
@@ -302,11 +332,11 @@ class TestKeptSlotRows:
                                  seed=data.draw(st.integers(0, 1000)))
         for rec in corpus.records:
             if rec.edits:
-                first = posterior(world, table, rec)
+                first = posterior(world, table, rec, 0, 0.1)
                 want = dict(first.priors)
                 first.priors.clear()
                 first.priors[-1] = 2.0
-                assert posterior(world, table, rec).priors == want
+                assert posterior(world, table, rec, 0, 0.1).priors == want
                 i = rec.edits[0][0]
                 row = conditional(world, rec.corrupted, i)
                 want = row.copy()
@@ -330,10 +360,10 @@ class TestKeptSlotRows:
         assume(mute)
         x = data.draw(st.sampled_from(mute))  # a source the channel never turns into y
         clean = observed[:i] + (x,) + observed[i + 1:]
-        record = CorruptionRecord(clean, observed, ((i, x, y),), rate)
+        record = CorruptionRecord(clean, observed, ((i, x, y),))
         for _ in range(3):
             with pytest.raises(ValueError, match="original cannot emit the edit"):
-                posterior(world, table, record)
+                posterior(world, table, record, 0, rate)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), st.sampled_from((0.1, 0.4)))
@@ -344,10 +374,10 @@ class TestKeptSlotRows:
                                  seed=data.draw(st.integers(0, 1000)))
         records = [rec for rec in corpus.records if rec.edits]
         for rec in records:
-            posterior(world, table, rec)
+            posterior(world, table, rec, 0, rate)
         for rec in records:
-            warm = posterior(world, table, rec).posterior
-            assert abs(warm - brute_force_posterior(world, table, rec)) <= 1e-12
+            warm = posterior(world, table, rec, 0, rate).posterior
+            assert abs(warm - brute_force_posterior(world, table, rec, 0, rate)) <= 1e-12
 
     def test_a_large_world_keeps_rows_of_the_pairs_it_reads_within_its_budget(self):
         V = 1000  # a dense table of every pair's row would take 8 GB
@@ -359,7 +389,7 @@ class TestKeptSlotRows:
         tracemalloc.start()
         try:
             for rec in records:
-                posterior(world, table, rec)
+                posterior(world, table, rec, 0, 0.1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -17,20 +17,20 @@ class TestPosterior:
         world = build_world(WorldConfig(vocab_size=3, order=1, seed=0, rows=rows,
                                         initial=[1.0, 0.0, 0.0]))
         table = manual_table(3, [[2], [2], [0]], np.ones((3, 1)))
-        record = CorruptionRecord((0, 1, 2), (0, 2, 2), ((1, 1, 2),), 0.1)
-        rep = posterior(world, table, record)
+        record = CorruptionRecord((0, 1, 2), (0, 2, 2), ((1, 1, 2),))
+        rep = posterior(world, table, record, 0, 0.1)
         assert rep.category == SampleCategory.TRUE
         assert rep.posterior == 1.0
         assert rep.bound is None
 
     def test_equal_prior_noisy_is_one_nineteenth(self):
         world, table, record = equal_prior_noisy_setup()
-        rep = posterior(world, table, record)
+        rep = posterior(world, table, record, 0, 0.1)
         assert rep.category == SampleCategory.NOISY
         assert rep.candidates == (1, 2)
         assert rep.posterior == pytest.approx(1 / 19, abs=1e-12)
         assert rep.sigma == 0.0
-        bf = brute_force_posterior(world, table, record)
+        bf = brute_force_posterior(world, table, record, 0, 0.1)
         assert abs(rep.posterior - bf) < 1e-12
 
     def test_matches_brute_force_on_random_records(self):
@@ -47,8 +47,8 @@ class TestPosterior:
             corpus = generate_corpus(world, table, 5, (2, 4), 0.1,
                                      mode="single_edit", seed=seed)
             for rec in corpus.records:
-                rep = posterior(world, table, rec)
-                bf = brute_force_posterior(world, table, rec)
+                rep = posterior(world, table, rec, 0, 0.1)
+                bf = brute_force_posterior(world, table, rec, 0, 0.1)
                 assert abs(rep.posterior - bf) <= 1e-9
                 checked += 1
         assert checked >= 100
@@ -58,8 +58,8 @@ class TestPosterior:
         world = build_world(WorldConfig(vocab_size=3, order=1, seed=0, rows=rows,
                                         initial=[1.0, 0.0, 0.0]))
         table = manual_table(3, [[2], [0], [1]], np.ones((3, 1)))
-        record = CorruptionRecord((0, 1, 2), (0, 0, 2), ((1, 1, 0),), 0.1)
-        assert brute_force_posterior(world, table, record) == 1.0
+        record = CorruptionRecord((0, 1, 2), (0, 0, 2), ((1, 1, 0),))
+        assert brute_force_posterior(world, table, record, 0, 0.1) == 1.0
 
     def test_symmetry_under_uniform_world_and_table(self):
         V = 4
@@ -68,16 +68,16 @@ class TestPosterior:
                                         initial=[1.0 / V] * V))
         table = manual_table(V, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
                              np.full((V, 3), 1 / 3))
-        corpus = PairCorpus([CorruptionRecord((0, 2, 1), (0, 2, 1), (), 0.1)], V, 0.1, "iid")
+        corpus = PairCorpus([CorruptionRecord((0, 2, 1), (0, 2, 1), ())], V, 0.1, "iid")
         dist = restoration_distribution(world, table, corpus, [1], 0.1)[0]
         sources = [v for v in range(V) if v != 2]
         np.testing.assert_allclose(dist[sources], dist[sources][0], atol=1e-15)
 
     def test_inconsistent_record_rejected(self):
         world, table, record = equal_prior_noisy_setup()
-        bad = CorruptionRecord((0, 1, 3), (0, 3, 3), ((1, 1, 3),), 0.1)
+        bad = CorruptionRecord((0, 1, 3), (0, 3, 3), ((1, 1, 3),))
         with pytest.raises(ValueError, match="inconsistent"):
-            posterior(world, table, bad)  # 3 is not in the confusion set of 1
+            posterior(world, table, bad, 0, 0.1)  # 3 is not in the confusion set of 1
 
 
 class TestSigmaDecomposition:
@@ -95,7 +95,7 @@ class TestSigmaDecomposition:
             corpus = generate_corpus(world, table, 40, (3, 4), 0.1,
                                      mode="single_edit", seed=seed)
             for rec in corpus.records:
-                rep = posterior(world, table, rec)
+                rep = posterior(world, table, rec, 0, 0.1)
                 if len(rep.candidates) < 3:
                     continue
                 rich += 1
@@ -112,7 +112,7 @@ class TestSigmaDecomposition:
         corpus = generate_corpus(world, table, 30, (3, 4), 0.1,
                                  mode="single_edit", seed=5)
         for rec in corpus.records:
-            assert posterior(world, table, rec).sigma >= 0.0
+            assert posterior(world, table, rec, 0, 0.1).sigma >= 0.0
 
 
 class TestCaseConfidence:
@@ -165,7 +165,7 @@ class TestBounds:
             corpus = generate_corpus(world, table, 30, (3, 4), 0.1,
                                      mode="single_edit", seed=seed)
             for rec in corpus.records:
-                rep = posterior(world, table, rec)
+                rep = posterior(world, table, rec, 0, 0.1)
                 if rep.bound is not None:
                     assert rep.posterior <= rep.bound + 1e-9
 
@@ -175,7 +175,7 @@ class TestChannelSensitivity:
         last = 0.0
         for head in (0.2, 0.4, 0.6, 0.8, 0.95):
             world, table, record = equal_prior_noisy_setup(head_weight=head)
-            rep = posterior(world, table, record)
+            rep = posterior(world, table, record, 0, 0.1)
             assert rep.posterior > last
             last = rep.posterior
 
@@ -185,7 +185,7 @@ class TestOrdering:
         groups = []
         for seed in range(50):
             world, table, records = ordering_triple(seed)
-            reports = [posterior(world, table, rec) for rec in records]
+            reports = [posterior(world, table, rec, 0, 0.1) for rec in records]
             cats = [r.category for r in reports]
             assert cats == [SampleCategory.TRUE, SampleCategory.NOISY,
                             SampleCategory.MULTI_ANSWER]
@@ -197,20 +197,20 @@ class TestOrdering:
 
     def test_vacuous_group_passes(self):
         world, table, records = ordering_triple(0)
-        rep = posterior(world, table, records[0])
+        rep = posterior(world, table, records[0], 0, 0.1)
         result = verify_ordering([[rep]])
         assert result.groups[0].passed
 
     def test_unqualified_group_is_skipped(self):
         world, uniform, longtail, record = bound_demo_setup()
-        rep = posterior(world, longtail, record)
+        rep = posterior(world, longtail, record, 0, 0.1)
         result = verify_ordering([[rep]], ratio_bound=2.0)
         assert not result.groups[0].qualified
         assert result.n_qualified == 0
 
     def test_long_tail_overconfidence_is_flagged_not_failed(self):
         world, uniform, longtail, record = bound_demo_setup()
-        rep = posterior(world, longtail, record)
+        rep = posterior(world, longtail, record, 0, 0.1)
         assert rep.posterior > bounds(0.1, None, SampleCategory.NOISY)
         result = verify_ordering([[rep]], ratio_bound=20.0)
         group = result.groups[0]
@@ -219,7 +219,7 @@ class TestOrdering:
 
 
 def single_record_corpus(record, vocab_size):
-    return PairCorpus((record,), vocab_size, record.channel_rate, "single_edit")
+    return PairCorpus((record,), vocab_size, 0.1, "single_edit")
 
 
 class TestOracleScorer:
@@ -233,7 +233,7 @@ class TestOracleScorer:
     def test_unexplainable_context_falls_back_to_uniform(self):
         world, table, record = equal_prior_noisy_setup()
         scorer = OracleScorer(world, table, 0.1)
-        impossible = CorruptionRecord((3, 3, 3), (3, 3, 3), (), 0.1)  # zero-probability context
+        impossible = CorruptionRecord((3, 3, 3), (3, 3, 3), ())  # zero-probability context
         got = scorer.predict_at(single_record_corpus(impossible, 4), [1])[0]
         np.testing.assert_allclose(got, 0.25, atol=1e-15)
 
@@ -250,7 +250,7 @@ class TestOracleScorer:
         scorer = OracleScorer(world, table, 0.1)
         # A corpus that holds 99 or 4 is over a wider vocabulary than the world's 4 tokens,
         # and is refused whatever it is asked; the position cases use the world's own.
-        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, (), 0.1),
+        corpus = single_record_corpus(CorruptionRecord(tokens, tokens, ()),
                                       max(max(tokens) + 1, world.vocab_size))
         with pytest.raises(ValueError, match=message):
             scorer.predict_at(corpus, place)

@@ -35,7 +35,7 @@ WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
 
 @st.composite
 def pair_corpora(draw, vocab_size, max_records=6):
-    records = []
+    records, annotate = [], draw(st.booleans())  # categories on every record or on none
     for _ in range(draw(st.integers(1, max_records))):
         clean = draw(st.lists(st.integers(0, vocab_size - 1), min_size=1, max_size=7))
         corrupted = list(clean)
@@ -47,10 +47,9 @@ def pair_corpora(draw, vocab_size, max_records=6):
                 corrupted[i] = y
                 edits.append((i, x, y))
         categories = None
-        if draw(st.booleans()):
+        if annotate:
             categories = tuple(draw(st.sampled_from(list(SampleCategory))) for _ in edits)
-        records.append(CorruptionRecord(tuple(clean), tuple(corrupted), tuple(edits),
-                                        0.1, categories))
+        records.append(CorruptionRecord(tuple(clean), tuple(corrupted), tuple(edits), categories))
     return PairCorpus(tuple(records), vocab_size, 0.1, "iid")
 
 
@@ -219,8 +218,8 @@ class TestVocabularyRule:
         window = (-1, 0, 1)
         wide = _signatures(np.array([5, 0, 1]), np.array([0, 3]), 4, window, [0])
         assert wide == _signatures(np.array([0, 1]), np.array([0, 2]), 4, window, [0])
-        model = train(PairCorpus((CorruptionRecord((0, 1), (0, 1), (), 0.1),), 4, 0.1, "iid"))
-        corpus = PairCorpus((CorruptionRecord((5, 0, 1), (5, 0, 1), (), 0.1),), 6, 0.1, "iid")
+        model = train(PairCorpus((CorruptionRecord((0, 1), (0, 1), ()),), 4, 0.1, "iid"))
+        corpus = PairCorpus((CorruptionRecord((5, 0, 1), (5, 0, 1), ()),), 6, 0.1, "iid")
         with pytest.raises(ValueError, match="^corpus vocab_size 6 differs from the model's 4$"):
             predict_at(model, corpus, [0])
 
@@ -242,6 +241,6 @@ class TestRevertInvariants:
         assert_revert_invariants(corpus, revert_edits(corpus, keep), keep)
 
     def test_revert_edits_needs_one_flag_per_edit(self):
-        rec = CorruptionRecord((0, 1), (0, 2), ((1, 1, 2),), 0.1)
+        rec = CorruptionRecord((0, 1), (0, 2), ((1, 1, 2),))
         with pytest.raises(ValueError, match="one flag per edit"):
             revert_edits(PairCorpus((rec,), 3, 0.1, "iid"), [True, False])
