@@ -13,8 +13,7 @@ from .augment import (ConfusionConfig, ConfusionTable, CorruptionRecord,
 from .calibration import CalibrationReport, ece
 from .corrector import CorrectorConfig, CorrectorModel, train
 from .harness import Metrics, category_filter_rates, emit_report, evaluate
-from .oracle import (OracleScorer, PosteriorReport, bounds, brute_force_posterior,
-                     posterior, restoration_distribution, verify_ordering)
+from .oracle import OracleScorer, PosteriorReport, bounds, posterior, restoration_distribution
 from .pipeline import (ExperimentConfig, FilterConfig, PipelineReport,
                        filter_corpus, heuristic_multi, heuristic_noisy,
                        make_eval_corpus, run_pipeline,

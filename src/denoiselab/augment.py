@@ -23,7 +23,7 @@ import gc
 import hashlib
 import json
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
 from pathlib import Path
@@ -136,16 +136,9 @@ class ConfusionTable:
         """(V, V) replacement-weight matrix; row = source, column = output."""
         return self._matrix
 
-    def transition_prob(self, source: int, observed: int, rate: float) -> float:
-        """Channel law for one position: keep with 1 - rate, else draw a candidate."""
-        if not (0.0 <= rate < 1.0):
-            raise ValueError("rate must be in [0, 1)")
-        if observed == source:
-            return 1.0 - rate
-        return rate * float(self._matrix[source, observed])
-
     def channel_vector(self, observed, rate: float) -> np.ndarray:
-        """``transition_prob(v, observed, rate)`` at each source v; a row per token of an array."""
+        """The channel law of ``observed`` at each source v: keep with ``1 - rate``, else
+        draw a candidate by its weight; a row per token of an array."""
         if not (0.0 <= rate < 1.0):
             raise ValueError("rate must be in [0, 1)")
         vec = rate * self._matrix.T[observed]
@@ -278,7 +271,7 @@ def _record_problem(clean, corrupted, edits, categories,
 
 @dataclass(frozen=True, slots=True)
 class CorruptionRecord:
-    """One sentence pair; :class:`PairCorpus` builds these from its columns on access."""
+    """One sentence pair; :class:`PairCorpus` builds these from its columns while iterating."""
 
     clean: tuple[int, ...]
     corrupted: tuple[int, ...]
@@ -289,10 +282,6 @@ class CorruptionRecord:
         problem = _record_problem(self.clean, self.corrupted, self.edits, self.categories)
         if problem:
             raise ValueError(problem)
-
-    @property
-    def length(self) -> int:
-        return len(self.clean)
 
 
 # The slots' setters, usable on a frozen dataclass: RecordsView builds records with them.
@@ -396,7 +385,7 @@ def _columns_from_lists(cleans: list, corrupteds: list, edits: list,
     return columns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a corpus equals only itself; compare the columns instead
 class PairCorpus:
     """An aligned pair corpus stored as flat columns.
 
@@ -409,24 +398,24 @@ class PairCorpus:
     on none).  The columns are read-only and may be shared between corpora.
     ``rate`` and ``mode`` are the corpus's channel rate and corruption mode.
 
-    ``records`` may be given as a sequence of :class:`CorruptionRecord`, all
-    checked at once.  It reads back as a
-    :class:`RecordsView`, which builds records on access and keeps none, so
-    loops over a large corpus belong on the columns.
+    ``records`` may be given as an iterable of :class:`CorruptionRecord`, all
+    checked at once.  It reads back as a :class:`RecordsView`, which only
+    iterates, building records as it goes and keeping none, so loops over a
+    large corpus belong on the columns.
     """
 
-    records: Sequence[CorruptionRecord]
+    records: Iterable[CorruptionRecord]
     vocab_size: int
     rate: float
     mode: str
-    clean: np.ndarray = field(init=False, repr=False, compare=False)
-    corrupted: np.ndarray = field(init=False, repr=False, compare=False)
-    offsets: np.ndarray = field(init=False, repr=False, compare=False)
-    record: np.ndarray = field(init=False, repr=False, compare=False)
-    pos: np.ndarray = field(init=False, repr=False, compare=False)
-    orig: np.ndarray = field(init=False, repr=False, compare=False)
-    repl: np.ndarray = field(init=False, repr=False, compare=False)
-    category: np.ndarray | None = field(init=False, repr=False, compare=False)
+    clean: np.ndarray = field(init=False, repr=False)
+    corrupted: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
+    record: np.ndarray = field(init=False, repr=False)
+    pos: np.ndarray = field(init=False, repr=False)
+    orig: np.ndarray = field(init=False, repr=False)
+    repl: np.ndarray = field(init=False, repr=False)
+    category: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.records, RecordsView):
@@ -496,13 +485,11 @@ class PairCorpus:
                                         self.vocab_size, self.rate, self.mode)
 
 
-class RecordsView(Sequence):
-    """The records of a :class:`PairCorpus`, built from its columns on access.
+class RecordsView:
+    """The records of a :class:`PairCorpus`, built from its columns while iterating.
 
-    Indexing, slicing, iteration and ``==`` behave as on a tuple of
-    :class:`CorruptionRecord`.  Nothing is cached: every access builds new
-    records, one object per record, so the memory is only held while the
-    caller holds them.
+    Nothing is cached: each pass builds new :class:`CorruptionRecord` objects,
+    a chunk at a time, so the memory is only held while the caller holds them.
     """
 
     _CHUNK = 4096  # records built at a time while iterating
@@ -513,33 +500,9 @@ class RecordsView(Sequence):
     def __len__(self) -> int:
         return len(self.columns.offsets) - 1
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, stop, step = index.indices(len(self))
-            if step == 1:
-                return tuple(self._build(start, max(start, stop)))
-            return tuple(self[k] for k in range(start, stop, step))
-        k = operator.index(index)
-        k += len(self) if k < 0 else 0
-        if not 0 <= k < len(self):
-            raise IndexError("record index out of range")
-        return self._build(k, k + 1)[0]
-
     def __iter__(self):
         for start in range(0, len(self), self._CHUNK):
             yield from self._build(start, min(start + self._CHUNK, len(self)))
-
-    def __eq__(self, other):
-        if isinstance(other, RecordsView):
-            return all(
-                a is b or (a is not None and b is not None and np.array_equal(a, b))
-                for a, b in zip(self.columns, other.columns))
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"RecordsView(<{len(self)} records>)"
 
     def _build(self, start: int, stop: int) -> list[CorruptionRecord]:
         c = self.columns
@@ -570,22 +533,39 @@ def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
     return table.candidates[sources, idx]
 
 
-def _candidate_flags(table: ConfusionTable, prior: np.ndarray, originals,
-                     replacements) -> np.ndarray:
-    """Candidate flags of each edit, given the prior rows of its context.
+# Prior-row floats annotation holds at once: a default d_o (about 30,000 edits of 20
+# floats) is one block, and a corpus at a high rate does not hold a row per edit.
+_ANNOTATION_FLOATS = 800_000
 
-    Candidates are the tokens that both fit the context (nonzero prior) and
-    can produce the observed replacement under the channel (the replacement
-    itself, or any token holding it in its candidate set).
+
+def _category_codes(world: WorldModel, table: ConfusionTable, flat: np.ndarray,
+                    starts: np.ndarray, owner: np.ndarray, pos: np.ndarray, x: np.ndarray,
+                    y: np.ndarray) -> np.ndarray:
+    """Category code of each edit from its candidates in its clean context: the tokens
+    that both fit the context (nonzero prior) and can produce the replacement under the
+    channel (the replacement itself, or any token holding it in its candidate set).
+
+    One batched conditional per block of edits; a block pads only its own sentences.
     """
-    rows = np.arange(len(prior))
-    flags = table.matrix.T[replacements] > 0.0
-    flags[rows, replacements] = True  # keeping the token always emits it
-    flags &= prior > 0.0
-    if not np.all(flags[rows, originals]):
-        raise ValueError(
-            "edit inconsistent with world/table: original cannot produce the replacement here")
-    return flags
+    V = world.vocab_size
+    codes = np.empty(len(pos), dtype=np.int8)
+    step = max(1, _ANNOTATION_FLOATS // V)
+    for lo in range(0, len(pos), step):
+        edits = slice(lo, lo + step)
+        first, last = int(owner[lo]), int(owner[edits][-1]) + 1
+        sentences = _padded(flat[starts[first]:starts[last]],
+                            starts[first:last + 1] - starts[first], V)
+        fits = conditional(world, sentences, pos[edits], owner[edits] - first) > 0.0
+        flags = table.matrix.T[y[edits]] > 0.0
+        rows = np.arange(len(flags))
+        flags[rows, y[edits]] = True  # keeping the token always emits it
+        flags &= fits
+        if not np.all(flags[rows, x[edits]]):
+            raise ValueError("edit inconsistent with world/table: "
+                             "original cannot produce the replacement here")
+        codes[edits] = candidate_category_codes(flags, y[edits])
+        del sentences, fits, flags  # so the next block is not built beside this one
+    return codes
 
 
 TOKEN_BUDGET = 2**24  # sentences x longest length; 2**20 x (8 to 16) peaked at 1.05 GB
@@ -640,10 +620,7 @@ def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
         raise ValueError(f"unknown corpus mode {mode!r}")
     pos, x = hit - starts[owner], flat[hit]
 
-    category = None
-    if annotate:  # one batched conditional over every edit, in its clean context
-        prior = conditional(world, _padded(flat, starts, world.vocab_size), pos, owner)
-        category = candidate_category_codes(_candidate_flags(table, prior, x, y), y)
+    category = _category_codes(world, table, flat, starts, owner, pos, x, y) if annotate else None
     corrupted = flat.copy()
     corrupted[hit] = y
     return PairCorpus._from_columns(

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._jsonfile import checked_object, fits_int64, load_file
+from ._jsonfile import checked_object, fits_int64, load_file, typed
 from .augment import PairCorpus, corpus_digest
 
 DEFAULT_WINDOW = (-1, 0, 1)
@@ -43,6 +43,7 @@ class CorrectorConfig:  # the one check of a corrector's settings
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if len(self.window) == 0:
             raise ValueError("window needs at least one offset")
+        typed("window", list(self.window), list[int])  # offsets a model file can hold
 
 
 @dataclass(eq=False)

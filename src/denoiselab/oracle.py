@@ -9,24 +9,19 @@ original sentence is the true one factorizes over the edit position:
 where ``channel`` is the per-position keep/replace law of the corruption
 channel and ``prior`` is the world's exact conditional.  Every quantity here
 is computed from hard zeros, so candidate sets, sample categories, and the
-case bounds are exact rather than thresholded.
-
-``brute_force_posterior`` recomputes the same quantity by enumerating every
-possible clean sentence and applying Bayes directly; it shares no code path
-with :func:`posterior` beyond raw world lookups and serves as the
-independent oracle for it.
+case bounds are exact rather than thresholded.  ``tests/enumeration.py`` recomputes
+the posterior by enumerating every clean sentence, sharing no code with this module.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import (CATEGORIES, CATEGORY_TABLE, ConfusionTable, CorruptionRecord,
                       PairCorpus, SampleCategory, _padded)
-from .world import ENUMERATION_BUDGET, WorldModel, conditional
+from .world import WorldModel, conditional
 
 
 @dataclass(frozen=True)
@@ -109,43 +104,7 @@ def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord
     return PosteriorReport(post, members, category, sigma, bound, bound_params, priors)
 
 
-def brute_force_posterior(world: WorldModel, table: ConfusionTable,
-                          record: CorruptionRecord, edit_index: int, rate: float) -> float:
-    """Posterior mass of the true clean sentence by full enumeration.
-
-    Every candidate clean sentence is weighted by its chain probability times
-    the channel likelihood of the observed sentence: positions other than the
-    edit pass through unchanged, the edit position follows the keep/replace
-    law.  Deliberately exhaustive; budget-guarded.
-    """
-    i, _, y = _single_edit(record, edit_index)
-    observed = record.corrupted
-    L, V = record.length, world.vocab_size
-    if V ** L > ENUMERATION_BUDGET:
-        raise ValueError(f"enumeration of {V}**{L} sentences exceeds budget")
-
-    total = 0.0
-    true_mass = 0.0
-    for cand in itertools.product(range(V), repeat=L):
-        if any(cand[j] != observed[j] for j in range(L) if j != i):
-            continue
-        prob = float(world.initial[cand[0]])
-        for j in range(1, L):
-            if prob == 0.0:
-                break
-            prob *= float(world.transitions[cand[max(0, j - world.order):j]][cand[j]])
-        if prob == 0.0:
-            continue
-        weight = prob * table.transition_prob(cand[i], y, rate)
-        total += weight
-        if cand == record.clean:
-            true_mass = weight
-    if total == 0.0:
-        raise ValueError("observed sentence unreachable under the channel")
-    return true_mass / total
-
-
-def bounds(a: float, b: float | None, category: SampleCategory, rate: float = 0.1) -> float:
+def bounds(a: float, b: float | None, category: SampleCategory, rate: float) -> float:
     """Posterior ceilings at channel rate ``rate``; :func:`posterior`'s ``bound``.
 
     Noisy samples: keep/replace odds are at least ``(1 - rate) / rate`` (9 at
@@ -163,67 +122,6 @@ def bounds(a: float, b: float | None, category: SampleCategory, rate: float = 0.
             raise ValueError("multi-answer bound needs positive b")
         return 1.0 / (1.0 + a * b)
     raise ValueError("true samples have posterior exactly 1; no bound applies")
-
-
-@dataclass(frozen=True)
-class GroupOrdering:
-    qualified: bool
-    passed: bool
-    violations: tuple[str, ...]
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class OrderingReport:
-    groups: tuple[GroupOrdering, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(g.passed for g in self.groups if g.qualified)
-
-    @property
-    def n_qualified(self) -> int:
-        return sum(1 for g in self.groups if g.qualified)
-
-
-def verify_ordering(groups: list[list[PosteriorReport]], ratio_bound: float = 10.0,
-                    reference_a: float = 0.1) -> OrderingReport:
-    """Check the strict confidence ordering noisy < multi-answer < true = 1.
-
-    A group qualifies when all candidate priors across its reports lie within
-    ``ratio_bound`` of each other (the comparability condition).  Noisy
-    posteriors exceeding the uniform-channel ceiling at ``reference_a`` are
-    flagged but not failed; they indicate a long-tailed channel at work.
-    """
-    results = []
-    noisy_ceiling = bounds(reference_a, None, SampleCategory.NOISY)
-    for group in groups:
-        all_priors = [p for rep in group for p in rep.priors.values()]
-        qualified = bool(all_priors) and max(all_priors) <= ratio_bound * min(all_priors)
-
-        violations: list[str] = []
-        flags: list[str] = []
-        trues = [r.posterior for r in group if r.category == SampleCategory.TRUE]
-        noisys = [r.posterior for r in group if r.category == SampleCategory.NOISY]
-        multis = [r.posterior for r in group if r.category == SampleCategory.MULTI_ANSWER]
-        if qualified:
-            for p in trues:
-                if p != 1.0:
-                    violations.append(f"true sample posterior {p} != 1")
-            for p in noisys + multis:
-                if not (0.0 < p < 1.0):
-                    violations.append(f"non-true posterior {p} outside (0, 1)")
-            if noisys and multis and max(noisys) >= min(multis):
-                violations.append(
-                    f"max noisy {max(noisys):.6g} >= min multi-answer {min(multis):.6g}")
-            for p in noisys:
-                if p > noisy_ceiling:
-                    flags.append(
-                        f"noisy posterior {p:.6g} exceeds uniform-channel ceiling "
-                        f"{noisy_ceiling:.6g}")
-        results.append(GroupOrdering(qualified, qualified and not violations,
-                                     tuple(violations), tuple(flags)))
-    return OrderingReport(tuple(results))
 
 
 @dataclass(frozen=True)

@@ -214,15 +214,15 @@ def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
     probability is within ``plausibility`` of the original's is adopted as
     correct text (the sentence keeps the replacement and carries no error),
     the way an annotator treats a plausible alternative as not an error.
+    The corpus carries no categories.
     """
     corpus = generate_corpus(world, table, n_sentences, length_range, rate,
                              mode="single_edit", seed=seed,
-                             clean_fraction=clean_fraction, annotate=True,
-                             stream="eval")
+                             clean_fraction=clean_fraction, stream="eval")
     prior = conditional(world, corpus_arrays(corpus)[0], corpus.pos, corpus.record)
     rows = np.arange(corpus.n_edits)
     plausible = prior[rows, corpus.repl] >= plausibility * prior[rows, corpus.orig]
-    # An adopted sentence's clean side is its corrupted side, with no edit and so no category.
+    # An adopted sentence's clean side is its corrupted side, with no edit.
     clean = corpus.clean.copy()
     clean[corpus.flat_pos[plausible]] = corpus.repl[plausible]
     return corpus.keep_edits(~plausible, clean=clean)

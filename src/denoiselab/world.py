@@ -32,7 +32,6 @@ from ._jsonfile import checked_object, load_file
 from ._rng import derive_rng
 
 PROB_TOL = 1e-12
-ENUMERATION_BUDGET = 10**6
 CONTEXT_BUDGET = 10**4
 _SLOT_ROW_FLOATS = 2**20  # order-1 slot rows a world keeps; all (V+1)**2 pairs at V = 20
 _CONTEXT_KEY = re.compile(r"(0|-?[1-9][0-9]*)(,(0|-?[1-9][0-9]*))*")  # ",".join(map(str, ctx))

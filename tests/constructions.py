@@ -1,4 +1,5 @@
-"""Hand-built worlds, tables, and records with known exact posteriors, and one-record corpora."""
+"""Hand-built worlds, tables, and records with known exact posteriors, one-record corpora,
+and the tests' one way to read a corpus's records."""
 
 from __future__ import annotations
 
@@ -9,9 +10,14 @@ from denoiselab.augment import ConfusionTable, CorruptionRecord, PairCorpus
 from denoiselab.world import WorldConfig, build_world
 
 
+def records_of(corpus) -> tuple:
+    """The records of ``corpus``, as a tuple; the tests read records only through here."""
+    return tuple(corpus.records)
+
+
 def one_record(corpus, k):
     """Record ``k`` of ``corpus`` as a corpus of its own, so a scorer sees no other sentence."""
-    return PairCorpus(corpus.records[k:k + 1], corpus.vocab_size, corpus.rate, corpus.mode)
+    return PairCorpus(records_of(corpus)[k:k + 1], corpus.vocab_size, corpus.rate, corpus.mode)
 
 
 def manual_table(V, candidates, weights, mode="uniform"):

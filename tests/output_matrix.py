@@ -58,6 +58,8 @@ from denoiselab.augment import generate_corpus
 from denoiselab.config import experiment_config_from_dict
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 
+from constructions import records_of
+
 
 def commands(out: Path) -> list[list[str]]:
     """The matrix's CLI argument lists, without ``--config`` and ``--seed``."""
@@ -98,7 +100,7 @@ def posteriors_digests(seed: int, config: ExperimentConfig | None = None,
     corpus = generate_corpus(world, longtail, config.do_sentences, config.length_range,
                              config.rate, mode="single_edit", seed=seed, annotate=True,
                              stream="d-o")
-    records = [rec for rec in corpus.records if rec.edits]
+    records = [rec for rec in records_of(corpus) if rec.edits]
     digests = []
     for _ in range(passes):
         h = hashlib.sha256()

@@ -15,6 +15,8 @@ import json
 
 import numpy as np
 
+from constructions import records_of
+
 
 def record_problem(clean, corrupted, edits, categories, vocab_size=None):
     """The error message of the record rule, checked step by step; None if kept.
@@ -113,7 +115,7 @@ def category_counts(before, after):
 
 def iter_edits(corpus):
     """Yields (record_index, record, edit_index, (position, original, replacement))."""
-    for ri, rec in enumerate(corpus.records):
+    for ri, rec in enumerate(records_of(corpus)):
         for ei, edit in enumerate(rec.edits):
             yield ri, rec, ei, edit
 
@@ -126,7 +128,7 @@ def multi_answer_flags(records, vocab_size):
     for rec in records:
         for i, x, y in rec.edits:
             left = rec.corrupted[i - 1] if i > 0 else vocab_size
-            right = rec.corrupted[i + 1] if i + 1 < rec.length else vocab_size
+            right = rec.corrupted[i + 1] if i + 1 < len(rec.clean) else vocab_size
             edits.append(((y, left, right), x))
     return [any(key == other_key and x != other_x for other_key, other_x in edits)
             for key, x in edits]
@@ -143,7 +145,7 @@ def signature_counts(records, vocab_size, window):
         for i, clean_token in enumerate(rec.clean):
             sig = 0
             for digit, off in enumerate(window):
-                inside = 0 <= i + off < rec.length
+                inside = 0 <= i + off < len(rec.clean)
                 sig += (rec.corrupted[i + off] if inside else vocab_size) * base ** digit
             counts[sig, clean_token] += 1
             if center is not None:
@@ -161,12 +163,12 @@ def sentence_metrics(records, outputs):
         errors += error
         modified += changed
         tp += error and changed and tuple(out) == rec.clean
-        kept = [i for i in range(rec.length) if rec.clean[i] == rec.corrupted[i]]
+        kept = [i for i in range(len(rec.clean)) if rec.clean[i] == rec.corrupted[i]]
         if kept:
             with_correct += 1
             broke += any(out[i] != rec.corrupted[i] for i in kept)
         right += sum(a == b for a, b in zip(out, rec.clean))
-        total += rec.length
+        total += len(rec.clean)
     precision = 100.0 * tp / modified if modified else 0.0
     recall = 100.0 * tp / errors if errors else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

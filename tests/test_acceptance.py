@@ -17,14 +17,16 @@ from denoiselab.augment import (ConfusionConfig, SampleCategory, build_confusion
 from denoiselab.calibration import calibration_report, ece
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.harness import evaluate, sha256_file
-from denoiselab.oracle import bounds, brute_force_posterior, posterior, verify_ordering
+from denoiselab.oracle import bounds, posterior
 from denoiselab.pipeline import (ExperimentConfig, build_experiment_world,
                                  make_eval_corpus, oracle_filter, run_pipeline,
                                  threshold_sweep, volume_sweep)
 from denoiselab.harness import category_filter_rates
 from denoiselab.world import WorldConfig, build_world, conditional
 
-from constructions import bound_demo_setup, ordering_triple
+from constructions import bound_demo_setup, ordering_triple, records_of
+from enumeration import brute_force_posterior
+from ordering import verify_ordering
 
 SEEDS = range(10)
 
@@ -49,7 +51,7 @@ def sampled_records(max_vocab=6, max_len=4, minimum=120):
             head_mass=0.7, seed=seed))
         corpus = generate_corpus(world, table, 4, (2, max_len), 0.1,
                                  mode="single_edit", seed=seed)
-        out.extend((world, table, rec) for rec in corpus.records)
+        out.extend((world, table, rec) for rec in records_of(corpus))
         seed += 1
     return out
 
@@ -100,7 +102,7 @@ def test_criterion_2_case1_exactness(oracle_records):
         if rep.category == SampleCategory.TRUE:
             checked += 1
             exact = exact and rep.posterior == 1.0
-    for rec in corpus.records:
+    for rec in records_of(corpus):
         rep = posterior(world, longtail_table, rec, 0, cfg.rate)
         if rep.category == SampleCategory.TRUE:
             checked += 1
@@ -110,7 +112,7 @@ def test_criterion_2_case1_exactness(oracle_records):
 
 
 def test_criterion_3_uniform_channel_bound():
-    ceiling = bounds(0.1, None, SampleCategory.NOISY)  # 1/1.9
+    ceiling = bounds(0.1, None, SampleCategory.NOISY, 0.1)  # 1/1.9
     world = build_world(WorldConfig(vocab_size=10, support=3, seed=11,
                                     weight_low=1.0, weight_high=2.0))
     table = build_confusion(world, ConfusionConfig(candidates=3, seed=11,
@@ -118,7 +120,7 @@ def test_criterion_3_uniform_channel_bound():
     corpus = generate_corpus(world, table, 3_000, (6, 10), 0.1,
                              mode="single_edit", seed=12, annotate=True)
     noisy_posteriors, ratios = [], []
-    for rec in corpus.records:
+    for rec in records_of(corpus):
         rep = posterior(world, table, rec, 0, 0.1)
         if rep.category == SampleCategory.NOISY:
             noisy_posteriors.append(rep.posterior)
@@ -157,7 +159,7 @@ def test_criterion_5_sigma_consistency():
                                                        context_affinity=0.0))
         corpus = generate_corpus(world, table, 40, (3, 4), 0.1,
                                  mode="single_edit", seed=seed)
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             rep = posterior(world, table, rec, 0, 0.1)
             if len(rep.candidates) < 3:
                 continue

@@ -17,6 +17,9 @@ from denoiselab.augment import (CATEGORY_TABLE, TOKEN_BUDGET, ConfusionConfig, C
 from denoiselab.oracle import posterior
 from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 from denoiselab.world import WorldConfig, build_world
+
+from constructions import records_of
+from enumeration import channel_prob
 from reference import iter_edits
 
 
@@ -90,8 +93,8 @@ class TestChannelLaw:
                                                context_affinity=0.0))
         x = 0
         y = int(t.candidates[x, 0])
-        assert t.transition_prob(x, x, 0.1) == pytest.approx(0.9, abs=1e-15)
-        assert t.transition_prob(x, y, 0.1) == pytest.approx(0.1 * 0.5, abs=1e-15)
+        assert channel_prob(t, x, x, 0.1) == pytest.approx(0.9, abs=1e-15)
+        assert channel_prob(t, x, y, 0.1) == pytest.approx(0.1 * 0.5, abs=1e-15)
         vec = t.channel_vector(y, 0.1)
         assert vec[y] == pytest.approx(0.9)
         assert vec[x] == pytest.approx(0.05)
@@ -103,7 +106,7 @@ class TestChannelLaw:
         for rate in (0.0, 0.1, 0.5):
             rows = t.channel_vector(np.arange(V), rate)
             for observed in range(V):
-                want = [t.transition_prob(source, observed, rate) for source in range(V)]
+                want = [channel_prob(t, source, observed, rate) for source in range(V)]
                 assert t.channel_vector(observed, rate).tolist() == want
                 assert rows[observed].tolist() == want
         for observed in (0, np.arange(V)):
@@ -139,7 +142,7 @@ class TestCorrupt:
         corpus = generate_corpus(self.world, self.table, 20, (5, 5), 0.1,
                                  mode="single_edit", seed=0)
         assert np.array_equal(np.bincount(corpus.record, minlength=20), np.ones(20))
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             i_, x, y = rec.edits[0]
             assert rec.clean[i_] == x and rec.corrupted[i_] == y and x != y
 
@@ -182,8 +185,8 @@ class TestRecordInvariants:
         t = build_confusion(w, ConfusionConfig(candidates=2, seed=seed % 7,
                                                context_affinity=0.0))
         corpus = generate_corpus(w, t, 20, (3, 6), 0.2, mode="iid", seed=seed)
-        for rec in corpus.records:
-            assert rec.length == len(rec.corrupted)
+        for rec in records_of(corpus):
+            assert len(rec.clean) == len(rec.corrupted)
 
 
 def categorization_world():
@@ -258,7 +261,7 @@ class TestCategorize:
                                                context_affinity=0.4))
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=9, annotate=True)
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             res = posterior(w, t, rec, 0, 0.1)
             _, x, y = rec.edits[0]
             assert x in res.candidates
@@ -300,19 +303,32 @@ class TestGenerateCorpus:
         assert corpus.n_edits > 5000
         assert peak < 16 * 2**20
 
+    def test_annotation_memory_does_not_grow_with_the_rate(self):
+        # Prior rows for all 176,548 edits at once would peak at about 78 MiB here;
+        # unannotated, the same corpus peaks at 10 MiB.
+        world, _, longtail = build_experiment_world(ExperimentConfig(), 0)
+        tracemalloc.start()
+        try:
+            corpus = generate_corpus(world, longtail, 2**14, (8, 16), 0.9, annotate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert corpus.n_edits > 170_000
+        assert peak < 32 * 2**20
+
     def test_determinism(self):
         w = small_world(V=6, support=2, seed=0)
         t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
         a = generate_corpus(w, t, 60, (4, 8), 0.1, seed=5)
         b = generate_corpus(w, t, 60, (4, 8), 0.1, seed=5)
-        assert a.records == b.records
+        assert records_of(a) == records_of(b)
 
     def test_zero_rate_iid_corpus_has_no_edits(self):
         # No position is hit, so the replacement draw gets an empty batch.
         w = small_world(V=6, support=2, seed=0)
         t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
         corpus = generate_corpus(w, t, 40, (4, 8), 0.0, mode="iid", seed=2, annotate=True)
-        assert corpus.n_edits == 0 and all(rec.edits == () for rec in corpus.records)
+        assert corpus.n_edits == 0 and all(rec.edits == () for rec in records_of(corpus))
         np.testing.assert_array_equal(corpus.corrupted, corpus.clean)
         assert corpus.columns.repl.dtype == np.int64 and len(corpus.columns.category) == 0
 
@@ -321,9 +337,9 @@ class TestGenerateCorpus:
         t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=8, clean_fraction=0.5)
-        n_clean = sum(1 for r in corpus.records if not r.edits)
+        n_clean = sum(1 for r in records_of(corpus) if not r.edits)
         assert 120 < n_clean < 280
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             assert len(rec.edits) <= 1
 
     def test_default_category_mix_matches_qualitative_ratios(self):
@@ -336,7 +352,7 @@ class TestGenerateCorpus:
             corpus = generate_corpus(w, longtail, 2_000, cfg.length_range, cfg.rate,
                                      mode="single_edit", seed=seed, annotate=True)
             counts = {c: 0 for c in SampleCategory}
-            for rec in corpus.records:
+            for rec in records_of(corpus):
                 counts[rec.categories[0]] += 1
             total = len(corpus)
             noisy.append(counts[SampleCategory.NOISY] / total)
@@ -357,7 +373,7 @@ class TestCorpusIO:
         path = tmp_path / "c.jsonl"
         corpus_to_jsonl(corpus, path)
         back = corpus_from_jsonl(path, vocab_size=6, rate=0.15, mode="single_edit")
-        assert back.records == corpus.records
+        assert records_of(back) == records_of(corpus)
 
     def test_jsonl_field_shape(self, tmp_path):
         w, t = categorization_world()
@@ -484,7 +500,7 @@ class TestCorpusIO:
         for first, second in ((plain, annotated), (annotated, plain)):
             both = concat_corpora(first, second)
             assert both.category is None
-            assert all(rec.categories is None for rec in both.records)
+            assert all(rec.categories is None for rec in records_of(both))
             assert both.n_edits == plain.n_edits + annotated.n_edits
         both = concat_corpora(annotated, annotated)
         np.testing.assert_array_equal(both.category, np.tile(annotated.category, 2))
@@ -518,7 +534,7 @@ class TestCorpusIO:
         t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
         corpus = generate_corpus(w, t, 30, (3, 7), 0.2, seed=4)
         clean, corr, lengths = corpus_arrays(corpus)
-        for i, rec in enumerate(corpus.records):
+        for i, rec in enumerate(records_of(corpus)):
             assert tuple(clean[i, :lengths[i]]) == rec.clean
             assert tuple(corr[i, :lengths[i]]) == rec.corrupted
             assert np.all(clean[i, lengths[i]:] == 6)

@@ -10,7 +10,7 @@ from denoiselab.calibration import EASY_CUTOFF, calibration_report, ece, write_r
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record
+from constructions import one_record, records_of
 
 
 def hand_report(kept_masses):
@@ -47,7 +47,7 @@ class TestCollectOutcomes:
                   for ri in range(len(self.corpus))]
         whole = predict_matrix(self.model, self.corpus)
         # the kept mass decides each exclusion
-        kept, n_excluded = reference.calibration_outcomes(self.corpus.records, scored,
+        kept, n_excluded = reference.calibration_outcomes(records_of(self.corpus), scored,
                                                           EASY_CUTOFF)
         want = ece([o[0] for o in kept], [o[1] for o in kept])
         report = calibration_report(whole, self.corpus)

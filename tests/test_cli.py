@@ -419,6 +419,18 @@ class TestBadInputs:
                                 "dense count table (344373768 > 50000000)")
         assert not (tmp_path / "model-wide" / "model.json").exists()
 
+    def test_window_offset_beyond_int64_writes_no_model(self, runner, config_path, tmp_path):
+        # A model file holds int64 offsets only, so train refuses what eval could not read.
+        corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
+        result = runner.invoke(main, ["train", "--config", config_path,
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--window=-1,0,99999999999999999999",
+                                      "--out-dir", str(tmp_path / "model-big")])
+        assert result.exit_code == 1
+        assert result.output == ("Error: window[2]: expected an int64 integer, "
+                                 "got 99999999999999999999\n")
+        assert not (tmp_path / "model-big" / "model.json").exists()
+
     def test_sentences_past_the_token_budget_are_one_line(self, runner, config_path, tmp_path):
         result = runner.invoke(main, ["gen-corpus", "--config", config_path, "--sentences",
                                       str(2**62), "--out-dir", str(tmp_path / "out")])

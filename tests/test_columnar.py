@@ -28,7 +28,7 @@ from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record
+from constructions import one_record, records_of
 
 COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category")
 
@@ -95,8 +95,7 @@ def assert_same_corpus(a: PairCorpus, b: PairCorpus):
             np.testing.assert_array_equal(left, right, err_msg=name)
     for left, right in zip(corpus_arrays(a), corpus_arrays(b)):
         np.testing.assert_array_equal(left, right)
-    assert a.records == b.records
-    assert tuple(a.records) == tuple(b.records)
+    assert records_of(a) == records_of(b)
 
 
 def jsonl_text(corpus, tmp_path):
@@ -109,16 +108,16 @@ class TestBuildPaths:
     @settings(max_examples=60, deadline=None)
     @given(generated())
     def test_generated_corpus_equals_its_records(self, corpus):
-        again = PairCorpus(tuple(corpus.records), corpus.vocab_size, corpus.rate, corpus.mode)
+        again = PairCorpus(records_of(corpus), corpus.vocab_size, corpus.rate, corpus.mode)
         assert_same_corpus(corpus, again)
-        assert all(isinstance(r, CorruptionRecord) for r in corpus.records)
+        assert all(isinstance(r, CorruptionRecord) for r in records_of(corpus))
 
     @settings(max_examples=80, deadline=None)
     @given(corpora())
     def test_jsonl_round_trip_keeps_columns_records_and_bytes(self, tmp_path_factory, corpus):
         tmp_path = tmp_path_factory.mktemp("jsonl")
         text = jsonl_text(corpus, tmp_path)
-        assert text == reference.jsonl(corpus.records)
+        assert text == reference.jsonl(records_of(corpus))
         back = corpus_from_jsonl(tmp_path / "c.jsonl", corpus.vocab_size, 0.1)
         assert_same_corpus(corpus, back)
         assert jsonl_text(back, tmp_path) == text
@@ -127,26 +126,11 @@ class TestBuildPaths:
     @given(st.integers(2, 5).flatmap(lambda V: st.tuples(corpora(V=V), corpora(V=V))))
     def test_concatenation_equals_the_joined_records(self, pair):
         first, second = pair
-        records = tuple(first.records) + tuple(second.records)
+        records = records_of(first) + records_of(second)
         if first.category is None or second.category is None:  # annotated only when both are
             records = tuple(dataclasses.replace(r, categories=None) for r in records)
         joined = PairCorpus(records, first.vocab_size, 0.1, "iid")
         assert_same_corpus(concat_corpora(first, second), joined)
-
-    def test_records_view_indexes_and_slices_like_a_tuple(self):
-        world = build_world(WorldConfig(vocab_size=5, support=2, seed=1))
-        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
-        corpus = generate_corpus(world, table, 9, (2, 5), 0.4, annotate=True)
-        records = tuple(corpus.records)
-        assert len(corpus.records) == 9
-        assert corpus.records[-1] == records[-1]
-        assert corpus.records[2:7] == records[2:7]
-        assert corpus.records[::3] == records[::3]
-        assert corpus.records == records and records == corpus.records
-        with pytest.raises(IndexError):
-            corpus.records[9]
-        with pytest.raises(ValueError):  # the columns are shared, so they are read-only
-            corpus.clean[0] = 0
 
     @pytest.mark.parametrize("annotate", [True, False], ids=["annotated", "unannotated"])
     def test_view_records_equal_checked_records_field_by_field(self, annotate):
@@ -158,8 +142,8 @@ class TestBuildPaths:
                                                      corpus.repl.tolist())))
         names = ([None] * len(edits) if corpus.category is None
                  else [CATEGORIES[k] for k in corpus.category.tolist()])
-        assert len(corpus.records) == 80 and len({ri for ri, _ in edits}) < 80 < len(edits)
-        for ri, built in enumerate(corpus.records):  # the view builds them unchecked
+        assert len(records_of(corpus)) == 80 and len({ri for ri, _ in edits}) < 80 < len(edits)
+        for ri, built in enumerate(records_of(corpus)):  # the view builds them unchecked
             mine = [(edit, name) for (owner, edit), name in zip(edits, names) if owner == ri]
             a, b = offsets[ri], offsets[ri + 1]
             checked = CorruptionRecord(tuple(corpus.clean[a:b].tolist()),
@@ -170,13 +154,15 @@ class TestBuildPaths:
                 left, right = getattr(built, field), getattr(checked, field)
                 assert left == right and repr(left) == repr(right), field  # repr: element types
             assert built == checked and hash(built) == hash(checked)
+        with pytest.raises(ValueError):  # the columns are shared, so they are read-only
+            corpus.clean[0] = 0
 
 
 class TestArrayPasses:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(corpora(), generated()))
     def test_digest_matches_the_per_record_digest(self, corpus):
-        assert corpus_digest(corpus) == reference.digest(tuple(corpus.records),
+        assert corpus_digest(corpus) == reference.digest(records_of(corpus),
                                                          corpus.vocab_size)
 
     @settings(max_examples=80, deadline=None)
@@ -184,8 +170,8 @@ class TestArrayPasses:
     def test_revert_matches_the_per_record_revert(self, corpus, rnd):
         keep = [rnd.random() < 0.5 for _ in range(corpus.n_edits)]
         result = revert_edits(corpus, keep)
-        got = [(r.clean, r.corrupted, r.edits, r.categories) for r in result.corpus.records]
-        assert got == reference.revert(tuple(corpus.records), keep)
+        got = [(r.clean, r.corrupted, r.edits, r.categories) for r in records_of(result.corpus)]
+        assert got == reference.revert(records_of(corpus), keep)
         assert result.corpus.clean is corpus.clean  # the clean side is shared, not copied
         assert (result.kept_edits, result.reverted_edits) == (sum(keep), len(keep) - sum(keep))
 
@@ -194,7 +180,7 @@ class TestArrayPasses:
     def test_category_rates_match_the_per_record_count(self, corpus, rnd):
         after = revert_edits(corpus, [rnd.random() < 0.5 for _ in range(corpus.n_edits)])
         rates = category_filter_rates(corpus, after.corpus)
-        want = reference.category_counts(tuple(corpus.records), tuple(after.corpus.records))
+        want = reference.category_counts(records_of(corpus), records_of(after.corpus))
         assert {c: (r.reverted, r.total) for c, r in rates.items()} == \
             {c: want.get(c, (0, 0)) for c in SampleCategory}
 
@@ -203,7 +189,7 @@ class TestArrayPasses:
     def test_multi_answer_flags_match_the_pairwise_rule(self, corpus):
         flags = heuristic_multi(corpus)
         assert flags.dtype == bool
-        assert flags.tolist() == reference.multi_answer_flags(tuple(corpus.records),
+        assert flags.tolist() == reference.multi_answer_flags(records_of(corpus),
                                                               corpus.vocab_size)
 
     @settings(max_examples=60, deadline=None)
@@ -213,7 +199,7 @@ class TestArrayPasses:
         model = train(train_corpus, alpha=0.1)
         scored = [predict_matrix(model, one_record(corpus, k))  # each record a corpus of its own
                   for k in range(len(corpus))]
-        kept, n_excluded = reference.calibration_outcomes(corpus.records, scored, EASY_CUTOFF)
+        kept, n_excluded = reference.calibration_outcomes(records_of(corpus), scored, EASY_CUTOFF)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):
                 calibration_report(predict_matrix(model, corpus), corpus)
@@ -396,7 +382,7 @@ class TestJsonlFastPath:
         path = tmp_path_factory.mktemp("jsonl") / "c.jsonl"
         corpus_to_jsonl(corpus, path)
         text = path.read_text()
-        assert text == reference.jsonl(corpus.records)
+        assert text == reference.jsonl(records_of(corpus))
         assert_same_corpus(corpus_from_jsonl(path, corpus.vocab_size, 0.1), corpus)
         path.write_text(spaced(data, text.splitlines(keepends=True))[0])
         assert_same_corpus(corpus_from_jsonl(path, corpus.vocab_size, 0.1), corpus)
@@ -405,7 +391,7 @@ class TestJsonlFastPath:
     @given(jsonl_corpora(), st.data())
     def test_a_bad_line_is_reported_as_the_line_by_line_parse_reports_it(
             self, tmp_path_factory, corpus, data):
-        lines = reference.jsonl(corpus.records).splitlines(keepends=True)
+        lines = reference.jsonl(records_of(corpus)).splitlines(keepends=True)
         k = data.draw(st.integers(0, len(lines) - 1))
         bad, message = bad_line(data, json.loads(lines[k]), corpus.vocab_size)
         lines[k] = bad + "\n"

@@ -14,7 +14,7 @@ from denoiselab.harness import evaluate
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record
+from constructions import one_record, records_of
 
 
 def identity_corpus(tokens_list, vocab_size):
@@ -45,8 +45,8 @@ class TestTrain:
         """The counts, and so the marginals, of two shards add up to the whole corpus's."""
         world, table = training_setup()
         full = generate_corpus(world, table, 50, (4, 8), 0.1, seed=3)
-        left = train(PairCorpus(full.records[:25], 8, 0.1, "iid"))
-        right = train(PairCorpus(full.records[25:], 8, 0.1, "iid"))
+        left = train(PairCorpus(records_of(full)[:25], 8, 0.1, "iid"))
+        right = train(PairCorpus(records_of(full)[25:], 8, 0.1, "iid"))
         joint = train(full)
         for part in ("counts", "center_counts", "target_counts"):
             np.testing.assert_array_equal(getattr(left, part) + getattr(right, part),
@@ -71,10 +71,10 @@ class TestPredict:
         V, base = model.vocab_size, model.vocab_size + 1
         rows = predict_at(model, corpus, np.arange(corpus.n_chars))
         k = 0
-        for ri, rec in enumerate(corpus.records):  # every signature was seen: no fallback
+        for ri, rec in enumerate(records_of(corpus)):  # every signature was seen: no fallback
             padded = (V,) + rec.corrupted + (V,)
             alone = predict_matrix(model, one_record(corpus, ri))[0]  # no neighbour to read
-            for i in range(rec.length):
+            for i in range(len(rec.clean)):
                 sig = padded[i] + base * padded[i + 1] + base ** 2 * padded[i + 2]
                 want = (counts[sig] + 0.3) / (counts[sig].sum() + 0.3 * V)
                 np.testing.assert_array_equal(rows[k], want)
@@ -189,14 +189,15 @@ class TestCorrect:
         model = train(corpus)
         evalc = generate_corpus(world, table, 600, (6, 10), 0.1,
                                 mode="single_edit", seed=9, annotate=True)
-        assert all(r.categories[0] == SampleCategory.TRUE for r in evalc.records)
+        assert all(r.categories[0] == SampleCategory.TRUE for r in records_of(evalc))
         # Edits away from sentence boundaries: with one-sided context the
         # window cannot tell a center corruption from a corrupted neighbor,
         # so boundary slots stay genuinely ambiguous for this model class.
         decoded, starts = predict_matrix(model, evalc)[1].tolist(), evalc.offsets.tolist()
-        deep = [k for k, r in enumerate(evalc.records) if 2 <= r.edits[0][0] <= r.length - 3]
+        deep = [k for k, r in enumerate(records_of(evalc))
+                if 2 <= r.edits[0][0] <= len(r.clean) - 3]
         assert len(deep) > 150
-        hits = sum(tuple(decoded[starts[k]:starts[k + 1]]) == evalc.records[k].clean
+        hits = sum(tuple(decoded[starts[k]:starts[k + 1]]) == records_of(evalc)[k].clean
                    for k in deep)
         assert hits / len(deep) > 0.95
 
@@ -210,7 +211,7 @@ class TestCorrect:
                                 mode="single_edit", seed=9, annotate=True)
         decoded = predict_matrix(model, evalc)[1]
         edit_ok = total = 0
-        for k, rec in enumerate(evalc.records):
+        for k, rec in enumerate(records_of(evalc)):
             if rec.categories[0] != SampleCategory.TRUE:
                 continue
             total += 1
@@ -262,7 +263,7 @@ class TestConvergence:
         evalc = generate_corpus(world, table, 2_000, (6, 10), 0.1,
                                 mode="single_edit", seed=8, annotate=True)
         rows = predict_at(model, evalc, evalc.flat_pos)  # one edit per record
-        confidences = [float(row[x]) for row, x, rec in zip(rows, evalc.orig, evalc.records)
+        confidences = [float(row[x]) for row, x, rec in zip(rows, evalc.orig, records_of(evalc))
                        if rec.categories[0] == SampleCategory.NOISY]
         assert len(confidences) > 30
         ceiling = 1 / (1 + 9 * 0.1)

@@ -15,6 +15,8 @@ from denoiselab.oracle import OracleScorer
 from denoiselab.pipeline import filter_corpus, restore_confidences
 from denoiselab.world import WorldConfig, build_world
 
+from constructions import records_of
+
 
 class ScriptedModel:
     """Predictor that outputs a fixed sentence for each input sentence."""
@@ -27,7 +29,7 @@ class ScriptedModel:
         probs = np.zeros((len(at), self.vocab_size))
         for k, g in enumerate(at):
             ri = int(np.searchsorted(corpus.offsets, g, side="right")) - 1
-            tokens = corpus.records[ri].corrupted
+            tokens = records_of(corpus)[ri].corrupted
             probs[k, self.mapping.get(tokens, tokens)[g - corpus.offsets[ri]]] = 1.0
         return probs
 
@@ -83,7 +85,7 @@ class TestEvaluate:
         corpus = generate_corpus(world, table, 80, (4, 7), 0.1,
                                  mode="single_edit", seed=3, clean_fraction=0.3,
                                  annotate=True)
-        assert all(r.categories == (SampleCategory.TRUE,) for r in corpus.records
+        assert all(r.categories == (SampleCategory.TRUE,) for r in records_of(corpus)
                    if r.edits)
         m = evaluate(OracleScorer(world, table, 0.1), corpus)
         assert m.precision == 100.0 and m.recall == 100.0 and m.f1 == 100.0
@@ -103,7 +105,7 @@ class TestEvaluate:
                                  mode="single_edit", seed=2, clean_fraction=0.4)
         model = train(generate_corpus(world, table, 400, (4, 8), 0.1, seed=0))
         rng = derive_rng(3, "perm")
-        shuffled = list(corpus.records)
+        shuffled = list(records_of(corpus))
         rng.shuffle(shuffled)
         permuted = PairCorpus(tuple(shuffled), 6, 0.1, "single_edit")
         assert evaluate(model, corpus) == evaluate(model, permuted)
@@ -154,7 +156,7 @@ class TestCategoryFilterRates:
 
     def test_misaligned_corpora_rejected(self):
         _, _, corpus = self.build()
-        other = PairCorpus(corpus.records[:10], corpus.vocab_size, 0.1, "single_edit")
+        other = PairCorpus(records_of(corpus)[:10], corpus.vocab_size, 0.1, "single_edit")
         with pytest.raises(ValueError, match="record counts"):
             category_filter_rates(corpus, other)
 

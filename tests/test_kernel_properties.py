@@ -22,14 +22,13 @@ from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion, generate_corpus)
 from denoiselab.corrector import MASKED_WINDOW, predict_matrix, train
-from denoiselab.oracle import (OracleScorer, brute_force_posterior, posterior,
-                               restoration_distribution)
+from denoiselab.oracle import OracleScorer, posterior, restoration_distribution
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig,
                               build_world, conditional, sample_corpus_tokens)
 
-from constructions import one_record
-from enumeration import slot_distribution
+from constructions import one_record, records_of
+from enumeration import brute_force_posterior, channel_prob, slot_distribution
 from reference import iter_edits
 
 
@@ -86,7 +85,7 @@ def enumerated_restoration(world, table, sentence, position, rate):
     if prior is None:
         return np.zeros(world.vocab_size)
     y = sentence[position]
-    row = prior * [table.transition_prob(v, y, rate) for v in range(world.vocab_size)]
+    row = prior * [channel_prob(table, v, y, rate) for v in range(world.vocab_size)]
     return row / row.sum() if row.any() else row
 
 
@@ -232,7 +231,7 @@ class TestTvToOracle:
         model = train(generate_corpus(world, table, 20, (1, 6), 0.3, seed=seed), window)
         corpus = generate_corpus(world, table, 10, (1, 5), 0.3, seed=seed, stream="probe")
         distances = []
-        for k, rec in enumerate(corpus.records):
+        for k, rec in enumerate(records_of(corpus)):
             if len(rec.edits) != 1:
                 continue
             (i, _, _), = rec.edits
@@ -276,7 +275,7 @@ class TestPosterior:
         table = data.draw(tables(world))
         corpus = generate_corpus(world, table, 10, (1, 5), rate, mode="single_edit",
                                  seed=data.draw(st.integers(0, 1000)), annotate=True)
-        for k, rec in enumerate(corpus.records):
+        for k, rec in enumerate(records_of(corpus)):
             if len(rec.edits) != 1:
                 continue
             (i, _, _), = rec.edits
@@ -316,8 +315,9 @@ class TestKeptSlotRows:
         setups += [(w0, t1), (w1, t0)]
         seed = data.draw(st.integers(0, 1000))
         records = [rec for world, table in setups[:2]
-                   for rec in generate_corpus(world, table, 6, (1, 4), rate, mode="single_edit",
-                                              seed=seed).records if rec.edits]
+                   for rec in records_of(generate_corpus(world, table, 6, (1, 4), rate,
+                                                         mode="single_edit", seed=seed))
+                   if rec.edits]
         calls = [(world, table, rec) for rec in records for world, table in setups]
         want = [cold_posterior(*call, rate) for call in calls]
         for _ in range(2):  # the worlds keep their rows, then serve every call from them
@@ -330,7 +330,7 @@ class TestKeptSlotRows:
         table = data.draw(tables(world))
         corpus = generate_corpus(world, table, 6, (1, 4), 0.1, mode="single_edit",
                                  seed=data.draw(st.integers(0, 1000)))
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             if rec.edits:
                 first = posterior(world, table, rec, 0, 0.1)
                 want = dict(first.priors)
@@ -372,7 +372,7 @@ class TestKeptSlotRows:
         table = data.draw(tables(world))
         corpus = generate_corpus(world, table, 10, (1, 5), rate, mode="single_edit",
                                  seed=data.draw(st.integers(0, 1000)))
-        records = [rec for rec in corpus.records if rec.edits]
+        records = [rec for rec in records_of(corpus) if rec.edits]
         for rec in records:
             posterior(world, table, rec, 0, rate)
         for rec in records:
@@ -383,8 +383,8 @@ class TestKeptSlotRows:
         V = 1000  # a dense table of every pair's row would take 8 GB
         world = build_world(WorldConfig(vocab_size=V, support=V, seed=0))
         table = build_confusion(world, ConfusionConfig(candidates=3, context_affinity=0.0))
-        records = [rec for rec in generate_corpus(world, table, 20, (3, 6), 0.1,
-                                                  mode="single_edit", seed=0).records
+        records = [rec for rec in records_of(generate_corpus(world, table, 20, (3, 6), 0.1,
+                                                             mode="single_edit", seed=0))
                    if rec.edits]
         tracemalloc.start()
         try:

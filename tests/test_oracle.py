@@ -3,12 +3,13 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.oracle import (OracleScorer, bounds, brute_force_posterior, posterior,
-                               restoration_distribution, verify_ordering)
+from denoiselab.oracle import OracleScorer, bounds, posterior, restoration_distribution
 from denoiselab.world import WorldConfig, build_world, conditional
 
 from constructions import (bound_demo_setup, equal_prior_noisy_setup,
-                           manual_table, ordering_triple)
+                           manual_table, ordering_triple, records_of)
+from enumeration import brute_force_posterior
+from ordering import verify_ordering
 
 
 class TestPosterior:
@@ -46,7 +47,7 @@ class TestPosterior:
                 head_mass=0.7, seed=seed))
             corpus = generate_corpus(world, table, 5, (2, 4), 0.1,
                                      mode="single_edit", seed=seed)
-            for rec in corpus.records:
+            for rec in records_of(corpus):
                 rep = posterior(world, table, rec, 0, 0.1)
                 bf = brute_force_posterior(world, table, rec, 0, 0.1)
                 assert abs(rep.posterior - bf) <= 1e-9
@@ -94,7 +95,7 @@ class TestSigmaDecomposition:
             world, table = self.build_dense(seed)
             corpus = generate_corpus(world, table, 40, (3, 4), 0.1,
                                      mode="single_edit", seed=seed)
-            for rec in corpus.records:
+            for rec in records_of(corpus):
                 rep = posterior(world, table, rec, 0, 0.1)
                 if len(rep.candidates) < 3:
                     continue
@@ -111,7 +112,7 @@ class TestSigmaDecomposition:
         world, table = self.build_dense(3)
         corpus = generate_corpus(world, table, 30, (3, 4), 0.1,
                                  mode="single_edit", seed=5)
-        for rec in corpus.records:
+        for rec in records_of(corpus):
             assert posterior(world, table, rec, 0, 0.1).sigma >= 0.0
 
 
@@ -131,30 +132,30 @@ class TestCaseConfidence:
     def test_zero_prior_reduces_to_alternative_form(self):
         # With the replacement's prior at zero its term vanishes; confidence
         # is then governed by the remaining alternative, the multi-answer form.
-        multi = bounds(0.5, 1.0, SampleCategory.MULTI_ANSWER)
+        multi = bounds(0.5, 1.0, SampleCategory.MULTI_ANSWER, 0.1)
         assert multi == pytest.approx(1 / 1.5, abs=1e-15)
 
 
 class TestBounds:
     def test_noisy_bound_value(self):
-        assert bounds(0.1, None, SampleCategory.NOISY) == pytest.approx(1 / 1.9, abs=1e-12)
-        assert bounds(0.1, None, SampleCategory.NOISY) <= 0.53
+        assert bounds(0.1, None, SampleCategory.NOISY, 0.1) == pytest.approx(1 / 1.9, abs=1e-12)
+        assert bounds(0.1, None, SampleCategory.NOISY, 0.1) <= 0.53
 
     def test_multi_bound_value(self):
-        got = bounds(0.1, 0.5, SampleCategory.MULTI_ANSWER)
+        got = bounds(0.1, 0.5, SampleCategory.MULTI_ANSWER, 0.1)
         assert got == pytest.approx(1 / 1.05, abs=1e-12)
         assert got <= 0.96
 
     def test_large_a_limit(self):
-        assert bounds(1e9, None, SampleCategory.NOISY) < 1e-8
+        assert bounds(1e9, None, SampleCategory.NOISY, 0.1) < 1e-8
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            bounds(-1.0, None, SampleCategory.NOISY)
+            bounds(-1.0, None, SampleCategory.NOISY, 0.1)
         with pytest.raises(ValueError):
-            bounds(0.1, None, SampleCategory.MULTI_ANSWER)
+            bounds(0.1, None, SampleCategory.MULTI_ANSWER, 0.1)
         with pytest.raises(ValueError):
-            bounds(0.1, 0.5, SampleCategory.TRUE)
+            bounds(0.1, 0.5, SampleCategory.TRUE, 0.1)
 
     def test_report_bound_holds_on_random_records(self):
         for seed in range(10):
@@ -164,7 +165,7 @@ class TestBounds:
                                                            context_affinity=0.5))
             corpus = generate_corpus(world, table, 30, (3, 4), 0.1,
                                      mode="single_edit", seed=seed)
-            for rec in corpus.records:
+            for rec in records_of(corpus):
                 rep = posterior(world, table, rec, 0, 0.1)
                 if rep.bound is not None:
                     assert rep.posterior <= rep.bound + 1e-9
@@ -211,7 +212,7 @@ class TestOrdering:
     def test_long_tail_overconfidence_is_flagged_not_failed(self):
         world, uniform, longtail, record = bound_demo_setup()
         rep = posterior(world, longtail, record, 0, 0.1)
-        assert rep.posterior > bounds(0.1, None, SampleCategory.NOISY)
+        assert rep.posterior > bounds(0.1, None, SampleCategory.NOISY, 0.1)
         result = verify_ordering([[rep]], ratio_bound=20.0)
         group = result.groups[0]
         assert group.qualified and group.passed

@@ -13,6 +13,8 @@ from denoiselab.pipeline import (ExperimentConfig, FilterConfig,
                                  oracle_filter, restore_confidences,
                                  run_pipeline, threshold_sweep, volume_sweep)
 from denoiselab.world import WorldConfig, build_world, conditional
+
+from constructions import records_of
 from reference import iter_edits
 
 
@@ -45,23 +47,23 @@ class TestFilterCorpus:
         world, table, corpus, model = small_setup()
         result = model_filter(model, corpus, 1e-9)
         assert result.reverted_edits == 0
-        assert result.corpus.records == corpus.records
+        assert records_of(result.corpus) == records_of(corpus)
 
     def test_threshold_near_one_reverts_everything(self):
         world, table, corpus, model = small_setup()
         result = model_filter(model, corpus, 1.0 - 1e-12)
         assert result.kept_edits == 0
-        for rec in result.corpus.records:
+        for rec in records_of(result.corpus):
             assert rec.corrupted == rec.clean
 
     def test_partition_and_untouched_positions(self):
         world, table, corpus, model = small_setup(1)
         result = model_filter(model, corpus, 0.3)
         assert result.kept_edits + result.reverted_edits == corpus.n_edits
-        for before, after in zip(corpus.records, result.corpus.records):
+        for before, after in zip(records_of(corpus), records_of(result.corpus)):
             assert after.clean == before.clean
             surviving = {i for i, _, _ in after.edits}
-            for pos in range(before.length):
+            for pos in range(len(before.clean)):
                 was_edit = pos in {i for i, _, _ in before.edits}
                 if not was_edit:
                     assert after.corrupted[pos] == before.corrupted[pos]
@@ -102,7 +104,7 @@ class TestFilterCorpus:
         clean = corpus.keep_edits(np.zeros(corpus.n_edits, bool), corrupted=corpus.clean)
         for result in (model_filter(model, clean, 0.5), oracle_filter(world, table, clean, 0.5)):
             assert (result.kept_edits, result.reverted_edits) == (0, 0)
-            assert result.corpus.records == clean.records
+            assert records_of(result.corpus) == records_of(clean)
 
 
 def handmade_context_model(counts_by_context, vocab_size=4, alpha=0.1):
@@ -224,7 +226,7 @@ class TestEvalCorpus:
         evalc = make_eval_corpus(world, longtail, 400, cfg.length_range, cfg.rate,
                                  seed=0, clean_fraction=0.3, plausibility=0.12)
         n_adopted = 0
-        for rec in evalc.records:
+        for rec in records_of(evalc):
             if not rec.edits:
                 assert rec.clean == rec.corrupted
                 continue

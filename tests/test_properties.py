@@ -27,7 +27,7 @@ from denoiselab.oracle import OracleScorer
 from denoiselab.pipeline import _scored, filter_corpus, restore_confidences, revert_edits
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record
+from constructions import one_record, records_of
 from reference import iter_edits
 
 WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
@@ -73,7 +73,7 @@ def assert_revert_invariants(before: PairCorpus, result, expected_kept=None):
     assert after.n_edits == result.kept_edits
     assert len(after) == len(before)
     kept_flags = []
-    for rec_b, rec_a in zip(before.records, after.records):
+    for rec_b, rec_a in zip(records_of(before), records_of(after)):
         assert rec_a.clean == rec_b.clean
         surviving = set(rec_a.edits)
         assert surviving <= set(rec_b.edits)
@@ -163,13 +163,13 @@ class TestAgainstReference:
         """Training and a JSON round trip give the per-record counts, and so do the
         counts of two halves added up; the marginals and size are read off them."""
         model = train(corpus, window)
-        counts, center, target = reference.signature_counts(corpus.records,
+        counts, center, target = reference.signature_counts(records_of(corpus),
                                                             corpus.vocab_size, window)
         models = [model, model_from_json(model_to_json(model))]
         cut = data.draw(st.integers(1, len(corpus)), label="cut")
         if cut < len(corpus):
             halves = [PairCorpus(part, corpus.vocab_size, 0.1, "iid")
-                      for part in (corpus.records[:cut], corpus.records[cut:])]
+                      for part in (records_of(corpus)[:cut], records_of(corpus)[cut:])]
             np.testing.assert_array_equal(sum(train(half, window).counts for half in halves),
                                           counts)
         for model in models:
@@ -187,7 +187,7 @@ class TestAgainstReference:
         model, corpus = setup
         outputs = [tuple(alone(model, corpus, ri)[1].tolist()) for ri in range(len(corpus))]
         assert (dataclasses.astuple(evaluate(model, corpus))
-                == reference.sentence_metrics(corpus.records, outputs))
+                == reference.sentence_metrics(records_of(corpus), outputs))
 
 
 class TestVocabularyRule:
