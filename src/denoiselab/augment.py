@@ -177,21 +177,22 @@ def _zipf_weights(n_candidates: int, exponent: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _affine_candidate(world: WorldModel, token: int, rng: np.random.Generator) -> int | None:
+def _affine_candidate(matrix: np.ndarray, support: np.ndarray, token: int,
+                      rng: np.random.Generator) -> int | None:
     # A token sharing context mass with ``token``: weight every (left, right)
     # context by how often ``token`` sits in it, score other tokens by the
     # covered mass, and draw proportionally to the score.  Drawing instead of
     # taking the argmax keeps a few high-coverage tokens from becoming the
-    # confusion target of half the vocabulary.  Order-1 worlds only.
-    M = world.matrix
-    left_cover = M[:, token] @ (M > 0)            # per v: sum_l T[l, token] * [T[l, v] > 0]
-    right_cover = (M > 0) @ M[token]              # per v: sum_r T[x, r] * [T[v, r] > 0]
+    # confusion target of half the vocabulary.  ``matrix`` is an order-1
+    # world's transition matrix and ``support`` its float ``matrix > 0``.
+    left_cover = matrix[:, token] @ support       # per v: sum_l T[l, token] * [T[l, v] > 0]
+    right_cover = support @ matrix[token]         # per v: sum_r T[x, r] * [T[v, r] > 0]
     score = left_cover * right_cover
     score[token] = 0.0
     total = float(score.sum())
     if total == 0.0:
         return None
-    return int(rng.choice(world.vocab_size, p=score / total))
+    return int(rng.choice(len(score), p=score / total))
 
 
 def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTable:
@@ -199,12 +200,14 @@ def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTabl
     _fits_world(config, world.vocab_size, world.order)
     V, c = world.vocab_size, config.candidates
     rng = derive_rng(config.seed, "confusion")
+    if config.context_affinity > 0:  # an order-1 world (``_fits_world``)
+        support = (world.matrix > 0).astype(float)
     candidates = np.zeros((V, c), dtype=np.int64)
     source_load = np.zeros(V)  # how many tokens already confuse into each target
     for v in range(V):
         chosen: list[int] = []
         if rng.random() < config.context_affinity:
-            affine = _affine_candidate(world, v, rng)
+            affine = _affine_candidate(world.matrix, support, v, rng)
             if affine is not None:
                 chosen.append(affine)
         # Remaining candidates are drawn with a preference for targets that
@@ -820,22 +823,16 @@ def corpus_from_jsonl(path: str | Path, vocab_size: int, rate: float,
 
 
 def corpus_digest(corpus: PairCorpus) -> str:
-    """Content hash over token arrays; cheap and exact.
+    """Content hash over the stored columns; cheap and exact.
 
-    The bytes are the int64 (vocab_size, n_records), the record lengths, then
-    each record's clean tokens followed by its corrupted tokens.
+    The bytes are the int64 (vocab_size, n_records), the record lengths, the
+    flat clean tokens, then the flat corrupted tokens; the lengths fix where
+    each record's tokens start.  Each column is hashed in place, without a copy.
     """
-    lengths = corpus.lengths
     h = hashlib.sha256()
-    h.update(np.array([corpus.vocab_size, len(corpus)], dtype=np.int64).tobytes())
-    h.update(lengths.astype(np.int64).tobytes())
-    # Record k's block starts at 2 * offsets[k]: token g of the flat arrays goes
-    # to g + offsets[k] (clean) and g + offsets[k + 1] (corrupted).
-    index = np.arange(corpus.n_chars)
-    pairs = np.empty(2 * corpus.n_chars, dtype=np.int64)
-    pairs[index + np.repeat(corpus.offsets[:-1], lengths)] = corpus.clean
-    pairs[index + np.repeat(corpus.offsets[1:], lengths)] = corpus.corrupted
-    h.update(pairs.tobytes())
+    h.update(np.array([corpus.vocab_size, len(corpus)], dtype=np.int64))
+    for column in (corpus.lengths, corpus.clean, corpus.corrupted):
+        h.update(np.ascontiguousarray(column, dtype=np.int64))
     return h.hexdigest()
 
 

@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import augment, calibration, corrector, harness, oracle, pipeline, world
-from .config import experiment_config_to_dict, load_experiment_config
+from .config import load_experiment_config
 from .harness import MetricsRow, emit_report, write_manifest
 from .pipeline import VOLUME_THRESHOLD, ExperimentConfig
 
@@ -91,7 +91,7 @@ class Run:
 
     def _stamp(self) -> dict:
         """The config document and seed that every manifest records."""
-        return {"config_doc": experiment_config_to_dict(self.config), "seed": self.seed}
+        return {"config_doc": dataclasses.asdict(self.config), "seed": self.seed}
 
     def manifest(self, files: dict[str, Path], meta: dict | None = None) -> None:
         write_manifest(self.out, files=files, meta=meta, **self._stamp())

@@ -1,11 +1,11 @@
-"""Config file loading and canonical serialization.
+"""Config file loading and checking.
 
 Experiment configs are plain nested dataclasses; the JSON form mirrors the
 dataclass structure section by section, and a key it omits keeps the default
 experiment's value.  Unknown keys, keys every run sets itself, and a
 ``confusion.head_mass`` beside a single candidate are rejected so typos and
-ignored settings fail loudly; the canonical dict form feeds the manifest's
-config hash.
+ignored settings fail loudly.  ``dataclasses.asdict`` of a config feeds the
+manifest's config hash, where JSON writes each tuple as a list.
 """
 
 from __future__ import annotations
@@ -65,16 +65,6 @@ def experiment_config_from_dict(doc: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ExperimentConfig(**kwargs, **_typed_fields(ExperimentConfig, doc))
-
-
-def experiment_config_to_dict(config: ExperimentConfig) -> dict:
-    """The config as plain JSON values: every tuple field becomes a list."""
-    doc = dataclasses.asdict(config)
-    for holder in [doc] + [doc[s] for s in _SECTIONS if s in doc]:
-        for key, value in holder.items():
-            if isinstance(value, tuple):
-                holder[key] = list(value)
-    return doc
 
 
 def load_experiment_config(path: str | Path | None) -> ExperimentConfig:

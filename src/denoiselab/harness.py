@@ -31,12 +31,6 @@ class Metrics:
     recall: float
     f1: float
     fpr: float
-    char_accuracy: float
-    tp: int
-    fp_mod: int
-    fn: int
-    n_err_sentences: int
-    n_clean_sentences: int
 
 
 def sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
@@ -66,10 +60,7 @@ def sentence_metrics(corpus: PairCorpus, out: np.ndarray) -> Metrics:
     has_correct = any_in_sentence(correct_pos)
     denom = int(has_correct.sum())
     fpr = 100.0 * int(np.sum(broke_correct & has_correct)) / denom if denom > 0 else 0.0
-
-    char_accuracy = 100.0 * float(np.sum(out == clean)) / float(corpus.n_chars)
-    return Metrics(precision, recall, f1, fpr, char_accuracy,
-                   tp, n_modified - tp, n_err - tp, n_err, int((~has_error).sum()))
+    return Metrics(precision, recall, f1, fpr)
 
 
 def evaluate(model, corpus: PairCorpus) -> Metrics:
@@ -153,7 +144,8 @@ def config_hash(config_doc: dict) -> str:
 
 def write_manifest(out_dir: str | Path, config_doc: dict, seed: int,
                    files: dict[str, str | Path], meta: dict | None = None) -> Path:
-    """Write ``manifest.json``: config hash, seed, versions, and a digest per file."""
+    """Write ``manifest.json``: config hash, seed, versions, a digest per file, and
+    ``meta`` (when given) with its digest ``meta_sha256``."""
     manifest = {
         "config_hash": config_hash(config_doc),
         "seed": seed,
@@ -161,7 +153,7 @@ def write_manifest(out_dir: str | Path, config_doc: dict, seed: int,
         "files": {name: sha256_file(p) for name, p in sorted(files.items())},
     }
     if meta:
-        manifest["meta"] = meta
+        manifest["meta"], manifest["meta_sha256"] = meta, config_hash(meta)
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path
@@ -199,21 +191,26 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
 def read_manifest(out_dir: str | Path, meta: dict | None = None) -> dict:
     """A run directory's ``manifest.json``, with a digest per plain file name in ``files``
     and, when ``meta`` names fields (see :func:`typed`), a ``meta`` object holding them;
-    ValueError naming the file otherwise."""
+    ValueError naming the file otherwise, or when a ``meta`` differs from its digest."""
     path = Path(out_dir) / "manifest.json"
     if not path.is_file():
         raise ValueError(f"{out_dir}: no manifest.json")
-    fields = {"files": dict[str, str], **({"meta": meta} if meta else {})}
-    doc = load_file(path, lambda text: checked_object(text, fields))
-    for name in doc["files"]:
-        if name in ("", ".", "..") or "/" in name or "\0" in name:
-            raise ValueError(f"{path}: 'files' must map plain file names to digests, "
-                             f"got {name!r}")
-    return doc
+    fields = {"files": dict[str, str], **({"meta": meta, "meta_sha256": str} if meta else {})}
+
+    def checked(text: str) -> dict:
+        doc = checked_object(text, fields)
+        for name in doc["files"]:
+            if name in ("", ".", "..") or "/" in name or "\0" in name:
+                raise ValueError(f"'files' must map plain file names to digests, got {name!r}")
+        if "meta" in doc and doc.get("meta_sha256") != config_hash(doc["meta"]):
+            raise ValueError("'meta' differs from its digest 'meta_sha256'")
+        return doc
+    return load_file(path, checked)
 
 
 def verify_manifest(out_dir: str | Path) -> tuple[bool, dict[str, bool]]:
-    """Recompute file hashes recorded in a run directory's manifest (see :func:`read_manifest`)."""
+    """Recompute file hashes recorded in a run directory's manifest; its ``meta`` digest is
+    checked on the read (see :func:`read_manifest`)."""
     out = Path(out_dir)
     checks = {}
     for name, digest in read_manifest(out)["files"].items():

@@ -205,9 +205,8 @@ def heuristic_multi(corpus: PairCorpus) -> np.ndarray:
 
 
 def make_eval_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
-                     length_range: tuple[int, int] = (8, 16), rate: float = 0.1,
-                     seed: int = 0, clean_fraction: float = 0.5,
-                     plausibility: float = 0.1) -> PairCorpus:
+                     length_range: tuple[int, int], rate: float, *, seed: int,
+                     clean_fraction: float, plausibility: float) -> PairCorpus:
     """Human-judged evaluation corpus over the given channel.
 
     Single-edit corruption, except that a replacement whose contextual

@@ -5,9 +5,10 @@ writes from it and the model ``train`` fits there.  A case (:func:`fault`)
 replaces one leaf of one of those files (a scalar, or an empty list or object)
 with one value of :data:`VALUES`, runs the command that reads the file through
 click's runner, and puts the file back.  The config is read by ``gen-corpus``;
-``world.json``, ``confusion.json``, the ``meta`` object of ``manifest.json``,
-one line of ``corpus.jsonl`` (the manifest's digest updated to match) and
-``model.json`` by ``score --oracle``.  The command must exit 0, or exit 1
+``world.json``, ``confusion.json``, the ``meta`` object of ``manifest.json``
+(its ``meta_sha256`` updated to match), one line of ``corpus.jsonl`` (the
+manifest's file digest updated to match) and ``model.json`` by ``score
+--oracle``.  The command must exit 0, or exit 1
 printing the one line ``Error: <path>...`` that names the changed file;
 anything else is a fault.
 
@@ -25,6 +26,7 @@ entries: the others are alike.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import re
 import sys
@@ -36,8 +38,8 @@ from pathlib import Path
 from click.testing import CliRunner
 
 from denoiselab.cli import main as cli_main
-from denoiselab.config import experiment_config_from_dict, experiment_config_to_dict
-from denoiselab.harness import sha256_file
+from denoiselab.config import experiment_config_from_dict
+from denoiselab.harness import config_hash, sha256_file
 
 VALUES = (None, True, False, 0, 1, -1, 0.5, 2**31, 2**62, 2**63, -2**63 - 1, 10**400,
           float("nan"), float("inf"), float("-inf"), "", "x", [], [0], {}, {"a": 0})
@@ -48,11 +50,11 @@ _INT_KEY = re.compile(r"-?\d+(,-?\d+)*")
 
 def config_doc() -> dict:
     """Every key of a tiny experiment's config, except the keys a run sets itself."""
-    doc = experiment_config_to_dict(experiment_config_from_dict({
+    doc = json.loads(json.dumps(dataclasses.asdict(experiment_config_from_dict({
         "world": {"vocab_size": 8, "support": 3, "weight_low": 0.05, "weight_high": 1.0},
         "confusion": {"candidates": 2, "head_mass": 0.8, "context_affinity": 0.6},
         "dr_sentences": 60, "do_sentences": 20, "eval_sentences": 20,
-        "length_range": [4, 7], "volume_sizes": [50, 100]}))
+        "length_range": [4, 7], "volume_sizes": [50, 100]}))))
     for section, key in (("world", "seed"), ("confusion", "seed"), ("confusion", "mode")):
         del doc[section][key]
     return doc
@@ -117,7 +119,10 @@ class Workspace:
 
     def write(self, target: str, path: tuple, value) -> None:
         """Put ``value`` at ``path`` of ``target``; the manifest's digests follow."""
-        text = json.dumps(replaced(self.docs[target], path, value))
+        doc = replaced(self.docs[target], path, value)
+        if target == "manifest.json":
+            doc["meta_sha256"] = config_hash(doc["meta"])
+        text = json.dumps(doc)
         if target == "corpus.jsonl":
             lines = self.texts[target].splitlines(keepends=True)
             lines[self.line] = text + "\n"

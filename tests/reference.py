@@ -66,9 +66,9 @@ def digest(records, vocab_size):
     h = hashlib.sha256()
     h.update(np.array([vocab_size, len(records)], dtype=np.int64).tobytes())
     h.update(np.array([len(r.clean) for r in records], dtype=np.int64).tobytes())
-    for rec in records:
-        h.update(np.array(rec.clean, dtype=np.int64).tobytes())
-        h.update(np.array(rec.corrupted, dtype=np.int64).tobytes())
+    for side in ("clean", "corrupted"):
+        for rec in records:
+            h.update(np.array(getattr(rec, side), dtype=np.int64).tobytes())
     return h.hexdigest()
 
 
@@ -156,7 +156,7 @@ def signature_counts(records, vocab_size, window):
 
 def sentence_metrics(records, outputs):
     """The fields of ``harness.Metrics``, in order, for one decoded output per record."""
-    tp = modified = errors = with_correct = broke = right = total = 0
+    tp = modified = errors = with_correct = broke = 0
     for rec, out in zip(records, outputs):
         error = rec.clean != rec.corrupted
         changed = tuple(out) != rec.corrupted
@@ -167,14 +167,11 @@ def sentence_metrics(records, outputs):
         if kept:
             with_correct += 1
             broke += any(out[i] != rec.corrupted[i] for i in kept)
-        right += sum(a == b for a, b in zip(out, rec.clean))
-        total += len(rec.clean)
     precision = 100.0 * tp / modified if modified else 0.0
     recall = 100.0 * tp / errors if errors else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     fpr = 100.0 * broke / with_correct if with_correct else 0.0
-    return (precision, recall, f1, fpr, 100.0 * right / total,
-            tp, modified - tp, errors - tp, errors, len(records) - errors)
+    return precision, recall, f1, fpr
 
 
 def calibration_outcomes(records, scored, cutoff):

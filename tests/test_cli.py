@@ -8,7 +8,7 @@ from click.testing import CliRunner
 import output_matrix
 from denoiselab.cli import main
 from denoiselab.config import experiment_config_from_dict
-from denoiselab.harness import sha256_file
+from denoiselab.harness import config_hash, sha256_file
 
 TINY_CONFIG = {
     "world": {"vocab_size": 8, "support": 3, "weight_low": 0.05, "weight_high": 1.0},
@@ -158,6 +158,11 @@ class TestScoresFile:
             assert not any(with_oracle)
 
 
+def signed(meta: dict) -> str:
+    """A corpus directory's manifest text with no files, holding ``meta`` and its digest."""
+    return json.dumps({"files": {}, "meta": meta, "meta_sha256": config_hash(meta)})
+
+
 class TestBadInputs:
     """A bad input file or option ends in click's one-line error, not a traceback."""
 
@@ -233,26 +238,28 @@ class TestBadInputs:
         ("[]", ": expected a JSON object"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": "x", "mode": "iid"}}',
          ": meta.rate: expected float, got str"),
-        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 1.5, "mode": "iid"}}',
+        (signed({"vocab_size": 8, "rate": 1.5, "mode": "iid"}),
          ": meta 'rate' must be a number in (0, 1), got 1.5"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": true, "mode": "iid"}}',
          ": meta.rate: expected float, got bool"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": NaN, "mode": "iid"}}',
          ": meta.rate: expected a finite number, got nan"),
-        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0, "mode": "iid"}}',
+        (signed({"vocab_size": 8, "rate": 0, "mode": "iid"}),
          ": meta 'rate' must be a number in (0, 1), got 0"),
-        ('{"files": {}, "meta": {"vocab_size": 30, "rate": 0.1, "mode": "iid"}}',
+        (signed({"vocab_size": 30, "rate": 0.1, "mode": "iid"}),
          ": meta 'vocab_size' must be world.json's 8 and confusion.json's 8, got 30"),
         ('{"files": {}, "meta": {"vocab_size": "8", "rate": 0.1, "mode": "iid"}}',
          ": meta.vocab_size: expected int, got str"),
-        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": "both"}}',
+        (signed({"vocab_size": 8, "rate": 0.1, "mode": "both"}),
          ": meta 'mode' must be iid or single_edit, got 'both'"),
         ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": 1}}',
          ": meta.mode: expected str, got int"),
+        ('{"files": {}, "meta": {"vocab_size": 8, "rate": 0.1, "mode": "iid"}}',
+         ": missing field 'meta_sha256'"),
     ], ids=["truncated", "no-files", "no-meta", "meta-list", "meta-without-vocab-size",
             "not-an-object", "rate-string", "rate-above-one", "rate-bool", "rate-nan",
             "rate-zero", "vocab-size-not-the-worlds", "vocab-size-string", "mode-unknown",
-            "mode-int"])
+            "mode-int", "meta-without-digest"])
     def test_malformed_corpus_dir_manifest_is_named(self, runner, config_path, tmp_path,
                                                     text, fragment):
         corpus_dir, _ = self.corpus_and_model(runner, config_path, tmp_path)
@@ -269,7 +276,10 @@ class TestBadInputs:
         ('{"files": {"metrics.csv": 0}}', ": files.metrics.csv: expected str, got int"),
         ('{"files": {"../metrics.csv": "0"}}',
          ": 'files' must map plain file names to digests, got '../metrics.csv'"),
-    ], ids=["missing", "truncated", "files-list", "digest-int", "parent-dir-name"])
+        ('{"files": {}, "meta": {"kept": 1}, "meta_sha256": "0"}',
+         ": 'meta' differs from its digest 'meta_sha256'"),
+    ], ids=["missing", "truncated", "files-list", "digest-int", "parent-dir-name",
+            "meta-digest-mismatch"])
     def test_report_on_a_bad_manifest_is_named(self, runner, tmp_path, text, fragment):
         out = tmp_path / "run"
         out.mkdir()
@@ -431,6 +441,27 @@ class TestBadInputs:
                                  "got 99999999999999999999\n")
         assert not (tmp_path / "model-big" / "model.json").exists()
 
+    def test_an_edited_meta_fails_the_manifest(self, runner, config_path, tmp_path):
+        # The channel rate is read from the meta, so an edit once changed the scores.
+        corpus_dir = tmp_path / "corpus"
+        run_ok(runner, ["gen-corpus", "--config", config_path, "--mode", "single_edit",
+                        "--sentences", "50", "--out-dir", str(corpus_dir)])
+        model_dir = tmp_path / "model"
+        run_ok(runner, ["train", "--config", config_path, "--corpus-dir", str(corpus_dir),
+                        "--out-dir", str(model_dir)])
+        manifest = corpus_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        assert doc["meta"]["rate"] == 0.1
+        doc["meta"]["rate"] = 0.5
+        manifest.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["score", "--config", config_path, "--oracle",
+                                      "--model", str(model_dir / "model.json"),
+                                      "--corpus-dir", str(corpus_dir),
+                                      "--out-dir", str(tmp_path / "scores")])
+        assert result.exit_code == 1
+        assert result.output == f"Error: {manifest}: 'meta' differs from its digest 'meta_sha256'\n"
+        assert not (tmp_path / "scores" / "scores.jsonl").exists()
+
     def test_sentences_past_the_token_budget_are_one_line(self, runner, config_path, tmp_path):
         result = runner.invoke(main, ["gen-corpus", "--config", config_path, "--sentences",
                                       str(2**62), "--out-dir", str(tmp_path / "out")])
@@ -529,19 +560,22 @@ def golden_hashes(out_dir):
 # was re-recorded when filter.lambda_m left the config (its config_hash moved),
 # and again when filter.lambda_n and filter.literal_ratio left it; the
 # pipeline-heuristic/* entries when the multi-answer rule became a context
-# group-by.
+# group-by.  The model/model.json and model-window/model.json entries were
+# re-recorded when the corpus digest came to hash the stored columns (their
+# corpus_hash moved), and every manifest that records a meta when it gained
+# its meta_sha256.
 GOLDEN = {
     "corpus/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus/corpus.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "corpus/manifest.json": "9a266bf69b73a9edf9676c55f49a1b9ab9049e460aad73c84475bf5ab6558c07",
+    "corpus/manifest.json": "6c2cc36c8207f182374ea44b868e0548b7de999a8f810f95d205bc2bf6f2b94d",
     "corpus/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "eval/manifest.json": "d6d160dd7237c56fffec8ef98bef05b4129d1457b2cc116e18a55d9a99d7bc04",
     "eval/metrics.csv": "f1536811ca94c1f59e9154d8f711ed38978a0011350103f594f7e410efbd84ce",
     "eval/reliability.csv": "d19c08748c53002448acabea56b0bb6508140c8c883d70a8f2855f260c57d8f4",
     "filter/filtered.jsonl": "d737c10ece2859c66bc7754b5f4b86a03e40875665fbf745a9e718b58fa794c3",
-    "filter/manifest.json": "27557e53bcbe8235a258e801c1a9bae6b18d681ea9434e9c44814acb43508250",
-    "model/manifest.json": "c6744631d67df90918138c11dd6ba36e8863585dcb4186a3335cf439bb7325bb",
-    "model/model.json": "8d2380d9156996cc65f3835f808686095a5f4b6aea6264e035f8bcb0b217c561",
+    "filter/manifest.json": "b44034e81a1bb40f9ecd0183c594fba846c33fb7fc632d077f7bf04d8e965d6d",
+    "model/manifest.json": "2eae1d3524fa25332a3257fe41ed4bff2b858a579c1d444c78ba5a39a46a8ce3",
+    "model/model.json": "ab8e4d68544841ed0bd9381450ed0f423d4d29aab5a2505ec0d3c1eba30f3d3a",
     # Recorded before the corrector moved to flat positions.
     "pipeline-cross/filtered.jsonl": "2b468dab3fdae2b40089de2d5ea79a7198cb062d5bc5a263c9fb5530768fd85b",
     "pipeline-cross/manifest.json": "91446908c9a0c719976485c24e554cfdb0ca7b015d770997f41203cf330970a2",
@@ -553,25 +587,25 @@ GOLDEN = {
     "pipeline-heuristic/metrics.csv": "9b1b7494a84b866ffd50db6a04f05718113c1cf802789a0b4cd978ba0ec75940",
     "pipeline-heuristic/reliability.csv": "6b21f2f2a79887dd8401596de7e64ee41daacaa52885061761274d32722e2c29",
     "pipeline-heuristic/report.json": "873985acd78ba203227f15db1a61d7ab029097ecb2a867d152df2b22ca7e4fa4",
-    "score/manifest.json": "ef2c8375736eb67b112328e207b736bec0679ef1b76791a260b0f090e02aceb9",
+    "score/manifest.json": "caa3ea7163781467fb4f0370c5f9d68d98187e313eabc95547c60e9bb387c4a7",
     "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
     "sweep-threshold/manifest.json": "72b142bc9bf5c07a3b36263abc1fb5642d2d1dd0c4856495113378bbbfeb1e42",
     "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
     # Recorded before the experiment scaffold was written once.
     "corpus-single/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus-single/corpus.jsonl": "6d101ab6e338a4dde83639fc4c615bde13eb4ad03909fbb1b5285cee0da356d2",
-    "corpus-single/manifest.json": "18af0435e24f132dc2d22a2261b3e60b8bb4aac322810057b077be419e985494",
+    "corpus-single/manifest.json": "82c57a0698f9999e35c6fcfcdc3ece47b39891a25a7211ba79ab8ce4541591a7",
     "corpus-single/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "corpus-uniform/confusion.json": "a4533ecfb031b0b9b628c77a04896991d7e833f80e8241199b2bc8d8d66aadd5",
     "corpus-uniform/corpus.jsonl": "838aac57d0c9c2eb5930b963475647169555b9d62652c421ebf67164229dd757",
-    "corpus-uniform/manifest.json": "2393d7cf97dfe8c852c5034f097d2c2fde34286e272754a812a775f23a779b21",
+    "corpus-uniform/manifest.json": "d7b5369b8a1758fc8b59f0bcc840bd342c44ab842b76669c4878cd6b920d50ef",
     "corpus-uniform/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "filter-0.01/filtered.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "filter-0.01/manifest.json": "80dea818fd853a7e6566e4d6aa6256945bd46b745da06e8d01260972244e88e7",
+    "filter-0.01/manifest.json": "8746929085568d4914404cbc0bd32cce20045a617a9af73b4c9cb5aa2938c7d0",
     "gen-world/manifest.json": "5e09dbb7cfc4f09e1e2fc321da160d91725cbb110e6219211c74242139eac8d8",
     "gen-world/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "model-window/manifest.json": "dfe151ea1f0021b5d2ee0750d7d563247a5866fdb9fc9919ade916efdca5db9e",
-    "model-window/model.json": "05e3d1cc4d188ac907f36465070b37352c479999de8e0c5d7ecbee8cf8e87796",
+    "model-window/manifest.json": "45b691f94450baecb5db530021a6505a3a4a2f0c750a5e5c1debf8ae02795bcb",
+    "model-window/model.json": "7ae2918198328ec033d0c05d6a305d2b57b611f66f591e3b4a61e0747ea9c7c0",
     "pipeline-mixing/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
     "pipeline-mixing/manifest.json": "83fbcb1fbef3420969c4ee70fed71cc8b0bdc97b1fba6310ea052acc42dc8166",
     "pipeline-mixing/metrics.csv": "122f2910661f8d7d32509f5f68ad3b8e5604ba34053057ba4603c72cda3cb66c",
@@ -587,7 +621,7 @@ GOLDEN = {
     "pipeline-self/metrics.csv": "c637f1780ed33eb944571bd0fde17914adf231cbdf0782e537f88f350f1aea86",
     "pipeline-self/reliability.csv": "75b8c2d3e4bbc69ca59e69efe9e37005c7135e3f74450a2cfd7fb712ca8ecc67",
     "pipeline-self/report.json": "679925c9f98c57358461f50084cb239fbdf410ac7ad3fa33ed4cf01d648a1072",
-    "score-no-oracle/manifest.json": "6f2227f867c46c8389576a00d181e4d2e6710d798ca367e9dc9b68f35fa6b01f",
+    "score-no-oracle/manifest.json": "37935d8ef7c1f305aa0453ac32b09c6c8c3967de40b1ada9617a9e9ba89d6241",
     "score-no-oracle/scores.jsonl": "3b07d4cb7d85aec680df59c4b2acbac7a1a25a2d24a663d62295035e402626fc",
     "sweep-volume/manifest.json": "611f60f40f2ddf22cd3b5e387ad093c0f2a9c32236f515ac7fd3fbe33ac74741",
     "sweep-volume/metrics.csv": "504b167ef18cf90c6095624eed4bae3f023934b205a4902c9f008d664cb80087",
@@ -609,8 +643,9 @@ class TestGoldenOutputs:
             "3f06587c9603a417720e007465b446fb4b664d30619543f7c88252859809388c")
 
     def test_order_2_outputs_match_recorded_digests(self, runner, tmp_path):
-        # Recorded after one column-loop sampler served every world order, and again
-        # when filter.lambda_n and filter.literal_ratio left the config (config_hash only).
+        # Recorded after one column-loop sampler served every world order, again
+        # when filter.lambda_n and filter.literal_ratio left the config (config_hash only),
+        # and again when model.json's corpus_hash and the manifests' meta_sha256 moved.
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(ORDER_2_CONFIG))
         out = tmp_path / "out"
@@ -619,7 +654,7 @@ class TestGoldenOutputs:
         listing = "".join(f"{name}  {digest}\n"
                           for name, digest in sorted(golden_hashes(out).items()))
         assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "f73806b0229163da16b4b46d515aac1f3740703958064ad4c9948f423d158076")
+            "85a9531d39da8c2273b81fb509b88e466e88c276792bfb4735eab751ab53e495")
         config = experiment_config_from_dict(ORDER_2_CONFIG)
         assert output_matrix.posteriors_digest(7, config) == (
             "243c2768a7202027b0349181c7b6d8eb8cfd2b7a946d28edbfb9391e10168768")

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from denoiselab._jsonfile import typed
-from denoiselab.config import experiment_config_to_dict, load_experiment_config
+from denoiselab.config import load_experiment_config
+from denoiselab.harness import config_hash
 from denoiselab.pipeline import ExperimentConfig
 
 
@@ -115,6 +116,13 @@ def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
         load_experiment_config(path)
 
 
+def _lists_for_tuples(node):
+    """``node`` with every tuple made a list, at any depth."""
+    if isinstance(node, dict):
+        return {key: _lists_for_tuples(value) for key, value in node.items()}
+    return list(node) if isinstance(node, tuple) else node
+
+
 def test_valid_file_keeps_its_values(tmp_path):
     doc = {"world": {"vocab_size": 8, "weight_low": 1}, "corrector": {"window": [-1, 1]},
            "rate": 0.2, "length_range": [5, 9], "thresholds": [0.1, 1e-3]}
@@ -123,7 +131,11 @@ def test_valid_file_keeps_its_values(tmp_path):
     cfg = load_experiment_config(path)
     assert cfg.world.weight_low == 1 and isinstance(cfg.world.weight_low, int)
     assert cfg.corrector.window == (-1, 1) and cfg.length_range == (5, 9)
-    assert experiment_config_to_dict(cfg)["thresholds"] == [0.1, 1e-3]
+    assert cfg.thresholds == (0.1, 1e-3)
+    # The manifest hashes the config's dataclass form, where JSON writes a tuple as a list.
+    stamped = dataclasses.asdict(cfg)
+    assert isinstance(stamped["thresholds"], tuple)
+    assert config_hash(stamped) == config_hash(_lists_for_tuples(stamped))
 
 
 def test_a_partial_section_keeps_the_default_experiments_other_fields(tmp_path):
