@@ -24,7 +24,7 @@ import hashlib
 import json
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -69,24 +69,17 @@ class ConfusionConfig:
     chosen to fit one of the token's own contexts (a stand-in for homophones,
     which tend to be plausible where their source is plausible).  Affine
     candidates are what make contextually-valid replacements reasonably
-    common while accidental second restorations stay rare.
-
-    Candidate sets depend only on ``seed``/``candidates``/``context_affinity``,
-    not on ``mode``, so uniform and long-tailed tables built from configs that
-    differ only in ``mode`` share the same candidate structure.
+    common while accidental second restorations stay rare.  ``head_mass`` shapes
+    only the long-tailed table.
     """
 
     candidates: int = 3
-    mode: str = "uniform"  # "uniform" | "long_tailed"
     head_mass: float = 0.587
     context_affinity: float = 0.35
-    seed: int = 0
 
     def __post_init__(self):  # the rules that read these fields alone; _fits_world has the rest
         if self.candidates < 1:
             raise ValueError(f"candidates must be at least 1, got {self.candidates}")
-        if self.mode not in ("uniform", "long_tailed"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.candidates > 1:  # one config builds both channels
             _check_head_mass(self.candidates, self.head_mass)
         if not 0.0 <= self.context_affinity <= 1.0:
@@ -195,11 +188,12 @@ def _affine_candidate(matrix: np.ndarray, support: np.ndarray, token: int,
     return int(rng.choice(len(score), p=score / total))
 
 
-def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTable:
-    """Build a per-token candidate table against a world."""
+def build_confusion(world: WorldModel, config: ConfusionConfig,
+                    seed: int) -> tuple[ConfusionTable, ConfusionTable]:
+    """The uniform and long-tailed tables against a world, over one candidate draw."""
     _fits_world(config, world.vocab_size, world.order)
     V, c = world.vocab_size, config.candidates
-    rng = derive_rng(config.seed, "confusion")
+    rng = derive_rng(seed, "confusion")
     if config.context_affinity > 0:  # an order-1 world (``_fits_world``)
         support = (world.matrix > 0).astype(float)
     candidates = np.zeros((V, c), dtype=np.int64)
@@ -224,20 +218,12 @@ def build_confusion(world: WorldModel, config: ConfusionConfig) -> ConfusionTabl
         candidates[v] = chosen
         source_load[chosen] += 1.0
 
-    if config.mode == "uniform" or c == 1:
-        weights = np.full((V, c), 1.0 / c)
-        exponent = None
-    else:
+    weights, exponent = np.full((V, c), 1.0 / c), None
+    uniform = ConfusionTable(V, "uniform", candidates, weights)
+    if c > 1:  # one candidate has no tail to shape
         exponent = zipf_exponent_for_head_mass(c, config.head_mass)
         weights = np.tile(_zipf_weights(c, exponent), (V, 1))
-    return ConfusionTable(V, config.mode, candidates, weights, exponent)
-
-
-def confusion_pair(world: WorldModel, config: ConfusionConfig) -> tuple[ConfusionTable, ConfusionTable]:
-    """Uniform and long-tailed tables sharing one candidate structure."""
-    uniform = build_confusion(world, replace(config, mode="uniform"))
-    longtail = build_confusion(world, replace(config, mode="long_tailed"))
-    return uniform, longtail
+    return uniform, ConfusionTable(V, "long_tailed", candidates, weights, exponent)
 
 
 def _record_problem(clean, corrupted, edits, categories,
@@ -581,9 +567,9 @@ def check_token_budget(n_sentences: int, max_length: int, where: str) -> None:
 
 
 def generate_corpus(world: WorldModel, table: ConfusionTable, n_sentences: int,
-                    length_range: tuple[int, int] = (8, 16), rate: float = 0.1,
-                    mode: str = "iid", seed: int = 0, clean_fraction: float = 0.0,
-                    annotate: bool = False, stream: str = "corpus") -> PairCorpus:
+                    length_range: tuple[int, int], rate: float, mode: str = "iid",
+                    seed: int = 0, clean_fraction: float = 0.0, annotate: bool = False,
+                    stream: str = "corpus") -> PairCorpus:
     """Sample clean sentences and push them through the channel.
 
     ``rate``, the per-token replacement probability of ``iid`` mode, must lie

@@ -131,7 +131,7 @@ def _experiment(name: str):
 @_experiment("gen-world")
 def gen_world(run):
     """Build a world and save it as JSON."""
-    w = world.build_world(dataclasses.replace(run.config.world, seed=run.seed))
+    w = world.build_world(run.config.world, run.seed)
     path = run.out / "world.json"
     world.save_world(w, path)
     run.manifest({"world.json": path})

@@ -2,10 +2,10 @@
 
 Experiment configs are plain nested dataclasses; the JSON form mirrors the
 dataclass structure section by section, and a key it omits keeps the default
-experiment's value.  Unknown keys, keys every run sets itself, and a
-``confusion.head_mass`` beside a single candidate are rejected so typos and
-ignored settings fail loudly.  ``dataclasses.asdict`` of a config feeds the
-manifest's config hash, where JSON writes each tuple as a list.
+experiment's value.  Unknown keys (a seed among them: ``--seed`` sets it)
+and a ``confusion.head_mass`` beside a single candidate are rejected so typos
+and ignored settings fail loudly.  ``dataclasses.asdict`` of a config feeds
+the manifest's config hash, where JSON writes each tuple as a list.
 """
 
 from __future__ import annotations
@@ -19,12 +19,6 @@ from ._jsonfile import load_file, typed
 from .pipeline import ExperimentConfig
 
 _SECTIONS = ("world", "confusion", "corrector", "filter")
-# Section keys a run overwrites, so a value in a file would be ignored.
-_SET_BY_RUN = {
-    "world.seed": "set by --seed",
-    "confusion.seed": "set by --seed",
-    "confusion.mode": "set per channel",
-}
 
 
 def _typed_fields(cls, doc: dict, prefix: str = "") -> dict:
@@ -40,11 +34,11 @@ def _build_section(default, doc, name: str):
     unknown = set(doc) - names
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    for key in sorted(doc):
-        reason = _SET_BY_RUN.get(f"{name}.{key}")
-        if reason:
-            raise ValueError(f"{name}.{key}: {reason}")
-    section = dataclasses.replace(default, **_typed_fields(cls, doc, f"{name}."))
+    values = _typed_fields(cls, doc, f"{name}.")
+    try:
+        section = dataclasses.replace(default, **values)
+    except ValueError as exc:  # a rule of the section's own fields
+        raise ValueError(f"{name}: {exc}") from None
     if name == "confusion" and "head_mass" in doc and section.candidates == 1:
         raise ValueError("confusion.head_mass: unused with 1 candidate")  # no long tail to shape
     return section
@@ -71,9 +65,9 @@ def load_experiment_config(path: str | Path | None) -> ExperimentConfig:
     """The config in a JSON file (defaults when ``path`` is None).
 
     Bad JSON, a section that is not an object, a list field that is not a
-    list, a value of the wrong type or out of range, an unknown key, a key
-    a run sets itself and a ``head_mass`` that one candidate leaves unused
-    raise ``ValueError`` naming the file, and the line or the field.
+    list, a value of the wrong type or out of range, an unknown key and a
+    ``head_mass`` that one candidate leaves unused raise ``ValueError`` naming
+    the file, and the line or the field.
     """
     if path is None:
         return ExperimentConfig()

@@ -161,7 +161,7 @@ def write_manifest(out_dir: str | Path, config_doc: dict, seed: int,
 
 def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
                 reliability: CalibrationReport | None = None,
-                config_doc: dict | None = None, seed: int = 0,
+                config_doc: dict, seed: int,
                 extra_files: dict[str, str | Path] | None = None) -> dict[str, Path]:
     """Write metrics.csv, optional reliability.csv, and a hashing manifest.
 
@@ -184,7 +184,7 @@ def emit_report(out_dir: str | Path, *, metrics_rows: list[MetricsRow],
     for name, src in (extra_files or {}).items():
         written[name] = Path(src)
 
-    written["manifest.json"] = write_manifest(out, config_doc or {}, seed, written)
+    written["manifest.json"] = write_manifest(out, config_doc, seed, written)
     return written
 
 

@@ -18,12 +18,12 @@ vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .augment import (ConfusionConfig, ConfusionTable, PairCorpus, SampleCategory, _fits_world,
-                      check_token_budget, concat_corpora, confusion_pair, corpus_arrays,
+                      build_confusion, check_token_budget, concat_corpora, corpus_arrays,
                       generate_corpus)
 from .calibration import CalibrationReport, calibration_report
 from .corrector import (MASKED_WINDOW, CorrectorConfig, _rows,
@@ -104,7 +104,7 @@ class ExperimentConfig:
         _fits_world(self.confusion, self.world.vocab_size, self.world.order, "confusion.")
         if self.world.rows is not None or self.world.initial is not None:
             try:  # an explicit world is checked whole here, not when a command builds it
-                build_world(self.world)
+                build_world(self.world, 0)  # any seed: the rows are explicit
             except ValueError as exc:
                 raise ValueError(f"world: {exc}") from None
 
@@ -246,9 +246,8 @@ def tv_to_oracle(model, world: WorldModel, table: ConfusionTable,
 
 def build_experiment_world(config: ExperimentConfig, seed: int):
     """World plus uniform/long-tailed table pair for one experiment seed."""
-    world = build_world(replace(config.world, seed=seed))
-    uniform, longtail = confusion_pair(world, replace(config.confusion, seed=seed))
-    return world, uniform, longtail
+    world = build_world(config.world, seed)
+    return (world, *build_confusion(world, config.confusion, seed))
 
 
 def _uniform_corpus(world: WorldModel, uniform: ConfusionTable,

@@ -55,7 +55,6 @@ class WorldConfig:
 
     vocab_size: int = 20
     order: int = 1
-    seed: int = 0
     support: int = 2
     weight_low: float = 1.0
     weight_high: float = 2.0
@@ -147,8 +146,8 @@ def _all_contexts(vocab_size: int, order: int):
             yield tuple(int(t) for t in ctx)
 
 
-def build_world(config: WorldConfig) -> WorldModel:
-    """Construct a world from explicit rows or the sparse-row generator."""
+def build_world(config: WorldConfig, seed: int) -> WorldModel:
+    """Construct a world, seeded ``seed``, from explicit rows or the sparse-row generator."""
     V, k = config.vocab_size, config.order
     if config.rows is not None:
         transitions = {}
@@ -160,9 +159,9 @@ def build_world(config: WorldConfig) -> WorldModel:
         if config.initial is None:
             raise ValueError("explicit rows require an explicit initial vector")
         initial = np.asarray(config.initial, dtype=float)
-        return WorldModel(V, k, config.seed, initial, transitions)
+        return WorldModel(V, k, seed, initial, transitions)
 
-    rng = derive_rng(config.seed, "world")
+    rng = derive_rng(seed, "world")
     if config.initial is not None:
         initial = np.asarray(config.initial, dtype=float)
     else:
@@ -172,7 +171,7 @@ def build_world(config: WorldConfig) -> WorldModel:
         ctx: _draw_row(rng, V, config.support, config.weight_low, config.weight_high)
         for ctx in _all_contexts(V, k)
     }
-    return WorldModel(V, k, config.seed, initial, transitions)
+    return WorldModel(V, k, seed, initial, transitions)
 
 
 def conditional(world: WorldModel, tokens, position, rows=None):
@@ -324,8 +323,8 @@ _WORLD_FIELDS = {"vocab_size": int, "order": int, "seed": int, "initial": list[f
 
 def world_from_json(text: str) -> WorldModel:
     doc = checked_object(text, _WORLD_FIELDS)
-    return build_world(WorldConfig(doc["vocab_size"], doc["order"], doc["seed"],
-                                   rows=doc["transitions"], initial=doc["initial"]))
+    return build_world(WorldConfig(doc["vocab_size"], doc["order"], rows=doc["transitions"],
+                                   initial=doc["initial"]), doc["seed"])
 
 
 def save_world(world: WorldModel, path: str | Path) -> None:

@@ -37,8 +37,8 @@ def equal_prior_noisy_setup(head_weight=0.5):
         "2": [0.0, 0.0, 0.0, 1.0],
         "3": [1.0, 0.0, 0.0, 0.0],
     }
-    world = build_world(WorldConfig(vocab_size=4, order=1, seed=0, rows=rows,
-                                    initial=[1.0, 0.0, 0.0, 0.0]))
+    world = build_world(WorldConfig(vocab_size=4, order=1, rows=rows,
+                                    initial=[1.0, 0.0, 0.0, 0.0]), 0)
     table = manual_table(4, [[3, 1], [2, 0], [1, 3], [0, 1]],
                          [[1 - head_weight, head_weight],
                           [head_weight, 1 - head_weight],
@@ -62,8 +62,8 @@ def bound_demo_setup():
         "2": [0.0, 0.0, 0.75, 0.25],
         "3": [1.0, 0.0, 0.0, 0.0],
     }
-    world = build_world(WorldConfig(vocab_size=4, order=1, seed=0, rows=rows,
-                                    initial=[1.0, 0.0, 0.0, 0.0]))
+    world = build_world(WorldConfig(vocab_size=4, order=1, rows=rows,
+                                    initial=[1.0, 0.0, 0.0, 0.0]), 0)
     record = CorruptionRecord((0, 1, 3), (0, 2, 3), ((1, 1, 2),))
     longtail = manual_table(4, [[3, 1], [2, 0], [1, 3], [0, 1]],
                             [[0.5, 0.5], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5]],
@@ -94,8 +94,7 @@ def ordering_triple(seed):
         rows[str(v)] = row.tolist()
     initial = np.zeros(V)
     initial[0] = 1.0
-    world = build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
-                                    initial=initial.tolist()))
+    world = build_world(WorldConfig(vocab_size=V, order=1, rows=rows, initial=initial.tolist()), 0)
 
     # true: 2 -> 7 (only source of 7); noisy: 3 -> 4 (4 fits); multi: 5 -> 8
     # (6 also confuses into 8 and fits, 8 itself does not fit).

@@ -49,15 +49,12 @@ _INT_KEY = re.compile(r"-?\d+(,-?\d+)*")
 
 
 def config_doc() -> dict:
-    """Every key of a tiny experiment's config, except the keys a run sets itself."""
-    doc = json.loads(json.dumps(dataclasses.asdict(experiment_config_from_dict({
+    """Every key of a tiny experiment's config."""
+    return json.loads(json.dumps(dataclasses.asdict(experiment_config_from_dict({
         "world": {"vocab_size": 8, "support": 3, "weight_low": 0.05, "weight_high": 1.0},
         "confusion": {"candidates": 2, "head_mass": 0.8, "context_affinity": 0.6},
         "dr_sentences": 60, "do_sentences": 20, "eval_sentences": 20,
         "length_range": [4, 7], "volume_sizes": [50, 100]}))))
-    for section, key in (("world", "seed"), ("confusion", "seed"), ("confusion", "mode")):
-        del doc[section][key]
-    return doc
 
 
 def leaves(node, path: tuple = ()):

@@ -42,13 +42,13 @@ def sampled_records(max_vocab=6, max_len=4, minimum=120):
     seed = 0
     while len(out) < minimum:
         V = 3 + seed % (max_vocab - 2)
-        world = build_world(WorldConfig(vocab_size=V, support=2, seed=seed,
-                                        weight_low=0.05, weight_high=1.0))
-        table = build_confusion(world, ConfusionConfig(
+        world = build_world(WorldConfig(vocab_size=V, support=2,
+                                        weight_low=0.05, weight_high=1.0), seed)
+        uniform, longtail = build_confusion(world, ConfusionConfig(
             candidates=1 + seed % min(3, V - 1),
             context_affinity=0.5 if seed % 2 else 0.0,
-            mode="long_tailed" if seed % 3 == 0 else "uniform",
-            head_mass=0.7, seed=seed))
+            head_mass=0.7), seed)
+        table = longtail if seed % 3 == 0 else uniform
         corpus = generate_corpus(world, table, 4, (2, max_len), 0.1,
                                  mode="single_edit", seed=seed)
         out.extend((world, table, rec) for rec in records_of(corpus))
@@ -113,10 +113,8 @@ def test_criterion_2_case1_exactness(oracle_records):
 
 def test_criterion_3_uniform_channel_bound():
     ceiling = bounds(0.1, None, SampleCategory.NOISY, 0.1)  # 1/1.9
-    world = build_world(WorldConfig(vocab_size=10, support=3, seed=11,
-                                    weight_low=1.0, weight_high=2.0))
-    table = build_confusion(world, ConfusionConfig(candidates=3, seed=11,
-                                                   context_affinity=0.6))
+    world = build_world(WorldConfig(vocab_size=10, support=3, weight_low=1.0, weight_high=2.0), 11)
+    table = build_confusion(world, ConfusionConfig(candidates=3, context_affinity=0.6), 11)[0]
     corpus = generate_corpus(world, table, 3_000, (6, 10), 0.1,
                              mode="single_edit", seed=12, annotate=True)
     noisy_posteriors, ratios = [], []
@@ -153,10 +151,10 @@ def test_criterion_5_sigma_consistency():
     worst = 0.0
     rich = 0
     for seed in range(12):
-        world = build_world(WorldConfig(vocab_size=6, support=6, seed=seed,
-                                        weight_low=0.05, weight_high=1.0))
-        table = build_confusion(world, ConfusionConfig(candidates=4, seed=seed,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=6,
+                                        weight_low=0.05, weight_high=1.0), seed)
+        table = build_confusion(world, ConfusionConfig(candidates=4,
+                                                       context_affinity=0.0), seed)[0]
         corpus = generate_corpus(world, table, 40, (3, 4), 0.1,
                                  mode="single_edit", seed=seed)
         for rec in records_of(corpus):
@@ -221,10 +219,8 @@ def test_criterion_8_pipeline_improvement(pipeline_runs):
                 for s in SEEDS)
 
     # Exact separation with the posterior itself as the filter at p = 0.5.
-    world = build_world(WorldConfig(vocab_size=10, support=3, seed=11,
-                                    weight_low=1.0, weight_high=2.0))
-    table = build_confusion(world, ConfusionConfig(candidates=3, seed=11,
-                                                   context_affinity=0.6))
+    world = build_world(WorldConfig(vocab_size=10, support=3, weight_low=1.0, weight_high=2.0), 11)
+    table = build_confusion(world, ConfusionConfig(candidates=3, context_affinity=0.6), 11)[0]
     corpus = generate_corpus(world, table, 2_000, (6, 10), 0.1,
                              mode="single_edit", seed=12, annotate=True)
     rates = category_filter_rates(corpus,

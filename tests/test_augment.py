@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from denoiselab.augment import (CATEGORY_TABLE, TOKEN_BUDGET, ConfusionConfig, ConfusionTable,
                                 CorruptionRecord, PairCorpus, SampleCategory, build_confusion,
                                 candidate_category_codes, check_token_budget, concat_corpora,
-                                confusion_from_json, confusion_pair, confusion_to_json,
+                                confusion_from_json, confusion_to_json,
                                 corpus_arrays, corpus_digest, corpus_from_jsonl,
                                 corpus_to_jsonl, generate_corpus, load_confusion,
                                 save_confusion, zipf_exponent_for_head_mass)
@@ -24,7 +24,7 @@ from reference import iter_edits
 
 
 def small_world(V=6, support=3, seed=0, **kw):
-    return build_world(WorldConfig(vocab_size=V, support=support, seed=seed, **kw))
+    return build_world(WorldConfig(vocab_size=V, support=support, **kw), seed)
 
 
 def manual_table(V, candidates, weights=None, mode="uniform"):
@@ -37,8 +37,7 @@ def manual_table(V, candidates, weights=None, mode="uniform"):
 class TestBuildConfusion:
     def test_uniform_two_candidates(self):
         w = small_world(V=4, support=2)
-        t = build_confusion(w, ConfusionConfig(candidates=2, mode="uniform",
-                                               context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         assert t.candidates.shape == (4, 2)
         np.testing.assert_array_equal(t.weights, 0.5)
         for v in range(4):
@@ -47,36 +46,43 @@ class TestBuildConfusion:
     def test_long_tailed_head_mass_calibration(self):
         # Head shares mirroring the documented channel statistics.
         w = small_world(V=12, support=3)
-        t = build_confusion(w, ConfusionConfig(candidates=5, mode="long_tailed",
-                                               head_mass=0.587, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=5,
+                                               head_mass=0.587, context_affinity=0.0), 0)[1]
         assert t.weights[0, 0] == pytest.approx(0.587, abs=1e-9)
         assert np.all(np.diff(t.weights, axis=1) < 0)
 
     def test_uniform_seven_candidates_head_share(self):
         w = small_world(V=12, support=3)
-        t = build_confusion(w, ConfusionConfig(candidates=7, mode="uniform",
-                                               context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=7, context_affinity=0.0), 0)[0]
         assert t.weights[0, 0] == pytest.approx(1 / 7, abs=1e-12)
 
     def test_candidate_count_must_be_below_vocab(self):
         w = small_world(V=4)
         with pytest.raises(ValueError, match="candidates must be below the world's vocab_size 4"):
-            build_confusion(w, ConfusionConfig(candidates=4))
+            build_confusion(w, ConfusionConfig(candidates=4), 0)[0]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_two_token_vocabulary_with_an_affine_pick(self, seed):
         # The affine pick fills the row, leaving no other candidate to draw.
         w = small_world(V=2, support=2, seed=seed)
-        t = build_confusion(w, ConfusionConfig(candidates=1, context_affinity=1.0, seed=seed))
+        t = build_confusion(w, ConfusionConfig(candidates=1, context_affinity=1.0), seed)[0]
         np.testing.assert_array_equal(t.candidates, [[1], [0]])
 
     def test_determinism_and_shared_structure_across_modes(self):
         w = small_world(V=8, support=3, seed=2)
-        cfg = ConfusionConfig(candidates=3, context_affinity=0.5, seed=5)
-        uniform, longtail = confusion_pair(w, cfg)
-        np.testing.assert_array_equal(uniform.candidates, longtail.candidates)
-        again = build_confusion(w, cfg)
+        cfg = ConfusionConfig(candidates=3, context_affinity=0.5)
+        uniform, longtail = build_confusion(w, cfg, 5)
+        assert longtail.candidates is uniform.candidates  # one candidate draw
+        assert (uniform.mode, longtail.mode) == ("uniform", "long_tailed")
+        again, _ = build_confusion(w, cfg, 5)
         np.testing.assert_array_equal(again.candidates, uniform.candidates)
+
+    def test_one_candidate_gives_two_uniform_weight_tables(self):
+        tables = build_confusion(small_world(V=5), ConfusionConfig(candidates=1), 3)
+        assert [t.mode for t in tables] == ["uniform", "long_tailed"]
+        for t in tables:
+            np.testing.assert_array_equal(t.weights, 1.0)
+            assert t.zipf_exponent is None
 
     def test_head_mass_solver_bounds(self):
         with pytest.raises(ValueError):
@@ -89,8 +95,7 @@ class TestBuildConfusion:
 class TestChannelLaw:
     def test_keep_and_replace_probabilities(self):
         w = small_world(V=5)
-        t = build_confusion(w, ConfusionConfig(candidates=2, mode="uniform",
-                                               context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         x = 0
         y = int(t.candidates[x, 0])
         assert channel_prob(t, x, x, 0.1) == pytest.approx(0.9, abs=1e-15)
@@ -100,8 +105,7 @@ class TestChannelLaw:
         assert vec[x] == pytest.approx(0.05)
 
     def test_channel_vector_is_the_channel_law_at_every_source(self):
-        t = build_confusion(small_world(V=5), ConfusionConfig(candidates=2, mode="long_tailed",
-                                                              head_mass=0.7))
+        t = build_confusion(small_world(V=5), ConfusionConfig(candidates=2, head_mass=0.7), 0)[1]
         V = t.vocab_size
         for rate in (0.0, 0.1, 0.5):
             rows = t.channel_vector(np.arange(V), rate)
@@ -115,8 +119,7 @@ class TestChannelLaw:
 
     def test_weight_rows_sum_to_one(self):
         w = small_world(V=9, support=3, seed=4)
-        t = build_confusion(w, ConfusionConfig(candidates=4, mode="long_tailed",
-                                               head_mass=0.7))
+        t = build_confusion(w, ConfusionConfig(candidates=4, head_mass=0.7), 0)[1]
         np.testing.assert_allclose(t.weights.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -124,7 +127,7 @@ class TestCorrupt:
     def setup_method(self):
         self.world = small_world(V=6, support=3, seed=1)
         self.table = build_confusion(self.world, ConfusionConfig(candidates=2,
-                                                                 context_affinity=0.0))
+                                                                 context_affinity=0.0), 0)[0]
 
     def test_zero_rate_is_identity(self):
         corpus = generate_corpus(self.world, self.table, 50, (4, 8), 0.0, seed=0)
@@ -182,8 +185,7 @@ class TestRecordInvariants:
     @settings(max_examples=25, deadline=None)
     def test_generated_records_validate(self, seed):
         w = small_world(V=5, support=2, seed=seed % 50)
-        t = build_confusion(w, ConfusionConfig(candidates=2, seed=seed % 7,
-                                               context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), seed % 7)[0]
         corpus = generate_corpus(w, t, 20, (3, 6), 0.2, mode="iid", seed=seed)
         for rec in records_of(corpus):
             assert len(rec.clean) == len(rec.corrupted)
@@ -205,8 +207,8 @@ def categorization_world():
         "4": [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
         "5": [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],
     }
-    world = build_world(WorldConfig(vocab_size=6, order=1, seed=0, rows=rows,
-                                    initial=[1.0, 0, 0, 0, 0, 0]))
+    world = build_world(WorldConfig(vocab_size=6, order=1, rows=rows,
+                                    initial=[1.0, 0, 0, 0, 0, 0]), 0)
     table = manual_table(6, [[2, 1], [2, 4], [4, 5], [0, 1], [1, 2], [0, 1]])
     return world, table
 
@@ -257,8 +259,7 @@ class TestCategorize:
 
     def test_partition_is_exhaustive_and_consistent(self):
         w = small_world(V=8, support=3, seed=6)
-        t = build_confusion(w, ConfusionConfig(candidates=3, seed=2,
-                                               context_affinity=0.4))
+        t = build_confusion(w, ConfusionConfig(candidates=3, context_affinity=0.4), 2)[0]
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=9, annotate=True)
         for rec in records_of(corpus):
@@ -280,7 +281,7 @@ class TestGenerateCorpus:
     def test_empty_corpus_rejected(self):
         w, t = categorization_world()
         with pytest.raises(ValueError, match="empty corpus"):
-            generate_corpus(w, t, 0)
+            generate_corpus(w, t, 0, (8, 16), 0.1)
 
     def test_token_budget_is_checked_before_anything_is_drawn(self):
         # Sentences times the longest length may reach the budget, not pass it.
@@ -288,7 +289,7 @@ class TestGenerateCorpus:
         for n, hi in ((2**62, 16), (TOKEN_BUDGET // 16 + 1, 16), (1, TOKEN_BUDGET + 1)):
             with pytest.raises(ValueError, match=f"^n_sentences: {n} sentences of up to {hi} "
                                f"tokens pass the budget of {TOKEN_BUDGET} tokens per corpus$"):
-                generate_corpus(w, t, n, (1, hi))
+                generate_corpus(w, t, n, (1, hi), 0.1)
         check_token_budget(TOKEN_BUDGET // 16, 16, "n_sentences")  # the edge itself passes
 
     def test_annotation_memory_does_not_grow_with_edits_times_the_sentence_length(self):
@@ -318,7 +319,7 @@ class TestGenerateCorpus:
 
     def test_determinism(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         a = generate_corpus(w, t, 60, (4, 8), 0.1, seed=5)
         b = generate_corpus(w, t, 60, (4, 8), 0.1, seed=5)
         assert records_of(a) == records_of(b)
@@ -326,7 +327,7 @@ class TestGenerateCorpus:
     def test_zero_rate_iid_corpus_has_no_edits(self):
         # No position is hit, so the replacement draw gets an empty batch.
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(w, t, 40, (4, 8), 0.0, mode="iid", seed=2, annotate=True)
         assert corpus.n_edits == 0 and all(rec.edits == () for rec in records_of(corpus))
         np.testing.assert_array_equal(corpus.corrupted, corpus.clean)
@@ -334,7 +335,7 @@ class TestGenerateCorpus:
 
     def test_clean_fraction(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(w, t, 400, (4, 8), 0.1, mode="single_edit",
                                  seed=8, clean_fraction=0.5)
         n_clean = sum(1 for r in records_of(corpus) if not r.edits)
@@ -367,7 +368,7 @@ class TestGenerateCorpus:
 class TestCorpusIO:
     def test_jsonl_round_trip(self, tmp_path):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(w, t, 40, (4, 6), 0.15, mode="single_edit",
                                  seed=2, annotate=True)
         path = tmp_path / "c.jsonl"
@@ -439,8 +440,7 @@ class TestCorpusIO:
 
     def test_confusion_round_trip(self):
         w = small_world(V=7, support=3, seed=1)
-        t = build_confusion(w, ConfusionConfig(candidates=3, mode="long_tailed",
-                                               head_mass=0.7, seed=3))
+        t = build_confusion(w, ConfusionConfig(candidates=3, head_mass=0.7), 3)[1]
         back = confusion_from_json(confusion_to_json(t))
         np.testing.assert_array_equal(back.candidates, t.candidates)
         np.testing.assert_array_equal(back.weights, t.weights)
@@ -465,7 +465,7 @@ class TestCorpusIO:
             "weight-beyond-float"])
     def test_load_names_the_file_and_the_field(self, tmp_path, edit, message):
         path = tmp_path / "confusion.json"
-        save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2)), path)
+        save_confusion(build_confusion(small_world(), ConfusionConfig(candidates=2), 0)[0], path)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -474,7 +474,7 @@ class TestCorpusIO:
 
     def test_concat_and_digest(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         a = generate_corpus(w, t, 10, (4, 6), 0.1, seed=1)
         b = generate_corpus(w, t, 15, (4, 6), 0.1, seed=2)
         both = concat_corpora(a, b)
@@ -500,7 +500,7 @@ class TestCorpusIO:
 
     def test_concat_refuses_corpora_of_different_modes(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         iid = generate_corpus(w, t, 10, (4, 6), 0.1, seed=1)
         single = generate_corpus(w, t, 10, (4, 6), 0.1, mode="single_edit", seed=2)
         with pytest.raises(ValueError, match="^corpora built in different modes$"):
@@ -509,7 +509,7 @@ class TestCorpusIO:
 
     def test_concat_is_annotated_only_when_both_inputs_are(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         plain = generate_corpus(w, t, 10, (4, 6), 0.3, seed=1)
         annotated = generate_corpus(w, t, 15, (4, 6), 0.3, seed=2, annotate=True)
         for first, second in ((plain, annotated), (annotated, plain)):
@@ -546,7 +546,7 @@ class TestCorpusIO:
 
     def test_corpus_arrays_padding(self):
         w = small_world(V=6, support=2, seed=0)
-        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0))
+        t = build_confusion(w, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(w, t, 30, (3, 7), 0.2, seed=4)
         clean, corr, lengths = corpus_arrays(corpus)
         for i, rec in enumerate(records_of(corpus)):

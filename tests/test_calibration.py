@@ -32,9 +32,9 @@ def confidences(report):
 
 class TestCollectOutcomes:
     def setup_method(self):
-        self.world = build_world(WorldConfig(vocab_size=6, support=2, seed=0))
+        self.world = build_world(WorldConfig(vocab_size=6, support=2), 0)
         self.table = build_confusion(self.world, ConfusionConfig(candidates=2,
-                                                                 context_affinity=0.0))
+                                                                 context_affinity=0.0), 0)[0]
         self.corpus = generate_corpus(self.world, self.table, 50, (4, 8), 0.1, seed=1)
         self.model = train(self.corpus)
 
@@ -127,9 +127,8 @@ class TestEce:
 
 class TestReportHelpers:
     def test_calibration_report_counts_exclusions(self):
-        world = build_world(WorldConfig(vocab_size=6, support=2, seed=0))
-        table = build_confusion(world, ConfusionConfig(candidates=2,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=2), 0)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
         report = calibration_report(predict_matrix(model, corpus), corpus)

@@ -190,7 +190,7 @@ class TestBadInputs:
         self.assert_usage_error(result, "bad.json: rate: must be in (0, 1), got 1.5")
 
     @pytest.mark.parametrize("command,doc,message", [
-        ("gen-world", {"world": {"support": 0}}, "support must be in [1, 20], got 0"),
+        ("gen-world", {"world": {"support": 0}}, "world: support must be in [1, 20], got 0"),
         ("gen-corpus", {"confusion": {"candidates": 25}},
          "confusion.candidates must be below the world's vocab_size 20, got 25"),
         ("gen-corpus", {"confusion": {"candidates": 2**31}},
@@ -563,67 +563,68 @@ def golden_hashes(out_dir):
 # group-by.  The model/model.json and model-window/model.json entries were
 # re-recorded when the corpus digest came to hash the stored columns (their
 # corpus_hash moved), and every manifest that records a meta when it gained
-# its meta_sha256.
+# its meta_sha256.  Every manifest.json entry was re-recorded again when
+# world.seed, confusion.seed and confusion.mode left the config.
 GOLDEN = {
     "corpus/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus/corpus.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "corpus/manifest.json": "6c2cc36c8207f182374ea44b868e0548b7de999a8f810f95d205bc2bf6f2b94d",
+    "corpus/manifest.json": "2edc41fd2e50a7ab6e4461699a971d5fc5e37e9fa8a052db0895badb9c4f6c52",
     "corpus/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "eval/manifest.json": "d6d160dd7237c56fffec8ef98bef05b4129d1457b2cc116e18a55d9a99d7bc04",
+    "eval/manifest.json": "fafb4a24c76fa387bc7311e16be3c13ddf1080217068bb82d3e5cb45a04ff776",
     "eval/metrics.csv": "f1536811ca94c1f59e9154d8f711ed38978a0011350103f594f7e410efbd84ce",
     "eval/reliability.csv": "d19c08748c53002448acabea56b0bb6508140c8c883d70a8f2855f260c57d8f4",
     "filter/filtered.jsonl": "d737c10ece2859c66bc7754b5f4b86a03e40875665fbf745a9e718b58fa794c3",
-    "filter/manifest.json": "b44034e81a1bb40f9ecd0183c594fba846c33fb7fc632d077f7bf04d8e965d6d",
-    "model/manifest.json": "2eae1d3524fa25332a3257fe41ed4bff2b858a579c1d444c78ba5a39a46a8ce3",
+    "filter/manifest.json": "215902550f2fa9da082463207a26f81a6227dc6302684e370782da1cd5bf6325",
+    "model/manifest.json": "a148bb879f42cbaea86044d23b1255129a9e2da014864979f6461832e8de019b",
     "model/model.json": "ab8e4d68544841ed0bd9381450ed0f423d4d29aab5a2505ec0d3c1eba30f3d3a",
     # Recorded before the corrector moved to flat positions.
     "pipeline-cross/filtered.jsonl": "2b468dab3fdae2b40089de2d5ea79a7198cb062d5bc5a263c9fb5530768fd85b",
-    "pipeline-cross/manifest.json": "91446908c9a0c719976485c24e554cfdb0ca7b015d770997f41203cf330970a2",
+    "pipeline-cross/manifest.json": "c581768a9dfcca8d3698a84afe7c90728a550bf7c14ba63d8b0bcefd15ad85e3",
     "pipeline-cross/metrics.csv": "173784c68c53f6a28603520092ca6eaef870155616c9293610e7eb6f3a4db188",
     "pipeline-cross/reliability.csv": "73d4bb540f1155176e5ceca2c7c48b5b7f04bb3d63803cd07f1af5b16754b6ec",
     "pipeline-cross/report.json": "eecc6a239c00f15ca0680c03e53618110389fa0efbdd3c012a4e7f1215badca0",
     "pipeline-heuristic/filtered.jsonl": "31609f0627359eb036f79a2ded2f3d415a740c64b5a5a8b741bd511e11a21b02",
-    "pipeline-heuristic/manifest.json": "201f797c0ef7bc4ddbd57d7d03c5cd306e5293bbe5560f7c7fc44934e061319d",
+    "pipeline-heuristic/manifest.json": "9b178b7b24ea95e5f62205484031d457cb0d6f69d62fd196279be8ff6d963edb",
     "pipeline-heuristic/metrics.csv": "9b1b7494a84b866ffd50db6a04f05718113c1cf802789a0b4cd978ba0ec75940",
     "pipeline-heuristic/reliability.csv": "6b21f2f2a79887dd8401596de7e64ee41daacaa52885061761274d32722e2c29",
     "pipeline-heuristic/report.json": "873985acd78ba203227f15db1a61d7ab029097ecb2a867d152df2b22ca7e4fa4",
-    "score/manifest.json": "caa3ea7163781467fb4f0370c5f9d68d98187e313eabc95547c60e9bb387c4a7",
+    "score/manifest.json": "261915ecb78f2f2da5015425cef082ee51192894cd989633aad7e799aebf3c5f",
     "score/scores.jsonl": "7ba71235962608017d99bca78e84db1a23c48986602be4983fde41a566f1593b",
-    "sweep-threshold/manifest.json": "72b142bc9bf5c07a3b36263abc1fb5642d2d1dd0c4856495113378bbbfeb1e42",
+    "sweep-threshold/manifest.json": "197648aa49ee3e9d2993baa46f200e9be152f6d43e81826d827e9ed58ca99b42",
     "sweep-threshold/metrics.csv": "5b005deb21c01662549f4026926696c096baf30d277fc018e2300e2e55992b50",
     # Recorded before the experiment scaffold was written once.
     "corpus-single/confusion.json": "ac5f018d3497e90fde291a599632c33ce2cf05185aeedf466ad4a75e77140bb4",
     "corpus-single/corpus.jsonl": "6d101ab6e338a4dde83639fc4c615bde13eb4ad03909fbb1b5285cee0da356d2",
-    "corpus-single/manifest.json": "82c57a0698f9999e35c6fcfcdc3ece47b39891a25a7211ba79ab8ce4541591a7",
+    "corpus-single/manifest.json": "892047c9f8a2d7d28f7eebfd886ef766c0e8703214859b23f8827f1f8f5970fd",
     "corpus-single/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "corpus-uniform/confusion.json": "a4533ecfb031b0b9b628c77a04896991d7e833f80e8241199b2bc8d8d66aadd5",
     "corpus-uniform/corpus.jsonl": "838aac57d0c9c2eb5930b963475647169555b9d62652c421ebf67164229dd757",
-    "corpus-uniform/manifest.json": "d7b5369b8a1758fc8b59f0bcc840bd342c44ab842b76669c4878cd6b920d50ef",
+    "corpus-uniform/manifest.json": "638839828b3ba72963d634a33b01cce60610ec7792c646c29687649cb2e953c8",
     "corpus-uniform/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
     "filter-0.01/filtered.jsonl": "7f76d079a8c338ee39d6d9a0fda44ae4770b699dc6181e644529c2b39ad8988b",
-    "filter-0.01/manifest.json": "8746929085568d4914404cbc0bd32cce20045a617a9af73b4c9cb5aa2938c7d0",
-    "gen-world/manifest.json": "5e09dbb7cfc4f09e1e2fc321da160d91725cbb110e6219211c74242139eac8d8",
+    "filter-0.01/manifest.json": "e191eb3119ee80d4e71864016f6c8377fac1b894df3af4fa1c1dce138bd13429",
+    "gen-world/manifest.json": "2d7f5b0cf105e90e98b48a679596e64988a1c35cc06b776ec79453e2450bed52",
     "gen-world/world.json": "ab01cf7b8eb5baefdd9958bb7fb57782c4fcbd05ed0fbfeb1d780317f8c6167d",
-    "model-window/manifest.json": "45b691f94450baecb5db530021a6505a3a4a2f0c750a5e5c1debf8ae02795bcb",
+    "model-window/manifest.json": "d8c5d34de234f522d23cc82be9a8cf6507f5fc2b3203931e64b6946de669b9c2",
     "model-window/model.json": "7ae2918198328ec033d0c05d6a305d2b57b611f66f591e3b4a61e0747ea9c7c0",
     "pipeline-mixing/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-mixing/manifest.json": "83fbcb1fbef3420969c4ee70fed71cc8b0bdc97b1fba6310ea052acc42dc8166",
+    "pipeline-mixing/manifest.json": "8a7a9655bed73c6b18290ed6e7d3b6844f935400dc4d5f8371d9003ced5eb276",
     "pipeline-mixing/metrics.csv": "122f2910661f8d7d32509f5f68ad3b8e5604ba34053057ba4603c72cda3cb66c",
     "pipeline-mixing/reliability.csv": "a6d5fa6cd17b7857f91a2324d93baee8fc3f4473f1506137b9db2a52f5682112",
     "pipeline-mixing/report.json": "264812c04063162a4a306993f6f463b914a85e5f438290f53c3e902da30dd352",
     "pipeline-none/filtered.jsonl": "f9bcd45b6db86caddd775e9a23f2f82b17a3c523c82584c2b78c5e3978e7198a",
-    "pipeline-none/manifest.json": "5c125c7b9ee65cc4654e2380a723506746f0f24332e300e3e30145791e019e66",
+    "pipeline-none/manifest.json": "17f2de9b930d41f39de7e8febde65c168898887debba244f0f772dc658019218",
     "pipeline-none/metrics.csv": "b12014ee2ff79aa162ac36c470c896951b00ea0becc9cba21549f9fdbfb76bdb",
     "pipeline-none/reliability.csv": "07eb6b5686452ea191f7fa8fee5fbffa155dea83175197174e89d3aa91510754",
     "pipeline-none/report.json": "cc6ac7106abd08a039a50d796e6f2c63c0a3231f4ea14f375a507bf29bf78966",
     "pipeline-self/filtered.jsonl": "0a51de0a930f8ee35ec601f4f7908c8dae0e6c0df409f37a4d40b22f7dd0e933",
-    "pipeline-self/manifest.json": "5ad0ae0f585ea5c2453c779ede3be7f910d0a7ff9e6dbe74656945bd544ddc0c",
+    "pipeline-self/manifest.json": "9a8ed23d734454b8bb4be46e08c578c92938c1753098c144f713eaa20a11a621",
     "pipeline-self/metrics.csv": "c637f1780ed33eb944571bd0fde17914adf231cbdf0782e537f88f350f1aea86",
     "pipeline-self/reliability.csv": "75b8c2d3e4bbc69ca59e69efe9e37005c7135e3f74450a2cfd7fb712ca8ecc67",
     "pipeline-self/report.json": "679925c9f98c57358461f50084cb239fbdf410ac7ad3fa33ed4cf01d648a1072",
-    "score-no-oracle/manifest.json": "37935d8ef7c1f305aa0453ac32b09c6c8c3967de40b1ada9617a9e9ba89d6241",
+    "score-no-oracle/manifest.json": "4252e6f0fd5dc598690f6ed0618c5f42d21dc5d2bddad02f63349c7d8e37586a",
     "score-no-oracle/scores.jsonl": "3b07d4cb7d85aec680df59c4b2acbac7a1a25a2d24a663d62295035e402626fc",
-    "sweep-volume/manifest.json": "611f60f40f2ddf22cd3b5e387ad093c0f2a9c32236f515ac7fd3fbe33ac74741",
+    "sweep-volume/manifest.json": "99045180efcde90d30a2c31aae41776b87312d5058473d925dc3ee32ec102e5c",
     "sweep-volume/metrics.csv": "504b167ef18cf90c6095624eed4bae3f023934b205a4902c9f008d664cb80087",
     "sweep-volume/volume_tv.csv": "47750deea99b5600ee467c3e000d7427a9da33dbd9b1759ac5901ad9d810423c",
 }
@@ -645,7 +646,9 @@ class TestGoldenOutputs:
     def test_order_2_outputs_match_recorded_digests(self, runner, tmp_path):
         # Recorded after one column-loop sampler served every world order, again
         # when filter.lambda_n and filter.literal_ratio left the config (config_hash only),
-        # and again when model.json's corpus_hash and the manifests' meta_sha256 moved.
+        # again when model.json's corpus_hash and the manifests' meta_sha256 moved, and
+        # again when world.seed, confusion.seed and confusion.mode left the config
+        # (config_hash only).
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(ORDER_2_CONFIG))
         out = tmp_path / "out"
@@ -654,7 +657,7 @@ class TestGoldenOutputs:
         listing = "".join(f"{name}  {digest}\n"
                           for name, digest in sorted(golden_hashes(out).items()))
         assert hashlib.sha256(listing.encode()).hexdigest() == (
-            "85a9531d39da8c2273b81fb509b88e466e88c276792bfb4735eab751ab53e495")
+            "9eda5e0fb1bf448115beaf0fac496f6f41e65cace05002e4bfe4776553e35e48")
         config = experiment_config_from_dict(ORDER_2_CONFIG)
         assert output_matrix.posteriors_digest(7, config) == (
             "243c2768a7202027b0349181c7b6d8eb8cfd2b7a946d28edbfb9391e10168768")

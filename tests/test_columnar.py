@@ -79,9 +79,9 @@ def crowded(draw):
 @st.composite
 def generated(draw):
     V = draw(st.integers(2, 5))
-    world = build_world(WorldConfig(vocab_size=V, support=draw(st.integers(1, V)),
-                                    seed=draw(st.integers(0, 1000))))
-    table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0))
+    world = build_world(WorldConfig(vocab_size=V, support=draw(st.integers(1, V))),
+                        draw(st.integers(0, 1000)))
+    table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0), 0)[0]
     mode = draw(st.sampled_from(("iid", "single_edit")))
     return generate_corpus(world, table, draw(st.integers(1, 8)), (1, 6), 0.3, mode=mode,
                            seed=draw(st.integers(0, 1000)), annotate=draw(st.booleans()))
@@ -134,8 +134,8 @@ class TestBuildPaths:
 
     @pytest.mark.parametrize("annotate", [True, False], ids=["annotated", "unannotated"])
     def test_view_records_equal_checked_records_field_by_field(self, annotate):
-        world = build_world(WorldConfig(vocab_size=6, support=3, seed=4))
-        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=3), 4)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(world, table, 80, (1, 8), 0.3, seed=7, annotate=annotate)
         offsets = corpus.offsets.tolist()
         edits = list(zip(corpus.record.tolist(), zip(corpus.pos.tolist(), corpus.orig.tolist(),

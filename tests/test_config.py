@@ -28,9 +28,9 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"filter": {"lambda_m": 0.8}}', r": unknown FilterConfig keys: \['lambda_m'\]"),
     ('{"filter": {"lambda_n": 0.9}}', r": unknown FilterConfig keys: \['lambda_n'\]"),
     ('{"filter": {"literal_ratio": false}}', r": unknown FilterConfig keys: \['literal_ratio'\]"),
-    ('{"world": {"seed": 3}}', ": world.seed: set by --seed"),
-    ('{"confusion": {"seed": 3}}', ": confusion.seed: set by --seed"),
-    ('{"confusion": {"mode": "long_tailed"}}', ": confusion.mode: set per channel"),
+    ('{"world": {"seed": 3}}', r": unknown WorldConfig keys: \['seed'\]"),
+    ('{"confusion": {"seed": 3}}', r": unknown ConfusionConfig keys: \['seed'\]"),
+    ('{"confusion": {"mode": "long_tailed"}}', r": unknown ConfusionConfig keys: \['mode'\]"),
     ('{"rate": 1.5}', r": rate: must be in \(0, 1\), got 1.5"),
     ('{"rate": -0.2}', r": rate: must be in \(0, 1\), got -0.2"),
     ('{"eval_sentences": 0}', ": eval_sentences: must be at least 1, got 0"),
@@ -46,23 +46,24 @@ from denoiselab.pipeline import ExperimentConfig
     ('{"volume_sizes": []}', ": volume_sizes: must not be empty"),
     ('{"volume_sizes": [0, 10]}', r": volume_sizes: must be positive, got \[0, 10\]"),
     ('{"volume_sizes": [1000, 10]}', r": volume_sizes: must be ascending, got \[1000, 10\]"),
-    ('{"corrector": {"alpha": -1}}', ": alpha must be positive and finite, got -1"),
-    ('{"corrector": {"alpha": 0}}', ": alpha must be positive and finite, got 0"),
+    ('{"corrector": {"alpha": -1}}', ": corrector: alpha must be positive and finite, got -1"),
+    ('{"corrector": {"alpha": 0}}', ": corrector: alpha must be positive and finite, got 0"),
     ('{"corrector": {"alpha": 1%s}}' % ("0" * 400),
      ": corrector.alpha: expected an int64 integer, got 1%s$" % ("0" * 400)),
-    ('{"world": {"support": 0}}', r": support must be in \[1, 20\], got 0"),
-    ('{"world": {"vocab_size": 1}}', ": vocab_size must be at least 2, got 1"),
-    ('{"world": {"order": 0}}', ": order must be at least 1, got 0"),
+    ('{"world": {"support": 0}}', r": world: support must be in \[1, 20\], got 0"),
+    ('{"world": {"vocab_size": 1}}', ": world: vocab_size must be at least 2, got 1"),
+    ('{"world": {"order": 0}}', ": world: order must be at least 1, got 0"),
     ('{"world": {"weight_low": 0}}',
-     r": weight band must satisfy 0 < weight_low <= weight_high < inf, got \[0, 1.0\]"),
+     r": world: weight band must satisfy 0 < weight_low <= weight_high < inf, got \[0, 1.0\]"),
     ('{"world": {"weight_low": 1e308, "weight_high": 1.7e308}}',
-     r": vocab_size \* weight_high must be finite, got 20 \* 1.7e\+308"),
+     r": world: vocab_size \* weight_high must be finite, got 20 \* 1.7e\+308"),
     ('{"world": {"weight_high": 1%s}}' % ("0" * 400),
      ": world.weight_high: expected an int64 integer, got 1%s$" % ("0" * 400)),
-    ('{"world": {"order": 4}}', r": vocab_size\*\*order = 20\*\*4 exceeds context budget 10000"),
+    ('{"world": {"order": 4}}',
+     r": world: vocab_size\*\*order = 20\*\*4 exceeds context budget 10000"),
     ('{"world": {"order": 2}}', r": confusion.context_affinity must be 0 in an order-2 world "
      r"\(affine candidates need order 1\), got 0.6"),
-    ('{"confusion": {"candidates": 0}}', ": candidates must be at least 1, got 0"),
+    ('{"confusion": {"candidates": 0}}', ": confusion: candidates must be at least 1, got 0"),
     ('{"confusion": {"candidates": 25}}',
      ": confusion.candidates must be below the world's vocab_size 20, got 25"),
     ('{"confusion": {"candidates": 2147483648}}',
@@ -81,14 +82,19 @@ from denoiselab.pipeline import ExperimentConfig
      r": volume_sizes: \d+ sentences of up to 16 tokens pass the budget"),
     ('{"world": {"initial": []}}', r": world: initial: expected length 20, got \(0,\)"),
     ('{"world": {"rows": {}}}', ": world: explicit rows require an explicit initial vector"),
-    ('{"confusion": {"head_mass": 0.1}}', r": head_mass must lie in \(1/3, 1\), got 0.1"),
+    ('{"confusion": {"head_mass": 0.1}}',
+     r": confusion: head_mass must lie in \(1/3, 1\), got 0.1"),
     ('{"confusion": {"candidates": 1, "head_mass": 0.1}}',
      ": confusion.head_mass: unused with 1 candidate"),
-    ('{"confusion": {"context_affinity": -3}}', r": context_affinity must be in \[0, 1\], got -3"),
-    ('{"corrector": {"window": []}}', ": window needs at least one offset"),
+    ('{"confusion": {"context_affinity": -3}}',
+     r": confusion: context_affinity must be in \[0, 1\], got -3"),
+    ('{"corrector": {"window": []}}', ": corrector: window needs at least one offset"),
     ('{"corrector": {"window": [-3, -2, -1, 0, 1, 2]}}',
      r": corrector.window: 6 offsets over 20 tokens are too large for a dense count table "
      r"\(1715322420 > 50000000\)"),
+    ('{"filter": {"threshold": 1.0}}', r": filter: threshold must be in \(0, 1\)$"),
+    ('{"filter": {"filter_source": "oracle"}}',
+     r": filter: filter_source must be one of \('cross', 'self', 'heuristic', 'none', 'mixing'\)$"),
 ], ids=["string-int", "string-top-level", "section-not-object", "tuple-not-list",
         "tuple-item", "tuple-length", "bool-for-float", "bool-for-int",
         "nested-row", "top-not-object", "bad-json", "unknown-key", "removed-lambda-m",
@@ -108,7 +114,7 @@ from denoiselab.pipeline import ExperimentConfig
         "world-initial-empty", "world-rows-without-initial", "confusion-head-mass-low",
         "confusion-head-mass-one-candidate",
         "confusion-affinity-negative", "corrector-window-empty",
-        "corrector-window-six-offsets"])
+        "corrector-window-six-offsets", "filter-threshold-one", "filter-source-unknown"])
 def test_bad_config_files_name_the_file_and_the_field(tmp_path, text, message):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -136,6 +142,15 @@ def test_valid_file_keeps_its_values(tmp_path):
     stamped = dataclasses.asdict(cfg)
     assert isinstance(stamped["thresholds"], tuple)
     assert config_hash(stamped) == config_hash(_lists_for_tuples(stamped))
+
+
+def test_a_file_of_the_whole_default_config_loads_as_that_config(tmp_path):
+    path = tmp_path / "config.json"
+    stamped = dataclasses.asdict(ExperimentConfig())
+    path.write_text(json.dumps(stamped))
+    cfg = load_experiment_config(path)
+    assert cfg == ExperimentConfig()
+    assert config_hash(dataclasses.asdict(cfg)) == config_hash(stamped)
 
 
 def test_a_partial_section_keeps_the_default_experiments_other_fields(tmp_path):

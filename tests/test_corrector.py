@@ -23,9 +23,8 @@ def identity_corpus(tokens_list, vocab_size):
 
 
 def training_setup(seed=0, V=8):
-    world = build_world(WorldConfig(vocab_size=V, support=3, seed=seed))
-    table = build_confusion(world, ConfusionConfig(candidates=2, seed=seed,
-                                                   context_affinity=0.0))
+    world = build_world(WorldConfig(vocab_size=V, support=3), seed)
+    table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), seed)[0]
     return world, table
 
 
@@ -142,8 +141,8 @@ class TestPredict:
             identity_corpus([(-1, 2, 3)], vocab_size=4)  # a corpus holds only its own tokens
 
     def test_rows_are_gathered_in_blocks_without_a_second_full_copy(self):
-        world = build_world(WorldConfig(vocab_size=20, support=3, seed=0))
-        table = build_confusion(world, ConfusionConfig(candidates=3, seed=0))
+        world = build_world(WorldConfig(vocab_size=20, support=3), 0)
+        table = build_confusion(world, ConfusionConfig(candidates=3), 0)[0]
         model = train(generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=1))
         corpus = generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=2)
         assert corpus.n_chars > 4 * _ROW_BLOCK
@@ -180,8 +179,8 @@ class TestCorrect:
             row = [0.0] * V
             row[(v + 1) % V] = 1.0
             rows[str(v)] = row
-        world = build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
-                                        initial=[1.0 / V] * V))
+        world = build_world(WorldConfig(vocab_size=V, order=1, rows=rows,
+                                        initial=[1.0 / V] * V), 0)
         cand = np.array([[(v + 2) % V, (v + 3) % V] for v in range(V)])
         from denoiselab.augment import ConfusionTable
         table = ConfusionTable(V, "uniform", cand, np.full((V, 2), 0.5))
@@ -202,9 +201,8 @@ class TestCorrect:
         assert hits / len(deep) > 0.95
 
     def test_restoration_rate_on_random_world(self):
-        world = build_world(WorldConfig(vocab_size=6, support=2, seed=4))
-        table = build_confusion(world, ConfusionConfig(candidates=2, seed=4,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=2), 4)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 4)[0]
         corpus = generate_corpus(world, table, 35_000, (4, 8), 0.1, seed=2)
         model = train(corpus)
         evalc = generate_corpus(world, table, 400, (4, 8), 0.1,
@@ -235,10 +233,10 @@ class TestConvergence:
         sizes = (1_000, 10_000, 100_000)
         tvs = {s: [] for s in sizes}
         for seed in range(5):
-            world = build_world(WorldConfig(vocab_size=10, support=3, seed=seed,
-                                            weight_low=0.05, weight_high=1.0))
-            table = build_confusion(world, ConfusionConfig(candidates=2, seed=seed,
-                                                           context_affinity=0.3))
+            world = build_world(WorldConfig(vocab_size=10, support=3,
+                                            weight_low=0.05, weight_high=1.0), seed)
+            table = build_confusion(world, ConfusionConfig(candidates=2,
+                                                           context_affinity=0.3), seed)[0]
             probe = generate_corpus(world, table, 250, (6, 10), 0.1,
                                     mode="single_edit", seed=seed + 100)
             for size in sizes:
@@ -254,10 +252,9 @@ class TestConvergence:
     def test_trained_noisy_confidence_respects_uniform_ceiling(self):
         # Bounded-ratio world: every noisy restore posterior is at most
         # 1 / (1 + 9a); the trained model tracks it up to estimation slack.
-        world = build_world(WorldConfig(vocab_size=10, support=3, seed=7,
-                                        weight_low=1.0, weight_high=2.0))
-        table = build_confusion(world, ConfusionConfig(candidates=2, seed=7,
-                                                       context_affinity=0.6))
+        world = build_world(WorldConfig(vocab_size=10, support=3,
+                                        weight_low=1.0, weight_high=2.0), 7)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.6), 7)[0]
         corpus = generate_corpus(world, table, 30_000, (6, 10), 0.1, seed=7)
         model = train(corpus)
         evalc = generate_corpus(world, table, 2_000, (6, 10), 0.1,

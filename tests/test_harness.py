@@ -77,8 +77,8 @@ class TestEvaluate:
         V = 5
         rows = {str(v): [1.0 if u == (v + 1) % V else 0.0 for u in range(V)]
                 for v in range(V)}
-        world = build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
-                                        initial=[1.0 / V] * V))
+        world = build_world(WorldConfig(vocab_size=V, order=1, rows=rows,
+                                        initial=[1.0 / V] * V), 0)
         cand = np.array([[(v + 2) % V, (v + 3) % V] for v in range(V)])
         table = ConfusionTable(V, "uniform", cand, np.full((V, 2), 0.5))
         corpus = generate_corpus(world, table, 80, (4, 7), 0.1,
@@ -97,9 +97,8 @@ class TestEvaluate:
         assert m.f1 == 0.0
 
     def test_order_invariance(self):
-        world = build_world(WorldConfig(vocab_size=6, support=2, seed=1))
-        table = build_confusion(world, ConfusionConfig(candidates=2,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=2), 1)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(world, table, 60, (4, 8), 0.1,
                                  mode="single_edit", seed=2, clean_fraction=0.4)
         model = train(generate_corpus(world, table, 400, (4, 8), 0.1, seed=0))
@@ -110,9 +109,8 @@ class TestEvaluate:
         assert evaluate(model, corpus) == evaluate(model, permuted)
 
     def test_f1_identity_holds(self):
-        world = build_world(WorldConfig(vocab_size=6, support=2, seed=5))
-        table = build_confusion(world, ConfusionConfig(candidates=2,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=2), 5)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(world, table, 100, (4, 8), 0.1,
                                  mode="single_edit", seed=6, clean_fraction=0.5)
         model = train(generate_corpus(world, table, 500, (4, 8), 0.1, seed=7))
@@ -128,10 +126,9 @@ class TestEvaluate:
 
 class TestCategoryFilterRates:
     def build(self):
-        world = build_world(WorldConfig(vocab_size=8, support=3, seed=2,
-                                        weight_low=0.05, weight_high=1.0))
-        table = build_confusion(world, ConfusionConfig(candidates=2, seed=1,
-                                                       context_affinity=0.5))
+        world = build_world(WorldConfig(vocab_size=8, support=3,
+                                        weight_low=0.05, weight_high=1.0), 2)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.5), 1)[0]
         corpus = generate_corpus(world, table, 200, (4, 8), 0.1,
                                  mode="single_edit", seed=4, annotate=True)
         return world, table, corpus
@@ -159,9 +156,8 @@ class TestCategoryFilterRates:
             category_filter_rates(corpus, other)
 
     def test_missing_annotations_rejected(self):
-        world = build_world(WorldConfig(vocab_size=6, support=2, seed=1))
-        table = build_confusion(world, ConfusionConfig(candidates=2,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=2), 1)
+        table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.0), 0)[0]
         corpus = generate_corpus(world, table, 10, (4, 6), 0.1, seed=0)
         with pytest.raises(ValueError, match="annotations"):
             category_filter_rates(corpus, corpus)

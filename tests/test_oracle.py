@@ -15,8 +15,8 @@ from ordering import verify_ordering
 class TestPosterior:
     def test_true_case_is_exactly_one(self):
         rows = {"0": [0.0, 1.0, 0.0], "1": [0.0, 0.0, 1.0], "2": [1.0, 0.0, 0.0]}
-        world = build_world(WorldConfig(vocab_size=3, order=1, seed=0, rows=rows,
-                                        initial=[1.0, 0.0, 0.0]))
+        world = build_world(WorldConfig(vocab_size=3, order=1, rows=rows,
+                                        initial=[1.0, 0.0, 0.0]), 0)
         table = manual_table(3, [[2], [2], [0]], np.ones((3, 1)))
         record = CorruptionRecord((0, 1, 2), (0, 2, 2), ((1, 1, 2),))
         rep = posterior(world, table, record, 0, 0.1)
@@ -38,13 +38,13 @@ class TestPosterior:
         checked = 0
         for seed in range(40):
             V = 3 + seed % 4
-            world = build_world(WorldConfig(vocab_size=V, support=2, seed=seed,
-                                            weight_low=0.05, weight_high=1.0))
-            table = build_confusion(world, ConfusionConfig(
+            world = build_world(WorldConfig(vocab_size=V, support=2,
+                                            weight_low=0.05, weight_high=1.0), seed)
+            uniform, longtail = build_confusion(world, ConfusionConfig(
                 candidates=1 + seed % min(3, V - 1),
                 context_affinity=0.5 if seed % 2 else 0.0,
-                mode="long_tailed" if seed % 3 == 0 else "uniform",
-                head_mass=0.7, seed=seed))
+                head_mass=0.7), seed)
+            table = longtail if seed % 3 == 0 else uniform
             corpus = generate_corpus(world, table, 5, (2, 4), 0.1,
                                      mode="single_edit", seed=seed)
             for rec in records_of(corpus):
@@ -56,8 +56,8 @@ class TestPosterior:
 
     def test_deterministic_world_brute_force_is_one(self):
         rows = {"0": [0.0, 1.0, 0.0], "1": [0.0, 0.0, 1.0], "2": [1.0, 0.0, 0.0]}
-        world = build_world(WorldConfig(vocab_size=3, order=1, seed=0, rows=rows,
-                                        initial=[1.0, 0.0, 0.0]))
+        world = build_world(WorldConfig(vocab_size=3, order=1, rows=rows,
+                                        initial=[1.0, 0.0, 0.0]), 0)
         table = manual_table(3, [[2], [0], [1]], np.ones((3, 1)))
         record = CorruptionRecord((0, 1, 2), (0, 0, 2), ((1, 1, 0),))
         assert brute_force_posterior(world, table, record, 0, 0.1) == 1.0
@@ -65,8 +65,8 @@ class TestPosterior:
     def test_symmetry_under_uniform_world_and_table(self):
         V = 4
         rows = {str(v): [1.0 / V] * V for v in range(V)}
-        world = build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
-                                        initial=[1.0 / V] * V))
+        world = build_world(WorldConfig(vocab_size=V, order=1, rows=rows,
+                                        initial=[1.0 / V] * V), 0)
         table = manual_table(V, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]],
                              np.full((V, 3), 1 / 3))
         corpus = PairCorpus([CorruptionRecord((0, 2, 1), (0, 2, 1), ())], V, 0.1, "iid")
@@ -83,10 +83,10 @@ class TestPosterior:
 
 class TestSigmaDecomposition:
     def build_dense(self, seed):
-        world = build_world(WorldConfig(vocab_size=6, support=6, seed=seed,
-                                        weight_low=0.05, weight_high=1.0))
-        table = build_confusion(world, ConfusionConfig(candidates=4, seed=seed,
-                                                       context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=6, support=6,
+                                        weight_low=0.05, weight_high=1.0), seed)
+        table = build_confusion(world, ConfusionConfig(candidates=4,
+                                                       context_affinity=0.0), seed)[0]
         return world, table
 
     def test_decomposition_matches_direct_denominator(self):
@@ -159,10 +159,10 @@ class TestBounds:
 
     def test_report_bound_holds_on_random_records(self):
         for seed in range(10):
-            world = build_world(WorldConfig(vocab_size=6, support=3, seed=seed,
-                                            weight_low=0.05, weight_high=1.0))
-            table = build_confusion(world, ConfusionConfig(candidates=2, seed=seed,
-                                                           context_affinity=0.5))
+            world = build_world(WorldConfig(vocab_size=6, support=3,
+                                            weight_low=0.05, weight_high=1.0), seed)
+            table = build_confusion(world, ConfusionConfig(candidates=2,
+                                                           context_affinity=0.5), seed)[0]
             corpus = generate_corpus(world, table, 30, (3, 4), 0.1,
                                      mode="single_edit", seed=seed)
             for rec in records_of(corpus):
@@ -260,7 +260,7 @@ class TestOracleScorer:
 class TestScalarPosition:
     @pytest.mark.parametrize("order", [1, 2])
     def test_int_numpy_int_and_0d_array_give_the_same_rows(self, order):
-        world = build_world(WorldConfig(vocab_size=4, order=order, support=4, seed=3))
+        world = build_world(WorldConfig(vocab_size=4, order=order, support=4), 3)
         tokens = (0, 2, 1, 3, 2)
         for position in range(len(tokens)):
             forms = (position, np.int64(position), np.array(position))

@@ -19,10 +19,9 @@ from reference import iter_edits
 
 
 def small_setup(seed=0):
-    world = build_world(WorldConfig(vocab_size=8, support=3, seed=seed,
-                                    weight_low=0.05, weight_high=1.0))
-    table = build_confusion(world, ConfusionConfig(candidates=2, seed=seed,
-                                                   context_affinity=0.5))
+    world = build_world(WorldConfig(vocab_size=8, support=3,
+                                    weight_low=0.05, weight_high=1.0), seed)
+    table = build_confusion(world, ConfusionConfig(candidates=2, context_affinity=0.5), seed)[0]
     corpus = generate_corpus(world, table, 300, (4, 8), 0.1,
                              mode="single_edit", seed=seed, annotate=True)
     model = train(generate_corpus(world, table, 2_000, (4, 8), 0.1, seed=seed + 1))
@@ -77,10 +76,9 @@ class TestFilterCorpus:
         # valid replacement scores at most 1/(1 + 9a) with a >= 1/4, every
         # unique-restoration edit scores exactly 1, and a 0.5 cutoff splits
         # them without error.
-        world = build_world(WorldConfig(vocab_size=10, support=3, seed=3,
-                                        weight_low=1.0, weight_high=2.0))
-        table = build_confusion(world, ConfusionConfig(candidates=3, seed=3,
-                                                       context_affinity=0.6))
+        world = build_world(WorldConfig(vocab_size=10, support=3,
+                                        weight_low=1.0, weight_high=2.0), 3)
+        table = build_confusion(world, ConfusionConfig(candidates=3, context_affinity=0.6), 3)[0]
         corpus = generate_corpus(world, table, 2_000, (6, 10), 0.1,
                                  mode="single_edit", seed=4, annotate=True)
         result = oracle_filter(world, table, corpus, threshold=0.5)

@@ -197,8 +197,8 @@ class TestVocabularyRule:
         W = data.draw(st.integers(2, 6).filter(lambda w: w != V), label="corpus vocab_size")
         model = train(data.draw(pair_corpora(V)), data.draw(st.sampled_from(WINDOWS)))
         corpus = data.draw(pair_corpora(W))
-        world = build_world(WorldConfig(vocab_size=V, support=V, seed=0))
-        table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0))
+        world = build_world(WorldConfig(vocab_size=V, support=V), 0)
+        table = build_confusion(world, ConfusionConfig(candidates=1, context_affinity=0.0), 0)[0]
         at = np.arange(corpus.n_chars)
         for scorer, owner in ((model, "model"), (OracleScorer(world, table, 0.1), "world")):
             message = rf"^corpus vocab_size {W} differs from the {owner}'s {V}$"

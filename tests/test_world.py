@@ -17,9 +17,9 @@ from enumeration import all_sentences, chain_prob, slot_distribution, total_mass
 
 def uniform_world(V=3):
     row = [1.0 / V] * V
-    return build_world(WorldConfig(vocab_size=V, order=1, seed=0,
+    return build_world(WorldConfig(vocab_size=V, order=1,
                                    rows={str(v): row for v in range(V)},
-                                   initial=row))
+                                   initial=row), 0)
 
 
 def chain_world(V=4):
@@ -31,15 +31,14 @@ def chain_world(V=4):
         rows[str(v)] = row
     initial = [0.0] * V
     initial[0] = 1.0
-    return build_world(WorldConfig(vocab_size=V, order=1, seed=0, rows=rows,
-                                   initial=initial))
+    return build_world(WorldConfig(vocab_size=V, order=1, rows=rows, initial=initial), 0)
 
 
 def order_2_without(context):
     """A bad-file edit: the document of an order-2, V = 3 world without one row."""
     def edit(doc):
         doc.update(json.loads(world_to_json(build_world(
-            WorldConfig(vocab_size=3, order=2, support=2, seed=0)))))
+            WorldConfig(vocab_size=3, order=2, support=2), 0))))
         del doc["transitions"][context]
     return edit
 
@@ -54,8 +53,8 @@ def order_1_worlds(draw):
         raw = np.array(draw(st.lists(weight, min_size=V, max_size=V).filter(any)))
         return list(raw / raw.sum())
 
-    return build_world(WorldConfig(vocab_size=V, order=1, seed=0, initial=vector(),
-                                   rows={str(v): vector() for v in range(V)}))
+    return build_world(WorldConfig(vocab_size=V, order=1, initial=vector(),
+                                   rows={str(v): vector() for v in range(V)}), 0)
 
 
 @st.composite
@@ -97,11 +96,11 @@ class TestBuildWorld:
             np.testing.assert_allclose(conditional(w, sent, pos), 1 / 3, atol=1e-12)
 
     def test_generation_is_deterministic(self):
-        cfg = WorldConfig(vocab_size=3, support=2, seed=7)
-        assert world_to_json(build_world(cfg)) == world_to_json(build_world(cfg))
+        cfg = WorldConfig(vocab_size=3, support=2)
+        assert world_to_json(build_world(cfg, 7)) == world_to_json(build_world(cfg, 7))
 
     def test_generated_rows_have_exact_support(self):
-        w = build_world(WorldConfig(vocab_size=8, support=3, seed=5))
+        w = build_world(WorldConfig(vocab_size=8, support=3), 5)
         for ctx, row in w.transitions.items():
             assert np.count_nonzero(row) == 3
             assert abs(row.sum() - 1.0) < 1e-12
@@ -109,16 +108,16 @@ class TestBuildWorld:
     def test_bad_row_sum_rejected(self):
         with pytest.raises(ValueError, match="sums to"):
             build_world(WorldConfig(vocab_size=2, rows={"0": [0.5, 0.4], "1": [1.0, 0.0]},
-                                    initial=[0.5, 0.5]))
+                                    initial=[0.5, 0.5]), 0)
 
     def test_support_larger_than_vocab_rejected(self):
         with pytest.raises(ValueError, match="support"):
-            build_world(WorldConfig(vocab_size=3, support=4))
+            build_world(WorldConfig(vocab_size=3, support=4), 0)
 
     def test_entries_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             build_world(WorldConfig(vocab_size=2, rows={"0": [1.5, -0.5], "1": [1.0, 0.0]},
-                                    initial=[0.5, 0.5]))
+                                    initial=[0.5, 0.5]), 0)
 
 
 class TestSampling:
@@ -134,7 +133,7 @@ class TestSampling:
             derive_rng(seed, "world")
 
     def test_fixed_seed_reproduces_sentence(self):
-        w = build_world(WorldConfig(vocab_size=5, support=2, seed=3))
+        w = build_world(WorldConfig(vocab_size=5, support=2), 3)
         a = sample_corpus_tokens(w, [10], derive_rng(11, "s"))[0]
         b = sample_corpus_tokens(w, [10], derive_rng(11, "s"))[0]
         np.testing.assert_array_equal(a, b)
@@ -154,7 +153,7 @@ class TestSampling:
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_vectorized_sampling_never_emits_zero_transitions(self, order):
-        w = build_world(WorldConfig(vocab_size=6, order=order, support=2, seed=9))
+        w = build_world(WorldConfig(vocab_size=6, order=order, support=2), 9)
         sents = sample_corpus_tokens(w, np.full(2000, 6), derive_rng(4, "z"))
         for s in sents:
             assert chain_prob(w, s) > 0.0
@@ -206,7 +205,7 @@ class TestSampling:
     def test_higher_order_sampling_matches_the_full_row_column_loop(
             self, order, V, support, world_seed, lengths, seed):
         w = build_world(WorldConfig(vocab_size=V, order=order, support=min(support, V),
-                                    seed=world_seed, weight_low=0.05, weight_high=1.0))
+                                    weight_low=0.05, weight_high=1.0), world_seed)
         got_rng, want_rng = derive_rng(seed, "r"), derive_rng(seed, "r")
         got = sample_corpus_tokens(w, lengths, got_rng)
         want = reference.column_loop_sentences(w, lengths, want_rng)
@@ -220,7 +219,7 @@ class TestSampling:
         # Every length-3 sentence within 4 sigma of its exact probability, and
         # no sentence of probability zero drawn.
         V, n = 3, 60_000
-        w = build_world(WorldConfig(vocab_size=V, order=order, support=2, seed=6))
+        w = build_world(WorldConfig(vocab_size=V, order=order, support=2), 6)
         assert abs(total_mass(w, 3) - 1.0) < 1e-12
         sents = np.array(sample_corpus_tokens(w, np.full(n, 3), derive_rng(8, "freq")))
         counts = np.bincount((sents * [V * V, V, 1]).sum(axis=1), minlength=V**3)
@@ -234,7 +233,7 @@ class TestSampling:
     @given(st.integers(2, 6), st.integers(1, 12), st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)
     def test_sampled_tokens_valid(self, V, length, seed):
-        w = build_world(WorldConfig(vocab_size=V, support=min(2, V), seed=seed % 100))
+        w = build_world(WorldConfig(vocab_size=V, support=min(2, V)), seed % 100)
         s = sample_corpus_tokens(w, [length], derive_rng(seed, "h"))[0]
         assert len(s) == length
         assert all(0 <= t < V for t in s)
@@ -242,8 +241,8 @@ class TestSampling:
 
 class TestConditional:
     def test_forced_slot_point_mass(self):
-        w = build_world(WorldConfig(vocab_size=3, order=1, seed=0,
-                                    rows=RING_OVERLAP_ROWS, initial=[1 / 3] * 3))
+        w = build_world(WorldConfig(vocab_size=3, order=1,
+                                    rows=RING_OVERLAP_ROWS, initial=[1 / 3] * 3), 0)
         got = conditional(w, (0, 0, 2), 1)  # middle token is ignored
         np.testing.assert_array_equal(got, [0.0, 1.0, 0.0])
         np.testing.assert_allclose(got, slot_distribution(w, (0, 0, 2), 1), atol=1e-12)
@@ -256,7 +255,7 @@ class TestConditional:
     def test_matches_enumeration_on_random_worlds(self):
         for seed in range(15):
             V = 3 + seed % 4
-            w = build_world(WorldConfig(vocab_size=V, support=2, seed=seed))
+            w = build_world(WorldConfig(vocab_size=V, support=2), seed)
             assert abs(total_mass(w, 4) - 1.0) < 1e-12
             sent = tuple(sample_corpus_tokens(w, [4], derive_rng(seed, "c"))[0].tolist())
             for pos in range(4):
@@ -288,7 +287,7 @@ class TestConditional:
     ], ids=["empty", "token-minus-1", "token-V", "position-minus-1", "position-L",
             "numpy-position-L"])
     def test_single_form_errors(self, order, tokens, position, message):
-        w = build_world(WorldConfig(vocab_size=3, order=order, support=3, seed=1))
+        w = build_world(WorldConfig(vocab_size=3, order=order, support=3), 1)
         with pytest.raises(ValueError) as info:
             conditional(w, tokens, position)
         assert type(info.value) is ValueError and str(info.value) == message
@@ -298,14 +297,14 @@ class TestConditional:
         rows = {",".join(map(str, ctx)): [0.0, 1.0, 0.0] if ctx[-1] == 0 else
                 [1.0, 0.0, 0.0] for k in range(1, order + 1)
                 for ctx in np.ndindex(*(3,) * k)}
-        w = build_world(WorldConfig(vocab_size=3, order=order, seed=0, rows=rows,
-                                    initial=[1.0, 0.0, 0.0]))
+        w = build_world(WorldConfig(vocab_size=3, order=order, rows=rows,
+                                    initial=[1.0, 0.0, 0.0]), 0)
         with pytest.raises(ImpossibleContextError,
                            match="^context of position 2 has probability zero$"):
             conditional(w, (0, 2, 0, 1), 2)  # 0 -> 2 never happens
 
     def test_order2_matches_enumeration(self):
-        w = build_world(WorldConfig(vocab_size=3, order=2, support=2, seed=2))
+        w = build_world(WorldConfig(vocab_size=3, order=2, support=2), 2)
         sent = tuple(sample_corpus_tokens(w, [4], derive_rng(5, "o2"))[0].tolist())
         for pos in range(4):
             np.testing.assert_allclose(conditional(w, sent, pos),
@@ -314,8 +313,7 @@ class TestConditional:
 
 class TestSerialization:
     def test_json_round_trip_exact(self):
-        w = build_world(WorldConfig(vocab_size=7, support=3, seed=13,
-                                    weight_low=0.05, weight_high=1.0))
+        w = build_world(WorldConfig(vocab_size=7, support=3, weight_low=0.05, weight_high=1.0), 13)
         back = world_from_json(world_to_json(w))
         np.testing.assert_array_equal(back.initial, w.initial)
         assert set(back.transitions) == set(w.transitions)
