@@ -522,9 +522,9 @@ def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
     return table.candidates[sources, idx]
 
 
-# Prior-row floats annotation holds at once: a default d_o (about 30,000 edits of 20
-# floats) is one block, and a corpus at a high rate does not hold a row per edit.
-_ANNOTATION_FLOATS = 800_000
+# Prior-row floats of one batched conditional in annotation and restoration_distribution:
+# a default d_o's edits (about 30,000 of 20 floats) are one block, and no call holds them all.
+_ROW_FLOATS = 800_000
 
 
 def _category_codes(world: WorldModel, table: ConfusionTable, flat: np.ndarray,
@@ -538,7 +538,7 @@ def _category_codes(world: WorldModel, table: ConfusionTable, flat: np.ndarray,
     """
     V = world.vocab_size
     codes = np.empty(len(pos), dtype=np.int8)
-    step = max(1, _ANNOTATION_FLOATS // V)
+    step = max(1, _ROW_FLOATS // V)
     for lo in range(0, len(pos), step):
         edits = slice(lo, lo + step)
         first, last = int(owner[lo]), int(owner[edits][-1]) + 1

@@ -75,19 +75,18 @@ def ece(confidence, correct) -> CalibrationReport:
     return CalibrationReport(tuple(bins), value, 0)
 
 
-def calibration_report(scored: tuple[np.ndarray, np.ndarray],
+def calibration_report(scored: tuple[np.ndarray, np.ndarray, np.ndarray],
                        corpus: PairCorpus) -> CalibrationReport:
     """Easy-positive exclusion (:data:`EASY_CUTOFF`) and binning of every position's
-    outcome in one step, over ``scored``, the (probs, decoded) pair
+    outcome in one step, over ``scored``, the (decoded, confidence, kept) columns
     ``predict_matrix(model, corpus)``."""
     if len(corpus) == 0:
         raise ValueError("empty corpus")
-    probs, preds = scored
-    rows = np.arange(len(probs))
-    hard = (1.0 - probs[rows, corpus.corrupted]) >= EASY_CUTOFF  # the mass off the written token
+    decoded, confidence, kept = scored
+    hard = (1.0 - kept) >= EASY_CUTOFF  # the mass off the written token
     if not hard.any():
         raise NoOutcomeError("easy-positive exclusion removed every outcome")
-    report = ece(probs[rows, preds][hard], (preds == corpus.clean)[hard])
+    report = ece(confidence[hard], (decoded == corpus.clean)[hard])
     return replace(report, n_excluded=len(hard) - int(hard.sum()))
 
 

@@ -29,7 +29,7 @@ MASKED_WINDOW = (-1, 1)
 
 # Dense signature tables; (V+1)**len(window) * V entries must stay desk-sized.
 _TABLE_BUDGET = 5 * 10**7
-# Positions per count-row gather in _rows: its int64 scratch is one block, not all rows.
+# Positions per block of count rows: its int64 gather and float rows are one block's.
 _ROW_BLOCK = 4096
 
 
@@ -136,33 +136,41 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
     return CorrectorModel(V, settings.window, float(settings.alpha), counts, descriptor, digest)
 
 
-def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray | None = None) -> np.ndarray:
-    """Smoothed probability rows at flat positions ``at`` of ``corpus`` (every
-    position when None), with the unseen-signature fallback chain.
+def _smoothed(model: CorrectorModel, sig: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """Smoothed probability rows of signature ids ``sig`` at positions holding ``written``.
 
-    Unseen signature -> center marginal (when the window has a center) ->
-    global target marginal; smoothing turns an all-zero row into uniform.
-    The corpus must be over the model's vocabulary: its tokens then lie in
-    ``[0, V)``, and a wider one would alias signature ids.
+    Unseen signature -> center marginal (when the window has a center) -> global target
+    marginal; smoothing turns an all-zero row into uniform.  Every step is per row.
     """
-    V = model.vocab_size
-    if corpus.vocab_size != V:
-        raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the model's {V}")
-    sig = _signatures(corpus.corrupted, corpus.offsets, V, model.window, at)
-    rows = np.empty((len(sig), V))
-    for lo in range(0, len(sig), _ROW_BLOCK):  # only one block's int64 gather at a time
-        rows[lo:lo + _ROW_BLOCK] = model.counts[sig[lo:lo + _ROW_BLOCK]]
+    rows = model.counts[sig].astype(np.float64)
     totals = rows.sum(axis=1)
     missing = totals == 0.0
     if np.any(missing):
-        centers = corpus.corrupted if at is None else corpus.corrupted[at]
         rows[missing] = (model.target_counts if model.center_counts is None
-                         else model.center_counts[centers[missing]])
+                         else model.center_counts[written[missing]])
         totals = rows.sum(axis=1)
-    # (rows + alpha) / (totals + alpha V), in place: one (positions, V) array stays alive.
-    alpha = model.alpha
-    rows += alpha
-    rows /= (totals + alpha * V)[:, None]
+    rows += model.alpha  # (rows + alpha) / (totals + alpha V), in place
+    rows /= (totals + model.alpha * model.vocab_size)[:, None]
+    return rows
+
+
+def _model_signatures(model: CorrectorModel, corpus: PairCorpus, at=None) -> np.ndarray:
+    """:func:`_signatures` of ``corpus`` under the model's window.  The corpus must be over
+    the model's vocabulary: its tokens then lie in ``[0, V)``, and a wider one would alias
+    signature ids."""
+    V = model.vocab_size
+    if corpus.vocab_size != V:
+        raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the model's {V}")
+    return _signatures(corpus.corrupted, corpus.offsets, V, model.window, at)
+
+
+def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray) -> np.ndarray:
+    """Smoothed probability rows at flat positions ``at`` of ``corpus``."""
+    sig = _model_signatures(model, corpus, at)
+    written, rows = corpus.corrupted[at], np.empty((len(sig), model.vocab_size))
+    for lo in range(0, len(sig), _ROW_BLOCK):  # only one block's int64 gather at a time
+        block = slice(lo, lo + _ROW_BLOCK)
+        rows[block] = _smoothed(model, sig[block], written[block])
     return rows
 
 
@@ -171,15 +179,20 @@ def predict_at(model: CorrectorModel, corpus: PairCorpus, at) -> np.ndarray:
     return _rows(model, corpus, corpus.positions(at))
 
 
-def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray]:
-    """Probability rows of every position and their decode, both in flat token order.
-
-    Returns (probs, decoded): probs has shape (corpus.n_chars, V), row g
-    scoring ``corpus.corrupted[g]``; decoded is each row's argmax, ties
-    keeping the written token.
-    """
-    probs = _rows(model, corpus)
-    return probs, _argmax_keep_ties(probs, corpus.corrupted)
+def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, ...]:
+    """(decoded, confidence, kept) of every position, each (corpus.n_chars,) in flat token
+    order: row g's argmax, ties keeping the written token ``corpus.corrupted[g]``, and the
+    decoded and the written token's probabilities.  Rows are the ones ``predict_at`` gives,
+    reduced a block at a time, so no (n_chars, V) array is built."""
+    sig, written = _model_signatures(model, corpus), corpus.corrupted
+    decoded, (confidence, kept) = np.empty(len(sig), np.int64), np.empty((2, len(sig)))
+    for lo in range(0, len(sig), _ROW_BLOCK):
+        block = slice(lo, lo + _ROW_BLOCK)
+        rows = _smoothed(model, sig[block], written[block])
+        decoded[block] = _argmax_keep_ties(rows, written[block])
+        r = np.arange(len(rows))
+        confidence[block], kept[block] = rows[r, decoded[block]], rows[r, written[block]]
+    return decoded, confidence, kept
 
 
 def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:

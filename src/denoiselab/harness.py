@@ -132,8 +132,10 @@ def write_metrics_csv(rows: list[MetricsRow], path: str | Path) -> None:
 
 
 def sha256_file(path: str | Path) -> str:
-    h = hashlib.sha256()
-    h.update(Path(path).read_bytes())
+    h, buf = hashlib.sha256(), memoryview(bytearray(2**20))  # 1 MiB at a time, not the file
+    with open(path, "rb") as fh:
+        while n := fh.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .augment import (CATEGORIES, CATEGORY_TABLE, ConfusionTable, CorruptionRecord,
-                      PairCorpus, SampleCategory, _padded)
+                      PairCorpus, SampleCategory, _padded, _ROW_FLOATS)
 from .world import WorldModel, conditional
 
 
@@ -62,12 +62,19 @@ def restoration_distribution(world: WorldModel, table: ConfusionTable, corpus: P
     if corpus.vocab_size != V:
         raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the world's {V}")
     ri = np.searchsorted(corpus.offsets, at, side="right") - 1
-    terms = conditional(world, _padded(corpus.corrupted, corpus.offsets, V),
-                        at - corpus.offsets[ri], ri)
-    terms *= table.channel_vector(corpus.corrupted[at], rate)
-    total = terms.sum(axis=1, keepdims=True)
-    terms /= np.where(total > 0.0, total, 1.0)
-    return terms
+    padded = _padded(corpus.corrupted, corpus.offsets, V)
+    step = max(1, _ROW_FLOATS // V)  # the kernel's temporaries are one block's
+    out = np.empty((len(at), V)) if len(at) > step else None
+    for lo in range(0, max(len(at), 1), step):  # an empty ``at`` gets the kernel's (0, V)
+        block = slice(lo, lo + step)
+        terms = conditional(world, padded, at[block] - corpus.offsets[ri[block]], ri[block])
+        terms *= table.channel_vector(corpus.corrupted[at[block]], rate)
+        total = terms.sum(axis=1, keepdims=True)
+        if out is None:  # one block: the kernel's own array is the output
+            out = terms
+        np.divide(terms, np.where(total > 0.0, total, 1.0), out=out[block])
+        del terms  # before the next block's kernel call
+    return out
 
 
 def posterior(world: WorldModel, table: ConfusionTable, record: CorruptionRecord,

@@ -272,7 +272,7 @@ def _target_and_eval(world: WorldModel, longtail: ConfusionTable,
 def _scored(model, eval_corpus: PairCorpus) -> tuple[Metrics, CalibrationReport]:
     """A model's metrics and calibration on the evaluation corpus, from one scoring pass."""
     scored = predict_matrix(model, eval_corpus)
-    return sentence_metrics(eval_corpus, scored[1]), calibration_report(scored, eval_corpus)
+    return sentence_metrics(eval_corpus, scored[0]), calibration_report(scored, eval_corpus)
 
 
 def run_pipeline(world: WorldModel, uniform_table: ConfusionTable,

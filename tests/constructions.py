@@ -1,12 +1,15 @@
 """Hand-built worlds, tables, and records with known exact posteriors, one-record corpora,
-and the tests' one way to read a corpus's records."""
+the tests' one way to read a corpus's records, a corrector's rows at every position, and
+the default experiment's target corpus."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from denoiselab._rng import derive_rng
-from denoiselab.augment import ConfusionTable, CorruptionRecord, PairCorpus
+from denoiselab.augment import ConfusionTable, CorruptionRecord, PairCorpus, generate_corpus
+from denoiselab.corrector import predict_at
+from denoiselab.pipeline import ExperimentConfig, build_experiment_world
 from denoiselab.world import WorldConfig, build_world
 
 
@@ -18,6 +21,21 @@ def records_of(corpus) -> tuple:
 def one_record(corpus, k):
     """Record ``k`` of ``corpus`` as a corpus of its own, so a scorer sees no other sentence."""
     return PairCorpus(records_of(corpus)[k:k + 1], corpus.vocab_size, corpus.rate, corpus.mode)
+
+
+def every_row(model, corpus) -> np.ndarray:
+    """A corrector's probability rows at every position of ``corpus``, in flat token order."""
+    return predict_at(model, corpus, np.arange(corpus.n_chars))
+
+
+def default_target(seed=0):
+    """The default experiment's world, long-tailed table and target corpus ``d_o``
+    (unannotated), as ``run_pipeline`` draws them at ``seed``."""
+    config = ExperimentConfig()
+    world, _, longtail = build_experiment_world(config, seed)
+    d_o = generate_corpus(world, longtail, config.do_sentences, config.length_range,
+                          config.rate, seed=seed, stream="d-o")
+    return world, longtail, d_o
 
 
 def manual_table(V, candidates, weights, mode="uniform"):

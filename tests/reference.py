@@ -174,15 +174,18 @@ def sentence_metrics(records, outputs):
     return precision, recall, f1, fpr
 
 
-def calibration_outcomes(records, scored, cutoff):
+def calibration_outcomes(records, rows, cutoff):
     """The (confidence, correct, kept mass on the written token) outcomes of
     every position whose mass off the written token is at least ``cutoff``, and
-    the number of the others; ``scored`` holds each record's own (probs,
-    decoded) pair, and the confidence is the row's maximum."""
+    the number of the others; ``rows`` holds each record's own probability
+    rows.  The confidence is the row's maximum, and the decode its first
+    argmax unless the written token ties it."""
     kept, n_excluded = [], 0
-    for rec, (probs, decoded) in zip(records, scored):
-        for row, pred, clean, written in zip(probs, decoded, rec.clean, rec.corrupted):
-            outcome = (float(row.max()), bool(pred == clean), float(row[written]))
+    for rec, probs in zip(records, rows):
+        for row, clean, written in zip(probs, rec.clean, rec.corrupted):
+            top = float(row.max())
+            pred = written if row[written] == top else int(row.argmax())
+            outcome = (top, pred == clean, float(row[written]))
             if 1.0 - outcome[2] >= cutoff:
                 kept.append(outcome)
             else:

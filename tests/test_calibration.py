@@ -10,18 +10,17 @@ from denoiselab.calibration import EASY_CUTOFF, calibration_report, ece, write_r
 from denoiselab.corrector import predict_matrix, train
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record, records_of
+from constructions import every_row, one_record, records_of
 
 
 def hand_report(kept_masses):
-    """``calibration_report`` of a hand-built (probs, decoded) pair: one sentence
-    of token 0, whose row i keeps ``kept_masses[i]`` on it and decodes to it, so
-    each position's confidence is its kept mass."""
+    """``calibration_report`` of a hand-built (decoded, confidence, kept) triple: one
+    sentence of token 0, whose position i keeps ``kept_masses[i]`` on it and decodes
+    to it, so each position's confidence is its kept mass."""
     kept = np.array(kept_masses, dtype=float)
     tokens = (0,) * len(kept)
     corpus = PairCorpus([CorruptionRecord(tokens, tokens, ())], 2, 0.0, "iid")
-    scored = (np.column_stack([kept, 1.0 - kept]), np.zeros(len(kept), dtype=np.int64))
-    return calibration_report(scored, corpus)
+    return calibration_report((np.zeros(len(kept), dtype=np.int64), kept, kept), corpus)
 
 
 def confidences(report):
@@ -43,11 +42,11 @@ class TestCollectOutcomes:
         assert report.n_outcomes + report.n_excluded == self.corpus.n_chars
 
     def test_kept_mass_is_recomputable(self):
-        scored = [predict_matrix(self.model, one_record(self.corpus, ri))
-                  for ri in range(len(self.corpus))]
+        rows = [every_row(self.model, one_record(self.corpus, ri))
+                for ri in range(len(self.corpus))]
         whole = predict_matrix(self.model, self.corpus)
         # the kept mass decides each exclusion
-        kept, n_excluded = reference.calibration_outcomes(records_of(self.corpus), scored,
+        kept, n_excluded = reference.calibration_outcomes(records_of(self.corpus), rows,
                                                           EASY_CUTOFF)
         want = ece([o[0] for o in kept], [o[1] for o in kept])
         report = calibration_report(whole, self.corpus)
@@ -56,8 +55,8 @@ class TestCollectOutcomes:
     def test_identity_model_outcomes_confident_and_correct(self):
         clean = generate_corpus(self.world, self.table, 60, (4, 8), 0.0, seed=3)
         model = train(clean, alpha=0.001)
-        probs, preds = predict_matrix(model, clean)
-        report = ece(probs[np.arange(len(preds)), preds], preds == clean.clean)  # none excluded
+        preds, confidence, _ = predict_matrix(model, clean)
+        report = ece(confidence, preds == clean.clean)  # none excluded
         counts = np.array([b.count for b in report.bins])
         assert counts.sum() == clean.n_chars
         assert np.dot(counts, [b.accuracy for b in report.bins]) / counts.sum() > 0.99

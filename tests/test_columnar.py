@@ -28,7 +28,7 @@ from denoiselab.harness import category_filter_rates
 from denoiselab.pipeline import heuristic_multi, revert_edits
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record, records_of
+from constructions import every_row, one_record, records_of
 
 COLUMNS = ("clean", "corrupted", "offsets", "record", "pos", "orig", "repl", "category")
 
@@ -197,9 +197,9 @@ class TestArrayPasses:
     def test_calibration_report_equals_the_object_path(self, pair):
         train_corpus, corpus = pair
         model = train(train_corpus, alpha=0.1)
-        scored = [predict_matrix(model, one_record(corpus, k))  # each record a corpus of its own
-                  for k in range(len(corpus))]
-        kept, n_excluded = reference.calibration_outcomes(records_of(corpus), scored, EASY_CUTOFF)
+        rows = [every_row(model, one_record(corpus, k))  # each record a corpus of its own
+                for k in range(len(corpus))]
+        kept, n_excluded = reference.calibration_outcomes(records_of(corpus), rows, EASY_CUTOFF)
         if not kept:
             with pytest.raises(ValueError, match="removed every outcome"):
                 calibration_report(predict_matrix(model, corpus), corpus)

@@ -8,13 +8,14 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, load_model, model_from_json,
-                                  model_to_json, predict_at, predict_matrix, save_model, train)
+from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, _argmax_keep_ties, _signatures,
+                                  load_model, model_from_json, model_to_json, predict_at,
+                                  predict_matrix, save_model, train)
 from denoiselab.harness import evaluate
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record, records_of
+from constructions import every_row, one_record, records_of
 
 
 def identity_corpus(tokens_list, vocab_size):
@@ -57,7 +58,7 @@ class TestPredict:
         world, table = training_setup(3)
         corpus = generate_corpus(world, table, 80, (4, 8), 0.1, seed=1)
         model = train(corpus)
-        rows = predict_matrix(model, corpus)[0]
+        rows = every_row(model, corpus)
         assert rows.shape == (corpus.n_chars, 8)
         assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-12
         assert np.all(rows > 0.0)
@@ -72,7 +73,7 @@ class TestPredict:
         k = 0
         for ri, rec in enumerate(records_of(corpus)):  # every signature was seen: no fallback
             padded = (V,) + rec.corrupted + (V,)
-            alone = predict_matrix(model, one_record(corpus, ri))[0]  # no neighbour to read
+            alone = every_row(model, one_record(corpus, ri))  # no neighbour to read
             for i in range(len(rec.clean)):
                 sig = padded[i] + base * padded[i + 1] + base ** 2 * padded[i + 2]
                 want = (counts[sig] + 0.3) / (counts[sig].sum() + 0.3 * V)
@@ -148,7 +149,7 @@ class TestPredict:
         assert corpus.n_chars > 4 * _ROW_BLOCK
         tracemalloc.start()
         try:
-            probs = predict_matrix(model, corpus)[0]
+            probs = every_row(model, corpus)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -156,18 +157,34 @@ class TestPredict:
         at = np.array([0, _ROW_BLOCK - 1, _ROW_BLOCK, 3 * _ROW_BLOCK + 1, corpus.n_chars - 1])
         np.testing.assert_array_equal(predict_at(model, corpus, at), probs[at])
 
+    def test_matrix_columns_reduce_the_rows_across_block_boundaries(self):
+        world = build_world(WorldConfig(vocab_size=20, support=3), 0)
+        table = build_confusion(world, ConfusionConfig(candidates=3), 0)[0]
+        model = train(generate_corpus(world, table, 300, (8, 16), 0.1, seed=1))
+        corpus = generate_corpus(world, table, 1_000, (8, 16), 0.1, seed=2)
+        assert corpus.n_chars > 2 * _ROW_BLOCK
+        assert _ROW_BLOCK not in corpus.offsets  # the first boundary falls inside a sentence
+        rows = every_row(model, corpus)  # the fallback rows of unseen signatures included
+        assert np.any(model.counts[_signatures(corpus.corrupted, corpus.offsets, 20,
+                                               model.window)].sum(axis=1) == 0)
+        decoded, confidence, kept = predict_matrix(model, corpus)
+        g = np.arange(corpus.n_chars)
+        np.testing.assert_array_equal(decoded, _argmax_keep_ties(rows, corpus.corrupted))
+        np.testing.assert_array_equal(confidence, rows[g, decoded])
+        np.testing.assert_array_equal(kept, rows[g, corpus.corrupted])
+
 
 class TestCorrect:
     def test_identity_trained_model_keeps_input(self):
         corpus = identity_corpus([(0, 1, 2, 3), (1, 2, 3, 0)], vocab_size=4)
         model = train(corpus)
-        np.testing.assert_array_equal(predict_matrix(model, corpus)[1], corpus.corrupted)
+        np.testing.assert_array_equal(predict_matrix(model, corpus)[0], corpus.corrupted)
 
     def test_uniform_model_ties_keep_input(self):
         corpus = identity_corpus([(0, 1, 2, 3)], vocab_size=4)
         model = train(corpus, alpha=1e12)
         probe = identity_corpus([(3, 2, 1, 0)], vocab_size=4)
-        assert predict_matrix(model, probe)[1].tolist() == [3, 2, 1, 0]
+        assert predict_matrix(model, probe)[0].tolist() == [3, 2, 1, 0]
 
     def test_planted_unambiguous_error_is_restored(self):
         # Cycle world: v is always followed by v + 1, and every confusion
@@ -192,7 +209,7 @@ class TestCorrect:
         # Edits away from sentence boundaries: with one-sided context the
         # window cannot tell a center corruption from a corrupted neighbor,
         # so boundary slots stay genuinely ambiguous for this model class.
-        decoded, starts = predict_matrix(model, evalc)[1].tolist(), evalc.offsets.tolist()
+        decoded, starts = predict_matrix(model, evalc)[0].tolist(), evalc.offsets.tolist()
         deep = [k for k, r in enumerate(records_of(evalc))
                 if 2 <= r.edits[0][0] <= len(r.clean) - 3]
         assert len(deep) > 150
@@ -207,7 +224,7 @@ class TestCorrect:
         model = train(corpus)
         evalc = generate_corpus(world, table, 400, (4, 8), 0.1,
                                 mode="single_edit", seed=9, annotate=True)
-        decoded = predict_matrix(model, evalc)[1]
+        decoded = predict_matrix(model, evalc)[0]
         edit_ok = total = 0
         for k, rec in enumerate(records_of(evalc)):
             if rec.categories[0] != SampleCategory.TRUE:
@@ -222,8 +239,8 @@ class TestCorrect:
         world, table = training_setup(5)
         corpus = generate_corpus(world, table, 50, (4, 8), 0.1, seed=0)
         model = train(corpus)
-        np.testing.assert_array_equal(predict_matrix(model, corpus)[1],
-                                      predict_matrix(model, corpus)[1])
+        np.testing.assert_array_equal(predict_matrix(model, corpus)[0],
+                                      predict_matrix(model, corpus)[0])
 
 
 class TestConvergence:
@@ -282,8 +299,7 @@ class TestSerialization:
         assert back.window == model.window and back.alpha == model.alpha
         assert back.trained_on == model.trained_on
         assert back.corpus_hash == model.corpus_hash
-        np.testing.assert_array_equal(predict_matrix(back, corpus)[0],
-                                      predict_matrix(model, corpus)[0])
+        np.testing.assert_array_equal(every_row(back, corpus), every_row(model, corpus))
         assert model_to_json(back) == model_to_json(model)
 
     def test_masked_model_round_trip(self):
@@ -366,7 +382,8 @@ class TestSerialization:
         world, table = training_setup(6)
         corpus = generate_corpus(world, table, 200, (4, 8), 0.1, seed=2)
         doc = json.loads(model_to_json(train(corpus, (-1, 0, 10**6))))
-        want = predict_matrix(model_from_json(json.dumps(doc)), corpus)[0]
+        want = every_row(model_from_json(json.dumps(doc)), corpus)
+        want_scored = predict_matrix(model_from_json(json.dumps(doc)), corpus)
 
         def too_slow(*_):
             raise TimeoutError("scoring took over 10 s")
@@ -377,9 +394,9 @@ class TestSerialization:
             for offset in (2**62, 2**63 - 1):
                 doc["window"] = [-1, 0, offset]
                 model = model_from_json(json.dumps(doc))
-                np.testing.assert_array_equal(predict_matrix(model, corpus)[0], want)
-                np.testing.assert_array_equal(
-                    predict_at(model, corpus, np.arange(corpus.n_chars)), want)
+                for got, column in zip(predict_matrix(model, corpus), want_scored):
+                    np.testing.assert_array_equal(got, column)
+                np.testing.assert_array_equal(every_row(model, corpus), want)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +179,19 @@ class TestEmitReport:
                         config_doc={"x": 1}, seed=7)
         for name in ("metrics.csv", "reliability.csv", "manifest.json"):
             assert sha256_file(a / name) == sha256_file(b / name)
+
+    def test_file_digest_streams_the_file(self, tmp_path):
+        path = tmp_path / "big.bin"
+        data = np.random.default_rng(0).bytes(16 * 2**20)
+        path.write_bytes(data)
+        tracemalloc.start()
+        try:
+            digest = sha256_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(data).hexdigest()
+        assert peak < 2 * 2**20
 
     def test_manifest_verification(self, tmp_path):
         emit_report(tmp_path, metrics_rows=self.fake_rows(), config_doc={"x": 1},

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion, generate_corpus)
-from denoiselab.corrector import MASKED_WINDOW, predict_matrix, train
+from denoiselab.corrector import MASKED_WINDOW, train
 from denoiselab.oracle import OracleScorer, posterior, restoration_distribution
 from denoiselab.pipeline import tv_to_oracle
 from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig,
                               build_world, conditional, sample_corpus_tokens)
 
-from constructions import one_record, records_of
+from constructions import every_row, one_record, records_of
 from enumeration import brute_force_posterior, channel_prob, slot_distribution
 from reference import iter_edits
 
@@ -237,7 +237,7 @@ class TestTvToOracle:
             (i, _, _), = rec.edits
             alone = one_record(corpus, k)
             exact = restoration_distribution(world, table, alone, [i], 0.3)[0]
-            row = predict_matrix(model, alone)[0][i]
+            row = every_row(model, alone)[i]
             distances.append(0.5 * float(np.abs(exact - row).sum()))
         if not distances:
             with pytest.raises(ValueError, match="no single-edit records"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
 from denoiselab.oracle import OracleScorer, bounds, posterior, restoration_distribution
 from denoiselab.world import WorldConfig, build_world, conditional
 
-from constructions import (bound_demo_setup, equal_prior_noisy_setup,
+from constructions import (bound_demo_setup, default_target, equal_prior_noisy_setup,
                            manual_table, ordering_triple, records_of)
 from enumeration import brute_force_posterior
 from ordering import verify_ordering
@@ -255,6 +257,19 @@ class TestOracleScorer:
                                       max(max(tokens) + 1, world.vocab_size))
         with pytest.raises(ValueError, match=message):
             scorer.predict_at(corpus, place)
+
+
+    def test_rows_at_every_position_hold_one_block_of_kernel_temporaries(self):
+        # The whole call's temporaries once took 78 MiB beside these 45.8 MiB of rows.
+        world, longtail, d_o = default_target()
+        tracemalloc.start()
+        try:
+            rows = restoration_distribution(world, longtail, d_o, np.arange(d_o.n_chars), 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (d_o.n_chars, world.vocab_size)
+        assert peak <= rows.nbytes + 32 * 2**20
 
 
 class TestScalarPosition:

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ from denoiselab.augment import (ConfusionConfig, SampleCategory, build_confusion
                                 concat_corpora, generate_corpus)
 from denoiselab.corrector import MASKED_WINDOW, CorrectorModel, predict_at, train
 from denoiselab.harness import category_filter_rates
-from denoiselab.pipeline import (ExperimentConfig, FilterConfig,
+from denoiselab.pipeline import (ExperimentConfig, FilterConfig, _scored,
                                  build_experiment_world, filter_corpus,
                                  heuristic_multi, heuristic_noisy, make_eval_corpus,
                                  oracle_filter, restore_confidences,
                                  run_pipeline, threshold_sweep, volume_sweep)
 from denoiselab.world import WorldConfig, build_world, conditional
 
-from constructions import records_of
+from constructions import default_target, records_of
 from reference import iter_edits
 
 
@@ -284,6 +285,20 @@ class TestRunPipeline:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             FilterConfig(filter_source="bogus")
+
+
+    def test_scoring_a_default_target_holds_no_row_matrix(self):
+        # Its (n_chars, V) probability rows alone would take 45.8 MiB.
+        _, _, d_o = default_target()
+        model = train(d_o)
+        tracemalloc.start()
+        try:
+            _scored(model, d_o)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d_o.n_chars * d_o.vocab_size * 8 > 40 * 2**20
+        assert peak < 16 * 2**20
 
 
 class TestMixing:

@@ -20,14 +20,14 @@ import reference
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion)
 from denoiselab.calibration import calibration_report
-from denoiselab.corrector import (_signatures, model_from_json, model_to_json, predict_at,
-                                  predict_matrix, train)
+from denoiselab.corrector import (_argmax_keep_ties, _signatures, model_from_json,
+                                  model_to_json, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
 from denoiselab.oracle import OracleScorer
 from denoiselab.pipeline import _scored, filter_corpus, restore_confidences, revert_edits
 from denoiselab.world import WorldConfig, build_world
 
-from constructions import one_record, records_of
+from constructions import every_row, one_record, records_of
 from reference import iter_edits
 
 WINDOWS = ((-1, 0, 1), (-1, 1), (0,), (-2, -1, 0, 1, 2), (2,), (-3, 1))
@@ -64,7 +64,8 @@ def trained_setups(draw):
 
 def alone(model, corpus, ri):
     """(probs, decoded) of record ``ri`` scored as a corpus of its own."""
-    return predict_matrix(model, one_record(corpus, ri))
+    own = one_record(corpus, ri)
+    return every_row(model, own), predict_matrix(model, own)[0]
 
 
 def assert_revert_invariants(before: PairCorpus, result, expected_kept=None):
@@ -97,8 +98,12 @@ class TestModelRows:
     @given(trained_setups())
     def test_predict_and_predict_at_match_predict_matrix(self, setup):
         model, corpus = setup
-        rows, decoded = predict_matrix(model, corpus)
-        np.testing.assert_array_equal(predict_at(model, corpus, np.arange(corpus.n_chars)), rows)
+        rows = every_row(model, corpus)
+        decoded, confidence, kept = predict_matrix(model, corpus)
+        np.testing.assert_array_equal(decoded, _argmax_keep_ties(rows, corpus.corrupted))
+        g = np.arange(corpus.n_chars)
+        np.testing.assert_array_equal(confidence, rows[g, decoded])
+        np.testing.assert_array_equal(kept, rows[g, corpus.corrupted])
         for ri in range(len(corpus)):
             start, stop = corpus.offsets[ri], corpus.offsets[ri + 1]
             own_rows, own_decoded = alone(model, corpus, ri)
@@ -109,7 +114,7 @@ class TestModelRows:
     @given(trained_setups(), st.randoms(use_true_random=False))
     def test_predict_at_gathers_any_subset_in_order(self, setup, rnd):
         model, corpus = setup
-        rows = predict_matrix(model, corpus)[0]
+        rows = every_row(model, corpus)
         at = rnd.choices(range(corpus.n_chars), k=rnd.randint(1, 2 * corpus.n_chars))
         np.testing.assert_array_equal(predict_at(model, corpus, at), rows[at])
 
