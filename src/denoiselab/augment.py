@@ -33,7 +33,8 @@ import numpy as np
 
 from ._jsonfile import checked_object, fits_int64, load_file
 from ._rng import derive_rng
-from .world import WorldModel, categorical_sampler, conditional, sample_corpus_tokens
+from .world import (WorldModel, _padded, categorical_sampler, conditional_blocks,
+                    sample_corpus_tokens)
 
 
 class SampleCategory(str, enum.Enum):
@@ -522,38 +523,23 @@ def _draw_replacements(table: ConfusionTable, sources: np.ndarray,
     return table.candidates[sources, idx]
 
 
-# Prior-row floats of one batched conditional in annotation and restoration_distribution:
-# a default d_o's edits (about 30,000 of 20 floats) are one block, and no call holds them all.
-_ROW_FLOATS = 800_000
-
-
 def _category_codes(world: WorldModel, table: ConfusionTable, flat: np.ndarray,
                     starts: np.ndarray, owner: np.ndarray, pos: np.ndarray, x: np.ndarray,
                     y: np.ndarray) -> np.ndarray:
     """Category code of each edit from its candidates in its clean context: the tokens
     that both fit the context (nonzero prior) and can produce the replacement under the
-    channel (the replacement itself, or any token holding it in its candidate set).
-
-    One batched conditional per block of edits; a block pads only its own sentences.
-    """
-    V = world.vocab_size
+    channel (the replacement itself, or any token holding it in its candidate set)."""
     codes = np.empty(len(pos), dtype=np.int8)
-    step = max(1, _ROW_FLOATS // V)
-    for lo in range(0, len(pos), step):
-        edits = slice(lo, lo + step)
-        first, last = int(owner[lo]), int(owner[edits][-1]) + 1
-        sentences = _padded(flat[starts[first]:starts[last]],
-                            starts[first:last + 1] - starts[first], V)
-        fits = conditional(world, sentences, pos[edits], owner[edits] - first) > 0.0
+    for edits, prior in conditional_blocks(world, flat, starts, owner, pos):
         flags = table.matrix.T[y[edits]] > 0.0
         rows = np.arange(len(flags))
         flags[rows, y[edits]] = True  # keeping the token always emits it
-        flags &= fits
+        flags &= prior > 0.0
         if not np.all(flags[rows, x[edits]]):
             raise ValueError("edit inconsistent with world/table: "
                              "original cannot produce the replacement here")
         codes[edits] = candidate_category_codes(flags, y[edits])
-        del sentences, fits, flags  # so the next block is not built beside this one
+        del prior, flags  # so the next block is not built beside this one
     return codes
 
 
@@ -645,21 +631,12 @@ def corpus_arrays(corpus: PairCorpus) -> tuple[np.ndarray, np.ndarray, np.ndarra
     Rows are padded with ``vocab_size`` beyond each sentence's length, as
     :func:`~denoiselab.world.conditional` reads them; every other pass works on
     the flat columns.  The matrices are new on every call, so callers may
-    write into them.
+    write into them.  It is kept for ``make_eval_corpus``, its one caller in the lab, and
+    for perfbench, which counts its calls, until the benchmark changes (ROADMAP item 2).
     """
     return (_padded(corpus.clean, corpus.offsets, corpus.vocab_size),
             _padded(corpus.corrupted, corpus.offsets, corpus.vocab_size),
             corpus.lengths)
-
-
-def _padded(flat: np.ndarray, offsets: np.ndarray, pad: int) -> np.ndarray:
-    """Sentences of a flat token array as the rows of a matrix padded with
-    ``pad`` past each end."""
-    lengths = np.diff(offsets)
-    width = int(lengths.max(initial=0))
-    out = np.full((len(lengths), width), pad, dtype=np.int64)
-    out[np.arange(width) < lengths[:, None]] = flat
-    return out
 
 
 def _joined_groups(texts: list[str], index: np.ndarray, bounds: np.ndarray) -> list[str]:

@@ -82,36 +82,24 @@ def _signature_table_shape(vocab_size: int, window: tuple[int, ...], where: str 
 
 
 def _signatures(tokens: np.ndarray, offsets: np.ndarray, vocab_size: int,
-                window: tuple[int, ...], at: np.ndarray | None = None) -> np.ndarray:
-    """Signature ids at flat positions ``at`` (every position when None) of the
-    sentences ``tokens[offsets[k]:offsets[k + 1]]``.
+                window: tuple[int, ...]) -> np.ndarray:
+    """Signature ids at every flat position of the sentences
+    ``tokens[offsets[k]:offsets[k + 1]]``; index the result for given positions.
 
     Digit ``i`` in base ``vocab_size + 1`` is the token at offset ``window[i]``
     from the position, or ``vocab_size`` where that offset leaves the sentence.
-    Every position reads one shifted copy of ``tokens`` per offset, with each
-    sentence's first or last ``|off|`` slots set to ``vocab_size``; positions
-    ``at`` gather at ``at + off`` and test it against their own sentence's
-    bounds, which a search on ``offsets`` finds.
+    Each offset reads one shifted copy of ``tokens``, with each sentence's first
+    or last ``|off|`` slots set to ``vocab_size``.
     """
-    if at is None:
-        starts, ends = offsets[:-1], offsets[1:]
-    else:
-        at = np.asarray(at, dtype=np.int64)
-        k = np.searchsorted(offsets, at, side="right") - 1
-        starts, ends = offsets[k], offsets[k + 1]
-    sig = np.zeros(len(tokens) if at is None else len(at), dtype=np.int64)
+    starts, ends = offsets[:-1], offsets[1:]
+    sig = np.zeros(len(tokens), dtype=np.int64)
     reach = int((ends - starts).max(initial=0))  # past it, every read is vocab_size
     for off in reversed(window):  # Horner's rule, in place: window[0] is the lowest digit
         off = max(-reach, min(off, reach))
-        if at is None:
-            read = np.roll(tokens, -off) if off else tokens  # tokens[g + off], wrapping
-            for j in range(abs(off)):  # the j-th slot from each sentence's far edge
-                edge = ends - 1 - j if off > 0 else starts + j
-                read[edge[(edge >= starts) & (edge < ends)]] = vocab_size
-        else:
-            pos = at + off
-            read = tokens.take(pos, mode="clip")
-            read[(pos < starts) if off < 0 else (pos >= ends)] = vocab_size
+        read = np.roll(tokens, -off) if off else tokens  # tokens[g + off], wrapping
+        for j in range(abs(off)):  # the j-th slot from each sentence's far edge
+            edge = ends - 1 - j if off > 0 else starts + j
+            read[edge[(edge >= starts) & (edge < ends)]] = vocab_size
         sig *= vocab_size + 1
         sig += read
     return sig
@@ -154,19 +142,19 @@ def _smoothed(model: CorrectorModel, sig: np.ndarray, written: np.ndarray) -> np
     return rows
 
 
-def _model_signatures(model: CorrectorModel, corpus: PairCorpus, at=None) -> np.ndarray:
+def _model_signatures(model: CorrectorModel, corpus: PairCorpus) -> np.ndarray:
     """:func:`_signatures` of ``corpus`` under the model's window.  The corpus must be over
     the model's vocabulary: its tokens then lie in ``[0, V)``, and a wider one would alias
     signature ids."""
     V = model.vocab_size
     if corpus.vocab_size != V:
         raise ValueError(f"corpus vocab_size {corpus.vocab_size} differs from the model's {V}")
-    return _signatures(corpus.corrupted, corpus.offsets, V, model.window, at)
+    return _signatures(corpus.corrupted, corpus.offsets, V, model.window)
 
 
 def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray) -> np.ndarray:
     """Smoothed probability rows at flat positions ``at`` of ``corpus``."""
-    sig = _model_signatures(model, corpus, at)
+    sig = _model_signatures(model, corpus)[at]
     written, rows = corpus.corrupted[at], np.empty((len(sig), model.vocab_size))
     for lo in range(0, len(sig), _ROW_BLOCK):  # only one block's int64 gather at a time
         block = slice(lo, lo + _ROW_BLOCK)

@@ -198,7 +198,7 @@ def heuristic_multi(corpus: PairCorpus) -> np.ndarray:
     Returns one flag per edit, in edit-column order.
     """
     V = corpus.vocab_size
-    context = _signatures(corpus.corrupted, corpus.offsets, V, MASKED_WINDOW, corpus.flat_pos)
+    context = _signatures(corpus.corrupted, corpus.offsets, V, MASKED_WINDOW)[corpus.flat_pos]
     groups, group = np.unique(context * V + corpus.repl, return_inverse=True)
     originals = np.unique(group * V + corpus.orig) // V  # one entry per (group, original)
     return np.bincount(originals, minlength=len(groups))[group] > 1

@@ -261,6 +261,40 @@ def conditional(world: WorldModel, tokens, position, rows=None):
     return weights[0] if single else weights
 
 
+# Row floats of one batched conditional in conditional_blocks: a default d_o's edits
+# (about 30,000 rows of 20 floats) are one block, and no call holds every position's rows.
+_ROW_FLOATS = 800_000
+
+
+def conditional_blocks(world: WorldModel, flat: np.ndarray, offsets: np.ndarray,
+                       rows: np.ndarray, position: np.ndarray):
+    """The batched :func:`conditional` of each query ``i``, position ``position[i]`` of
+    sentence ``rows[i]`` (``flat[offsets[k]:offsets[k + 1]]`` is sentence k), as
+    ``(block, weights)``: a slice of the queries and their (n, V) rows, at most
+    ``_ROW_FLOATS`` floats.  A block pads only the sentences from its lowest row to its
+    highest; an empty query is one empty block.  Drop a block's rows before asking for
+    the next, so that two blocks are never held at once.
+    """
+    V = world.vocab_size
+    step = max(1, _ROW_FLOATS // V)
+    for lo in range(0, max(len(rows), 1), step):
+        block = slice(lo, lo + step)
+        first = int(rows[block].min(initial=len(offsets) - 1))  # an empty block: no sentence
+        span = offsets[first:int(rows[block].max(initial=first - 1)) + 2]
+        yield block, conditional(world, _padded(flat[span[0]:span[-1]], span - span[0], V),
+                                 position[block], rows[block] - first)
+
+
+def _padded(flat: np.ndarray, offsets: np.ndarray, pad: int) -> np.ndarray:
+    """Sentences of a flat token array as the rows of a matrix padded with
+    ``pad`` past each end: the layout the batched :func:`conditional` reads."""
+    lengths = np.diff(offsets)
+    width = int(lengths.max(initial=0))
+    out = np.full((len(lengths), width), pad, dtype=np.int64)
+    out[np.arange(width) < lengths[:, None]] = flat
+    return out
+
+
 def categorical_sampler(probs: np.ndarray):
     """``draw(rows, u)``: per i, the first column of row ``rows[i]`` whose cumulative sum
     exceeds ``u[i]``, at most the row's last nonzero column, so a stored zero is never

@@ -1,5 +1,5 @@
-"""Every public top-level function of the package has a caller in the package, and the
-enumeration reference stays outside it.
+"""Every public top-level function of the package has a caller in the package, the
+enumeration reference stays outside it, and one module pads sentences for the exact kernel.
 
 A function that only tests keep alive is a second implementation of a rule
 that lives elsewhere, or a capability nothing uses.  A name counts as called
@@ -43,3 +43,19 @@ def test_the_enumeration_reference_imports_nothing_from_the_package():
     modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom)]  # a relative import starts with "."
     assert modules and not [m for m in modules if m.split(".")[0] in ("denoiselab", "")]
+
+
+def test_only_the_kernel_module_and_corpus_arrays_read_the_padded_layout():
+    # world pads each block of queries for its own kernel; corpus_arrays keeps the padded
+    # call that make_eval_corpus makes and the benchmark counts.  Any other reader of
+    # _padded is a second block loop beside world.conditional_blocks.
+    readers = set()
+    for path in sorted(Path(denoiselab.__file__).parent.glob("*.py")):
+        if path.name == "world.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == "_padded"
+                        or isinstance(node, ast.Attribute) and node.attr == "_padded"):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {"augment.corpus_arrays"}

@@ -9,23 +9,30 @@ once, equals its mean over the records scored one at a time.  An order-1
 world keeps its single conditional's rows per (left, right) pair: interleaved
 worlds, a changed report or row and kept rows each give what a new world
 gives, and the kept rows stay within ``_SLOT_ROW_FLOATS`` at a large V.
+The block generator ``conditional_blocks`` gives, bit for bit, the rows of one
+batched call on the whole corpus, and each of its kernel calls reads only its
+block's sentences.
 """
 
+import sys
 import tracemalloc
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import denoiselab.world as world_module
 from denoiselab._rng import derive_rng
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
-                                build_confusion, generate_corpus)
+                                build_confusion, corpus_arrays, generate_corpus)
 from denoiselab.corrector import MASKED_WINDOW, train
 from denoiselab.oracle import OracleScorer, posterior, restoration_distribution
 from denoiselab.pipeline import tv_to_oracle
-from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig,
-                              build_world, conditional, sample_corpus_tokens)
+from denoiselab.world import (_SLOT_ROW_FLOATS, ImpossibleContextError, WorldConfig, _padded,
+                              build_world, conditional, conditional_blocks, sample_corpus_tokens)
 
 from constructions import every_row, one_record, records_of
 from enumeration import brute_force_posterior, channel_prob, slot_distribution
@@ -200,6 +207,69 @@ class TestBatchedConditional:
                 continue
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
             np.testing.assert_array_equal(row == 0.0, want == 0.0)
+
+
+class TestConditionalBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_blocks_are_the_rows_of_one_call_on_the_whole_corpus(self, data):
+        """Queries in any order, several to a sentence, a few rows to a block."""
+        world = data.draw(worlds(orders=(1, 2)))
+        V = world.vocab_size
+        sentences = data.draw(st.lists(st.lists(st.integers(0, V - 1), min_size=1, max_size=5),
+                                       min_size=1, max_size=6))
+        flat = np.array(list(chain(*sentences)), dtype=np.int64)
+        offsets = np.cumsum([0] + list(map(len, sentences)))
+        queries = data.draw(st.lists(st.sampled_from(
+            [(k, p) for k, s in enumerate(sentences) for p in range(len(s))]), max_size=12))
+        rows = np.array([k for k, _ in queries], dtype=np.int64)
+        position = np.array([p for _, p in queries], dtype=np.int64)
+        want = conditional(world, _padded(flat, offsets, V), position, rows)
+        step = data.draw(st.integers(1, 4))
+        with mock.patch.object(world_module, "_ROW_FLOATS", step * V):
+            blocks = list(conditional_blocks(world, flat, offsets, rows, position))
+            (empty, no_rows), = conditional_blocks(world, flat, offsets, rows[:0], position[:0])
+        assert len(blocks) == max(1, -(-len(queries) // step))
+        for block, weights in blocks:
+            assert len(weights) <= step
+            np.testing.assert_array_equal(weights, want[block])
+        np.testing.assert_array_equal(np.concatenate([w for _, w in blocks]), want)
+        assert empty == slice(0, step) and no_rows.shape == (0, V)
+
+    def test_each_kernel_call_reads_only_its_blocks_sentences(self, monkeypatch):
+        world = build_world(WorldConfig(vocab_size=5, support=3), 0)
+        table = build_confusion(world, ConfusionConfig(candidates=2), 0)[0]
+        step = 3
+        monkeypatch.setattr(world_module, "_ROW_FLOATS", step * world.vocab_size)
+        calls = []
+
+        def spy(world, tokens, position, rows=None):
+            calls.append((tokens, position, rows))
+            return conditional(world, tokens, position, rows)
+
+        for module in [m for n, m in sys.modules.items() if n.startswith("denoiselab")]:
+            for name, value in list(vars(module).items()):
+                if value is conditional:  # every binding, wherever it was imported
+                    monkeypatch.setattr(module, name, spy)
+
+        def assert_block_calls(padded, lengths, rows, positions):
+            assert len(calls) == -(-len(rows) // step) > 2
+            for lo, (tokens, position, local) in zip(range(0, len(rows), step), calls):
+                block = slice(lo, lo + step)
+                first, last = rows[block].min(), rows[block].max() + 1
+                width = lengths[first:last].max()
+                np.testing.assert_array_equal(tokens, padded[first:last, :width])
+                np.testing.assert_array_equal(position, positions[block])
+                np.testing.assert_array_equal(local, rows[block] - first)
+            calls.clear()
+
+        corpus = generate_corpus(world, table, 12, (1, 6), 0.4, seed=3, annotate=True)
+        clean, corrupted, lengths = corpus_arrays(corpus)
+        assert_block_calls(clean, lengths, corpus.record, corpus.pos)
+        at = np.arange(corpus.n_chars)[::-1]  # reversed: a block's rows run downward
+        restoration_distribution(world, table, corpus, at, 0.4)
+        ri = np.searchsorted(corpus.offsets, at, side="right") - 1
+        assert_block_calls(corrupted, lengths, ri, at - corpus.offsets[ri])
 
 
 class TestOracleScorer:

@@ -124,26 +124,28 @@ class TestSignatures:
     @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from(WINDOWS),
            st.randoms(use_true_random=False))
     def test_positions_at_gather_the_every_position_ids(self, corpus, window, rnd):
-        """The ``at`` form equals the whole-corpus form read at ``at``, for any
-        order and repeats of positions."""
+        """The whole-corpus ids read at any positions, in any order and with repeats, are
+        the digits read one position at a time, and the tokens are left alone."""
         V, tokens, offsets = corpus.vocab_size, corpus.corrupted.copy(), corpus.offsets
         every = _signatures(tokens, offsets, V, window)
-        at = np.array([rnd.randrange(corpus.n_chars)
-                       for _ in range(rnd.randint(1, 2 * corpus.n_chars))])
-        np.testing.assert_array_equal(_signatures(tokens, offsets, V, window, at), every[at])
+        at = [rnd.randrange(corpus.n_chars) for _ in range(rnd.randint(1, 2 * corpus.n_chars))]
+        want = []
+        for g in at:
+            k = int(np.searchsorted(offsets, g, side="right")) - 1
+            sentence, i = tokens[offsets[k]:offsets[k + 1]].tolist(), g - offsets[k]
+            want.append(sum((sentence[i + off] if 0 <= i + off < len(sentence) else V)
+                            * (V + 1) ** digit for digit, off in enumerate(window)))
+        np.testing.assert_array_equal(every[at], want)
         np.testing.assert_array_equal(tokens, corpus.corrupted)  # the input is left alone
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 5).flatmap(pair_corpora), st.sampled_from((8, -8, 10**4, -10**4)))
-    def test_an_offset_past_every_sentence_reads_padding_on_both_paths(self, corpus, offset):
+    def test_an_offset_past_every_sentence_reads_padding(self, corpus, offset):
         """Such an offset gives the digit ``vocab_size`` everywhere, also past int64."""
         V, tokens, offsets = corpus.vocab_size, corpus.corrupted, corpus.offsets
         want = _signatures(tokens, offsets, V, (-1, 0)) + V * (V + 1) ** 2
-        np.testing.assert_array_equal(_signatures(tokens, offsets, V, (-1, 0, offset)), want)
-        at = np.arange(corpus.n_chars)
-        for far in (offset, 2**63 - 1, -2**70):  # at + far would wrap or overflow int64
-            np.testing.assert_array_equal(_signatures(tokens, offsets, V, (-1, 0, far), at),
-                                          want)
+        for far in (offset, 2**63 - 1, -2**70):  # the last one does not fit an int64
+            np.testing.assert_array_equal(_signatures(tokens, offsets, V, (-1, 0, far)), want)
 
 
 class TestScoredOnce:
@@ -221,8 +223,8 @@ class TestVocabularyRule:
         # Over 4 tokens the digits are base 5: token 5 at position 0 of (5, 0, 1) carries
         # into the next digit, 4 + 5 * 5 + 0 = 4 + 5 * 0 + 25 * 1, the id of (start, 0, 1).
         window = (-1, 0, 1)
-        wide = _signatures(np.array([5, 0, 1]), np.array([0, 3]), 4, window, [0])
-        assert wide == _signatures(np.array([0, 1]), np.array([0, 2]), 4, window, [0])
+        wide = _signatures(np.array([5, 0, 1]), np.array([0, 3]), 4, window)[0]
+        assert wide == _signatures(np.array([0, 1]), np.array([0, 2]), 4, window)[0]
         model = train(PairCorpus((CorruptionRecord((0, 1), (0, 1), ()),), 4, 0.1, "iid"))
         corpus = PairCorpus((CorruptionRecord((5, 0, 1), (5, 0, 1), ()),), 6, 0.1, "iid")
         with pytest.raises(ValueError, match="^corpus vocab_size 6 differs from the model's 4$"):
