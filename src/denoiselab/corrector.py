@@ -29,8 +29,6 @@ MASKED_WINDOW = (-1, 1)
 
 # Dense signature tables; (V+1)**len(window) * V entries must stay desk-sized.
 _TABLE_BUDGET = 5 * 10**7
-# Positions per block of count rows: its int64 gather and float rows are one block's.
-_ROW_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -126,17 +124,13 @@ def train(corpus: PairCorpus, window: tuple[int, ...] = DEFAULT_WINDOW,
 
 def _smoothed(model: CorrectorModel, sig: np.ndarray, written: np.ndarray) -> np.ndarray:
     """Smoothed probability rows of signature ids ``sig`` at positions holding ``written``.
-
     Unseen signature -> center marginal (when the window has a center) -> global target
-    marginal; smoothing turns an all-zero row into uniform.  Every step is per row.
-    """
+    marginal; smoothing turns an all-zero row into uniform.  Every step is per row."""
     rows = model.counts[sig].astype(np.float64)
+    missing = ~rows.any(axis=1)  # counts are never negative
+    rows[missing] = (model.target_counts if model.center_counts is None
+                     else model.center_counts[written[missing]])
     totals = rows.sum(axis=1)
-    missing = totals == 0.0
-    if np.any(missing):
-        rows[missing] = (model.target_counts if model.center_counts is None
-                         else model.center_counts[written[missing]])
-        totals = rows.sum(axis=1)
     rows += model.alpha  # (rows + alpha) / (totals + alpha V), in place
     rows /= (totals + model.alpha * model.vocab_size)[:, None]
     return rows
@@ -152,14 +146,23 @@ def _model_signatures(model: CorrectorModel, corpus: PairCorpus) -> np.ndarray:
     return _signatures(corpus.corrupted, corpus.offsets, V, model.window)
 
 
+def _signature_rows(model: CorrectorModel, sig: np.ndarray,
+                    written: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(table, row): smoothed rows of the distinct ids among ``sig``, and each position's row
+    in ``table``.  A row depends on its id alone (with a center offset an id holds one written
+    token, and without one the fallback ignores it), so any position's token stands for it."""
+    held = np.full(len(model.counts), -1)  # an id's written token, -1 where no position has it
+    held[sig] = written
+    ids = np.flatnonzero(held >= 0)
+    table = _smoothed(model, ids, held[ids])
+    held[ids] = np.arange(len(ids))  # now each id's row in the table
+    return table, held[sig]
+
+
 def _rows(model: CorrectorModel, corpus: PairCorpus, at: np.ndarray) -> np.ndarray:
     """Smoothed probability rows at flat positions ``at`` of ``corpus``."""
-    sig = _model_signatures(model, corpus)[at]
-    written, rows = corpus.corrupted[at], np.empty((len(sig), model.vocab_size))
-    for lo in range(0, len(sig), _ROW_BLOCK):  # only one block's int64 gather at a time
-        block = slice(lo, lo + _ROW_BLOCK)
-        rows[block] = _smoothed(model, sig[block], written[block])
-    return rows
+    table, row = _signature_rows(model, _model_signatures(model, corpus)[at], corpus.corrupted[at])
+    return table[row]
 
 
 def predict_at(model: CorrectorModel, corpus: PairCorpus, at) -> np.ndarray:
@@ -169,27 +172,24 @@ def predict_at(model: CorrectorModel, corpus: PairCorpus, at) -> np.ndarray:
 
 def predict_matrix(model: CorrectorModel, corpus: PairCorpus) -> tuple[np.ndarray, ...]:
     """(decoded, confidence, kept) of every position, each (corpus.n_chars,) in flat token
-    order: row g's argmax, ties keeping the written token ``corpus.corrupted[g]``, and the
-    decoded and the written token's probabilities.  Rows are the ones ``predict_at`` gives,
-    reduced a block at a time, so no (n_chars, V) array is built."""
-    sig, written = _model_signatures(model, corpus), corpus.corrupted
-    decoded, (confidence, kept) = np.empty(len(sig), np.int64), np.empty((2, len(sig)))
-    for lo in range(0, len(sig), _ROW_BLOCK):
-        block = slice(lo, lo + _ROW_BLOCK)
-        rows = _smoothed(model, sig[block], written[block])
-        decoded[block] = _argmax_keep_ties(rows, written[block])
-        r = np.arange(len(rows))
-        confidence[block], kept[block] = rows[r, decoded[block]], rows[r, written[block]]
-    return decoded, confidence, kept
+    order: the argmax of ``predict_at``'s row (a tie keeps the written token) and the decoded
+    and written tokens' probabilities, gathered from one reduced row per signature."""
+    written = corpus.corrupted
+    return _decode(*_signature_rows(model, _model_signatures(model, corpus), written), written)
+
+
+def _decode(table: np.ndarray, row: np.ndarray, written: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(decoded, confidence, kept) of the rows ``table[row]`` at positions holding ``written``:
+    each row's argmax, its probability and the written token's.  The one home of the tie rule."""
+    top = table.argmax(axis=1)
+    best, kept, decoded = table[np.arange(len(table)), top][row], table[row, written], top[row]
+    np.copyto(decoded, written, where=kept == best)  # a tie keeps the written token
+    return decoded, best, kept
 
 
 def _argmax_keep_ties(probs: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Row argmax, breaking ties toward the input token, then the lowest id."""
-    out = np.argmax(probs, axis=1)
-    row_max = probs[np.arange(len(probs)), out]
-    keep = probs[np.arange(len(probs)), inputs] == row_max
-    out[keep] = inputs[keep]
-    return out
+    return _decode(probs, np.arange(len(probs)), inputs)[0]
 
 
 def model_to_json(model: CorrectorModel) -> str:

@@ -1,5 +1,6 @@
 """Every public top-level function of the package has a caller in the package, the
-enumeration reference stays outside it, and one module pads sentences for the exact kernel.
+enumeration reference stays outside it, one module pads sentences for the exact kernel,
+and one function smooths corrector rows.
 
 A function that only tests keep alive is a second implementation of a rule
 that lives elsewhere, or a capability nothing uses.  A name counts as called
@@ -45,17 +46,28 @@ def test_the_enumeration_reference_imports_nothing_from_the_package():
     assert modules and not [m for m in modules if m.split(".")[0] in ("denoiselab", "")]
 
 
+def readers_of(name: str) -> set[str]:
+    """``module.function`` (``module.<module>`` outside a function) of every top-level
+    statement of the package that reads ``name``, as a name or as an attribute."""
+    readers = set()
+    for path in sorted(Path(denoiselab.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return readers
+
+
 def test_only_the_kernel_module_and_corpus_arrays_read_the_padded_layout():
     # world pads each block of queries for its own kernel; corpus_arrays keeps the padded
     # call that make_eval_corpus makes and the benchmark counts.  Any other reader of
     # _padded is a second block loop beside world.conditional_blocks.
-    readers = set()
-    for path in sorted(Path(denoiselab.__file__).parent.glob("*.py")):
-        if path.name == "world.py":
-            continue
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                if (isinstance(node, ast.Name) and node.id == "_padded"
-                        or isinstance(node, ast.Attribute) and node.attr == "_padded"):
-                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-    assert readers == {"augment.corpus_arrays"}
+    assert {r for r in readers_of("_padded") if not r.startswith("world.")} == {
+        "augment.corpus_arrays"}
+
+
+def test_only_the_signature_table_builds_smoothed_rows():
+    # A row is a function of its signature id, so rows are smoothed once per distinct id,
+    # in corrector._signature_rows.  Any other caller of _smoothed builds them per position.
+    assert readers_of("_smoothed") == {"corrector._signature_rows"}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import output_matrix
 from denoiselab.cli import main
 from denoiselab.config import experiment_config_from_dict
 from denoiselab.harness import config_hash, sha256_file
+from denoiselab.pipeline import build_experiment_world, run_pipeline
 
 TINY_CONFIG = {
     "world": {"vocab_size": 8, "support": 3, "weight_low": 0.05, "weight_high": 1.0},
@@ -513,6 +515,20 @@ class TestPipelineCommands:
         summary = json.loads((out / "report.json").read_text())
         assert summary["variant"] == "none"
         assert summary["fpr_after"] == summary["fpr_before"]
+
+    def test_pipeline_threshold_override(self, runner, config_path, tmp_path):
+        out = tmp_path / "p03"
+        run_ok(runner, ["pipeline", "--config", config_path, "--seed", "1",
+                        "--out-dir", str(out), "--threshold", "0.3"])
+        summary = json.loads((out / "report.json").read_text())
+        config = experiment_config_from_dict(TINY_CONFIG)
+        assert config.filter.threshold != 0.3
+        config = dataclasses.replace(config, filter=dataclasses.replace(config.filter,
+                                                                        threshold=0.3))
+        report = run_pipeline(*build_experiment_world(config, 1), config, 1)
+        assert summary["threshold"] == 0.3
+        assert (summary["kept_edits"], summary["reverted_edits"]) == (report.kept_edits,
+                                                                      report.reverted_edits)
 
     def test_sweep_threshold_rows(self, runner, config_path, tmp_path):
         out = tmp_path / "sweep"

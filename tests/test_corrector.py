@@ -8,7 +8,7 @@ import pytest
 
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus,
                                 SampleCategory, build_confusion, generate_corpus)
-from denoiselab.corrector import (_ROW_BLOCK, MASKED_WINDOW, _argmax_keep_ties, _signatures,
+from denoiselab.corrector import (MASKED_WINDOW, _argmax_keep_ties, _signatures,
                                   load_model, model_from_json, model_to_json, predict_at,
                                   predict_matrix, save_model, train)
 from denoiselab.harness import evaluate
@@ -141,12 +141,11 @@ class TestPredict:
         with pytest.raises(ValueError, match=r"token -1 outside \[0, 4\)"):
             identity_corpus([(-1, 2, 3)], vocab_size=4)  # a corpus holds only its own tokens
 
-    def test_rows_are_gathered_in_blocks_without_a_second_full_copy(self):
+    def test_rows_are_gathered_without_a_second_full_copy(self):
         world = build_world(WorldConfig(vocab_size=20, support=3), 0)
         table = build_confusion(world, ConfusionConfig(candidates=3), 0)[0]
         model = train(generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=1))
         corpus = generate_corpus(world, table, 2_000, (8, 16), 0.1, seed=2)
-        assert corpus.n_chars > 4 * _ROW_BLOCK
         tracemalloc.start()
         try:
             probs = every_row(model, corpus)
@@ -154,24 +153,34 @@ class TestPredict:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * probs.nbytes  # an int64 copy of every row would take twice
-        at = np.array([0, _ROW_BLOCK - 1, _ROW_BLOCK, 3 * _ROW_BLOCK + 1, corpus.n_chars - 1])
+        at = np.array([0, 1, corpus.n_chars // 2, corpus.n_chars - 2, corpus.n_chars - 1])
         np.testing.assert_array_equal(predict_at(model, corpus, at), probs[at])
 
-    def test_matrix_columns_reduce_the_rows_across_block_boundaries(self):
+    def test_positions_of_one_signature_get_one_row(self):
         world = build_world(WorldConfig(vocab_size=20, support=3), 0)
         table = build_confusion(world, ConfusionConfig(candidates=3), 0)[0]
         model = train(generate_corpus(world, table, 300, (8, 16), 0.1, seed=1))
         corpus = generate_corpus(world, table, 1_000, (8, 16), 0.1, seed=2)
-        assert corpus.n_chars > 2 * _ROW_BLOCK
-        assert _ROW_BLOCK not in corpus.offsets  # the first boundary falls inside a sentence
         rows = every_row(model, corpus)  # the fallback rows of unseen signatures included
-        assert np.any(model.counts[_signatures(corpus.corrupted, corpus.offsets, 20,
-                                               model.window)].sum(axis=1) == 0)
+        sig = _signatures(corpus.corrupted, corpus.offsets, 20, model.window)
+        assert np.any(model.counts[sig].sum(axis=1) == 0)
+        _, first, inverse = np.unique(sig, return_index=True, return_inverse=True)
+        assert len(first) < corpus.n_chars  # signatures repeat
+        np.testing.assert_array_equal(rows, rows[first[inverse]])
         decoded, confidence, kept = predict_matrix(model, corpus)
         g = np.arange(corpus.n_chars)
         np.testing.assert_array_equal(decoded, _argmax_keep_ties(rows, corpus.corrupted))
         np.testing.assert_array_equal(confidence, rows[g, decoded])
         np.testing.assert_array_equal(kept, rows[g, corpus.corrupted])
+
+    def test_one_masked_signature_decodes_to_each_written_token_on_a_tie(self):
+        # Under (-1, 1) the middles of (0, 1, 0) and (0, 2, 0) share the unseen signature
+        # (0, 0); its fallback row is the uniform target marginal, so every token ties.
+        model = train(identity_corpus([(0, 1, 2, 3)], vocab_size=4), MASKED_WINDOW)
+        corpus = identity_corpus([(0, 1, 0), (0, 2, 0)], vocab_size=4)
+        rows = predict_at(model, corpus, [1, 4])
+        assert (rows == rows[0, 0]).all()
+        assert predict_matrix(model, corpus)[0][[1, 4]].tolist() == [1, 2]
 
 
 class TestCorrect:

@@ -20,7 +20,7 @@ import reference
 from denoiselab.augment import (ConfusionConfig, CorruptionRecord, PairCorpus, SampleCategory,
                                 build_confusion)
 from denoiselab.calibration import calibration_report
-from denoiselab.corrector import (_argmax_keep_ties, _signatures, model_from_json,
+from denoiselab.corrector import (_argmax_keep_ties, _signatures, _smoothed, model_from_json,
                                   model_to_json, predict_at, predict_matrix, train)
 from denoiselab.harness import evaluate
 from denoiselab.oracle import OracleScorer
@@ -117,6 +117,27 @@ class TestModelRows:
         rows = every_row(model, corpus)
         at = rnd.choices(range(corpus.n_chars), k=rnd.randint(1, 2 * corpus.n_chars))
         np.testing.assert_array_equal(predict_at(model, corpus, at), rows[at])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda V: st.tuples(pair_corpora(V), pair_corpora(V))),
+           st.sampled_from(WINDOWS), st.sampled_from((0.01, 1.0, 1e12, 1e17)))
+    def test_rows_and_columns_are_the_rows_smoothed_one_position_at_a_time(
+            self, corpora, window, alpha):
+        """The rows read off the signature table, and the decode, confidence and kept mass
+        gathered from it, equal ``_smoothed`` called on each position alone.  The model is
+        trained on another corpus, so unseen signatures take the fallback.  At alpha 1e12 a
+        row is uniform but for its last digits, and at 1e17 counts below 8 round to one value,
+        so a row of small counts ties exactly."""
+        trained_on, corpus = corpora
+        model = train(trained_on, window, alpha)
+        sig = _signatures(corpus.corrupted, corpus.offsets, corpus.vocab_size, window)
+        want = np.concatenate([_smoothed(model, sig[g:g + 1], corpus.corrupted[g:g + 1])
+                               for g in range(corpus.n_chars)])
+        np.testing.assert_array_equal(every_row(model, corpus), want)
+        decoded, confidence, kept = predict_matrix(model, corpus)
+        for g, (row, written) in enumerate(zip(want, corpus.corrupted)):
+            assert decoded[g] == (written if row[written] == row.max() else np.argmax(row))
+            assert confidence[g] == row.max() and kept[g] == row[written]
 
 
 class TestSignatures:
